@@ -152,7 +152,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             else:
                 for row in pipeline.extract_windows(frames, cfg, schema, stream_id=stem):
                     rows.append((row.segment_id, row.vector))
-    except (MalformedRecord, features.DegenerateBox, OSError) as exc:
+    except (MalformedRecord, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if args.out == "-":
@@ -300,7 +300,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     except forest.SchemaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (MalformedRecord, features.DegenerateBox) as exc:
+    except MalformedRecord as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except SinkUnreachable as exc:

@@ -59,8 +59,9 @@ class PipelineConfig:
             raise BadConfig("fps must be positive")
         if self.window_s <= 0 or self.stride_s <= 0:
             raise BadConfig("window_s and stride_s must be positive")
-        if self.min_segment_frames < 2:
-            raise BadConfig("min_segment_frames must be >= 2")
+        # hand motion (speed, acceleration, jerk) needs three frames
+        if self.min_segment_frames < 3:
+            raise BadConfig("min_segment_frames must be >= 3")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise BadConfig("prob_threshold must be in [0, 1]")
 

@@ -17,24 +17,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
 
-from .preprocess import body_center, effective_torso_height
 from .types import (
-    LEFT_EAR,
-    LEFT_ELBOW,
     LEFT_HIP,
     LEFT_SHOULDER,
     LEFT_WRIST,
-    NOSE,
-    RIGHT_EAR,
-    RIGHT_ELBOW,
     RIGHT_HIP,
     RIGHT_SHOULDER,
     RIGHT_WRIST,
     PairSegment,
     Skeleton,
     Track,
+    valid_pos,
 )
 
 Value = Optional[float]
@@ -42,10 +38,6 @@ Value = Optional[float]
 
 class InsufficientSamples(ValueError):
     """Track too short for the requested derivative order."""
-
-
-class DegenerateBox(ValueError):
-    """Bounding-box area hit zero where a relative rate is required."""
 
 
 class NoTemporalOverlap(ValueError):
@@ -132,43 +124,46 @@ def aggregate(
 # ---------------------------------------------------------------------------
 # schema
 
-_INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool], ...] = (
-    # (name, "series"|"scalar", aggressor_only)
-    ("velocity", "series", False),
-    ("acceleration", "series", False),
-    ("handVelocity", "series", False),
-    ("fastHandPct", "scalar", False),
-    ("timeToPeakHandVel", "scalar", False),
-    ("handAcceleration", "series", True),
-    ("handJerkMin", "scalar", True),
-    ("armExtension", "series", False),
-    ("timeToPeakArmExt", "scalar", True),
-    ("armRetraction0p2s", "scalar", True),
-    ("elbowFlexPctL", "scalar", False),
-    ("elbowFlexPctR", "scalar", False),
-    ("elbowAngleL", "series", False),
-    ("elbowAngleR", "series", False),
-    ("bboxAreaRate", "series", False),
+# The family is the function that computes the feature; extraction runs a
+# family only when the schema asks for one of its outputs.
+_INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
+    # (name, "series"|"scalar", aggressor_only, family)
+    ("velocity", "series", False, "kinematics"),
+    ("acceleration", "series", False, "kinematics"),
+    ("handVelocity", "series", False, "hands"),
+    ("fastHandPct", "scalar", False, "hands"),
+    ("timeToPeakHandVel", "scalar", False, "hands"),
+    ("handAcceleration", "series", True, "hands"),
+    ("handJerkMin", "scalar", True, "hands"),
+    ("armExtension", "series", False, "arms"),
+    ("timeToPeakArmExt", "scalar", True, "arms"),
+    ("armRetraction0p2s", "scalar", True, "arms"),
+    ("elbowFlexPctL", "scalar", False, "arms"),
+    ("elbowFlexPctR", "scalar", False, "arms"),
+    ("elbowAngleL", "series", False, "arms"),
+    ("elbowAngleR", "series", False, "arms"),
+    ("bboxAreaRate", "series", False, "bbox"),
 )
 
-_INTERACTION_LAYOUT: tuple[tuple[str, str], ...] = (
-    ("distance", "series"),
-    ("distanceRate", "series"),
-    ("iou", "series"),
-    ("iouPeak", "scalar"),
-    ("iouDrop0p2s", "scalar"),
-    ("relativeSpeed", "series"),
-    ("handTowardCos", "series"),
-    ("handTowardGt07Pct", "scalar"),
-    ("handToTorso", "series"),
-    ("handToHip", "series"),
-    ("closeHandPct", "scalar"),
-    ("fastAndClosePct", "scalar"),
-    ("fastAndCloseLongest", "scalar"),
-    ("postContactSepMean", "scalar"),
-    ("AfacingToB", "series"),
-    ("BfacingToA", "series"),
-    ("facingRate", "series"),
+_INTERACTION_LAYOUT: tuple[tuple[str, str, str], ...] = (
+    # (name, "series"|"scalar", family)
+    ("distance", "series", "distance"),
+    ("distanceRate", "series", "distance"),
+    ("iou", "series", "distance"),
+    ("iouPeak", "scalar", "distance"),
+    ("iouDrop0p2s", "scalar", "distance"),
+    ("relativeSpeed", "series", "relative"),
+    ("handTowardCos", "series", "relative"),
+    ("handTowardGt07Pct", "scalar", "relative"),
+    ("handToTorso", "series", "reaching"),
+    ("handToHip", "series", "reaching"),
+    ("closeHandPct", "scalar", "reaching"),
+    ("fastAndClosePct", "scalar", "reaching"),
+    ("fastAndCloseLongest", "scalar", "reaching"),
+    ("postContactSepMean", "scalar", "reaching"),
+    ("AfacingToB", "series", "facing"),
+    ("BfacingToA", "series", "facing"),
+    ("facingRate", "series", "facing"),
 )
 
 # Historic spellings accepted on input and mapped to canonical names.
@@ -245,23 +240,37 @@ class FeatureSchema:
         kept = tuple(n for n in self.names if n in chosen)
         return FeatureSchema(kept, version or f"{self.version}+select{len(kept)}")
 
+    @cached_property
+    def families(self) -> frozenset[str]:
+        """Feature families (role-prefixed for individual ones) the names need."""
+        return frozenset(_FAMILY_OF[n] for n in self.names if n in _FAMILY_OF)
 
-def full_schema() -> FeatureSchema:
-    names: list[str] = []
+
+def _layout() -> list[tuple[str, str]]:
+    """(name, family) for every aggregated feature, in schema order."""
+    out: list[tuple[str, str]] = []
+
+    def put(name: str, shape: str, family: str) -> None:
+        if shape == "series":
+            out.extend((f"{name}_{stat}", family) for stat in STATS)
+        else:
+            out.append((name, family))
+
     for prefix, is_aggressor in (("A_", True), ("B_", False)):
-        for base, shape, agg_only in _INDIVIDUAL_LAYOUT:
+        for base, shape, agg_only, family in _INDIVIDUAL_LAYOUT:
             if agg_only and not is_aggressor:
                 continue
-            if shape == "series":
-                names.extend(f"{prefix}{base}_{stat}" for stat in STATS)
-            else:
-                names.append(f"{prefix}{base}")
-    for base, shape in _INTERACTION_LAYOUT:
-        if shape == "series":
-            names.extend(f"{base}_{stat}" for stat in STATS)
-        else:
-            names.append(base)
-    return FeatureSchema(tuple(names), version="full-v1")
+            put(prefix + base, shape, prefix + family)
+    for base, shape, family in _INTERACTION_LAYOUT:
+        put(base, shape, family)
+    return out
+
+
+_FAMILY_OF: dict[str, str] = dict(_layout())
+
+
+def full_schema() -> FeatureSchema:
+    return FeatureSchema(tuple(_FAMILY_OF), version="full-v1")
 
 
 @dataclass(frozen=True)
@@ -295,16 +304,11 @@ def _skels(track: Track) -> list[Skeleton]:
 
 
 def _centers(track: Track) -> list[Optional[tuple[float, float]]]:
-    return [body_center(s) for s in _skels(track)]
+    return [s.center for s in _skels(track)]
 
 
 def _torsos(track: Track) -> list[Value]:
-    return [effective_torso_height(s) for s in _skels(track)]
-
-
-def _valid_pos(skel: Skeleton, idx: int) -> Optional[tuple[float, float]]:
-    kp = skel.keypoints[idx]
-    return (kp.x, kp.y) if kp.is_valid() else None
+    return [s.torso for s in _skels(track)]
 
 
 def _frames_for(span_s: float, fps: float) -> int:
@@ -401,8 +405,8 @@ def wrist_velocities(
         if dt <= 0 or th is None:
             continue
         for wrist in (LEFT_WRIST, RIGHT_WRIST):
-            cur = _valid_pos(skels[i], wrist)
-            prev = _valid_pos(skels[i - 1], wrist)
+            cur = valid_pos(skels[i], wrist)
+            prev = valid_pos(skels[i - 1], wrist)
             if cur is None or prev is None:
                 continue
             vx = cur[0] - prev[0]
@@ -452,23 +456,6 @@ def hand_motion(track: Track, params: FeatureParams = FeatureParams()) -> HandMo
     )
 
 
-def _elbow_angle(skel: Skeleton, shoulder: int, elbow: int, wrist: int) -> Value:
-    s = _valid_pos(skel, shoulder)
-    e = _valid_pos(skel, elbow)
-    w = _valid_pos(skel, wrist)
-    if s is None or e is None or w is None:
-        return None
-    ux, uy = s[0] - e[0], s[1] - e[1]
-    wx, wy = w[0] - e[0], w[1] - e[1]
-    nu = math.sqrt(ux**2 + uy**2)
-    nw = math.sqrt(wx**2 + wy**2)
-    if nu == 0.0 or nw == 0.0:
-        return None
-    c = (ux * wx + uy * wy) / (nu * nw)
-    c = min(1.0, max(-1.0, c))
-    return math.degrees(math.acos(c))
-
-
 @dataclass
 class ArmPosture:
     arm_extension: FeatureSeries
@@ -496,14 +483,13 @@ def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams(
         if th is not None:
             per_arm = []
             for shoulder, wrist in ((LEFT_SHOULDER, LEFT_WRIST), (RIGHT_SHOULDER, RIGHT_WRIST)):
-                s = _valid_pos(skel, shoulder)
-                w = _valid_pos(skel, wrist)
+                s = valid_pos(skel, shoulder)
+                w = valid_pos(skel, wrist)
                 if s is not None and w is not None:
                     per_arm.append(_dist(w[0], w[1], s[0], s[1]) / th)
             if per_arm:
                 extension[i] = max(per_arm)
-        angle_l[i] = _elbow_angle(skel, LEFT_SHOULDER, LEFT_ELBOW, LEFT_WRIST)
-        angle_r[i] = _elbow_angle(skel, RIGHT_SHOULDER, RIGHT_ELBOW, RIGHT_WRIST)
+        angle_l[i], angle_r[i] = skel.elbow_angles
 
     peak = _first_argmax(extension)
     retraction: Value = None
@@ -527,7 +513,10 @@ def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams(
 
 
 def bbox_area_rate(track: Track) -> FeatureSeries:
-    """Relative derivative of the (smoothed) bounding-box area, per second."""
+    """Relative derivative of the (smoothed) bounding-box area, per second.
+
+    The rate is missing at a frame whose previous box has zero area.
+    """
     if len(track) < 2:
         raise InsufficientSamples("bbox area rate needs at least 2 samples")
     times = track.timestamps
@@ -535,11 +524,8 @@ def bbox_area_rate(track: Track) -> FeatureSeries:
     rate: list[Value] = [None] * len(times)
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
-        if dt <= 0:
-            continue
-        if areas[i - 1] == 0.0:
-            raise DegenerateBox(f"zero-area bbox at sample {i - 1} of track {track.track_id}")
-        rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
+        if dt > 0 and areas[i - 1] != 0.0:
+            rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
     return FeatureSeries("bboxAreaRate", times, rate)
 
 
@@ -702,7 +688,7 @@ def relative_motion(pair: PairSegment, params: FeatureParams = FeatureParams()) 
             if v is not None and v[2] > best_speed:
                 best_wrist, best_speed = wrist, v[2]
         vx, vy, _ = velocities[i][best_wrist]
-        wpos = _valid_pos(skels_a[i], best_wrist)
+        wpos = valid_pos(skels_a[i], best_wrist)
         nv = math.sqrt(vx**2 + vy**2)
         if wpos is None or nv == 0.0:
             continue
@@ -733,8 +719,18 @@ class Reaching:
     post_contact_sep_mean: Value
 
 
-def reaching(pair: PairSegment, params: FeatureParams = FeatureParams()) -> Reaching:
-    """A-wrist to B-torso/hip distances and the fast-and-close conjunction."""
+def reaching(
+    pair: PairSegment,
+    params: FeatureParams,
+    fast_flags: list[Optional[bool]],
+    distance: list[Value],
+) -> Reaching:
+    """A-wrist to B-torso/hip distances and the fast-and-close conjunction.
+
+    ``fast_flags`` are A's fast-hand flags (``hand_motion(...).fast_flags``)
+    and ``distance`` the normalized center distance series
+    (``interaction_distance(...).distance.values``) of the same segment.
+    """
     times = pair.aggressor.timestamps
     skels_a = _skels(pair.aggressor)
     skels_b = _skels(pair.victim)
@@ -749,7 +745,7 @@ def reaching(pair: PairSegment, params: FeatureParams = FeatureParams()) -> Reac
             continue
         wrists = [
             p
-            for p in (_valid_pos(skels_a[i], LEFT_WRIST), _valid_pos(skels_a[i], RIGHT_WRIST))
+            for p in (valid_pos(skels_a[i], LEFT_WRIST), valid_pos(skels_a[i], RIGHT_WRIST))
             if p is not None
         ]
         if not wrists:
@@ -757,8 +753,8 @@ def reaching(pair: PairSegment, params: FeatureParams = FeatureParams()) -> Reac
         cb = centers_b[i]
         if cb is not None:
             hand_to_torso[i] = min(_dist(w[0], w[1], cb[0], cb[1]) / th for w in wrists)
-        hip_l = _valid_pos(skels_b[i], LEFT_HIP)
-        hip_r = _valid_pos(skels_b[i], RIGHT_HIP)
+        hip_l = valid_pos(skels_b[i], LEFT_HIP)
+        hip_r = valid_pos(skels_b[i], RIGHT_HIP)
         if hip_l is not None and hip_r is not None:
             hip = ((hip_l[0] + hip_r[0]) / 2.0, (hip_l[1] + hip_r[1]) / 2.0)
         else:
@@ -774,7 +770,6 @@ def reaching(pair: PairSegment, params: FeatureParams = FeatureParams()) -> Reac
     close_flags = [
         None if d is None else d < params.close_hand_threshold for d in hand_to_torso
     ]
-    fast_flags = hand_motion(pair.aggressor, params).fast_flags
     both: list[Optional[bool]] = [
         None if f is None or c is None else (f and c) for f, c in zip(fast_flags, close_flags)
     ]
@@ -782,7 +777,6 @@ def reaching(pair: PairSegment, params: FeatureParams = FeatureParams()) -> Reac
     contact = _first_argmin(hand_to_torso)
     post_mean: Value = None
     if contact is not None:
-        distance = interaction_distance(pair).distance.values
         stop = min(contact + _frames_for(0.4, pair.fps), len(times) - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
@@ -803,33 +797,9 @@ def facing_direction(skel: Skeleton) -> Optional[tuple[float, float]]:
 
     Prefers ear-midpoint to nose; falls back to the shoulder-line normal
     signed toward the nose. None when neither construction has valid joints.
+    Computed once per skeleton and stored on it.
     """
-    nose = _valid_pos(skel, NOSE)
-    if nose is None:
-        return None
-    ear_l = _valid_pos(skel, LEFT_EAR)
-    ear_r = _valid_pos(skel, RIGHT_EAR)
-    if ear_l is not None and ear_r is not None:
-        mid = ((ear_l[0] + ear_r[0]) / 2.0, (ear_l[1] + ear_r[1]) / 2.0)
-        fx, fy = nose[0] - mid[0], nose[1] - mid[1]
-    else:
-        sh_l = _valid_pos(skel, LEFT_SHOULDER)
-        sh_r = _valid_pos(skel, RIGHT_SHOULDER)
-        if sh_l is None or sh_r is None:
-            return None
-        lx, ly = sh_r[0] - sh_l[0], sh_r[1] - sh_l[1]
-        nx, ny = -ly, lx
-        mid = ((sh_l[0] + sh_r[0]) / 2.0, (sh_l[1] + sh_r[1]) / 2.0)
-        side = nx * (nose[0] - mid[0]) + ny * (nose[1] - mid[1])
-        if side == 0.0:
-            return None
-        if side < 0.0:
-            nx, ny = -nx, -ny
-        fx, fy = nx, ny
-    norm = math.sqrt(fx**2 + fy**2)
-    if norm == 0.0:
-        return None
-    return (fx / norm, fy / norm)
+    return skel.facing
 
 
 @dataclass
@@ -848,8 +818,8 @@ def facing(pair: PairSegment) -> Facing:
     times = pair.aggressor.timestamps
     centers_a = _centers(pair.aggressor)
     centers_b = _centers(pair.victim)
-    face_a = [facing_direction(s) for s in _skels(pair.aggressor)]
-    face_b = [facing_direction(s) for s in _skels(pair.victim)]
+    face_a = [s.facing for s in _skels(pair.aggressor)]
+    face_b = [s.facing for s in _skels(pair.victim)]
 
     a_to_b: list[Value] = [None] * len(times)
     b_to_a: list[Value] = [None] * len(times)
@@ -890,39 +860,52 @@ def facing(pair: PairSegment) -> Facing:
 # segment-level assembly
 
 
+def _put_series(out: dict[str, Value], name: str, series: FeatureSeries) -> None:
+    agg = aggregate(series, STATS)
+    for stat in STATS:
+        out[f"{name}_{stat}"] = agg[stat]
+
+
 def _individual_features(
-    track: Track, fps: float, params: FeatureParams, prefix: str, aggressor: bool
+    track: Track,
+    fps: float,
+    params: FeatureParams,
+    prefix: str,
+    families: frozenset[str],
+    hands: Optional[HandMotion],
 ) -> dict[str, Value]:
+    """One role's features from the families asked for; ``hands`` is reused if given."""
     out: dict[str, Value] = {}
+    aggressor = prefix == "A_"
 
-    def put_series(base: str, series: FeatureSeries) -> None:
-        agg = aggregate(series, STATS)
-        for stat in STATS:
-            out[f"{prefix}{base}_{stat}"] = agg[stat]
+    if prefix + "kinematics" in families:
+        velocity, acceleration = center_kinematics(track)
+        _put_series(out, prefix + "velocity", velocity)
+        _put_series(out, prefix + "acceleration", acceleration)
 
-    velocity, acceleration = center_kinematics(track)
-    put_series("velocity", velocity)
-    put_series("acceleration", acceleration)
+    if prefix + "hands" in families:
+        if hands is None:
+            hands = hand_motion(track, params)
+        _put_series(out, prefix + "handVelocity", hands.hand_velocity)
+        out[f"{prefix}fastHandPct"] = hands.fast_hand_pct
+        out[f"{prefix}timeToPeakHandVel"] = hands.time_to_peak_hand_vel
+        if aggressor:
+            _put_series(out, prefix + "handAcceleration", hands.hand_acceleration)
+            out[f"{prefix}handJerkMin"] = hands.hand_jerk_min
 
-    hands = hand_motion(track, params)
-    put_series("handVelocity", hands.hand_velocity)
-    out[f"{prefix}fastHandPct"] = hands.fast_hand_pct
-    out[f"{prefix}timeToPeakHandVel"] = hands.time_to_peak_hand_vel
-    if aggressor:
-        put_series("handAcceleration", hands.hand_acceleration)
-        out[f"{prefix}handJerkMin"] = hands.hand_jerk_min
+    if prefix + "arms" in families:
+        arms = arm_posture(track, fps, params)
+        _put_series(out, prefix + "armExtension", arms.arm_extension)
+        if aggressor:
+            out[f"{prefix}timeToPeakArmExt"] = arms.time_to_peak_arm_ext
+            out[f"{prefix}armRetraction0p2s"] = arms.arm_retraction_0p2s
+        out[f"{prefix}elbowFlexPctL"] = arms.elbow_flex_pct_l
+        out[f"{prefix}elbowFlexPctR"] = arms.elbow_flex_pct_r
+        _put_series(out, prefix + "elbowAngleL", arms.elbow_angle_l)
+        _put_series(out, prefix + "elbowAngleR", arms.elbow_angle_r)
 
-    arms = arm_posture(track, fps, params)
-    put_series("armExtension", arms.arm_extension)
-    if aggressor:
-        out[f"{prefix}timeToPeakArmExt"] = arms.time_to_peak_arm_ext
-        out[f"{prefix}armRetraction0p2s"] = arms.arm_retraction_0p2s
-    out[f"{prefix}elbowFlexPctL"] = arms.elbow_flex_pct_l
-    out[f"{prefix}elbowFlexPctR"] = arms.elbow_flex_pct_r
-    put_series("elbowAngleL", arms.elbow_angle_l)
-    put_series("elbowAngleR", arms.elbow_angle_r)
-
-    put_series("bboxAreaRate", bbox_area_rate(track))
+    if prefix + "bbox" in families:
+        _put_series(out, prefix + "bboxAreaRate", bbox_area_rate(track))
     return out
 
 
@@ -931,8 +914,9 @@ def extract_segment(
     schema: Optional[FeatureSchema] = None,
     params: FeatureParams = FeatureParams(),
 ) -> FeatureVector:
-    """Compute the complete feature vector of a pair segment.
+    """Compute the feature vector of a pair segment for the schema's names.
 
+    Only the feature families with an output in the schema are computed.
     Missing aggregates are materialized with the kind-specific sentinel so
     the classifier always sees a finite value for every schema name.
     """
@@ -942,43 +926,46 @@ def extract_segment(
         raise SegmentTooShort(
             f"segment has {len(pair)} frames, need {params.min_segment_frames}"
         )
+    families = schema.families
+    # reaching reads A's fast-hand flags and the center distance series
+    hands_a = None
+    if "A_hands" in families or "reaching" in families:
+        hands_a = hand_motion(pair.aggressor, params)
+    inter = None
+    if "distance" in families or "reaching" in families:
+        inter = interaction_distance(pair)
 
     raw: dict[str, Value] = {}
-    raw.update(_individual_features(pair.aggressor, pair.fps, params, "A_", aggressor=True))
-    raw.update(_individual_features(pair.victim, pair.fps, params, "B_", aggressor=False))
+    raw.update(_individual_features(pair.aggressor, pair.fps, params, "A_", families, hands_a))
+    raw.update(_individual_features(pair.victim, pair.fps, params, "B_", families, None))
 
-    inter = interaction_distance(pair)
-    rel = relative_motion(pair, params)
-    fac = facing(pair)
-    for base, series in (
-        ("distance", inter.distance),
-        ("distanceRate", inter.distance_rate),
-        ("iou", inter.iou),
-        ("relativeSpeed", rel.relative_speed),
-        ("handTowardCos", rel.hand_toward_cos),
-        ("AfacingToB", fac.a_facing_to_b),
-        ("BfacingToA", fac.b_facing_to_a),
-        ("facingRate", fac.facing_rate),
-    ):
-        agg = aggregate(series, STATS)
-        for stat in STATS:
-            raw[f"{base}_{stat}"] = agg[stat]
-    raw["iouPeak"] = inter.iou_peak
-    raw["iouDrop0p2s"] = inter.iou_drop_0p2s
-    raw["handTowardGt07Pct"] = rel.hand_toward_pct
-
-    try:
-        reach = reaching(pair, params)
-        for base, series in (("handToTorso", reach.hand_to_torso), ("handToHip", reach.hand_to_hip)):
-            agg = aggregate(series, STATS)
-            for stat in STATS:
-                raw[f"{base}_{stat}"] = agg[stat]
-        raw["closeHandPct"] = reach.close_hand_pct
-        raw["fastAndClosePct"] = reach.fast_and_close_pct
-        raw["fastAndCloseLongest"] = reach.fast_and_close_longest
-        raw["postContactSepMean"] = reach.post_contact_sep_mean
-    except NoValidJointPairs:
-        pass  # sentinels below stand in for "no interaction observed"
+    if "distance" in families:
+        _put_series(raw, "distance", inter.distance)
+        _put_series(raw, "distanceRate", inter.distance_rate)
+        _put_series(raw, "iou", inter.iou)
+        raw["iouPeak"] = inter.iou_peak
+        raw["iouDrop0p2s"] = inter.iou_drop_0p2s
+    if "relative" in families:
+        rel = relative_motion(pair, params)
+        _put_series(raw, "relativeSpeed", rel.relative_speed)
+        _put_series(raw, "handTowardCos", rel.hand_toward_cos)
+        raw["handTowardGt07Pct"] = rel.hand_toward_pct
+    if "facing" in families:
+        fac = facing(pair)
+        _put_series(raw, "AfacingToB", fac.a_facing_to_b)
+        _put_series(raw, "BfacingToA", fac.b_facing_to_a)
+        _put_series(raw, "facingRate", fac.facing_rate)
+    if "reaching" in families:
+        try:
+            reach = reaching(pair, params, hands_a.fast_flags, inter.distance.values)
+            _put_series(raw, "handToTorso", reach.hand_to_torso)
+            _put_series(raw, "handToHip", reach.hand_to_hip)
+            raw["closeHandPct"] = reach.close_hand_pct
+            raw["fastAndClosePct"] = reach.fast_and_close_pct
+            raw["fastAndCloseLongest"] = reach.fast_and_close_longest
+            raw["postContactSepMean"] = reach.post_contact_sep_mean
+        except NoValidJointPairs:
+            pass  # sentinels below stand in for "no interaction observed"
 
     values: dict[str, float] = {}
     for name in schema.names:
@@ -989,18 +976,6 @@ def extract_segment(
         start_time=pair.start_time,
         end_time=pair.end_time,
         roles=(pair.aggressor.track_id, pair.victim.track_id),
-    )
-
-
-def extract_segment_both_orders(
-    pair: PairSegment,
-    schema: Optional[FeatureSchema] = None,
-    params: FeatureParams = FeatureParams(),
-) -> tuple[FeatureVector, FeatureVector]:
-    """The segment's features under (A, B) and under the swapped roles."""
-    return (
-        extract_segment(pair, schema, params),
-        extract_segment(pair.swapped(), schema, params),
     )
 
 

@@ -57,13 +57,14 @@ def _slice_positions(track: Track, lo: int, hi: int) -> Track:
     )
 
 
-def _mean_pair_distance(track_a: Track, track_b: Track) -> Optional[float]:
+Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
+
+
+def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
     """Mean raw center distance over the frames both tracks share."""
-    centers_b = {t: body_center(s) for t, s in zip(track_b.timestamps, track_b.smoothed)}
     dists = []
-    for t, skel in zip(track_a.timestamps, track_a.smoothed):
+    for t, ca in centers_a.items():
         cb = centers_b.get(t)
-        ca = body_center(skel)
         if ca is not None and cb is not None:
             dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
     if not dists:
@@ -74,14 +75,14 @@ def _mean_pair_distance(track_a: Track, track_b: Track) -> Optional[float]:
 def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
     """The pair with minimum mean center distance; None when no pair qualifies."""
     eligible = [w for w in windows if len(w) >= min_frames and w.smoothed is not None]
+    centers = [dict(zip(w.timestamps, map(body_center, w.smoothed))) for w in eligible]
     best: Optional[tuple[float, tuple, Track, Track]] = None
     for i in range(len(eligible)):
         for j in range(i + 1, len(eligible)):
             a, b = eligible[i], eligible[j]
-            common = set(a.timestamps) & set(b.timestamps)
-            if len(common) < min_frames:
+            if len(centers[i].keys() & centers[j].keys()) < min_frames:
                 continue
-            d = _mean_pair_distance(a, b)
+            d = _mean_pair_distance(centers[i], centers[j])
             if d is None:
                 continue
             key = tuple(sorted((a.sort_key(), b.sort_key())))
@@ -270,10 +271,12 @@ class StreamEngine:
         self.cfg = cfg
         self.params = cfg.feature_params()
         self.hcfg = cfg.hysteresis()
-        self.schema = full_schema()
-        missing = set(model.feature_names) - set(self.schema.names)
+        full = full_schema()
+        missing = set(model.feature_names) - set(full.names)
         if missing:
             raise SchemaMismatch(f"model needs unknown features: {sorted(missing)}")
+        # extraction computes only the feature families the model reads
+        self.schema = full.select(model.feature_names)
 
         self._buffers: dict[str, _TrackBuffer] = {}
         self._active: dict[int, tuple[str, int, int]] = {}  # raw id -> (key, last pos, splits)

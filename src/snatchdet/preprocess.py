@@ -15,19 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .types import (
-    LEFT_HIP,
-    LEFT_SHOULDER,
-    RIGHT_HIP,
-    RIGHT_SHOULDER,
-    Keypoint,
-    Skeleton,
-    Track,
-)
-
-# Effective torso height never drops below this fraction of the bbox height,
-# which keeps normalization finite for near-degenerate poses.
-SCALE_FLOOR_FRACTION = 0.05
+# torso_height lives with the rest of the skeleton geometry in .types and
+# stays importable from here.
+from .types import Keypoint, Skeleton, Track, torso_height
 
 DEFAULT_ALPHA = 0.6
 
@@ -133,53 +123,20 @@ def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Trac
     )
 
 
-def _valid_midpoint(skel: Skeleton, left: int, right: int) -> Optional[tuple[float, float]]:
-    a, b = skel.keypoints[left], skel.keypoints[right]
-    a_ok, b_ok = a.is_valid(), b.is_valid()
-    if a_ok and b_ok:
-        return ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    if a_ok:
-        return (a.x, a.y)
-    if b_ok:
-        return (b.x, b.y)
-    return None
-
-
-def torso_height(skel: Skeleton) -> Optional[float]:
-    """Shoulder-midpoint to hip-midpoint distance, or None if unobservable.
-
-    With exactly one valid shoulder (or hip) that point substitutes its
-    midpoint.
-    """
-    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
-    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
-    if shoulders is None or hips is None:
-        return None
-    return math.sqrt((shoulders[0] - hips[0]) ** 2 + (shoulders[1] - hips[1]) ** 2)
-
-
 def effective_torso_height(skel: Skeleton) -> Optional[float]:
-    """Torso height clamped from below by the bbox-height scale floor."""
-    th = torso_height(skel)
-    if th is None:
-        return None
-    eff = max(th, SCALE_FLOOR_FRACTION * skel.bbox_height)
-    if eff <= 0.0:
-        return None
-    return eff
+    """Torso height clamped from below by the bbox-height scale floor.
+
+    Computed once per skeleton and stored on it.
+    """
+    return skel.torso
 
 
 def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
-    """Mean of the valid shoulder and hip midpoints."""
-    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
-    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
-    if shoulders is not None and hips is not None:
-        return ((shoulders[0] + hips[0]) / 2.0, (shoulders[1] + hips[1]) / 2.0)
-    if shoulders is not None:
-        return shoulders
-    if hips is not None:
-        return hips
-    return None
+    """Mean of the valid shoulder and hip midpoints.
+
+    Computed once per skeleton and stored on it.
+    """
+    return skel.center
 
 
 def mean_center_translation(track: Track, start: float, end: float) -> float:
@@ -197,8 +154,8 @@ def mean_center_translation(track: Track, start: float, end: float) -> float:
     for t, skel in zip(times, skels):
         if t < start or t > end:
             continue
-        center = body_center(skel)
-        th = effective_torso_height(skel)
+        center = skel.center
+        th = skel.torso
         if center is None:
             prev_center, prev_t = None, None
             continue

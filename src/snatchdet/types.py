@@ -3,12 +3,19 @@
 A skeleton is the standard 17-keypoint COCO layout:
 nose=0, eyes=1,2, ears=3,4, shoulders=5,6, elbows=7,8, wrists=9,10,
 hips=11,12, knees=13,14, ankles=15,16.
+
+Each skeleton also carries its own geometry (effective torso height, body
+center, facing direction, elbow angles). Every value is computed on first
+use and stored on that skeleton, so pair selection, role ordering, every
+feature family and every overlapping window share one computation, and the
+values are freed with the skeleton.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 NUM_KEYPOINTS = 17
@@ -26,6 +33,10 @@ LEFT_ANKLE, RIGHT_ANKLE = 15, 16
 
 # A keypoint below this confidence carries no positional meaning.
 VALID_CONFIDENCE = 0.3
+
+# Effective torso height never drops below this fraction of the bbox height,
+# which keeps normalization finite for near-degenerate poses.
+SCALE_FLOOR_FRACTION = 0.05
 
 # Confidences this close to [0, 1] are clamped instead of rejected.
 _CONF_SLACK = 1e-9
@@ -62,9 +73,6 @@ class Skeleton:
                 f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(self.keypoints)}"
             )
 
-    def keypoint(self, index: int) -> Keypoint:
-        return self.keypoints[index]
-
     @property
     def bbox_height(self) -> float:
         return self.bbox[3] - self.bbox[1]
@@ -72,6 +80,142 @@ class Skeleton:
     @property
     def bbox_area(self) -> float:
         return (self.bbox[2] - self.bbox[0]) * (self.bbox[3] - self.bbox[1])
+
+    # Stored geometry lives in the instance dict, outside the dataclass
+    # fields, so equality, hash and repr ignore it.
+
+    @cached_property
+    def torso(self) -> Optional[float]:
+        """Effective torso height (see ``_effective_torso_height``)."""
+        return _effective_torso_height(self)
+
+    @cached_property
+    def center(self) -> Optional[tuple[float, float]]:
+        """Body center (see ``_body_center``)."""
+        return _body_center(self)
+
+    @cached_property
+    def facing(self) -> Optional[tuple[float, float]]:
+        """Unit facing vector (see ``_facing_direction``)."""
+        return _facing_direction(self)
+
+    @cached_property
+    def elbow_angles(self) -> tuple[Optional[float], Optional[float]]:
+        """Interior (left, right) elbow angles in degrees."""
+        return (
+            _elbow_angle(self, LEFT_SHOULDER, LEFT_ELBOW, LEFT_WRIST),
+            _elbow_angle(self, RIGHT_SHOULDER, RIGHT_ELBOW, RIGHT_WRIST),
+        )
+
+
+# ---------------------------------------------------------------------------
+# per-skeleton geometry (plain arithmetic, fixed operation order); callers
+# read the stored values through the Skeleton properties above
+
+
+def valid_pos(skel: Skeleton, idx: int) -> Optional[tuple[float, float]]:
+    kp = skel.keypoints[idx]
+    return (kp.x, kp.y) if kp.is_valid() else None
+
+
+def _valid_midpoint(skel: Skeleton, left: int, right: int) -> Optional[tuple[float, float]]:
+    a, b = skel.keypoints[left], skel.keypoints[right]
+    a_ok, b_ok = a.is_valid(), b.is_valid()
+    if a_ok and b_ok:
+        return ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    if a_ok:
+        return (a.x, a.y)
+    if b_ok:
+        return (b.x, b.y)
+    return None
+
+
+def torso_height(skel: Skeleton) -> Optional[float]:
+    """Shoulder-midpoint to hip-midpoint distance, or None if unobservable.
+
+    With exactly one valid shoulder (or hip) that point substitutes its
+    midpoint.
+    """
+    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
+    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
+    if shoulders is None or hips is None:
+        return None
+    return math.sqrt((shoulders[0] - hips[0]) ** 2 + (shoulders[1] - hips[1]) ** 2)
+
+
+def _effective_torso_height(skel: Skeleton) -> Optional[float]:
+    """Torso height clamped from below by the bbox-height scale floor."""
+    th = torso_height(skel)
+    if th is None:
+        return None
+    eff = max(th, SCALE_FLOOR_FRACTION * skel.bbox_height)
+    if eff <= 0.0:
+        return None
+    return eff
+
+
+def _body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
+    """Mean of the valid shoulder and hip midpoints."""
+    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
+    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
+    if shoulders is not None and hips is not None:
+        return ((shoulders[0] + hips[0]) / 2.0, (shoulders[1] + hips[1]) / 2.0)
+    if shoulders is not None:
+        return shoulders
+    if hips is not None:
+        return hips
+    return None
+
+
+def _facing_direction(skel: Skeleton) -> Optional[tuple[float, float]]:
+    """Unit 2D facing vector from head geometry.
+
+    Prefers ear-midpoint to nose; falls back to the shoulder-line normal
+    signed toward the nose. None when neither construction has valid joints.
+    """
+    nose = valid_pos(skel, NOSE)
+    if nose is None:
+        return None
+    ear_l = valid_pos(skel, LEFT_EAR)
+    ear_r = valid_pos(skel, RIGHT_EAR)
+    if ear_l is not None and ear_r is not None:
+        mid = ((ear_l[0] + ear_r[0]) / 2.0, (ear_l[1] + ear_r[1]) / 2.0)
+        fx, fy = nose[0] - mid[0], nose[1] - mid[1]
+    else:
+        sh_l = valid_pos(skel, LEFT_SHOULDER)
+        sh_r = valid_pos(skel, RIGHT_SHOULDER)
+        if sh_l is None or sh_r is None:
+            return None
+        lx, ly = sh_r[0] - sh_l[0], sh_r[1] - sh_l[1]
+        nx, ny = -ly, lx
+        mid = ((sh_l[0] + sh_r[0]) / 2.0, (sh_l[1] + sh_r[1]) / 2.0)
+        side = nx * (nose[0] - mid[0]) + ny * (nose[1] - mid[1])
+        if side == 0.0:
+            return None
+        if side < 0.0:
+            nx, ny = -nx, -ny
+        fx, fy = nx, ny
+    norm = math.sqrt(fx**2 + fy**2)
+    if norm == 0.0:
+        return None
+    return (fx / norm, fy / norm)
+
+
+def _elbow_angle(skel: Skeleton, shoulder: int, elbow: int, wrist: int) -> Optional[float]:
+    s = valid_pos(skel, shoulder)
+    e = valid_pos(skel, elbow)
+    w = valid_pos(skel, wrist)
+    if s is None or e is None or w is None:
+        return None
+    ux, uy = s[0] - e[0], s[1] - e[1]
+    wx, wy = w[0] - e[0], w[1] - e[1]
+    nu = math.sqrt(ux**2 + uy**2)
+    nw = math.sqrt(wx**2 + wy**2)
+    if nu == 0.0 or nw == 0.0:
+        return None
+    c = (ux * wx + uy * wy) / (nu * nw)
+    c = min(1.0, max(-1.0, c))
+    return math.degrees(math.acos(c))
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,22 @@ class TestStream:
         assert rc == 0
         assert alerts_path.read_text() == ""
 
+    def test_zero_area_first_box_runs_to_the_end(self, trained, tmp_path):
+        clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0))
+        first = clip.frames[0]
+        tid, skel = first.persons[0]
+        x1, y1, _, y2 = skel.bbox
+        flat = type(skel)(skel.keypoints, (x1, y1, x1, y2))
+        frames = [type(first)(first.frame_index, first.timestamp, ((tid, flat),) + first.persons[1:])]
+        frames += clip.frames[1:]
+        stream_path = tmp_path / "flat.jsonl"
+        streams.write_stream(str(stream_path), frames)
+        rc = cli.main(
+            ["stream", "--stream", str(stream_path), "--model", str(trained["model"]),
+             "--alerts-out", str(tmp_path / "alerts.jsonl")]
+        )
+        assert rc == 0
+
     def test_schema_mismatch_exits_4(self, trained, tmp_path):
         doc = json.loads(trained["model"].read_text())
         doc["schema"] = ["not_a_real_feature"] + doc["schema"][1:]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import random_segment, random_track, static_skeleton
 from feature_reference import reference_segment_features
 from snatchdet.features import (
-    DegenerateBox,
     FeatureParams,
     FeatureSeries,
     InsufficientSamples,
@@ -74,6 +73,13 @@ def make_pair(skels_a, skels_b, fps=30.0):
     return pair_segment(
         presmoothed_track(skels_a, fps, "1"), presmoothed_track(skels_b, fps, "2"), fps=fps
     )
+
+
+def reaching_of(pair):
+    """``reaching`` fed with the segment's own fast-hand flags and distances."""
+    fast_flags = hand_motion(pair.aggressor, PARAMS).fast_flags
+    distance = interaction_distance(pair).distance.values
+    return reaching(pair, PARAMS, fast_flags, distance)
 
 
 class TestCenterKinematics:
@@ -218,8 +224,8 @@ class TestBboxAreaRate:
     def test_zero_area_previous_box(self):
         s1 = Skeleton(static_skeleton().keypoints, (5.0, 5.0, 5.0, 5.0))
         s2 = Skeleton(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
-        with pytest.raises(DegenerateBox):
-            bbox_area_rate(presmoothed_track([s1, s2]))
+        series = bbox_area_rate(presmoothed_track([s1, s2]))
+        assert series.values == [None, None]
 
 
 def raster_iou(box_a, box_b, cells=400):
@@ -345,7 +351,7 @@ class TestReaching:
         pair = make_pair(
             [static_skeleton((100, 100))] * 6, [static_skeleton((500, 100))] * 6
         )
-        result = reaching(pair, PARAMS)
+        result = reaching_of(pair)
         assert result.close_hand_pct == 0.0
         assert result.fast_and_close_pct == 0.0
 
@@ -359,7 +365,7 @@ class TestReaching:
         ]
         skels_b = [static_skeleton(b_center)] * 5
         pair = make_pair(skels_a, skels_b, fps=5.0)
-        result = reaching(pair, PARAMS)
+        result = reaching_of(pair)
         distance = interaction_distance(pair).distance.values
         expected = sum(distance[1:4]) / 3
         assert result.post_contact_sep_mean == pytest.approx(expected, rel=1e-12)
@@ -518,6 +524,43 @@ class TestExtractSegment:
                     assert -1.0 <= value <= 1.0, name
                 elif kind == "distance":
                     assert value >= 0.0, name
+
+
+def oracle_segments():
+    """The 200 segments of the acceptance feature oracle, in its order."""
+    rng = np.random.default_rng(202)
+    for _ in range(200):
+        n = int(rng.integers(5, 21))
+        yield random_segment(rng, n, dropout=float(rng.uniform(0.0, 0.25)))
+
+
+class TestSchemaPruning:
+    MIXED = (
+        "B_velocity_mean", "B_handVelocity_p95", "A_armExtension_max", "A_bboxAreaRate_max",
+        "distance_min", "handTowardGt07Pct", "closeHandPct", "fastAndClosePct",
+        "postContactSepMean", "facingRate_max",
+    )
+
+    def test_selected_schema_equals_restricted_full_extraction(self):
+        full = full_schema()
+        mixed = full.select(self.MIXED)
+        assert len(mixed) == 10
+        schemas = [full.select([name]) for name in full.names] + [mixed]
+        for seg in oracle_segments():
+            got = [extract_segment(seg, schema, PARAMS).values for schema in schemas]
+            want = extract_segment(seg, full, PARAMS).values
+            for schema, values in zip(schemas, got):
+                assert values == {name: want[name] for name in schema.names}, schema.names
+
+    def test_unread_families_are_not_computed(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("family computed although no schema name reads it")
+
+        for name in ("center_kinematics", "arm_posture", "bbox_area_rate", "relative_motion", "facing"):
+            monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
+        schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
+        vector = extract_segment(random_segment(rng, 12), schema, PARAMS)
+        assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
 
 
 class TestOracleEquivalence:

@@ -1,0 +1,81 @@
+"""Per-skeleton geometry is computed once and stored on the skeleton."""
+
+from collections import Counter
+
+from conftest import random_skeleton, static_skeleton
+from snatchdet import types
+from snatchdet.config import PipelineConfig
+from snatchdet.features import extract_segment, full_schema, pair_segment
+from snatchdet.pipeline import _slice_positions, order_roles, select_pair
+from snatchdet.preprocess import smooth_track
+from snatchdet.synth import ScenarioSpec, generate
+from snatchdet.types import FrameRecord, Keypoint, Skeleton, build_tracks
+
+
+def _with_bystander(frames, tid=9, dx=2000.0):
+    """Add a lone person far to the side of the clip's first person."""
+    out = []
+    for f in frames:
+        _, skel = f.persons[0]
+        kps = tuple(Keypoint(kp.x + dx, kp.y, kp.confidence) for kp in skel.keypoints)
+        bbox = (skel.bbox[0] + dx, skel.bbox[1], skel.bbox[2] + dx, skel.bbox[3])
+        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton(kps, bbox)),)))
+    return out
+
+
+def test_window_computes_each_skeleton_once(monkeypatch):
+    cfg = PipelineConfig()
+    clip = generate(ScenarioSpec(kind="snatch", seed=5, duration=4.0, noise_sigma=1.0))
+    frames = _with_bystander(clip.frames)
+    tracks = [smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)]
+    end = 89
+    windows = [_slice_positions(t, end - cfg.window_frames + 1, end) for t in tracks]
+
+    counts: dict[str, Counter] = {"center": Counter(), "torso": Counter()}
+    for name, helper in (("center", "_body_center"), ("torso", "_effective_torso_height")):
+        uncached = getattr(types, helper)
+
+        def counting(skel, _uncached=uncached, _counter=counts[name]):
+            _counter[id(skel)] += 1
+            return _uncached(skel)
+
+        monkeypatch.setattr(types, helper, counting)
+
+    params = cfg.feature_params()
+    pair = select_pair(windows, params.min_segment_frames)
+    assert pair is not None and {pair[0].track_id, pair[1].track_id} == {"1", "2"}
+    agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
+    segment = pair_segment(agg, vic, fps=cfg.fps)
+    extract_segment(segment, full_schema(), params)
+    extract_segment(segment.swapped(), full_schema(), params)
+
+    pair_skels = {id(s) for w in (agg, vic) for s in w.smoothed}
+    all_skels = {id(s) for w in windows for s in w.smoothed}
+    # pair selection reads every person's centers, including the bystander's
+    assert set(counts["center"]) == all_skels
+    assert set(counts["torso"]) == pair_skels
+    assert max(counts["center"].values()) == 1
+    assert max(counts["torso"].values()) == 1
+
+
+def test_stored_values_equal_the_uncached_helpers(rng):
+    for _ in range(20):
+        skel = random_skeleton(rng, (200.0, 200.0), dropout=0.3)
+        assert skel.center == types._body_center(skel)
+        assert skel.torso == types._effective_torso_height(skel)
+        assert skel.facing == types._facing_direction(skel)
+        assert skel.elbow_angles == (
+            types._elbow_angle(skel, types.LEFT_SHOULDER, types.LEFT_ELBOW, types.LEFT_WRIST),
+            types._elbow_angle(skel, types.RIGHT_SHOULDER, types.RIGHT_ELBOW, types.RIGHT_WRIST),
+        )
+
+
+def test_stored_geometry_keeps_equality_hash_and_repr():
+    skel = static_skeleton()
+    fresh = Skeleton(skel.keypoints, skel.bbox)
+    text = repr(skel)
+    _ = (skel.center, skel.torso, skel.facing, skel.elbow_angles)
+    assert "center" in vars(skel) and "center" not in vars(fresh)
+    assert skel == fresh
+    assert hash(skel) == hash(fresh)
+    assert repr(skel) == repr(fresh) == text

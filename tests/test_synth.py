@@ -62,9 +62,12 @@ class TestGenerate:
             ]
             agg, vic = order_roles(tracks[0], tracks[1], clip.spec.duration)
             pair = pair_segment(agg, vic, fps=clip.spec.fps)
-            from snatchdet.features import reaching
+            from snatchdet.features import hand_motion, interaction_distance, reaching
 
-            series = reaching(pair, FeatureParams()).hand_to_torso
+            params = FeatureParams()
+            fast_flags = hand_motion(pair.aggressor, params).fast_flags
+            distance = interaction_distance(pair).distance.values
+            series = reaching(pair, params, fast_flags, distance).hand_to_torso
             values = series.values
             best = min(i for i, v in enumerate(values) if v is not None and v == min(series.present()))
             t_min = series.times[best]
