@@ -18,7 +18,7 @@ import time
 from snatchdet.config import PipelineConfig
 from snatchdet.features import full_schema
 from snatchdet.forest import ForestConfig, predict, save_model, train
-from snatchdet.pipeline import binary_metrics, corpus_dataset, stratified_split
+from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
 from snatchdet.selection import pca_project, select_top_k, write_pca_csv
 from snatchdet.synth import generate_corpus
 

@@ -10,12 +10,12 @@ from .features import (
     pair_segment,
 )
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
-from .pipeline import StreamEngine, corpus_dataset, extract_clip_row, extract_windows
+from .pipeline import StreamEngine, extract_clip_row, extract_windows
 from .preprocess import SmoothingConfig, aggressor_probabilities, smooth_track, torso_height
 from .selection import pca_project, select_top_k
 from .synth import Clip, ScenarioSpec, generate, generate_corpus
 from .temporal import AlarmState, HysteresisConfig, evidence_window, step
-from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, build_tracks, validate_frame
+from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, validate_frame
 
 __version__ = "0.1.0"
 
@@ -39,8 +39,6 @@ __all__ = [
     "StreamEngine",
     "Track",
     "aggressor_probabilities",
-    "build_tracks",
-    "corpus_dataset",
     "evidence_window",
     "extract_clip_row",
     "extract_segment",

@@ -84,7 +84,17 @@ def _read_labels(path: str) -> dict[str, int]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "label"]:
             raise MalformedRecord("labels CSV must have an 'id,label' header")
-        return {row[0]: int(row[1]) for row in reader if row}
+        labels: dict[str, int] = {}
+        for row in reader:
+            if not row:
+                continue
+            try:
+                labels[row[0]] = int(row[1])
+            except (IndexError, ValueError):
+                raise MalformedRecord(
+                    f"labels CSV line {reader.line_num}: need an id and an integer label, got {row}"
+                ) from None
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +160,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 if vector is not None:
                     rows.append((stem, vector))
             else:
-                for row in pipeline.extract_windows(frames, cfg, schema, stream_id=stem):
-                    rows.append((row.segment_id, row.vector))
+                rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
     except (MalformedRecord, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -255,7 +264,11 @@ def cmd_pca(args: argparse.Namespace) -> int:
         return EXIT_MALFORMED
     labels = None
     if args.labels:
-        table = _read_labels(args.labels)
+        try:
+            table = _read_labels(args.labels)
+        except (OSError, MalformedRecord) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
         labels = [table.get(sid, "") for sid, _ in rows]
     matrix = np.array([[vals[n] for n in names] for _, vals in rows])
     try:

@@ -1,9 +1,15 @@
-"""End-to-end wiring: windowing, pair selection, online detection engine.
+"""End-to-end wiring: track windows, pair selection, online detection engine.
 
-The offline path (``extract_windows`` / ``extract_clip_row``) and the
-online ``StreamEngine`` share the same smoothing, window grid, pair
-selection and feature code, so streaming alerts are reproducible from an
-offline recomputation of the same file.
+``TrackWindows`` is the one windowing core. It turns raw per-frame ids into
+track keys (an id absent for more than ``max_gap_frames`` frames comes back
+as ``"<id>.<n>"``), smooths each track once, keeps the samples of the
+current window and, at each stride point, hands back the closest pair of
+the window as an ordered ``PairSegment``. ``StreamEngine`` (``snatchdet
+stream``) classifies that segment under both role orderings;
+``extract_windows`` (``extract --mode sliding``) extracts it under its
+(aggressor, victim) ordering only; ``extract_clip_row`` (``extract --mode clip``) takes one
+window over the whole clip. Streaming alerts are therefore reproducible
+from an offline recomputation of the same file.
 """
 
 from __future__ import annotations
@@ -12,49 +18,32 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .config import PipelineConfig
 from .features import (
     FeatureSchema,
     FeatureVector,
-    SegmentTooShort,
     extract_segment,
     full_schema,
     pair_segment,
 )
-from .forest import Dataset, ForestModel, SchemaMismatch, predict_probability
+from .forest import ForestModel, SchemaMismatch, predict_probability
 from .preprocess import (
     SkeletonSmoother,
     aggressor_probabilities,
     body_center,
     choose_aggressor,
-    smooth_track,
 )
-from .synth import Clip
 from .temporal import AlarmState, evidence_window, step
-from .types import FrameRecord, Track, build_tracks, validate_frame
+from .types import FrameRecord, PairSegment, Track, track_order, validate_frame
 
 
 def _pair_key(id_a: str, id_b: str) -> tuple[str, str]:
-    a, b = sorted((id_a, id_b), key=lambda s: Track(track_id=s).sort_key())
+    a, b = sorted((id_a, id_b), key=track_order)
     return (a, b)
 
 
 def pair_key_str(id_a: str, id_b: str) -> str:
     return "|".join(_pair_key(id_a, id_b))
-
-
-def _slice_positions(track: Track, lo: int, hi: int) -> Track:
-    if track.positions is None:
-        raise ValueError("track has no frame positions")
-    picks = [i for i, p in enumerate(track.positions) if lo <= p <= hi]
-    return Track(
-        track_id=track.track_id,
-        samples=[track.samples[i] for i in picks],
-        smoothed=[track.smoothed[i] for i in picks] if track.smoothed else None,
-        positions=[track.positions[i] for i in picks],
-    )
 
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
@@ -85,7 +74,7 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
             d = _mean_pair_distance(centers[i], centers[j])
             if d is None:
                 continue
-            key = tuple(sorted((a.sort_key(), b.sort_key())))
+            key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
             if best is None or (d, key) < (best[0], best[1]):
                 best = (d, key, a, b)
     if best is None:
@@ -103,15 +92,93 @@ def order_roles(track_a: Track, track_b: Track, window_s: float) -> tuple[Track,
 
 
 @dataclass
-class SegmentRow:
-    segment_id: str
-    pair: str
-    end_pos: int
-    vector: FeatureVector
+class _TrackBuffer:
+    key: str
+    smoother: SkeletonSmoother
+    entries: list = field(default_factory=list)  # (pos, t, raw, smoothed)
+
+    def window_track(self, lo: int) -> Track:
+        picks = [e for e in self.entries if e[0] >= lo]
+        return Track(
+            track_id=self.key,
+            samples=[(t, raw) for _, t, raw, _ in picks],
+            smoothed=[sm for _, _, _, sm in picks],
+            positions=[p for p, _, _, _ in picks],
+        )
+
+    def trim(self, lo: int) -> None:
+        while self.entries and self.entries[0][0] < lo:
+            self.entries.pop(0)
 
 
-def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) -> list[int]:
-    return list(range(window_frames - 1, n_frames, stride_frames))
+class TrackWindows:
+    """Tracks of one stream, smoothed as frames arrive, cut into windows.
+
+    Frame positions count the frames added, from 0. ``advance`` keeps only
+    the samples of the current window and returns a segment at each stride
+    point; ``add`` keeps every sample, for one window over a whole clip.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.buffers: dict[str, _TrackBuffer] = {}
+        self._active: dict[int, tuple[str, int, int]] = {}  # raw id -> (key, last pos, splits)
+        self.pos = -1
+
+    def _resolve_key(self, tid: int) -> str:
+        entry = self._active.get(tid)
+        if entry is None:
+            key, splits = str(tid), 0
+        else:
+            key, last_pos, splits = entry
+            if self.pos - last_pos > self.cfg.max_gap_frames:
+                splits += 1
+                key = f"{tid}.{splits}"
+        self._active[tid] = (key, self.pos, splits)
+        return key
+
+    def add(self, record: FrameRecord) -> set[str]:
+        """Append one frame's persons to their tracks; returns the keys present."""
+        self.pos += 1
+        present: set[str] = set()
+        for tid, skel in record.persons:
+            key = self._resolve_key(tid)
+            buf = self.buffers.get(key)
+            if buf is None:
+                buf = _TrackBuffer(key=key, smoother=SkeletonSmoother(self.cfg.smoothing()))
+                self.buffers[key] = buf
+            buf.entries.append((self.pos, record.timestamp, skel, buf.smoother.step(skel)))
+            present.add(key)
+        return present
+
+    def advance(self, record: FrameRecord) -> tuple[set[str], Optional[PairSegment]]:
+        """Add one frame; at a stride point, also the segment of the window ending at it."""
+        present = self.add(record)
+        wf, sf = self.cfg.window_frames, self.cfg.stride_frames
+        lo = self.pos - wf + 1
+        segment = None
+        if self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0:
+            segment = self.pair_window(lo, self.cfg.window_s)
+        for buf in self.buffers.values():
+            buf.trim(lo)
+        return present, segment
+
+    def tracks(self, lo: int) -> list[Track]:
+        """Every track's samples from frame position ``lo`` on, in creation order."""
+        return [buf.window_track(lo) for buf in self.buffers.values()]
+
+    def pair_window(self, lo: int, window_s: float) -> Optional[PairSegment]:
+        """select_pair -> order_roles -> pair_segment over the samples from ``lo``.
+
+        None when no pair qualifies. A selected pair shares at least
+        ``min_segment_frames`` timestamps, so the segment is long enough for
+        ``extract_segment``.
+        """
+        pair = select_pair(self.tracks(lo), self.cfg.min_segment_frames)
+        if pair is None:
+            return None
+        agg, vic = order_roles(pair[0], pair[1], window_s)
+        return pair_segment(agg, vic, fps=self.cfg.fps)
 
 
 def extract_windows(
@@ -119,36 +186,21 @@ def extract_windows(
     cfg: PipelineConfig,
     schema: Optional[FeatureSchema] = None,
     stream_id: str = "stream",
-) -> list[SegmentRow]:
-    """Offline sliding-window extraction; one row per window with a valid pair."""
+) -> list[tuple[str, FeatureVector]]:
+    """Offline sliding-window extraction: (segment id, vector) per window with a pair.
+
+    The segment id is ``"<stream_id>#<pair>#<end position>"``.
+    """
     schema = schema or full_schema()
     params = cfg.feature_params()
-    tracks = [
-        smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)
-    ]
-    rows: list[SegmentRow] = []
-    wf, sf = cfg.window_frames, cfg.stride_frames
-    for end in prediction_positions(len(frames), wf, sf):
-        lo = end - wf + 1
-        windows = [_slice_positions(t, lo, end) for t in tracks]
-        pair = select_pair(windows, params.min_segment_frames)
-        if pair is None:
+    windows = TrackWindows(cfg)
+    rows: list[tuple[str, FeatureVector]] = []
+    for record in frames:
+        _, segment = windows.advance(record)
+        if segment is None:
             continue
-        agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
-        try:
-            segment = pair_segment(agg, vic, fps=cfg.fps)
-            vector = extract_segment(segment, schema, params)
-        except SegmentTooShort:
-            continue
-        key = pair_key_str(agg.track_id, vic.track_id)
-        rows.append(
-            SegmentRow(
-                segment_id=f"{stream_id}#{key}#{end}",
-                pair=key,
-                end_pos=end,
-                vector=vector,
-            )
-        )
+        key = pair_key_str(segment.aggressor.track_id, segment.victim.track_id)
+        rows.append((f"{stream_id}#{key}#{windows.pos}", extract_segment(segment, schema, params)))
     return rows
 
 
@@ -158,43 +210,14 @@ def extract_clip_row(
     schema: Optional[FeatureSchema] = None,
 ) -> Optional[FeatureVector]:
     """One feature vector for the whole clip (the training-time view)."""
-    schema = schema or full_schema()
-    params = cfg.feature_params()
-    tracks = [
-        smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)
-    ]
-    pair = select_pair(tracks, params.min_segment_frames)
-    if pair is None:
-        return None
+    windows = TrackWindows(cfg)
+    for record in frames:
+        windows.add(record)
     duration = frames[-1].timestamp - frames[0].timestamp if frames else 0.0
-    agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s))
-    segment = pair_segment(agg, vic, fps=cfg.fps)
-    return extract_segment(segment, schema, params)
-
-
-def corpus_dataset(
-    clips: Iterable[Clip],
-    cfg: PipelineConfig,
-    schema: Optional[FeatureSchema] = None,
-) -> Dataset:
-    """Whole-clip feature matrix for a generated corpus."""
-    schema = schema or full_schema()
-    rows = []
-    labels = []
-    ids = []
-    for i, clip in enumerate(clips):
-        vector = extract_clip_row(clip.frames, cfg, schema)
-        if vector is None:
-            continue
-        rows.append(vector.as_row(schema))
-        labels.append(clip.label)
-        ids.append(clip.clip_id or f"clip{i:04d}")
-    return Dataset(
-        feature_names=schema.names,
-        X=np.array(rows, dtype=np.float64),
-        y=np.array(labels, dtype=np.int64),
-        ids=tuple(ids),
-    )
+    segment = windows.pair_window(0, max(duration, cfg.window_s))
+    if segment is None:
+        return None
+    return extract_segment(segment, schema or full_schema(), cfg.feature_params())
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +260,6 @@ class EvidenceRecord:
         }
 
 
-@dataclass
-class _TrackBuffer:
-    key: str
-    smoother: SkeletonSmoother
-    entries: list = field(default_factory=list)  # (pos, t, raw, smoothed)
-
-    def window_track(self, lo: int) -> Track:
-        picks = [e for e in self.entries if e[0] >= lo]
-        return Track(
-            track_id=self.key,
-            samples=[(t, raw) for _, t, raw, _ in picks],
-            smoothed=[sm for _, _, _, sm in picks],
-            positions=[p for p, _, _, _ in picks],
-        )
-
-    def trim(self, lo: int) -> None:
-        while self.entries and self.entries[0][0] < lo:
-            self.entries.pop(0)
-
-
 class StreamEngine:
     """Frame-by-frame detector: smooth, window, classify, hysteresis.
 
@@ -278,12 +281,10 @@ class StreamEngine:
         # extraction computes only the feature families the model reads
         self.schema = full.select(model.feature_names)
 
-        self._buffers: dict[str, _TrackBuffer] = {}
-        self._active: dict[int, tuple[str, int, int]] = {}  # raw id -> (key, last pos, splits)
+        self._windows = TrackWindows(cfg)
         self._pair_yhat: dict[str, int] = {}
         self._pair_members: dict[str, tuple[str, str]] = {}
         self._alarms: dict[str, AlarmState] = {}
-        self._pos = -1
         self._prev_t: Optional[float] = None
         self._start_t: Optional[float] = None
 
@@ -291,65 +292,33 @@ class StreamEngine:
         self.evidence: list[EvidenceRecord] = []
         self.frames_processed = 0
 
-    # -- internals ---------------------------------------------------------
+    @property
+    def _buffers(self) -> dict[str, _TrackBuffer]:
+        """Live track buffers by key."""
+        return self._windows.buffers
 
-    def _resolve_key(self, tid: int) -> str:
-        entry = self._active.get(tid)
-        if entry is None:
-            key, splits = str(tid), 0
-        else:
-            key, last_pos, splits = entry
-            if self._pos - last_pos > self.cfg.max_gap_frames:
-                splits += 1
-                key = f"{tid}.{splits}"
-        self._active[tid] = (key, self._pos, splits)
-        return key
-
-    def _predict_window(self, lo: int) -> None:
-        windows = [buf.window_track(lo) for buf in self._buffers.values()]
-        pair = select_pair(windows, self.params.min_segment_frames)
-        if pair is None:
-            return
-        agg, vic = order_roles(pair[0], pair[1], self.cfg.window_s)
-        try:
-            segment = pair_segment(agg, vic, fps=self.cfg.fps)
-            v_ab = extract_segment(segment, self.schema, self.params)
-            v_ba = extract_segment(segment.swapped(), self.schema, self.params)
-        except SegmentTooShort:
-            return
+    def _classify(self, segment: PairSegment) -> None:
+        v_ab = extract_segment(segment, self.schema, self.params)
+        v_ba = extract_segment(segment.swapped(), self.schema, self.params)
         prob = max(
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),
         )
-        key = pair_key_str(agg.track_id, vic.track_id)
+        agg, vic = segment.aggressor.track_id, segment.victim.track_id
+        key = pair_key_str(agg, vic)
         self._pair_yhat[key] = 1 if prob >= self.cfg.prob_threshold else 0
-        self._pair_members[key] = _pair_key(agg.track_id, vic.track_id)
+        self._pair_members[key] = _pair_key(agg, vic)
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
         record = validate_frame(record, prev_timestamp=self._prev_t)
         self._prev_t = record.timestamp
         if self._start_t is None:
             self._start_t = record.timestamp
-        self._pos += 1
         self.frames_processed += 1
 
-        present: set[str] = set()
-        for tid, skel in record.persons:
-            key = self._resolve_key(tid)
-            buf = self._buffers.get(key)
-            if buf is None:
-                buf = _TrackBuffer(key=key, smoother=SkeletonSmoother(self.cfg.smoothing()))
-                self._buffers[key] = buf
-            smoothed = buf.smoother.step(skel)
-            buf.entries.append((self._pos, record.timestamp, skel, smoothed))
-            present.add(key)
-
-        wf, sf = self.cfg.window_frames, self.cfg.stride_frames
-        lo = self._pos - wf + 1
-        if self._pos >= wf - 1 and (self._pos - (wf - 1)) % sf == 0:
-            self._predict_window(lo)
-        for buf in self._buffers.values():
-            buf.trim(lo)
+        present, segment = self._windows.advance(record)
+        if segment is not None:
+            self._classify(segment)
 
         new_alerts: list[AlertRecord] = []
         for key, yhat in self._pair_yhat.items():
@@ -392,47 +361,3 @@ class StreamEngine:
         for record in frames:
             self.process(record)
         return self.alerts
-
-
-# ---------------------------------------------------------------------------
-# evaluation helpers
-
-
-def binary_metrics(y_true: Sequence[int], y_pred: Sequence[int]) -> dict[str, float]:
-    """Accuracy / precision / recall / F1 for the positive class."""
-    tp = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 1)
-    fp = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 1)
-    fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 0)
-    tn = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 0)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    accuracy = (tp + tn) / len(list(y_true)) if len(list(y_true)) else 0.0
-    return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
-
-
-def stratified_split(
-    dataset: Dataset, holdout_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministic per-class split into (train, holdout)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 7919)))
-    train_idx: list[int] = []
-    hold_idx: list[int] = []
-    for cls in (0, 1):
-        members = np.flatnonzero(dataset.y == cls)
-        members = members[rng.permutation(len(members))]
-        n_hold = int(round(len(members) * holdout_fraction))
-        hold_idx.extend(int(i) for i in members[:n_hold])
-        train_idx.extend(int(i) for i in members[n_hold:])
-    train_idx.sort()
-    hold_idx.sort()
-
-    def subset(idx: list[int]) -> Dataset:
-        return Dataset(
-            feature_names=dataset.feature_names,
-            X=dataset.X[idx],
-            y=dataset.y[idx],
-            ids=tuple(dataset.ids[i] for i in idx) if dataset.ids else None,
-        )
-
-    return subset(train_idx), subset(hold_idx)

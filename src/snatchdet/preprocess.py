@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 # torso_height lives with the rest of the skeleton geometry in .types and
 # stays importable from here.
-from .types import Keypoint, Skeleton, Track, torso_height
+from .types import Keypoint, Skeleton, Track, torso_height, track_order
 
 DEFAULT_ALPHA = 0.6
 
@@ -209,12 +209,4 @@ def aggressor_probabilities(
 
 def choose_aggressor(assignments: Sequence[RoleAssignment]) -> str:
     """Track id with the highest aggressor probability; ties go to the lower id."""
-
-    def order_key(a: RoleAssignment) -> tuple:
-        try:
-            tid_key: tuple = tuple(int(p) for p in a.track_id.split("."))
-        except ValueError:
-            tid_key = (float("inf"), a.track_id)
-        return (-a.p_aggressor, tid_key)
-
-    return min(assignments, key=order_key).track_id
+    return min(assignments, key=lambda a: (-a.p_aggressor, track_order(a.track_id))).track_id

@@ -60,10 +60,6 @@ class AlarmState:
     window: deque = field(default_factory=deque)
     state: int = 0
     positives: int = 0
-    last_transition: Optional[float] = None
-
-    def window_count(self) -> int:
-        return self.positives
 
 
 def step(
@@ -85,11 +81,9 @@ def step(
     event: Optional[AlarmEvent] = None
     if state.state == 0 and count >= cfg.n_on:
         state.state = 1
-        state.last_transition = timestamp
         event = AlarmEvent(kind="activated", timestamp=timestamp, window_count=count)
     elif state.state == 1 and count <= cfg.n_off:
         state.state = 0
-        state.last_transition = timestamp
         event = AlarmEvent(kind="deactivated", timestamp=timestamp, window_count=count)
     return state, event
 

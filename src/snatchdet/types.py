@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 NUM_KEYPOINTS = 17
 
@@ -54,10 +54,6 @@ class Keypoint:
 
     def is_valid(self, threshold: float = VALID_CONFIDENCE) -> bool:
         return self.confidence >= threshold
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -251,12 +247,16 @@ class Track:
     def timestamps(self) -> list[float]:
         return [t for t, _ in self.samples]
 
-    def sort_key(self) -> tuple:
-        # "1.2" sorts after "1" but before "2"; plain numeric ids sort numerically.
-        try:
-            return tuple(int(p) for p in self.track_id.split("."))
-        except ValueError:
-            return (float("inf"), self.track_id)
+
+def track_order(track_id: str) -> tuple:
+    """Sort key of a track id: dotted integer parts, else ``(inf, id)``.
+
+    "1.2" sorts after "1" but before "2"; plain numeric ids sort numerically.
+    """
+    try:
+        return tuple(int(p) for p in track_id.split("."))
+    except ValueError:
+        return (float("inf"), track_id)
 
 
 @dataclass(frozen=True)
@@ -373,33 +373,3 @@ def validate_stream(frames: Iterable[FrameRecord]) -> list[FrameRecord]:
         prev = record.timestamp
     return out
 
-
-def build_tracks(frames: Sequence[FrameRecord], max_gap: int = 15) -> list[Track]:
-    """Group per-frame detections into tracks by their upstream ids.
-
-    Identity continuity is delegated to the ingestion source; this only
-    splits an id when it disappears for more than ``max_gap`` frames, in
-    which case the reappearance starts a fresh track named ``"<id>.<n>"``.
-    """
-    tracks: list[Track] = []
-    # raw id -> (current track, last frame position, number of splits so far)
-    active: dict[int, tuple[Track, int, int]] = {}
-    for pos, record in enumerate(frames):
-        for tid, skel in record.persons:
-            entry = active.get(tid)
-            if entry is None:
-                track = Track(track_id=str(tid))
-                tracks.append(track)
-                splits = 0
-            else:
-                track, last_pos, splits = entry
-                if pos - last_pos > max_gap:
-                    splits += 1
-                    track = Track(track_id=f"{tid}.{splits}")
-                    tracks.append(track)
-            track.samples.append((record.timestamp, skel))
-            if track.positions is None:
-                track.positions = []
-            track.positions.append(pos)
-            active[tid] = (track, pos, splits)
-    return tracks

@@ -80,6 +80,27 @@ def frame_of(index: int, t: float, persons) -> FrameRecord:
     return FrameRecord(frame_index=index, timestamp=t, persons=tuple(persons))
 
 
+def with_bystander(frames, tid=9, dx=2000.0):
+    """Add a lone person far to the side of the clip's first person."""
+    out = []
+    for f in frames:
+        _, skel = f.persons[0]
+        kps = tuple(Keypoint(kp.x + dx, kp.y, kp.confidence) for kp in skel.keypoints)
+        bbox = (skel.bbox[0] + dx, skel.bbox[1], skel.bbox[2] + dx, skel.bbox[3])
+        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton(kps, bbox)),)))
+    return out
+
+
+def without_person(frames, tid, start, stop):
+    """Drop person ``tid`` from frame positions start..stop-1."""
+    return [
+        FrameRecord(f.frame_index, f.timestamp, tuple(p for p in f.persons if p[0] != tid))
+        if start <= pos < stop
+        else f
+        for pos, f in enumerate(frames)
+    ]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_segment, random_track
+from conftest import random_segment, random_track, with_bystander, without_person
 from feature_reference import reference_segment_features
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
@@ -29,23 +29,16 @@ from snatchdet.forest import (
     serialize,
     train,
 )
-from snatchdet.pipeline import (
-    StreamEngine,
-    _slice_positions,
-    binary_metrics,
-    corpus_dataset,
-    order_roles,
-    pair_key_str,
-    prediction_positions,
-    select_pair,
-    stratified_split,
-)
+from snatchdet import pipeline
+from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
+from snatchdet.pipeline import StreamEngine, extract_windows, pair_key_str
 from snatchdet.preprocess import SmoothingConfig, ema_step, smooth_track
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, run_sequence, step
-from snatchdet.types import Keypoint, Skeleton, Track, build_tracks, validate_stream
+from snatchdet.types import Keypoint, Skeleton, Track, validate_stream
 from test_forest import exhaustive_best_split
+from track_reference import reference_segments, smoothed_tracks
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -391,35 +384,32 @@ def test_pca_variance_and_reconstruction():
 
 
 def offline_alerts(frames, model, cfg):
-    """Recompute stream alerts from scratch with the offline primitives."""
+    """Recompute stream alerts from scratch with the offline primitives.
+
+    Returns (alert events, windows); a window is (end position, pair,
+    repr of p(A,B), repr of p(B,A)).
+    """
     frames = validate_stream(frames)
     schema = full_schema()
     params = cfg.feature_params()
     hcfg = cfg.hysteresis()
-    tracks = [smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)]
 
     updates = {}
-    for end in prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames):
-        lo = end - cfg.window_frames + 1
-        windows = [_slice_positions(t, lo, end) for t in tracks]
-        pair = select_pair(windows, params.min_segment_frames)
-        if pair is None:
-            continue
-        agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
+    windows = []
+    for end, seg in reference_segments(frames, cfg):
         try:
-            seg = pair_segment(agg, vic, fps=cfg.fps)
             v_ab = extract_segment(seg, schema, params)
             v_ba = extract_segment(seg.swapped(), schema, params)
         except SegmentTooShort:
             continue
-        prob = max(
-            predict_probability(model, v_ab.values), predict_probability(model, v_ba.values)
-        )
-        key = pair_key_str(agg.track_id, vic.track_id)
-        updates.setdefault(end, []).append((key, 1 if prob >= cfg.prob_threshold else 0))
+        p_ab = predict_probability(model, v_ab.values)
+        p_ba = predict_probability(model, v_ba.values)
+        key = pair_key_str(seg.aggressor.track_id, seg.victim.track_id)
+        windows.append((end, key, repr(p_ab), repr(p_ba)))
+        updates.setdefault(end, []).append((key, 1 if max(p_ab, p_ba) >= cfg.prob_threshold else 0))
 
     present_at = {}
-    for track in tracks:
+    for track in smoothed_tracks(frames, cfg):
         for pos in track.positions:
             present_at.setdefault(pos, set()).add(track.track_id)
 
@@ -438,16 +428,49 @@ def offline_alerts(frames, model, cfg):
             _, event = step(state, yhat, hcfg, record.timestamp)
             if event is not None:
                 events.append((key, event.kind, event.timestamp, event.window_count))
-    return events
+    return events, windows
 
 
-def test_online_offline_equivalence(e2e):
-    cfg = e2e["cfg"]
-    model = e2e["model"]
+def online_alerts(frames, model, cfg, monkeypatch):
+    """Run the engine; returns (alert events, windows) shaped as in offline_alerts."""
+    engine = StreamEngine(model, cfg)
+    roles, probs = [], []
+    extract, predict_ = pipeline.extract_segment, pipeline.predict_probability
+
+    def recording_extract(*args, **kwargs):
+        vector = extract(*args, **kwargs)
+        roles.append((engine.frames_processed - 1, vector.roles))
+        return vector
+
+    def recording_predict(*args, **kwargs):
+        p = predict_(*args, **kwargs)
+        probs.append(p)
+        return p
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "extract_segment", recording_extract)
+        m.setattr(pipeline, "predict_probability", recording_predict)
+        engine.run(frames)
+    # every window extracts and classifies (A, B), then (B, A)
+    assert len(roles) == len(probs) and len(roles) % 2 == 0
+    windows = [
+        (roles[i][0], pair_key_str(*roles[i][1]), repr(probs[i]), repr(probs[i + 1]))
+        for i in range(0, len(roles), 2)
+    ]
+    events = [(a.pair, a.kind, a.timestamp, a.window_count) for a in engine.alerts]
+    return events, windows
+
+
+def split_id_frames():
+    """A snatch clip whose person 2 is absent 30 frames, twice the default max gap."""
+    frames = generate(ScenarioSpec(kind="snatch", seed=17, noise_sigma=1.0)).frames
+    return without_person(frames, 2, 60, 90)
+
+
+def equivalence_clips():
+    """20 random clips, then one with a far bystander and one with a split id."""
     rng = np.random.default_rng(909)
     kinds = ("snatch", "walk_by", "handshake", "standing")
-    mismatches = 0
-    total_events = 0
     for i in range(20):
         spec = ScenarioSpec(
             kind=kinds[i % 4],
@@ -456,16 +479,45 @@ def test_online_offline_equivalence(e2e):
             seed=int(rng.integers(0, 10**6)),
             noise_sigma=float(rng.uniform(0.5, 2.0)),
         )
-        clip = generate(spec)
-        engine = StreamEngine(model, cfg)
-        engine.run(clip.frames)
-        online = [(a.pair, a.kind, a.timestamp, a.window_count) for a in engine.alerts]
-        offline = offline_alerts(clip.frames, model, cfg)
-        total_events += len(offline)
+        yield generate(spec).frames
+    yield with_bystander(generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames)
+    yield split_id_frames()
+
+
+def test_online_offline_equivalence(e2e, monkeypatch):
+    cfg = e2e["cfg"]
+    model = e2e["model"]
+    mismatches = 0
+    total_events = 0
+    total_windows = 0
+    split_windows = 0
+    for frames in equivalence_clips():
+        online = online_alerts(frames, model, cfg, monkeypatch)
+        offline = offline_alerts(frames, model, cfg)
+        total_events += len(offline[0])
+        total_windows += len(offline[1])
+        split_windows += sum(1 for w in offline[1] if "." in w[1])
         if online != offline:
             mismatches += 1
     report(
-        "Online/offline: alert events identical on 20 random synthetic clips",
-        mismatches == 0,
-        f"{total_events} events compared",
+        "Online/offline: alert events and per-window probabilities identical on 22 clips",
+        mismatches == 0 and split_windows > 0,
+        f"{total_events} events, {total_windows} windows ({split_windows} on a split id) compared",
     )
+
+
+def test_extract_windows_matches_reference_on_split_ids():
+    cfg = PipelineConfig()
+    schema = full_schema()
+    params = cfg.feature_params()
+    frames = split_id_frames()
+    rows = extract_windows(frames, cfg, schema, stream_id="s")
+    expected = [
+        (
+            f"s#{pair_key_str(seg.aggressor.track_id, seg.victim.track_id)}#{end}",
+            repr(extract_segment(seg, schema, params)),
+        )
+        for end, seg in reference_segments(frames, cfg)
+    ]
+    assert [(sid, repr(vector)) for sid, vector in rows] == expected
+    assert any("#1|2.1#" in sid for sid, _ in rows)

@@ -168,6 +168,31 @@ class TestTrain:
         assert rc == 3
 
 
+class TestMalformedLabels:
+    """A bad labels CSV is a malformed input: exit 2, for train and pca alike."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("pca", "clip,kind\nclip0000_snatch,1\n"),
+            ("pca", "id,label\nclip0000_snatch,notanint\n"),
+            ("train", "id,label\nclip0000_snatch\n"),
+        ],
+        ids=["pca-wrong-header", "pca-non-integer-label", "train-one-field-row"],
+    )
+    def test_exits_2(self, trained, tmp_path, capsys, command, text):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text)
+        out = ["--out", str(tmp_path / "pca.csv")] if command == "pca" else [
+            "--model-out", str(tmp_path / "m.json"), "--n-trees", "4"
+        ]
+        rc = cli.main(
+            [command, "--features", str(trained["features"]), "--labels", str(labels), *out]
+        )
+        assert rc == 2
+        assert "labels CSV" in capsys.readouterr().err
+
+
 class TestRank:
     def test_table_has_k_rows(self, trained, tmp_path, capsys):
         out = tmp_path / "rank.csv"

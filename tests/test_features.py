@@ -118,7 +118,7 @@ class TestHandMotion:
     def test_fast_pct_and_time_to_peak(self):
         # wrist speeds over frames 1..4: 0, 0, 5, 0 torso-heights/s
         base = static_skeleton()
-        wrist = base.keypoints[10].pos
+        wrist = (base.keypoints[10].x, base.keypoints[10].y)
         th = 100.0  # template torso height
         fps = 30.0
         offsets = [0.0, 0.0, 0.0, 5.0 * th / fps, 5.0 * th / fps]
@@ -301,7 +301,7 @@ class TestRelativeMotion:
     def _reaching_pair(self, direction):
         """A's right wrist steps along ``direction``; B stands to the right."""
         base = static_skeleton((100.0, 100.0))
-        wrist0 = base.keypoints[10].pos
+        wrist0 = (base.keypoints[10].x, base.keypoints[10].y)
         skels_a = [
             build_skeleton({10: wrist0}),
             build_skeleton({10: (wrist0[0] + direction[0], wrist0[1] + direction[1])}),
@@ -311,7 +311,7 @@ class TestRelativeMotion:
 
     def test_hand_toward_victim_is_one(self):
         base = static_skeleton((100.0, 100.0))
-        wrist0 = base.keypoints[10].pos
+        wrist0 = (base.keypoints[10].x, base.keypoints[10].y)
         target = (400.0, 100.0)  # B's center
         ux, uy = target[0] - wrist0[0], target[1] - wrist0[1]
         pair = self._reaching_pair((ux * 0.01, uy * 0.01))
@@ -323,7 +323,7 @@ class TestRelativeMotion:
         # diameter is wrist0 -> target, the step is orthogonal to the
         # remaining target vector.
         base = static_skeleton((100.0, 100.0))
-        wrist0 = base.keypoints[10].pos
+        wrist0 = (base.keypoints[10].x, base.keypoints[10].y)
         target = (400.0, 100.0)
         mx, my = (wrist0[0] + target[0]) / 2.0, (wrist0[1] + target[1]) / 2.0
         ux, uy = target[0] - wrist0[0], target[1] - wrist0[1]

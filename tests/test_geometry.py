@@ -2,32 +2,21 @@
 
 from collections import Counter
 
-from conftest import random_skeleton, static_skeleton
+from conftest import random_skeleton, static_skeleton, with_bystander
 from snatchdet import types
 from snatchdet.config import PipelineConfig
 from snatchdet.features import extract_segment, full_schema, pair_segment
-from snatchdet.pipeline import _slice_positions, order_roles, select_pair
-from snatchdet.preprocess import smooth_track
+from snatchdet.pipeline import order_roles, select_pair
 from snatchdet.synth import ScenarioSpec, generate
-from snatchdet.types import FrameRecord, Keypoint, Skeleton, build_tracks
-
-
-def _with_bystander(frames, tid=9, dx=2000.0):
-    """Add a lone person far to the side of the clip's first person."""
-    out = []
-    for f in frames:
-        _, skel = f.persons[0]
-        kps = tuple(Keypoint(kp.x + dx, kp.y, kp.confidence) for kp in skel.keypoints)
-        bbox = (skel.bbox[0] + dx, skel.bbox[1], skel.bbox[2] + dx, skel.bbox[3])
-        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton(kps, bbox)),)))
-    return out
+from snatchdet.types import Skeleton
+from track_reference import _slice_positions, smoothed_tracks
 
 
 def test_window_computes_each_skeleton_once(monkeypatch):
     cfg = PipelineConfig()
     clip = generate(ScenarioSpec(kind="snatch", seed=5, duration=4.0, noise_sigma=1.0))
-    frames = _with_bystander(clip.frames)
-    tracks = [smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)]
+    frames = with_bystander(clip.frames)
+    tracks = smoothed_tracks(frames, cfg)
     end = 89
     windows = [_slice_positions(t, end - cfg.window_frames + 1, end) for t in tracks]
 

@@ -8,9 +8,9 @@ from snatchdet import streams
 from snatchdet.config import PipelineConfig
 from snatchdet.features import FeatureParams, pair_segment
 from snatchdet.pipeline import extract_clip_row, order_roles
-from snatchdet.preprocess import smooth_track
 from snatchdet.synth import InvalidSpec, ScenarioSpec, generate, generate_corpus, ratio_counts
-from snatchdet.types import build_tracks, validate_stream
+from snatchdet.types import validate_stream
+from track_reference import smoothed_tracks
 
 
 def clip_features(clip, cfg=None):
@@ -56,10 +56,7 @@ class TestGenerate:
         cfg = PipelineConfig()
         for seed in (1, 22, 333):
             clip = generate(ScenarioSpec(kind="snatch", seed=seed, noise_sigma=0.0))
-            tracks = [
-                smooth_track(t, cfg.smoothing())
-                for t in build_tracks(clip.frames, cfg.max_gap_frames)
-            ]
+            tracks = smoothed_tracks(clip.frames, cfg)
             agg, vic = order_roles(tracks[0], tracks[1], clip.spec.duration)
             pair = pair_segment(agg, vic, fps=clip.spec.fps)
             from snatchdet.features import hand_motion, interaction_distance, reaching

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import frame_of, static_skeleton
 from snatchdet import streams
+from snatchdet.config import PipelineConfig
+from snatchdet.pipeline import TrackWindows
 from snatchdet.types import (
     FrameRecord,
     Keypoint,
     MalformedRecord,
     Skeleton,
-    build_tracks,
     validate_frame,
     validate_stream,
 )
@@ -75,6 +76,14 @@ class TestValidateFrame:
     def test_rejects_negative_frame_index(self):
         with pytest.raises(MalformedRecord):
             validate_frame(make_frame(index=-1))
+
+
+def build_tracks(frames, max_gap=15):
+    """Every track the windowing core holds after taking the whole stream."""
+    windows = TrackWindows(PipelineConfig(max_gap_frames=max_gap))
+    for record in frames:
+        windows.add(record)
+    return windows.tracks(0)
 
 
 class TestBuildTracks:
