@@ -313,7 +313,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     except forest.SchemaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except MalformedRecord as exc:
+    except (MalformedRecord, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except SinkUnreachable as exc:

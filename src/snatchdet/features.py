@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import IO, Any, Iterable, Optional, Sequence, Union
 
 from .types import (
     LEFT_HIP,
@@ -34,6 +33,8 @@ from .types import (
 )
 
 Value = Optional[float]
+# A family's outputs by base name: per-frame lists for series, values for scalars.
+Outputs = dict[str, Union[Value, list[Value]]]
 
 
 class InsufficientSamples(ValueError):
@@ -42,10 +43,6 @@ class InsufficientSamples(ValueError):
 
 class NoTemporalOverlap(ValueError):
     """The two tracks share no usable time span."""
-
-
-class NoValidJointPairs(ValueError):
-    """No frame has the joints needed for any reaching feature."""
 
 
 class UnknownStatistic(ValueError):
@@ -65,18 +62,6 @@ class FeatureParams:
     close_hand_threshold: float = 0.4  # torso-heights
     hand_toward_threshold: float = 0.7  # cosine
     min_segment_frames: int = 5
-
-
-@dataclass
-class FeatureSeries:
-    """A named per-frame series; None marks frames where it is undefined."""
-
-    name: str
-    times: list[float]
-    values: list[Value]
-
-    def present(self) -> list[float]:
-        return [v for v in self.values if v is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +94,13 @@ def _stat(values: list[float], stat: str) -> float:
 
 
 def aggregate(
-    series: FeatureSeries, stats: Sequence[str], missing: Value = None
+    series: list[Value], stats: Sequence[str], missing: Value = None
 ) -> dict[str, Value]:
     """Aggregate the present values of a series; empty series yield ``missing``."""
     for stat in stats:
         if stat not in STATS:
             raise UnknownStatistic(f"unknown statistic {stat!r}")
-    values = series.present()
+    values = [v for v in series if v is not None]
     if not values:
         return {stat: missing for stat in stats}
     return {stat: _stat(values, stat) for stat in stats}
@@ -124,8 +109,12 @@ def aggregate(
 # ---------------------------------------------------------------------------
 # schema
 
-# The family is the function that computes the feature; extraction runs a
-# family only when the schema asks for one of its outputs.
+# The one description of every feature. A series row gives one aggregated
+# name per statistic ("velocity_mean", ...), a scalar row one name. The
+# family computes the feature and returns it under the row's name;
+# individual rows give an "A_" and a "B_" feature (aggressor-only rows just
+# the "A_" one), computed by the family of that role ("A_hands").
+# Extraction runs a family only when the schema asks for one of its outputs.
 _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
     # (name, "series"|"scalar", aggressor_only, family)
     ("velocity", "series", False, "kinematics"),
@@ -240,37 +229,35 @@ class FeatureSchema:
         kept = tuple(n for n in self.names if n in chosen)
         return FeatureSchema(kept, version or f"{self.version}+select{len(kept)}")
 
-    @cached_property
-    def families(self) -> frozenset[str]:
-        """Feature families (role-prefixed for individual ones) the names need."""
-        return frozenset(_FAMILY_OF[n] for n in self.names if n in _FAMILY_OF)
+
+Source = tuple[str, str, Optional[str]]  # (family, base name, statistic or None)
 
 
-def _layout() -> list[tuple[str, str]]:
-    """(name, family) for every aggregated feature, in schema order."""
-    out: list[tuple[str, str]] = []
+def _layout() -> list[tuple[str, Source]]:
+    """(name, source) for every aggregated feature, in schema order."""
+    out: list[tuple[str, Source]] = []
 
-    def put(name: str, shape: str, family: str) -> None:
+    def put(prefix: str, base: str, shape: str, family: str) -> None:
         if shape == "series":
-            out.extend((f"{name}_{stat}", family) for stat in STATS)
+            out.extend((f"{prefix}{base}_{stat}", (family, base, stat)) for stat in STATS)
         else:
-            out.append((name, family))
+            out.append((prefix + base, (family, base, None)))
 
     for prefix, is_aggressor in (("A_", True), ("B_", False)):
         for base, shape, agg_only, family in _INDIVIDUAL_LAYOUT:
             if agg_only and not is_aggressor:
                 continue
-            put(prefix + base, shape, prefix + family)
+            put(prefix, base, shape, prefix + family)
     for base, shape, family in _INTERACTION_LAYOUT:
-        put(base, shape, family)
+        put("", base, shape, family)
     return out
 
 
-_FAMILY_OF: dict[str, str] = dict(_layout())
+_SOURCE: dict[str, Source] = dict(_layout())
 
 
 def full_schema() -> FeatureSchema:
-    return FeatureSchema(tuple(_FAMILY_OF), version="full-v1")
+    return FeatureSchema(tuple(_SOURCE), version="full-v1")
 
 
 @dataclass(frozen=True)
@@ -366,7 +353,7 @@ def _backward_diff(times: list[float], values: list[Value]) -> list[Value]:
 # individual features
 
 
-def center_kinematics(track: Track) -> tuple[FeatureSeries, FeatureSeries]:
+def center_kinematics(track: Track) -> Outputs:
     """Normalized body-center speed and its backward-difference acceleration."""
     if len(track) < 2:
         raise InsufficientSamples("center kinematics need at least 2 samples")
@@ -379,16 +366,14 @@ def center_kinematics(track: Track) -> tuple[FeatureSeries, FeatureSeries]:
         dt = times[i] - times[i - 1]
         if c is not None and p is not None and th is not None and dt > 0:
             speed[i] = _dist(c[0], c[1], p[0], p[1]) / dt / th
-    accel = _backward_diff(times, speed)
-    return (
-        FeatureSeries("velocity", times, speed),
-        FeatureSeries("acceleration", times, accel),
-    )
+    return {"velocity": speed, "acceleration": _backward_diff(times, speed)}
 
 
-def wrist_velocities(
-    track: Track,
-) -> list[dict[int, tuple[float, float, float]]]:
+# Per frame: wrist joint index -> (vx, vy, normalized speed).
+WristVelocities = list[dict[int, tuple[float, float, float]]]
+
+
+def wrist_velocities(track: Track) -> WristVelocities:
     """Per frame: wrist joint index -> (vx, vy, normalized speed).
 
     The velocity vector is in raw pixels per frame step; the speed is
@@ -398,7 +383,7 @@ def wrist_velocities(
     times = track.timestamps
     skels = _skels(track)
     torsos = _torsos(track)
-    out: list[dict[int, tuple[float, float, float]]] = [dict() for _ in times]
+    out: WristVelocities = [dict() for _ in times]
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
         th = torsos[i]
@@ -416,58 +401,39 @@ def wrist_velocities(
     return out
 
 
-@dataclass
-class HandMotion:
-    hand_velocity: FeatureSeries
-    hand_acceleration: FeatureSeries
-    hand_jerk: FeatureSeries
-    fast_hand_pct: Value
-    time_to_peak_hand_vel: Value
-    hand_jerk_min: Value
-    fast_flags: list[Optional[bool]] = field(repr=False, default_factory=list)
+def _fast_flags(hand_speed: list[Value], params: FeatureParams) -> list[Optional[bool]]:
+    return [None if s is None else s > params.fast_hand_threshold for s in hand_speed]
 
 
-def hand_motion(track: Track, params: FeatureParams = FeatureParams()) -> HandMotion:
-    """Wrist speed series (max over the two wrists) and its derivatives."""
+def hand_motion(
+    track: Track,
+    params: FeatureParams,
+    velocities: WristVelocities,
+) -> Outputs:
+    """Wrist speed series (max over the two wrists) and its derivatives.
+
+    ``velocities`` are the track's ``wrist_velocities``.
+    """
     if len(track) < 3:
         raise InsufficientSamples("hand motion needs at least 3 samples")
     times = track.timestamps
-    velocities = wrist_velocities(track)
     speed: list[Value] = [None] * len(times)
     for i, per_wrist in enumerate(velocities):
         if per_wrist:
             speed[i] = max(v[2] for v in per_wrist.values())
     accel = _backward_diff(times, speed)
-    jerk = _backward_diff(times, accel)
-
-    fast_flags: list[Optional[bool]] = [
-        None if s is None else s > params.fast_hand_threshold for s in speed
-    ]
+    jerk = [v for v in _backward_diff(times, accel) if v is not None]
     peak = _first_argmax(speed)
-    jerk_present = [v for v in jerk if v is not None]
-    return HandMotion(
-        hand_velocity=FeatureSeries("handVelocity", times, speed),
-        hand_acceleration=FeatureSeries("handAcceleration", times, accel),
-        hand_jerk=FeatureSeries("handJerk", times, jerk),
-        fast_hand_pct=_pct(fast_flags),
-        time_to_peak_hand_vel=None if peak is None else float(peak),
-        hand_jerk_min=min(jerk_present) if jerk_present else None,
-        fast_flags=fast_flags,
-    )
+    return {
+        "handVelocity": speed,
+        "fastHandPct": _pct(_fast_flags(speed, params)),
+        "timeToPeakHandVel": None if peak is None else float(peak),
+        "handAcceleration": accel,
+        "handJerkMin": min(jerk) if jerk else None,
+    }
 
 
-@dataclass
-class ArmPosture:
-    arm_extension: FeatureSeries
-    elbow_angle_l: FeatureSeries
-    elbow_angle_r: FeatureSeries
-    time_to_peak_arm_ext: Value
-    arm_retraction_0p2s: Value
-    elbow_flex_pct_l: Value
-    elbow_flex_pct_r: Value
-
-
-def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams()) -> ArmPosture:
+def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams()) -> Outputs:
     """Arm extension (max over arms) and interior elbow angles."""
     if len(track) < 1:
         raise InsufficientSamples("arm posture needs at least 1 sample")
@@ -499,20 +465,18 @@ def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams(
             retraction = extension[peak] - extension[target]
 
     thr = params.elbow_flex_threshold
-    flex_l = _pct([None if a is None else a < thr for a in angle_l])
-    flex_r = _pct([None if a is None else a < thr for a in angle_r])
-    return ArmPosture(
-        arm_extension=FeatureSeries("armExtension", times, extension),
-        elbow_angle_l=FeatureSeries("elbowAngleL", times, angle_l),
-        elbow_angle_r=FeatureSeries("elbowAngleR", times, angle_r),
-        time_to_peak_arm_ext=None if peak is None else float(peak),
-        arm_retraction_0p2s=retraction,
-        elbow_flex_pct_l=flex_l,
-        elbow_flex_pct_r=flex_r,
-    )
+    return {
+        "armExtension": extension,
+        "timeToPeakArmExt": None if peak is None else float(peak),
+        "armRetraction0p2s": retraction,
+        "elbowFlexPctL": _pct([None if a is None else a < thr for a in angle_l]),
+        "elbowFlexPctR": _pct([None if a is None else a < thr for a in angle_r]),
+        "elbowAngleL": angle_l,
+        "elbowAngleR": angle_r,
+    }
 
 
-def bbox_area_rate(track: Track) -> FeatureSeries:
+def bbox_area_rate(track: Track) -> Outputs:
     """Relative derivative of the (smoothed) bounding-box area, per second.
 
     The rate is missing at a frame whose previous box has zero area.
@@ -526,7 +490,7 @@ def bbox_area_rate(track: Track) -> FeatureSeries:
         dt = times[i] - times[i - 1]
         if dt > 0 and areas[i - 1] != 0.0:
             rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
-    return FeatureSeries("bboxAreaRate", times, rate)
+    return {"bboxAreaRate": rate}
 
 
 def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
@@ -601,16 +565,7 @@ def _mean_torsos(pair: PairSegment) -> list[Value]:
     ]
 
 
-@dataclass
-class InteractionDistance:
-    distance: FeatureSeries
-    distance_rate: FeatureSeries
-    iou: FeatureSeries
-    iou_peak: Value
-    iou_drop_0p2s: Value
-
-
-def interaction_distance(pair: PairSegment) -> InteractionDistance:
+def interaction_distance(pair: PairSegment) -> Outputs:
     """Normalized center distance, its rate, and bbox IoU over the segment."""
     times = pair.aggressor.timestamps
     centers_a = _centers(pair.aggressor)
@@ -622,7 +577,6 @@ def interaction_distance(pair: PairSegment) -> InteractionDistance:
         ca, cb, th = centers_a[i], centers_b[i], mean_th[i]
         if ca is not None and cb is not None and th is not None:
             distance[i] = _dist(ca[0], ca[1], cb[0], cb[1]) / th
-    rate = _backward_diff(times, distance)
 
     ious: list[Value] = [
         iou(sa.bbox, sb.bbox)
@@ -634,35 +588,31 @@ def interaction_distance(pair: PairSegment) -> InteractionDistance:
         target = peak + _frames_for(0.2, pair.fps)
         if target < len(ious):
             drop = ious[peak] - ious[target]
-    return InteractionDistance(
-        distance=FeatureSeries("distance", times, distance),
-        distance_rate=FeatureSeries("distanceRate", times, rate),
-        iou=FeatureSeries("iou", times, ious),
-        iou_peak=None if peak is None else ious[peak],
-        iou_drop_0p2s=drop,
-    )
+    return {
+        "distance": distance,
+        "distanceRate": _backward_diff(times, distance),
+        "iou": ious,
+        "iouPeak": None if peak is None else ious[peak],
+        "iouDrop0p2s": drop,
+    }
 
 
-@dataclass
-class RelativeMotion:
-    relative_speed: FeatureSeries
-    hand_toward_cos: FeatureSeries
-    hand_toward_pct: Value
-
-
-def relative_motion(pair: PairSegment, params: FeatureParams = FeatureParams()) -> RelativeMotion:
+def relative_motion(
+    pair: PairSegment,
+    params: FeatureParams,
+    velocities: WristVelocities,
+) -> Outputs:
     """Relative center speed plus the hand-toward-victim direction cosine.
 
     The cosine compares the velocity of A's faster wrist with the vector
     from that wrist to B's torso center; frames without wrist motion yield
-    a missing value.
+    a missing value. ``velocities`` are A's ``wrist_velocities``.
     """
     times = pair.aggressor.timestamps
     centers_a = _centers(pair.aggressor)
     centers_b = _centers(pair.victim)
     mean_th = _mean_torsos(pair)
     skels_a = _skels(pair.aggressor)
-    velocities = wrist_velocities(pair.aggressor)
 
     rel_speed: list[Value] = [None] * len(times)
     for i in range(1, len(times)):
@@ -701,35 +651,24 @@ def relative_motion(pair: PairSegment, params: FeatureParams = FeatureParams()) 
         toward[i] = min(1.0, max(-1.0, c))
 
     thr = params.hand_toward_threshold
-    pct = _pct([None if c is None else c > thr for c in toward])
-    return RelativeMotion(
-        relative_speed=FeatureSeries("relativeSpeed", times, rel_speed),
-        hand_toward_cos=FeatureSeries("handTowardCos", times, toward),
-        hand_toward_pct=pct,
-    )
-
-
-@dataclass
-class Reaching:
-    hand_to_torso: FeatureSeries
-    hand_to_hip: FeatureSeries
-    close_hand_pct: Value
-    fast_and_close_pct: Value
-    fast_and_close_longest: Value
-    post_contact_sep_mean: Value
+    return {
+        "relativeSpeed": rel_speed,
+        "handTowardCos": toward,
+        "handTowardGt07Pct": _pct([None if c is None else c > thr for c in toward]),
+    }
 
 
 def reaching(
     pair: PairSegment,
     params: FeatureParams,
-    fast_flags: list[Optional[bool]],
+    hand_speed: list[Value],
     distance: list[Value],
-) -> Reaching:
+) -> Outputs:
     """A-wrist to B-torso/hip distances and the fast-and-close conjunction.
 
-    ``fast_flags`` are A's fast-hand flags (``hand_motion(...).fast_flags``)
-    and ``distance`` the normalized center distance series
-    (``interaction_distance(...).distance.values``) of the same segment.
+    ``hand_speed`` is A's hand speed series (``hand_motion``'s
+    ``handVelocity``) and ``distance`` the normalized center distance series
+    (``interaction_distance``'s ``distance``) of the same segment.
     """
     times = pair.aggressor.timestamps
     skels_a = _skels(pair.aggressor)
@@ -762,16 +701,12 @@ def reaching(
         if hip is not None:
             hand_to_hip[i] = min(_dist(w[0], w[1], hip[0], hip[1]) / th for w in wrists)
 
-    if not any(v is not None for v in hand_to_torso) and not any(
-        v is not None for v in hand_to_hip
-    ):
-        raise NoValidJointPairs("no frame pairs A's wrists with B's torso or hips")
-
     close_flags = [
         None if d is None else d < params.close_hand_threshold for d in hand_to_torso
     ]
     both: list[Optional[bool]] = [
-        None if f is None or c is None else (f and c) for f, c in zip(fast_flags, close_flags)
+        None if f is None or c is None else (f and c)
+        for f, c in zip(_fast_flags(hand_speed, params), close_flags)
     ]
 
     contact = _first_argmin(hand_to_torso)
@@ -782,34 +717,17 @@ def reaching(
         if window:
             post_mean = sum(window) / len(window)
 
-    return Reaching(
-        hand_to_torso=FeatureSeries("handToTorso", times, hand_to_torso),
-        hand_to_hip=FeatureSeries("handToHip", times, hand_to_hip),
-        close_hand_pct=_pct(close_flags),
-        fast_and_close_pct=_pct(both),
-        fast_and_close_longest=_longest_run(both),
-        post_contact_sep_mean=post_mean,
-    )
+    return {
+        "handToTorso": hand_to_torso,
+        "handToHip": hand_to_hip,
+        "closeHandPct": _pct(close_flags),
+        "fastAndClosePct": _pct(both),
+        "fastAndCloseLongest": _longest_run(both),
+        "postContactSepMean": post_mean,
+    }
 
 
-def facing_direction(skel: Skeleton) -> Optional[tuple[float, float]]:
-    """Unit 2D facing vector from head geometry.
-
-    Prefers ear-midpoint to nose; falls back to the shoulder-line normal
-    signed toward the nose. None when neither construction has valid joints.
-    Computed once per skeleton and stored on it.
-    """
-    return skel.facing
-
-
-@dataclass
-class Facing:
-    a_facing_to_b: FeatureSeries
-    b_facing_to_a: FeatureSeries
-    facing_rate: FeatureSeries
-
-
-def facing(pair: PairSegment) -> Facing:
+def facing(pair: PairSegment) -> Outputs:
     """Facing cosines for both roles plus the victim's facing angular speed.
 
     Both cosines are taken against the A-to-B direction, so +1 means A
@@ -849,64 +767,56 @@ def facing(pair: PairSegment) -> Facing:
         d = (d + math.pi) % tau - math.pi
         rate[i] = abs(d) / dt
 
-    return Facing(
-        a_facing_to_b=FeatureSeries("AfacingToB", times, a_to_b),
-        b_facing_to_a=FeatureSeries("BfacingToA", times, b_to_a),
-        facing_rate=FeatureSeries("facingRate", times, rate),
-    )
+    return {"AfacingToB": a_to_b, "BfacingToA": b_to_a, "facingRate": rate}
 
 
 # ---------------------------------------------------------------------------
 # segment-level assembly
 
 
-def _put_series(out: dict[str, Value], name: str, series: FeatureSeries) -> None:
-    agg = aggregate(series, STATS)
-    for stat in STATS:
-        out[f"{name}_{stat}"] = agg[stat]
+class _SegmentFamilies:
+    """The family outputs of one segment, each computed on first lookup.
 
+    Individual families carry their role prefix ("A_hands"); "A_wrists" and
+    "B_wrists" are the wrist velocities that "hands" and "relative" share.
+    It holds no reference to itself, so the per-frame lists are freed as
+    soon as extraction returns rather than by the cyclic garbage collector.
+    """
 
-def _individual_features(
-    track: Track,
-    fps: float,
-    params: FeatureParams,
-    prefix: str,
-    families: frozenset[str],
-    hands: Optional[HandMotion],
-) -> dict[str, Value]:
-    """One role's features from the families asked for; ``hands`` is reused if given."""
-    out: dict[str, Value] = {}
-    aggressor = prefix == "A_"
+    def __init__(self, pair: PairSegment, params: FeatureParams) -> None:
+        self.pair = pair
+        self.params = params
+        self.done: dict[str, Any] = {}
 
-    if prefix + "kinematics" in families:
-        velocity, acceleration = center_kinematics(track)
-        _put_series(out, prefix + "velocity", velocity)
-        _put_series(out, prefix + "acceleration", acceleration)
+    def __getitem__(self, family: str) -> Any:
+        if family not in self.done:
+            self.done[family] = self._compute(family)
+        return self.done[family]
 
-    if prefix + "hands" in families:
-        if hands is None:
-            hands = hand_motion(track, params)
-        _put_series(out, prefix + "handVelocity", hands.hand_velocity)
-        out[f"{prefix}fastHandPct"] = hands.fast_hand_pct
-        out[f"{prefix}timeToPeakHandVel"] = hands.time_to_peak_hand_vel
-        if aggressor:
-            _put_series(out, prefix + "handAcceleration", hands.hand_acceleration)
-            out[f"{prefix}handJerkMin"] = hands.hand_jerk_min
-
-    if prefix + "arms" in families:
-        arms = arm_posture(track, fps, params)
-        _put_series(out, prefix + "armExtension", arms.arm_extension)
-        if aggressor:
-            out[f"{prefix}timeToPeakArmExt"] = arms.time_to_peak_arm_ext
-            out[f"{prefix}armRetraction0p2s"] = arms.arm_retraction_0p2s
-        out[f"{prefix}elbowFlexPctL"] = arms.elbow_flex_pct_l
-        out[f"{prefix}elbowFlexPctR"] = arms.elbow_flex_pct_r
-        _put_series(out, prefix + "elbowAngleL", arms.elbow_angle_l)
-        _put_series(out, prefix + "elbowAngleR", arms.elbow_angle_r)
-
-    if prefix + "bbox" in families:
-        _put_series(out, prefix + "bboxAreaRate", bbox_area_rate(track))
-    return out
+    def _compute(self, family: str) -> Any:
+        pair, params = self.pair, self.params
+        if family == "distance":
+            return interaction_distance(pair)
+        if family == "relative":
+            return relative_motion(pair, params, self["A_wrists"])
+        if family == "reaching":
+            hand_speed = self["A_hands"]["handVelocity"]
+            return reaching(pair, params, hand_speed, self["distance"]["distance"])
+        if family == "facing":
+            return facing(pair)
+        prefix, kind = family[:2], family[2:]
+        track = {"A_": pair.aggressor, "B_": pair.victim}[prefix]
+        if kind == "wrists":
+            return wrist_velocities(track)
+        if kind == "kinematics":
+            return center_kinematics(track)
+        if kind == "hands":
+            return hand_motion(track, params, self[prefix + "wrists"])
+        if kind == "arms":
+            return arm_posture(track, pair.fps, params)
+        if kind == "bbox":
+            return bbox_area_rate(track)
+        raise KeyError(f"unknown feature family {family!r}")
 
 
 def extract_segment(
@@ -916,9 +826,11 @@ def extract_segment(
 ) -> FeatureVector:
     """Compute the feature vector of a pair segment for the schema's names.
 
-    Only the feature families with an output in the schema are computed.
-    Missing aggregates are materialized with the kind-specific sentinel so
-    the classifier always sees a finite value for every schema name.
+    Each family with an output in the schema runs once, and each series it
+    returns is aggregated once. Missing values are materialized with the
+    kind-specific sentinel so the classifier always sees a finite value for
+    every schema name. A name whose family does not return its base name
+    raises ``KeyError``.
     """
     if schema is None:
         schema = full_schema()
@@ -926,51 +838,17 @@ def extract_segment(
         raise SegmentTooShort(
             f"segment has {len(pair)} frames, need {params.min_segment_frames}"
         )
-    families = schema.families
-    # reaching reads A's fast-hand flags and the center distance series
-    hands_a = None
-    if "A_hands" in families or "reaching" in families:
-        hands_a = hand_motion(pair.aggressor, params)
-    inter = None
-    if "distance" in families or "reaching" in families:
-        inter = interaction_distance(pair)
-
-    raw: dict[str, Value] = {}
-    raw.update(_individual_features(pair.aggressor, pair.fps, params, "A_", families, hands_a))
-    raw.update(_individual_features(pair.victim, pair.fps, params, "B_", families, None))
-
-    if "distance" in families:
-        _put_series(raw, "distance", inter.distance)
-        _put_series(raw, "distanceRate", inter.distance_rate)
-        _put_series(raw, "iou", inter.iou)
-        raw["iouPeak"] = inter.iou_peak
-        raw["iouDrop0p2s"] = inter.iou_drop_0p2s
-    if "relative" in families:
-        rel = relative_motion(pair, params)
-        _put_series(raw, "relativeSpeed", rel.relative_speed)
-        _put_series(raw, "handTowardCos", rel.hand_toward_cos)
-        raw["handTowardGt07Pct"] = rel.hand_toward_pct
-    if "facing" in families:
-        fac = facing(pair)
-        _put_series(raw, "AfacingToB", fac.a_facing_to_b)
-        _put_series(raw, "BfacingToA", fac.b_facing_to_a)
-        _put_series(raw, "facingRate", fac.facing_rate)
-    if "reaching" in families:
-        try:
-            reach = reaching(pair, params, hands_a.fast_flags, inter.distance.values)
-            _put_series(raw, "handToTorso", reach.hand_to_torso)
-            _put_series(raw, "handToHip", reach.hand_to_hip)
-            raw["closeHandPct"] = reach.close_hand_pct
-            raw["fastAndClosePct"] = reach.fast_and_close_pct
-            raw["fastAndCloseLongest"] = reach.fast_and_close_longest
-            raw["postContactSepMean"] = reach.post_contact_sep_mean
-        except NoValidJointPairs:
-            pass  # sentinels below stand in for "no interaction observed"
-
+    families = _SegmentFamilies(pair, params)
+    aggregated: dict[tuple[str, str], dict[str, Value]] = {}
     values: dict[str, float] = {}
     for name in schema.names:
-        v = raw.get(name)
-        values[name] = float(v) if v is not None else missing_sentinel(name)
+        family, base, stat = _SOURCE[name]
+        value = families[family][base]
+        if stat is not None:
+            if (family, base) not in aggregated:
+                aggregated[family, base] = aggregate(value, STATS)
+            value = aggregated[family, base][stat]
+        values[name] = float(value) if value is not None else missing_sentinel(name)
     return FeatureVector(
         values=values,
         start_time=pair.start_time,
@@ -1013,5 +891,9 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[tuple[str, dic
     for line in reader:
         if not line:
             continue
+        if len(line) != len(header):
+            raise ValueError(
+                f"feature CSV line {reader.line_num}: {len(line)} fields, header has {len(header)}"
+            )
         rows.append((line[0], {n: float(v) for n, v in zip(names, line[1:])}))
     return names, rows

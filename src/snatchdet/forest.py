@@ -13,6 +13,7 @@ present).
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -157,9 +158,6 @@ class ForestModel:
     config: ForestConfig
     class_weights: tuple[float, float]
     importances: np.ndarray
-
-    def importance_by_name(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.feature_names, self.importances)}
 
 
 def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
@@ -412,6 +410,28 @@ def serialize(model: ForestModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _check_tree(tree: Tree, n_features: int) -> None:
+    """Raise CorruptModel unless every path from the root ends at a usable leaf.
+
+    Children lie after their parent, so predict always terminates.
+    """
+    n = len(tree.feature)
+    if n == 0:
+        raise CorruptModel("tree with no nodes")
+    if not len(tree.threshold) == len(tree.left) == len(tree.right) == len(tree.leaf_weights) == n:
+        raise CorruptModel("tree node arrays differ in length")
+    for i, (feat, left, right, (w0, w1)) in enumerate(
+        zip(tree.feature, tree.left, tree.right, tree.leaf_weights)
+    ):
+        if feat >= 0:
+            if feat >= n_features:
+                raise CorruptModel(f"node {i} splits on feature {feat}; schema has {n_features}")
+            if not (i < left < n and i < right < n):
+                raise CorruptModel(f"node {i} has children ({left}, {right}) outside ({i}, {n})")
+        elif not (math.isfinite(w0) and math.isfinite(w1) and w0 >= 0 and w1 >= 0 and w0 + w1 > 0):
+            raise CorruptModel(f"leaf {i} has weights ({w0}, {w1})")
+
+
 def deserialize(document: str) -> ForestModel:
     try:
         doc = json.loads(document)
@@ -431,6 +451,7 @@ def deserialize(document: str) -> ForestModel:
             min_samples_leaf=cfg_doc["min_samples_leaf"],
             features_per_split=cfg_doc["features_per_split"],
         )
+        n_features = len(doc["schema"])
         trees = []
         for tdoc in doc["trees"]:
             tree = Tree(
@@ -440,8 +461,7 @@ def deserialize(document: str) -> ForestModel:
                 right=[int(v) for v in tdoc["right"]],
                 leaf_weights=[(float(w0), float(w1)) for w0, w1 in tdoc["leaf"]],
             )
-            if not tree.feature:
-                raise CorruptModel("tree with no nodes")
+            _check_tree(tree, n_features)
             trees.append(tree)
         if not trees:
             raise CorruptModel("model has no trees")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator, Union
 
-from .types import FrameRecord, Keypoint, MalformedRecord, Skeleton
+from .types import FrameRecord, Keypoint, MalformedRecord, Skeleton, validate_stream
 
 PathOrFile = Union[str, IO[str]]
 
@@ -94,10 +94,6 @@ def iter_stream(source: PathOrFile, fps: float = 30.0) -> Iterator[FrameRecord]:
             yield line_to_frame(line, fps=fps)
 
 
-def read_stream(source: PathOrFile, fps: float = 30.0, validate: bool = True) -> list[FrameRecord]:
-    frames = list(iter_stream(source, fps=fps))
-    if validate:
-        from .types import validate_stream
-
-        frames = validate_stream(frames)
-    return frames
+def read_stream(source: PathOrFile, fps: float = 30.0) -> list[FrameRecord]:
+    """All frames of a stream, parsed and validated; raises MalformedRecord."""
+    return validate_stream(list(iter_stream(source, fps=fps)))

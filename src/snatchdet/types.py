@@ -222,9 +222,6 @@ class FrameRecord:
     timestamp: float
     persons: tuple[tuple[int, Skeleton], ...]
 
-    def track_ids(self) -> list[int]:
-        return [tid for tid, _ in self.persons]
-
 
 @dataclass
 class Track:

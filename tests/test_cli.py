@@ -193,6 +193,24 @@ class TestMalformedLabels:
         assert "labels CSV" in capsys.readouterr().err
 
 
+class TestFeatureCsvRowLength:
+    """A feature CSV row with fewer fields than its header is malformed: exit 2."""
+
+    @pytest.mark.parametrize("command", ["train", "pca"])
+    def test_short_row_exits_2(self, corpus_dir, trained, tmp_path, capsys, command):
+        lines = trained["features"].read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines) + "\n")
+        out = ["--out", str(tmp_path / "pca.csv")] if command == "pca" else [
+            "--labels", str(corpus_dir / "labels.csv"),
+            "--model-out", str(tmp_path / "m.json"), "--n-trees", "4",
+        ]
+        rc = cli.main([command, "--features", str(short), *out])
+        assert rc == 2
+        assert "feature CSV line 3" in capsys.readouterr().err
+
+
 class TestRank:
     def test_table_has_k_rows(self, trained, tmp_path, capsys):
         out = tmp_path / "rank.csv"
@@ -291,6 +309,23 @@ class TestStream:
              "--alerts-out", str(tmp_path / "alerts.jsonl")]
         )
         assert rc == 0
+
+    def test_missing_stream_file_exits_2(self, trained, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        rc = cli.main(["stream", "--stream", str(missing), "--model", str(trained["model"])])
+        assert rc == 2
+        assert "nope.jsonl" in capsys.readouterr().err
+
+    def test_corrupt_model_exits_2(self, trained, tmp_path):
+        doc = json.loads(trained["model"].read_text())
+        doc["trees"][0]["feature"][0] = len(doc["schema"])
+        bad_model = tmp_path / "bad_model.json"
+        bad_model.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=12, duration=3.0))
+        stream_path = tmp_path / "s.jsonl"
+        streams.write_stream(str(stream_path), clip.frames)
+        rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(bad_model)])
+        assert rc == 2
 
     def test_schema_mismatch_exits_4(self, trained, tmp_path):
         doc = json.loads(trained["model"].read_text())

@@ -1,5 +1,6 @@
 """Per-frame feature ops, aggregation, and the straight-line oracle."""
 
+import gc
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from conftest import random_segment, random_track, static_skeleton
 from feature_reference import reference_segment_features
 from snatchdet.features import (
     FeatureParams,
-    FeatureSeries,
     InsufficientSamples,
     SegmentTooShort,
     UnknownStatistic,
@@ -22,7 +22,6 @@ from snatchdet.features import (
     center_kinematics,
     extract_segment,
     facing,
-    facing_direction,
     feature_kind,
     full_schema,
     hand_motion,
@@ -31,6 +30,7 @@ from snatchdet.features import (
     pair_segment,
     reaching,
     relative_motion,
+    wrist_velocities,
     _first_argmax,
     _longest_run,
     _pct,
@@ -75,32 +75,41 @@ def make_pair(skels_a, skels_b, fps=30.0):
     )
 
 
+def present(values):
+    return [v for v in values if v is not None]
+
+
+def hands_of(track):
+    """``hand_motion`` fed with the track's own wrist velocities."""
+    return hand_motion(track, PARAMS, wrist_velocities(track))
+
+
 def reaching_of(pair):
-    """``reaching`` fed with the segment's own fast-hand flags and distances."""
-    fast_flags = hand_motion(pair.aggressor, PARAMS).fast_flags
-    distance = interaction_distance(pair).distance.values
-    return reaching(pair, PARAMS, fast_flags, distance)
+    """``reaching`` fed with the segment's own hand speeds and distances."""
+    hand_speed = hands_of(pair.aggressor)["handVelocity"]
+    distance = interaction_distance(pair)["distance"]
+    return reaching(pair, PARAMS, hand_speed, distance)
 
 
 class TestCenterKinematics:
     def test_stationary_track(self):
         track = presmoothed_track([static_skeleton()] * 8)
-        velocity, acceleration = center_kinematics(track)
-        assert all(v == 0.0 for v in velocity.present())
-        assert all(a == 0.0 for a in acceleration.present())
+        out = center_kinematics(track)
+        assert all(v == 0.0 for v in present(out["velocity"]))
+        assert all(a == 0.0 for a in present(out["acceleration"]))
 
     def test_one_torso_height_per_frame(self):
         # torso height of the template skeleton: shoulder mid (0,-50) to hip mid (0,50)
         skels = [static_skeleton((100.0 + 100.0 * i, 100.0)) for i in range(5)]
-        velocity, _ = center_kinematics(presmoothed_track(skels, fps=30.0))
-        for v in velocity.present():
+        velocity = center_kinematics(presmoothed_track(skels, fps=30.0))["velocity"]
+        for v in present(velocity):
             assert v == pytest.approx(30.0, rel=1e-9)
 
     def test_two_samples_has_velocity_but_no_acceleration(self):
         track = presmoothed_track([static_skeleton(), static_skeleton((110.0, 100.0))])
-        velocity, acceleration = center_kinematics(track)
-        assert velocity.values[0] is None and velocity.values[1] is not None
-        assert acceleration.present() == []
+        out = center_kinematics(track)
+        assert out["velocity"][0] is None and out["velocity"][1] is not None
+        assert present(out["acceleration"]) == []
 
     def test_single_sample_raises(self):
         with pytest.raises(InsufficientSamples):
@@ -110,10 +119,10 @@ class TestCenterKinematics:
 class TestHandMotion:
     def test_stationary_wrists(self):
         track = presmoothed_track([static_skeleton()] * 6)
-        result = hand_motion(track, PARAMS)
-        assert all(v == 0.0 for v in result.hand_velocity.present())
-        assert result.fast_hand_pct == 0.0
-        assert result.hand_jerk_min == 0.0
+        result = hands_of(track)
+        assert all(v == 0.0 for v in present(result["handVelocity"]))
+        assert result["fastHandPct"] == 0.0
+        assert result["handJerkMin"] == 0.0
 
     def test_fast_pct_and_time_to_peak(self):
         # wrist speeds over frames 1..4: 0, 0, 5, 0 torso-heights/s
@@ -125,12 +134,12 @@ class TestHandMotion:
         skels = [
             build_skeleton({10: (wrist[0] + dx, wrist[1])}) for dx in offsets
         ]
-        result = hand_motion(presmoothed_track(skels, fps), PARAMS)
-        values = result.hand_velocity.values
+        result = hands_of(presmoothed_track(skels, fps))
+        values = result["handVelocity"]
         assert values[0] is None
         assert [round(v, 9) for v in values[1:]] == [0.0, 0.0, 5.0, 0.0]
-        assert result.fast_hand_pct == pytest.approx(25.0)
-        assert result.time_to_peak_hand_vel == 3.0  # frames from segment start
+        assert result["fastHandPct"] == pytest.approx(25.0)
+        assert result["timeToPeakHandVel"] == 3.0  # frames from segment start
 
     def test_spec_series_oracle(self):
         # direct count/argmax oracle over a bare speed series
@@ -145,25 +154,25 @@ class TestHandMotion:
             skels.append(
                 build_skeleton({9: None, 10: (128.0 + 2.0 * i * th / 30.0, 102.0)})
             )
-        result = hand_motion(presmoothed_track(skels, 30.0), PARAMS)
-        for v in result.hand_velocity.present():
+        result = hands_of(presmoothed_track(skels, 30.0))
+        for v in present(result["handVelocity"]):
             assert v == pytest.approx(2.0, rel=1e-9)
 
     def test_too_short_raises(self):
         with pytest.raises(InsufficientSamples):
-            hand_motion(presmoothed_track([static_skeleton()] * 2), PARAMS)
+            hands_of(presmoothed_track([static_skeleton()] * 2))
 
 
 class TestArmPosture:
     def test_collinear_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (2.0, 0.0)})
         arms = arm_posture(presmoothed_track([skel] * 2), fps=30.0, params=PARAMS)
-        assert arms.elbow_angle_l.values[0] == pytest.approx(180.0, abs=1e-9)
+        assert arms["elbowAngleL"][0] == pytest.approx(180.0, abs=1e-9)
 
     def test_perpendicular_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (1.0, 1.0)})
         arms = arm_posture(presmoothed_track([skel] * 2), fps=30.0, params=PARAMS)
-        assert arms.elbow_angle_l.values[0] == pytest.approx(90.0, abs=1e-9)
+        assert arms["elbowAngleL"][0] == pytest.approx(90.0, abs=1e-9)
 
     def test_retraction_after_peak(self):
         # extension series 0.2, 0.9, 0.4 at 5 fps: 0.2 s = 1 frame
@@ -185,8 +194,8 @@ class TestArmPosture:
                 )
             )
         arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0, params=PARAMS)
-        assert arms.time_to_peak_arm_ext == 1.0
-        assert arms.arm_retraction_0p2s == pytest.approx(0.5, rel=1e-9)
+        assert arms["timeToPeakArmExt"] == 1.0
+        assert arms["armRetraction0p2s"] == pytest.approx(0.5, rel=1e-9)
 
     def test_retraction_missing_when_peak_near_end(self):
         th = 100.0
@@ -206,26 +215,26 @@ class TestArmPosture:
                 )
             )
         arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0, params=PARAMS)
-        assert arms.arm_retraction_0p2s is None
+        assert arms["armRetraction0p2s"] is None
 
 
 class TestBboxAreaRate:
     def test_constant_box(self):
         track = presmoothed_track([static_skeleton()] * 5)
-        series = bbox_area_rate(track)
-        assert all(v == 0.0 for v in series.present())
+        series = bbox_area_rate(track)["bboxAreaRate"]
+        assert all(v == 0.0 for v in present(series))
 
     def test_area_doubling_in_one_frame(self):
         s1 = Skeleton(static_skeleton().keypoints, (0.0, 0.0, 10.0, 10.0))
         s2 = Skeleton(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
-        series = bbox_area_rate(presmoothed_track([s1, s2], fps=30.0))
-        assert series.values[1] == pytest.approx(30.0, rel=1e-9)
+        series = bbox_area_rate(presmoothed_track([s1, s2], fps=30.0))["bboxAreaRate"]
+        assert series[1] == pytest.approx(30.0, rel=1e-9)
 
     def test_zero_area_previous_box(self):
         s1 = Skeleton(static_skeleton().keypoints, (5.0, 5.0, 5.0, 5.0))
         s2 = Skeleton(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
-        series = bbox_area_rate(presmoothed_track([s1, s2]))
-        assert series.values == [None, None]
+        series = bbox_area_rate(presmoothed_track([s1, s2]))["bboxAreaRate"]
+        assert series == [None, None]
 
 
 def raster_iou(box_a, box_b, cells=400):
@@ -276,7 +285,7 @@ class TestInteractionDistance:
     def test_stationary_rate_is_zero(self):
         pair = make_pair([static_skeleton((100, 100))] * 6, [static_skeleton((400, 100))] * 6)
         inter = interaction_distance(pair)
-        assert all(v == 0.0 for v in inter.distance_rate.present())
+        assert all(v == 0.0 for v in present(inter["distanceRate"]))
 
     def test_iou_drop_after_peak(self):
         # ious by construction: 0, 1, 1/3 at 5 fps -> drop = 1 - 1/3
@@ -287,14 +296,14 @@ class TestInteractionDistance:
         skels_b = [Skeleton(kp, b) for b in b_boxes]
         pair = make_pair(skels_a, skels_b, fps=5.0)
         inter = interaction_distance(pair)
-        assert inter.iou.values == [0.0, 1.0, pytest.approx(1 / 3)]
-        assert inter.iou_peak == 1.0
-        assert inter.iou_drop_0p2s == pytest.approx(1.0 - 1 / 3, rel=1e-9)
+        assert inter["iou"] == [0.0, 1.0, pytest.approx(1 / 3)]
+        assert inter["iouPeak"] == 1.0
+        assert inter["iouDrop0p2s"] == pytest.approx(1.0 - 1 / 3, rel=1e-9)
 
     def test_nonoverlapping_peak_zero(self):
         pair = make_pair([static_skeleton((0, 0))] * 4, [static_skeleton((5000, 0))] * 4)
         inter = interaction_distance(pair)
-        assert inter.iou_peak == 0.0
+        assert inter["iouPeak"] == 0.0
 
 
 class TestRelativeMotion:
@@ -315,8 +324,8 @@ class TestRelativeMotion:
         target = (400.0, 100.0)  # B's center
         ux, uy = target[0] - wrist0[0], target[1] - wrist0[1]
         pair = self._reaching_pair((ux * 0.01, uy * 0.01))
-        rel = relative_motion(pair, PARAMS)
-        assert rel.hand_toward_cos.values[1] == pytest.approx(1.0, abs=1e-9)
+        rel = relative_motion(pair, PARAMS, wrist_velocities(pair.aggressor))
+        assert rel["handTowardCos"][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_perpendicular_hand_motion_is_zero(self):
         # Thales construction: with the new wrist on the circle whose
@@ -331,8 +340,8 @@ class TestRelativeMotion:
         px, py = -uy / math.hypot(ux, uy), ux / math.hypot(ux, uy)
         wrist1 = (mx + r * px, my + r * py)
         pair = self._reaching_pair((wrist1[0] - wrist0[0], wrist1[1] - wrist0[1]))
-        rel = relative_motion(pair, PARAMS)
-        assert rel.hand_toward_cos.values[1] == pytest.approx(0.0, abs=1e-9)
+        rel = relative_motion(pair, PARAMS, wrist_velocities(pair.aggressor))
+        assert rel["handTowardCos"][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_pct_excludes_missing(self):
         assert _pct([True, False, True, None]) == pytest.approx(100.0 * 2 / 3)
@@ -352,8 +361,8 @@ class TestReaching:
             [static_skeleton((100, 100))] * 6, [static_skeleton((500, 100))] * 6
         )
         result = reaching_of(pair)
-        assert result.close_hand_pct == 0.0
-        assert result.fast_and_close_pct == 0.0
+        assert result["closeHandPct"] == 0.0
+        assert result["fastAndClosePct"] == 0.0
 
     def test_post_contact_window_mean(self):
         # handToTorso dips at frame 1; 0.4 s at 5 fps = 2 frames -> frames 1..3
@@ -366,9 +375,9 @@ class TestReaching:
         skels_b = [static_skeleton(b_center)] * 5
         pair = make_pair(skels_a, skels_b, fps=5.0)
         result = reaching_of(pair)
-        distance = interaction_distance(pair).distance.values
+        distance = interaction_distance(pair)["distance"]
         expected = sum(distance[1:4]) / 3
-        assert result.post_contact_sep_mean == pytest.approx(expected, rel=1e-12)
+        assert result["postContactSepMean"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestFacing:
@@ -382,17 +391,17 @@ class TestFacing:
         )
         pair = make_pair([skel_a] * 3, [skel_b] * 3)
         result = facing(pair)
-        assert result.a_facing_to_b.values[0] == pytest.approx(1.0, abs=1e-9)
-        assert result.b_facing_to_a.values[0] == pytest.approx(-1.0, abs=1e-9)
+        assert result["AfacingToB"][0] == pytest.approx(1.0, abs=1e-9)
+        assert result["BfacingToA"][0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_constant_facing_zero_rate(self):
         pair = make_pair([static_skeleton()] * 5, [static_skeleton((400, 100))] * 5)
         result = facing(pair)
-        assert all(v == 0.0 for v in result.facing_rate.present())
+        assert all(v == 0.0 for v in present(result["facingRate"]))
 
     def test_facing_direction_from_ears_and_nose(self):
         skel = static_skeleton()
-        direction = facing_direction(skel)
+        direction = skel.facing
         assert direction is not None
         # template nose sits forward of the ear midpoint along -y (up): mostly -y
         assert abs(direction[0]) < 0.5 and direction[1] < 0.0
@@ -400,8 +409,7 @@ class TestFacing:
 
 class TestAggregate:
     def test_basic_stats(self):
-        series = FeatureSeries("x", [0, 1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0, 100.0])
-        agg = aggregate(series, ("mean", "max", "p95", "min", "median"))
+        agg = aggregate([1.0, 2.0, 3.0, 4.0, 100.0], ("mean", "max", "p95", "min", "median"))
         assert agg["mean"] == pytest.approx(22.0)
         assert agg["max"] == 100.0
         assert agg["p95"] == 100.0  # nearest rank: ceil(0.95 * 5) = 5
@@ -409,26 +417,22 @@ class TestAggregate:
         assert agg["median"] == 3.0
 
     def test_singleton_median(self):
-        series = FeatureSeries("x", [0], [5.0])
-        assert aggregate(series, ("median",))["median"] == 5.0
+        assert aggregate([5.0], ("median",))["median"] == 5.0
 
     def test_missing_excluded(self):
-        series = FeatureSeries("x", [0, 1, 2], [None, 4.0, None])
-        assert aggregate(series, ("mean",))["mean"] == 4.0
+        assert aggregate([None, 4.0, None], ("mean",))["mean"] == 4.0
 
     def test_all_missing_yields_sentinel(self):
-        series = FeatureSeries("x", [0, 1], [None, None])
-        assert aggregate(series, ("mean",), missing=10.0)["mean"] == 10.0
+        assert aggregate([None, None], ("mean",), missing=10.0)["mean"] == 10.0
 
     def test_unknown_statistic(self):
         with pytest.raises(UnknownStatistic):
-            aggregate(FeatureSeries("x", [0], [1.0]), ("mode",))
+            aggregate([1.0], ("mode",))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
     def test_stat_ordering(self, values):
-        series = FeatureSeries("x", list(range(len(values))), values)
-        agg = aggregate(series, ("min", "median", "p95", "max"))
+        agg = aggregate(values, ("min", "median", "p95", "max"))
         assert agg["max"] >= agg["p95"] >= agg["median"] >= agg["min"]
 
 
@@ -508,6 +512,44 @@ class TestExtractSegment:
         seg = random_segment(rng, 4)
         with pytest.raises(SegmentTooShort):
             extract_segment(seg, params=PARAMS)
+
+    def test_no_valid_aggressor_wrist_gives_reaching_sentinels(self):
+        no_wrists = {9: None, 10: None}
+        skels_a = [build_skeleton(no_wrists, center=(100.0 + i, 100.0)) for i in range(8)]
+        pair = make_pair(skels_a, [static_skeleton((300.0, 100.0))] * 8)
+        vector = extract_segment(pair, params=PARAMS)
+        want = reference_segment_features(pair, PARAMS)
+        for stat in ("mean", "median", "min", "max", "p95"):
+            assert vector[f"handToTorso_{stat}"] == vector[f"handToHip_{stat}"] == 10.0
+        assert vector["postContactSepMean"] == 10.0
+        for name in ("closeHandPct", "fastAndClosePct", "fastAndCloseLongest"):
+            assert vector[name] == 0.0
+        assert vector.values == {name: want[name] for name in vector.values}
+
+    def test_base_name_missing_from_its_family_is_an_error(self, rng, monkeypatch):
+        inner = facing
+
+        def without_rate(pair):
+            out = inner(pair)
+            del out["facingRate"]
+            return out
+
+        monkeypatch.setattr("snatchdet.features.facing", without_rate)
+        seg = random_segment(rng, 12)
+        extract_segment(seg, full_schema().select(["AfacingToB_mean"]), PARAMS)
+        with pytest.raises(KeyError, match="facingRate"):
+            extract_segment(seg, full_schema().select(["facingRate_max"]), PARAMS)
+
+    def test_extraction_leaves_no_reference_cycles(self, rng):
+        # the per-frame series of every window must be freed at once, not by the collector
+        seg = random_segment(rng, 12)
+        gc.collect()
+        gc.disable()
+        try:
+            extract_segment(seg, full_schema(), PARAMS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_range_invariants(self, rng):
         schema = full_schema()
@@ -621,7 +663,7 @@ class TestInvariances:
 
     def test_distance_rate_time_reversal(self, rng):
         seg = random_segment(rng, 14, dropout=0.0)
-        forward = interaction_distance(seg).distance_rate.values
+        forward = interaction_distance(seg)["distanceRate"]
         t_max = seg.aggressor.timestamps[-1]
 
         def reverse(track):
@@ -638,7 +680,7 @@ class TestInvariances:
             )
 
         rev_pair = pair_segment(reverse(seg.aggressor), reverse(seg.victim), fps=seg.fps)
-        backward = interaction_distance(rev_pair).distance_rate.values
+        backward = interaction_distance(rev_pair)["distanceRate"]
         n = len(forward)
         for i in range(1, n):
             f, b = forward[n - i], backward[i]

@@ -1,5 +1,7 @@
 """Weighted-Gini forest: impurity, splits, training, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,55 @@ class TestSerialization:
     def test_not_a_model(self):
         with pytest.raises(CorruptModel):
             deserialize('{"format":"something-else","version":1}')
+
+
+def corrupted(edit):
+    """A serialized two-tree model after ``edit(doc)`` changed its first tree."""
+    doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+    tree = doc["trees"][0]
+    assert tree["feature"][0] >= 0  # the root splits
+    edit(doc, tree)
+    return json.dumps(doc)
+
+
+class TestCorruptTree:
+    """Every tree must reach a usable leaf; predict never sees a broken one."""
+
+    def test_feature_index_beyond_schema(self):
+        def edit(doc, tree):
+            tree["feature"][0] = len(doc["schema"])
+
+        with pytest.raises(CorruptModel, match="feature"):
+            deserialize(corrupted(edit))
+
+    def test_child_index_out_of_range(self):
+        def edit(doc, tree):
+            tree["right"][0] = len(tree["feature"])
+
+        with pytest.raises(CorruptModel, match="children"):
+            deserialize(corrupted(edit))
+
+    def test_root_pointing_at_itself(self):
+        def edit(doc, tree):
+            tree["left"][0] = tree["right"][0] = 0
+
+        with pytest.raises(CorruptModel, match="children"):
+            deserialize(corrupted(edit))
+
+    def test_feature_array_shorter_than_its_siblings(self):
+        def edit(doc, tree):
+            tree["feature"].pop()
+
+        with pytest.raises(CorruptModel, match="length"):
+            deserialize(corrupted(edit))
+
+    def test_leaf_without_weight(self):
+        def edit(doc, tree):
+            leaf = tree["feature"].index(-1)
+            tree["leaf"][leaf] = ["0.0", "0.0"]
+
+        with pytest.raises(CorruptModel, match="leaf"):
+            deserialize(corrupted(edit))
+
+    def test_unchanged_model_loads(self):
+        deserialize(corrupted(lambda doc, tree: None))

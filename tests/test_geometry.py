@@ -1,9 +1,10 @@
-"""Per-skeleton geometry is computed once and stored on the skeleton."""
+"""Per-skeleton geometry is computed once and stored on the skeleton; per-track
+work is computed once per extraction."""
 
 from collections import Counter
 
 from conftest import random_skeleton, static_skeleton, with_bystander
-from snatchdet import types
+from snatchdet import features, types
 from snatchdet.config import PipelineConfig
 from snatchdet.features import extract_segment, full_schema, pair_segment
 from snatchdet.pipeline import order_roles, select_pair
@@ -45,6 +46,29 @@ def test_window_computes_each_skeleton_once(monkeypatch):
     assert set(counts["torso"]) == pair_skels
     assert max(counts["center"].values()) == 1
     assert max(counts["torso"].values()) == 1
+
+
+def test_extraction_computes_each_track_wrist_velocities_once(monkeypatch):
+    cfg = PipelineConfig()
+    clip = generate(ScenarioSpec(kind="snatch", seed=5, duration=4.0, noise_sigma=1.0))
+    agg, vic = order_roles(*smoothed_tracks(clip.frames, cfg)[:2], cfg.window_s)
+    segment = pair_segment(agg, vic, fps=cfg.fps)
+
+    calls = Counter()
+    uncached = features.wrist_velocities
+
+    def counting(track):
+        calls[track.track_id] += 1
+        return uncached(track)
+
+    monkeypatch.setattr(features, "wrist_velocities", counting)
+    params = cfg.feature_params()
+    extract_segment(segment, full_schema(), params)
+    # A's velocities feed both hand_motion and relative_motion
+    assert calls == {agg.track_id: 1, vic.track_id: 1}
+    calls.clear()
+    extract_segment(segment, full_schema().select(["handTowardCos_mean"]), params)
+    assert calls == {agg.track_id: 1}
 
 
 def test_stored_values_equal_the_uncached_helpers(rng):

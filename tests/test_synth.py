@@ -59,15 +59,20 @@ class TestGenerate:
             tracks = smoothed_tracks(clip.frames, cfg)
             agg, vic = order_roles(tracks[0], tracks[1], clip.spec.duration)
             pair = pair_segment(agg, vic, fps=clip.spec.fps)
-            from snatchdet.features import hand_motion, interaction_distance, reaching
+            from snatchdet.features import (
+                hand_motion,
+                interaction_distance,
+                reaching,
+                wrist_velocities,
+            )
 
             params = FeatureParams()
-            fast_flags = hand_motion(pair.aggressor, params).fast_flags
-            distance = interaction_distance(pair).distance.values
-            series = reaching(pair, params, fast_flags, distance).hand_to_torso
-            values = series.values
-            best = min(i for i, v in enumerate(values) if v is not None and v == min(series.present()))
-            t_min = series.times[best]
+            hands = hand_motion(pair.aggressor, params, wrist_velocities(pair.aggressor))
+            distance = interaction_distance(pair)["distance"]
+            values = reaching(pair, params, hands["handVelocity"], distance)["handToTorso"]
+            present = [v for v in values if v is not None]
+            best = min(i for i, v in enumerate(values) if v is not None and v == min(present))
+            t_min = pair.aggressor.timestamps[best]
             assert abs(t_min - clip.event_time) <= 0.3
 
     def test_standing_zero_noise_has_zero_velocity(self):
