@@ -8,8 +8,9 @@ Subcommands:
     pca       feature CSV -> 2-component projection CSV
     stream    pose stream + model -> alert lines, evidence manifest
 
-Exit codes: 0 ok, 2 malformed input, 3 invalid training data,
-4 schema mismatch, 5 alert sink unreachable.
+Exit codes: 0 ok, 2 malformed input or a path that cannot be read or
+written, 3 invalid training data, 4 schema mismatch, 5 alert sink
+unreachable.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     rows.append((stem, vector))
             else:
                 rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
-    except (MalformedRecord, OSError) as exc:
+    except MalformedRecord as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if args.out == "-":
@@ -197,7 +198,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         names, rows = features.read_feature_csv(args.features)
         labels = _read_labels(args.labels)
-    except (OSError, ValueError, MalformedRecord) as exc:
+    except (ValueError, MalformedRecord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
@@ -236,7 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     try:
         model = forest.load_model(args.model)
-    except (forest.CorruptModel, forest.VersionMismatch, OSError) as exc:
+    except (forest.CorruptModel, forest.VersionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     schema = features.FeatureSchema(model.feature_names, version="model")
@@ -259,14 +260,14 @@ def cmd_pca(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     try:
         names, rows = features.read_feature_csv(args.features)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     labels = None
     if args.labels:
         try:
             table = _read_labels(args.labels)
-        except (OSError, MalformedRecord) as exc:
+        except MalformedRecord as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
         labels = [table.get(sid, "") for sid, _ in rows]
@@ -292,7 +293,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     try:
         model = forest.load_model(args.model)
-    except (forest.CorruptModel, forest.VersionMismatch, OSError) as exc:
+    except (forest.CorruptModel, forest.VersionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
@@ -313,7 +314,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     except forest.SchemaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (MalformedRecord, OSError) as exc:
+    except MalformedRecord as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except SinkUnreachable as exc:
@@ -418,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BadConfig as exc:
+    except (BadConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

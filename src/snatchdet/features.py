@@ -27,7 +27,6 @@ from .types import (
     RIGHT_SHOULDER,
     RIGHT_WRIST,
     PairSegment,
-    Skeleton,
     Track,
     valid_pos,
 )
@@ -284,18 +283,12 @@ def _dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
 
 
-def _skels(track: Track) -> list[Skeleton]:
-    if track.smoothed is None:
-        raise ValueError(f"track {track.track_id} has not been smoothed")
-    return track.smoothed
-
-
 def _centers(track: Track) -> list[Optional[tuple[float, float]]]:
-    return [s.center for s in _skels(track)]
+    return [s.center for s in track.skeletons]
 
 
 def _torsos(track: Track) -> list[Value]:
-    return [s.torso for s in _skels(track)]
+    return [s.torso for s in track.skeletons]
 
 
 def _frames_for(span_s: float, fps: float) -> int:
@@ -381,7 +374,7 @@ def wrist_velocities(track: Track) -> WristVelocities:
     at frame i when it is valid at frames i-1 and i.
     """
     times = track.timestamps
-    skels = _skels(track)
+    skels = track.skeletons
     torsos = _torsos(track)
     out: WristVelocities = [dict() for _ in times]
     for i in range(1, len(times)):
@@ -438,7 +431,7 @@ def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams(
     if len(track) < 1:
         raise InsufficientSamples("arm posture needs at least 1 sample")
     times = track.timestamps
-    skels = _skels(track)
+    skels = track.skeletons
     torsos = _torsos(track)
 
     extension: list[Value] = [None] * len(times)
@@ -484,7 +477,7 @@ def bbox_area_rate(track: Track) -> Outputs:
     if len(track) < 2:
         raise InsufficientSamples("bbox area rate needs at least 2 samples")
     times = track.timestamps
-    areas = [s.bbox_area for s in _skels(track)]
+    areas = [s.bbox_area for s in track.skeletons]
     rate: list[Value] = [None] * len(times)
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
@@ -522,11 +515,9 @@ def pair_segment(
     end: Optional[float] = None,
 ) -> PairSegment:
     """Align two smoothed tracks on shared timestamps within [start, end]."""
-    if track_a.smoothed is None or track_b.smoothed is None:
-        raise ValueError("both tracks must be smoothed before pairing")
-    index_b = {t: i for i, (t, _) in enumerate(track_b.samples)}
+    index_b = {t: i for i, t in enumerate(track_b.timestamps)}
     rows: list[tuple[float, int, int]] = []
-    for ia, (t, _) in enumerate(track_a.samples):
+    for ia, t in enumerate(track_a.timestamps):
         if start is not None and t < start:
             continue
         if end is not None and t > end:
@@ -542,9 +533,8 @@ def pair_segment(
     def slice_track(track: Track, picks: list[int]) -> Track:
         return Track(
             track_id=track.track_id,
-            samples=[track.samples[i] for i in picks],
-            smoothed=[track.smoothed[i] for i in picks],
-            positions=[track.positions[i] for i in picks] if track.positions else None,
+            timestamps=[track.timestamps[i] for i in picks],
+            skeletons=[track.skeletons[i] for i in picks],
         )
 
     return PairSegment(
@@ -580,7 +570,7 @@ def interaction_distance(pair: PairSegment) -> Outputs:
 
     ious: list[Value] = [
         iou(sa.bbox, sb.bbox)
-        for sa, sb in zip(_skels(pair.aggressor), _skels(pair.victim))
+        for sa, sb in zip(pair.aggressor.skeletons, pair.victim.skeletons)
     ]
     peak = _first_argmax(ious)
     drop: Value = None
@@ -612,7 +602,7 @@ def relative_motion(
     centers_a = _centers(pair.aggressor)
     centers_b = _centers(pair.victim)
     mean_th = _mean_torsos(pair)
-    skels_a = _skels(pair.aggressor)
+    skels_a = pair.aggressor.skeletons
 
     rel_speed: list[Value] = [None] * len(times)
     for i in range(1, len(times)):
@@ -671,8 +661,8 @@ def reaching(
     (``interaction_distance``'s ``distance``) of the same segment.
     """
     times = pair.aggressor.timestamps
-    skels_a = _skels(pair.aggressor)
-    skels_b = _skels(pair.victim)
+    skels_a = pair.aggressor.skeletons
+    skels_b = pair.victim.skeletons
     centers_b = _centers(pair.victim)
     torsos_b = _torsos(pair.victim)
 
@@ -736,8 +726,8 @@ def facing(pair: PairSegment) -> Outputs:
     times = pair.aggressor.timestamps
     centers_a = _centers(pair.aggressor)
     centers_b = _centers(pair.victim)
-    face_a = [s.facing for s in _skels(pair.aggressor)]
-    face_b = [s.facing for s in _skels(pair.victim)]
+    face_a = [s.facing for s in pair.aggressor.skeletons]
+    face_b = [s.facing for s in pair.victim.skeletons]
 
     a_to_b: list[Value] = [None] * len(times)
     b_to_a: list[Value] = [None] * len(times)

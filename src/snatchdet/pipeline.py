@@ -2,20 +2,25 @@
 
 ``TrackWindows`` is the one windowing core. It turns raw per-frame ids into
 track keys (an id absent for more than ``max_gap_frames`` frames comes back
-as ``"<id>.<n>"``), smooths each track once, keeps the samples of the
-current window and, at each stride point, hands back the closest pair of
-the window as an ordered ``PairSegment``. ``StreamEngine`` (``snatchdet
-stream``) classifies that segment under both role orderings;
-``extract_windows`` (``extract --mode sliding``) extracts it under its
-(aggressor, victim) ordering only; ``extract_clip_row`` (``extract --mode clip``) takes one
-window over the whole clip. Streaming alerts are therefore reproducible
-from an offline recomputation of the same file.
+as ``"<id>.<n>"``), smooths each person once as the frame arrives, and
+stores the frames of the current window once, each as its (key, smoothed
+skeleton) list. At each stride point it groups those frames into tracks and
+hands back the closest pair of the window as an ordered ``PairSegment``.
+Its state is the window plus one record per raw id, however many track
+keys the stream has used.
+
+``StreamEngine`` (``snatchdet stream``) classifies that segment under both
+role orderings; ``extract_windows`` (``extract --mode sliding``) extracts it
+under its (aggressor, victim) ordering only; ``extract_clip_row`` (``extract
+--mode clip``) takes one window over the whole clip. Streaming alerts are
+therefore reproducible from an offline recomputation of the same file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .config import PipelineConfig
@@ -34,7 +39,7 @@ from .preprocess import (
     choose_aggressor,
 )
 from .temporal import AlarmState, evidence_window, step
-from .types import FrameRecord, PairSegment, Track, track_order, validate_frame
+from .types import FrameRecord, PairSegment, Skeleton, Track, track_order, validate_frame
 
 
 def _pair_key(id_a: str, id_b: str) -> tuple[str, str]:
@@ -63,8 +68,8 @@ def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[floa
 
 def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
     """The pair with minimum mean center distance; None when no pair qualifies."""
-    eligible = [w for w in windows if len(w) >= min_frames and w.smoothed is not None]
-    centers = [dict(zip(w.timestamps, map(body_center, w.smoothed))) for w in eligible]
+    eligible = [w for w in windows if len(w) >= min_frames]
+    centers = [dict(zip(w.timestamps, map(body_center, w.skeletons))) for w in eligible]
     best: Optional[tuple[float, tuple, Track, Track]] = None
     for i in range(len(eligible)):
         for j in range(i + 1, len(eligible)):
@@ -91,90 +96,76 @@ def order_roles(track_a: Track, track_b: Track, window_s: float) -> tuple[Track,
     return track_b, track_a
 
 
-@dataclass
-class _TrackBuffer:
-    key: str
-    smoother: SkeletonSmoother
-    entries: list = field(default_factory=list)  # (pos, t, raw, smoothed)
-
-    def window_track(self, lo: int) -> Track:
-        picks = [e for e in self.entries if e[0] >= lo]
-        return Track(
-            track_id=self.key,
-            samples=[(t, raw) for _, t, raw, _ in picks],
-            smoothed=[sm for _, _, _, sm in picks],
-            positions=[p for p, _, _, _ in picks],
-        )
-
-    def trim(self, lo: int) -> None:
-        while self.entries and self.entries[0][0] < lo:
-            self.entries.pop(0)
-
-
 class TrackWindows:
     """Tracks of one stream, smoothed as frames arrive, cut into windows.
 
-    Frame positions count the frames added, from 0. ``advance`` keeps only
-    the samples of the current window and returns a segment at each stride
-    point; ``add`` keeps every sample, for one window over a whole clip.
+    Frame positions count the frames added, from 0. ``frames`` holds
+    (position, timestamp, [(key, smoothed skeleton), ...]) per stored frame;
+    ``advance`` keeps only the frames of the current window and returns a
+    segment at each stride point, ``add`` keeps every frame, for one window
+    over a whole clip. Each raw id has one record: its current key, the
+    position it was last seen at, how often it was split and its smoother.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.buffers: dict[str, _TrackBuffer] = {}
-        self._active: dict[int, tuple[str, int, int]] = {}  # raw id -> (key, last pos, splits)
+        self.frames: deque[tuple[int, float, list[tuple[str, Skeleton]]]] = deque()
+        self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
 
-    def _resolve_key(self, tid: int) -> str:
-        entry = self._active.get(tid)
-        if entry is None:
-            key, splits = str(tid), 0
-        else:
-            key, last_pos, splits = entry
-            if self.pos - last_pos > self.cfg.max_gap_frames:
-                splits += 1
-                key = f"{tid}.{splits}"
-        self._active[tid] = (key, self.pos, splits)
-        return key
-
     def add(self, record: FrameRecord) -> set[str]:
-        """Append one frame's persons to their tracks; returns the keys present."""
+        """Store one frame's smoothed persons; returns the keys present."""
         self.pos += 1
-        present: set[str] = set()
+        persons: list[tuple[str, Skeleton]] = []
         for tid, skel in record.persons:
-            key = self._resolve_key(tid)
-            buf = self.buffers.get(key)
-            if buf is None:
-                buf = _TrackBuffer(key=key, smoother=SkeletonSmoother(self.cfg.smoothing()))
-                self.buffers[key] = buf
-            buf.entries.append((self.pos, record.timestamp, skel, buf.smoother.step(skel)))
-            present.add(key)
-        return present
+            entry = self._active.get(tid)
+            if entry is None:
+                key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.smoothing())
+            else:
+                key, last_pos, splits, smoother = entry
+                if self.pos - last_pos > self.cfg.max_gap_frames:
+                    splits += 1
+                    key = f"{tid}.{splits}"
+                    smoother = SkeletonSmoother(self.cfg.smoothing())
+            self._active[tid] = (key, self.pos, splits, smoother)
+            persons.append((key, smoother.step(skel)))
+        self.frames.append((self.pos, record.timestamp, persons))
+        return {key for key, _ in persons}
 
     def advance(self, record: FrameRecord) -> tuple[set[str], Optional[PairSegment]]:
         """Add one frame; at a stride point, also the segment of the window ending at it."""
         present = self.add(record)
         wf, sf = self.cfg.window_frames, self.cfg.stride_frames
-        lo = self.pos - wf + 1
+        while self.frames[0][0] <= self.pos - wf:
+            self.frames.popleft()
         segment = None
         if self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0:
-            segment = self.pair_window(lo, self.cfg.window_s)
-        for buf in self.buffers.values():
-            buf.trim(lo)
+            segment = self.pair_window(self.cfg.window_s)
         return present, segment
 
-    def tracks(self, lo: int) -> list[Track]:
-        """Every track's samples from frame position ``lo`` on, in creation order."""
-        return [buf.window_track(lo) for buf in self.buffers.values()]
+    def tracks(self) -> list[Track]:
+        """The tracks of the stored frames, in order of first appearance."""
+        by_key: dict[str, Track] = {}
+        for _, t, persons in self.frames:
+            for key, skel in persons:
+                track = by_key.get(key)
+                if track is None:
+                    track = by_key[key] = Track(key)
+                track.timestamps.append(t)
+                track.skeletons.append(skel)
+        return list(by_key.values())
 
-    def pair_window(self, lo: int, window_s: float) -> Optional[PairSegment]:
-        """select_pair -> order_roles -> pair_segment over the samples from ``lo``.
+    def pair_window(self, window_s: float) -> Optional[PairSegment]:
+        """select_pair -> order_roles -> pair_segment over the stored frames.
 
         None when no pair qualifies. A selected pair shares at least
         ``min_segment_frames`` timestamps, so the segment is long enough for
-        ``extract_segment``.
+        ``extract_segment``. The tracks come in order of first appearance;
+        ``select_pair`` and ``order_roles`` give the same result for any
+        order, since distances are symmetric, ties break on ``track_order``
+        and the two-term softmax sum is commutative.
         """
-        pair = select_pair(self.tracks(lo), self.cfg.min_segment_frames)
+        pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
         if pair is None:
             return None
         agg, vic = order_roles(pair[0], pair[1], window_s)
@@ -214,7 +205,7 @@ def extract_clip_row(
     for record in frames:
         windows.add(record)
     duration = frames[-1].timestamp - frames[0].timestamp if frames else 0.0
-    segment = windows.pair_window(0, max(duration, cfg.window_s))
+    segment = windows.pair_window(max(duration, cfg.window_s))
     if segment is None:
         return None
     return extract_segment(segment, schema or full_schema(), cfg.feature_params())
@@ -293,9 +284,9 @@ class StreamEngine:
         self.frames_processed = 0
 
     @property
-    def _buffers(self) -> dict[str, _TrackBuffer]:
-        """Live track buffers by key."""
-        return self._windows.buffers
+    def _buffers(self) -> set[str]:
+        """The track keys in the current window (the engine's track state)."""
+        return {key for _, _, persons in self._windows.frames for key, _ in persons}
 
     def _classify(self, segment: PairSegment) -> None:
         v_ab = extract_segment(segment, self.schema, self.params)

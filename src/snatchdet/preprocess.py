@@ -50,18 +50,24 @@ class RoleAssignment:
     mean_translation: float  # torso-heights per second
 
 
-def ema_step(prev: float, raw: float, alpha: float) -> float:
-    """One update of the exponential moving average.
-
-    An unchanged sample returns the state untouched; that is the exact
-    fixed point of the recursion, which plain float arithmetic would miss
-    by an ulp.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+def _ema(prev: float, raw: float, alpha: float) -> float:
+    # An unchanged sample returns the state untouched; that is the exact
+    # fixed point of the recursion, which plain float arithmetic would miss
+    # by an ulp.
     if raw == prev:
         return prev
     return alpha * raw + (1.0 - alpha) * prev
+
+
+def ema_step(prev: float, raw: float, alpha: float) -> float:
+    """One update of the exponential moving average, with ``alpha`` checked.
+
+    The update ``SkeletonSmoother`` applies to every coordinate; an
+    unchanged sample returns the state untouched.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    return _ema(prev, raw, alpha)
 
 
 class SkeletonSmoother:
@@ -81,12 +87,6 @@ class SkeletonSmoother:
 
     def step(self, skel: Skeleton) -> Skeleton:
         a = self.alpha
-
-        def update(prev: float, raw: float) -> float:
-            if raw == prev:
-                return prev
-            return a * raw + (1.0 - a) * prev
-
         out = []
         for j, kp in enumerate(skel.keypoints):
             state = self._joints[j]
@@ -94,7 +94,7 @@ class SkeletonSmoother:
                 if state is None:
                     state = (kp.x, kp.y)
                 else:
-                    state = (update(state[0], kp.x), update(state[1], kp.y))
+                    state = (_ema(state[0], kp.x, a), _ema(state[1], kp.y, a))
                 self._joints[j] = state
                 out.append(Keypoint(state[0], state[1], kp.confidence))
             else:
@@ -104,31 +104,18 @@ class SkeletonSmoother:
             self._bbox = skel.bbox
         else:
             self._bbox = tuple(
-                update(prev, raw) for raw, prev in zip(skel.bbox, self._bbox)
+                _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
             )
         return Skeleton(tuple(out), self._bbox)
 
 
 def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:
-    """Return a copy of the track with the smoothed skeleton sequence filled."""
+    """Return a copy of the track whose skeletons are smoothed."""
     if len(track) == 0:
         raise EmptyTrack(f"track {track.track_id} has no samples")
     smoother = SkeletonSmoother(cfg)
-    smoothed = [smoother.step(skel) for _, skel in track.samples]
-    return Track(
-        track_id=track.track_id,
-        samples=list(track.samples),
-        smoothed=smoothed,
-        positions=list(track.positions) if track.positions is not None else None,
-    )
-
-
-def effective_torso_height(skel: Skeleton) -> Optional[float]:
-    """Torso height clamped from below by the bbox-height scale floor.
-
-    Computed once per skeleton and stored on it.
-    """
-    return skel.torso
+    smoothed = [smoother.step(skel) for skel in track.skeletons]
+    return Track(track.track_id, list(track.timestamps), smoothed)
 
 
 def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
@@ -142,16 +129,13 @@ def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
 def mean_center_translation(track: Track, start: float, end: float) -> float:
     """Mean body-center speed (torso-heights/second) over [start, end].
 
-    Uses the smoothed skeletons; sample pairs where the center or the
-    torso scale is unobservable are skipped. Returns 0.0 when nothing is
-    measurable.
+    Sample pairs where the center or the torso scale is unobservable are
+    skipped. Returns 0.0 when nothing is measurable.
     """
-    skels = track.smoothed if track.smoothed is not None else [s for _, s in track.samples]
-    times = track.timestamps
     speeds = []
     prev_center = None
     prev_t = None
-    for t, skel in zip(times, skels):
+    for t, skel in zip(track.timestamps, track.skeletons):
         if t < start or t > end:
             continue
         center = skel.center
@@ -187,7 +171,7 @@ def aggressor_probabilities(
     if not tracks:
         raise InsufficientHistory("no tracks given")
     if end_time is None:
-        end_time = max(t.samples[-1][0] for t in tracks if len(t) > 0)
+        end_time = max(t.timestamps[-1] for t in tracks if len(t) > 0)
     start_time = end_time - window
 
     usable = [

@@ -45,8 +45,6 @@ def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
         persons = []
         for p in obj["persons"]:
             kps = tuple(Keypoint(float(x), float(y), float(c)) for x, y, c in p["keypoints"])
-            if len(kps) != 17:
-                raise MalformedRecord(f"expected 17 keypoints, got {len(kps)}")
             bbox = tuple(float(v) for v in p["bbox"])
             if len(bbox) != 4:
                 raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")

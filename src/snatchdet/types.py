@@ -38,6 +38,10 @@ VALID_CONFIDENCE = 0.3
 # which keeps normalization finite for near-degenerate poses.
 SCALE_FLOOR_FRACTION = 0.05
 
+# Keypoint and bbox coordinates beyond this magnitude are rejected: squaring
+# them in the geometry would overflow a float.
+COORDINATE_LIMIT = 1e9
+
 # Confidences this close to [0, 1] are clamped instead of rejected.
 _CONF_SLACK = 1e-9
 
@@ -225,24 +229,18 @@ class FrameRecord:
 
 @dataclass
 class Track:
-    """Time-ordered samples of one person identity.
+    """Time-ordered skeletons of one person identity.
 
-    ``smoothed`` is filled by the preprocess stage and runs parallel to
-    ``samples``. ``positions`` records each sample's frame position in the
-    source stream (used for window slicing).
+    ``skeletons`` runs parallel to ``timestamps``. The windowing core hands
+    out smoothed skeletons; ``preprocess.smooth_track`` smooths a raw track.
     """
 
     track_id: str
-    samples: list[tuple[float, Skeleton]] = field(default_factory=list)
-    smoothed: Optional[list[Skeleton]] = None
-    positions: Optional[list[int]] = None
+    timestamps: list[float] = field(default_factory=list)
+    skeletons: list[Skeleton] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def timestamps(self) -> list[float]:
-        return [t for t, _ in self.samples]
+        return len(self.timestamps)
 
 
 def track_order(track_id: str) -> tuple:
@@ -294,6 +292,18 @@ def _check_finite(value: float, what: str) -> None:
         raise MalformedRecord(f"{what} must be a finite number, got {value!r}")
 
 
+def _check_coordinate(value: float, what: str) -> None:
+    # one chained comparison also rejects NaN and the infinities
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not -COORDINATE_LIMIT <= value <= COORDINATE_LIMIT
+    ):
+        raise MalformedRecord(
+            f"{what} must be a finite number within +-{COORDINATE_LIMIT:g}, got {value!r}"
+        )
+
+
 def _clamp_confidence(c: float) -> float:
     if -_CONF_SLACK <= c < 0.0:
         return 0.0
@@ -306,8 +316,10 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
     """Check every invariant of a frame record.
 
     Returns the record (with confidences clamped when they sit within 1e-9
-    of the [0, 1] bounds) or raises MalformedRecord. When ``prev_timestamp``
-    is given, the record's timestamp must be strictly greater.
+    of the [0, 1] bounds) or raises MalformedRecord. Keypoint and bbox
+    coordinates must lie within +-``COORDINATE_LIMIT``; a timestamp need only
+    be finite. When ``prev_timestamp`` is given, the record's timestamp must
+    be strictly greater.
     """
     if not isinstance(record.frame_index, int) or record.frame_index < 0:
         raise MalformedRecord(f"frame_index must be a nonnegative integer, got {record.frame_index!r}")
@@ -327,15 +339,11 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
             raise MalformedRecord(f"duplicate track_id {tid} within one frame")
         seen_ids.add(tid)
 
-        if len(skel.keypoints) != NUM_KEYPOINTS:
-            raise MalformedRecord(
-                f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(skel.keypoints)}"
-            )
         new_kps = []
         skel_changed = False
         for i, kp in enumerate(skel.keypoints):
-            _check_finite(kp.x, f"keypoint {i} x")
-            _check_finite(kp.y, f"keypoint {i} y")
+            _check_coordinate(kp.x, f"keypoint {i} x")
+            _check_coordinate(kp.y, f"keypoint {i} y")
             _check_finite(kp.confidence, f"keypoint {i} confidence")
             conf = _clamp_confidence(kp.confidence)
             if not 0.0 <= conf <= 1.0:
@@ -347,7 +355,7 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
 
         x1, y1, x2, y2 = skel.bbox
         for name, v in zip(("x1", "y1", "x2", "y2"), skel.bbox):
-            _check_finite(v, f"bbox {name}")
+            _check_coordinate(v, f"bbox {name}")
         if x1 > x2 or y1 > y2:
             raise MalformedRecord(f"bbox corners out of order: {skel.bbox}")
 

@@ -49,12 +49,12 @@ def random_track(
     dropout: float = 0.1,
 ) -> Track:
     center = list(start)
-    samples = []
+    skeletons = []
     for i in range(n_frames):
         center[0] += float(rng.normal(0, step_sigma))
         center[1] += float(rng.normal(0, step_sigma))
-        samples.append((i / fps, random_skeleton(rng, center, dropout=dropout)))
-    return Track(track_id=track_id, samples=samples, positions=list(range(n_frames)))
+        skeletons.append(random_skeleton(rng, center, dropout=dropout))
+    return Track(track_id, [i / fps for i in range(n_frames)], skeletons)
 
 
 def random_segment(

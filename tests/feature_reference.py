@@ -258,8 +258,8 @@ def _person_features(times, skels, fps, params, aggressor):
 def reference_segment_features(pair, params):
     """All schema aggregates of a pair segment, sentinel-filled."""
     times = pair.aggressor.timestamps
-    skels_a = pair.aggressor.smoothed
-    skels_b = pair.victim.smoothed
+    skels_a = pair.aggressor.skeletons
+    skels_b = pair.victim.skeletons
     fps = pair.fps
     n = len(times)
 

@@ -36,9 +36,9 @@ from snatchdet.preprocess import SmoothingConfig, ema_step, smooth_track
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, run_sequence, step
-from snatchdet.types import Keypoint, Skeleton, Track, validate_stream
+from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track, validate_stream
 from test_forest import exhaustive_best_split
-from track_reference import reference_segments, smoothed_tracks
+from track_reference import build_tracks, reference_segments
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -138,7 +138,7 @@ def test_feature_oracle_equivalence():
 
 def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
     out = []
-    for t, skel in track.samples:
+    for skel in track.skeletons:
         kps = tuple(
             Keypoint(kp.x * k + cx, kp.y * k + cy, kp.confidence) for kp in skel.keypoints
         )
@@ -148,8 +148,8 @@ def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
             skel.bbox[2] * k + cx,
             skel.bbox[3] * k + cy,
         )
-        out.append((t, Skeleton(kps, bbox)))
-    return Track(track.track_id, samples=out, positions=list(track.positions or []))
+        out.append(Skeleton(kps, bbox))
+    return Track(track.track_id, list(track.timestamps), out)
 
 
 def test_feature_scale_translation_invariance():
@@ -409,8 +409,9 @@ def offline_alerts(frames, model, cfg):
         updates.setdefault(end, []).append((key, 1 if max(p_ab, p_ba) >= cfg.prob_threshold else 0))
 
     present_at = {}
-    for track in smoothed_tracks(frames, cfg):
-        for pos in track.positions:
+    tracks, positions = build_tracks(frames, cfg.max_gap_frames)
+    for track, track_positions in zip(tracks, positions):
+        for pos in track_positions:
             present_at.setdefault(pos, set()).add(track.track_id)
 
     current = {}
@@ -504,6 +505,26 @@ def test_online_offline_equivalence(e2e, monkeypatch):
         mismatches == 0 and split_windows > 0,
         f"{total_events} events, {total_windows} windows ({split_windows} on a split id) compared",
     )
+
+
+def test_window_state_bounded_under_id_churn(e2e):
+    """Two people whose tracker ids change every 90 frames, for 3,000 frames:
+    the engine holds the track keys of the last window, not every id seen."""
+    cfg = e2e["cfg"]
+    clip = generate(ScenarioSpec(kind="handshake", seed=3, duration=10.0, noise_sigma=1.0)).frames
+    frames = []
+    for pos in range(3000):
+        block = pos // 90
+        persons = clip[pos % len(clip)].persons
+        frames.append(
+            FrameRecord(pos, pos / 30.0, tuple((2 * block + 1 + i, s) for i, (_, s) in enumerate(persons)))
+        )
+    engine = StreamEngine(e2e["model"], cfg)
+    engine.run(frames)
+    # ids never return, so each raw id is one track key
+    last_window = {str(tid) for f in frames[-cfg.window_frames:] for tid, _ in f.persons}
+    assert engine.frames_processed == 3000
+    assert len(engine._buffers) <= len(last_window)
 
 
 def test_extract_windows_matches_reference_on_split_ids():

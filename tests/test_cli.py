@@ -316,6 +316,18 @@ class TestStream:
         assert rc == 2
         assert "nope.jsonl" in capsys.readouterr().err
 
+    def test_huge_coordinate_exits_2(self, corpus_dir, trained, tmp_path, capsys):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        lines = (corpus_dir / manifest["clips"][0]["file"]).read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["persons"][0]["keypoints"][0][0] = 1e200  # the nose x
+        lines[5] = json.dumps(obj)
+        stream_path = tmp_path / "huge.jsonl"
+        stream_path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(trained["model"])])
+        assert rc == 2
+        assert "keypoint 0 x" in capsys.readouterr().err
+
     def test_corrupt_model_exits_2(self, trained, tmp_path):
         doc = json.loads(trained["model"].read_text())
         doc["trees"][0]["feature"][0] = len(doc["schema"])
@@ -337,6 +349,45 @@ class TestStream:
         streams.write_stream(str(stream_path), clip.frames)
         rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(bad_model)])
         assert rc == 4
+
+
+class TestOutputPathErrors:
+    """An output path in a missing directory is an error line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "stream --alerts-out",
+            "stream --evidence-out",
+            "extract --out",
+            "rank --out",
+            "pca --out",
+            "train --model-out",
+            "train --report",
+        ],
+    )
+    def test_exits_2(self, corpus_dir, trained, tmp_path, capsys, case):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        stream = str(corpus_dir / manifest["clips"][0]["file"])
+        model, feats = str(trained["model"]), str(trained["features"])
+        labels = str(corpus_dir / "labels.csv")
+        missing = str(tmp_path / "no_such_dir" / "out")
+        train = ["train", "--features", feats, "--labels", labels, "--n-trees", "4"]
+        argv = {
+            "stream --alerts-out": ["stream", "--stream", stream, "--model", model,
+                                    "--alerts-out", missing],
+            "stream --evidence-out": ["stream", "--stream", stream, "--model", model,
+                                      "--alerts-out", str(tmp_path / "a.jsonl"),
+                                      "--evidence-out", missing],
+            "extract --out": ["extract", "--streams", stream, "--out", missing],
+            "rank --out": ["rank", "--model", model, "--out", missing],
+            "pca --out": ["pca", "--features", feats, "--out", missing],
+            "train --model-out": [*train, "--model-out", missing],
+            "train --report": [*train, "--model-out", str(tmp_path / "m.json"), "--report", missing],
+        }[case]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_such_dir" in err
 
 
 class _SinkHandler(BaseHTTPRequestHandler):

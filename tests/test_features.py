@@ -61,12 +61,7 @@ def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100
 
 def presmoothed_track(skels, fps=30.0, track_id="1"):
     """Track whose smoothed sequence is given directly (identity smoothing)."""
-    return Track(
-        track_id,
-        samples=[(i / fps, s) for i, s in enumerate(skels)],
-        smoothed=list(skels),
-        positions=list(range(len(skels))),
-    )
+    return Track(track_id, [i / fps for i in range(len(skels))], list(skels))
 
 
 def make_pair(skels_a, skels_b, fps=30.0):
@@ -619,20 +614,20 @@ class TestOracleEquivalence:
 
 def _scaled_track(track, k):
     scaled = []
-    for t, skel in track.samples:
+    for skel in track.skeletons:
         kps = tuple(Keypoint(kp.x * k, kp.y * k, kp.confidence) for kp in skel.keypoints)
         bbox = tuple(v * k for v in skel.bbox)
-        scaled.append((t, Skeleton(kps, bbox)))
-    return Track(track.track_id, samples=scaled, positions=list(track.positions or []))
+        scaled.append(Skeleton(kps, bbox))
+    return Track(track.track_id, list(track.timestamps), scaled)
 
 
 def _shifted_track(track, cx, cy):
     shifted = []
-    for t, skel in track.samples:
+    for skel in track.skeletons:
         kps = tuple(Keypoint(kp.x + cx, kp.y + cy, kp.confidence) for kp in skel.keypoints)
         bbox = (skel.bbox[0] + cx, skel.bbox[1] + cy, skel.bbox[2] + cx, skel.bbox[3] + cy)
-        shifted.append((t, Skeleton(kps, bbox)))
-    return Track(track.track_id, samples=shifted, positions=list(track.positions or []))
+        shifted.append(Skeleton(kps, bbox))
+    return Track(track.track_id, list(track.timestamps), shifted)
 
 
 class TestInvariances:
@@ -668,15 +663,10 @@ class TestInvariances:
 
         def reverse(track):
             times = track.timestamps
-            rev_samples = [
-                (t_max - times[len(times) - 1 - i], track.samples[len(times) - 1 - i][1])
-                for i in range(len(times))
-            ]
             return Track(
                 track.track_id,
-                samples=rev_samples,
-                smoothed=list(reversed(track.smoothed)),
-                positions=list(range(len(times))),
+                [t_max - times[len(times) - 1 - i] for i in range(len(times))],
+                list(reversed(track.skeletons)),
             )
 
         rev_pair = pair_segment(reverse(seg.aggressor), reverse(seg.victim), fps=seg.fps)

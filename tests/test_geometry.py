@@ -10,16 +10,14 @@ from snatchdet.features import extract_segment, full_schema, pair_segment
 from snatchdet.pipeline import order_roles, select_pair
 from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import Skeleton
-from track_reference import _slice_positions, smoothed_tracks
+from track_reference import reference_windows, smoothed_tracks
 
 
 def test_window_computes_each_skeleton_once(monkeypatch):
     cfg = PipelineConfig()
     clip = generate(ScenarioSpec(kind="snatch", seed=5, duration=4.0, noise_sigma=1.0))
     frames = with_bystander(clip.frames)
-    tracks = smoothed_tracks(frames, cfg)
-    end = 89
-    windows = [_slice_positions(t, end - cfg.window_frames + 1, end) for t in tracks]
+    windows = dict(reference_windows(frames, cfg))[89]
 
     counts: dict[str, Counter] = {"center": Counter(), "torso": Counter()}
     for name, helper in (("center", "_body_center"), ("torso", "_effective_torso_height")):
@@ -39,8 +37,8 @@ def test_window_computes_each_skeleton_once(monkeypatch):
     extract_segment(segment, full_schema(), params)
     extract_segment(segment.swapped(), full_schema(), params)
 
-    pair_skels = {id(s) for w in (agg, vic) for s in w.smoothed}
-    all_skels = {id(s) for w in windows for s in w.smoothed}
+    pair_skels = {id(s) for w in (agg, vic) for s in w.skeletons}
+    all_skels = {id(s) for w in windows for s in w.skeletons}
     # pair selection reads every person's centers, including the bystander's
     assert set(counts["center"]) == all_skels
     assert set(counts["torso"]) == pair_skels

@@ -16,7 +16,6 @@ from snatchdet.preprocess import (
     aggressor_probabilities,
     body_center,
     choose_aggressor,
-    effective_torso_height,
     ema_step,
     smooth_track,
     torso_height,
@@ -98,10 +97,10 @@ def _skeleton_conf(conf_map, center=(100.0, 100.0)):
 class TestSmoothTrack:
     def test_constant_track_is_fixed_point(self):
         skel = static_skeleton()
-        track = Track("1", samples=[(i / 30.0, skel) for i in range(10)])
+        track = Track("1", [i / 30.0 for i in range(10)], [skel] * 10)
         out = smooth_track(track)
-        assert len(out.smoothed) == 10
-        for sm in out.smoothed:
+        assert len(out.skeletons) == 10
+        for sm in out.skeletons:
             for kp, ref in zip(sm.keypoints, skel.keypoints):
                 assert kp.x == pytest.approx(ref.x, abs=1e-12)
                 assert kp.y == pytest.approx(ref.y, abs=1e-12)
@@ -111,12 +110,13 @@ class TestSmoothTrack:
         offsets = [0.0, 0.0, 1.0, 1.0]
         track = Track(
             "1",
-            samples=[(i / 30.0, static_skeleton((100.0 + dx, 100.0))) for i, dx in enumerate(offsets)],
+            [i / 30.0 for i in range(len(offsets))],
+            [static_skeleton((100.0 + dx, 100.0)) for dx in offsets],
         )
         out = smooth_track(track, SmoothingConfig(alpha=0.5))
         base = static_skeleton((100.0, 100.0))
         expected = [0.0, 0.0, 0.5, 0.75]
-        for want, sm in zip(expected, out.smoothed):
+        for want, sm in zip(expected, out.skeletons):
             assert sm.keypoints[0].x - base.keypoints[0].x == pytest.approx(want, abs=1e-12)
 
     def test_invalid_keypoint_carries_forward(self):
@@ -124,16 +124,16 @@ class TestSmoothTrack:
         kps = list(moving[3].keypoints)
         kps[9] = Keypoint(kps[9].x, kps[9].y, 0.1)  # left wrist drops out at frame 3
         moving[3] = Skeleton(tuple(kps), moving[3].bbox)
-        track = Track("1", samples=[(i / 30.0, s) for i, s in enumerate(moving)])
+        track = Track("1", [i / 30.0 for i in range(len(moving))], moving)
         out = smooth_track(track)
-        held, prev = out.smoothed[3].keypoints[9], out.smoothed[2].keypoints[9]
+        held, prev = out.skeletons[3].keypoints[9], out.skeletons[2].keypoints[9]
         assert (held.x, held.y) == (prev.x, prev.y)
-        assert not out.smoothed[3].keypoints[9].is_valid()
-        assert out.smoothed[4].keypoints[9].is_valid()
+        assert not out.skeletons[3].keypoints[9].is_valid()
+        assert out.skeletons[4].keypoints[9].is_valid()
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
-            smooth_track(Track("1", samples=[]))
+            smooth_track(Track("1"))
 
 
 class TestTorsoHeight:
@@ -166,7 +166,7 @@ class TestTorsoHeight:
             kps[i] = Keypoint(1.0, 1.0, 0.9)
         degenerate = Skeleton(tuple(kps), (0.0, 0.0, 10.0, 20.0))
         assert torso_height(degenerate) == 0.0
-        assert effective_torso_height(degenerate) == pytest.approx(0.05 * 20.0)
+        assert degenerate.torso == pytest.approx(0.05 * 20.0)
 
     def test_body_center_mean_of_midpoints(self):
         skel = _skeleton_conf({})
@@ -181,7 +181,8 @@ class TestTorsoHeight:
 def _track_moving(track_id, speed_px, n=20, fps=10.0):
     return Track(
         track_id,
-        samples=[(i / fps, static_skeleton((100.0 + speed_px * i, 100.0))) for i in range(n)],
+        [i / fps for i in range(n)],
+        [static_skeleton((100.0 + speed_px * i, 100.0)) for i in range(n)],
     )
 
 

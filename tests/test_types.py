@@ -47,6 +47,21 @@ class TestValidateFrame:
         with pytest.raises(MalformedRecord):
             validate_frame(record)
 
+    @pytest.mark.parametrize("value, ok", [(1e9, True), (-1e9, True), (1e200, False), (-1e200, False)])
+    def test_coordinate_magnitude_bound(self, value, ok):
+        kps = list(static_skeleton().keypoints)
+        kps[0] = Keypoint(value, 0.0, 0.9)
+        records = [
+            frame_of(0, 0.0, [(1, Skeleton(tuple(kps), (0, 0, 10, 20)))]),
+            frame_of(0, 0.0, [(1, Skeleton(static_skeleton().keypoints, (0, 0, 10, abs(value))))]),
+        ]
+        for record, where in zip(records, ("keypoint 0 x", "bbox y2")):
+            if ok:
+                assert validate_frame(record) is record
+            else:
+                with pytest.raises(MalformedRecord, match=where):
+                    validate_frame(record)
+
     def test_rejects_bad_bbox_order(self):
         skel = static_skeleton()
         record = frame_of(0, 0.0, [(1, Skeleton(skel.keypoints, (10.0, 0.0, 0.0, 20.0)))])
@@ -83,7 +98,7 @@ def build_tracks(frames, max_gap=15):
     windows = TrackWindows(PipelineConfig(max_gap_frames=max_gap))
     for record in frames:
         windows.add(record)
-    return windows.tracks(0)
+    return windows.tracks()
 
 
 class TestBuildTracks:
@@ -121,9 +136,10 @@ class TestBuildTracks:
         assert sum(len(t) for t in tracks) == total
 
     def test_positions_recorded(self):
+        # the track holds the samples of frames 0, 2 and 4, at their timestamps
         frames = [make_frame(i, i / 30.0, ids=(1,) if i % 2 == 0 else ()) for i in range(6)]
         (track,) = build_tracks(frames)
-        assert track.positions == [0, 2, 4]
+        assert track.timestamps == [0.0, 2 / 30.0, 4 / 30.0]
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

@@ -2,13 +2,13 @@
 
 This is the oracle for the windowing core (``pipeline.TrackWindows``): it
 groups a whole stream into tracks in one pass, smooths each track as a
-whole and cuts every window out of the full tracks by frame position, so
-it shares nothing with the core's incremental buffers.
+whole and cuts every window out of the full tracks by the frame positions
+it keeps beside them, so it shares nothing with the core's window store.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from snatchdet.features import pair_segment
 from snatchdet.pipeline import order_roles, select_pair
@@ -16,46 +16,47 @@ from snatchdet.preprocess import smooth_track
 from snatchdet.types import FrameRecord, Track
 
 
-def build_tracks(frames: Sequence[FrameRecord], max_gap: int = 15) -> list[Track]:
+def build_tracks(
+    frames: Sequence[FrameRecord], max_gap: int = 15
+) -> tuple[list[Track], list[list[int]]]:
     """Group per-frame detections into tracks by their upstream ids.
 
     Identity continuity is delegated to the ingestion source; this only
     splits an id when it disappears for more than ``max_gap`` frames, in
     which case the reappearance starts a fresh track named ``"<id>.<n>"``.
+    Returns the tracks and, beside them, each track's sample frame positions.
     """
     tracks: list[Track] = []
-    # raw id -> (current track, last frame position, number of splits so far)
-    active: dict[int, tuple[Track, int, int]] = {}
+    positions: list[list[int]] = []
+    # raw id -> (index of its current track, last frame position, number of splits so far)
+    active: dict[int, tuple[int, int, int]] = {}
     for pos, record in enumerate(frames):
         for tid, skel in record.persons:
             entry = active.get(tid)
             if entry is None:
-                track = Track(track_id=str(tid))
-                tracks.append(track)
-                splits = 0
+                i, splits = len(tracks), 0
+                tracks.append(Track(track_id=str(tid)))
+                positions.append([])
             else:
-                track, last_pos, splits = entry
+                i, last_pos, splits = entry
                 if pos - last_pos > max_gap:
                     splits += 1
-                    track = Track(track_id=f"{tid}.{splits}")
-                    tracks.append(track)
-            track.samples.append((record.timestamp, skel))
-            if track.positions is None:
-                track.positions = []
-            track.positions.append(pos)
-            active[tid] = (track, pos, splits)
-    return tracks
+                    i = len(tracks)
+                    tracks.append(Track(track_id=f"{tid}.{splits}"))
+                    positions.append([])
+            tracks[i].timestamps.append(record.timestamp)
+            tracks[i].skeletons.append(skel)
+            positions[i].append(pos)
+            active[tid] = (i, pos, splits)
+    return tracks, positions
 
 
-def _slice_positions(track: Track, lo: int, hi: int) -> Track:
-    if track.positions is None:
-        raise ValueError("track has no frame positions")
-    picks = [i for i, p in enumerate(track.positions) if lo <= p <= hi]
+def _slice_positions(track: Track, positions: list[int], lo: int, hi: int) -> Track:
+    picks = [i for i, p in enumerate(positions) if lo <= p <= hi]
     return Track(
         track_id=track.track_id,
-        samples=[track.samples[i] for i in picks],
-        smoothed=[track.smoothed[i] for i in picks] if track.smoothed else None,
-        positions=[track.positions[i] for i in picks],
+        timestamps=[track.timestamps[i] for i in picks],
+        skeletons=[track.skeletons[i] for i in picks],
     )
 
 
@@ -64,16 +65,23 @@ def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) 
 
 
 def smoothed_tracks(frames: Sequence[FrameRecord], cfg) -> list[Track]:
-    return [smooth_track(t, cfg.smoothing()) for t in build_tracks(frames, cfg.max_gap_frames)]
+    tracks, _ = build_tracks(frames, cfg.max_gap_frames)
+    return [smooth_track(t, cfg.smoothing()) for t in tracks]
+
+
+def reference_windows(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, list[Track]]]:
+    """(end position, every smoothed track cut to the window ending there) per stride."""
+    tracks, positions = build_tracks(frames, cfg.max_gap_frames)
+    tracks = [smooth_track(t, cfg.smoothing()) for t in tracks]
+    for end in prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames):
+        lo = end - cfg.window_frames + 1
+        yield end, [_slice_positions(t, p, lo, end) for t, p in zip(tracks, positions)]
 
 
 def reference_segments(frames: Sequence[FrameRecord], cfg):
     """(end position, ordered PairSegment) for every window with a qualifying pair."""
-    tracks = smoothed_tracks(frames, cfg)
     min_frames = cfg.feature_params().min_segment_frames
-    for end in prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames):
-        lo = end - cfg.window_frames + 1
-        windows = [_slice_positions(t, lo, end) for t in tracks]
+    for end, windows in reference_windows(frames, cfg):
         pair = select_pair(windows, min_frames)
         if pair is None:
             continue
