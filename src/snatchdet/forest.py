@@ -124,13 +124,19 @@ class Dataset:
 
 @dataclass
 class Tree:
-    """Flat CART arrays: node i is internal iff feature[i] >= 0."""
+    """Flat CART arrays: node i is internal iff feature[i] >= 0.
+
+    ``probability`` holds each leaf's weighted robbery fraction
+    w1 / (w0 + w1), 0.0 at internal nodes; ``set_probabilities`` fills it
+    once the tree is complete (after growing and after loading).
+    """
 
     feature: list[int] = field(default_factory=list)
     threshold: list[float] = field(default_factory=list)
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     leaf_weights: list[tuple[float, float]] = field(default_factory=list)
+    probability: list[float] = field(default_factory=list, compare=False, repr=False)
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -140,15 +146,21 @@ class Tree:
         self.leaf_weights.append((0.0, 0.0))
         return len(self.feature) - 1
 
-    def leaf_probability(self, node: int) -> float:
-        w0, w1 = self.leaf_weights[node]
-        return w1 / (w0 + w1)
+    def set_probabilities(self) -> None:
+        self.probability = [
+            w1 / (w0 + w1) if feat < 0 else 0.0
+            for feat, (w0, w1) in zip(self.feature, self.leaf_weights)
+        ]
 
-    def predict_probability(self, x: np.ndarray) -> float:
+    def predict_probability(self, x: Sequence[float]) -> float:
+        """The leaf fraction for ``x``, a list (cheaper to index than an array)."""
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
         node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.leaf_probability(node)
+        feat = feature[0]
+        while feat >= 0:
+            node = left[node] if x[feat] <= threshold[node] else right[node]
+            feat = feature[node]
+        return self.probability[node]
 
 
 @dataclass
@@ -298,6 +310,7 @@ def _grow_tree(
         stack.append((right, right_idx, depth + 1))
         stack.append((left, left_idx, depth + 1))
 
+    tree.set_probabilities()
     return tree, decreases
 
 
@@ -356,7 +369,7 @@ def _vectorize(model: ForestModel, x: Union[Mapping[str, float], Sequence[float]
 
 def predict_probability(model: ForestModel, x) -> float:
     """Mean over trees of the leaf's weighted robbery fraction."""
-    vec = _vectorize(model, x)
+    vec = _vectorize(model, x).tolist()
     total = 0.0
     for tree in model.trees:
         total += tree.predict_probability(vec)
@@ -462,6 +475,7 @@ def deserialize(document: str) -> ForestModel:
                 leaf_weights=[(float(w0), float(w1)) for w0, w1 in tdoc["leaf"]],
             )
             _check_tree(tree, n_features)
+            tree.set_probabilities()
             trees.append(tree)
         if not trees:
             raise CorruptModel("model has no trees")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 # torso_height lives with the rest of the skeleton geometry in .types and
 # stays importable from here.
-from .types import Keypoint, Skeleton, Track, torso_height, track_order
+from .types import NUM_KEYPOINTS, VALID_CONFIDENCE, Skeleton, Track, torso_height, track_order
 
 DEFAULT_ALPHA = 0.6
 
@@ -77,36 +77,43 @@ class SkeletonSmoother:
     update the filter state: the last smoothed position is carried forward
     and the output keypoint keeps its low confidence, so it stays flagged
     invalid. Until a joint has seen one valid sample its raw position is
-    passed through unchanged.
+    passed through unchanged. The state is one flat list of 34 coordinates
+    in the ``Skeleton.xy`` layout plus one "seen" flag per joint; an unseen
+    joint's slots hold its latest raw position.
     """
 
     def __init__(self, cfg: SmoothingConfig = SmoothingConfig()):
         self.alpha = cfg.alpha
-        self._joints: list[Optional[tuple[float, float]]] = [None] * 17
+        self._xy: list[float] = [0.0] * (2 * NUM_KEYPOINTS)
+        self._seen = [False] * NUM_KEYPOINTS
         self._bbox: Optional[tuple[float, float, float, float]] = None
 
     def step(self, skel: Skeleton) -> Skeleton:
         a = self.alpha
-        out = []
-        for j, kp in enumerate(skel.keypoints):
-            state = self._joints[j]
-            if kp.is_valid():
-                if state is None:
-                    state = (kp.x, kp.y)
-                else:
-                    state = (_ema(state[0], kp.x, a), _ema(state[1], kp.y, a))
-                self._joints[j] = state
-                out.append(Keypoint(state[0], state[1], kp.confidence))
+        b = 1.0 - a
+        state, seen = self._xy, self._seen
+        raw, conf = skel.xy, skel.conf
+        for j in range(NUM_KEYPOINTS):
+            ix, iy = 2 * j, 2 * j + 1
+            if seen[j]:
+                if conf[j] >= VALID_CONFIDENCE:
+                    # inline _ema: an unchanged sample keeps the state
+                    x, y = raw[ix], raw[iy]
+                    px, py = state[ix], state[iy]
+                    if x != px:
+                        state[ix] = a * x + b * px
+                    if y != py:
+                        state[iy] = a * y + b * py
             else:
-                pos = state if state is not None else (kp.x, kp.y)
-                out.append(Keypoint(pos[0], pos[1], kp.confidence))
+                state[ix], state[iy] = raw[ix], raw[iy]
+                seen[j] = conf[j] >= VALID_CONFIDENCE
         if self._bbox is None:
             self._bbox = skel.bbox
         else:
             self._bbox = tuple(
                 _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
             )
-        return Skeleton(tuple(out), self._bbox)
+        return Skeleton(tuple(state), conf, self._bbox)
 
 
 def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:

@@ -8,7 +8,8 @@ One frame per line:
                   "bbox": [x1, y1, x2, y2]}]}
 
 ``timestamp_s`` is optional; when absent it is synthesized as
-``frame_index / fps``.
+``frame_index / fps``. Any line that is not a frame raises
+``MalformedRecord``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator, Union
 
-from .types import FrameRecord, Keypoint, MalformedRecord, Skeleton, validate_stream
+from .types import FrameRecord, MalformedRecord, Skeleton, validate_stream
 
 PathOrFile = Union[str, IO[str]]
 
@@ -37,23 +38,30 @@ def frame_to_obj(record: FrameRecord) -> dict:
 
 
 def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
+    """The frame of one decoded line, keypoints flattened; raises MalformedRecord."""
     try:
         frame_index = obj["frame_index"]
         timestamp = obj.get("timestamp_s")
         if timestamp is None:
             timestamp = frame_index / fps
+        timestamp = float(timestamp)
         persons = []
         for p in obj["persons"]:
-            kps = tuple(Keypoint(float(x), float(y), float(c)) for x, y, c in p["keypoints"])
+            xy: list[float] = []
+            conf: list[float] = []
+            for x, y, c in p["keypoints"]:
+                xy.append(float(x))
+                xy.append(float(y))
+                conf.append(float(c))
             bbox = tuple(float(v) for v in p["bbox"])
             if len(bbox) != 4:
                 raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")
-            persons.append((p["track_id"], Skeleton(kps, bbox)))
+            persons.append((p["track_id"], Skeleton(tuple(xy), tuple(conf), bbox)))
     except MalformedRecord:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(f"bad frame object: {exc}") from exc
-    return FrameRecord(frame_index=frame_index, timestamp=float(timestamp), persons=tuple(persons))
+    return FrameRecord(frame_index=frame_index, timestamp=timestamp, persons=tuple(persons))
 
 
 def frame_to_line(record: FrameRecord) -> str:
@@ -63,7 +71,8 @@ def frame_to_line(record: FrameRecord) -> str:
 def line_to_frame(line: str, fps: float = 30.0) -> FrameRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer too long to convert, or nesting too deep
         raise MalformedRecord(f"invalid JSON line: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord("frame line must be a JSON object")

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .types import FrameRecord, Keypoint, Skeleton
+from .types import FrameRecord, Skeleton
 
 SCENARIO_KINDS = ("snatch", "walk_by", "handshake", "standing")
 
@@ -170,7 +170,8 @@ def _skeleton(
 ) -> Skeleton:
     pts = _figure(pose)
     scale = spec.scale
-    kps = []
+    xy: list[float] = []
+    confs: list[float] = []
     noisy = spec.noise_sigma > 0 and rng is not None
     for x, y in pts:
         px_x, px_y = x * scale, y * scale
@@ -183,12 +184,12 @@ def _skeleton(
                 conf = float(rng.uniform(0.55, 0.95))
         else:
             conf = 0.9
-        kps.append(Keypoint(px_x, px_y, conf))
-    xs = [kp.x for kp in kps]
-    ys = [kp.y for kp in kps]
+        xy += (px_x, px_y)
+        confs.append(conf)
+    xs, ys = xy[0::2], xy[1::2]
     margin = _LIMB["bbox_margin"] * scale
     bbox = (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
-    return Skeleton(tuple(kps), bbox)
+    return Skeleton(tuple(xy), tuple(confs), bbox)
 
 
 def _ramp(t: float, t0: float, t1: float) -> float:

@@ -4,6 +4,11 @@ A skeleton is the standard 17-keypoint COCO layout:
 nose=0, eyes=1,2, ears=3,4, shoulders=5,6, elbows=7,8, wrists=9,10,
 hips=11,12, knees=13,14, ankles=15,16.
 
+It is stored flat: ``xy`` holds the 34 coordinates (x0, y0, x1, y1, ...)
+and ``conf`` the 17 confidences, so parsing, validation and smoothing work
+on two tuples per person. ``Skeleton.keypoints`` gives the same values as
+(x, y, confidence) ``Keypoint`` tuples, built on each read.
+
 Each skeleton also carries its own geometry (effective torso height, body
 center, facing direction, elbow angles). Every value is computed on first
 use and stored on that skeleton, so pair selection, role ordering, every
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 NUM_KEYPOINTS = 17
 
@@ -50,28 +55,42 @@ class MalformedRecord(ValueError):
     """Raised when a raw frame record violates the data model."""
 
 
-@dataclass(frozen=True)
-class Keypoint:
+class Keypoint(NamedTuple):
     x: float
     y: float
     confidence: float
 
-    def is_valid(self, threshold: float = VALID_CONFIDENCE) -> bool:
-        return self.confidence >= threshold
-
 
 @dataclass(frozen=True)
 class Skeleton:
-    """One person's pose for one frame: 17 keypoints plus a bounding box."""
+    """One person's pose for one frame: 17 keypoints plus a bounding box.
 
-    keypoints: tuple[Keypoint, ...]
+    ``xy`` is (x0, y0, x1, y1, ...), ``conf`` the matching confidences.
+    """
+
+    xy: tuple[float, ...]
+    conf: tuple[float, ...]
     bbox: tuple[float, float, float, float]  # x1, y1, x2, y2
 
     def __post_init__(self) -> None:
-        if len(self.keypoints) != NUM_KEYPOINTS:
+        if len(self.conf) != NUM_KEYPOINTS or len(self.xy) != 2 * len(self.conf):
             raise MalformedRecord(
-                f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(self.keypoints)}"
+                f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(self.conf)}"
+                f" confidences and {len(self.xy)} coordinates"
             )
+
+    @classmethod
+    def from_keypoints(cls, keypoints: Iterable[tuple[float, float, float]], bbox) -> "Skeleton":
+        """A skeleton from (x, y, confidence) triples, such as ``Keypoint``s."""
+        kps = tuple(keypoints)
+        xy = tuple(v for x, y, _ in kps for v in (x, y))
+        return cls(xy, tuple(c for _, _, c in kps), tuple(bbox))
+
+    @property
+    def keypoints(self) -> tuple[Keypoint, ...]:
+        """The keypoints as (x, y, confidence) tuples, built on each read."""
+        xy = self.xy
+        return tuple(Keypoint(xy[2 * i], xy[2 * i + 1], c) for i, c in enumerate(self.conf))
 
     @property
     def bbox_height(self) -> float:
@@ -114,20 +133,17 @@ class Skeleton:
 
 
 def valid_pos(skel: Skeleton, idx: int) -> Optional[tuple[float, float]]:
-    kp = skel.keypoints[idx]
-    return (kp.x, kp.y) if kp.is_valid() else None
+    if skel.conf[idx] >= VALID_CONFIDENCE:
+        xy = skel.xy
+        return (xy[2 * idx], xy[2 * idx + 1])
+    return None
 
 
 def _valid_midpoint(skel: Skeleton, left: int, right: int) -> Optional[tuple[float, float]]:
-    a, b = skel.keypoints[left], skel.keypoints[right]
-    a_ok, b_ok = a.is_valid(), b.is_valid()
-    if a_ok and b_ok:
-        return ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    if a_ok:
-        return (a.x, a.y)
-    if b_ok:
-        return (b.x, b.y)
-    return None
+    a, b = valid_pos(skel, left), valid_pos(skel, right)
+    if a is None or b is None:
+        return b if a is None else a
+    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
 
 
 def torso_height(skel: Skeleton) -> Optional[float]:
@@ -312,6 +328,58 @@ def _clamp_confidence(c: float) -> float:
     return c
 
 
+_ONLY_FLOAT = frozenset((float,))
+
+
+def _passes_whole(skel: Skeleton) -> bool:
+    """True when every value of the skeleton passes as it is, with nothing to clamp.
+
+    Only exact floats qualify. A finite sum rules out NaN and the
+    infinities, so the minimum and maximum bound every value. False means
+    "check value by value", not "invalid".
+    """
+    xy, conf, bbox = skel.xy, skel.conf, skel.bbox
+    return (
+        {*map(type, xy), *map(type, conf), *map(type, bbox)} == _ONLY_FLOAT
+        and len(bbox) == 4
+        and math.isfinite(sum(xy))
+        and -COORDINATE_LIMIT <= min(xy)
+        and max(xy) <= COORDINATE_LIMIT
+        and math.isfinite(sum(conf))
+        and 0.0 <= min(conf)
+        and max(conf) <= 1.0
+        and -COORDINATE_LIMIT <= bbox[0] <= bbox[2] <= COORDINATE_LIMIT
+        and -COORDINATE_LIMIT <= bbox[1] <= bbox[3] <= COORDINATE_LIMIT
+    )
+
+
+def _check_skeleton(skel: Skeleton) -> Skeleton:
+    """Check each value in turn; raises at the first bad one, clamps confidences."""
+    xy, confs = skel.xy, skel.conf
+    new_confs = []
+    skel_changed = False
+    for i, c in enumerate(confs):
+        _check_coordinate(xy[2 * i], f"keypoint {i} x")
+        _check_coordinate(xy[2 * i + 1], f"keypoint {i} y")
+        _check_finite(c, f"keypoint {i} confidence")
+        conf = _clamp_confidence(c)
+        if not 0.0 <= conf <= 1.0:
+            raise MalformedRecord(f"keypoint {i} confidence {c} outside [0, 1]")
+        if conf != c:
+            skel_changed = True
+        new_confs.append(conf)
+
+    x1, y1, x2, y2 = skel.bbox
+    for name, v in zip(("x1", "y1", "x2", "y2"), skel.bbox):
+        _check_coordinate(v, f"bbox {name}")
+    if x1 > x2 or y1 > y2:
+        raise MalformedRecord(f"bbox corners out of order: {skel.bbox}")
+
+    if skel_changed:
+        return Skeleton(xy, tuple(new_confs), skel.bbox)
+    return skel
+
+
 def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) -> FrameRecord:
     """Check every invariant of a frame record.
 
@@ -319,10 +387,13 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
     of the [0, 1] bounds) or raises MalformedRecord. Keypoint and bbox
     coordinates must lie within +-``COORDINATE_LIMIT``; a timestamp need only
     be finite. When ``prev_timestamp`` is given, the record's timestamp must
-    be strictly greater.
+    be strictly greater. Each skeleton is first checked as a whole; one
+    that does not pass as it is gets the value-by-value check, which finds
+    the first bad value or clamps.
     """
-    if not isinstance(record.frame_index, int) or record.frame_index < 0:
-        raise MalformedRecord(f"frame_index must be a nonnegative integer, got {record.frame_index!r}")
+    frame_index = record.frame_index
+    if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
+        raise MalformedRecord(f"frame_index must be a nonnegative integer, got {frame_index!r}")
     _check_finite(record.timestamp, "timestamp")
     if prev_timestamp is not None and record.timestamp <= prev_timestamp:
         raise MalformedRecord(
@@ -338,30 +409,11 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
         if tid in seen_ids:
             raise MalformedRecord(f"duplicate track_id {tid} within one frame")
         seen_ids.add(tid)
-
-        new_kps = []
-        skel_changed = False
-        for i, kp in enumerate(skel.keypoints):
-            _check_coordinate(kp.x, f"keypoint {i} x")
-            _check_coordinate(kp.y, f"keypoint {i} y")
-            _check_finite(kp.confidence, f"keypoint {i} confidence")
-            conf = _clamp_confidence(kp.confidence)
-            if not 0.0 <= conf <= 1.0:
-                raise MalformedRecord(f"keypoint {i} confidence {kp.confidence} outside [0, 1]")
-            if conf != kp.confidence:
-                kp = Keypoint(kp.x, kp.y, conf)
-                skel_changed = True
-            new_kps.append(kp)
-
-        x1, y1, x2, y2 = skel.bbox
-        for name, v in zip(("x1", "y1", "x2", "y2"), skel.bbox):
-            _check_coordinate(v, f"bbox {name}")
-        if x1 > x2 or y1 > y2:
-            raise MalformedRecord(f"bbox corners out of order: {skel.bbox}")
-
-        if skel_changed:
-            skel = Skeleton(tuple(new_kps), skel.bbox)
-            changed = True
+        if not _passes_whole(skel):
+            checked = _check_skeleton(skel)
+            if checked is not skel:
+                skel = checked
+                changed = True
         new_persons.append((tid, skel))
 
     if changed:

@@ -36,7 +36,7 @@ def random_skeleton(rng: np.random.Generator, center, jitter: float = 6.0, dropo
     xs = [kp.x for kp in kps]
     ys = [kp.y for kp in kps]
     bbox = (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0)
-    return Skeleton(tuple(kps), bbox)
+    return Skeleton.from_keypoints(tuple(kps), bbox)
 
 
 def random_track(
@@ -73,7 +73,7 @@ def static_skeleton(center=(100.0, 100.0), conf: float = 0.9) -> Skeleton:
     kps = tuple(Keypoint(center[0] + dx, center[1] + dy, conf) for dx, dy in _TEMPLATE)
     xs = [kp.x for kp in kps]
     ys = [kp.y for kp in kps]
-    return Skeleton(kps, (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0))
+    return Skeleton.from_keypoints(kps, (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0))
 
 
 def frame_of(index: int, t: float, persons) -> FrameRecord:
@@ -87,7 +87,7 @@ def with_bystander(frames, tid=9, dx=2000.0):
         _, skel = f.persons[0]
         kps = tuple(Keypoint(kp.x + dx, kp.y, kp.confidence) for kp in skel.keypoints)
         bbox = (skel.bbox[0] + dx, skel.bbox[1], skel.bbox[2] + dx, skel.bbox[3])
-        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton(kps, bbox)),)))
+        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton.from_keypoints(kps, bbox)),)))
     return out
 
 

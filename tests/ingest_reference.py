@@ -1,0 +1,139 @@
+"""Value-by-value validation and keypoint-object smoothing, kept as oracles.
+
+These are the straight-line forms of ``types.validate_frame`` and
+``preprocess.SkeletonSmoother.step``: every coordinate and confidence is
+checked with its own call, and the smoother builds one ``Keypoint`` per
+joint. The whole-vector check and the flat smoother must agree with them
+bit for bit (``tests/test_ingest.py``). Nothing in ``src/`` imports this.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+from typing import Optional
+
+from snatchdet.preprocess import SmoothingConfig
+from snatchdet.types import (
+    COORDINATE_LIMIT,
+    VALID_CONFIDENCE,
+    FrameRecord,
+    Keypoint,
+    MalformedRecord,
+    Skeleton,
+)
+
+_CONF_SLACK = 1e-9
+
+
+def _check_finite(value: float, what: str) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise MalformedRecord(f"{what} must be a finite number, got {value!r}")
+
+
+def _check_coordinate(value: float, what: str) -> None:
+    # one chained comparison also rejects NaN and the infinities
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not -COORDINATE_LIMIT <= value <= COORDINATE_LIMIT
+    ):
+        raise MalformedRecord(
+            f"{what} must be a finite number within +-{COORDINATE_LIMIT:g}, got {value!r}"
+        )
+
+
+def _clamp_confidence(c: float) -> float:
+    if -_CONF_SLACK <= c < 0.0:
+        return 0.0
+    if 1.0 < c <= 1.0 + _CONF_SLACK:
+        return 1.0
+    return c
+
+
+def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) -> FrameRecord:
+    """Every invariant of a frame record, one value at a time."""
+    if not isinstance(record.frame_index, int) or record.frame_index < 0:
+        raise MalformedRecord(f"frame_index must be a nonnegative integer, got {record.frame_index!r}")
+    _check_finite(record.timestamp, "timestamp")
+    if prev_timestamp is not None and record.timestamp <= prev_timestamp:
+        raise MalformedRecord(
+            f"timestamps must strictly increase ({record.timestamp} after {prev_timestamp})"
+        )
+
+    seen_ids: set[int] = set()
+    new_persons = []
+    changed = False
+    for tid, skel in record.persons:
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise MalformedRecord(f"track_id must be an integer, got {tid!r}")
+        if tid in seen_ids:
+            raise MalformedRecord(f"duplicate track_id {tid} within one frame")
+        seen_ids.add(tid)
+
+        new_kps = []
+        skel_changed = False
+        for i, kp in enumerate(skel.keypoints):
+            _check_coordinate(kp.x, f"keypoint {i} x")
+            _check_coordinate(kp.y, f"keypoint {i} y")
+            _check_finite(kp.confidence, f"keypoint {i} confidence")
+            conf = _clamp_confidence(kp.confidence)
+            if not 0.0 <= conf <= 1.0:
+                raise MalformedRecord(f"keypoint {i} confidence {kp.confidence} outside [0, 1]")
+            if conf != kp.confidence:
+                kp = Keypoint(kp.x, kp.y, conf)
+                skel_changed = True
+            new_kps.append(kp)
+
+        x1, y1, x2, y2 = skel.bbox
+        for name, v in zip(("x1", "y1", "x2", "y2"), skel.bbox):
+            _check_coordinate(v, f"bbox {name}")
+        if x1 > x2 or y1 > y2:
+            raise MalformedRecord(f"bbox corners out of order: {skel.bbox}")
+
+        if skel_changed:
+            skel = Skeleton.from_keypoints(tuple(new_kps), skel.bbox)
+            changed = True
+        new_persons.append((tid, skel))
+
+    if changed:
+        return replace(record, persons=tuple(new_persons))
+    return record
+
+
+def _ema(prev: float, raw: float, alpha: float) -> float:
+    if raw == prev:
+        return prev
+    return alpha * raw + (1.0 - alpha) * prev
+
+
+class SkeletonSmoother:
+    """EMA over every joint and the bbox, with one state tuple per joint."""
+
+    def __init__(self, cfg: SmoothingConfig = SmoothingConfig()):
+        self.alpha = cfg.alpha
+        self._joints: list[Optional[tuple[float, float]]] = [None] * 17
+        self._bbox: Optional[tuple[float, float, float, float]] = None
+
+    def step(self, skel: Skeleton) -> Skeleton:
+        a = self.alpha
+        out = []
+        for j, kp in enumerate(skel.keypoints):
+            state = self._joints[j]
+            if kp.confidence >= VALID_CONFIDENCE:
+                if state is None:
+                    state = (kp.x, kp.y)
+                else:
+                    state = (_ema(state[0], kp.x, a), _ema(state[1], kp.y, a))
+                self._joints[j] = state
+                out.append(Keypoint(state[0], state[1], kp.confidence))
+            else:
+                pos = state if state is not None else (kp.x, kp.y)
+                out.append(Keypoint(pos[0], pos[1], kp.confidence))
+        if self._bbox is None:
+            self._bbox = skel.bbox
+        else:
+            self._bbox = tuple(
+                _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
+            )
+        return Skeleton.from_keypoints(tuple(out), self._bbox)

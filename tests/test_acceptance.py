@@ -148,7 +148,7 @@ def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
             skel.bbox[2] * k + cx,
             skel.bbox[3] * k + cy,
         )
-        out.append(Skeleton(kps, bbox))
+        out.append(Skeleton.from_keypoints(kps, bbox))
     return Track(track.track_id, list(track.timestamps), out)
 
 

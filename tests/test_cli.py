@@ -299,7 +299,7 @@ class TestStream:
         first = clip.frames[0]
         tid, skel = first.persons[0]
         x1, y1, _, y2 = skel.bbox
-        flat = type(skel)(skel.keypoints, (x1, y1, x1, y2))
+        flat = type(skel).from_keypoints(skel.keypoints, (x1, y1, x1, y2))
         frames = [type(first)(first.frame_index, first.timestamp, ((tid, flat),) + first.persons[1:])]
         frames += clip.frames[1:]
         stream_path = tmp_path / "flat.jsonl"
@@ -327,6 +327,26 @@ class TestStream:
         rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(trained["model"])])
         assert rc == 2
         assert "keypoint 0 x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("timestamp_s", "abc", "bad frame object"),
+            ("timestamp_s", [1], "bad frame object"),
+            ("frame_index", True, "frame_index must be a nonnegative integer"),
+        ],
+    )
+    def test_bad_frame_field_exits_2(self, corpus_dir, trained, tmp_path, capsys, field, value, message):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        lines = (corpus_dir / manifest["clips"][0]["file"]).read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj[field] = value
+        lines[5] = json.dumps(obj)
+        stream_path = tmp_path / "bad_field.jsonl"
+        stream_path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(trained["model"])])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_corrupt_model_exits_2(self, trained, tmp_path):
         doc = json.loads(trained["model"].read_text())

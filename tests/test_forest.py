@@ -12,6 +12,7 @@ from snatchdet.forest import (
     ForestConfig,
     MissingClass,
     SchemaMismatch,
+    Tree,
     VersionMismatch,
     _best_split,
     _tree_rng,
@@ -214,13 +215,14 @@ class TestPredict:
         data = separable_dataset()
         model = train(data, ForestConfig(n_trees=4, seed=42))
         tie_model = deserialize(serialize(model))
+
+        def stub(w0, w1):
+            tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_weights=[(w0, w1)])
+            tree.set_probabilities()
+            return tree
+
         # force a tie by symmetric leaf weights on a stub pair of trees
-        for tree in tie_model.trees[:2]:
-            tree.feature[:] = [-1] * len(tree.feature)
-            tree.leaf_weights[0] = (1.0, 0.0)
-        for tree in tie_model.trees[2:]:
-            tree.feature[:] = [-1] * len(tree.feature)
-            tree.leaf_weights[0] = (0.0, 1.0)
+        tie_model.trees[:] = [stub(1.0, 0.0), stub(1.0, 0.0), stub(0.0, 1.0), stub(0.0, 1.0)]
         label, prob = predict(tie_model, data.X[0])
         assert prob == 0.5
         assert label == 1

@@ -83,7 +83,7 @@ def test_stored_values_equal_the_uncached_helpers(rng):
 
 def test_stored_geometry_keeps_equality_hash_and_repr():
     skel = static_skeleton()
-    fresh = Skeleton(skel.keypoints, skel.bbox)
+    fresh = Skeleton.from_keypoints(skel.keypoints, skel.bbox)
     text = repr(skel)
     _ = (skel.center, skel.torso, skel.facing, skel.elbow_angles)
     assert "center" in vars(skel) and "center" not in vars(fresh)

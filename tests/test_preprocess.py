@@ -20,7 +20,7 @@ from snatchdet.preprocess import (
     smooth_track,
     torso_height,
 )
-from snatchdet.types import Keypoint, Skeleton, Track
+from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track
 
 
 class TestEmaStep:
@@ -91,7 +91,7 @@ def _skeleton_conf(conf_map, center=(100.0, 100.0)):
         Keypoint(kp.x, kp.y, conf_map.get(i, kp.confidence))
         for i, kp in enumerate(base.keypoints)
     ]
-    return Skeleton(tuple(kps), base.bbox)
+    return Skeleton.from_keypoints(tuple(kps), base.bbox)
 
 
 class TestSmoothTrack:
@@ -123,13 +123,13 @@ class TestSmoothTrack:
         moving = [static_skeleton((100.0 + 3.0 * i, 100.0)) for i in range(5)]
         kps = list(moving[3].keypoints)
         kps[9] = Keypoint(kps[9].x, kps[9].y, 0.1)  # left wrist drops out at frame 3
-        moving[3] = Skeleton(tuple(kps), moving[3].bbox)
+        moving[3] = Skeleton.from_keypoints(tuple(kps), moving[3].bbox)
         track = Track("1", [i / 30.0 for i in range(len(moving))], moving)
         out = smooth_track(track)
         held, prev = out.skeletons[3].keypoints[9], out.skeletons[2].keypoints[9]
         assert (held.x, held.y) == (prev.x, prev.y)
-        assert not out.skeletons[3].keypoints[9].is_valid()
-        assert out.skeletons[4].keypoints[9].is_valid()
+        assert out.skeletons[3].keypoints[9].confidence < VALID_CONFIDENCE
+        assert out.skeletons[4].keypoints[9].confidence >= VALID_CONFIDENCE
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
@@ -144,7 +144,7 @@ class TestTorsoHeight:
         kps[6] = Keypoint(2.0, 0.0, 0.9)
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert torso_height(Skeleton(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
+        assert torso_height(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
 
     def test_all_invalid_is_missing(self):
         skel = _skeleton_conf({5: 0.0, 6: 0.0, 11: 0.0, 12: 0.0})
@@ -157,14 +157,14 @@ class TestTorsoHeight:
         kps[6] = Keypoint(99.0, 99.0, 0.1)  # invalid
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert torso_height(Skeleton(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
+        assert torso_height(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
 
     def test_degenerate_zero_height_clamped_by_scale_floor(self):
         skel = _skeleton_conf({})
         kps = list(skel.keypoints)
         for i in (5, 6, 11, 12):
             kps[i] = Keypoint(1.0, 1.0, 0.9)
-        degenerate = Skeleton(tuple(kps), (0.0, 0.0, 10.0, 20.0))
+        degenerate = Skeleton.from_keypoints(tuple(kps), (0.0, 0.0, 10.0, 20.0))
         assert torso_height(degenerate) == 0.0
         assert degenerate.torso == pytest.approx(0.05 * 20.0)
 
@@ -175,7 +175,7 @@ class TestTorsoHeight:
         kps[6] = Keypoint(2.0, 0.0, 0.9)
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert body_center(Skeleton(tuple(kps), skel.bbox)) == (1.0, 2.0)
+        assert body_center(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == (1.0, 2.0)
 
 
 def _track_moving(track_id, speed_px, n=20, fps=10.0):
