@@ -21,13 +21,14 @@ from typing import IO, Any, Iterable, Optional, Sequence, Union
 
 from .types import (
     LEFT_HIP,
-    LEFT_SHOULDER,
     LEFT_WRIST,
     RIGHT_HIP,
-    RIGHT_SHOULDER,
     RIGHT_WRIST,
+    FrameMemo,
     PairSegment,
+    Skeleton,
     Track,
+    center_speeds,
     valid_pos,
 )
 
@@ -73,36 +74,35 @@ STATS = ("mean", "median", "min", "max", "p95")
 MISSING_DISTANCE = 10.0
 
 
-def _stat(values: list[float], stat: str) -> float:
-    if stat == "mean":
-        return sum(values) / len(values)
-    if stat == "median":
-        s = sorted(values)
-        n = len(s)
-        if n % 2 == 1:
-            return s[n // 2]
-        return (s[n // 2 - 1] + s[n // 2]) / 2.0
-    if stat == "min":
-        return min(values)
-    if stat == "max":
-        return max(values)
-    if stat == "p95":
-        s = sorted(values)
-        return s[math.ceil(0.95 * len(s)) - 1]
-    raise UnknownStatistic(f"unknown statistic {stat!r}")
-
-
 def aggregate(
     series: list[Value], stats: Sequence[str], missing: Value = None
 ) -> dict[str, Value]:
-    """Aggregate the present values of a series; empty series yield ``missing``."""
+    """Aggregate the present values of a series; empty series yield ``missing``.
+
+    The median and p95 read one sorted copy; mean, min and max read the
+    values in series order.
+    """
     for stat in stats:
         if stat not in STATS:
             raise UnknownStatistic(f"unknown statistic {stat!r}")
     values = [v for v in series if v is not None]
     if not values:
         return {stat: missing for stat in stats}
-    return {stat: _stat(values, stat) for stat in stats}
+    n = len(values)
+    s = sorted(values)
+    out: dict[str, Value] = {}
+    for stat in stats:
+        if stat == "mean":
+            out[stat] = sum(values) / n
+        elif stat == "median":
+            out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
+        elif stat == "min":
+            out[stat] = min(values)
+        elif stat == "max":
+            out[stat] = max(values)
+        else:
+            out[stat] = s[math.ceil(0.95 * n) - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
     ("armExtension", "series", False, "arms"),
     ("timeToPeakArmExt", "scalar", True, "arms"),
     ("armRetraction0p2s", "scalar", True, "arms"),
-    ("elbowFlexPctL", "scalar", False, "arms"),
-    ("elbowFlexPctR", "scalar", False, "arms"),
-    ("elbowAngleL", "series", False, "arms"),
-    ("elbowAngleR", "series", False, "arms"),
+    ("elbowFlexPctL", "scalar", False, "elbows"),
+    ("elbowFlexPctR", "scalar", False, "elbows"),
+    ("elbowAngleL", "series", False, "elbows"),
+    ("elbowAngleR", "series", False, "elbows"),
     ("bboxAreaRate", "series", False, "bbox"),
 )
 
@@ -277,18 +277,17 @@ class FeatureVector:
 
 # ---------------------------------------------------------------------------
 # per-frame geometry helpers (plain arithmetic, fixed operation order)
+#
+# A family reads its per-frame values through a ``FrameMemo``: values of one
+# skeleton from the skeleton itself, values spanning two rows of a track
+# (``memo.steps``) or one row of the ordered pair (``memo.pair_rows``) from
+# the memo, each computed by one row function the first time any window
+# asks. Everything relative to the window (the first rows' missing
+# derivatives, peaks, runs, percentages) is computed per call.
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
-
-
-def _centers(track: Track) -> list[Optional[tuple[float, float]]]:
-    return [s.center for s in track.skeletons]
-
-
-def _torsos(track: Track) -> list[Value]:
-    return [s.torso for s in track.skeletons]
 
 
 def _frames_for(span_s: float, fps: float) -> int:
@@ -342,67 +341,66 @@ def _backward_diff(times: list[float], values: list[Value]) -> list[Value]:
     return out
 
 
+def _mean_torso(a: Skeleton, b: Skeleton) -> Value:
+    ta, tb = a.torso, b.torso
+    return None if ta is None or tb is None else (ta + tb) / 2.0
+
+
+def _memo(memo: Optional[FrameMemo]) -> FrameMemo:
+    """The caller's memo, or a fresh one for a caller without a window store."""
+    return FrameMemo() if memo is None else memo
+
+
 # ---------------------------------------------------------------------------
 # individual features
 
 
-def center_kinematics(track: Track) -> Outputs:
+def center_kinematics(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
     """Normalized body-center speed and its backward-difference acceleration."""
     if len(track) < 2:
         raise InsufficientSamples("center kinematics need at least 2 samples")
-    times = track.timestamps
-    centers = _centers(track)
-    torsos = _torsos(track)
-    speed: list[Value] = [None] * len(times)
-    for i in range(1, len(times)):
-        c, p, th = centers[i], centers[i - 1], torsos[i]
-        dt = times[i] - times[i - 1]
-        if c is not None and p is not None and th is not None and dt > 0:
-            speed[i] = _dist(c[0], c[1], p[0], p[1]) / dt / th
-    return {"velocity": speed, "acceleration": _backward_diff(times, speed)}
+    speed = center_speeds(track, _memo(memo))
+    return {"velocity": speed, "acceleration": _backward_diff(track.timestamps, speed)}
 
 
-# Per frame: wrist joint index -> (vx, vy, normalized speed).
-WristVelocities = list[dict[int, tuple[float, float, float]]]
+# Per row: None when neither wrist has a velocity there, else (wrist joint
+# index -> (vx, vy, normalized speed), the larger normalized speed).
+WristStep = Optional[tuple[dict[int, tuple[float, float, float]], float]]
 
 
-def wrist_velocities(track: Track) -> WristVelocities:
-    """Per frame: wrist joint index -> (vx, vy, normalized speed).
+def _wrist_step(prev: Skeleton, cur: Skeleton, dt: float) -> WristStep:
+    th = cur.torso
+    if dt <= 0 or th is None:
+        return None
+    per_wrist = {}
+    for wrist in (LEFT_WRIST, RIGHT_WRIST):
+        c = valid_pos(cur, wrist)
+        p = valid_pos(prev, wrist)
+        if c is None or p is None:
+            continue
+        vx = c[0] - p[0]
+        vy = c[1] - p[1]
+        per_wrist[wrist] = (vx, vy, math.sqrt(vx**2 + vy**2) / dt / th)
+    if not per_wrist:
+        return None
+    return per_wrist, max(v[2] for v in per_wrist.values())
+
+
+def wrist_velocities(track: Track, memo: Optional[FrameMemo] = None) -> list[WristStep]:
+    """Per row, the wrists' velocities from the previous row (see ``WristStep``).
 
     The velocity vector is in raw pixels per frame step; the speed is
     normalized by time step and torso height. A wrist only has a velocity
-    at frame i when it is valid at frames i-1 and i.
+    at row i when it is valid at rows i-1 and i.
     """
-    times = track.timestamps
-    skels = track.skeletons
-    torsos = _torsos(track)
-    out: WristVelocities = [dict() for _ in times]
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        th = torsos[i]
-        if dt <= 0 or th is None:
-            continue
-        for wrist in (LEFT_WRIST, RIGHT_WRIST):
-            cur = valid_pos(skels[i], wrist)
-            prev = valid_pos(skels[i - 1], wrist)
-            if cur is None or prev is None:
-                continue
-            vx = cur[0] - prev[0]
-            vy = cur[1] - prev[1]
-            speed = math.sqrt(vx**2 + vy**2) / dt / th
-            out[i][wrist] = (vx, vy, speed)
-    return out
+    return _memo(memo).steps("wrists", track, _wrist_step)
 
 
 def _fast_flags(hand_speed: list[Value], params: FeatureParams) -> list[Optional[bool]]:
     return [None if s is None else s > params.fast_hand_threshold for s in hand_speed]
 
 
-def hand_motion(
-    track: Track,
-    params: FeatureParams,
-    velocities: WristVelocities,
-) -> Outputs:
+def hand_motion(track: Track, params: FeatureParams, velocities: list[WristStep]) -> Outputs:
     """Wrist speed series (max over the two wrists) and its derivatives.
 
     ``velocities`` are the track's ``wrist_velocities``.
@@ -410,10 +408,7 @@ def hand_motion(
     if len(track) < 3:
         raise InsufficientSamples("hand motion needs at least 3 samples")
     times = track.timestamps
-    speed: list[Value] = [None] * len(times)
-    for i, per_wrist in enumerate(velocities):
-        if per_wrist:
-            speed[i] = max(v[2] for v in per_wrist.values())
+    speed: list[Value] = [None if step is None else step[1] for step in velocities]
     accel = _backward_diff(times, speed)
     jerk = [v for v in _backward_diff(times, accel) if v is not None]
     peak = _first_argmax(speed)
@@ -426,42 +421,30 @@ def hand_motion(
     }
 
 
-def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams()) -> Outputs:
-    """Arm extension (max over arms) and interior elbow angles."""
+def arm_posture(track: Track, fps: float) -> Outputs:
+    """Arm extension (max over arms), its peak and the retraction after it."""
     if len(track) < 1:
         raise InsufficientSamples("arm posture needs at least 1 sample")
-    times = track.timestamps
-    skels = track.skeletons
-    torsos = _torsos(track)
-
-    extension: list[Value] = [None] * len(times)
-    angle_l: list[Value] = [None] * len(times)
-    angle_r: list[Value] = [None] * len(times)
-    for i, skel in enumerate(skels):
-        th = torsos[i]
-        if th is not None:
-            per_arm = []
-            for shoulder, wrist in ((LEFT_SHOULDER, LEFT_WRIST), (RIGHT_SHOULDER, RIGHT_WRIST)):
-                s = valid_pos(skel, shoulder)
-                w = valid_pos(skel, wrist)
-                if s is not None and w is not None:
-                    per_arm.append(_dist(w[0], w[1], s[0], s[1]) / th)
-            if per_arm:
-                extension[i] = max(per_arm)
-        angle_l[i], angle_r[i] = skel.elbow_angles
-
+    extension: list[Value] = [s.arm_extension for s in track.skeletons]
     peak = _first_argmax(extension)
     retraction: Value = None
     if peak is not None:
         target = peak + _frames_for(0.2, fps)
         if target < len(extension) and extension[target] is not None:
             retraction = extension[peak] - extension[target]
-
-    thr = params.elbow_flex_threshold
     return {
         "armExtension": extension,
         "timeToPeakArmExt": None if peak is None else float(peak),
         "armRetraction0p2s": retraction,
+    }
+
+
+def elbow_flexion(track: Track, params: FeatureParams = FeatureParams()) -> Outputs:
+    """Interior elbow angles and the share of frames each elbow is flexed."""
+    angle_l: list[Value] = [s.elbow_angles[0] for s in track.skeletons]
+    angle_r: list[Value] = [s.elbow_angles[1] for s in track.skeletons]
+    thr = params.elbow_flex_threshold
+    return {
         "elbowFlexPctL": _pct([None if a is None else a < thr for a in angle_l]),
         "elbowFlexPctR": _pct([None if a is None else a < thr for a in angle_r]),
         "elbowAngleL": angle_l,
@@ -469,21 +452,21 @@ def arm_posture(track: Track, fps: float, params: FeatureParams = FeatureParams(
     }
 
 
-def bbox_area_rate(track: Track) -> Outputs:
+def _bbox_area_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
+    area_prev = prev.bbox_area
+    if dt > 0 and area_prev != 0.0:
+        return (cur.bbox_area - area_prev) / (area_prev * dt)
+    return None
+
+
+def bbox_area_rate(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
     """Relative derivative of the (smoothed) bounding-box area, per second.
 
     The rate is missing at a frame whose previous box has zero area.
     """
     if len(track) < 2:
         raise InsufficientSamples("bbox area rate needs at least 2 samples")
-    times = track.timestamps
-    areas = [s.bbox_area for s in track.skeletons]
-    rate: list[Value] = [None] * len(times)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        if dt > 0 and areas[i - 1] != 0.0:
-            rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
-    return {"bboxAreaRate": rate}
+    return {"bboxAreaRate": _memo(memo).steps("bboxAreaRate", track, _bbox_area_rate)}
 
 
 def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
@@ -546,32 +529,19 @@ def pair_segment(
     )
 
 
-def _mean_torsos(pair: PairSegment) -> list[Value]:
-    torsos_a = _torsos(pair.aggressor)
-    torsos_b = _torsos(pair.victim)
-    return [
-        None if ta is None or tb is None else (ta + tb) / 2.0
-        for ta, tb in zip(torsos_a, torsos_b)
-    ]
+def _distance_and_iou(a: Skeleton, b: Skeleton) -> tuple[Value, float]:
+    ca, cb, th = a.center, b.center, _mean_torso(a, b)
+    distance = None
+    if ca is not None and cb is not None and th is not None:
+        distance = _dist(ca[0], ca[1], cb[0], cb[1]) / th
+    return distance, iou(a.bbox, b.bbox)
 
 
-def interaction_distance(pair: PairSegment) -> Outputs:
+def interaction_distance(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
     """Normalized center distance, its rate, and bbox IoU over the segment."""
-    times = pair.aggressor.timestamps
-    centers_a = _centers(pair.aggressor)
-    centers_b = _centers(pair.victim)
-    mean_th = _mean_torsos(pair)
-
-    distance: list[Value] = [None] * len(times)
-    for i in range(len(times)):
-        ca, cb, th = centers_a[i], centers_b[i], mean_th[i]
-        if ca is not None and cb is not None and th is not None:
-            distance[i] = _dist(ca[0], ca[1], cb[0], cb[1]) / th
-
-    ious: list[Value] = [
-        iou(sa.bbox, sb.bbox)
-        for sa, sb in zip(pair.aggressor.skeletons, pair.victim.skeletons)
-    ]
+    rows = _memo(memo).pair_rows("distance", pair, _distance_and_iou)
+    distance: list[Value] = [d for d, _ in rows]
+    ious: list[Value] = [v for _, v in rows]
     peak = _first_argmax(ious)
     drop: Value = None
     if peak is not None:
@@ -580,65 +550,74 @@ def interaction_distance(pair: PairSegment) -> Outputs:
             drop = ious[peak] - ious[target]
     return {
         "distance": distance,
-        "distanceRate": _backward_diff(times, distance),
+        "distanceRate": _backward_diff(pair.aggressor.timestamps, distance),
         "iou": ious,
         "iouPeak": None if peak is None else ious[peak],
         "iouDrop0p2s": drop,
     }
 
 
+def _relative_step(
+    pa: Skeleton, pb: Skeleton, a: Skeleton, b: Skeleton, dt: float, wrists: WristStep
+) -> tuple[Value, Value]:
+    """Relative center speed and the hand-toward-victim cosine at one row."""
+    ca, cb, pca, pcb = a.center, b.center, pa.center, pb.center
+    th = _mean_torso(a, b)
+    rel_speed: Value = None
+    if not (None in (ca, cb, pca, pcb, th) or dt <= 0):
+        rx = (ca[0] - cb[0]) - (pca[0] - pcb[0])
+        ry = (ca[1] - cb[1]) - (pca[1] - pcb[1])
+        rel_speed = math.sqrt(rx**2 + ry**2) / dt / th
+    if cb is None or wrists is None:
+        return rel_speed, None
+    best_wrist = None
+    best_speed = -math.inf
+    for wrist in (LEFT_WRIST, RIGHT_WRIST):
+        v = wrists[0].get(wrist)
+        if v is not None and v[2] > best_speed:
+            best_wrist, best_speed = wrist, v[2]
+    vx, vy, _ = wrists[0][best_wrist]
+    wpos = valid_pos(a, best_wrist)
+    nv = math.sqrt(vx**2 + vy**2)
+    if wpos is None or nv == 0.0:
+        return rel_speed, None
+    dx = cb[0] - wpos[0]
+    dy = cb[1] - wpos[1]
+    nd = math.sqrt(dx**2 + dy**2)
+    if nd == 0.0:
+        return rel_speed, None
+    c = (vx * dx + vy * dy) / (nv * nd)
+    return rel_speed, min(1.0, max(-1.0, c))
+
+
 def relative_motion(
     pair: PairSegment,
     params: FeatureParams,
-    velocities: WristVelocities,
+    velocities: list[WristStep],
+    memo: Optional[FrameMemo] = None,
 ) -> Outputs:
     """Relative center speed plus the hand-toward-victim direction cosine.
 
     The cosine compares the velocity of A's faster wrist with the vector
     from that wrist to B's torso center; frames without wrist motion yield
-    a missing value. ``velocities`` are A's ``wrist_velocities``.
+    a missing value. ``velocities`` are A's ``wrist_velocities``. Both
+    values at row i span rows i-1 and i of the pair.
     """
+    values = _memo(memo).values
+    key = f"relative|{pair.aggressor.track_id}|{pair.victim.track_id}"
     times = pair.aggressor.timestamps
-    centers_a = _centers(pair.aggressor)
-    centers_b = _centers(pair.victim)
-    mean_th = _mean_torsos(pair)
-    skels_a = pair.aggressor.skeletons
-
+    skels_a, skels_b = pair.aggressor.skeletons, pair.victim.skeletons
     rel_speed: list[Value] = [None] * len(times)
-    for i in range(1, len(times)):
-        ca, cb = centers_a[i], centers_b[i]
-        pa, pb = centers_a[i - 1], centers_b[i - 1]
-        th = mean_th[i]
-        dt = times[i] - times[i - 1]
-        if None in (ca, cb, pa, pb, th) or dt <= 0:
-            continue
-        rx = (ca[0] - cb[0]) - (pa[0] - pb[0])
-        ry = (ca[1] - cb[1]) - (pa[1] - pb[1])
-        rel_speed[i] = math.sqrt(rx**2 + ry**2) / dt / th
-
     toward: list[Value] = [None] * len(times)
     for i in range(1, len(times)):
-        cb = centers_b[i]
-        if cb is None or not velocities[i]:
-            continue
-        best_wrist = None
-        best_speed = -math.inf
-        for wrist in (LEFT_WRIST, RIGHT_WRIST):
-            v = velocities[i].get(wrist)
-            if v is not None and v[2] > best_speed:
-                best_wrist, best_speed = wrist, v[2]
-        vx, vy, _ = velocities[i][best_wrist]
-        wpos = valid_pos(skels_a[i], best_wrist)
-        nv = math.sqrt(vx**2 + vy**2)
-        if wpos is None or nv == 0.0:
-            continue
-        dx = cb[0] - wpos[0]
-        dy = cb[1] - wpos[1]
-        nd = math.sqrt(dx**2 + dy**2)
-        if nd == 0.0:
-            continue
-        c = (vx * dx + vy * dy) / (nv * nd)
-        toward[i] = min(1.0, max(-1.0, c))
+        t, tp = times[i], times[i - 1]
+        frame = values[t]
+        entry = frame.get(key)
+        if entry is None or entry[0] != tp:
+            entry = frame[key] = tp, _relative_step(
+                skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], t - tp, velocities[i]
+            )
+        rel_speed[i], toward[i] = entry[1]
 
     thr = params.hand_toward_threshold
     return {
@@ -648,11 +627,35 @@ def relative_motion(
     }
 
 
+def _hand_reach(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
+    """A's nearer valid wrist to B's body center and to B's hip, in B's torso heights."""
+    th = b.torso
+    if th is None:
+        return None, None
+    wrists = [p for p in (valid_pos(a, LEFT_WRIST), valid_pos(a, RIGHT_WRIST)) if p is not None]
+    if not wrists:
+        return None, None
+    to_torso: Value = None
+    cb = b.center
+    if cb is not None:
+        to_torso = min(_dist(w[0], w[1], cb[0], cb[1]) / th for w in wrists)
+    hip_l = valid_pos(b, LEFT_HIP)
+    hip_r = valid_pos(b, RIGHT_HIP)
+    if hip_l is not None and hip_r is not None:
+        hip = ((hip_l[0] + hip_r[0]) / 2.0, (hip_l[1] + hip_r[1]) / 2.0)
+    else:
+        hip = hip_l if hip_l is not None else hip_r
+    if hip is None:
+        return to_torso, None
+    return to_torso, min(_dist(w[0], w[1], hip[0], hip[1]) / th for w in wrists)
+
+
 def reaching(
     pair: PairSegment,
     params: FeatureParams,
     hand_speed: list[Value],
     distance: list[Value],
+    memo: Optional[FrameMemo] = None,
 ) -> Outputs:
     """A-wrist to B-torso/hip distances and the fast-and-close conjunction.
 
@@ -660,36 +663,9 @@ def reaching(
     ``handVelocity``) and ``distance`` the normalized center distance series
     (``interaction_distance``'s ``distance``) of the same segment.
     """
-    times = pair.aggressor.timestamps
-    skels_a = pair.aggressor.skeletons
-    skels_b = pair.victim.skeletons
-    centers_b = _centers(pair.victim)
-    torsos_b = _torsos(pair.victim)
-
-    hand_to_torso: list[Value] = [None] * len(times)
-    hand_to_hip: list[Value] = [None] * len(times)
-    for i in range(len(times)):
-        th = torsos_b[i]
-        if th is None:
-            continue
-        wrists = [
-            p
-            for p in (valid_pos(skels_a[i], LEFT_WRIST), valid_pos(skels_a[i], RIGHT_WRIST))
-            if p is not None
-        ]
-        if not wrists:
-            continue
-        cb = centers_b[i]
-        if cb is not None:
-            hand_to_torso[i] = min(_dist(w[0], w[1], cb[0], cb[1]) / th for w in wrists)
-        hip_l = valid_pos(skels_b[i], LEFT_HIP)
-        hip_r = valid_pos(skels_b[i], RIGHT_HIP)
-        if hip_l is not None and hip_r is not None:
-            hip = ((hip_l[0] + hip_r[0]) / 2.0, (hip_l[1] + hip_r[1]) / 2.0)
-        else:
-            hip = hip_l if hip_l is not None else hip_r
-        if hip is not None:
-            hand_to_hip[i] = min(_dist(w[0], w[1], hip[0], hip[1]) / th for w in wrists)
+    rows = _memo(memo).pair_rows("reaching", pair, _hand_reach)
+    hand_to_torso: list[Value] = [d for d, _ in rows]
+    hand_to_hip: list[Value] = [d for _, d in rows]
 
     close_flags = [
         None if d is None else d < params.close_hand_threshold for d in hand_to_torso
@@ -702,7 +678,7 @@ def reaching(
     contact = _first_argmin(hand_to_torso)
     post_mean: Value = None
     if contact is not None:
-        stop = min(contact + _frames_for(0.4, pair.fps), len(times) - 1)
+        stop = min(contact + _frames_for(0.4, pair.fps), len(rows) - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
             post_mean = sum(window) / len(window)
@@ -717,47 +693,45 @@ def reaching(
     }
 
 
-def facing(pair: PairSegment) -> Outputs:
+def _cosine(face: Optional[tuple[float, float]], ux: float, uy: float, nu: float) -> Value:
+    if face is None:
+        return None
+    return min(1.0, max(-1.0, (face[0] * ux + face[1] * uy) / nu))
+
+
+def _facing_cosines(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
+    ca, cb = a.center, b.center
+    if ca is None or cb is None:
+        return None, None
+    ux, uy = cb[0] - ca[0], cb[1] - ca[1]
+    nu = math.sqrt(ux**2 + uy**2)
+    if nu == 0.0:
+        return None, None
+    return _cosine(a.facing, ux, uy, nu), _cosine(b.facing, ux, uy, nu)
+
+
+def _facing_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
+    fa, fb = prev.facing, cur.facing
+    if fa is None or fb is None or dt <= 0:
+        return None
+    d = math.atan2(fb[1], fb[0]) - math.atan2(fa[1], fa[0])
+    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    return abs(d) / dt
+
+
+def facing(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
     """Facing cosines for both roles plus the victim's facing angular speed.
 
     Both cosines are taken against the A-to-B direction, so +1 means A
     faces B and -1 means B faces A.
     """
-    times = pair.aggressor.timestamps
-    centers_a = _centers(pair.aggressor)
-    centers_b = _centers(pair.victim)
-    face_a = [s.facing for s in pair.aggressor.skeletons]
-    face_b = [s.facing for s in pair.victim.skeletons]
-
-    a_to_b: list[Value] = [None] * len(times)
-    b_to_a: list[Value] = [None] * len(times)
-    for i in range(len(times)):
-        ca, cb = centers_a[i], centers_b[i]
-        if ca is None or cb is None:
-            continue
-        ux, uy = cb[0] - ca[0], cb[1] - ca[1]
-        nu = math.sqrt(ux**2 + uy**2)
-        if nu == 0.0:
-            continue
-        if face_a[i] is not None:
-            c = (face_a[i][0] * ux + face_a[i][1] * uy) / nu
-            a_to_b[i] = min(1.0, max(-1.0, c))
-        if face_b[i] is not None:
-            c = (face_b[i][0] * ux + face_b[i][1] * uy) / nu
-            b_to_a[i] = min(1.0, max(-1.0, c))
-
-    rate: list[Value] = [None] * len(times)
-    tau = 2.0 * math.pi
-    for i in range(1, len(times)):
-        fa, fb = face_b[i - 1], face_b[i]
-        dt = times[i] - times[i - 1]
-        if fa is None or fb is None or dt <= 0:
-            continue
-        d = math.atan2(fb[1], fb[0]) - math.atan2(fa[1], fa[0])
-        d = (d + math.pi) % tau - math.pi
-        rate[i] = abs(d) / dt
-
-    return {"AfacingToB": a_to_b, "BfacingToA": b_to_a, "facingRate": rate}
+    memo = _memo(memo)
+    rows = memo.pair_rows("facing", pair, _facing_cosines)
+    return {
+        "AfacingToB": [c for c, _ in rows],
+        "BfacingToA": [c for _, c in rows],
+        "facingRate": memo.steps("facingRate", pair.victim, _facing_rate),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +747,10 @@ class _SegmentFamilies:
     soon as extraction returns rather than by the cyclic garbage collector.
     """
 
-    def __init__(self, pair: PairSegment, params: FeatureParams) -> None:
+    def __init__(self, pair: PairSegment, params: FeatureParams, memo: FrameMemo) -> None:
         self.pair = pair
         self.params = params
+        self.memo = memo
         self.done: dict[str, Any] = {}
 
     def __getitem__(self, family: str) -> Any:
@@ -784,28 +759,30 @@ class _SegmentFamilies:
         return self.done[family]
 
     def _compute(self, family: str) -> Any:
-        pair, params = self.pair, self.params
+        pair, params, memo = self.pair, self.params, self.memo
         if family == "distance":
-            return interaction_distance(pair)
+            return interaction_distance(pair, memo)
         if family == "relative":
-            return relative_motion(pair, params, self["A_wrists"])
+            return relative_motion(pair, params, self["A_wrists"], memo)
         if family == "reaching":
             hand_speed = self["A_hands"]["handVelocity"]
-            return reaching(pair, params, hand_speed, self["distance"]["distance"])
+            return reaching(pair, params, hand_speed, self["distance"]["distance"], memo)
         if family == "facing":
-            return facing(pair)
+            return facing(pair, memo)
         prefix, kind = family[:2], family[2:]
         track = {"A_": pair.aggressor, "B_": pair.victim}[prefix]
         if kind == "wrists":
-            return wrist_velocities(track)
+            return wrist_velocities(track, memo)
         if kind == "kinematics":
-            return center_kinematics(track)
+            return center_kinematics(track, memo)
         if kind == "hands":
             return hand_motion(track, params, self[prefix + "wrists"])
         if kind == "arms":
-            return arm_posture(track, pair.fps, params)
+            return arm_posture(track, pair.fps)
+        if kind == "elbows":
+            return elbow_flexion(track, params)
         if kind == "bbox":
-            return bbox_area_rate(track)
+            return bbox_area_rate(track, memo)
         raise KeyError(f"unknown feature family {family!r}")
 
 
@@ -813,14 +790,16 @@ def extract_segment(
     pair: PairSegment,
     schema: Optional[FeatureSchema] = None,
     params: FeatureParams = FeatureParams(),
+    memo: Optional[FrameMemo] = None,
 ) -> FeatureVector:
     """Compute the feature vector of a pair segment for the schema's names.
 
     Each family with an output in the schema runs once, and each series it
-    returns is aggregated once. Missing values are materialized with the
-    kind-specific sentinel so the classifier always sees a finite value for
-    every schema name. A name whose family does not return its base name
-    raises ``KeyError``.
+    returns is aggregated once. Per-frame values come from ``memo``, the
+    window store's when the segment was cut from one, else a fresh memo.
+    Missing values are materialized with the kind-specific sentinel so the
+    classifier always sees a finite value for every schema name. A name
+    whose family does not return its base name raises ``KeyError``.
     """
     if schema is None:
         schema = full_schema()
@@ -828,7 +807,7 @@ def extract_segment(
         raise SegmentTooShort(
             f"segment has {len(pair)} frames, need {params.min_segment_frames}"
         )
-    families = _SegmentFamilies(pair, params)
+    families = _SegmentFamilies(pair, params, _memo(memo))
     aggregated: dict[tuple[str, str], dict[str, Value]] = {}
     values: dict[str, float] = {}
     for name in schema.names:

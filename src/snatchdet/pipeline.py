@@ -7,7 +7,11 @@ stores the frames of the current window once, each as its (key, smoothed
 skeleton) list. At each stride point it groups those frames into tracks and
 hands back the closest pair of the window as an ordered ``PairSegment``.
 Its state is the window plus one record per raw id, however many track
-keys the stream has used.
+keys the stream has used, plus its ``FrameMemo``: the per-frame values
+(center speeds, wrist velocities, pair distances, ...) of the stored
+frames, each computed the first time a window asks for it and shared by
+the overlapping windows and both role orderings, then evicted with its
+frame.
 
 ``StreamEngine`` (``snatchdet stream``) classifies that segment under both
 role orderings; ``extract_windows`` (``extract --mode sliding``) extracts it
@@ -39,7 +43,15 @@ from .preprocess import (
     choose_aggressor,
 )
 from .temporal import AlarmState, evidence_window, step
-from .types import FrameRecord, PairSegment, Skeleton, Track, track_order, validate_frame
+from .types import (
+    FrameMemo,
+    FrameRecord,
+    PairSegment,
+    Skeleton,
+    Track,
+    track_order,
+    validate_frame,
+)
 
 
 def _pair_key(id_a: str, id_b: str) -> tuple[str, str]:
@@ -54,20 +66,35 @@ def pair_key_str(id_a: str, id_b: str) -> str:
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
 
 
-def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
-    """Mean raw center distance over the frames both tracks share."""
+def _mean_pair_distance(
+    key: str, centers_a: Centers, centers_b: Centers, memo: FrameMemo
+) -> Optional[float]:
+    """Mean raw center distance over the frames both tracks share.
+
+    Each frame's distance is read from ``memo`` under ``key``; the sum runs
+    in frame order.
+    """
+    values = memo.values
     dists = []
     for t, ca in centers_a.items():
         cb = centers_b.get(t)
-        if ca is not None and cb is not None:
-            dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
+        if ca is None or cb is None:
+            continue
+        frame = values[t]
+        d = frame.get(key)
+        if d is None:
+            d = frame[key] = math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2)
+        dists.append(d)
     if not dists:
         return None
     return sum(dists) / len(dists)
 
 
-def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
+def select_pair(
+    windows: Sequence[Track], min_frames: int, memo: Optional[FrameMemo] = None
+) -> Optional[tuple[Track, Track]]:
     """The pair with minimum mean center distance; None when no pair qualifies."""
+    memo = FrameMemo() if memo is None else memo
     eligible = [w for w in windows if len(w) >= min_frames]
     centers = [dict(zip(w.timestamps, map(body_center, w.skeletons))) for w in eligible]
     best: Optional[tuple[float, tuple, Track, Track]] = None
@@ -76,7 +103,9 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
             a, b = eligible[i], eligible[j]
             if len(centers[i].keys() & centers[j].keys()) < min_frames:
                 continue
-            d = _mean_pair_distance(centers[i], centers[j])
+            d = _mean_pair_distance(
+                f"centerDistance|{a.track_id}|{b.track_id}", centers[i], centers[j], memo
+            )
             if d is None:
                 continue
             key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
@@ -87,9 +116,11 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
     return best[2], best[3]
 
 
-def order_roles(track_a: Track, track_b: Track, window_s: float) -> tuple[Track, Track]:
+def order_roles(
+    track_a: Track, track_b: Track, window_s: float, memo: Optional[FrameMemo] = None
+) -> tuple[Track, Track]:
     """(aggressor, victim) ordering by the mean-translation softmax score."""
-    assignments = aggressor_probabilities([track_a, track_b], window=window_s)
+    assignments = aggressor_probabilities([track_a, track_b], window=window_s, memo=memo)
     agg_id = choose_aggressor(assignments)
     if agg_id == track_a.track_id:
         return track_a, track_b
@@ -105,6 +136,9 @@ class TrackWindows:
     segment at each stride point, ``add`` keeps every frame, for one window
     over a whole clip. Each raw id has one record: its current key, the
     position it was last seen at, how often it was split and its smoother.
+    ``memo`` holds the per-frame values of the stored frames that pair
+    selection, role ordering and extraction have asked for; a frame's
+    entries leave with the frame.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -112,6 +146,7 @@ class TrackWindows:
         self.frames: deque[tuple[int, float, list[tuple[str, Skeleton]]]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
+        self.memo = FrameMemo()
 
     def add(self, record: FrameRecord) -> set[str]:
         """Store one frame's smoothed persons; returns the keys present."""
@@ -137,7 +172,7 @@ class TrackWindows:
         present = self.add(record)
         wf, sf = self.cfg.window_frames, self.cfg.stride_frames
         while self.frames[0][0] <= self.pos - wf:
-            self.frames.popleft()
+            self.memo.evict(self.frames.popleft()[1])
         segment = None
         if self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0:
             segment = self.pair_window(self.cfg.window_s)
@@ -165,10 +200,10 @@ class TrackWindows:
         order, since distances are symmetric, ties break on ``track_order``
         and the two-term softmax sum is commutative.
         """
-        pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
+        pair = select_pair(self.tracks(), self.cfg.min_segment_frames, self.memo)
         if pair is None:
             return None
-        agg, vic = order_roles(pair[0], pair[1], window_s)
+        agg, vic = order_roles(pair[0], pair[1], window_s, self.memo)
         return pair_segment(agg, vic, fps=self.cfg.fps)
 
 
@@ -191,7 +226,8 @@ def extract_windows(
         if segment is None:
             continue
         key = pair_key_str(segment.aggressor.track_id, segment.victim.track_id)
-        rows.append((f"{stream_id}#{key}#{windows.pos}", extract_segment(segment, schema, params)))
+        vector = extract_segment(segment, schema, params, windows.memo)
+        rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
     return rows
 
 
@@ -208,7 +244,7 @@ def extract_clip_row(
     segment = windows.pair_window(max(duration, cfg.window_s))
     if segment is None:
         return None
-    return extract_segment(segment, schema or full_schema(), cfg.feature_params())
+    return extract_segment(segment, schema or full_schema(), cfg.feature_params(), windows.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +325,9 @@ class StreamEngine:
         return {key for _, _, persons in self._windows.frames for key, _ in persons}
 
     def _classify(self, segment: PairSegment) -> None:
-        v_ab = extract_segment(segment, self.schema, self.params)
-        v_ba = extract_segment(segment.swapped(), self.schema, self.params)
+        memo = self._windows.memo
+        v_ab = extract_segment(segment, self.schema, self.params, memo)
+        v_ba = extract_segment(segment.swapped(), self.schema, self.params, memo)
         prob = max(
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),

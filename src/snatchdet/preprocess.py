@@ -12,12 +12,22 @@ in view: the person who moves more abruptly is the more likely aggressor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 # torso_height lives with the rest of the skeleton geometry in .types and
 # stays importable from here.
-from .types import NUM_KEYPOINTS, VALID_CONFIDENCE, Skeleton, Track, torso_height, track_order
+from .types import (
+    NUM_KEYPOINTS,
+    VALID_CONFIDENCE,
+    FrameMemo,
+    Skeleton,
+    Track,
+    center_speeds,
+    torso_height,
+    track_order,
+)
 
 DEFAULT_ALPHA = 0.6
 
@@ -133,27 +143,27 @@ def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
     return skel.center
 
 
-def mean_center_translation(track: Track, start: float, end: float) -> float:
+def _span(track: Track, start: float, end: float) -> Track:
+    """The samples of a time-ordered track inside [start, end]."""
+    times = track.timestamps
+    lo, hi = bisect_left(times, start), bisect_right(times, end)
+    if lo == 0 and hi == len(times):
+        return track
+    return Track(track.track_id, times[lo:hi], track.skeletons[lo:hi])
+
+
+def mean_center_translation(
+    track: Track, start: float, end: float, memo: Optional[FrameMemo] = None
+) -> float:
     """Mean body-center speed (torso-heights/second) over [start, end].
 
-    Sample pairs where the center or the torso scale is unobservable are
-    skipped. Returns 0.0 when nothing is measurable.
+    The speeds are ``center_speed`` between consecutive samples in the span,
+    read from ``memo`` when it holds them; pairs where it is unobservable
+    are skipped. Returns 0.0 when nothing is measurable.
     """
-    speeds = []
-    prev_center = None
-    prev_t = None
-    for t, skel in zip(track.timestamps, track.skeletons):
-        if t < start or t > end:
-            continue
-        center = skel.center
-        th = skel.torso
-        if center is None:
-            prev_center, prev_t = None, None
-            continue
-        if prev_center is not None and th is not None and t > prev_t:
-            d = math.sqrt((center[0] - prev_center[0]) ** 2 + (center[1] - prev_center[1]) ** 2)
-            speeds.append(d / (t - prev_t) / th)
-        prev_center, prev_t = center, t
+    span = _span(track, start, end)
+    memo = FrameMemo() if memo is None else memo
+    speeds = [v for v in center_speeds(span, memo) if v is not None]
     if not speeds:
         return 0.0
     return sum(speeds) / len(speeds)
@@ -168,7 +178,10 @@ def softmax(scores: Sequence[float]) -> list[float]:
 
 
 def aggressor_probabilities(
-    tracks: Sequence[Track], window: float, end_time: Optional[float] = None
+    tracks: Sequence[Track],
+    window: float,
+    end_time: Optional[float] = None,
+    memo: Optional[FrameMemo] = None,
 ) -> list[RoleAssignment]:
     """Softmax role scores over the candidate tracks (temperature 1).
 
@@ -181,15 +194,13 @@ def aggressor_probabilities(
         end_time = max(t.timestamps[-1] for t in tracks if len(t) > 0)
     start_time = end_time - window
 
-    usable = [
-        sum(1 for t in track.timestamps if start_time <= t <= end_time) >= 2 for track in tracks
-    ]
-    if not any(usable):
+    spans = [_span(track, start_time, end_time) for track in tracks]
+    if all(len(span) < 2 for span in spans):
         raise InsufficientHistory("no track has two samples inside the window")
 
     scores = [
-        mean_center_translation(track, start_time, end_time) if ok else 0.0
-        for track, ok in zip(tracks, usable)
+        mean_center_translation(span, start_time, end_time, memo) if len(span) >= 2 else 0.0
+        for span in spans
     ]
     probs = softmax(scores)
     return [

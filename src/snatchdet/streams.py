@@ -37,6 +37,19 @@ def frame_to_obj(record: FrameRecord) -> dict:
     }
 
 
+def _numbers(values, what: str) -> list[float]:
+    """The values as floats: JSON integers are converted, anything else is rejected.
+
+    A boolean is not a number here, nor is a numeric string.
+    """
+    out = []
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise MalformedRecord(f"bad frame object: {what} must be a number, got {v!r}")
+        out.append(float(v))
+    return out
+
+
 def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
     """The frame of one decoded line, keypoints flattened; raises MalformedRecord."""
     try:
@@ -44,19 +57,27 @@ def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
         timestamp = obj.get("timestamp_s")
         if timestamp is None:
             timestamp = frame_index / fps
-        timestamp = float(timestamp)
+        elif type(timestamp) is not float:
+            (timestamp,) = _numbers([timestamp], "timestamp_s")
         persons = []
         for p in obj["persons"]:
-            xy: list[float] = []
-            conf: list[float] = []
+            xy: list = []
+            conf: list = []
             for x, y, c in p["keypoints"]:
-                xy.append(float(x))
-                xy.append(float(y))
-                conf.append(float(c))
-            bbox = tuple(float(v) for v in p["bbox"])
+                xy.append(x)
+                xy.append(y)
+                conf.append(c)
+            bbox = tuple(p["bbox"])
             if len(bbox) != 4:
                 raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")
-            persons.append((p["track_id"], Skeleton(tuple(xy), tuple(conf), bbox)))
+            skel = Skeleton(tuple(xy), tuple(conf), bbox)
+            if not skel.exact_floats:
+                skel = Skeleton(
+                    tuple(_numbers(xy, "a keypoint value")),
+                    tuple(_numbers(conf, "a keypoint value")),
+                    tuple(_numbers(bbox, "a bbox value")),
+                )
+            persons.append((p["track_id"], skel))
     except MalformedRecord:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

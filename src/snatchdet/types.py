@@ -9,19 +9,21 @@ and ``conf`` the 17 confidences, so parsing, validation and smoothing work
 on two tuples per person. ``Skeleton.keypoints`` gives the same values as
 (x, y, confidence) ``Keypoint`` tuples, built on each read.
 
-Each skeleton also carries its own geometry (effective torso height, body
-center, facing direction, elbow angles). Every value is computed on first
-use and stored on that skeleton, so pair selection, role ordering, every
-feature family and every overlapping window share one computation, and the
-values are freed with the skeleton.
+Each skeleton also carries its own geometry (shoulder and hip midpoints,
+effective torso height, body center, facing direction, elbow angles, arm
+extension). Every value is computed on first use and stored on that
+skeleton, so pair selection, role ordering, every feature family and every
+overlapping window share one computation, and the values are freed with the
+skeleton. Values that span two frames of a track, or two people, have no
+one skeleton to live on; a ``FrameMemo`` holds them, grouped by frame.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 NUM_KEYPOINTS = 17
 
@@ -49,6 +51,26 @@ COORDINATE_LIMIT = 1e9
 
 # Confidences this close to [0, 1] are clamped instead of rejected.
 _CONF_SLACK = 1e-9
+
+
+class _stored:
+    """A property computed on first read and stored in the instance dict.
+
+    ``functools.cached_property`` does the same behind a lock (Python 3.11),
+    which makes each first read cost about three times as much; every
+    skeleton pays several of them.
+    """
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj: Any, cls: Any = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class MalformedRecord(ValueError):
@@ -103,28 +125,53 @@ class Skeleton:
     # Stored geometry lives in the instance dict, outside the dataclass
     # fields, so equality, hash and repr ignore it.
 
-    @cached_property
+    @_stored
+    def exact_floats(self) -> bool:
+        """Every coordinate, confidence and bbox value is an exact ``float``.
+
+        The wire reader and ``validate_frame`` both ask; the scan runs once.
+        """
+        return {*map(type, self.xy), *map(type, self.conf), *map(type, self.bbox)} == _ONLY_FLOAT
+
+    @_stored
+    def midpoints(self) -> tuple[Optional[tuple[float, float]], Optional[tuple[float, float]]]:
+        """(shoulder midpoint, hip midpoint), each None when unobservable.
+
+        With exactly one valid shoulder (or hip) that point substitutes its
+        midpoint. The torso height and the body center both start here.
+        """
+        return (
+            _valid_midpoint(self, LEFT_SHOULDER, RIGHT_SHOULDER),
+            _valid_midpoint(self, LEFT_HIP, RIGHT_HIP),
+        )
+
+    @_stored
     def torso(self) -> Optional[float]:
         """Effective torso height (see ``_effective_torso_height``)."""
         return _effective_torso_height(self)
 
-    @cached_property
+    @_stored
     def center(self) -> Optional[tuple[float, float]]:
         """Body center (see ``_body_center``)."""
         return _body_center(self)
 
-    @cached_property
+    @_stored
     def facing(self) -> Optional[tuple[float, float]]:
         """Unit facing vector (see ``_facing_direction``)."""
         return _facing_direction(self)
 
-    @cached_property
+    @_stored
     def elbow_angles(self) -> tuple[Optional[float], Optional[float]]:
         """Interior (left, right) elbow angles in degrees."""
         return (
             _elbow_angle(self, LEFT_SHOULDER, LEFT_ELBOW, LEFT_WRIST),
             _elbow_angle(self, RIGHT_SHOULDER, RIGHT_ELBOW, RIGHT_WRIST),
         )
+
+    @_stored
+    def arm_extension(self) -> Optional[float]:
+        """Longer wrist-to-shoulder distance over the arms, in torso heights."""
+        return _arm_extension(self)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +199,7 @@ def torso_height(skel: Skeleton) -> Optional[float]:
     With exactly one valid shoulder (or hip) that point substitutes its
     midpoint.
     """
-    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
-    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
+    shoulders, hips = skel.midpoints
     if shoulders is None or hips is None:
         return None
     return math.sqrt((shoulders[0] - hips[0]) ** 2 + (shoulders[1] - hips[1]) ** 2)
@@ -172,8 +218,7 @@ def _effective_torso_height(skel: Skeleton) -> Optional[float]:
 
 def _body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
     """Mean of the valid shoulder and hip midpoints."""
-    shoulders = _valid_midpoint(skel, LEFT_SHOULDER, RIGHT_SHOULDER)
-    hips = _valid_midpoint(skel, LEFT_HIP, RIGHT_HIP)
+    shoulders, hips = skel.midpoints
     if shoulders is not None and hips is not None:
         return ((shoulders[0] + hips[0]) / 2.0, (shoulders[1] + hips[1]) / 2.0)
     if shoulders is not None:
@@ -232,6 +277,31 @@ def _elbow_angle(skel: Skeleton, shoulder: int, elbow: int, wrist: int) -> Optio
     c = (ux * wx + uy * wy) / (nu * nw)
     c = min(1.0, max(-1.0, c))
     return math.degrees(math.acos(c))
+
+
+def _arm_extension(skel: Skeleton) -> Optional[float]:
+    th = skel.torso
+    if th is None:
+        return None
+    per_arm = []
+    for shoulder, wrist in ((LEFT_SHOULDER, LEFT_WRIST), (RIGHT_SHOULDER, RIGHT_WRIST)):
+        s = valid_pos(skel, shoulder)
+        w = valid_pos(skel, wrist)
+        if s is not None and w is not None:
+            per_arm.append(math.sqrt((w[0] - s[0]) ** 2 + (w[1] - s[1]) ** 2) / th)
+    return max(per_arm) if per_arm else None
+
+
+def center_speed(prev: Skeleton, cur: Skeleton, dt: float) -> Optional[float]:
+    """Body-center speed between two samples of one person, torso-heights/second.
+
+    Normalized by the later sample's torso height; None when either center
+    or that torso height is unobservable, or ``dt`` is not positive.
+    """
+    c, p, th = cur.center, prev.center, cur.torso
+    if c is not None and p is not None and th is not None and dt > 0:
+        return math.sqrt((c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2) / dt / th
+    return None
 
 
 @dataclass(frozen=True)
@@ -303,6 +373,66 @@ class PairSegment:
         )
 
 
+_MISSING = object()
+
+
+class FrameMemo:
+    """Per-frame values of tracks and pairs, each computed once, grouped by frame.
+
+    ``values[t]`` holds the entries of the frame at timestamp ``t``, each
+    under ``"<name>|<track key>"`` for one track or ``"<name>|<key A>|<key
+    B>"`` for the ordered pair (A, B). A track key and a timestamp name one
+    skeleton, so every window, role ordering and caller that reads an entry
+    gets the same value. A value spanning the rows at ``t_prev`` and ``t``
+    is keyed by both frames: it is stored at ``t`` as ``(t_prev, value)``
+    and read only when ``t_prev`` matches, since a segment's previous row is
+    the previous frame both members share, which need not be the track's
+    previous frame. ``evict(t)`` drops frame ``t``'s entries. Readers must
+    not mutate a value.
+    """
+
+    def __init__(self) -> None:
+        self.values: defaultdict[float, dict] = defaultdict(dict)
+
+    def evict(self, t: float) -> None:
+        self.values.pop(t, None)
+
+    def steps(
+        self, name: str, track: Track, row: Callable[[Skeleton, Skeleton, float], Any]
+    ) -> list:
+        """``row(previous skeleton, skeleton, dt)`` at rows 1.. of the track, None at row 0."""
+        values, key = self.values, f"{name}|{track.track_id}"
+        times, skels = track.timestamps, track.skeletons
+        out: list = [None] if times else []
+        for t, tp, prev, cur in zip(times[1:], times, skels, skels[1:]):
+            frame = values[t]
+            entry = frame.get(key)
+            if entry is None or entry[0] != tp:
+                entry = frame[key] = (tp, row(prev, cur, t - tp))
+            out.append(entry[1])
+        return out
+
+    def pair_rows(
+        self, name: str, pair: PairSegment, row: Callable[[Skeleton, Skeleton], Any]
+    ) -> list:
+        """``row(A's skeleton, B's skeleton)`` at every row of the segment."""
+        a, b = pair.aggressor, pair.victim
+        values, key = self.values, f"{name}|{a.track_id}|{b.track_id}"
+        out = []
+        for t, skel_a, skel_b in zip(a.timestamps, a.skeletons, b.skeletons):
+            frame = values[t]
+            v = frame.get(key, _MISSING)
+            if v is _MISSING:
+                v = frame[key] = row(skel_a, skel_b)
+            out.append(v)
+        return out
+
+
+def center_speeds(track: Track, memo: FrameMemo) -> list[Optional[float]]:
+    """``center_speed`` from each row's previous row; None at row 0."""
+    return memo.steps("centerSpeed", track, center_speed)
+
+
 def _check_finite(value: float, what: str) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
         raise MalformedRecord(f"{what} must be a finite number, got {value!r}")
@@ -340,7 +470,7 @@ def _passes_whole(skel: Skeleton) -> bool:
     """
     xy, conf, bbox = skel.xy, skel.conf, skel.bbox
     return (
-        {*map(type, xy), *map(type, conf), *map(type, bbox)} == _ONLY_FLOAT
+        skel.exact_floats
         and len(bbox) == 4
         and math.isfinite(sum(xy))
         and -COORDINATE_LIMIT <= min(xy)

@@ -469,7 +469,8 @@ def split_id_frames():
 
 
 def equivalence_clips():
-    """20 random clips, then one with a far bystander and one with a split id."""
+    """20 random clips, then one with a far bystander, one with a split id and one
+    whose person 2 is absent for 3 frames (a gap inside one track key)."""
     rng = np.random.default_rng(909)
     kinds = ("snatch", "walk_by", "handshake", "standing")
     for i in range(20):
@@ -483,6 +484,8 @@ def equivalence_clips():
         yield generate(spec).frames
     yield with_bystander(generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames)
     yield split_id_frames()
+    gap_clip = generate(ScenarioSpec(kind="snatch", seed=23, noise_sigma=1.0)).frames
+    yield without_person(gap_clip, 2, 70, 73)
 
 
 def test_online_offline_equivalence(e2e, monkeypatch):
@@ -501,7 +504,7 @@ def test_online_offline_equivalence(e2e, monkeypatch):
         if online != offline:
             mismatches += 1
     report(
-        "Online/offline: alert events and per-window probabilities identical on 22 clips",
+        "Online/offline: alert events and per-window probabilities identical on 23 clips",
         mismatches == 0 and split_windows > 0,
         f"{total_events} events, {total_windows} windows ({split_windows} on a split id) compared",
     )
@@ -509,7 +512,8 @@ def test_online_offline_equivalence(e2e, monkeypatch):
 
 def test_window_state_bounded_under_id_churn(e2e):
     """Two people whose tracker ids change every 90 frames, for 3,000 frames:
-    the engine holds the track keys of the last window, not every id seen."""
+    the engine holds the track keys of the last window, not every id seen,
+    and per-frame memo entries only for the frames it still stores."""
     cfg = e2e["cfg"]
     clip = generate(ScenarioSpec(kind="handshake", seed=3, duration=10.0, noise_sigma=1.0)).frames
     frames = []
@@ -525,6 +529,8 @@ def test_window_state_bounded_under_id_churn(e2e):
     last_window = {str(tid) for f in frames[-cfg.window_frames:] for tid, _ in f.persons}
     assert engine.frames_processed == 3000
     assert len(engine._buffers) <= len(last_window)
+    memo = engine._windows.memo.values
+    assert memo and set(memo) <= {t for _, t, _ in engine._windows.frames}
 
 
 def test_extract_windows_matches_reference_on_split_ids():

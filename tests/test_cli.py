@@ -348,6 +348,33 @@ class TestStream:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stream", "extract"])
+    @pytest.mark.parametrize(
+        "where, value",
+        [("timestamp_s", True), ("keypoint", "1.5"), ("keypoint", False), ("bbox", "0")],
+    )
+    def test_string_or_boolean_number_exits_2(
+        self, corpus_dir, trained, tmp_path, capsys, command, where, value
+    ):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        lines = (corpus_dir / manifest["clips"][0]["file"]).read_text().splitlines()
+        obj = json.loads(lines[5])
+        if where == "timestamp_s":
+            obj["timestamp_s"] = value
+        elif where == "keypoint":
+            obj["persons"][0]["keypoints"][3][1] = value
+        else:
+            obj["persons"][0]["bbox"][2] = value
+        lines[5] = json.dumps(obj)
+        stream_path = tmp_path / "not_a_number.jsonl"
+        stream_path.write_text("\n".join(lines) + "\n")
+        if command == "stream":
+            argv = ["stream", "--stream", str(stream_path), "--model", str(trained["model"])]
+        else:
+            argv = ["extract", "--streams", str(stream_path), "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        assert "must be a number" in capsys.readouterr().err
+
     def test_corrupt_model_exits_2(self, trained, tmp_path):
         doc = json.loads(trained["model"].read_text())
         doc["trees"][0]["feature"][0] = len(doc["schema"])

@@ -20,6 +20,7 @@ from snatchdet.features import (
     bbox_area_rate,
     canonical_name,
     center_kinematics,
+    elbow_flexion,
     extract_segment,
     facing,
     feature_kind,
@@ -161,13 +162,13 @@ class TestHandMotion:
 class TestArmPosture:
     def test_collinear_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (2.0, 0.0)})
-        arms = arm_posture(presmoothed_track([skel] * 2), fps=30.0, params=PARAMS)
-        assert arms["elbowAngleL"][0] == pytest.approx(180.0, abs=1e-9)
+        elbows = elbow_flexion(presmoothed_track([skel] * 2), PARAMS)
+        assert elbows["elbowAngleL"][0] == pytest.approx(180.0, abs=1e-9)
 
     def test_perpendicular_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (1.0, 1.0)})
-        arms = arm_posture(presmoothed_track([skel] * 2), fps=30.0, params=PARAMS)
-        assert arms["elbowAngleL"][0] == pytest.approx(90.0, abs=1e-9)
+        elbows = elbow_flexion(presmoothed_track([skel] * 2), PARAMS)
+        assert elbows["elbowAngleL"][0] == pytest.approx(90.0, abs=1e-9)
 
     def test_retraction_after_peak(self):
         # extension series 0.2, 0.9, 0.4 at 5 fps: 0.2 s = 1 frame
@@ -188,7 +189,7 @@ class TestArmPosture:
                     bbox=(0.0, 0.0, 120.0, 110.0),
                 )
             )
-        arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0, params=PARAMS)
+        arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0)
         assert arms["timeToPeakArmExt"] == 1.0
         assert arms["armRetraction0p2s"] == pytest.approx(0.5, rel=1e-9)
 
@@ -209,7 +210,7 @@ class TestArmPosture:
                     bbox=(0.0, 0.0, 120.0, 110.0),
                 )
             )
-        arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0, params=PARAMS)
+        arms = arm_posture(presmoothed_track(skels, fps=5.0), fps=5.0)
         assert arms["armRetraction0p2s"] is None
 
 
@@ -524,8 +525,8 @@ class TestExtractSegment:
     def test_base_name_missing_from_its_family_is_an_error(self, rng, monkeypatch):
         inner = facing
 
-        def without_rate(pair):
-            out = inner(pair)
+        def without_rate(pair, memo=None):
+            out = inner(pair, memo)
             del out["facingRate"]
             return out
 
@@ -593,7 +594,10 @@ class TestSchemaPruning:
         def forbidden(*args, **kwargs):
             raise AssertionError("family computed although no schema name reads it")
 
-        for name in ("center_kinematics", "arm_posture", "bbox_area_rate", "relative_motion", "facing"):
+        for name in (
+            "center_kinematics", "arm_posture", "elbow_flexion", "bbox_area_rate",
+            "relative_motion", "facing",
+        ):
             monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
         schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
         vector = extract_segment(random_segment(rng, 12), schema, PARAMS)

@@ -55,9 +55,9 @@ def test_extraction_computes_each_track_wrist_velocities_once(monkeypatch):
     calls = Counter()
     uncached = features.wrist_velocities
 
-    def counting(track):
+    def counting(track, memo=None):
         calls[track.track_id] += 1
-        return uncached(track)
+        return uncached(track, memo)
 
     monkeypatch.setattr(features, "wrist_velocities", counting)
     params = cfg.feature_params()

@@ -149,13 +149,24 @@ def _maybe(strategy):
     return st.one_of(strategy, strategy, json_value)
 
 
-triple = _maybe(st.lists(_maybe(st.floats()), min_size=3, max_size=3))
+# numbers as the wire allows them, and look-alikes it must refuse
+numeric_text = st.one_of(st.floats().map(repr), st.integers().map(str))
+number = st.one_of(st.floats(), st.integers(-(10**6), 10**6))
+look_alike = st.one_of(st.booleans(), numeric_text)
+
+
+def _value(strategy):
+    """Mostly the given numbers, sometimes a boolean or a numeric string."""
+    return st.one_of(strategy, strategy, strategy, look_alike)
+
+
+triple = _maybe(st.lists(_maybe(_value(number)), min_size=3, max_size=3))
 person = _maybe(
     st.fixed_dictionaries(
         {
             "track_id": _maybe(st.integers(min_value=0, max_value=9)),
             "keypoints": _maybe(st.lists(triple, min_size=16, max_size=18)),
-            "bbox": _maybe(st.lists(_maybe(st.floats()), min_size=3, max_size=5)),
+            "bbox": _maybe(st.lists(_maybe(_value(number)), min_size=3, max_size=5)),
         }
     )
 )
@@ -163,7 +174,7 @@ frame_object = st.fixed_dictionaries(
     {},
     optional={
         "frame_index": _maybe(st.integers(min_value=0, max_value=10**6)),
-        "timestamp_s": _maybe(st.floats(min_value=0.0, max_value=1e6)),
+        "timestamp_s": _maybe(_value(st.floats(min_value=0.0, max_value=1e6))),
         "persons": _maybe(st.lists(person, max_size=2)),
         "extra": json_value,
     },
@@ -179,10 +190,58 @@ def test_any_json_object_gives_a_frame_or_malformed_record(obj):
     except MalformedRecord:
         return
     assert isinstance(frame, FrameRecord)
+    # a frame was read only from numbers: no string or boolean passed as one
+    # (a null or missing timestamp_s is synthesized from frame_index)
+    wire = [] if obj.get("timestamp_s") is None else [obj["timestamp_s"]]
+    for p in obj["persons"]:
+        wire.extend(v for x, y, c in p["keypoints"] for v in (x, y, c))
+        wire.extend(p["bbox"])
+    assert {type(v) for v in wire} <= {int, float}
+    # and JSON integers arrive as floats
+    assert type(frame.timestamp) is float
+    for _, skel in frame.persons:
+        assert {type(v) for v in (*skel.xy, *skel.conf, *skel.bbox)} <= {float}
     try:
         validate_frame(frame)
     except MalformedRecord:
         pass
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timestamp_s", True), ("timestamp_s", "0.5"), ("keypoint", "1.5"), ("keypoint", True),
+     ("confidence", "0.9"), ("bbox", False), ("bbox", "10")],
+)
+def test_string_or_boolean_number_is_a_malformed_record(field, value):
+    obj = json.loads(_one_person_line())
+    if field == "timestamp_s":
+        obj["timestamp_s"] = value
+    elif field == "bbox":
+        obj["persons"][0]["bbox"][1] = value
+    else:
+        obj["persons"][0]["keypoints"][4][0 if field == "keypoint" else 2] = value
+    with pytest.raises(MalformedRecord, match="bad frame object: .* must be a number"):
+        streams.line_to_frame(json.dumps(obj))
+
+
+def test_integer_values_are_stored_as_floats():
+    obj = json.loads(_one_person_line())
+    obj["timestamp_s"] = 2
+    obj["persons"][0]["keypoints"][0] = [10, -3, 1]
+    obj["persons"][0]["bbox"] = [0, 1, 50, 60]
+    frame = streams.line_to_frame(json.dumps(obj))
+    skel = frame.persons[0][1]
+    assert repr((frame.timestamp, skel.xy[:2], skel.conf[0], skel.bbox)) == repr(
+        (2.0, (10.0, -3.0), 1.0, (0.0, 1.0, 50.0, 60.0))
+    )
+
+
+def _one_person_line() -> str:
+    kps = [[100.0 + j, 200.0 - j, 0.9] for j in range(17)]
+    return json.dumps(
+        {"frame_index": 0, "timestamp_s": 0.0,
+         "persons": [{"track_id": 1, "keypoints": kps, "bbox": [90.0, 180.0, 130.0, 220.0]}]}
+    )
 
 
 @pytest.mark.parametrize(
