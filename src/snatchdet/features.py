@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from typing import IO, Any, Iterable, Optional, Sequence, Union
 
 from .types import (
-    LEFT_HIP,
     LEFT_WRIST,
-    RIGHT_HIP,
     RIGHT_WRIST,
     FrameMemo,
     PairSegment,
     Skeleton,
     Track,
     center_speeds,
+    memo_or_new,
     valid_pos,
 )
 
@@ -264,8 +263,6 @@ class FeatureVector:
     """Aggregated features of one segment under one role ordering."""
 
     values: dict[str, float]
-    start_time: float
-    end_time: float
     roles: tuple[str, str]  # (aggressor track id, victim track id)
 
     def __getitem__(self, name: str) -> float:
@@ -279,11 +276,11 @@ class FeatureVector:
 # per-frame geometry helpers (plain arithmetic, fixed operation order)
 #
 # A family reads its per-frame values through a ``FrameMemo``: values of one
-# skeleton from the skeleton itself, values spanning two rows of a track
-# (``memo.steps``) or one row of the ordered pair (``memo.pair_rows``) from
-# the memo, each computed by one row function the first time any window
-# asks. Everything relative to the window (the first rows' missing
-# derivatives, peaks, runs, percentages) is computed per call.
+# skeleton from the skeleton itself, values of one row of the ordered pair
+# (``memo.rows``) or spanning two rows of a track or of the pair
+# (``memo.steps``) from the memo, each computed by one row function the
+# first time any window asks. Everything relative to the window (the first
+# rows' missing derivatives, peaks, runs, percentages) is computed per call.
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
@@ -346,11 +343,6 @@ def _mean_torso(a: Skeleton, b: Skeleton) -> Value:
     return None if ta is None or tb is None else (ta + tb) / 2.0
 
 
-def _memo(memo: Optional[FrameMemo]) -> FrameMemo:
-    """The caller's memo, or a fresh one for a caller without a window store."""
-    return FrameMemo() if memo is None else memo
-
-
 # ---------------------------------------------------------------------------
 # individual features
 
@@ -359,7 +351,7 @@ def center_kinematics(track: Track, memo: Optional[FrameMemo] = None) -> Outputs
     """Normalized body-center speed and its backward-difference acceleration."""
     if len(track) < 2:
         raise InsufficientSamples("center kinematics need at least 2 samples")
-    speed = center_speeds(track, _memo(memo))
+    speed = center_speeds(track, memo)
     return {"velocity": speed, "acceleration": _backward_diff(track.timestamps, speed)}
 
 
@@ -393,7 +385,7 @@ def wrist_velocities(track: Track, memo: Optional[FrameMemo] = None) -> list[Wri
     normalized by time step and torso height. A wrist only has a velocity
     at row i when it is valid at rows i-1 and i.
     """
-    return _memo(memo).steps("wrists", track, _wrist_step)
+    return memo_or_new(memo).steps("wrists", _wrist_step, track)
 
 
 def _fast_flags(hand_speed: list[Value], params: FeatureParams) -> list[Optional[bool]]:
@@ -466,7 +458,7 @@ def bbox_area_rate(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
     """
     if len(track) < 2:
         raise InsufficientSamples("bbox area rate needs at least 2 samples")
-    return {"bboxAreaRate": _memo(memo).steps("bboxAreaRate", track, _bbox_area_rate)}
+    return {"bboxAreaRate": memo_or_new(memo).steps("bboxAreaRate", _bbox_area_rate, track)}
 
 
 def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
@@ -490,21 +482,11 @@ def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
 # pair alignment and interaction features
 
 
-def pair_segment(
-    track_a: Track,
-    track_b: Track,
-    fps: float,
-    start: Optional[float] = None,
-    end: Optional[float] = None,
-) -> PairSegment:
-    """Align two smoothed tracks on shared timestamps within [start, end]."""
+def pair_segment(track_a: Track, track_b: Track, fps: float) -> PairSegment:
+    """Align two smoothed tracks on their shared timestamps."""
     index_b = {t: i for i, t in enumerate(track_b.timestamps)}
     rows: list[tuple[float, int, int]] = []
     for ia, t in enumerate(track_a.timestamps):
-        if start is not None and t < start:
-            continue
-        if end is not None and t > end:
-            continue
         ib = index_b.get(t)
         if ib is not None:
             rows.append((t, ia, ib))
@@ -523,8 +505,6 @@ def pair_segment(
     return PairSegment(
         aggressor=slice_track(track_a, [ia for _, ia, _ in rows]),
         victim=slice_track(track_b, [ib for _, _, ib in rows]),
-        start_time=rows[0][0],
-        end_time=rows[-1][0],
         fps=fps,
     )
 
@@ -539,7 +519,7 @@ def _distance_and_iou(a: Skeleton, b: Skeleton) -> tuple[Value, float]:
 
 def interaction_distance(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
     """Normalized center distance, its rate, and bbox IoU over the segment."""
-    rows = _memo(memo).pair_rows("distance", pair, _distance_and_iou)
+    rows = memo_or_new(memo).rows("distance", _distance_and_iou, pair.aggressor, pair.victim)
     distance: list[Value] = [d for d, _ in rows]
     ious: list[Value] = [v for _, v in rows]
     peak = _first_argmax(ious)
@@ -603,21 +583,14 @@ def relative_motion(
     a missing value. ``velocities`` are A's ``wrist_velocities``. Both
     values at row i span rows i-1 and i of the pair.
     """
-    values = _memo(memo).values
-    key = f"relative|{pair.aggressor.track_id}|{pair.victim.track_id}"
-    times = pair.aggressor.timestamps
-    skels_a, skels_b = pair.aggressor.skeletons, pair.victim.skeletons
-    rel_speed: list[Value] = [None] * len(times)
-    toward: list[Value] = [None] * len(times)
-    for i in range(1, len(times)):
-        t, tp = times[i], times[i - 1]
-        frame = values[t]
-        entry = frame.get(key)
-        if entry is None or entry[0] != tp:
-            entry = frame[key] = tp, _relative_step(
-                skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], t - tp, velocities[i]
-            )
-        rel_speed[i], toward[i] = entry[1]
+    rows = memo_or_new(memo).steps(
+        "relative", _relative_step, pair.aggressor, pair.victim, extra=velocities
+    )
+    rel_speed: list[Value] = [None]
+    toward: list[Value] = [None]
+    for speed, cosine in rows[1:]:
+        rel_speed.append(speed)
+        toward.append(cosine)
 
     thr = params.hand_toward_threshold
     return {
@@ -639,12 +612,7 @@ def _hand_reach(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
     cb = b.center
     if cb is not None:
         to_torso = min(_dist(w[0], w[1], cb[0], cb[1]) / th for w in wrists)
-    hip_l = valid_pos(b, LEFT_HIP)
-    hip_r = valid_pos(b, RIGHT_HIP)
-    if hip_l is not None and hip_r is not None:
-        hip = ((hip_l[0] + hip_r[0]) / 2.0, (hip_l[1] + hip_r[1]) / 2.0)
-    else:
-        hip = hip_l if hip_l is not None else hip_r
+    hip = b.midpoints[1]
     if hip is None:
         return to_torso, None
     return to_torso, min(_dist(w[0], w[1], hip[0], hip[1]) / th for w in wrists)
@@ -663,7 +631,7 @@ def reaching(
     ``handVelocity``) and ``distance`` the normalized center distance series
     (``interaction_distance``'s ``distance``) of the same segment.
     """
-    rows = _memo(memo).pair_rows("reaching", pair, _hand_reach)
+    rows = memo_or_new(memo).rows("reaching", _hand_reach, pair.aggressor, pair.victim)
     hand_to_torso: list[Value] = [d for d, _ in rows]
     hand_to_hip: list[Value] = [d for _, d in rows]
 
@@ -725,12 +693,12 @@ def facing(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
     Both cosines are taken against the A-to-B direction, so +1 means A
     faces B and -1 means B faces A.
     """
-    memo = _memo(memo)
-    rows = memo.pair_rows("facing", pair, _facing_cosines)
+    memo = memo_or_new(memo)
+    rows = memo.rows("facing", _facing_cosines, pair.aggressor, pair.victim)
     return {
         "AfacingToB": [c for c, _ in rows],
         "BfacingToA": [c for _, c in rows],
-        "facingRate": memo.steps("facingRate", pair.victim, _facing_rate),
+        "facingRate": memo.steps("facingRate", _facing_rate, pair.victim),
     }
 
 
@@ -807,7 +775,7 @@ def extract_segment(
         raise SegmentTooShort(
             f"segment has {len(pair)} frames, need {params.min_segment_frames}"
         )
-    families = _SegmentFamilies(pair, params, _memo(memo))
+    families = _SegmentFamilies(pair, params, memo_or_new(memo))
     aggregated: dict[tuple[str, str], dict[str, Value]] = {}
     values: dict[str, float] = {}
     for name in schema.names:
@@ -818,12 +786,7 @@ def extract_segment(
                 aggregated[family, base] = aggregate(value, STATS)
             value = aggregated[family, base][stat]
         values[name] = float(value) if value is not None else missing_sentinel(name)
-    return FeatureVector(
-        values=values,
-        start_time=pair.start_time,
-        end_time=pair.end_time,
-        roles=(pair.aggressor.track_id, pair.victim.track_id),
-    )
+    return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))
 
 
 # ---------------------------------------------------------------------------

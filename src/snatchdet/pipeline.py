@@ -8,10 +8,13 @@ skeleton) list. At each stride point it groups those frames into tracks and
 hands back the closest pair of the window as an ordered ``PairSegment``.
 Its state is the window plus one record per raw id, however many track
 keys the stream has used, plus its ``FrameMemo``: the per-frame values
-(center speeds, wrist velocities, pair distances, ...) of the stored
-frames, each computed the first time a window asks for it and shared by
-the overlapping windows and both role orderings, then evicted with its
-frame.
+(center speeds, wrist velocities, a pair's normalized distances, ...) of
+the stored frames, each computed the first time a window asks for it and
+shared by role ordering, both role orderings of the extraction and the
+overlapping windows, then evicted with its frame. Pair selection reads
+the centers stored on the skeletons and computes each raw center distance
+directly: most of those distances belong to pairs that are never
+extracted, and storing them cost what computing them does.
 
 ``StreamEngine`` (``snatchdet stream``) classifies that segment under both
 role orderings; ``extract_windows`` (``extract --mode sliding``) extracts it
@@ -66,35 +69,20 @@ def pair_key_str(id_a: str, id_b: str) -> str:
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
 
 
-def _mean_pair_distance(
-    key: str, centers_a: Centers, centers_b: Centers, memo: FrameMemo
-) -> Optional[float]:
-    """Mean raw center distance over the frames both tracks share.
-
-    Each frame's distance is read from ``memo`` under ``key``; the sum runs
-    in frame order.
-    """
-    values = memo.values
+def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
+    """Mean raw center distance over the frames both tracks share, summed in frame order."""
     dists = []
     for t, ca in centers_a.items():
         cb = centers_b.get(t)
-        if ca is None or cb is None:
-            continue
-        frame = values[t]
-        d = frame.get(key)
-        if d is None:
-            d = frame[key] = math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2)
-        dists.append(d)
+        if ca is not None and cb is not None:
+            dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
     if not dists:
         return None
     return sum(dists) / len(dists)
 
 
-def select_pair(
-    windows: Sequence[Track], min_frames: int, memo: Optional[FrameMemo] = None
-) -> Optional[tuple[Track, Track]]:
+def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
     """The pair with minimum mean center distance; None when no pair qualifies."""
-    memo = FrameMemo() if memo is None else memo
     eligible = [w for w in windows if len(w) >= min_frames]
     centers = [dict(zip(w.timestamps, map(body_center, w.skeletons))) for w in eligible]
     best: Optional[tuple[float, tuple, Track, Track]] = None
@@ -103,9 +91,7 @@ def select_pair(
             a, b = eligible[i], eligible[j]
             if len(centers[i].keys() & centers[j].keys()) < min_frames:
                 continue
-            d = _mean_pair_distance(
-                f"centerDistance|{a.track_id}|{b.track_id}", centers[i], centers[j], memo
-            )
+            d = _mean_pair_distance(centers[i], centers[j])
             if d is None:
                 continue
             key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
@@ -136,9 +122,9 @@ class TrackWindows:
     segment at each stride point, ``add`` keeps every frame, for one window
     over a whole clip. Each raw id has one record: its current key, the
     position it was last seen at, how often it was split and its smoother.
-    ``memo`` holds the per-frame values of the stored frames that pair
-    selection, role ordering and extraction have asked for; a frame's
-    entries leave with the frame.
+    ``memo`` holds the per-frame values of the stored frames that role
+    ordering and extraction have asked for; a frame's entries leave with
+    the frame.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -200,7 +186,7 @@ class TrackWindows:
         order, since distances are symmetric, ties break on ``track_order``
         and the two-term softmax sum is commutative.
         """
-        pair = select_pair(self.tracks(), self.cfg.min_segment_frames, self.memo)
+        pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
         if pair is None:
             return None
         agg, vic = order_roles(pair[0], pair[1], window_s, self.memo)
@@ -309,9 +295,9 @@ class StreamEngine:
         self.schema = full.select(model.feature_names)
 
         self._windows = TrackWindows(cfg)
-        self._pair_yhat: dict[str, int] = {}
-        self._pair_members: dict[str, tuple[str, str]] = {}
-        self._alarms: dict[str, AlarmState] = {}
+        # pair key -> (latest prediction, (member, member), alarm), in order of
+        # first classification
+        self._pairs: dict[str, tuple[int, tuple[str, str], AlarmState]] = {}
         self._prev_t: Optional[float] = None
         self._start_t: Optional[float] = None
 
@@ -334,8 +320,10 @@ class StreamEngine:
         )
         agg, vic = segment.aggressor.track_id, segment.victim.track_id
         key = pair_key_str(agg, vic)
-        self._pair_yhat[key] = 1 if prob >= self.cfg.prob_threshold else 0
-        self._pair_members[key] = _pair_key(agg, vic)
+        known = self._pairs.get(key)
+        alarm = AlarmState() if known is None else known[2]
+        yhat = 1 if prob >= self.cfg.prob_threshold else 0
+        self._pairs[key] = (yhat, _pair_key(agg, vic), alarm)
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
         record = validate_frame(record, prev_timestamp=self._prev_t)
@@ -349,12 +337,10 @@ class StreamEngine:
             self._classify(segment)
 
         new_alerts: list[AlertRecord] = []
-        for key, yhat in self._pair_yhat.items():
-            a, b = self._pair_members[key]
+        for key, (yhat, (a, b), alarm) in self._pairs.items():
             if a not in present or b not in present:
                 continue
-            state = self._alarms.setdefault(key, AlarmState())
-            _, event = step(state, yhat, self.hcfg, record.timestamp)
+            _, event = step(alarm, yhat, self.hcfg, record.timestamp)
             if event is None:
                 continue
             alert = AlertRecord(

@@ -152,23 +152,6 @@ def _span(track: Track, start: float, end: float) -> Track:
     return Track(track.track_id, times[lo:hi], track.skeletons[lo:hi])
 
 
-def mean_center_translation(
-    track: Track, start: float, end: float, memo: Optional[FrameMemo] = None
-) -> float:
-    """Mean body-center speed (torso-heights/second) over [start, end].
-
-    The speeds are ``center_speed`` between consecutive samples in the span,
-    read from ``memo`` when it holds them; pairs where it is unobservable
-    are skipped. Returns 0.0 when nothing is measurable.
-    """
-    span = _span(track, start, end)
-    memo = FrameMemo() if memo is None else memo
-    speeds = [v for v in center_speeds(span, memo) if v is not None]
-    if not speeds:
-        return 0.0
-    return sum(speeds) / len(speeds)
-
-
 def softmax(scores: Sequence[float]) -> list[float]:
     """Temperature-1 softmax, stabilized by subtracting the max score."""
     m = max(scores)
@@ -178,30 +161,27 @@ def softmax(scores: Sequence[float]) -> list[float]:
 
 
 def aggressor_probabilities(
-    tracks: Sequence[Track],
-    window: float,
-    end_time: Optional[float] = None,
-    memo: Optional[FrameMemo] = None,
+    tracks: Sequence[Track], window: float, memo: Optional[FrameMemo] = None
 ) -> list[RoleAssignment]:
     """Softmax role scores over the candidate tracks (temperature 1).
 
-    ``window`` is the span of history (seconds) considered, ending at
-    ``end_time`` (defaults to the latest timestamp across the tracks).
+    ``window`` is the span of history (seconds) considered, ending at the
+    latest timestamp across the tracks. A track's score is its mean body
+    center speed (torso-heights/second) over that span: ``center_speed``
+    between consecutive samples, read from ``memo`` when it holds them,
+    skipping pairs where it is unobservable; 0.0 when nothing is measurable.
     """
     if not tracks:
         raise InsufficientHistory("no tracks given")
-    if end_time is None:
-        end_time = max(t.timestamps[-1] for t in tracks if len(t) > 0)
-    start_time = end_time - window
-
-    spans = [_span(track, start_time, end_time) for track in tracks]
+    end = max(t.timestamps[-1] for t in tracks if len(t) > 0)
+    spans = [_span(track, end - window, end) for track in tracks]
     if all(len(span) < 2 for span in spans):
         raise InsufficientHistory("no track has two samples inside the window")
 
-    scores = [
-        mean_center_translation(span, start_time, end_time, memo) if len(span) >= 2 else 0.0
-        for span in spans
-    ]
+    scores = []
+    for span in spans:
+        speeds = [v for v in center_speeds(span, memo) if v is not None]
+        scores.append(sum(speeds) / len(speeds) if speeds else 0.0)
     probs = softmax(scores)
     return [
         RoleAssignment(track_id=track.track_id, p_aggressor=p, mean_translation=s)

@@ -68,8 +68,6 @@ def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
                 xy.append(y)
                 conf.append(c)
             bbox = tuple(p["bbox"])
-            if len(bbox) != 4:
-                raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")
             skel = Skeleton(tuple(xy), tuple(conf), bbox)
             if not skel.exact_floats:
                 skel = Skeleton(

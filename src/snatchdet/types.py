@@ -15,7 +15,11 @@ extension). Every value is computed on first use and stored on that
 skeleton, so pair selection, role ordering, every feature family and every
 overlapping window share one computation, and the values are freed with the
 skeleton. Values that span two frames of a track, or two people, have no
-one skeleton to live on; a ``FrameMemo`` holds them, grouped by frame.
+one skeleton to live on; a ``FrameMemo`` holds the ones role ordering and
+the feature families read, grouped by frame, and is the only code that
+reads or writes them. Pair selection's raw center distances are computed
+where they are read, not stored: most belong to pairs that are never
+extracted.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ class Skeleton:
     bbox: tuple[float, float, float, float]  # x1, y1, x2, y2
 
     def __post_init__(self) -> None:
+        if len(self.bbox) != 4:
+            raise MalformedRecord(f"bbox must have 4 values, got {len(self.bbox)}")
         if len(self.conf) != NUM_KEYPOINTS or len(self.xy) != 2 * len(self.conf):
             raise MalformedRecord(
                 f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(self.conf)}"
@@ -350,13 +356,9 @@ class PairSegment:
 
     aggressor: Track
     victim: Track
-    start_time: float
-    end_time: float
     fps: float
 
     def __post_init__(self) -> None:
-        if self.end_time <= self.start_time:
-            raise ValueError("segment end must be after start")
         if self.aggressor.timestamps != self.victim.timestamps:
             raise ValueError("pair tracks must be aligned on identical timestamps")
 
@@ -364,13 +366,7 @@ class PairSegment:
         return len(self.aggressor)
 
     def swapped(self) -> "PairSegment":
-        return PairSegment(
-            aggressor=self.victim,
-            victim=self.aggressor,
-            start_time=self.start_time,
-            end_time=self.end_time,
-            fps=self.fps,
-        )
+        return PairSegment(aggressor=self.victim, victim=self.aggressor, fps=self.fps)
 
 
 _MISSING = object()
@@ -379,16 +375,18 @@ _MISSING = object()
 class FrameMemo:
     """Per-frame values of tracks and pairs, each computed once, grouped by frame.
 
-    ``values[t]`` holds the entries of the frame at timestamp ``t``, each
-    under ``"<name>|<track key>"`` for one track or ``"<name>|<key A>|<key
-    B>"`` for the ordered pair (A, B). A track key and a timestamp name one
-    skeleton, so every window, role ordering and caller that reads an entry
-    gets the same value. A value spanning the rows at ``t_prev`` and ``t``
-    is keyed by both frames: it is stored at ``t`` as ``(t_prev, value)``
-    and read only when ``t_prev`` matches, since a segment's previous row is
-    the previous frame both members share, which need not be the track's
-    previous frame. ``evict(t)`` drops frame ``t``'s entries. Readers must
-    not mutate a value.
+    A value belongs to one row of the ordered pair (A, B) of tracks that
+    share timestamps (``rows``), or to two consecutive rows of one track or
+    of that pair (``steps``). ``values[t]`` holds the entries of the frame
+    at timestamp ``t``, each under ``"<name>|<track key>[|<track key>]"``.
+    Track keys and a timestamp name the skeletons, so every window, role
+    ordering and caller that asks gets the same value. A value spanning the
+    rows at ``t_prev`` and ``t`` is stored at ``t`` as ``(t_prev, value)``
+    and read only when ``t_prev`` matches, since a segment's previous row
+    is the previous frame both members share, which need not be the
+    track's previous frame. ``evict(t)`` drops frame ``t``'s entries.
+    Readers must not mutate a value. Nothing outside this class reads or
+    writes ``values``.
     """
 
     def __init__(self) -> None:
@@ -397,26 +395,13 @@ class FrameMemo:
     def evict(self, t: float) -> None:
         self.values.pop(t, None)
 
-    def steps(
-        self, name: str, track: Track, row: Callable[[Skeleton, Skeleton, float], Any]
+    def rows(
+        self, name: str, row: Callable[[Skeleton, Skeleton], Any], a: Track, b: Track
     ) -> list:
-        """``row(previous skeleton, skeleton, dt)`` at rows 1.. of the track, None at row 0."""
-        values, key = self.values, f"{name}|{track.track_id}"
-        times, skels = track.timestamps, track.skeletons
-        out: list = [None] if times else []
-        for t, tp, prev, cur in zip(times[1:], times, skels, skels[1:]):
-            frame = values[t]
-            entry = frame.get(key)
-            if entry is None or entry[0] != tp:
-                entry = frame[key] = (tp, row(prev, cur, t - tp))
-            out.append(entry[1])
-        return out
+        """``row(A's skeleton, B's skeleton)`` at every row of the ordered pair (A, B).
 
-    def pair_rows(
-        self, name: str, pair: PairSegment, row: Callable[[Skeleton, Skeleton], Any]
-    ) -> list:
-        """``row(A's skeleton, B's skeleton)`` at every row of the segment."""
-        a, b = pair.aggressor, pair.victim
+        A value of one row of one track lives on its skeleton instead.
+        """
         values, key = self.values, f"{name}|{a.track_id}|{b.track_id}"
         out = []
         for t, skel_a, skel_b in zip(a.timestamps, a.skeletons, b.skeletons):
@@ -427,10 +412,52 @@ class FrameMemo:
             out.append(v)
         return out
 
+    def steps(
+        self,
+        name: str,
+        row: Callable[..., Any],
+        a: Track,
+        b: Optional[Track] = None,
+        extra: Optional[list] = None,
+    ) -> list:
+        """Values spanning each row and the row before it; None at row 0.
 
-def center_speeds(track: Track, memo: FrameMemo) -> list[Optional[float]]:
+        For the track ``a``: ``row(previous skeleton, skeleton, dt)``. For
+        the ordered pair (``a``, ``b``): ``row(A's previous skeleton, B's
+        previous skeleton, A's skeleton, B's skeleton, dt, extra[i])``, where
+        ``extra[i]`` is a value of row i the caller already holds (relative
+        motion passes A's wrist steps); it must depend only on rows i-1 and i.
+        """
+        if b is None:
+            key = f"{name}|{a.track_id}"
+        else:
+            key, skels_b = f"{name}|{a.track_id}|{b.track_id}", b.skeletons
+        values, times, skels_a = self.values, a.timestamps, a.skeletons
+        out: list = [None] if times else []
+        for t, tp in zip(times[1:], times):
+            frame = values[t]
+            entry = frame.get(key)
+            if entry is None or entry[0] != tp:
+                i = len(out)
+                if b is None:
+                    value = row(skels_a[i - 1], skels_a[i], t - tp)
+                else:
+                    value = row(
+                        skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], t - tp, extra[i]
+                    )
+                entry = frame[key] = (tp, value)
+            out.append(entry[1])
+        return out
+
+
+def memo_or_new(memo: Optional[FrameMemo]) -> FrameMemo:
+    """The caller's memo, or a fresh one for a caller without a window store."""
+    return FrameMemo() if memo is None else memo
+
+
+def center_speeds(track: Track, memo: Optional[FrameMemo] = None) -> list[Optional[float]]:
     """``center_speed`` from each row's previous row; None at row 0."""
-    return memo.steps("centerSpeed", track, center_speed)
+    return memo_or_new(memo).steps("centerSpeed", center_speed, track)
 
 
 def _check_finite(value: float, what: str) -> None:
@@ -471,7 +498,6 @@ def _passes_whole(skel: Skeleton) -> bool:
     xy, conf, bbox = skel.xy, skel.conf, skel.bbox
     return (
         skel.exact_floats
-        and len(bbox) == 4
         and math.isfinite(sum(xy))
         and -COORDINATE_LIMIT <= min(xy)
         and max(xy) <= COORDINATE_LIMIT

@@ -1,10 +1,10 @@
 """Extraction through the window store's per-frame memo equals fresh extraction.
 
-``TrackWindows`` keeps one ``FrameMemo`` for the frames it stores; pair
-selection, role ordering and every extraction of every overlapping window
-read it. The property drives a store over random streams whose people leave
-for a few frames (shorter than ``max_gap_frames``, so their key stays) and
-one of whom is gone long enough to come back under a split key. Those gaps
+``TrackWindows`` keeps one ``FrameMemo`` for the frames it stores; role
+ordering and every extraction of every overlapping window read it. The
+property drives a store over random streams whose people leave for a few
+frames (shorter than ``max_gap_frames``, so their key stays) and one of
+whom is gone long enough to come back under a split key. Those gaps
 make a segment's previous row differ from a track's previous stored frame,
 which is where a wrongly keyed two-frame value would show.
 """

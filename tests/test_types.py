@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import frame_of, static_skeleton
 from snatchdet import streams
 from snatchdet.config import PipelineConfig
-from snatchdet.pipeline import TrackWindows
+from snatchdet.forest import Dataset, ForestConfig, train
+from snatchdet.pipeline import StreamEngine, TrackWindows
 from snatchdet.types import (
     FrameRecord,
     Keypoint,
@@ -67,6 +68,17 @@ class TestValidateFrame:
         record = frame_of(0, 0.0, [(1, Skeleton.from_keypoints(skel.keypoints, (10.0, 0.0, 0.0, 20.0)))])
         with pytest.raises(MalformedRecord, match="bbox"):
             validate_frame(record)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_bbox_of_wrong_length_is_malformed(self, n):
+        # the skeleton refuses it, so neither validation nor the engine sees a
+        # bare unpacking error
+        model = train(Dataset(("distance_mean",), [[0.0], [1.0]], [0, 1]), ForestConfig(n_trees=1))
+        skel = static_skeleton()
+        bbox = tuple(10.0 * i for i in range(n))
+        for consume in (validate_frame, StreamEngine(model, PipelineConfig()).process):
+            with pytest.raises(MalformedRecord, match=f"bbox must have 4 values, got {n}"):
+                consume(frame_of(0, 0.0, [(1, Skeleton(skel.xy, skel.conf, bbox))]))
 
     def test_clamps_confidence_within_slack(self):
         kps = list(static_skeleton().keypoints)
