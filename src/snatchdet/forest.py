@@ -8,6 +8,17 @@ Training is bit-reproducible: every tree draws from its own PCG64
 substream seeded by (seed, tree_index), so results do not depend on
 scheduling or row order (rows are canonicalized by sample id when ids are
 present).
+
+A tree is stored as flat node arrays, which training fills and the model
+document holds. Prediction walks a nested form of each tree instead,
+``(feature, threshold, left, right)`` tuples whose leaves are the leaf
+probabilities, built once per tree after growing or loading. It is built
+bottom-up in reverse node order, since a child always lies after its
+parent: each node is built once even where a valid document shares a
+child between parents (a top-down build would copy it once per path, an
+exponential number of times in the worst case), and no recursion limits
+how deep a tree may be. The walk compares and sums exactly as the flat
+arrays did, so probabilities are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -122,12 +133,19 @@ class Dataset:
         )
 
 
+# A tree's nested form: (feature, threshold, left, right) at a split, the
+# leaf's robbery fraction at a leaf.
+Node = Union[tuple, float]
+
+
 @dataclass
 class Tree:
     """Flat CART arrays: node i is internal iff feature[i] >= 0.
 
-    ``probability`` holds each leaf's weighted robbery fraction
-    w1 / (w0 + w1), 0.0 at internal nodes; ``set_probabilities`` fills it
+    The flat arrays are what training writes and the model document stores.
+    ``nested`` is the form prediction walks: the root node as nested
+    ``(feature, threshold, left, right)`` tuples whose leaves are the leaf's
+    weighted robbery fraction w1 / (w0 + w1). ``set_probabilities`` builds it
     once the tree is complete (after growing and after loading).
     """
 
@@ -136,7 +154,7 @@ class Tree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     leaf_weights: list[tuple[float, float]] = field(default_factory=list)
-    probability: list[float] = field(default_factory=list, compare=False, repr=False)
+    nested: Node = field(default=0.0, compare=False, repr=False)
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -147,20 +165,22 @@ class Tree:
         return len(self.feature) - 1
 
     def set_probabilities(self) -> None:
-        self.probability = [
-            w1 / (w0 + w1) if feat < 0 else 0.0
-            for feat, (w0, w1) in zip(self.feature, self.leaf_weights)
-        ]
+        """Build ``nested`` bottom-up, in reverse node order.
 
-    def predict_probability(self, x: Sequence[float]) -> float:
-        """The leaf fraction for ``x``, a list (cheaper to index than an array)."""
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        node = 0
-        feat = feature[0]
-        while feat >= 0:
-            node = left[node] if x[feat] <= threshold[node] else right[node]
-            feat = feature[node]
-        return self.probability[node]
+        Children lie after their parent, so each child's node exists when
+        its parent is built, and a child that several parents share (which
+        a valid document may contain) is built once and reused: the build is
+        linear in the node count, and no recursion limits its depth.
+        """
+        nodes: list[Node] = [0.0] * len(self.feature)
+        for i in range(len(self.feature) - 1, -1, -1):
+            feat = self.feature[i]
+            if feat < 0:
+                w0, w1 = self.leaf_weights[i]
+                nodes[i] = w1 / (w0 + w1)
+            else:
+                nodes[i] = (feat, self.threshold[i], nodes[self.left[i]], nodes[self.right[i]])
+        self.nested = nodes[0]
 
 
 @dataclass
@@ -368,11 +388,20 @@ def _vectorize(model: ForestModel, x: Union[Mapping[str, float], Sequence[float]
 
 
 def predict_probability(model: ForestModel, x) -> float:
-    """Mean over trees of the leaf's weighted robbery fraction."""
+    """Mean over trees of the leaf's weighted robbery fraction.
+
+    Each tree's ``nested`` form is walked with ``x`` as a list (cheaper to
+    index than an array). The leaves are added one by one in tree order,
+    not with ``sum``, whose float summation is compensated from Python 3.12.
+    """
     vec = _vectorize(model, x).tolist()
     total = 0.0
     for tree in model.trees:
-        total += tree.predict_probability(vec)
+        node = tree.nested
+        while type(node) is tuple:
+            feat, threshold, left, right = node
+            node = left if vec[feat] <= threshold else right
+        total += node
     return total / len(model.trees)
 
 

@@ -14,7 +14,9 @@ shared by role ordering, both role orderings of the extraction and the
 overlapping windows, then evicted with its frame. Pair selection reads
 the centers stored on the skeletons and computes each raw center distance
 directly: most of those distances belong to pairs that are never
-extracted, and storing them cost what computing them does.
+extracted, and storing them cost what computing them does. It computes
+them only for the pairs that a lower bound, the gap between the two
+tracks' center bounding boxes, does not rule out.
 
 ``StreamEngine`` (``snatchdet stream``) classifies that segment under both
 role orderings; ``extract_windows`` (``extract --mode sliding``) extracts it
@@ -81,25 +83,84 @@ def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[floa
     return sum(dists) / len(dists)
 
 
+# Relative slack on the pruning bound: a computed mean may round a few ulps
+# below the computed box gap that bounds it, and must still be visited.
+_BOUND_SLACK = 1.0 + 1e-9
+
+
+def _candidate_pairs(centers: list[Centers]) -> list[tuple[float, int, int]]:
+    """(lower bound, i, j) per pair of tracks with a valid center, ascending.
+
+    The bound is the Euclidean gap between the two tracks' center bounding
+    boxes over the window: every shared-frame center distance, and so
+    their mean, is at least that gap.
+    """
+    boxes = []
+    for i, track_centers in enumerate(centers):
+        # one loop per track: about 3x cheaper than min/max over zipped lists
+        x0 = y0 = math.inf
+        x1 = y1 = -math.inf
+        for c in track_centers.values():
+            if c is not None:
+                x, y = c
+                if x < x0:
+                    x0 = x
+                if x > x1:
+                    x1 = x
+                if y < y0:
+                    y0 = y
+                if y > y1:
+                    y1 = y
+        if x0 <= x1:
+            boxes.append((i, x0, y0, x1, y1))
+    pairs = []
+    for k, (i, ax0, ay0, ax1, ay1) in enumerate(boxes):
+        for j, bx0, by0, bx1, by1 in boxes[k + 1 :]:
+            dx = bx0 - ax1 if bx0 > ax1 else ax0 - bx1 if ax0 > bx1 else 0.0
+            dy = by0 - ay1 if by0 > ay1 else ay0 - by1 if ay0 > by1 else 0.0
+            pairs.append((math.sqrt(dx**2 + dy**2), i, j))
+    pairs.sort()
+    return pairs
+
+
 def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
-    """The pair with minimum mean center distance; None when no pair qualifies."""
+    """The pair with minimum mean center distance; None when no pair qualifies.
+
+    A pair qualifies when both tracks have ``min_frames`` samples, they share
+    ``min_frames`` timestamps and at least one shared frame has both centers.
+    Ties break on the ``track_order`` keys of the two ids, then on the first
+    pair in list order.
+
+    Pairs are visited in ascending order of a lower bound on their mean: the
+    gap between the two tracks' center bounding boxes. A track with no valid
+    center forms no pair. The visit stops at the first bound greater than
+    the best mean times ``1 + 1e-9``. The comparison is strict, so every pair
+    that ties the best mean is still visited; the slack covers a mean that
+    rounds a little below its bound. With fewer than 3 eligible tracks there
+    is at most one pair, and no bound is computed. A visited pair's mean is
+    summed as without pruning, so the pick is the one trying every pair makes.
+    """
     eligible = [w for w in windows if len(w) >= min_frames]
     centers = [dict(zip(w.timestamps, map(body_center, w.skeletons))) for w in eligible]
-    best: Optional[tuple[float, tuple, Track, Track]] = None
-    for i in range(len(eligible)):
-        for j in range(i + 1, len(eligible)):
-            a, b = eligible[i], eligible[j]
-            if len(centers[i].keys() & centers[j].keys()) < min_frames:
-                continue
-            d = _mean_pair_distance(centers[i], centers[j])
-            if d is None:
-                continue
-            key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
-            if best is None or (d, key) < (best[0], best[1]):
-                best = (d, key, a, b)
+    if len(eligible) < 3:
+        candidates = [(0.0, 0, 1)] if len(eligible) == 2 else []
+    else:
+        candidates = _candidate_pairs(centers)
+    best: Optional[tuple[float, tuple, int, int]] = None
+    for bound, i, j in candidates:
+        if best is not None and bound > best[0] * _BOUND_SLACK:
+            break
+        if len(centers[i].keys() & centers[j].keys()) < min_frames:
+            continue
+        d = _mean_pair_distance(centers[i], centers[j])
+        if d is None:
+            continue
+        key = tuple(sorted((track_order(eligible[i].track_id), track_order(eligible[j].track_id))))
+        if best is None or (d, key, i, j) < best:
+            best = (d, key, i, j)
     if best is None:
         return None
-    return best[2], best[3]
+    return eligible[best[2]], eligible[best[3]]
 
 
 def order_roles(

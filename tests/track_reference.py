@@ -1,19 +1,25 @@
-"""Independent straight-line track building and window slicing.
+"""Independent straight-line track building, window slicing and pair selection.
 
 This is the oracle for the windowing core (``pipeline.TrackWindows``): it
 groups a whole stream into tracks in one pass, smooths each track as a
 whole and cuts every window out of the full tracks by the frame positions
 it keeps beside them, so it shares nothing with the core's window store.
+It picks each window's pair by brute force over every pair of tracks
+(``select_pair`` below), so it shares nothing with ``pipeline.select_pair``
+either.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, Optional, Sequence
 
 from snatchdet.features import pair_segment
-from snatchdet.pipeline import order_roles, select_pair
+from snatchdet.pipeline import order_roles
 from snatchdet.preprocess import smooth_track
-from snatchdet.types import FrameRecord, Track
+from snatchdet.types import FrameRecord, Track, track_order
+
+Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
 
 
 def build_tracks(
@@ -58,6 +64,45 @@ def _slice_positions(track: Track, positions: list[int], lo: int, hi: int) -> Tr
         timestamps=[track.timestamps[i] for i in picks],
         skeletons=[track.skeletons[i] for i in picks],
     )
+
+
+def mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
+    """Mean raw center distance over the frames both tracks share, summed in frame order."""
+    dists = []
+    for t, ca in centers_a.items():
+        cb = centers_b.get(t)
+        if ca is not None and cb is not None:
+            dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
+    if not dists:
+        return None
+    return sum(dists) / len(dists)
+
+
+def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
+    """The pair with minimum mean center distance, found by trying every pair.
+
+    A pair qualifies when both tracks have ``min_frames`` samples, they
+    share ``min_frames`` timestamps and at least one shared frame has both
+    centers. Ties break on the ``track_order`` keys of the two ids, then on
+    the first pair found in list order.
+    """
+    eligible = [w for w in windows if len(w) >= min_frames]
+    centers = [dict(zip(w.timestamps, (s.center for s in w.skeletons))) for w in eligible]
+    best: Optional[tuple[float, tuple, Track, Track]] = None
+    for i in range(len(eligible)):
+        for j in range(i + 1, len(eligible)):
+            a, b = eligible[i], eligible[j]
+            if len(centers[i].keys() & centers[j].keys()) < min_frames:
+                continue
+            d = mean_pair_distance(centers[i], centers[j])
+            if d is None:
+                continue
+            key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
+            if best is None or (d, key) < (best[0], best[1]):
+                best = (d, key, a, b)
+    if best is None:
+        return None
+    return best[2], best[3]
 
 
 def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) -> list[int]:
