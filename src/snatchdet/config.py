@@ -64,6 +64,10 @@ class PipelineConfig:
             raise BadConfig("min_segment_frames must be >= 3")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise BadConfig("prob_threshold must be in [0, 1]")
+        try:
+            self.hysteresis()
+        except ValueError as exc:
+            raise BadConfig(f"hysteresis: {exc}") from exc
 
     @property
     def window_frames(self) -> int:
@@ -97,11 +101,12 @@ class PipelineConfig:
         )
 
     def hysteresis(self) -> HysteresisConfig:
+        """W, N_on and N_off as set, each unset one from ``HysteresisConfig.for_fps``."""
         base = HysteresisConfig.for_fps(self.fps)
         return HysteresisConfig(
-            window=self.hysteresis_window or base.window,
-            n_on=self.hysteresis_n_on or base.n_on,
-            n_off=self.hysteresis_n_off or base.n_off,
+            window=base.window if self.hysteresis_window is None else self.hysteresis_window,
+            n_on=base.n_on if self.hysteresis_n_on is None else self.hysteresis_n_on,
+            n_off=base.n_off if self.hysteresis_n_off is None else self.hysteresis_n_off,
             fps=self.fps,
         )
 

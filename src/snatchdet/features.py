@@ -10,6 +10,15 @@ retraction after peak, longest fast-and-close run, ...).
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame; statistics are computed over the present values and
 an all-missing series falls back to a kind-specific sentinel.
+
+A ``SegmentFamilies`` table holds the family outputs and series aggregates
+of one segment's two tracks, keyed by what each value depends on: an
+individual family by its track, ``distance`` by the unordered pair (its
+values are the same under both role orderings) and the directional
+families (``relative``, ``reaching``, ``facing``) by the ordered pair. The
+stream engine builds one table per decision and passes it to both role
+orderings' ``extract_segment`` calls, so the second call computes only the
+directional families of its ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union
 
 from .types import (
     LEFT_WRIST,
@@ -111,7 +120,7 @@ def aggregate(
 # name per statistic ("velocity_mean", ...), a scalar row one name. The
 # family computes the feature and returns it under the row's name;
 # individual rows give an "A_" and a "B_" feature (aggressor-only rows just
-# the "A_" one), computed by the family of that role ("A_hands").
+# the "A_" one), computed by the family on that role's track.
 # Extraction runs a family only when the schema asks for one of its outputs.
 _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
     # (name, "series"|"scalar", aggressor_only, family)
@@ -161,6 +170,10 @@ NAME_ALIASES = {
     "handToHipMin": "handToHip_min",
     "handTowardPct": "handTowardGt07Pct",
 }
+
+# Interaction families whose every output is the same under both role
+# orderings; the others depend on which track is A.
+_SYMMETRIC_FAMILIES = {"distance"}
 
 _COSINE_BASES = {"handTowardCos", "AfacingToB", "BfacingToA"}
 _IOU_BASES = {"iou", "iouPeak", "iouDrop0p2s"}
@@ -228,26 +241,33 @@ class FeatureSchema:
         return FeatureSchema(kept, version or f"{self.version}+select{len(kept)}")
 
 
-Source = tuple[str, str, Optional[str]]  # (family, base name, statistic or None)
+# Which track of the ordering owns a family's outputs: A (an individual
+# family of A, or a directional family, named by its aggressor), B, or
+# neither (a symmetric family of the unordered pair).
+_ROLE_A, _ROLE_B, _ROLE_PAIR = 0, 1, 2
+
+# (family, owner role, base name, statistic or None, missing sentinel)
+Source = tuple[str, int, str, Optional[str], float]
 
 
 def _layout() -> list[tuple[str, Source]]:
     """(name, source) for every aggregated feature, in schema order."""
     out: list[tuple[str, Source]] = []
 
-    def put(prefix: str, base: str, shape: str, family: str) -> None:
+    def put(prefix: str, base: str, shape: str, family: str, role: int) -> None:
         if shape == "series":
-            out.extend((f"{prefix}{base}_{stat}", (family, base, stat)) for stat in STATS)
+            names = [(f"{prefix}{base}_{stat}", stat) for stat in STATS]
         else:
-            out.append((prefix + base, (family, base, None)))
+            names = [(prefix + base, None)]
+        out.extend((n, (family, role, base, stat, missing_sentinel(n))) for n, stat in names)
 
-    for prefix, is_aggressor in (("A_", True), ("B_", False)):
+    for prefix, role in (("A_", _ROLE_A), ("B_", _ROLE_B)):
         for base, shape, agg_only, family in _INDIVIDUAL_LAYOUT:
-            if agg_only and not is_aggressor:
+            if agg_only and role == _ROLE_B:
                 continue
-            put(prefix, base, shape, prefix + family)
+            put(prefix, base, shape, family, role)
     for base, shape, family in _INTERACTION_LAYOUT:
-        put("", base, shape, family)
+        put("", base, shape, family, _ROLE_PAIR if family in _SYMMETRIC_FAMILIES else _ROLE_A)
     return out
 
 
@@ -706,50 +726,82 @@ def facing(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
 # segment-level assembly
 
 
-class _SegmentFamilies:
-    """The family outputs of one segment, each computed on first lookup.
+class SegmentFamilies:
+    """The family outputs and series aggregates of one segment's two tracks.
 
-    Individual families carry their role prefix ("A_hands"); "A_wrists" and
-    "B_wrists" are the wrist velocities that "hands" and "relative" share.
-    It holds no reference to itself, so the per-frame lists are freed as
-    soon as extraction returns rather than by the cyclic garbage collector.
+    Each value is computed on first lookup and keyed by what it depends on,
+    so both role orderings of the segment share one table:
+
+    - an individual family (``wrists``, ``kinematics``, ``hands``, ``arms``,
+      ``elbows``, ``bbox``) by its track's id: A's ``hands`` under one
+      ordering is B's ``hands`` under the other;
+    - ``distance`` by the unordered pair, since its outputs are the same
+      under both orderings (differences only enter squared, and the torso
+      mean, the box max/min and the area sum commute);
+    - a directional family (``relative``, ``reaching``, ``facing``) by the
+      ordered pair, named by its aggressor's id;
+    - each series' aggregate by its family's key and its base name.
+
+    "wrists" are the wrist velocities that "hands" and "relative" share.
+    The table holds no reference to itself, so its per-frame lists are
+    freed with it rather than by the cyclic garbage collector.
     """
 
     def __init__(self, pair: PairSegment, params: FeatureParams, memo: FrameMemo) -> None:
         self.pair = pair
         self.params = params
         self.memo = memo
-        self.done: dict[str, Any] = {}
+        self.outputs: dict[tuple[str, Optional[str]], Outputs] = {}
+        self.aggregates: dict[tuple[tuple[str, Optional[str]], str], dict[str, Value]] = {}
 
-    def __getitem__(self, family: str) -> Any:
-        if family not in self.done:
-            self.done[family] = self._compute(family)
-        return self.done[family]
+    def serves(self, pair: PairSegment, params: FeatureParams, memo: Optional[FrameMemo]) -> bool:
+        """True when ``pair`` is this table's segment under either role ordering,
+        with the table's params and memo."""
+        own = self.pair
+        same_tracks = (pair.aggressor is own.aggressor and pair.victim is own.victim) or (
+            pair.aggressor is own.victim and pair.victim is own.aggressor
+        )
+        return (
+            same_tracks
+            and pair.fps == own.fps
+            and (params is self.params or params == self.params)
+            and (memo is None or memo is self.memo)
+        )
 
-    def _compute(self, family: str) -> Any:
-        pair, params, memo = self.pair, self.params, self.memo
+    def get(self, key: tuple[str, Optional[str]], pair: PairSegment) -> Outputs:
+        """The outputs of family ``key[0]`` owned by ``key[1]``, for ``pair``'s ordering."""
+        out = self.outputs.get(key)
+        if out is None:
+            out = self.outputs[key] = self._compute(key[0], key[1], pair)
+        return out
+
+    def _compute(self, family: str, owner: Optional[str], pair: PairSegment) -> Outputs:
+        params, memo = self.params, self.memo
         if family == "distance":
+            # one memo key per unordered pair, whichever track this window's roles put first
+            if pair.aggressor.track_id > pair.victim.track_id:
+                pair = pair.swapped()
             return interaction_distance(pair, memo)
         if family == "relative":
-            return relative_motion(pair, params, self["A_wrists"], memo)
+            return relative_motion(pair, params, self.get(("wrists", owner), pair), memo)
         if family == "reaching":
-            hand_speed = self["A_hands"]["handVelocity"]
-            return reaching(pair, params, hand_speed, self["distance"]["distance"], memo)
+            hand_speed = self.get(("hands", owner), pair)["handVelocity"]
+            distance = self.get(("distance", None), pair)["distance"]
+            return reaching(pair, params, hand_speed, distance, memo)
         if family == "facing":
             return facing(pair, memo)
-        prefix, kind = family[:2], family[2:]
-        track = {"A_": pair.aggressor, "B_": pair.victim}[prefix]
-        if kind == "wrists":
+        track = pair.aggressor if owner == pair.aggressor.track_id else pair.victim
+        if family == "wrists":
             return wrist_velocities(track, memo)
-        if kind == "kinematics":
+        if family == "kinematics":
             return center_kinematics(track, memo)
-        if kind == "hands":
-            return hand_motion(track, params, self[prefix + "wrists"])
-        if kind == "arms":
+        if family == "hands":
+            return hand_motion(track, params, self.get(("wrists", owner), pair))
+        if family == "arms":
             return arm_posture(track, pair.fps)
-        if kind == "elbows":
+        if family == "elbows":
             return elbow_flexion(track, params)
-        if kind == "bbox":
+        if family == "bbox":
             return bbox_area_rate(track, memo)
         raise KeyError(f"unknown feature family {family!r}")
 
@@ -759,15 +811,22 @@ def extract_segment(
     schema: Optional[FeatureSchema] = None,
     params: FeatureParams = FeatureParams(),
     memo: Optional[FrameMemo] = None,
+    families: Optional[SegmentFamilies] = None,
 ) -> FeatureVector:
     """Compute the feature vector of a pair segment for the schema's names.
 
-    Each family with an output in the schema runs once, and each series it
-    returns is aggregated once. Per-frame values come from ``memo``, the
-    window store's when the segment was cut from one, else a fresh memo.
-    Missing values are materialized with the kind-specific sentinel so the
-    classifier always sees a finite value for every schema name. A name
-    whose family does not return its base name raises ``KeyError``.
+    Values come from ``families``, a ``SegmentFamilies`` table of this
+    segment under either role ordering with the same ``params`` (and
+    ``memo``, when one is given); without one, from a fresh table. Each
+    family with an output in the schema runs once per table, and each
+    series it returns is aggregated once, so a second call on
+    ``pair.swapped()`` with the same table computes only the directional
+    families of its ordering. Per-frame values come from the table's memo,
+    the window store's when the segment was cut from one, else a fresh
+    memo. Missing values are materialized with the kind-specific sentinel
+    so the classifier always sees a finite value for every schema name. A
+    name whose family does not return its base name raises ``KeyError``; a
+    table built for another segment, params or memo raises ``ValueError``.
     """
     if schema is None:
         schema = full_schema()
@@ -775,17 +834,24 @@ def extract_segment(
         raise SegmentTooShort(
             f"segment has {len(pair)} frames, need {params.min_segment_frames}"
         )
-    families = _SegmentFamilies(pair, params, memo_or_new(memo))
-    aggregated: dict[tuple[str, str], dict[str, Value]] = {}
+    if families is None:
+        families = SegmentFamilies(pair, params, memo_or_new(memo))
+    elif not families.serves(pair, params, memo):
+        raise ValueError("the family table belongs to another segment, params or memo")
+    aggregates = families.aggregates
+    owners = (pair.aggressor.track_id, pair.victim.track_id, None)
     values: dict[str, float] = {}
     for name in schema.names:
-        family, base, stat = _SOURCE[name]
-        value = families[family][base]
-        if stat is not None:
-            if (family, base) not in aggregated:
-                aggregated[family, base] = aggregate(value, STATS)
-            value = aggregated[family, base][stat]
-        values[name] = float(value) if value is not None else missing_sentinel(name)
+        family, role, base, stat, sentinel = _SOURCE[name]
+        key = (family, owners[role])
+        if stat is None:
+            value = families.get(key, pair)[base]
+        else:
+            stats = aggregates.get((key, base))
+            if stats is None:
+                stats = aggregates[key, base] = aggregate(families.get(key, pair)[base], STATS)
+            value = stats[stat]
+        values[name] = sentinel if value is None else float(value)
     return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))
 
 

@@ -36,6 +36,7 @@ from .config import PipelineConfig
 from .features import (
     FeatureSchema,
     FeatureVector,
+    SegmentFamilies,
     extract_segment,
     full_schema,
     pair_segment,
@@ -373,8 +374,9 @@ class StreamEngine:
 
     def _classify(self, segment: PairSegment) -> None:
         memo = self._windows.memo
-        v_ab = extract_segment(segment, self.schema, self.params, memo)
-        v_ba = extract_segment(segment.swapped(), self.schema, self.params, memo)
+        families = SegmentFamilies(segment, self.params, memo)
+        v_ab = extract_segment(segment, self.schema, self.params, memo, families)
+        v_ba = extract_segment(segment.swapped(), self.schema, self.params, memo, families)
         prob = max(
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),

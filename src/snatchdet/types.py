@@ -145,11 +145,32 @@ class Skeleton:
 
         With exactly one valid shoulder (or hip) that point substitutes its
         midpoint. The torso height and the body center both start here.
+        Pair selection reads the center of every new skeleton in the window,
+        so the four joints are read inline, from one read of ``conf`` and
+        ``xy`` (joint j's coordinates are ``xy[2j]`` and ``xy[2j + 1]``).
         """
-        return (
-            _valid_midpoint(self, LEFT_SHOULDER, RIGHT_SHOULDER),
-            _valid_midpoint(self, LEFT_HIP, RIGHT_HIP),
-        )
+        conf, xy = self.conf, self.xy
+        left = conf[LEFT_SHOULDER] >= VALID_CONFIDENCE
+        right = conf[RIGHT_SHOULDER] >= VALID_CONFIDENCE
+        if left and right:
+            shoulders = ((xy[10] + xy[12]) / 2.0, (xy[11] + xy[13]) / 2.0)
+        elif left:
+            shoulders = (xy[10], xy[11])
+        elif right:
+            shoulders = (xy[12], xy[13])
+        else:
+            shoulders = None
+        left = conf[LEFT_HIP] >= VALID_CONFIDENCE
+        right = conf[RIGHT_HIP] >= VALID_CONFIDENCE
+        if left and right:
+            hips = ((xy[22] + xy[24]) / 2.0, (xy[23] + xy[25]) / 2.0)
+        elif left:
+            hips = (xy[22], xy[23])
+        elif right:
+            hips = (xy[24], xy[25])
+        else:
+            hips = None
+        return shoulders, hips
 
     @_stored
     def torso(self) -> Optional[float]:
@@ -190,13 +211,6 @@ def valid_pos(skel: Skeleton, idx: int) -> Optional[tuple[float, float]]:
         xy = skel.xy
         return (xy[2 * idx], xy[2 * idx + 1])
     return None
-
-
-def _valid_midpoint(skel: Skeleton, left: int, right: int) -> Optional[tuple[float, float]]:
-    a, b = valid_pos(skel, left), valid_pos(skel, right)
-    if a is None or b is None:
-        return b if a is None else a
-    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
 
 
 def torso_height(skel: Skeleton) -> Optional[float]:

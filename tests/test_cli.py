@@ -510,6 +510,22 @@ class TestConfigFile:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "doc", ['{"hysteresis_n_off": 0}', '{"hysteresis_window": 0}', '{"hysteresis_n_on": 20}']
+    )
+    def test_bad_hysteresis_exits_2_with_a_message(self, trained, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(doc)
+        clip = synth.generate(synth.ScenarioSpec(kind="standing", seed=4, duration=1.0))
+        stream_path = tmp_path / "s.jsonl"
+        streams.write_stream(str(stream_path), clip.frames)
+        rc = cli.main(
+            ["stream", "--stream", str(stream_path), "--model", str(trained["model"]),
+             "--alerts-out", str(tmp_path / "alerts.jsonl"), "--config", str(cfg_path)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: hysteresis: need 1 <= N_off < N_on <= W")
+
     def test_flag_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"fps": 10.0, "window_s": 1.0}')

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_segment
 from snatchdet.config import BadConfig, PipelineConfig
 from snatchdet.features import extract_segment, full_schema
+from snatchdet.temporal import HysteresisConfig
 
 
 def test_min_segment_frames_below_three_rejected():
@@ -20,3 +21,22 @@ def test_three_frame_segment_extracts_under_full_schema(rng):
     vector = extract_segment(random_segment(rng, 3), schema, params)
     assert list(vector.values) == list(schema.names)
     assert all(math.isfinite(v) for v in vector.values.values())
+
+
+@pytest.mark.parametrize("key", ["hysteresis_window", "hysteresis_n_on", "hysteresis_n_off"])
+def test_explicit_zero_hysteresis_value_is_not_replaced_by_the_default(key):
+    # 0 is a value, not "unset": it breaks 1 <= N_off < N_on <= W
+    with pytest.raises(BadConfig, match="hysteresis"):
+        PipelineConfig(**{key: 0})
+
+
+def test_inconsistent_hysteresis_rejected_at_load():
+    # W derives from fps (12 at 30 fps); N_on may not exceed it
+    with pytest.raises(BadConfig, match="N_on=20"):
+        PipelineConfig(hysteresis_n_on=20)
+
+
+def test_explicit_hysteresis_values_are_used():
+    hcfg = PipelineConfig(hysteresis_window=5, hysteresis_n_on=3, hysteresis_n_off=1).hysteresis()
+    assert (hcfg.window, hcfg.n_on, hcfg.n_off) == (5, 3, 1)
+    assert PipelineConfig().hysteresis() == HysteresisConfig.for_fps(30.0)

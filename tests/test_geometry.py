@@ -3,7 +3,11 @@ work is computed once per extraction."""
 
 from collections import Counter
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import random_skeleton, static_skeleton, with_bystander
+from feature_reference import _center, _mid, _torso
 from snatchdet import features, types
 from snatchdet.config import PipelineConfig
 from snatchdet.features import extract_segment, full_schema, pair_segment
@@ -90,3 +94,42 @@ def test_stored_geometry_keeps_equality_hash_and_repr():
     assert skel == fresh
     assert hash(skel) == hash(fresh)
     assert repr(skel) == repr(fresh) == text
+
+
+_TORSO_JOINTS = (types.LEFT_SHOULDER, types.RIGHT_SHOULDER, types.LEFT_HIP, types.RIGHT_HIP)
+
+
+@st.composite
+def torso_joints(draw):
+    """A skeleton whose four torso joints are each valid or not, with
+    confidences at and just below the 0.3 cut."""
+    xy = list(static_skeleton().xy)
+    conf = [0.9] * types.NUM_KEYPOINTS
+    coord = st.sampled_from([0.0, -0.0, 1.5, -7.25, 1e9]) | st.floats(-1e9, 1e9)
+    for joint in _TORSO_JOINTS:
+        xy[2 * joint] = draw(coord)
+        xy[2 * joint + 1] = draw(coord)
+        conf[joint] = draw(st.sampled_from([0.0, 0.29999999999999993, 0.3, 0.30000000000000004, 1.0]))
+    return Skeleton(tuple(xy), tuple(conf), (0.0, 0.0, 300.0, 300.0))
+
+
+def _with_conf(valid):
+    skel = static_skeleton()
+    conf = list(skel.conf)
+    for joint in _TORSO_JOINTS:
+        conf[joint] = 0.3 if joint in valid else 0.0
+    return Skeleton(skel.xy, tuple(conf), skel.bbox)
+
+
+@settings(max_examples=300, deadline=None)
+@given(torso_joints())
+@example(_with_conf(set()))
+@example(_with_conf({types.LEFT_SHOULDER}))
+@example(_with_conf({types.RIGHT_HIP}))
+@example(_with_conf(set(_TORSO_JOINTS)))
+def test_midpoints_equal_the_per_joint_reference(skel):
+    # one valid joint stands in for its midpoint; none gives None; 0.3 is valid
+    want = (_mid(skel, 5, 6), _mid(skel, 11, 12))
+    assert repr(skel.midpoints) == repr(want)
+    assert repr(skel.center) == repr(_center(skel))
+    assert repr(skel.torso) == repr(_torso(skel))

@@ -6,7 +6,9 @@ property drives a store over random streams whose people leave for a few
 frames (shorter than ``max_gap_frames``, so their key stays) and one of
 whom is gone long enough to come back under a split key. Those gaps
 make a segment's previous row differ from a track's previous stored frame,
-which is where a wrongly keyed two-frame value would show.
+which is where a wrongly keyed two-frame value would show. Each window's
+pair is also extracted under both role orderings through one
+``SegmentFamilies`` table, as the stream engine does.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis import strategies as st
 
 from conftest import random_skeleton
 from snatchdet.config import PipelineConfig
-from snatchdet.features import NoTemporalOverlap, extract_segment, full_schema, pair_segment
+from snatchdet.features import (
+    NoTemporalOverlap,
+    SegmentFamilies,
+    extract_segment,
+    full_schema,
+    pair_segment,
+)
 from snatchdet.pipeline import TrackWindows, order_roles, select_pair
 from snatchdet.types import FrameRecord
 
@@ -65,6 +73,15 @@ def assert_same_as_fresh(segment, memo):
     assert repr(got.values) == repr(want.values), segment.aggressor.track_id
 
 
+def assert_one_table_same_as_fresh(segment, memo):
+    """Both role orderings through one family table, as the stream engine extracts."""
+    table = SegmentFamilies(segment, PARAMS, memo)
+    for pair in (segment, segment.swapped()):
+        got = extract_segment(pair, SCHEMA, PARAMS, memo, table)
+        want = extract_segment(pair, SCHEMA, PARAMS)
+        assert repr(got.values) == repr(want.values), pair.aggressor.track_id
+
+
 def other_segment(tracks, chosen):
     """The first pair of the window other than ``chosen`` that is long enough."""
     for i, a in enumerate(tracks):
@@ -101,6 +118,7 @@ def test_memoised_extraction_equals_fresh_extraction(mask, seed):
         )
         assert_same_as_fresh(segment, windows.memo)
         assert_same_as_fresh(segment.swapped(), windows.memo)
+        assert_one_table_same_as_fresh(segment, windows.memo)
         other = other_segment(tracks, {agg.track_id, vic.track_id})
         if other is not None:
             assert_same_as_fresh(other, windows.memo)
