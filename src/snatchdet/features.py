@@ -764,7 +764,7 @@ class SegmentFamilies:
         return (
             same_tracks
             and pair.fps == own.fps
-            and (params is self.params or params == self.params)
+            and params == self.params
             and (memo is None or memo is self.memo)
         )
 

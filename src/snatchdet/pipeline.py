@@ -19,10 +19,18 @@ them only for the pairs that a lower bound, the gap between the two
 tracks' center bounding boxes, does not rule out.
 
 ``StreamEngine`` (``snatchdet stream``) classifies that segment under both
-role orderings; ``extract_windows`` (``extract --mode sliding``) extracts it
-under its (aggressor, victim) ordering only; ``extract_clip_row`` (``extract
---mode clip``) takes one window over the whole clip. Streaming alerts are
-therefore reproducible from an offline recomputation of the same file.
+role orderings, through one ``SegmentFamilies`` table per decision: each
+track's individual families and the pair's symmetric distance family are
+computed once for both orderings, the directional families once per
+ordering. Both extractions still go through this module's
+``extract_segment`` binding, and the layers this module calls
+(``select_pair``, ``order_roles``, ``pair_segment``, ``extract_segment``,
+``predict_probability``) are looked up here at each call, so a tool that
+replaces them here sees every call. ``extract_windows`` (``extract --mode
+sliding``) extracts the segment under its (aggressor, victim) ordering
+only; ``extract_clip_row`` (``extract --mode clip``) takes one window over
+the whole clip. Streaming alerts are therefore reproducible from an
+offline recomputation of the same file.
 """
 
 from __future__ import annotations
@@ -338,8 +346,9 @@ class EvidenceRecord:
 class StreamEngine:
     """Frame-by-frame detector: smooth, window, classify, hysteresis.
 
-    Per window the closest pair is classified under both role orderings and
-    the higher robbery probability wins; the thresholded prediction then
+    Per window the closest pair is classified under both role orderings,
+    extracted through one family table, and the higher robbery probability
+    wins; the thresholded prediction then
     drives one alarm state machine per pair. A pair's alarm only steps on
     frames where both members are present.
     """

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segment, static_skeleton
-from snatchdet import features
+from snatchdet import features, pipeline
+from snatchdet.config import PipelineConfig
 from snatchdet.features import (
     FeatureParams,
     SegmentFamilies,
@@ -25,6 +26,8 @@ from snatchdet.features import (
     extract_segment,
     full_schema,
 )
+from snatchdet.forest import Dataset, ForestConfig, train
+from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER, FrameMemo, Skeleton
 
 PARAMS = FeatureParams()
@@ -213,3 +216,25 @@ def test_one_table_leaves_no_reference_cycles(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_engine_shares_one_table_between_the_orderings(monkeypatch):
+    # the distance family runs once per decision, not once per ordering
+    frames = generate(ScenarioSpec(kind="snatch", seed=11, duration=4.0, noise_sigma=1.0)).frames
+    model = train(Dataset(("distance_mean",), [[0.0], [1.0]], [0, 1]), ForestConfig(n_trees=1))
+    calls = Counter()
+    distance, extract = features.interaction_distance, pipeline.extract_segment
+
+    def counting_distance(*args, **kwargs):
+        calls["distance"] += 1
+        return distance(*args, **kwargs)
+
+    def counting_extract(*args, **kwargs):
+        calls["extract"] += 1
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(features, "interaction_distance", counting_distance)
+    monkeypatch.setattr(pipeline, "extract_segment", counting_extract)
+    pipeline.StreamEngine(model, PipelineConfig()).run(frames)
+    assert calls["extract"] > 0
+    assert calls["distance"] * 2 == calls["extract"]
