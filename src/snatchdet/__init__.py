@@ -11,11 +11,11 @@ from .features import (
 )
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
 from .pipeline import StreamEngine, extract_clip_row, extract_windows
-from .preprocess import SmoothingConfig, aggressor_probabilities, smooth_track, torso_height
+from .preprocess import SmoothingConfig, aggressor_probabilities
 from .selection import pca_project, select_top_k
 from .synth import Clip, ScenarioSpec, generate, generate_corpus
 from .temporal import AlarmState, HysteresisConfig, evidence_window, step
-from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, validate_frame
+from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, torso_height, validate_frame
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "pca_project",
     "predict",
     "select_top_k",
-    "smooth_track",
     "step",
     "torso_height",
     "train",

@@ -8,9 +8,9 @@ Subcommands:
     pca       feature CSV -> 2-component projection CSV
     stream    pose stream + model -> alert lines, evidence manifest
 
-Exit codes: 0 ok, 2 malformed input or a path that cannot be read or
-written, 3 invalid training data, 4 schema mismatch, 5 alert sink
-unreachable.
+Exit codes: 0 ok, 2 malformed input (a count below 1 included) or a path
+that cannot be read or written, 3 invalid training data, 4 schema mismatch,
+5 alert sink unreachable.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     schema = features.FeatureSchema(model.feature_names, version="model")
     try:
         result = selection.select_top_k(schema, model.importances, args.k)
-    except selection.KTooLarge as exc:
+    except (selection.CountBelowOne, selection.KTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     print(_format_importance_report(result.ranked))
@@ -271,12 +271,13 @@ def cmd_pca(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
         labels = [table.get(sid, "") for sid, _ in rows]
-    matrix = np.array([[vals[n] for n in names] for _, vals in rows])
+    # a header-only CSV stays 2-d (no rows), so it fails as too few samples
+    matrix = np.array([[vals[n] for n in names] for _, vals in rows]).reshape(len(rows), len(names))
     try:
         result = selection.pca_project(
             matrix, n_components=args.components, standardize=cfg.pca_standardize
         )
-    except (selection.TooFewSamples, selection.TooManyComponents) as exc:
+    except (selection.CountBelowOne, selection.TooFewSamples, selection.TooManyComponents) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     ids = [sid for sid, _ in rows]

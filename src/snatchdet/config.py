@@ -62,6 +62,8 @@ class PipelineConfig:
         # hand motion (speed, acceleration, jerk) needs three frames
         if self.min_segment_frames < 3:
             raise BadConfig("min_segment_frames must be >= 3")
+        if self.top_k < 1:
+            raise BadConfig(f"top_k must be at least 1, got {self.top_k}")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise BadConfig("prob_threshold must be in [0, 1]")
         try:
@@ -107,7 +109,6 @@ class PipelineConfig:
             window=base.window if self.hysteresis_window is None else self.hysteresis_window,
             n_on=base.n_on if self.hysteresis_n_on is None else self.hysteresis_n_on,
             n_off=base.n_off if self.hysteresis_n_off is None else self.hysteresis_n_off,
-            fps=self.fps,
         )
 
 

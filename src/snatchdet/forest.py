@@ -39,10 +39,6 @@ class MissingClass(ValueError):
     """Training data does not contain both classes."""
 
 
-class EmptyNode(ValueError):
-    """Impurity of a node with no weight is undefined."""
-
-
 class SchemaMismatch(ValueError):
     """Input features do not match the model's schema."""
 
@@ -201,17 +197,6 @@ def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
         raise MissingClass(f"need both classes, got counts (non-robbery={n0}, robbery={n1})")
     n = n0 + n1
     return (n / (2 * n0), n / (2 * n1))
-
-
-def weighted_gini(weighted_counts: Sequence[float]) -> float:
-    """Gini impurity 1 - sum(p_c^2) over weighted class fractions."""
-    counts = [float(c) for c in weighted_counts]
-    if any(c < 0 for c in counts):
-        raise ValueError("weighted counts must be nonnegative")
-    total = sum(counts)
-    if total <= 0:
-        raise EmptyNode("node with zero total weight")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:

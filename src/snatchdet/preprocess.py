@@ -16,8 +16,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-# torso_height lives with the rest of the skeleton geometry in .types and
-# stays importable from here.
 from .types import (
     NUM_KEYPOINTS,
     VALID_CONFIDENCE,
@@ -25,7 +23,6 @@ from .types import (
     Skeleton,
     Track,
     center_speeds,
-    torso_height,
     track_order,
 )
 
@@ -34,10 +31,6 @@ DEFAULT_ALPHA = 0.6
 
 class InvalidAlpha(ValueError):
     """EMA coefficient outside the open interval (0, 1)."""
-
-
-class EmptyTrack(ValueError):
-    """Smoothing was asked for a track with no samples."""
 
 
 class InsufficientHistory(ValueError):
@@ -67,17 +60,6 @@ def _ema(prev: float, raw: float, alpha: float) -> float:
     if raw == prev:
         return prev
     return alpha * raw + (1.0 - alpha) * prev
-
-
-def ema_step(prev: float, raw: float, alpha: float) -> float:
-    """One update of the exponential moving average, with ``alpha`` checked.
-
-    The update ``SkeletonSmoother`` applies to every coordinate; an
-    unchanged sample returns the state untouched.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    return _ema(prev, raw, alpha)
 
 
 class SkeletonSmoother:
@@ -124,15 +106,6 @@ class SkeletonSmoother:
                 _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
             )
         return Skeleton(tuple(state), conf, self._bbox)
-
-
-def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:
-    """Return a copy of the track whose skeletons are smoothed."""
-    if len(track) == 0:
-        raise EmptyTrack(f"track {track.track_id} has no samples")
-    smoother = SkeletonSmoother(cfg)
-    smoothed = [smoother.step(skel) for skel in track.skeletons]
-    return Track(track.track_id, list(track.timestamps), smoothed)
 
 
 def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:

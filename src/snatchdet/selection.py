@@ -10,6 +10,10 @@ import numpy as np
 from .features import FeatureSchema
 
 
+class CountBelowOne(ValueError):
+    """Asked for fewer than one feature or component."""
+
+
 class KTooLarge(ValueError):
     """Asked for more features than the schema has."""
 
@@ -34,6 +38,8 @@ class SelectionResult:
 
 def select_top_k(schema: FeatureSchema, importances: Sequence[float], k: int) -> SelectionResult:
     """Keep the k most important features; ties break by schema order."""
+    if k < 1:
+        raise CountBelowOne(f"k must be at least 1, got {k}")
     if k > len(schema.names):
         raise KTooLarge(f"k={k} exceeds {len(schema.names)} features")
     if len(importances) != len(schema.names):
@@ -62,6 +68,8 @@ def pca_project(matrix, n_components: int = 2, standardize: bool = True) -> PcaR
     columns are left at 0). Component signs follow the convention that the
     largest-magnitude loading is positive.
     """
+    if n_components < 1:
+        raise CountBelowOne(f"n_components must be at least 1, got {n_components}")
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("matrix must be 2-d")

@@ -24,7 +24,6 @@ class HysteresisConfig:
     window: int  # W, frames
     n_on: int
     n_off: int
-    fps: float = 30.0
 
     def __post_init__(self) -> None:
         if not (1 <= self.n_off < self.n_on <= self.window):
@@ -32,8 +31,6 @@ class HysteresisConfig:
                 f"need 1 <= N_off < N_on <= W, got W={self.window}, "
                 f"N_on={self.n_on}, N_off={self.n_off}"
             )
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
 
     @classmethod
     def for_fps(cls, fps: float) -> "HysteresisConfig":
@@ -43,7 +40,7 @@ class HysteresisConfig:
         n_off = max(1, math.floor(0.2 * w))
         if n_off >= n_on:
             n_off = n_on - 1
-        return cls(window=w, n_on=n_on, n_off=n_off, fps=fps)
+        return cls(window=w, n_on=n_on, n_off=n_off)
 
 
 @dataclass(frozen=True)
@@ -86,25 +83,6 @@ def step(
         state.state = 0
         event = AlarmEvent(kind="deactivated", timestamp=timestamp, window_count=count)
     return state, event
-
-
-def run_sequence(
-    predictions, cfg: HysteresisConfig, timestamps=None
-) -> tuple[list[int], list[AlarmEvent]]:
-    """Convenience driver: stream a whole prediction sequence.
-
-    Returns the per-frame alarm states and the emitted events.
-    """
-    state = AlarmState()
-    states: list[int] = []
-    events: list[AlarmEvent] = []
-    for i, y in enumerate(predictions):
-        t = timestamps[i] if timestamps is not None else float(i)
-        _, event = step(state, y, cfg, t)
-        states.append(state.state)
-        if event is not None:
-            events.append(event)
-    return states, events
 
 
 @dataclass(frozen=True)

@@ -107,13 +107,6 @@ class Skeleton:
                 f" confidences and {len(self.xy)} coordinates"
             )
 
-    @classmethod
-    def from_keypoints(cls, keypoints: Iterable[tuple[float, float, float]], bbox) -> "Skeleton":
-        """A skeleton from (x, y, confidence) triples, such as ``Keypoint``s."""
-        kps = tuple(keypoints)
-        xy = tuple(v for x, y, _ in kps for v in (x, y))
-        return cls(xy, tuple(c for _, _, c in kps), tuple(bbox))
-
     @property
     def keypoints(self) -> tuple[Keypoint, ...]:
         """The keypoints as (x, y, confidence) tuples, built on each read."""
@@ -338,7 +331,7 @@ class Track:
     """Time-ordered skeletons of one person identity.
 
     ``skeletons`` runs parallel to ``timestamps``. The windowing core hands
-    out smoothed skeletons; ``preprocess.smooth_track`` smooths a raw track.
+    out skeletons already smoothed by ``preprocess.SkeletonSmoother``.
     """
 
     track_id: str

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from snatchdet.features import pair_segment
-from snatchdet.preprocess import SmoothingConfig, smooth_track
+from snatchdet.preprocess import SmoothingConfig
+from snatchdet.temporal import AlarmState, step
 from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track
 
 # Rough body-plan offsets (x, y) around the person center, in pixels.
@@ -23,6 +24,13 @@ _TEMPLATE = [
 ]
 
 
+def skeleton_from_keypoints(keypoints, bbox) -> Skeleton:
+    """A skeleton from (x, y, confidence) triples, such as ``Keypoint``s."""
+    kps = tuple(keypoints)
+    xy = tuple(v for x, y, _ in kps for v in (x, y))
+    return Skeleton(xy, tuple(c for _, _, c in kps), tuple(bbox))
+
+
 def random_skeleton(rng: np.random.Generator, center, jitter: float = 6.0, dropout: float = 0.1) -> Skeleton:
     kps = []
     for dx, dy in _TEMPLATE:
@@ -36,7 +44,7 @@ def random_skeleton(rng: np.random.Generator, center, jitter: float = 6.0, dropo
     xs = [kp.x for kp in kps]
     ys = [kp.y for kp in kps]
     bbox = (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0)
-    return Skeleton.from_keypoints(tuple(kps), bbox)
+    return skeleton_from_keypoints(kps, bbox)
 
 
 def random_track(
@@ -64,8 +72,13 @@ def random_segment(
     dropout: float = 0.1,
     alpha: float = 0.6,
 ):
-    a = smooth_track(random_track(rng, "1", n_frames, fps, (200.0, 220.0), dropout=dropout), SmoothingConfig(alpha))
-    b = smooth_track(random_track(rng, "2", n_frames, fps, (340.0, 210.0), dropout=dropout), SmoothingConfig(alpha))
+    """Two random tracks, smoothed by the reference smoother, as one pair segment."""
+    # imported here: ingest_reference imports this module
+    from ingest_reference import smooth_track
+
+    cfg = SmoothingConfig(alpha)
+    a = smooth_track(random_track(rng, "1", n_frames, fps, (200.0, 220.0), dropout=dropout), cfg)
+    b = smooth_track(random_track(rng, "2", n_frames, fps, (340.0, 210.0), dropout=dropout), cfg)
     return pair_segment(a, b, fps=fps)
 
 
@@ -73,7 +86,7 @@ def static_skeleton(center=(100.0, 100.0), conf: float = 0.9) -> Skeleton:
     kps = tuple(Keypoint(center[0] + dx, center[1] + dy, conf) for dx, dy in _TEMPLATE)
     xs = [kp.x for kp in kps]
     ys = [kp.y for kp in kps]
-    return Skeleton.from_keypoints(kps, (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0))
+    return skeleton_from_keypoints(kps, (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0))
 
 
 def frame_of(index: int, t: float, persons) -> FrameRecord:
@@ -87,7 +100,7 @@ def with_bystander(frames, tid=9, dx=2000.0):
         _, skel = f.persons[0]
         kps = tuple(Keypoint(kp.x + dx, kp.y, kp.confidence) for kp in skel.keypoints)
         bbox = (skel.bbox[0] + dx, skel.bbox[1], skel.bbox[2] + dx, skel.bbox[3])
-        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, Skeleton.from_keypoints(kps, bbox)),)))
+        out.append(FrameRecord(f.frame_index, f.timestamp, f.persons + ((tid, skeleton_from_keypoints(kps, bbox)),)))
     return out
 
 
@@ -99,6 +112,21 @@ def without_person(frames, tid, start, stop):
         else f
         for pos, f in enumerate(frames)
     ]
+
+
+def run_alarm(predictions, cfg):
+    """Step ``temporal.step`` through ``predictions`` at timestamps 0.0, 1.0, ...
+
+    Returns the alarm state after each prediction and the events that fired.
+    """
+    state = AlarmState()
+    states, events = [], []
+    for t, y in enumerate(predictions):
+        _, event = step(state, y, cfg, float(t))
+        states.append(state.state)
+        if event is not None:
+            events.append(event)
+    return states, events
 
 
 @pytest.fixture

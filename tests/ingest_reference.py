@@ -4,7 +4,9 @@ These are the straight-line forms of ``types.validate_frame`` and
 ``preprocess.SkeletonSmoother.step``: every coordinate and confidence is
 checked with its own call, and the smoother builds one ``Keypoint`` per
 joint. The whole-vector check and the flat smoother must agree with them
-bit for bit (``tests/test_ingest.py``). Nothing in ``src/`` imports this.
+bit for bit (``tests/test_ingest.py``). ``smooth_track`` runs the reference
+smoother over a whole track, for oracles and tests that need smoothed input.
+Nothing in ``src/`` imports this.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import replace
 from typing import Optional
 
+from conftest import skeleton_from_keypoints
 from snatchdet.preprocess import SmoothingConfig
 from snatchdet.types import (
     COORDINATE_LIMIT,
@@ -21,6 +24,7 @@ from snatchdet.types import (
     Keypoint,
     MalformedRecord,
     Skeleton,
+    Track,
 )
 
 _CONF_SLACK = 1e-9
@@ -92,7 +96,7 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
             raise MalformedRecord(f"bbox corners out of order: {skel.bbox}")
 
         if skel_changed:
-            skel = Skeleton.from_keypoints(tuple(new_kps), skel.bbox)
+            skel = skeleton_from_keypoints(new_kps, skel.bbox)
             changed = True
         new_persons.append((tid, skel))
 
@@ -136,4 +140,10 @@ class SkeletonSmoother:
             self._bbox = tuple(
                 _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
             )
-        return Skeleton.from_keypoints(tuple(out), self._bbox)
+        return skeleton_from_keypoints(out, self._bbox)
+
+
+def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:
+    """A copy of the track, smoothed from its first sample by the reference smoother."""
+    smoother = SkeletonSmoother(cfg)
+    return Track(track.track_id, list(track.timestamps), [smoother.step(s) for s in track.skeletons])

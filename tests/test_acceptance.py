@@ -8,8 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_segment, random_track, with_bystander, without_person
+from conftest import (
+    random_segment,
+    random_track,
+    run_alarm,
+    skeleton_from_keypoints,
+    with_bystander,
+    without_person,
+)
 from feature_reference import reference_segment_features
+from ingest_reference import smooth_track
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
     FeatureParams,
@@ -32,11 +40,11 @@ from snatchdet.forest import (
 from snatchdet import pipeline
 from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
 from snatchdet.pipeline import StreamEngine, extract_windows, pair_key_str
-from snatchdet.preprocess import SmoothingConfig, ema_step, smooth_track
+from snatchdet.preprocess import SmoothingConfig, _ema
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
-from snatchdet.temporal import AlarmState, HysteresisConfig, run_sequence, step
-from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track, validate_stream
+from snatchdet.temporal import AlarmState, HysteresisConfig, step
+from snatchdet.types import FrameRecord, Keypoint, Track, validate_stream
 from test_forest import exhaustive_best_split
 from track_reference import build_tracks, reference_segments
 
@@ -98,7 +106,7 @@ def test_ema_closed_form():
         xs = rng.uniform(-100.0, 100.0, size=int(rng.integers(1, 101)))
         state = xs[0]
         for x in xs[1:]:
-            state = ema_step(state, float(x), alpha)
+            state = _ema(state, float(x), alpha)
         t = len(xs) - 1
         closed = (1 - alpha) ** t * xs[0]
         for k in range(t):
@@ -148,7 +156,7 @@ def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
             skel.bbox[2] * k + cx,
             skel.bbox[3] * k + cy,
         )
-        out.append(Skeleton.from_keypoints(kps, bbox))
+        out.append(skeleton_from_keypoints(kps, bbox))
     return Track(track.track_id, list(track.timestamps), out)
 
 
@@ -240,7 +248,7 @@ def test_hysteresis_exhaustive():
     for cfg in configs:
         for length, sequences in sequences_by_length.items():
             for seq in sequences:
-                states, events = run_sequence(seq, cfg)
+                states, events = run_alarm(seq, cfg)
                 # brute force with from-scratch window sums
                 s = 0
                 ref_states = []

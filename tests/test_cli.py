@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import skeleton_from_keypoints
 from snatchdet import cli, features, forest, streams, synth
 
 
@@ -241,6 +242,49 @@ class TestPcaCommand:
         assert rows[0] == ["sample_id", "pc1", "pc2", "label"]
         assert len(rows) == 13
 
+    def test_header_only_csv_exits_2(self, trained, tmp_path, capsys):
+        header = trained["features"].read_text().splitlines()[0]
+        empty = tmp_path / "header.csv"
+        empty.write_text(header + "\n")
+        rc = cli.main(["pca", "--features", str(empty), "--out", str(tmp_path / "pca.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: PCA needs at least 2 samples, got 0\n"
+
+
+class TestCountBelowOne:
+    """A feature or component count below 1, from a flag or a config file: exit 2."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rank_k(self, trained, capsys, value):
+        rc = cli.main(["rank", "--model", str(trained["model"]), "--k", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: k must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_pca_components(self, trained, tmp_path, capsys, value):
+        out = tmp_path / "pca.csv"
+        rc = cli.main(
+            ["pca", "--features", str(trained["features"]), "--out", str(out), "--components", value]
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: n_components must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_top_k(self, corpus_dir, trained, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"top_k": value}))
+        model = tmp_path / "m.json"
+        rc = cli.main(
+            ["train", "--features", str(trained["features"]), "--labels", str(corpus_dir / "labels.csv"),
+             "--model-out", str(model), "--n-trees", "4", "--config", str(cfg_path)]
+        )
+        assert rc == 2
+        assert not model.exists()
+        assert capsys.readouterr().err == f"error: top_k must be at least 1, got {value}\n"
+
 
 class TestStream:
     def test_snatch_activates(self, corpus_dir, trained, tmp_path):
@@ -299,7 +343,7 @@ class TestStream:
         first = clip.frames[0]
         tid, skel = first.persons[0]
         x1, y1, _, y2 = skel.bbox
-        flat = type(skel).from_keypoints(skel.keypoints, (x1, y1, x1, y2))
+        flat = skeleton_from_keypoints(skel.keypoints, (x1, y1, x1, y2))
         frames = [type(first)(first.frame_index, first.timestamp, ((tid, flat),) + first.persons[1:])]
         frames += clip.frames[1:]
         stream_path = tmp_path / "flat.jsonl"

@@ -23,6 +23,12 @@ def test_three_frame_segment_extracts_under_full_schema(rng):
     assert all(math.isfinite(v) for v in vector.values.values())
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_top_k_below_one_rejected(top_k):
+    with pytest.raises(BadConfig, match="top_k"):
+        PipelineConfig(top_k=top_k)
+
+
 @pytest.mark.parametrize("key", ["hysteresis_window", "hysteresis_n_on", "hysteresis_n_off"])
 def test_explicit_zero_hysteresis_value_is_not_replaced_by_the_default(key):
     # 0 is a value, not "unset": it breaks 1 <= N_off < N_on <= W

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_segment, random_track, static_skeleton
+from conftest import random_segment, random_track, skeleton_from_keypoints, static_skeleton
 from feature_reference import reference_segment_features
+from ingest_reference import smooth_track
 from snatchdet.features import (
     FeatureParams,
     InsufficientSamples,
@@ -36,8 +37,8 @@ from snatchdet.features import (
     _longest_run,
     _pct,
 )
-from snatchdet.preprocess import SmoothingConfig, smooth_track
-from snatchdet.types import Keypoint, Skeleton, Track
+from snatchdet.preprocess import SmoothingConfig
+from snatchdet.types import Keypoint, Track
 
 PARAMS = FeatureParams()
 
@@ -57,7 +58,7 @@ def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100
         xs = [kp.x for kp in kps]
         ys = [kp.y for kp in kps]
         bbox = (min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0)
-    return Skeleton.from_keypoints(tuple(kps), bbox)
+    return skeleton_from_keypoints(kps, bbox)
 
 
 def presmoothed_track(skels, fps=30.0, track_id="1"):
@@ -221,14 +222,14 @@ class TestBboxAreaRate:
         assert all(v == 0.0 for v in present(series))
 
     def test_area_doubling_in_one_frame(self):
-        s1 = Skeleton.from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 10.0, 10.0))
-        s2 = Skeleton.from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
+        s1 = skeleton_from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 10.0, 10.0))
+        s2 = skeleton_from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
         series = bbox_area_rate(presmoothed_track([s1, s2], fps=30.0))["bboxAreaRate"]
         assert series[1] == pytest.approx(30.0, rel=1e-9)
 
     def test_zero_area_previous_box(self):
-        s1 = Skeleton.from_keypoints(static_skeleton().keypoints, (5.0, 5.0, 5.0, 5.0))
-        s2 = Skeleton.from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
+        s1 = skeleton_from_keypoints(static_skeleton().keypoints, (5.0, 5.0, 5.0, 5.0))
+        s2 = skeleton_from_keypoints(static_skeleton().keypoints, (0.0, 0.0, 20.0, 10.0))
         series = bbox_area_rate(presmoothed_track([s1, s2]))["bboxAreaRate"]
         assert series == [None, None]
 
@@ -288,8 +289,8 @@ class TestInteractionDistance:
         kp = static_skeleton().keypoints
         a_boxes = [(0.0, 0.0, 2.0, 2.0)] * 3
         b_boxes = [(10.0, 10.0, 12.0, 12.0), (0.0, 0.0, 2.0, 2.0), (1.0, 0.0, 3.0, 2.0)]
-        skels_a = [Skeleton.from_keypoints(kp, b) for b in a_boxes]
-        skels_b = [Skeleton.from_keypoints(kp, b) for b in b_boxes]
+        skels_a = [skeleton_from_keypoints(kp, b) for b in a_boxes]
+        skels_b = [skeleton_from_keypoints(kp, b) for b in b_boxes]
         pair = make_pair(skels_a, skels_b, fps=5.0)
         inter = interaction_distance(pair)
         assert inter["iou"] == [0.0, 1.0, pytest.approx(1 / 3)]
@@ -621,7 +622,7 @@ def _scaled_track(track, k):
     for skel in track.skeletons:
         kps = tuple(Keypoint(kp.x * k, kp.y * k, kp.confidence) for kp in skel.keypoints)
         bbox = tuple(v * k for v in skel.bbox)
-        scaled.append(Skeleton.from_keypoints(kps, bbox))
+        scaled.append(skeleton_from_keypoints(kps, bbox))
     return Track(track.track_id, list(track.timestamps), scaled)
 
 
@@ -630,7 +631,7 @@ def _shifted_track(track, cx, cy):
     for skel in track.skeletons:
         kps = tuple(Keypoint(kp.x + cx, kp.y + cy, kp.confidence) for kp in skel.keypoints)
         bbox = (skel.bbox[0] + cx, skel.bbox[1] + cy, skel.bbox[2] + cx, skel.bbox[3] + cy)
-        shifted.append(Skeleton.from_keypoints(kps, bbox))
+        shifted.append(skeleton_from_keypoints(kps, bbox))
     return Track(track.track_id, list(track.timestamps), shifted)
 
 

@@ -8,7 +8,6 @@ import pytest
 from snatchdet.forest import (
     CorruptModel,
     Dataset,
-    EmptyNode,
     ForestConfig,
     MissingClass,
     SchemaMismatch,
@@ -23,7 +22,6 @@ from snatchdet.forest import (
     serialize,
     train,
     training_accuracy,
-    weighted_gini,
 )
 
 
@@ -51,21 +49,6 @@ class TestBalancedWeights:
     def test_missing_class(self):
         with pytest.raises(MissingClass):
             balanced_weights([1] * 20)
-
-
-class TestWeightedGini:
-    def test_pure_node(self):
-        assert weighted_gini([7.0, 0.0]) == 0.0
-
-    def test_even_split(self):
-        assert weighted_gini([2.5, 2.5]) == pytest.approx(0.5)
-
-    def test_three_to_one(self):
-        assert weighted_gini([3.0, 1.0]) == pytest.approx(0.375)
-
-    def test_empty_node(self):
-        with pytest.raises(EmptyNode):
-            weighted_gini([0.0, 0.0])
 
 
 def exhaustive_best_split(X, y, w0, w1, min_leaf=1):

@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_skeleton, static_skeleton, with_bystander
+from conftest import random_skeleton, skeleton_from_keypoints, static_skeleton, with_bystander
 from feature_reference import _center, _mid, _torso
 from snatchdet import features, types
 from snatchdet.config import PipelineConfig
@@ -87,7 +87,7 @@ def test_stored_values_equal_the_uncached_helpers(rng):
 
 def test_stored_geometry_keeps_equality_hash_and_repr():
     skel = static_skeleton()
-    fresh = Skeleton.from_keypoints(skel.keypoints, skel.bbox)
+    fresh = skeleton_from_keypoints(skel.keypoints, skel.bbox)
     text = repr(skel)
     _ = (skel.center, skel.torso, skel.facing, skel.elbow_angles)
     assert "center" in vars(skel) and "center" not in vars(fresh)

@@ -2,42 +2,56 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import static_skeleton
+from conftest import skeleton_from_keypoints, static_skeleton
+from ingest_reference import smooth_track
 from snatchdet.preprocess import (
     InsufficientHistory,
     InvalidAlpha,
-    EmptyTrack,
+    SkeletonSmoother,
     SmoothingConfig,
     aggressor_probabilities,
     body_center,
     choose_aggressor,
-    ema_step,
-    smooth_track,
-    torso_height,
 )
-from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track
+from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track, torso_height
+
+
+def smooth_all(skeletons, alpha=SmoothingConfig().alpha):
+    """Step one ``SkeletonSmoother`` through the skeletons; the smoothed outputs."""
+    smoother = SkeletonSmoother(SmoothingConfig(alpha))
+    return [smoother.step(skel) for skel in skeletons]
+
+
+def ema_joint(xs, alpha):
+    """Smoothed x of the nose over a skeleton whose nose x runs through ``xs``.
+
+    Every other coordinate holds still, so the nose x follows the EMA recursion
+    alone.
+    """
+    base = static_skeleton()
+    skeletons = [Skeleton((float(x),) + base.xy[1:], base.conf, base.bbox) for x in xs]
+    return [skel.xy[0] for skel in smooth_all(skeletons, alpha)]
 
 
 class TestEmaStep:
+    """The EMA update, stepped through ``SkeletonSmoother`` on one joint."""
+
     def test_direct_evaluation(self):
-        assert ema_step(0.0, 1.0, 0.5) == 0.5
+        assert ema_joint([0.0, 1.0], 0.5)[-1] == 0.5
 
     def test_fixed_point(self):
         for alpha in (0.1, 0.5, 0.9):
-            assert ema_step(3.25, 3.25, alpha) == pytest.approx(3.25, abs=1e-12)
+            assert ema_joint([3.25, 3.25], alpha)[-1] == pytest.approx(3.25, abs=1e-12)
 
     def test_alpha_near_one(self):
-        assert ema_step(0.0, 1.0, 0.999) == pytest.approx(0.999, abs=1e-12)
+        assert ema_joint([0.0, 1.0], 0.999)[-1] == pytest.approx(0.999, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.5])
     def test_invalid_alpha(self, alpha):
-        with pytest.raises(InvalidAlpha):
-            ema_step(0.0, 1.0, alpha)
         with pytest.raises(InvalidAlpha):
             SmoothingConfig(alpha=alpha)
 
@@ -57,10 +71,7 @@ def closed_form(xs, alpha):
     st.floats(min_value=0.01, max_value=0.99),
 )
 def test_ema_matches_closed_form(xs, alpha):
-    state = xs[0]
-    for x in xs[1:]:
-        state = ema_step(state, x, alpha)
-    assert state == pytest.approx(closed_form(xs, alpha), abs=1e-9)
+    assert ema_joint(xs, alpha)[-1] == pytest.approx(closed_form(xs, alpha), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,16 +81,8 @@ def test_ema_matches_closed_form(xs, alpha):
     st.floats(min_value=-1000, max_value=1000, allow_nan=False),
 )
 def test_ema_shift_equivariance(xs, alpha, c):
-    def run(seq):
-        state = seq[0]
-        out = [state]
-        for x in seq[1:]:
-            state = ema_step(state, x, alpha)
-            out.append(state)
-        return out
-
-    plain = run(xs)
-    shifted = run([x + c for x in xs])
+    plain = ema_joint(xs, alpha)
+    shifted = ema_joint([x + c for x in xs], alpha)
     for a, b in zip(plain, shifted):
         assert b == pytest.approx(a + c, abs=1e-6)
 
@@ -91,16 +94,17 @@ def _skeleton_conf(conf_map, center=(100.0, 100.0)):
         Keypoint(kp.x, kp.y, conf_map.get(i, kp.confidence))
         for i, kp in enumerate(base.keypoints)
     ]
-    return Skeleton.from_keypoints(tuple(kps), base.bbox)
+    return skeleton_from_keypoints(kps, base.bbox)
 
 
 class TestSmoothTrack:
+    """A whole track stepped through one ``SkeletonSmoother``."""
+
     def test_constant_track_is_fixed_point(self):
         skel = static_skeleton()
-        track = Track("1", [i / 30.0 for i in range(10)], [skel] * 10)
-        out = smooth_track(track)
-        assert len(out.skeletons) == 10
-        for sm in out.skeletons:
+        out = smooth_all([skel] * 10)
+        assert len(out) == 10
+        for sm in out:
             for kp, ref in zip(sm.keypoints, skel.keypoints):
                 assert kp.x == pytest.approx(ref.x, abs=1e-12)
                 assert kp.y == pytest.approx(ref.y, abs=1e-12)
@@ -108,32 +112,22 @@ class TestSmoothTrack:
     def test_step_input_unrolls_recursion(self):
         # x: 0, 0, 1, 1 with alpha = 0.5 -> 0, 0, 0.5, 0.75 on every joint x
         offsets = [0.0, 0.0, 1.0, 1.0]
-        track = Track(
-            "1",
-            [i / 30.0 for i in range(len(offsets))],
-            [static_skeleton((100.0 + dx, 100.0)) for dx in offsets],
-        )
-        out = smooth_track(track, SmoothingConfig(alpha=0.5))
+        out = smooth_all([static_skeleton((100.0 + dx, 100.0)) for dx in offsets], alpha=0.5)
         base = static_skeleton((100.0, 100.0))
         expected = [0.0, 0.0, 0.5, 0.75]
-        for want, sm in zip(expected, out.skeletons):
+        for want, sm in zip(expected, out):
             assert sm.keypoints[0].x - base.keypoints[0].x == pytest.approx(want, abs=1e-12)
 
     def test_invalid_keypoint_carries_forward(self):
         moving = [static_skeleton((100.0 + 3.0 * i, 100.0)) for i in range(5)]
         kps = list(moving[3].keypoints)
         kps[9] = Keypoint(kps[9].x, kps[9].y, 0.1)  # left wrist drops out at frame 3
-        moving[3] = Skeleton.from_keypoints(tuple(kps), moving[3].bbox)
-        track = Track("1", [i / 30.0 for i in range(len(moving))], moving)
-        out = smooth_track(track)
-        held, prev = out.skeletons[3].keypoints[9], out.skeletons[2].keypoints[9]
+        moving[3] = skeleton_from_keypoints(kps, moving[3].bbox)
+        out = smooth_all(moving)
+        held, prev = out[3].keypoints[9], out[2].keypoints[9]
         assert (held.x, held.y) == (prev.x, prev.y)
-        assert out.skeletons[3].keypoints[9].confidence < VALID_CONFIDENCE
-        assert out.skeletons[4].keypoints[9].confidence >= VALID_CONFIDENCE
-
-    def test_empty_track(self):
-        with pytest.raises(EmptyTrack):
-            smooth_track(Track("1"))
+        assert out[3].keypoints[9].confidence < VALID_CONFIDENCE
+        assert out[4].keypoints[9].confidence >= VALID_CONFIDENCE
 
 
 class TestTorsoHeight:
@@ -144,7 +138,7 @@ class TestTorsoHeight:
         kps[6] = Keypoint(2.0, 0.0, 0.9)
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert torso_height(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
+        assert torso_height(skeleton_from_keypoints(kps, skel.bbox)) == pytest.approx(4.0, abs=1e-12)
 
     def test_all_invalid_is_missing(self):
         skel = _skeleton_conf({5: 0.0, 6: 0.0, 11: 0.0, 12: 0.0})
@@ -157,14 +151,14 @@ class TestTorsoHeight:
         kps[6] = Keypoint(99.0, 99.0, 0.1)  # invalid
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert torso_height(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == pytest.approx(4.0, abs=1e-12)
+        assert torso_height(skeleton_from_keypoints(kps, skel.bbox)) == pytest.approx(4.0, abs=1e-12)
 
     def test_degenerate_zero_height_clamped_by_scale_floor(self):
         skel = _skeleton_conf({})
         kps = list(skel.keypoints)
         for i in (5, 6, 11, 12):
             kps[i] = Keypoint(1.0, 1.0, 0.9)
-        degenerate = Skeleton.from_keypoints(tuple(kps), (0.0, 0.0, 10.0, 20.0))
+        degenerate = skeleton_from_keypoints(kps, (0.0, 0.0, 10.0, 20.0))
         assert torso_height(degenerate) == 0.0
         assert degenerate.torso == pytest.approx(0.05 * 20.0)
 
@@ -175,7 +169,7 @@ class TestTorsoHeight:
         kps[6] = Keypoint(2.0, 0.0, 0.9)
         kps[11] = Keypoint(0.0, 4.0, 0.9)
         kps[12] = Keypoint(2.0, 4.0, 0.9)
-        assert body_center(Skeleton.from_keypoints(tuple(kps), skel.bbox)) == (1.0, 2.0)
+        assert body_center(skeleton_from_keypoints(kps, skel.bbox)) == (1.0, 2.0)
 
 
 def _track_moving(track_id, speed_px, n=20, fps=10.0):

@@ -5,6 +5,7 @@ import pytest
 
 from snatchdet.features import FeatureSchema, full_schema
 from snatchdet.selection import (
+    CountBelowOne,
     KTooLarge,
     TooFewSamples,
     TooManyComponents,
@@ -60,6 +61,12 @@ class TestSelectTopK:
         schema = FeatureSchema(("a", "b"), version="t")
         with pytest.raises(KTooLarge):
             select_top_k(schema, [0.5, 0.5], k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        schema = FeatureSchema(("a", "b"), version="t")
+        with pytest.raises(CountBelowOne):
+            select_top_k(schema, [0.5, 0.5], k=k)
 
     def test_idempotent_on_selected_schema(self):
         schema = FeatureSchema(("a", "b", "c", "d"), version="t")
@@ -129,3 +136,8 @@ class TestPca:
             pca_project(np.zeros((4, 2)), n_components=3)
         with pytest.raises(TooManyComponents):
             pca_project(np.random.default_rng(0).normal(size=(3, 5)), n_components=3)
+
+    @pytest.mark.parametrize("n_components", [0, -1])
+    def test_components_below_one(self, n_components):
+        with pytest.raises(CountBelowOne):
+            pca_project(np.random.default_rng(0).normal(size=(4, 3)), n_components=n_components)

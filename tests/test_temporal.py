@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snatchdet.temporal import (
-    AlarmEvent,
-    HysteresisConfig,
-    NotActivationEvent,
-    evidence_window,
-    run_sequence,
-)
+from conftest import run_alarm
+from snatchdet.temporal import AlarmEvent, HysteresisConfig, NotActivationEvent, evidence_window
 
 
 def brute_force(seq, cfg):
@@ -58,7 +53,7 @@ class TestConfig:
 class TestStep:
     def test_all_ones_activates_at_third_frame(self):
         cfg = HysteresisConfig(window=5, n_on=3, n_off=1)
-        states, events = run_sequence([1] * 8, cfg)
+        states, events = run_alarm([1] * 8, cfg)
         assert [e.kind for e in events] == ["activated"]
         assert events[0].timestamp == 2.0  # zero-based frame of the third 1
         assert states[:3] == [0, 0, 1]
@@ -66,7 +61,7 @@ class TestStep:
     def test_deactivates_when_count_drops(self):
         cfg = HysteresisConfig(window=5, n_on=3, n_off=1)
         seq = [1, 1, 1] + [0] * 8
-        states, events = run_sequence(seq, cfg)
+        states, events = run_alarm(seq, cfg)
         ref_states, ref_events = brute_force(seq, cfg)
         assert states == ref_states
         assert [e.kind for e in events] == ["activated", "deactivated"]
@@ -74,13 +69,13 @@ class TestStep:
 
     def test_all_zeros_never_activates(self):
         cfg = HysteresisConfig(window=5, n_on=3, n_off=1)
-        states, events = run_sequence([0] * 20, cfg)
+        states, events = run_alarm([0] * 20, cfg)
         assert states == [0] * 20
         assert events == []
 
     def test_warmup_counts_seen_samples(self):
         cfg = HysteresisConfig(window=10, n_on=2, n_off=1)
-        _, events = run_sequence([1, 1], cfg)
+        _, events = run_alarm([1, 1], cfg)
         assert [e.kind for e in events] == ["activated"]
         assert events[0].timestamp == 1.0
 
@@ -91,7 +86,7 @@ class TestExhaustive:
             for length in range(1, 9):
                 for bits in range(2**length):
                     seq = [(bits >> i) & 1 for i in range(length)]
-                    states, events = run_sequence(seq, cfg)
+                    states, events = run_alarm(seq, cfg)
                     ref_states, ref_events = brute_force(seq, cfg)
                     assert states == ref_states, (cfg, seq)
                     got = [(e.kind, e.timestamp, e.window_count) for e in events]
@@ -101,7 +96,7 @@ class TestExhaustive:
     def test_events_alternate(self):
         cfg = HysteresisConfig(window=4, n_on=3, n_off=1)
         rngseq = [1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1]
-        _, events = run_sequence(rngseq, cfg)
+        _, events = run_alarm(rngseq, cfg)
         kinds = [e.kind for e in events]
         for a, b in zip(kinds, kinds[1:]):
             assert a != b
@@ -125,7 +120,7 @@ def test_streaming_matches_brute_force(seq, w, data):
     n_on = data.draw(st.integers(min_value=2, max_value=w))
     n_off = data.draw(st.integers(min_value=1, max_value=n_on - 1))
     cfg = HysteresisConfig(window=w, n_on=n_on, n_off=n_off)
-    states, events = run_sequence(seq, cfg)
+    states, events = run_alarm(seq, cfg)
     ref_states, ref_events = brute_force(seq, cfg)
     assert states == ref_states
     assert [(e.kind, e.timestamp) for e in events] == [(k, float(t)) for k, t, _ in ref_events]
@@ -144,7 +139,7 @@ def test_debounce_short_bursts_never_activate(data):
     for _ in range(n_bursts):
         seq += [1] * data.draw(st.integers(min_value=0, max_value=n_on - 1))
         seq += [0] * w
-    states, events = run_sequence(seq, cfg)
+    states, events = run_alarm(seq, cfg)
     assert events == []
     assert all(s == 0 for s in states)
 
@@ -155,7 +150,7 @@ def test_raising_n_on_never_activates_earlier():
         previous = None
         for n_on in range(2, w + 1):
             cfg = HysteresisConfig(window=w, n_on=n_on, n_off=1)
-            _, events = run_sequence(seq, cfg)
+            _, events = run_alarm(seq, cfg)
             first = next((e.timestamp for e in events if e.kind == "activated"), None)
             if previous is not None and first is not None:
                 assert first >= previous

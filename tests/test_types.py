@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_of, static_skeleton
+from conftest import frame_of, skeleton_from_keypoints, static_skeleton
 from snatchdet import streams
 from snatchdet.config import PipelineConfig
 from snatchdet.forest import Dataset, ForestConfig, train
@@ -33,7 +33,7 @@ class TestValidateFrame:
 
     def test_rejects_wrong_keypoint_count(self):
         with pytest.raises(MalformedRecord):
-            Skeleton.from_keypoints(tuple(Keypoint(0.0, 0.0, 0.5) for _ in range(16)), (0, 0, 10, 20))
+            skeleton_from_keypoints(tuple(Keypoint(0.0, 0.0, 0.5) for _ in range(16)), (0, 0, 10, 20))
 
     def test_rejects_duplicate_track_id(self):
         skel = static_skeleton()
@@ -44,7 +44,7 @@ class TestValidateFrame:
     def test_rejects_non_finite_coordinate(self):
         kps = list(static_skeleton().keypoints)
         kps[4] = Keypoint(math.nan, 0.0, 0.5)
-        record = frame_of(0, 0.0, [(1, Skeleton.from_keypoints(tuple(kps), (0, 0, 10, 20)))])
+        record = frame_of(0, 0.0, [(1, skeleton_from_keypoints(kps, (0, 0, 10, 20)))])
         with pytest.raises(MalformedRecord):
             validate_frame(record)
 
@@ -53,8 +53,8 @@ class TestValidateFrame:
         kps = list(static_skeleton().keypoints)
         kps[0] = Keypoint(value, 0.0, 0.9)
         records = [
-            frame_of(0, 0.0, [(1, Skeleton.from_keypoints(tuple(kps), (0, 0, 10, 20)))]),
-            frame_of(0, 0.0, [(1, Skeleton.from_keypoints(static_skeleton().keypoints, (0, 0, 10, abs(value))))]),
+            frame_of(0, 0.0, [(1, skeleton_from_keypoints(kps, (0, 0, 10, 20)))]),
+            frame_of(0, 0.0, [(1, skeleton_from_keypoints(static_skeleton().keypoints, (0, 0, 10, abs(value))))]),
         ]
         for record, where in zip(records, ("keypoint 0 x", "bbox y2")):
             if ok:
@@ -65,7 +65,7 @@ class TestValidateFrame:
 
     def test_rejects_bad_bbox_order(self):
         skel = static_skeleton()
-        record = frame_of(0, 0.0, [(1, Skeleton.from_keypoints(skel.keypoints, (10.0, 0.0, 0.0, 20.0)))])
+        record = frame_of(0, 0.0, [(1, skeleton_from_keypoints(skel.keypoints, (10.0, 0.0, 0.0, 20.0)))])
         with pytest.raises(MalformedRecord, match="bbox"):
             validate_frame(record)
 
@@ -84,7 +84,7 @@ class TestValidateFrame:
         kps = list(static_skeleton().keypoints)
         kps[0] = Keypoint(1.0, 1.0, 1.0 + 5e-10)
         kps[1] = Keypoint(1.0, 1.0, -5e-10)
-        record = frame_of(0, 0.0, [(1, Skeleton.from_keypoints(tuple(kps), (0, 0, 300, 300)))])
+        record = frame_of(0, 0.0, [(1, skeleton_from_keypoints(kps, (0, 0, 300, 300)))])
         out = validate_frame(record)
         assert out.persons[0][1].keypoints[0].confidence == 1.0
         assert out.persons[0][1].keypoints[1].confidence == 0.0
@@ -92,7 +92,7 @@ class TestValidateFrame:
     def test_rejects_confidence_beyond_slack(self):
         kps = list(static_skeleton().keypoints)
         kps[0] = Keypoint(1.0, 1.0, 1.01)
-        record = frame_of(0, 0.0, [(1, Skeleton.from_keypoints(tuple(kps), (0, 0, 300, 300)))])
+        record = frame_of(0, 0.0, [(1, skeleton_from_keypoints(kps, (0, 0, 300, 300)))])
         with pytest.raises(MalformedRecord, match="confidence"):
             validate_frame(record)
 
@@ -168,7 +168,7 @@ def frame_records(draw):
         )
         x1, x2 = sorted((draw(finite), draw(finite)))
         y1, y2 = sorted((draw(finite), draw(finite)))
-        persons.append((tid, Skeleton.from_keypoints(kps, (x1, y1, x2, y2))))
+        persons.append((tid, skeleton_from_keypoints(kps, (x1, y1, x2, y2))))
     return FrameRecord(
         frame_index=draw(st.integers(min_value=0, max_value=10**6)),
         timestamp=draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),

@@ -4,9 +4,12 @@ This is the oracle for the windowing core (``pipeline.TrackWindows``): it
 groups a whole stream into tracks in one pass, smooths each track as a
 whole and cuts every window out of the full tracks by the frame positions
 it keeps beside them, so it shares nothing with the core's window store.
-It picks each window's pair by brute force over every pair of tracks
-(``select_pair`` below), so it shares nothing with ``pipeline.select_pair``
-either.
+It smooths with the reference smoother of ``tests/ingest_reference.py``, so
+it shares nothing with ``preprocess.SkeletonSmoother``. It picks each
+window's pair by brute force over every pair of tracks (``select_pair``
+below), so it shares nothing with ``pipeline.select_pair`` either. From
+``snatchdet`` it imports only data types, ``features.pair_segment`` and
+``pipeline.order_roles`` (``tests/test_oracle_independence.py`` checks this).
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
+from ingest_reference import smooth_track
 from snatchdet.features import pair_segment
 from snatchdet.pipeline import order_roles
-from snatchdet.preprocess import smooth_track
 from snatchdet.types import FrameRecord, Track, track_order
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
