@@ -104,22 +104,14 @@ def _read_labels(path: str) -> dict[str, int]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.total is not None:
-        clips = synth.generate_corpus(
-            total=args.total,
-            seed=args.seed,
-            duration=args.duration,
-            fps=args.fps,
-            noise_sigma=args.noise_sigma,
-        )
-    else:
-        clips = synth.generate_corpus(
-            n_per_class=args.n_per_class,
-            seed=args.seed,
-            duration=args.duration,
-            fps=args.fps,
-            noise_sigma=args.noise_sigma,
-        )
+    clips = synth.generate_corpus(
+        n_per_class=args.n_per_class,
+        total=args.total,
+        seed=args.seed,
+        duration=args.duration,
+        fps=args.fps,
+        noise_sigma=args.noise_sigma,
+    )
     manifest = []
     labels_rows = []
     for clip in clips:
@@ -205,10 +197,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     matched = [(sid, vals) for sid, vals in rows if sid in labels]
     if len(matched) < len(rows):
         print(f"warning: {len(rows) - len(matched)} rows lack labels", file=sys.stderr)
+    # a header-only CSV stays 2-d (no rows), so it fails as an empty dataset
+    matrix = np.array([[vals[n] for n in names] for _, vals in matched]).reshape(len(matched), len(names))
     try:
         dataset = forest.Dataset(
             feature_names=tuple(names),
-            X=np.array([[vals[n] for n in names] for _, vals in matched]),
+            X=matrix,
             y=np.array([labels[sid] for sid, _ in matched]),
             ids=tuple(sid for sid, _ in matched),
         )
@@ -222,7 +216,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     forest.save_model(model, args.model_out)
     accuracy = forest.training_accuracy(model, dataset)
-    schema = features.FeatureSchema(tuple(names), version="csv")
+    schema = features.FeatureSchema(tuple(names))
     ranked = selection.select_top_k(schema, model.importances, min(cfg.top_k, len(names)))
     report = _format_importance_report(ranked.ranked)
     report += f"\n\ntraining samples: {len(dataset)}  training accuracy: {accuracy:.4f}\n"
@@ -240,7 +234,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     except (forest.CorruptModel, forest.VersionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    schema = features.FeatureSchema(model.feature_names, version="model")
+    schema = features.FeatureSchema(model.feature_names)
     try:
         result = selection.select_top_k(schema, model.importances, args.k)
     except (selection.CountBelowOne, selection.KTooLarge) as exc:

@@ -9,7 +9,8 @@ retraction after peak, longest fast-and-close run, ...).
 
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame; statistics are computed over the present values and
-an all-missing series falls back to a kind-specific sentinel.
+an all-missing series (or a missing scalar) falls back to a sentinel:
+``MISSING_DISTANCE`` for the distance bases, 0 for every other feature.
 
 A ``SegmentFamilies`` table holds the family outputs and series aggregates
 of one segment's two tracks, keyed by what each value depends on: an
@@ -53,10 +54,6 @@ class NoTemporalOverlap(ValueError):
     """The two tracks share no usable time span."""
 
 
-class UnknownStatistic(ValueError):
-    """Aggregation statistic name not supported."""
-
-
 class SegmentTooShort(ValueError):
     """Segment shorter than the configured minimum frame count."""
 
@@ -77,40 +74,30 @@ class FeatureParams:
 
 STATS = ("mean", "median", "min", "max", "p95")
 
-# Value substituted when a whole series (or scalar) is unobservable.
-# Distance-type features default to "far apart", everything else to 0.
+# Value substituted when a whole series (or scalar) is unobservable: the
+# distance bases (``_DISTANCE_BASES``) default to "far apart", everything
+# else to 0.
 MISSING_DISTANCE = 10.0
 
 
-def aggregate(
-    series: list[Value], stats: Sequence[str], missing: Value = None
-) -> dict[str, Value]:
-    """Aggregate the present values of a series; empty series yield ``missing``.
+def aggregate(series: list[Value]) -> dict[str, Value]:
+    """The ``STATS`` of a series' present values; all None when none is present.
 
     The median and p95 read one sorted copy; mean, min and max read the
     values in series order.
     """
-    for stat in stats:
-        if stat not in STATS:
-            raise UnknownStatistic(f"unknown statistic {stat!r}")
     values = [v for v in series if v is not None]
     if not values:
-        return {stat: missing for stat in stats}
+        return dict.fromkeys(STATS)
     n = len(values)
     s = sorted(values)
-    out: dict[str, Value] = {}
-    for stat in stats:
-        if stat == "mean":
-            out[stat] = sum(values) / n
-        elif stat == "median":
-            out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
-        elif stat == "min":
-            out[stat] = min(values)
-        elif stat == "max":
-            out[stat] = max(values)
-        else:
-            out[stat] = s[math.ceil(0.95 * n) - 1]
-    return out
+    return {
+        "mean": sum(values) / n,
+        "median": s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0,
+        "min": min(values),
+        "max": max(values),
+        "p95": s[math.ceil(0.95 * n) - 1],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +162,6 @@ NAME_ALIASES = {
 # orderings; the others depend on which track is A.
 _SYMMETRIC_FAMILIES = {"distance"}
 
-_COSINE_BASES = {"handTowardCos", "AfacingToB", "BfacingToA"}
-_IOU_BASES = {"iou", "iouPeak", "iouDrop0p2s"}
 _DISTANCE_BASES = {"distance", "handToTorso", "handToHip", "postContactSepMean"}
 
 
@@ -186,41 +171,11 @@ def canonical_name(name: str) -> str:
     return NAME_ALIASES.get(name, name)
 
 
-def _split_stat(base: str) -> tuple[str, Optional[str]]:
-    for stat in STATS:
-        suffix = "_" + stat
-        if base.endswith(suffix):
-            return base[: -len(suffix)], stat
-    return base, None
-
-
-def feature_kind(name: str) -> str:
-    """percentage | iou | cosine | distance | other, for ranges and sentinels."""
-    base = canonical_name(name)
-    if base.startswith(("A_", "B_")):
-        base = base[2:]
-    core, _ = _split_stat(base)
-    if "Pct" in core:
-        return "percentage"
-    if core in _IOU_BASES:
-        return "iou"
-    if core in _COSINE_BASES:
-        return "cosine"
-    if core in _DISTANCE_BASES:
-        return "distance"
-    return "other"
-
-
-def missing_sentinel(name: str) -> float:
-    return MISSING_DISTANCE if feature_kind(name) == "distance" else 0.0
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered, versioned list of aggregated feature names."""
+    """Ordered list of aggregated feature names."""
 
     names: tuple[str, ...]
-    version: str
 
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
@@ -229,16 +184,12 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(canonical_name(name))
-
-    def select(self, names: Sequence[str], version: Optional[str] = None) -> "FeatureSchema":
+    def select(self, names: Sequence[str]) -> "FeatureSchema":
         chosen = {canonical_name(n) for n in names}
         unknown = chosen - set(self.names)
         if unknown:
             raise KeyError(f"names not in schema: {sorted(unknown)}")
-        kept = tuple(n for n in self.names if n in chosen)
-        return FeatureSchema(kept, version or f"{self.version}+select{len(kept)}")
+        return FeatureSchema(tuple(n for n in self.names if n in chosen))
 
 
 # Which track of the ordering owns a family's outputs: A (an individual
@@ -259,7 +210,8 @@ def _layout() -> list[tuple[str, Source]]:
             names = [(f"{prefix}{base}_{stat}", stat) for stat in STATS]
         else:
             names = [(prefix + base, None)]
-        out.extend((n, (family, role, base, stat, missing_sentinel(n))) for n, stat in names)
+        sentinel = MISSING_DISTANCE if base in _DISTANCE_BASES else 0.0
+        out.extend((n, (family, role, base, stat, sentinel)) for n, stat in names)
 
     for prefix, role in (("A_", _ROLE_A), ("B_", _ROLE_B)):
         for base, shape, agg_only, family in _INDIVIDUAL_LAYOUT:
@@ -275,7 +227,7 @@ _SOURCE: dict[str, Source] = dict(_layout())
 
 
 def full_schema() -> FeatureSchema:
-    return FeatureSchema(tuple(_SOURCE), version="full-v1")
+    return FeatureSchema(tuple(_SOURCE))
 
 
 @dataclass(frozen=True)
@@ -823,8 +775,8 @@ def extract_segment(
     ``pair.swapped()`` with the same table computes only the directional
     families of its ordering. Per-frame values come from the table's memo,
     the window store's when the segment was cut from one, else a fresh
-    memo. Missing values are materialized with the kind-specific sentinel
-    so the classifier always sees a finite value for every schema name. A
+    memo. Missing values are materialized with the layout's sentinel so
+    the classifier always sees a finite value for every schema name. A
     name whose family does not return its base name raises ``KeyError``; a
     table built for another segment, params or memo raises ``ValueError``.
     """
@@ -849,7 +801,7 @@ def extract_segment(
         else:
             stats = aggregates.get((key, base))
             if stats is None:
-                stats = aggregates[key, base] = aggregate(families.get(key, pair)[base], STATS)
+                stats = aggregates[key, base] = aggregate(families.get(key, pair)[base])
             value = stats[stat]
         values[name] = sentinel if value is None else float(value)
     return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))

@@ -93,6 +93,8 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
+        if not self.feature_names:
+            raise ValueError("dataset has no feature columns")
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("row count must equal label count")
         if self.X.shape[1] != len(self.feature_names):

@@ -47,7 +47,7 @@ def select_top_k(schema: FeatureSchema, importances: Sequence[float], k: int) ->
     order = sorted(range(len(schema.names)), key=lambda i: (-float(importances[i]), i))
     top = order[:k]
     ranked = tuple((schema.names[i], float(importances[i])) for i in top)
-    reduced = schema.select([schema.names[i] for i in top], version=f"{schema.version}+top{k}")
+    reduced = schema.select([schema.names[i] for i in top])
     return SelectionResult(ranked=ranked, k=k, schema=reduced)
 
 

@@ -74,6 +74,16 @@ class TestSimulate:
         assert len(rows) == 13
 
 
+    def test_total_splits_29_to_61(self, tmp_path):
+        rc = cli.main(
+            ["simulate", "--out", str(tmp_path), "--total", "90", "--seed", "5", "--duration", "1.0"]
+        )
+        assert rc == 0
+        with open(tmp_path / "labels.csv", newline="") as fh:
+            labels = [row[1] for row in csv.reader(fh)][1:]
+        assert (labels.count("1"), labels.count("0")) == (29, 61)
+
+
 class TestExtract:
     def test_clip_rows_match_corpus(self, corpus_dir, trained):
         names, rows = features.read_feature_csv(str(trained["features"]))
@@ -167,6 +177,40 @@ class TestTrain:
             ]
         )
         assert rc == 3
+
+
+    def test_no_feature_columns_exits_2(self, corpus_dir, tmp_path, capsys):
+        with open(corpus_dir / "labels.csv", newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        only_ids = tmp_path / "ids.csv"
+        only_ids.write_text("segment_id\n" + "".join(f"{sid}\n" for sid in ids))
+        rc = cli.main(
+            [
+                "train",
+                "--features", str(only_ids),
+                "--labels", str(corpus_dir / "labels.csv"),
+                "--model-out", str(tmp_path / "m.json"),
+                "--n-trees", "4",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: dataset has no feature columns\n"
+
+    def test_header_only_csv_exits_3(self, corpus_dir, trained, tmp_path, capsys):
+        header = trained["features"].read_text().splitlines()[0]
+        empty = tmp_path / "header.csv"
+        empty.write_text(header + "\n")
+        rc = cli.main(
+            [
+                "train",
+                "--features", str(empty),
+                "--labels", str(corpus_dir / "labels.csv"),
+                "--model-out", str(tmp_path / "m.json"),
+                "--n-trees", "4",
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: empty dataset\n"
 
 
 class TestMalformedLabels:

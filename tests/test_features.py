@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segment, random_track, skeleton_from_keypoints, static_skeleton
-from feature_reference import reference_segment_features
+from feature_reference import _sentinel, reference_segment_features
 from ingest_reference import smooth_track
 from snatchdet.features import (
+    STATS,
     FeatureParams,
     InsufficientSamples,
+    SegmentFamilies,
     SegmentTooShort,
-    UnknownStatistic,
     aggregate,
     arm_posture,
     bbox_area_rate,
@@ -24,7 +25,6 @@ from snatchdet.features import (
     elbow_flexion,
     extract_segment,
     facing,
-    feature_kind,
     full_schema,
     hand_motion,
     interaction_distance,
@@ -86,6 +86,41 @@ def reaching_of(pair):
     hand_speed = hands_of(pair.aggressor)["handVelocity"]
     distance = interaction_distance(pair)["distance"]
     return reaching(pair, PARAMS, hand_speed, distance)
+
+
+def base_and_stat(name):
+    """A schema name's base and statistic (None for a scalar), read from its spelling."""
+    base = name[2:] if name.startswith(("A_", "B_")) else name
+    head, _, stat = base.rpartition("_")
+    return (head, stat) if stat in STATS else (base, None)
+
+
+def _kind(name):
+    """percentage | iou | cosine | distance | other: the range a feature keeps."""
+    base, _ = base_and_stat(name)
+    if "Pct" in base:
+        return "percentage"
+    if base in {"iou", "iouPeak", "iouDrop0p2s"}:
+        return "iou"
+    if base in {"handTowardCos", "AfacingToB", "BfacingToA"}:
+        return "cosine"
+    if base in {"distance", "handToTorso", "handToHip", "postContactSepMean"}:
+        return "distance"
+    return "other"
+
+
+class AllMissing(SegmentFamilies):
+    """A family table whose every family returns each base missing."""
+
+    def __init__(self, pair, names):
+        super().__init__(pair, PARAMS, None)
+        self.missing = {}
+        for name in names:
+            base, stat = base_and_stat(name)
+            self.missing[base] = None if stat is None else [None, None]
+
+    def get(self, key, pair):
+        return self.missing
 
 
 class TestCenterKinematics:
@@ -406,7 +441,7 @@ class TestFacing:
 
 class TestAggregate:
     def test_basic_stats(self):
-        agg = aggregate([1.0, 2.0, 3.0, 4.0, 100.0], ("mean", "max", "p95", "min", "median"))
+        agg = aggregate([1.0, 2.0, 3.0, 4.0, 100.0])
         assert agg["mean"] == pytest.approx(22.0)
         assert agg["max"] == 100.0
         assert agg["p95"] == 100.0  # nearest rank: ceil(0.95 * 5) = 5
@@ -414,22 +449,19 @@ class TestAggregate:
         assert agg["median"] == 3.0
 
     def test_singleton_median(self):
-        assert aggregate([5.0], ("median",))["median"] == 5.0
+        assert aggregate([5.0])["median"] == 5.0
 
     def test_missing_excluded(self):
-        assert aggregate([None, 4.0, None], ("mean",))["mean"] == 4.0
+        assert aggregate([None, 4.0, None])["mean"] == 4.0
 
     def test_all_missing_yields_sentinel(self):
-        assert aggregate([None, None], ("mean",), missing=10.0)["mean"] == 10.0
-
-    def test_unknown_statistic(self):
-        with pytest.raises(UnknownStatistic):
-            aggregate([1.0], ("mode",))
+        # None for every statistic; extract_segment substitutes the feature's sentinel
+        assert aggregate([None, None]) == dict.fromkeys(STATS)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
     def test_stat_ordering(self, values):
-        agg = aggregate(values, ("min", "median", "p95", "max"))
+        agg = aggregate(values)
         assert agg["max"] >= agg["p95"] >= agg["median"] >= agg["min"]
 
 
@@ -456,15 +488,6 @@ class TestSchema:
         assert canonical_name("AB_handTowardGt07Pct") == "handTowardGt07Pct"
         assert canonical_name("handToTorsoMin") == "handToTorso_min"
 
-    def test_kinds(self):
-        assert feature_kind("closeHandPct") == "percentage"
-        assert feature_kind("A_elbowFlexPctL") == "percentage"
-        assert feature_kind("iou_max") == "iou"
-        assert feature_kind("handTowardCos_mean") == "cosine"
-        assert feature_kind("handToTorso_min") == "distance"
-        assert feature_kind("postContactSepMean") == "distance"
-        assert feature_kind("A_velocity_mean") == "other"
-
     def test_select_preserves_order(self):
         schema = full_schema()
         subset = schema.select(["closeHandPct", "distance_p95", "A_velocity_mean"])
@@ -474,6 +497,15 @@ class TestSchema:
 
 
 class TestExtractSegment:
+    def test_sentinels_match_the_reference(self, rng):
+        # every series all-missing and every scalar missing: each name gets its sentinel
+        schema = full_schema()
+        seg = random_segment(rng, 8)
+        vector = extract_segment(seg, schema, PARAMS, families=AllMissing(seg, schema.names))
+        assert len(vector.values) == 143
+        for name in schema.names:
+            assert vector.values[name] == _sentinel(name), name
+
     def test_stationary_far_apart(self):
         pair = make_pair(
             [static_skeleton((100, 100))] * 10, [static_skeleton((900, 100))] * 10
@@ -554,7 +586,7 @@ class TestExtractSegment:
             seg = random_segment(rng, int(rng.integers(5, 18)))
             vector = extract_segment(seg, schema, PARAMS)
             for name, value in vector.values.items():
-                kind = feature_kind(name)
+                kind = _kind(name)
                 if kind == "percentage":
                     assert 0.0 <= value <= 100.0, name
                 elif kind == "cosine":

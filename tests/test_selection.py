@@ -41,35 +41,35 @@ class TestSelectTopK:
         assert list(result.names()) == [name for name, _ in TABLE]
 
     def test_ties_break_by_schema_order(self):
-        schema = FeatureSchema(("a", "b", "c", "d"), version="t")
+        schema = FeatureSchema(("a", "b", "c", "d"))
         result = select_top_k(schema, [0.25, 0.25, 0.25, 0.25], k=3)
         assert result.names() == ("a", "b", "c")
 
     def test_k_equals_feature_count_is_identity(self):
-        schema = FeatureSchema(("a", "b", "c"), version="t")
+        schema = FeatureSchema(("a", "b", "c"))
         result = select_top_k(schema, [0.2, 0.5, 0.3], k=3)
         assert result.schema.names == schema.names  # original order preserved
         assert result.names() == ("b", "c", "a")  # ranking is by importance
 
     def test_reduced_schema_preserves_relative_order(self):
-        schema = FeatureSchema(("a", "b", "c", "d"), version="t")
+        schema = FeatureSchema(("a", "b", "c", "d"))
         result = select_top_k(schema, [0.1, 0.4, 0.2, 0.3], k=2)
         assert result.names() == ("b", "d")
         assert result.schema.names == ("b", "d")
 
     def test_k_too_large(self):
-        schema = FeatureSchema(("a", "b"), version="t")
+        schema = FeatureSchema(("a", "b"))
         with pytest.raises(KTooLarge):
             select_top_k(schema, [0.5, 0.5], k=3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):
-        schema = FeatureSchema(("a", "b"), version="t")
+        schema = FeatureSchema(("a", "b"))
         with pytest.raises(CountBelowOne):
             select_top_k(schema, [0.5, 0.5], k=k)
 
     def test_idempotent_on_selected_schema(self):
-        schema = FeatureSchema(("a", "b", "c", "d"), version="t")
+        schema = FeatureSchema(("a", "b", "c", "d"))
         first = select_top_k(schema, [0.1, 0.4, 0.2, 0.3], k=2)
         again = select_top_k(first.schema, [0.4, 0.3], k=2)
         assert again.schema.names == first.schema.names
