@@ -73,7 +73,6 @@ class TestSimulate:
         assert rows[0] == ["id", "label"]
         assert len(rows) == 13
 
-
     def test_total_splits_29_to_61(self, tmp_path):
         rc = cli.main(
             ["simulate", "--out", str(tmp_path), "--total", "90", "--seed", "5", "--duration", "1.0"]
@@ -177,7 +176,6 @@ class TestTrain:
             ]
         )
         assert rc == 3
-
 
     def test_no_feature_columns_exits_2(self, corpus_dir, tmp_path, capsys):
         with open(corpus_dir / "labels.csv", newline="") as fh:

@@ -95,7 +95,7 @@ def base_and_stat(name):
     return (head, stat) if stat in STATS else (base, None)
 
 
-def _kind(name):
+def range_kind(name):
     """percentage | iou | cosine | distance | other: the range a feature keeps."""
     base, _ = base_and_stat(name)
     if "Pct" in base:
@@ -586,7 +586,7 @@ class TestExtractSegment:
             seg = random_segment(rng, int(rng.integers(5, 18)))
             vector = extract_segment(seg, schema, PARAMS)
             for name, value in vector.values.items():
-                kind = _kind(name)
+                kind = range_kind(name)
                 if kind == "percentage":
                     assert 0.0 <= value <= 100.0, name
                 elif kind == "cosine":
