@@ -74,7 +74,7 @@ def main() -> None:
         f"F1 {metrics['f1']:.3f}   ({elapsed:.1f}s total)"
     )
 
-    pca = pca_project(reduced_holdout.X, n_components=2, standardize=cfg.pca_standardize)
+    pca = pca_project(reduced_holdout.X, n_components=2)
     pca_path = os.path.join(args.out, "pca_holdout.csv")
     write_pca_csv(pca_path, pca, list(reduced_holdout.ids), reduced_holdout.y.tolist())
 

@@ -11,7 +11,7 @@ from .features import (
 )
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
 from .pipeline import StreamEngine, extract_clip_row, extract_windows
-from .preprocess import SmoothingConfig, aggressor_probabilities
+from .preprocess import aggressor_probabilities
 from .selection import pca_project, select_top_k
 from .synth import Clip, ScenarioSpec, generate, generate_corpus
 from .temporal import AlarmState, HysteresisConfig, evidence_window, step
@@ -35,7 +35,6 @@ __all__ = [
     "PipelineConfig",
     "ScenarioSpec",
     "Skeleton",
-    "SmoothingConfig",
     "StreamEngine",
     "Track",
     "aggressor_probabilities",

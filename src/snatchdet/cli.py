@@ -62,18 +62,7 @@ def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides = {}
-    for name in (
-        "fps",
-        "alpha",
-        "window_s",
-        "stride_s",
-        "n_trees",
-        "seed",
-        "top_k",
-        "sink_url",
-        "prob_threshold",
-        "n_jobs",
-    ):
+    for name in ("fps", "n_trees", "seed", "sink_url", "prob_threshold", "n_jobs"):
         if hasattr(args, name):
             overrides[name] = getattr(args, name)
     return load_config(getattr(args, "config", None), overrides)
@@ -103,15 +92,19 @@ def _read_labels(path: str) -> dict[str, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    try:
+        clips = synth.generate_corpus(
+            n_per_class=args.n_per_class,
+            total=args.total,
+            seed=args.seed,
+            duration=args.duration,
+            fps=args.fps,
+            noise_sigma=args.noise_sigma,
+        )
+    except synth.InvalidSpec as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     os.makedirs(args.out, exist_ok=True)
-    clips = synth.generate_corpus(
-        n_per_class=args.n_per_class,
-        total=args.total,
-        seed=args.seed,
-        duration=args.duration,
-        fps=args.fps,
-        noise_sigma=args.noise_sigma,
-    )
     manifest = []
     labels_rows = []
     for clip in clips:
@@ -251,7 +244,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_pca(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     try:
         names, rows = features.read_feature_csv(args.features)
     except ValueError as exc:
@@ -268,9 +260,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
     # a header-only CSV stays 2-d (no rows), so it fails as too few samples
     matrix = np.array([[vals[n] for n in names] for _, vals in rows]).reshape(len(rows), len(names))
     try:
-        result = selection.pca_project(
-            matrix, n_components=args.components, standardize=cfg.pca_standardize
-        )
+        result = selection.pca_project(matrix, n_components=args.components)
     except (selection.CountBelowOne, selection.TooFewSamples, selection.TooManyComponents) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -346,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file (flags override file values)")
-        p.add_argument("--fps", type=float, default=None)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True, help="output directory")
@@ -368,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="sliding",
         help="sliding windows or one row per whole clip",
     )
+    p.add_argument("--fps", type=float, default=None)
     add_config(p)
     p.set_defaults(func=cmd_extract)
 
@@ -393,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="optional labels CSV to tag rows")
     p.add_argument("--out", required=True, help="output CSV path, or - for stdout")
     p.add_argument("--components", type=int, default=2)
-    add_config(p)
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("stream", help="detect events over a pose stream")
@@ -403,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence-out", help="evidence manifest JSONL path")
     p.add_argument("--sink-url", default=None, help="POST each alert to this URL")
     p.add_argument("--prob-threshold", type=float, default=None, dest="prob_threshold")
+    p.add_argument("--fps", type=float, default=None)
     add_config(p)
     p.set_defaults(func=cmd_stream)
 

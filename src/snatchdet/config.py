@@ -9,7 +9,6 @@ from typing import Optional
 
 from .features import FeatureParams
 from .forest import ForestConfig
-from .preprocess import SmoothingConfig
 from .temporal import HysteresisConfig
 
 
@@ -34,14 +33,9 @@ class PipelineConfig:
 
     n_trees: int = 500
     seed: int = 42
-    class_weight_mode: str = "balanced"
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
-    features_per_split: object = "sqrt"
     n_jobs: int = 1
 
     top_k: int = 10
-    pca_standardize: bool = True
 
     hysteresis_window: Optional[int] = None  # None derives W from fps
     hysteresis_n_on: Optional[int] = None
@@ -79,9 +73,6 @@ class PipelineConfig:
     def stride_frames(self) -> int:
         return max(1, round(self.stride_s * self.fps))
 
-    def smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(alpha=self.alpha)
-
     def feature_params(self) -> FeatureParams:
         return FeatureParams(
             fast_hand_threshold=self.fast_hand_threshold,
@@ -92,15 +83,7 @@ class PipelineConfig:
         )
 
     def forest(self) -> ForestConfig:
-        return ForestConfig(
-            n_trees=self.n_trees,
-            seed=self.seed,
-            class_weight_mode=self.class_weight_mode,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            features_per_split=self.features_per_split,
-            n_jobs=self.n_jobs,
-        )
+        return ForestConfig(n_trees=self.n_trees, seed=self.seed, n_jobs=self.n_jobs)
 
     def hysteresis(self) -> HysteresisConfig:
         """W, N_on and N_off as set, each unset one from ``HysteresisConfig.for_fps``."""

@@ -51,32 +51,26 @@ class CorruptModel(ValueError):
     """Serialized model cannot be parsed."""
 
 
+# The one training recipe: balanced class weights, trees grown until every
+# leaf is pure, ceil(sqrt(d)) candidate features per split. The model
+# document records it under these keys and values.
+RECIPE = {
+    "class_weight_mode": "balanced",
+    "max_depth": None,
+    "min_samples_leaf": 1,
+    "features_per_split": "sqrt",
+}
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 500
     seed: int = 42
-    class_weight_mode: str = "balanced"  # "balanced" | "uniform"
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
-    features_per_split: Union[int, str] = "sqrt"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.class_weight_mode not in ("balanced", "uniform"):
-            raise ValueError(f"unknown class_weight_mode {self.class_weight_mode!r}")
-
-    def resolve_features_per_split(self, n_features: int) -> int:
-        if self.features_per_split == "sqrt":
-            m = int(np.ceil(np.sqrt(n_features)))
-        elif self.features_per_split == "all":
-            m = n_features
-        else:
-            m = int(self.features_per_split)
-        return max(1, min(m, n_features))
 
 
 @dataclass
@@ -212,7 +206,6 @@ def _best_split(
     feats: np.ndarray,
     w0: float,
     w1: float,
-    min_leaf: int,
 ) -> Optional[tuple[int, float, float, np.ndarray, np.ndarray]]:
     """Best (feature, threshold) by weighted-Gini decrease over ``feats``.
 
@@ -223,8 +216,6 @@ def _best_split(
     naive per-split recount.
     """
     n = idx.shape[0]
-    if n < 2 * min_leaf:
-        return None
     Xn = X[np.ix_(idx, feats)]
     yn = y[idx]
 
@@ -251,10 +242,7 @@ def _best_split(
     wr = r0 + r1
     children = (wl - (l0 * l0 + l1 * l1) / wl) + (wr - (r0 * r0 + r1 * r1) / wr)
     gain = parent - children
-
-    valid = xs[1:] > xs[:-1]
-    counts_ok = (pos[:-1] >= min_leaf) & (pos[:-1] <= n - min_leaf)
-    gain = np.where(valid & counts_ok, gain, -np.inf)
+    gain = np.where(xs[1:] > xs[:-1], gain, -np.inf)
 
     flat = np.argmax(gain.T)  # feature-major: ties -> lower feature, lower threshold
     f_local, split_pos = divmod(int(flat), n - 1)
@@ -279,28 +267,26 @@ def _grow_tree(
     rng = _tree_rng(cfg.seed, tree_index)
     n, d = X.shape
     w0, w1 = weights
-    m = cfg.resolve_features_per_split(d)
+    m = math.ceil(math.sqrt(d))
 
     bootstrap = rng.integers(0, n, size=n)
     tree = Tree()
     decreases = np.zeros(d, dtype=np.float64)
 
-    # (node slot, sample indices, depth); preorder with the left child first
-    # so the RNG consumption order is well defined.
+    # (node slot, sample indices); preorder with the left child first so the
+    # RNG consumption order is well defined.
     root = tree.add_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, bootstrap, 0)]
+    stack: list[tuple[int, np.ndarray]] = [(root, bootstrap)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         yn = y[idx]
         n1 = int(np.sum(yn == 1))
         n0 = idx.shape[0] - n1
-        pure = n0 == 0 or n1 == 0
-        depth_stop = cfg.max_depth is not None and depth >= cfg.max_depth
 
         split = None
-        if not pure and not depth_stop:
+        if n0 > 0 and n1 > 0:
             feats = np.sort(rng.choice(d, size=m, replace=False))
-            split = _best_split(X, y, idx, feats, w0, w1, cfg.min_samples_leaf)
+            split = _best_split(X, y, idx, feats, w0, w1)
 
         if split is None:
             tree.leaf_weights[node] = (n0 * w0, n1 * w1)
@@ -314,8 +300,8 @@ def _grow_tree(
         right = tree.add_node()
         tree.left[node] = left
         tree.right[node] = right
-        stack.append((right, right_idx, depth + 1))
-        stack.append((left, left_idx, depth + 1))
+        stack.append((right, right_idx))
+        stack.append((left, left_idx))
 
     tree.set_probabilities()
     return tree, decreases
@@ -326,12 +312,7 @@ def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     data = dataset.canonicalized()
     if len(data) == 0:
         raise MissingClass("empty dataset")
-    if cfg.class_weight_mode == "balanced":
-        weights = balanced_weights(data.y)
-    else:
-        if np.sum(data.y == 0) == 0 or np.sum(data.y == 1) == 0:
-            raise MissingClass("need both classes to train")
-        weights = (1.0, 1.0)
+    weights = balanced_weights(data.y)
 
     def build(t: int) -> tuple[Tree, np.ndarray]:
         return _grow_tree(data.X, data.y, cfg, t, weights)
@@ -415,14 +396,7 @@ def serialize(model: ForestModel) -> str:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "schema": list(model.feature_names),
-        "config": {
-            "n_trees": model.config.n_trees,
-            "seed": model.config.seed,
-            "class_weight_mode": model.config.class_weight_mode,
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "features_per_split": model.config.features_per_split,
-        },
+        "config": {"n_trees": model.config.n_trees, "seed": model.config.seed, **RECIPE},
         "class_weights": list(model.class_weights),
         "importances": [repr(float(v)) for v in model.importances],
         "trees": [
@@ -464,7 +438,8 @@ def _check_tree(tree: Tree, n_features: int) -> None:
 def deserialize(document: str) -> ForestModel:
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the digit limit, deep nesting
         raise CorruptModel(f"model document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptModel("not a forest model document")
@@ -472,14 +447,12 @@ def deserialize(document: str) -> ForestModel:
         raise VersionMismatch(f"unsupported model version {doc.get('version')!r}")
     try:
         cfg_doc = doc["config"]
-        cfg = ForestConfig(
-            n_trees=cfg_doc["n_trees"],
-            seed=cfg_doc["seed"],
-            class_weight_mode=cfg_doc["class_weight_mode"],
-            max_depth=cfg_doc["max_depth"],
-            min_samples_leaf=cfg_doc["min_samples_leaf"],
-            features_per_split=cfg_doc["features_per_split"],
-        )
+        cfg = ForestConfig(n_trees=cfg_doc["n_trees"], seed=cfg_doc["seed"])
+        for key, value in RECIPE.items():
+            # any other value (1.0 or true for 1 included) would load and
+            # then re-serialize to other bytes
+            if type(cfg_doc[key]) is not type(value) or cfg_doc[key] != value:
+                raise CorruptModel(f"config {key} differs from the recipe's {json.dumps(value)}")
         n_features = len(doc["schema"])
         trees = []
         for tdoc in doc["trees"]:
@@ -502,7 +475,7 @@ def deserialize(document: str) -> ForestModel:
             class_weights=(float(doc["class_weights"][0]), float(doc["class_weights"][1])),
             importances=np.array([float(v) for v in doc["importances"]], dtype=np.float64),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (CorruptModel, VersionMismatch)):
             raise
         raise CorruptModel(f"malformed model document: {exc}") from exc

@@ -211,13 +211,13 @@ class TrackWindows:
         for tid, skel in record.persons:
             entry = self._active.get(tid)
             if entry is None:
-                key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.smoothing())
+                key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.alpha)
             else:
                 key, last_pos, splits, smoother = entry
                 if self.pos - last_pos > self.cfg.max_gap_frames:
                     splits += 1
                     key = f"{tid}.{splits}"
-                    smoother = SkeletonSmoother(self.cfg.smoothing())
+                    smoother = SkeletonSmoother(self.cfg.alpha)
             self._active[tid] = (key, self.pos, splits, smoother)
             persons.append((key, smoother.step(skel)))
         self.frames.append((self.pos, record.timestamp, persons))

@@ -38,15 +38,6 @@ class InsufficientHistory(ValueError):
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class RoleAssignment:
     track_id: str
     p_aggressor: float
@@ -74,8 +65,10 @@ class SkeletonSmoother:
     joint's slots hold its latest raw position.
     """
 
-    def __init__(self, cfg: SmoothingConfig = SmoothingConfig()):
-        self.alpha = cfg.alpha
+    def __init__(self, alpha: float = DEFAULT_ALPHA):
+        if not 0.0 < alpha < 1.0:
+            raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+        self.alpha = alpha
         self._xy: list[float] = [0.0] * (2 * NUM_KEYPOINTS)
         self._seen = [False] * NUM_KEYPOINTS
         self._bbox: Optional[tuple[float, float, float, float]] = None

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from snatchdet.features import pair_segment
-from snatchdet.preprocess import SmoothingConfig
 from snatchdet.temporal import AlarmState, step
 from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track
 
@@ -76,9 +75,8 @@ def random_segment(
     # imported here: ingest_reference imports this module
     from ingest_reference import smooth_track
 
-    cfg = SmoothingConfig(alpha)
-    a = smooth_track(random_track(rng, "1", n_frames, fps, (200.0, 220.0), dropout=dropout), cfg)
-    b = smooth_track(random_track(rng, "2", n_frames, fps, (340.0, 210.0), dropout=dropout), cfg)
+    a = smooth_track(random_track(rng, "1", n_frames, fps, (200.0, 220.0), dropout=dropout), alpha)
+    b = smooth_track(random_track(rng, "2", n_frames, fps, (340.0, 210.0), dropout=dropout), alpha)
     return pair_segment(a, b, fps=fps)
 
 

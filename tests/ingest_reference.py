@@ -16,7 +16,6 @@ from dataclasses import replace
 from typing import Optional
 
 from conftest import skeleton_from_keypoints
-from snatchdet.preprocess import SmoothingConfig
 from snatchdet.types import (
     COORDINATE_LIMIT,
     VALID_CONFIDENCE,
@@ -114,8 +113,8 @@ def _ema(prev: float, raw: float, alpha: float) -> float:
 class SkeletonSmoother:
     """EMA over every joint and the bbox, with one state tuple per joint."""
 
-    def __init__(self, cfg: SmoothingConfig = SmoothingConfig()):
-        self.alpha = cfg.alpha
+    def __init__(self, alpha: float = 0.6):
+        self.alpha = alpha
         self._joints: list[Optional[tuple[float, float]]] = [None] * 17
         self._bbox: Optional[tuple[float, float, float, float]] = None
 
@@ -143,7 +142,7 @@ class SkeletonSmoother:
         return skeleton_from_keypoints(out, self._bbox)
 
 
-def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:
+def smooth_track(track: Track, alpha: float = 0.6) -> Track:
     """A copy of the track, smoothed from its first sample by the reference smoother."""
-    smoother = SkeletonSmoother(cfg)
+    smoother = SkeletonSmoother(alpha)
     return Track(track.track_id, list(track.timestamps), [smoother.step(s) for s in track.skeletons])

@@ -40,7 +40,7 @@ from snatchdet.forest import (
 from snatchdet import pipeline
 from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
 from snatchdet.pipeline import StreamEngine, extract_windows, pair_key_str
-from snatchdet.preprocess import SmoothingConfig, _ema
+from snatchdet.preprocess import _ema
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, step
@@ -163,11 +163,11 @@ def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
 def test_feature_scale_translation_invariance():
     params = FeatureParams()
     schema = full_schema()
-    cfg = SmoothingConfig(0.6)
+    alpha = 0.6
     rng = np.random.default_rng(303)
 
     def extract_raw(raw_a, raw_b):
-        seg = pair_segment(smooth_track(raw_a, cfg), smooth_track(raw_b, cfg), fps=10.0)
+        seg = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=10.0)
         return extract_segment(seg, schema, params).values
 
     worst = 0.0
@@ -296,7 +296,7 @@ def test_forest_root_split_oracle():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         w0, w1 = balanced_weights(y)
-        got = _best_split(X, y, np.arange(n), np.arange(d), w0, w1, min_leaf=1)
+        got = _best_split(X, y, np.arange(n), np.arange(d), w0, w1)
         want = exhaustive_best_split(X, y, w0, w1)
         trials += 1
         if want is None:

@@ -82,6 +82,17 @@ class TestSimulate:
             labels = [row[1] for row in csv.reader(fh)][1:]
         assert (labels.count("1"), labels.count("0")) == (29, 61)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--total", "1"], "total must be >= 2"), (["--n-per-class", "0"], "n_per_class must be >= 1")],
+    )
+    def test_count_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "corpus"
+        rc = cli.main(["simulate", "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestExtract:
     def test_clip_rows_match_corpus(self, corpus_dir, trained):
@@ -265,6 +276,48 @@ class TestRank:
             rows = list(csv.reader(fh))
         assert len(rows) == 11  # header + 10
         assert rows[0] == ["rank", "feature", "importance"]
+
+
+class TestUnloadableModel:
+    """A model file that deserialize rejects: rank prints an error line and exits 2."""
+
+    @pytest.mark.parametrize("case", ["deep_array", "long_integer", "other_recipe"])
+    def test_rank_exits_2(self, trained, tmp_path, capsys, case):
+        if case == "deep_array":
+            text = "[" * 100_000 + "]" * 100_000
+        elif case == "long_integer":
+            text = "9" * 5_000
+        else:
+            doc = json.loads(trained["model"].read_text())
+            doc["config"]["max_depth"] = 3
+            text = json.dumps(doc)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = cli.main(["rank", "--model", str(model)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert (case == "other_recipe") == ("max_depth" in captured.err)
+
+
+class TestRemovedFlags:
+    """Flags that set nothing are not defined: argparse exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv", [["pca", "--config", "x"], ["pca", "--fps", "30"], ["train", "--fps", "30"]]
+    )
+    def test_exits_2(self, corpus_dir, trained, tmp_path, capsys, argv):
+        required = {
+            "pca": ["--features", str(trained["features"]), "--out", str(tmp_path / "pca.csv")],
+            "train": ["--features", str(trained["features"]), "--labels", str(corpus_dir / "labels.csv"),
+                      "--model-out", str(tmp_path / "m.json")],
+        }[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *required])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestPcaCommand:
@@ -611,6 +664,23 @@ class TestConfigFile:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: hysteresis: need 1 <= N_off < N_on <= W")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_depth", None), ("min_samples_leaf", 1), ("features_per_split", "sqrt"),
+         ("class_weight_mode", "balanced"), ("pca_standardize", True)],
+    )
+    def test_recipe_key_is_unknown(self, corpus_dir, trained, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        model = tmp_path / "m.json"
+        rc = cli.main(
+            ["train", "--features", str(trained["features"]), "--labels", str(corpus_dir / "labels.csv"),
+             "--model-out", str(model), "--n-trees", "4", "--config", str(cfg_path)]
+        )
+        assert rc == 2
+        assert not model.exists()
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

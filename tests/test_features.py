@@ -37,7 +37,6 @@ from snatchdet.features import (
     _longest_run,
     _pct,
 )
-from snatchdet.preprocess import SmoothingConfig
 from snatchdet.types import Keypoint, Track
 
 PARAMS = FeatureParams()
@@ -669,8 +668,8 @@ def _shifted_track(track, cx, cy):
 
 class TestInvariances:
     def _extract_from_raw(self, raw_a, raw_b, fps=10.0):
-        cfg = SmoothingConfig(0.6)
-        pair = pair_segment(smooth_track(raw_a, cfg), smooth_track(raw_b, cfg), fps=fps)
+        alpha = 0.6
+        pair = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=fps)
         return extract_segment(pair, params=PARAMS).values
 
     def test_scale_invariance(self, rng):

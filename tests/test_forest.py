@@ -93,9 +93,7 @@ class TestBestSplit:
             if y.min() == y.max():
                 y[0] = 1 - y[0]
             w0, w1 = balanced_weights(y)
-            got = _best_split(
-                X, y, np.arange(n), np.arange(d), w0, w1, min_leaf=1
-            )
+            got = _best_split(X, y, np.arange(n), np.arange(d), w0, w1)
             want = exhaustive_best_split(X, y, w0, w1)
             if want is None:
                 assert got is None
@@ -107,7 +105,7 @@ class TestBestSplit:
     def test_duplicated_rows_mixed_labels_unsplittable(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 1, 0])
-        assert _best_split(X, y, np.arange(6), np.arange(2), 1.0, 1.0, 1) is None
+        assert _best_split(X, y, np.arange(6), np.arange(2), 1.0, 1.0) is None
 
 
 class TestTraining:
@@ -179,7 +177,7 @@ class TestTraining:
         if y.min() == y.max():
             y[0] = 1 - y[0]
         data = Dataset(("a", "b", "c"), X, y)
-        cfg = ForestConfig(n_trees=1, seed=9, features_per_split="all")
+        cfg = ForestConfig(n_trees=1, seed=9)
         model = train(data, cfg)
         boot = _tree_rng(cfg.seed, 0).integers(0, len(data), size=len(data))
         for i in set(boot.tolist()):
@@ -262,6 +260,17 @@ class TestSerialization:
     def test_not_a_model(self):
         with pytest.raises(CorruptModel):
             deserialize('{"format":"something-else","version":1}')
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_depth", 3), ("min_samples_leaf", 2), ("min_samples_leaf", 1.0), ("min_samples_leaf", True),
+         ("features_per_split", "all"), ("class_weight_mode", "uniform")],
+    )
+    def test_other_recipe_rejected(self, key, value):
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        doc["config"][key] = value
+        with pytest.raises(CorruptModel, match=key):
+            deserialize(json.dumps(doc))
 
 
 def corrupted(edit):

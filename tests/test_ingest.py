@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ingest_reference as ref
 from conftest import frame_of
 from snatchdet import streams
-from snatchdet.preprocess import SkeletonSmoother, SmoothingConfig
+from snatchdet.preprocess import SkeletonSmoother
 from snatchdet.types import FrameRecord, MalformedRecord, Skeleton, validate_frame
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,7 @@ def skeleton_sequences(draw):
 @settings(max_examples=120, deadline=None)
 @given(skeleton_sequences(), st.floats(min_value=0.01, max_value=0.99))
 def test_flat_smoother_matches_reference(seq, alpha):
-    cfg = SmoothingConfig(alpha)
-    flat, oracle = SkeletonSmoother(cfg), ref.SkeletonSmoother(cfg)
+    flat, oracle = SkeletonSmoother(alpha), ref.SkeletonSmoother(alpha)
     for skel in seq:
         got, want = flat.step(skel), oracle.step(skel)
         # repr tells -0.0 from 0.0, so this is bit for bit

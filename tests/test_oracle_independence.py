@@ -10,8 +10,7 @@ from) and ``pipeline.order_roles`` (role ordering, which it does not check).
 reference) and ``tests/forest_reference.py`` (the flat tree walk) import
 nothing from ``snatchdet``, nor any sibling test module, through which a
 package import could reach them. ``tests/ingest_reference.py`` (validation
-and smoothing) may take the data types and constants it checks against and
-``preprocess.SmoothingConfig``.
+and smoothing) may take only the data types and constants it checks against.
 """
 
 import ast
@@ -37,7 +36,6 @@ INGEST_ALLOWED = {
         "Skeleton",
         "Track",
     },
-    "snatchdet.preprocess": {"SmoothingConfig"},
 }
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import skeleton_from_keypoints, static_skeleton
 from ingest_reference import smooth_track
 from snatchdet.preprocess import (
+    DEFAULT_ALPHA,
     InsufficientHistory,
     InvalidAlpha,
     SkeletonSmoother,
-    SmoothingConfig,
     aggressor_probabilities,
     body_center,
     choose_aggressor,
@@ -20,9 +20,9 @@ from snatchdet.preprocess import (
 from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track, torso_height
 
 
-def smooth_all(skeletons, alpha=SmoothingConfig().alpha):
+def smooth_all(skeletons, alpha=DEFAULT_ALPHA):
     """Step one ``SkeletonSmoother`` through the skeletons; the smoothed outputs."""
-    smoother = SkeletonSmoother(SmoothingConfig(alpha))
+    smoother = SkeletonSmoother(alpha)
     return [smoother.step(skel) for skel in skeletons]
 
 
@@ -53,7 +53,7 @@ class TestEmaStep:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.5])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(InvalidAlpha):
-            SmoothingConfig(alpha=alpha)
+            SkeletonSmoother(alpha)
 
 
 def closed_form(xs, alpha):
@@ -182,7 +182,7 @@ def _track_moving(track_id, speed_px, n=20, fps=10.0):
 
 class TestAggressorProbabilities:
     def _smooth(self, track):
-        return smooth_track(track, SmoothingConfig(0.6))
+        return smooth_track(track, 0.6)
 
     def test_equal_translation_is_symmetric(self):
         a = self._smooth(_track_moving("1", 5.0))

@@ -114,13 +114,13 @@ def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) 
 
 def smoothed_tracks(frames: Sequence[FrameRecord], cfg) -> list[Track]:
     tracks, _ = build_tracks(frames, cfg.max_gap_frames)
-    return [smooth_track(t, cfg.smoothing()) for t in tracks]
+    return [smooth_track(t, cfg.alpha) for t in tracks]
 
 
 def reference_windows(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, list[Track]]]:
     """(end position, every smoothed track cut to the window ending there) per stride."""
     tracks, positions = build_tracks(frames, cfg.max_gap_frames)
-    tracks = [smooth_track(t, cfg.smoothing()) for t in tracks]
+    tracks = [smooth_track(t, cfg.alpha) for t in tracks]
     for end in prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames):
         lo = end - cfg.window_frames + 1
         yield end, [_slice_positions(t, p, lo, end) for t, p in zip(tracks, positions)]
