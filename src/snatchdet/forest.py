@@ -10,15 +10,27 @@ scheduling or row order (rows are canonicalized by sample id when ids are
 present).
 
 A tree is stored as flat node arrays, which training fills and the model
-document holds. Prediction walks a nested form of each tree instead,
+document holds. From them each tree gets a nested form,
 ``(feature, threshold, left, right)`` tuples whose leaves are the leaf
 probabilities, built once per tree after growing or loading. It is built
 bottom-up in reverse node order, since a child always lies after its
 parent: each node is built once even where a valid document shares a
 child between parents (a top-down build would copy it once per path, an
 exponential number of times in the worst case), and no recursion limits
-how deep a tree may be. The walk compares and sums exactly as the flat
-arrays did, so probabilities are bit for bit the same.
+how deep a tree may be.
+
+The first prediction with a model compiles it (``CompiledForest``): each
+tree's nested form becomes straight-line Python, ``if v[f] <= thr:``
+blocks that end in ``t += leaf``. Consecutive trees share one generated
+function of about ``CHUNK_LINES`` lines (about ten trees of the deployed
+models), so that no one function, and the peak memory of compiling it,
+grows with the forest. Only ``int`` feature indices and the ``repr`` of
+finite floats are written into the source. A tree with a non-finite
+threshold, one nested deeper than the generated source may indent, or one
+whose source would be too long (shared children expand once per path) is
+walked through its nested form instead, in its place in tree order.
+Compiled or walked, the leaves are added one by one in tree order, so
+probabilities are bit for bit those of the flat arrays.
 """
 
 from __future__ import annotations
@@ -135,7 +147,7 @@ class Tree:
     """Flat CART arrays: node i is internal iff feature[i] >= 0.
 
     The flat arrays are what training writes and the model document stores.
-    ``nested`` is the form prediction walks: the root node as nested
+    ``nested`` is the form prediction compiles or walks: the root node as nested
     ``(feature, threshold, left, right)`` tuples whose leaves are the leaf's
     weighted robbery fraction w1 / (w0 + w1). ``set_probabilities`` builds it
     once the tree is complete (after growing and after loading).
@@ -182,6 +194,8 @@ class ForestModel:
     config: ForestConfig
     class_weights: tuple[float, float]
     importances: np.ndarray
+    # built by the first predict_probability; see CompiledForest
+    compiled: Optional["CompiledForest"] = field(default=None, compare=False, repr=False)
 
 
 def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
@@ -341,10 +355,113 @@ def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     )
 
 
-def _vectorize(model: ForestModel, x: Union[Mapping[str, float], Sequence[float], np.ndarray]) -> np.ndarray:
+# Source lines per generated function: about ten trees of the deployed
+# models. Compiling costs about 2 KB of peak memory per line, so one
+# function for a whole 500-tree forest would peak about 15 MB higher.
+CHUNK_LINES = 128
+# Deepest split compiled. Each level is one indentation level of the
+# generated source, and the tokenizer stops at 100.
+MAX_COMPILED_DEPTH = 64
+# Most source lines one compiled tree may produce (two per split, one per
+# leaf, counted once per path through shared children).
+MAX_TREE_LINES = 1024
+
+
+def _tree_source(root: Node) -> Optional[list[str]]:
+    """``root``'s straight-line source lines, or None if the tree must be walked.
+
+    A split becomes ``if v[f] <= thr:`` and ``else:`` blocks, a leaf
+    ``t += leaf``, indented for a function body. Only an ``int`` feature
+    index and the ``repr`` of a finite float are written. Each limit is
+    checked before a line is added, so rejecting a tree costs at most
+    ``MAX_TREE_LINES`` lines however many paths its shared children make.
+    """
+    lines: list[str] = []
+    stack: list[tuple[Node, int]] = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if len(lines) >= MAX_TREE_LINES or depth > MAX_COMPILED_DEPTH:
+            return None
+        pad = "    " * depth
+        if type(node) is str:  # the "else:" between a split's two blocks
+            lines.append(pad + node)
+        elif type(node) is tuple:
+            feat, threshold, left, right = node
+            if type(feat) is not int or type(threshold) is not float:
+                return None
+            if not math.isfinite(threshold):
+                return None
+            lines.append(f"{pad}if v[{feat}] <= {threshold!r}:")
+            stack += ((right, depth + 1), ("else:", depth), (left, depth + 1))
+        elif type(node) is float and math.isfinite(node):
+            lines.append(f"{pad}t += {node!r}")
+        else:
+            return None
+    return lines
+
+
+def _walker(root: Node):
+    """A step that adds the leaf of ``root`` that ``vec`` reaches, walking the tuples."""
+
+    def walk(vec: list[float], total: float) -> float:
+        node = root
+        while type(node) is tuple:
+            feat, threshold, left, right = node
+            node = left if vec[feat] <= threshold else right
+        return total + node
+
+    return walk
+
+
+@dataclass(frozen=True)
+class CompiledForest:
+    """A model's trees as steps ``(vec, total) -> total`` to run in tree order.
+
+    A compiled step is one generated function holding consecutive compiled
+    trees, closed once it reaches ``CHUNK_LINES`` lines; a walked step is
+    one tree that ``_tree_source`` refused. ``n_compiled + n_walked`` is
+    the model's tree count.
+    """
+
+    steps: tuple
+    n_compiled: int
+    n_walked: int
+
+
+def _compile_forest(trees: Sequence[Tree]) -> CompiledForest:
+    """The trees' steps, compiled where ``_tree_source`` allows, in tree order."""
+    steps: list = []
+    chunk: list[str] = []
+    n_compiled = 0
+
+    def close_chunk() -> None:
+        if chunk:
+            source = "\n".join(["def step(v, t):", *chunk, "    return t\n"])
+            namespace: dict = {}
+            exec(compile(source, "<snatchdet.forest>", "exec"), namespace)
+            steps.append(namespace["step"])
+            chunk.clear()
+
+    for tree in trees:
+        lines = _tree_source(tree.nested)
+        if lines is None:
+            close_chunk()
+            steps.append(_walker(tree.nested))
+        else:
+            chunk += lines
+            n_compiled += 1
+            if len(chunk) >= CHUNK_LINES:
+                close_chunk()
+    close_chunk()
+    return CompiledForest(tuple(steps), n_compiled, len(trees) - n_compiled)
+
+
+def _vector(
+    model: ForestModel, x: Union[Mapping[str, float], Sequence[float], np.ndarray]
+) -> list[float]:
     if isinstance(x, Mapping):
         try:
-            return np.array([float(x[name]) for name in model.feature_names], dtype=np.float64)
+            return [float(x[name]) for name in model.feature_names]
         except KeyError as exc:
             raise SchemaMismatch(f"input is missing feature {exc.args[0]!r}") from exc
     arr = np.asarray(x, dtype=np.float64)
@@ -352,24 +469,27 @@ def _vectorize(model: ForestModel, x: Union[Mapping[str, float], Sequence[float]
         raise SchemaMismatch(
             f"expected {len(model.feature_names)} features, got shape {arr.shape}"
         )
-    return arr
+    return arr.tolist()
 
 
 def predict_probability(model: ForestModel, x) -> float:
     """Mean over trees of the leaf's weighted robbery fraction.
 
-    Each tree's ``nested`` form is walked with ``x`` as a list (cheaper to
-    index than an array). The leaves are added one by one in tree order,
-    not with ``sum``, whose float summation is compensated from Python 3.12.
+    ``x`` is a Mapping by feature name or a sequence in schema order; a
+    missing name or a wrong length raises ``SchemaMismatch``. The first
+    call with a model compiles its trees (``_compile_forest``) and keeps
+    the result on ``model.compiled``, so the model's trees must not change
+    after it; later calls run the compiled steps in tree order, starting
+    from 0.0. The leaves are added one by one in tree order, not with
+    ``sum``, whose float summation is compensated from Python 3.12.
     """
-    vec = _vectorize(model, x).tolist()
+    vec = _vector(model, x)
+    compiled = model.compiled
+    if compiled is None:
+        compiled = model.compiled = _compile_forest(model.trees)
     total = 0.0
-    for tree in model.trees:
-        node = tree.nested
-        while type(node) is tuple:
-            feat, threshold, left, right = node
-            node = left if vec[feat] <= threshold else right
-        total += node
+    for step in compiled.steps:
+        total = step(vec, total)
     return total / len(model.trees)
 
 
@@ -435,6 +555,26 @@ def _check_tree(tree: Tree, n_features: int) -> None:
             raise CorruptModel(f"leaf {i} has weights ({w0}, {w1})")
 
 
+_DOCUMENT_KEYS = frozenset(
+    ("format", "version", "schema", "config", "class_weights", "importances", "trees")
+)
+_CONFIG_KEYS = frozenset(("n_trees", "seed", *RECIPE))
+_TREE_KEYS = frozenset(("feature", "threshold", "left", "right", "leaf"))
+
+
+def _check_keys(where: str, obj: dict, known: frozenset) -> None:
+    """Raise CorruptModel naming a key of ``obj`` that serialize never writes.
+
+    Such a key would be dropped on load, so the document would not be
+    written back as it was read.
+    """
+    if not isinstance(obj, dict):
+        raise CorruptModel(f"{where} is not a JSON object")
+    for key in obj:
+        if key not in known:
+            raise CorruptModel(f"{where} has unknown key {key!r}")
+
+
 def deserialize(document: str) -> ForestModel:
     try:
         doc = json.loads(document)
@@ -443,10 +583,14 @@ def deserialize(document: str) -> ForestModel:
         raise CorruptModel(f"model document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptModel("not a forest model document")
-    if doc.get("version") != MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    # true and 1.0 equal 1 but are written back as 1
+    if type(version) is not int or version != MODEL_VERSION:
+        raise VersionMismatch(f"unsupported model version {version!r}")
     try:
+        _check_keys("model document", doc, _DOCUMENT_KEYS)
         cfg_doc = doc["config"]
+        _check_keys("config", cfg_doc, _CONFIG_KEYS)
         cfg = ForestConfig(n_trees=cfg_doc["n_trees"], seed=cfg_doc["seed"])
         for key, value in RECIPE.items():
             # any other value (1.0 or true for 1 included) would load and
@@ -456,6 +600,7 @@ def deserialize(document: str) -> ForestModel:
         n_features = len(doc["schema"])
         trees = []
         for tdoc in doc["trees"]:
+            _check_keys("tree", tdoc, _TREE_KEYS)
             tree = Tree(
                 feature=[int(f) for f in tdoc["feature"]],
                 threshold=[float(t) for t in tdoc["threshold"]],
@@ -468,6 +613,10 @@ def deserialize(document: str) -> ForestModel:
             trees.append(tree)
         if not trees:
             raise CorruptModel("model has no trees")
+        if type(cfg.n_trees) is not int or cfg.n_trees != len(trees):
+            raise CorruptModel(
+                f"config n_trees is {cfg.n_trees!r} but the model has {len(trees)} trees"
+            )
         model = ForestModel(
             trees=trees,
             feature_names=tuple(doc["schema"]),

@@ -300,6 +300,25 @@ class TestUnloadableModel:
         assert captured.err.startswith("error: ")
         assert (case == "other_recipe") == ("max_depth" in captured.err)
 
+    @pytest.mark.parametrize("case", ["version_true", "unknown_key", "n_trees"])
+    def test_rank_exits_2_on_a_document_not_written_back_unchanged(
+        self, trained, tmp_path, capsys, case
+    ):
+        doc = json.loads(trained["model"].read_text())
+        if case == "version_true":
+            doc["version"] = True
+        elif case == "unknown_key":
+            doc["trees"][0]["comment"] = "dropped on load"
+        else:
+            doc["config"]["n_trees"] += 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = cli.main(["rank", "--model", str(model)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestRemovedFlags:
     """Flags that set nothing are not defined: argparse exits 2."""

@@ -261,6 +261,28 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             deserialize('{"format":"something-else","version":1}')
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_of_another_json_type(self, version):
+        # equal to 1, but written back as 1
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        doc["version"] = version
+        with pytest.raises(VersionMismatch):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["document", "config", "tree"])
+    def test_unknown_key_rejected(self, where):
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        {"document": doc, "config": doc["config"], "tree": doc["trees"][1]}[where]["comment"] = 0
+        with pytest.raises(CorruptModel, match="'comment'"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("n_trees", [1, 9, 2.0])
+    def test_n_trees_differs_from_tree_count(self, n_trees):
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        doc["config"]["n_trees"] = n_trees
+        with pytest.raises(CorruptModel, match="n_trees"):
+            deserialize(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "key, value",
         [("max_depth", 3), ("min_samples_leaf", 2), ("min_samples_leaf", 1.0), ("min_samples_leaf", True),

@@ -1,14 +1,19 @@
-"""The forest walks nested tuples built once per tree.
+"""The forest compiles its trees on first prediction, or walks nested tuples.
 
-``forest_reference`` keeps the flat four-list walk the nested form
-replaced; both must give the same probability, bit for bit, on any valid
-model document. Shared children and deep chains must load in linear time
-without recursion, and the leaves must be added left to right.
+``forest_reference`` keeps the flat four-list walk that both forms
+replaced; they must give the same probability, bit for bit, on any valid
+model document. Shared children and deep chains must load and predict in
+linear time without recursion, and the leaves must be added left to right.
+A trained model compiles every tree; a tree with a non-finite threshold, a
+deep chain or an exponential expansion of shared children is walked.
 """
 
 import json
 import math
 import time
+import tracemalloc
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,3 +146,88 @@ def test_leaves_are_added_left_to_right():
         in_order += leaf
     assert in_order / 101 != math.fsum(leaves) / 101
     assert predict_probability(model, [0.0, 0.0]) == in_order / 101
+
+
+def stump(threshold, feature=0):
+    """One split on ``feature`` at ``threshold`` with leaves 0.25 and 0.75."""
+    leaf = [(0.0, 0.0), (3.0, 1.0), (1.0, 3.0)]
+    return [feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1], leaf
+
+
+WALKED = {
+    "nan_threshold": stump(math.nan),
+    "inf_threshold": stump(math.inf),
+    "minus_inf_threshold": stump(-math.inf),
+    # deeper than the generated source may indent
+    "deep_chain": chain(10_000, shared=False),
+    # 2**199 paths, deeper than the generated source may indent
+    "shared_chain": chain(200, shared=True),
+    # 2**29 paths within the depth limit: too many lines
+    "shallow_shared_chain": chain(30, shared=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_unusual_trees_are_walked_in_linear_time(name):
+    start = time.perf_counter()
+    model = deserialize(document([WALKED[name]]))
+    for x in ([0.0, 1.0, 2.0], [-1.0, -1.0, -1.0], [1e9, 1e9, 1e9]):
+        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+    assert time.perf_counter() - start < 1.0
+    assert (model.compiled.n_compiled, model.compiled.n_walked) == (0, 1)
+
+
+@pytest.mark.parametrize("n, walked", [(64, 0), (65, 1)])
+def test_a_chain_compiles_up_to_63_splits_deep(n, walked):
+    model = deserialize(document([chain(n, shared=False)]))
+    for x in ([-1.0, -1.0, -1.0], [1e9, 1e9, 1e9], [30.0, 31.0, 32.0]):
+        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+    assert model.compiled.n_walked == walked
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end", "everywhere"])
+def test_compiled_and_walked_trees_mix_in_tree_order(where):
+    # the walked trees sit between runs of compiled stumps and at the ends
+    compiled = [stump(0.5 * (i % 7) - 1.5, feature=i % N_FEATURES) for i in range(60)]
+    walked = [WALKED["nan_threshold"], WALKED["deep_chain"], WALKED["inf_threshold"]]
+    if where == "start":
+        trees = walked + compiled
+    elif where == "middle":
+        trees = compiled[:25] + walked + compiled[25:]
+    elif where == "end":
+        trees = compiled + walked
+    else:
+        trees = walked[:1] + compiled[:30] + walked[1:2] + compiled[30:] + walked[2:]
+    model = deserialize(document(trees))
+    for x in [[v] * N_FEATURES for v in SPECIAL] + [[-1.0, 0.2, 1.0], [0.7, -3.0, 2.5]]:
+        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+    assert (model.compiled.n_compiled, model.compiled.n_walked) == (60, 3)
+
+
+@pytest.fixture(scope="module")
+def trained_500():
+    """500 trees on overlapping classes: about 7 nodes a tree, as deployed models have."""
+    return train(separable_dataset(n=40, margin=0.5), ForestConfig(n_trees=500, seed=1))
+
+
+def test_trained_model_compiles_every_tree(trained_500):
+    loaded = deserialize(serialize(trained_500))
+    for row in separable_dataset(n=40, seed=9, margin=0.5).X:
+        expected = repr(flat_predict_probability(trained_500, row))
+        assert repr(predict_probability(trained_500, row)) == expected
+        assert repr(predict_probability(loaded, row)) == expected
+    for model in (trained_500, loaded):
+        assert (model.compiled.n_compiled, model.compiled.n_walked) == (500, 0)
+
+
+def test_first_prediction_compiles_in_bounded_memory(trained_500):
+    # one generated function for the whole forest peaks near 13 MB here
+    model = deserialize(serialize(trained_500))
+    tracemalloc.start()
+    try:
+        predict_probability(model, [0.0, 0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.compiled.n_compiled == 500
+    assert peak < 4_000_000

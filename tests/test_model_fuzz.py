@@ -5,7 +5,9 @@ replaced by any JSON value (huge and over-long integers, infinities and
 deep nesting among them), a key is deleted, the text is truncated, or the
 whole document is wrapped in deep nesting. ``deserialize`` must return a
 model or raise ``CorruptModel`` or ``VersionMismatch``, and a model it
-returns must predict a probability in [0, 1] for the zero vector.
+returns must predict a probability in [0, 1] for the zero vector, bit for
+bit the flat walk's (``forest_reference``) there and on a vector of each
+special value (nan, the infinities, signed zeros, one).
 """
 
 import json
@@ -13,6 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_reference import flat_predict_probability
 from snatchdet.forest import (
     CorruptModel,
     ForestConfig,
@@ -23,6 +26,7 @@ from snatchdet.forest import (
     train,
 )
 from test_forest import separable_dataset
+from test_forest_walk import SPECIAL
 
 BASE_TEXT = serialize(train(separable_dataset(n=12), ForestConfig(n_trees=2, seed=1)))
 BASE = json.loads(BASE_TEXT)
@@ -108,6 +112,18 @@ def test_any_document_loads_or_raises_a_documented_error(text):
         return
     p = predict_probability(model, [0.0] * len(model.feature_names))
     assert 0.0 <= p <= 1.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents)
+def test_any_loaded_document_predicts_as_the_flat_walk(text):
+    try:
+        model = deserialize(text)
+    except (CorruptModel, VersionMismatch):
+        return
+    n = len(model.feature_names)
+    for x in [[0.0] * n] + [[v] * n for v in SPECIAL]:
+        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
 
 
 def test_base_document_loads():
