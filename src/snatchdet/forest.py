@@ -19,16 +19,20 @@ child between parents (a top-down build would copy it once per path, an
 exponential number of times in the worst case), and no recursion limits
 how deep a tree may be.
 
-The first prediction with a model compiles it (``CompiledForest``): each
+Prediction runs a compiled form of the model (``CompiledForest``): each
 tree's nested form becomes straight-line Python, ``if v[f] <= thr:``
 blocks that end in ``t += leaf``. Consecutive trees share one generated
 function of about ``CHUNK_LINES`` lines (about ten trees of the deployed
 models), so that no one function, and the peak memory of compiling it,
-grows with the forest. Only ``int`` feature indices and the ``repr`` of
-finite floats are written into the source. A tree with a non-finite
-threshold, one nested deeper than the generated source may indent, or one
-whose source would be too long (shared children expand once per path) is
-walked through its nested form instead, in its place in tree order.
+grows with the forest. ``compile_chunk`` compiles one such function per
+call, so a caller can spread the compile over idle moments (the stream
+engine compiles one chunk per frame while its first window fills); the
+first prediction compiles whatever is left. Only ``int`` feature indices
+and the ``repr`` of finite floats are written into the source. A tree
+with a non-finite threshold, one nested deeper than the generated source
+may indent, or one whose source would be too long (shared children expand
+once per path) is walked through its nested form instead, in its place in
+tree order.
 Compiled or walked, the leaves are added one by one in tree order, so
 probabilities are bit for bit those of the flat arrays.
 """
@@ -194,7 +198,7 @@ class ForestModel:
     config: ForestConfig
     class_weights: tuple[float, float]
     importances: np.ndarray
-    # built by the first predict_probability; see CompiledForest
+    # built by compile_chunk, completed by the first predict_probability
     compiled: Optional["CompiledForest"] = field(default=None, compare=False, repr=False)
 
 
@@ -413,47 +417,70 @@ def _walker(root: Node):
     return walk
 
 
-@dataclass(frozen=True)
+def _chunk_step(lines: list[str]):
+    """One generated function ``(v, t) -> t`` running ``lines`` as its body."""
+    source = "\n".join(["def step(v, t):", *lines, "    return t\n"])
+    namespace: dict = {}
+    exec(compile(source, "<snatchdet.forest>", "exec"), namespace)
+    return namespace["step"]
+
+
 class CompiledForest:
     """A model's trees as steps ``(vec, total) -> total`` to run in tree order.
 
-    A compiled step is one generated function holding consecutive compiled
-    trees, closed once it reaches ``CHUNK_LINES`` lines; a walked step is
-    one tree that ``_tree_source`` refused. ``n_compiled + n_walked`` is
-    the model's tree count.
+    Built a chunk at a time by ``compile_chunk``. A compiled step is one
+    generated function holding consecutive compiled trees, closed once it
+    reaches ``CHUNK_LINES`` lines; a walked step is one tree that
+    ``_tree_source`` refused. Once ``done``, ``n_compiled + n_walked`` is the
+    model's tree count.
     """
 
-    steps: tuple
-    n_compiled: int
-    n_walked: int
+    def __init__(self, trees: Sequence[Tree]):
+        self._trees = trees
+        self._next = 0
+        self.steps: list = []
+        self.n_compiled = 0
+        self.n_walked = 0
+        self.done = not trees
 
+    def compile_chunk(self) -> bool:
+        """Add the steps of the next trees, at most one generated function; return ``done``.
 
-def _compile_forest(trees: Sequence[Tree]) -> CompiledForest:
-    """The trees' steps, compiled where ``_tree_source`` allows, in tree order."""
-    steps: list = []
-    chunk: list[str] = []
-    n_compiled = 0
-
-    def close_chunk() -> None:
-        if chunk:
-            source = "\n".join(["def step(v, t):", *chunk, "    return t\n"])
-            namespace: dict = {}
-            exec(compile(source, "<snatchdet.forest>", "exec"), namespace)
-            steps.append(namespace["step"])
-            chunk.clear()
-
-    for tree in trees:
-        lines = _tree_source(tree.nested)
-        if lines is None:
-            close_chunk()
-            steps.append(_walker(tree.nested))
-        else:
+        The chunk ends at ``CHUNK_LINES`` lines or at a tree that must be
+        walked, which follows it as its own step.
+        """
+        chunk: list[str] = []
+        walked = None
+        while self._next < len(self._trees) and len(chunk) < CHUNK_LINES:
+            root = self._trees[self._next].nested
+            self._next += 1
+            lines = _tree_source(root)
+            if lines is None:
+                walked = _walker(root)
+                break
             chunk += lines
-            n_compiled += 1
-            if len(chunk) >= CHUNK_LINES:
-                close_chunk()
-    close_chunk()
-    return CompiledForest(tuple(steps), n_compiled, len(trees) - n_compiled)
+            self.n_compiled += 1
+        if chunk:
+            self.steps.append(_chunk_step(chunk))
+        if walked is not None:
+            self.steps.append(walked)
+            self.n_walked += 1
+        self.done = self._next == len(self._trees)
+        return self.done
+
+
+def compile_chunk(model: ForestModel) -> bool:
+    """Compile the next chunk of ``model``'s trees; True once all are compiled or walked.
+
+    Each call compiles at most one generated function (about 1 ms for
+    ``CHUNK_LINES`` lines), so a caller with idle moments, such as a stream
+    whose first window is still filling, can spread the compile over them
+    instead of paying it all at the first prediction.
+    """
+    compiled = model.compiled
+    if compiled is None:
+        compiled = model.compiled = CompiledForest(model.trees)
+    return compiled.done or compiled.compile_chunk()
 
 
 def _vector(
@@ -477,16 +504,19 @@ def predict_probability(model: ForestModel, x) -> float:
 
     ``x`` is a Mapping by feature name or a sequence in schema order; a
     missing name or a wrong length raises ``SchemaMismatch``. The first
-    call with a model compiles its trees (``_compile_forest``) and keeps
-    the result on ``model.compiled``, so the model's trees must not change
-    after it; later calls run the compiled steps in tree order, starting
-    from 0.0. The leaves are added one by one in tree order, not with
-    ``sum``, whose float summation is compensated from Python 3.12.
+    call with a model compiles whatever ``compile_chunk`` has not yet
+    compiled and keeps the result on ``model.compiled``, so the model's
+    trees must not change after the first of either; later calls run the
+    compiled steps in tree order, starting from 0.0. The leaves are added
+    one by one in tree order, not with ``sum``, whose float summation is
+    compensated from Python 3.12.
     """
     vec = _vector(model, x)
     compiled = model.compiled
-    if compiled is None:
-        compiled = model.compiled = _compile_forest(model.trees)
+    if compiled is None or not compiled.done:
+        while not compile_chunk(model):
+            pass
+        compiled = model.compiled
     total = 0.0
     for step in compiled.steps:
         total = step(vec, total)

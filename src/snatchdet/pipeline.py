@@ -49,7 +49,7 @@ from .features import (
     full_schema,
     pair_segment,
 )
-from .forest import ForestModel, SchemaMismatch, predict_probability
+from .forest import ForestModel, SchemaMismatch, compile_chunk, predict_probability
 from .preprocess import (
     SkeletonSmoother,
     aggressor_probabilities,
@@ -375,6 +375,7 @@ class StreamEngine:
         self.alerts: list[AlertRecord] = []
         self.evidence: list[EvidenceRecord] = []
         self.frames_processed = 0
+        self._forest_compiled = False
 
     @property
     def _buffers(self) -> set[str]:
@@ -403,6 +404,10 @@ class StreamEngine:
         if self._start_t is None:
             self._start_t = record.timestamp
         self.frames_processed += 1
+        if not self._forest_compiled:
+            # one chunk of the forest per frame while the first window fills,
+            # so that no decision pays for compiling the whole forest
+            self._forest_compiled = compile_chunk(self.model)
 
         present, segment = self._windows.advance(record)
         if segment is not None:

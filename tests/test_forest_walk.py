@@ -1,11 +1,13 @@
-"""The forest compiles its trees on first prediction, or walks nested tuples.
+"""The forest compiles its trees a chunk at a time, or walks nested tuples.
 
 ``forest_reference`` keeps the flat four-list walk that both forms
 replaced; they must give the same probability, bit for bit, on any valid
 model document. Shared children and deep chains must load and predict in
 linear time without recursion, and the leaves must be added left to right.
 A trained model compiles every tree; a tree with a non-finite threshold, a
-deep chain or an exponential expansion of shared children is walked.
+deep chain or an exponential expansion of shared children is walked. The
+stream engine compiles one chunk per frame, so its first decision finds
+the forest compiled; a prediction compiles whatever is left.
 """
 
 import json
@@ -19,16 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forest_reference import flat_predict_probability
+from snatchdet import pipeline
+from snatchdet.config import PipelineConfig
 from snatchdet.forest import (
     MODEL_FORMAT,
     MODEL_VERSION,
+    Dataset,
     ForestConfig,
     Tree,
+    compile_chunk,
     deserialize,
     predict_probability,
     serialize,
     train,
 )
+from snatchdet.synth import ScenarioSpec, generate
 from test_forest import separable_dataset
 
 N_FEATURES = 3
@@ -231,3 +238,61 @@ def test_first_prediction_compiles_in_bounded_memory(trained_500):
         tracemalloc.stop()
     assert model.compiled.n_compiled == 500
     assert peak < 4_000_000
+
+
+def test_compile_chunk_adds_one_function_a_call_and_a_prediction_ends_it(trained_500):
+    model = deserialize(serialize(trained_500))
+    for calls in range(1, 4):
+        assert compile_chunk(model) is False
+        assert len(model.compiled.steps) == calls
+    assert 0 < model.compiled.n_compiled < 500
+    for row in separable_dataset(n=40, seed=9, margin=0.5).X:
+        expected = repr(flat_predict_probability(trained_500, row))
+        assert repr(predict_probability(model, row)) == expected
+    assert model.compiled.done
+    assert (model.compiled.n_compiled, model.compiled.n_walked) == (500, 0)
+    assert compile_chunk(model) is True
+    # the same chunks as a model compiled all at once by its first prediction
+    whole = deserialize(serialize(trained_500))
+    predict_probability(whole, [0.0, 0.0])
+    assert len(whole.compiled.steps) == len(model.compiled.steps)
+
+
+def test_a_walked_tree_ends_a_chunk_and_follows_it():
+    compiled = [stump(0.5 * (i % 7) - 1.5, feature=i % N_FEATURES) for i in range(60)]
+    model = deserialize(document(compiled[:5] + [WALKED["nan_threshold"]] + compiled[5:]))
+    assert compile_chunk(model) is False
+    assert (model.compiled.n_compiled, model.compiled.n_walked) == (5, 1)
+    assert len(model.compiled.steps) == 2
+    for x in [[v] * N_FEATURES for v in SPECIAL] + [[-1.0, 0.2, 1.0]]:
+        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+
+
+def test_stream_engine_compiles_one_chunk_per_frame_before_its_first_decision(monkeypatch):
+    cfg = PipelineConfig()
+    frames = generate(ScenarioSpec(kind="snatch", seed=11, duration=5.0, noise_sigma=1.0)).frames
+    rows = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+    model = train(
+        Dataset(("distance_mean", "A_velocity_mean"), rows, [0, 1, 1]),
+        ForestConfig(n_trees=500, seed=3),
+    )
+    compiled_when_called = []
+    inner = pipeline.predict_probability
+
+    def recording(m, x):
+        compiled_when_called.append(m.compiled.done)
+        return inner(m, x)
+
+    monkeypatch.setattr(pipeline, "predict_probability", recording)
+    engine = pipeline.StreamEngine(model, cfg)
+    n_steps = []
+    for record in frames:
+        engine.process(record)
+        n_steps.append(len(model.compiled.steps))
+        if model.compiled.done:
+            break
+    # more than one chunk, one a frame, all before the first window is full
+    assert n_steps == list(range(1, len(n_steps) + 1))
+    assert 1 < len(n_steps) < cfg.window_frames
+    engine.run(frames[len(n_steps):])
+    assert compiled_when_called and all(compiled_when_called)
