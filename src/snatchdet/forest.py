@@ -1,13 +1,24 @@
 """From-scratch random forest with weighted-Gini trees.
 
 Trees are grown greedily on bootstrap samples, evaluating a random feature
-subset per node and splitting at midpoints between consecutive sorted
-unique values. Class imbalance is handled by balanced class weights that
-enter both the impurity counts and the leaf probability fractions.
-Training is bit-reproducible: every tree draws from its own PCG64
-substream seeded by (seed, tree_index), so results do not depend on
-scheduling or row order (rows are canonicalized by sample id when ids are
-present).
+subset per node and splitting at midpoints between consecutive distinct
+values. Class imbalance is handled by balanced class weights that enter
+both the impurity counts and the leaf probability fractions. Training is
+bit-reproducible: every tree draws from its own PCG64 substream seeded by
+(seed, tree_index), so results do not depend on scheduling or row order
+(rows are canonicalized by sample id when ids are present).
+
+The split search sorts each column once per training run (the
+pre-sorting of SLIQ, Mehta, Agrawal and Rissanen, 1996); every tree reads
+that order. A node is held as a count per training row: how many times
+the tree's bootstrap drew the row, or 0 where the row does not reach the
+node. A split search keeps each candidate feature's presorted rows whose
+count is above 0.
+Candidate splits lie only between distinct values, where the cumulative
+class counts are integers, exact in floating point, whatever the order of
+rows within ties. So the gains, thresholds, tie-breaks and importances
+are bit for bit those of sorting each node's rows again, as a naive
+per-node search would.
 
 A tree is stored as flat node arrays, which training fills and the model
 document holds. From them each tree gets a nested form,
@@ -43,6 +54,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -217,73 +229,99 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tree_index)))
 
 
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's stable sort order and its sorted values, feature-major: two (d, n) arrays."""
+    columns = np.ascontiguousarray(X.T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    return order, np.take_along_axis(columns, order, axis=1)
+
+
 def _best_split(
-    X: np.ndarray,
+    order: np.ndarray,
+    values: np.ndarray,
     y: np.ndarray,
-    idx: np.ndarray,
+    counts: np.ndarray,
     feats: np.ndarray,
     w0: float,
     w1: float,
 ) -> Optional[tuple[int, float, float, np.ndarray, np.ndarray]]:
     """Best (feature, threshold) by weighted-Gini decrease over ``feats``.
 
-    Returns (feature, threshold, weighted impurity decrease, left indices,
-    right indices) or None when no split improves impurity. Ties go to the
-    lower feature index and then the lower threshold. Class counts are kept
-    as exact integer cumulative sums so the criterion is bit-identical to a
-    naive per-split recount.
+    ``order`` and ``values`` are ``_presort`` of the training rows, and the
+    node holds row i ``counts[i]`` times. Returns (feature, threshold,
+    weighted impurity decrease, left counts, right counts) or None when no
+    split improves impurity. Ties go to the lower feature index and then
+    the lower threshold.
+
+    Each feature's presorted rows are filtered to the node's rows, so every
+    feature keeps the same number of them. Candidate splits lie between
+    consecutive distinct values, where the cumulative class counts are exact
+    integers whatever the order of rows within ties, so the criterion is
+    bit-identical to a naive per-split recount. Rows go left by value
+    (``x <= lo``, the lower of the two values), not by the midpoint
+    threshold, which for adjacent floats can round to the higher value.
     """
-    n = idx.shape[0]
-    Xn = X[np.ix_(idx, feats)]
-    yn = y[idx]
+    m = feats.shape[0]
+    rows = order[feats]
+    node_counts = counts[rows]
+    # the node's rows in each feature's sorted order, feature-major: every
+    # feature holds the same rows, so each keeps the same number u of them
+    kept = np.flatnonzero(node_counts)
+    c = node_counts.ravel().take(kept)
+    xs = values[feats].ravel().take(kept).reshape(m, -1)
+    # one running sum over the m features in turn, so feature j's sums
+    # start at j times the node's totals
+    cnt = np.cumsum(c).reshape(m, -1)
+    cnt1 = np.cumsum(c * y.take(rows.ravel().take(kept))).reshape(m, -1)
+    tot = int(cnt[0, -1])
+    tot1 = int(cnt1[0, -1])
+    before = np.arange(m)[:, None]
+    cnt = cnt[:, :-1] - before * tot
+    cnt1 = cnt1[:, :-1] - before * tot1
 
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ones = (yn == 1).astype(np.float64)
-    cnt1 = np.cumsum(ones[order], axis=0)
-    pos = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    cnt0 = pos - cnt1
-
-    tot1 = float(cnt1[-1, 0])
-    tot0 = float(n) - tot1
-    w_tot0 = tot0 * w0
-    w_tot1 = tot1 * w1
+    w_tot0 = float(tot - tot1) * w0
+    w_tot1 = float(tot1) * w1
     w_tot = w_tot0 + w_tot1
     parent = w_tot - (w_tot0 * w_tot0 + w_tot1 * w_tot1) / w_tot
 
-    # candidate split after sorted position i (0 .. n-2)
-    l0 = cnt0[:-1] * w0
-    l1 = cnt1[:-1] * w1
+    # candidate splits after kept row k (0 .. u-2) where the value rises,
+    # flat in feature-major order
+    bounds = np.flatnonzero(xs[:, 1:] > xs[:, :-1])
+    cnt1 = cnt1.ravel().take(bounds)
+    l0 = (cnt.ravel().take(bounds) - cnt1) * w0
+    l1 = cnt1 * w1
     wl = l0 + l1
     r0 = w_tot0 - l0
     r1 = w_tot1 - l1
     wr = r0 + r1
     children = (wl - (l0 * l0 + l1 * l1) / wl) + (wr - (r0 * r0 + r1 * r1) / wr)
     gain = parent - children
-    gain = np.where(xs[1:] > xs[:-1], gain, -np.inf)
-
-    flat = np.argmax(gain.T)  # feature-major: ties -> lower feature, lower threshold
-    f_local, split_pos = divmod(int(flat), n - 1)
-    best_gain = float(gain[split_pos, f_local])
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
+    if gain.shape[0] == 0:
+        return None
+    best = int(np.argmax(gain))  # ties -> lower feature, lower threshold
+    best_gain = float(gain[best])
+    if best_gain <= 0.0:
         return None
 
-    threshold = (float(xs[split_pos, f_local]) + float(xs[split_pos + 1, f_local])) / 2.0
-    col_order = order[:, f_local]
-    left_idx = idx[col_order[: split_pos + 1]]
-    right_idx = idx[col_order[split_pos + 1 :]]
-    return int(feats[f_local]), threshold, best_gain, left_idx, right_idx
+    f_local, k = divmod(int(bounds[best]), xs.shape[1] - 1)
+    lo = float(xs[f_local, k])
+    threshold = (lo + float(xs[f_local, k + 1])) / 2.0
+    feat = int(feats[f_local])
+    left = counts.copy()
+    left[order[feat, np.searchsorted(values[feat], lo, side="right") :]] = 0
+    return feat, threshold, best_gain, left, counts - left
 
 
 def _grow_tree(
-    X: np.ndarray,
+    order: np.ndarray,
+    values: np.ndarray,
     y: np.ndarray,
     cfg: ForestConfig,
     tree_index: int,
     weights: tuple[float, float],
 ) -> tuple[Tree, np.ndarray]:
     rng = _tree_rng(cfg.seed, tree_index)
-    n, d = X.shape
+    d, n = order.shape
     w0, w1 = weights
     m = math.ceil(math.sqrt(d))
 
@@ -291,26 +329,25 @@ def _grow_tree(
     tree = Tree()
     decreases = np.zeros(d, dtype=np.float64)
 
-    # (node slot, sample indices); preorder with the left child first so the
+    # (node slot, row counts); preorder with the left child first so the
     # RNG consumption order is well defined.
     root = tree.add_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, bootstrap)]
+    stack: list[tuple[int, np.ndarray]] = [(root, np.bincount(bootstrap, minlength=n))]
     while stack:
-        node, idx = stack.pop()
-        yn = y[idx]
-        n1 = int(np.sum(yn == 1))
-        n0 = idx.shape[0] - n1
+        node, counts = stack.pop()
+        n1 = int(counts @ y)
+        n0 = int(counts.sum()) - n1
 
         split = None
         if n0 > 0 and n1 > 0:
             feats = np.sort(rng.choice(d, size=m, replace=False))
-            split = _best_split(X, y, idx, feats, w0, w1)
+            split = _best_split(order, values, y, counts, feats, w0, w1)
 
         if split is None:
             tree.leaf_weights[node] = (n0 * w0, n1 * w1)
             continue
 
-        feat, threshold, gain, left_idx, right_idx = split
+        feat, threshold, gain, left_counts, right_counts = split
         decreases[feat] += gain
         tree.feature[node] = feat
         tree.threshold[node] = threshold
@@ -318,8 +355,8 @@ def _grow_tree(
         right = tree.add_node()
         tree.left[node] = left
         tree.right[node] = right
-        stack.append((right, right_idx))
-        stack.append((left, left_idx))
+        stack.append((right, right_counts))
+        stack.append((left, left_counts))
 
     tree.set_probabilities()
     return tree, decreases
@@ -331,9 +368,11 @@ def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     if len(data) == 0:
         raise MissingClass("empty dataset")
     weights = balanced_weights(data.y)
+    # sorted once, shared read-only by every tree
+    order, values = _presort(data.X)
 
     def build(t: int) -> tuple[Tree, np.ndarray]:
-        return _grow_tree(data.X, data.y, cfg, t, weights)
+        return _grow_tree(order, values, data.y, cfg, t, weights)
 
     if cfg.n_jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
@@ -530,10 +569,32 @@ def predict(model: ForestModel, x) -> tuple[int, float]:
 
 
 def training_accuracy(model: ForestModel, dataset: Dataset) -> float:
-    hits = sum(
-        1 for row, label in zip(dataset.X, dataset.y) if predict(model, row)[0] == int(label)
-    )
-    return hits / len(dataset)
+    """Share of ``dataset``'s rows whose predicted label is their own.
+
+    It does not compile the model: each tree's nested form splits the row
+    indices at each node some row reaches, and each row adds its leaf
+    fractions in tree order, so every probability is bit for bit
+    ``predict_probability``'s.
+    """
+    X = dataset.X
+    if X.shape[1] != len(model.feature_names):
+        raise SchemaMismatch(f"expected {len(model.feature_names)} features, got {X.shape[1]}")
+    total = np.zeros(X.shape[0])
+    for tree in model.trees:
+        stack = [(tree.nested, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if type(node) is not tuple:
+                total[rows] += node
+                continue
+            feat, threshold, left, right = node
+            goes_left = X[rows, feat] <= threshold
+            for child, part in ((right, rows[~goes_left]), (left, rows[goes_left])):
+                # only nodes some row reaches: a shared child is visited once per row
+                if part.size:
+                    stack.append((child, part))
+    hits = np.count_nonzero((total / len(model.trees) >= 0.5) == dataset.y)
+    return int(hits) / len(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +666,52 @@ def _check_keys(where: str, obj: dict, known: frozenset) -> None:
             raise CorruptModel(f"{where} has unknown key {key!r}")
 
 
+# deserialize rejects each value that serialize would write back as other
+# bytes: an integer given as a float or a boolean, a float that is not the
+# repr string of its value, a third class weight.
+
+
+def _integers(where: str, values) -> list[int]:
+    """``values`` if it is a list of JSON integers, not booleans or floats."""
+    if type(values) is not list or set(map(type, values)) - {int}:
+        raise CorruptModel(f"{where} is not a list of integers")
+    return values
+
+
+def _floats(where: str, texts, seen: set) -> list[float]:
+    """The floats of the list ``texts``; its items join ``seen`` for ``_check_reprs``."""
+    if type(texts) is not list:
+        raise CorruptModel(f"{where} is not a list")
+    seen.update(texts)
+    return list(map(float, texts))
+
+
+def _leaf_weights(pairs, seen: set) -> list[tuple[float, float]]:
+    """The (w0, w1) weights of the list of pairs ``pairs``; its items join ``seen``."""
+    if type(pairs) is not list or set(map(type, pairs)) - {list}:
+        raise CorruptModel("tree leaf is not a list of pairs")
+    seen.update(chain.from_iterable(pairs))
+    return [(float(w0), float(w1)) for w0, w1 in pairs]
+
+
+def _check_reprs(where: str, texts: set) -> None:
+    """Raise CorruptModel unless each of ``texts`` is the repr string of its float.
+
+    The strings of a whole document are checked once each: the leaf
+    weights of a model take few distinct values.
+    """
+    for text in texts:
+        if type(text) is not str or repr(float(text)) != text:
+            raise CorruptModel(f"{where} holds {text!r}, not the repr string of a float")
+
+
+def _class_weights(values) -> tuple[float, float]:
+    """``values`` as a pair if it is a list of two JSON floats."""
+    if type(values) is not list or len(values) != 2 or set(map(type, values)) != {float}:
+        raise CorruptModel("class_weights is not a pair of JSON floats")
+    return values[0], values[1]
+
+
 def deserialize(document: str) -> ForestModel:
     try:
         doc = json.loads(document)
@@ -629,31 +736,37 @@ def deserialize(document: str) -> ForestModel:
                 raise CorruptModel(f"config {key} differs from the recipe's {json.dumps(value)}")
         n_features = len(doc["schema"])
         trees = []
+        threshold_texts: set = set()
+        weight_texts: set = set()
         for tdoc in doc["trees"]:
             _check_keys("tree", tdoc, _TREE_KEYS)
             tree = Tree(
-                feature=[int(f) for f in tdoc["feature"]],
-                threshold=[float(t) for t in tdoc["threshold"]],
-                left=[int(v) for v in tdoc["left"]],
-                right=[int(v) for v in tdoc["right"]],
-                leaf_weights=[(float(w0), float(w1)) for w0, w1 in tdoc["leaf"]],
+                feature=_integers("tree feature", tdoc["feature"]),
+                threshold=_floats("tree threshold", tdoc["threshold"], threshold_texts),
+                left=_integers("tree left", tdoc["left"]),
+                right=_integers("tree right", tdoc["right"]),
+                leaf_weights=_leaf_weights(tdoc["leaf"], weight_texts),
             )
             _check_tree(tree, n_features)
             tree.set_probabilities()
             trees.append(tree)
+        _check_reprs("tree threshold", threshold_texts)
+        _check_reprs("tree leaf", weight_texts)
         if not trees:
             raise CorruptModel("model has no trees")
         if type(cfg.n_trees) is not int or cfg.n_trees != len(trees):
             raise CorruptModel(
                 f"config n_trees is {cfg.n_trees!r} but the model has {len(trees)} trees"
             )
+        importance_texts: set = set()
         model = ForestModel(
             trees=trees,
             feature_names=tuple(doc["schema"]),
             config=cfg,
-            class_weights=(float(doc["class_weights"][0]), float(doc["class_weights"][1])),
-            importances=np.array([float(v) for v in doc["importances"]], dtype=np.float64),
+            class_weights=_class_weights(doc["class_weights"]),
+            importances=np.array(_floats("importances", doc["importances"], importance_texts)),
         )
+        _check_reprs("importances", importance_texts)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (CorruptModel, VersionMismatch)):
             raise

@@ -30,7 +30,6 @@ from snatchdet.features import (
 from snatchdet.forest import (
     Dataset,
     ForestConfig,
-    _best_split,
     balanced_weights,
     predict,
     predict_probability,
@@ -45,7 +44,7 @@ from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, step
 from snatchdet.types import FrameRecord, Keypoint, Track, validate_stream
-from test_forest import exhaustive_best_split
+from test_forest import exhaustive_best_split, root_split
 from track_reference import build_tracks, reference_segments
 
 
@@ -296,7 +295,7 @@ def test_forest_root_split_oracle():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         w0, w1 = balanced_weights(y)
-        got = _best_split(X, y, np.arange(n), np.arange(d), w0, w1)
+        got = root_split(X, y, np.arange(d), w0, w1)
         want = exhaustive_best_split(X, y, w0, w1)
         trials += 1
         if want is None:

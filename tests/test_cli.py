@@ -10,6 +10,7 @@ import pytest
 
 from conftest import skeleton_from_keypoints
 from snatchdet import cli, features, forest, streams, synth
+from test_forest import NOT_WRITTEN_BACK, edit_not_written_back
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +319,21 @@ class TestUnloadableModel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("case", sorted(NOT_WRITTEN_BACK))
+    def test_rank_exits_2_on_a_value_written_back_otherwise(self, trained, tmp_path, capsys, case):
+        doc = json.loads(trained["model"].read_text())
+        # a root split on feature 1, so that True stands for a valid index
+        doc["trees"][0]["feature"][0] = 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(edit_not_written_back(doc, case)))
+        rc = cli.main(["rank", "--model", str(model)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert NOT_WRITTEN_BACK[case] in captured.err
 
 
 class TestRemovedFlags:

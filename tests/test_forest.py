@@ -14,6 +14,7 @@ from snatchdet.forest import (
     Tree,
     VersionMismatch,
     _best_split,
+    _presort,
     _tree_rng,
     balanced_weights,
     deserialize,
@@ -82,6 +83,11 @@ def exhaustive_best_split(X, y, w0, w1, min_leaf=1):
     return best
 
 
+def root_split(X, y, feats, w0, w1):
+    """``_best_split`` at a node that holds every row of ``X`` once."""
+    return _best_split(*_presort(X), y, np.ones(X.shape[0], dtype=np.int64), feats, w0, w1)
+
+
 class TestBestSplit:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(303)
@@ -93,7 +99,7 @@ class TestBestSplit:
             if y.min() == y.max():
                 y[0] = 1 - y[0]
             w0, w1 = balanced_weights(y)
-            got = _best_split(X, y, np.arange(n), np.arange(d), w0, w1)
+            got = root_split(X, y, np.arange(d), w0, w1)
             want = exhaustive_best_split(X, y, w0, w1)
             if want is None:
                 assert got is None
@@ -105,7 +111,7 @@ class TestBestSplit:
     def test_duplicated_rows_mixed_labels_unsplittable(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 1, 0])
-        assert _best_split(X, y, np.arange(6), np.arange(2), 1.0, 1.0) is None
+        assert root_split(X, y, np.arange(2), 1.0, 1.0) is None
 
 
 class TestTraining:
@@ -113,6 +119,19 @@ class TestTraining:
         data = separable_dataset()
         model = train(data, ForestConfig(n_trees=50, seed=42))
         assert training_accuracy(model, data) == 1.0
+
+    def test_training_accuracy_compiles_nothing_and_agrees_with_predict(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 3))
+        y = rng.integers(0, 2, size=80)
+        data = Dataset(("f0", "f1", "f2"), X, y)
+        # an even tree count, so some rows sit at exactly 0.5
+        model = train(data, ForestConfig(n_trees=16, seed=4))
+        got = training_accuracy(model, data)
+        assert model.compiled is None
+        probabilities = [predict_probability(model, row) for row in X]
+        assert 0.5 in probabilities
+        assert got == sum((p >= 0.5) == label for p, label in zip(probabilities, y)) / len(y)
 
     def test_bit_reproducible(self):
         data = separable_dataset()
@@ -345,3 +364,61 @@ class TestCorruptTree:
 
     def test_unchanged_model_loads(self):
         deserialize(corrupted(lambda doc, tree: None))
+
+
+# Edits that a looser load would accept and then write back as other bytes,
+# with the key its error names.
+NOT_WRITTEN_BACK = {
+    "threshold_1": "threshold",
+    "threshold_number": "threshold",
+    "importance_number": "importances",
+    "third_class_weight": "class_weights",
+    "class_weight_integer": "class_weights",
+    "leaf_weight_number": "leaf",
+    "leaf_weight_trailing_zero": "leaf",
+    "feature_bool": "feature",
+    "feature_float": "feature",
+    "left_bool": "left",
+    "left_float": "left",
+    "right_bool": "right",
+    "right_float": "right",
+}
+
+
+def edit_not_written_back(doc, case):
+    """Apply ``case`` of ``NOT_WRITTEN_BACK`` to a serialized model ``doc`` in place."""
+    tree = doc["trees"][0]
+    assert tree["feature"][0] >= 0 and tree["left"][0] == 1  # the root splits
+    leaf = tree["feature"].index(-1)
+    if case == "threshold_1":
+        tree["threshold"][0] = "1"
+    elif case == "threshold_number":
+        tree["threshold"][0] = float(tree["threshold"][0])
+    elif case == "importance_number":
+        doc["importances"][0] = float(doc["importances"][0])
+    elif case == "third_class_weight":
+        doc["class_weights"].append(1.0)
+    elif case == "class_weight_integer":
+        doc["class_weights"][0] = 1
+    elif case == "leaf_weight_number":
+        tree["leaf"][leaf] = [float(w) for w in tree["leaf"][leaf]]
+    elif case == "leaf_weight_trailing_zero":
+        tree["leaf"][leaf][0] += "0"
+    else:
+        key, kind = case.split("_")
+        tree[key][0] = True if kind == "bool" else float(tree[key][0])
+    return doc
+
+
+class TestWrittenBackAsRead:
+    """A document loads only if serialize would write it back byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(NOT_WRITTEN_BACK))
+    def test_value_written_back_otherwise_is_rejected(self, case):
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        # a root split on feature 1, so that True stands for a valid index
+        doc["trees"][0]["feature"][0] = 1
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert serialize(deserialize(text)) == text
+        with pytest.raises(CorruptModel, match=NOT_WRITTEN_BACK[case]):
+            deserialize(json.dumps(edit_not_written_back(doc, case)))
