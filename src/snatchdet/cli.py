@@ -21,8 +21,6 @@ import json
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +42,11 @@ class SinkUnreachable(RuntimeError):
 
 def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -> None:
     """POST one alert as JSON; 2 retries with 1 s backoff, then give up."""
+    # imported here: urllib.request pulls in http.client, email and ssl,
+    # which only a stream with a sink needs
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(record).encode("utf-8")
     last: Optional[Exception] = None
     for attempt in range(retries + 1):

@@ -257,9 +257,10 @@ def _best_split(
     feature keeps the same number of them. Candidate splits lie between
     consecutive distinct values, where the cumulative class counts are exact
     integers whatever the order of rows within ties, so the criterion is
-    bit-identical to a naive per-split recount. Rows go left by value
-    (``x <= lo``, the lower of the two values), not by the midpoint
-    threshold, which for adjacent floats can round to the higher value.
+    bit-identical to a naive per-split recount. The threshold is the
+    midpoint of the two values, or the lower one ``lo`` when the midpoint
+    rounds to the higher (adjacent floats), so ``x <= threshold`` sends
+    exactly the rows with ``x <= lo`` left, as the search counted them.
     """
     m = feats.shape[0]
     rows = order[feats]
@@ -305,7 +306,10 @@ def _best_split(
 
     f_local, k = divmod(int(bounds[best]), xs.shape[1] - 1)
     lo = float(xs[f_local, k])
-    threshold = (lo + float(xs[f_local, k + 1])) / 2.0
+    hi = float(xs[f_local, k + 1])
+    threshold = (lo + hi) / 2.0
+    if threshold == hi:  # adjacent floats: keep the hi rows right of x <= threshold
+        threshold = lo
     feat = int(feats[f_local])
     left = counts.copy()
     left[order[feat, np.searchsorted(values[feat], lo, side="right") :]] = 0

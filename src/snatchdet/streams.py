@@ -8,14 +8,18 @@ One frame per line:
                   "bbox": [x1, y1, x2, y2]}]}
 
 ``timestamp_s`` is optional; when absent it is synthesized as
-``frame_index / fps``. Any line that is not a frame raises
-``MalformedRecord``.
+``frame_index / fps``. A line is read as strict RFC 8259 JSON by
+``orjson``: no ``NaN`` or ``Infinity`` literals, no number beyond the double
+range, no unpaired surrogate escapes. Frames are written by ``json.dumps``.
+Any line that is not a frame raises ``MalformedRecord``.
 """
 
 from __future__ import annotations
 
 import json
 from typing import IO, Iterable, Iterator, Union
+
+import orjson
 
 from .types import FrameRecord, MalformedRecord, Skeleton, validate_stream
 
@@ -89,9 +93,11 @@ def frame_to_line(record: FrameRecord) -> str:
 
 def line_to_frame(line: str, fps: float = 30.0) -> FrameRecord:
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer too long to convert, or nesting too deep
+        # orjson parses every finite float to the same double as json.loads;
+        # it rejects NaN, Infinity, out-of-range numbers and lone surrogates,
+        # and turns an integer outside 64 bits into a float
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON line: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord("frame line must be a JSON object")

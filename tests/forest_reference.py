@@ -90,7 +90,12 @@ def _best_split(
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
 
-    threshold = (float(xs[split_pos, f_local]) + float(xs[split_pos + 1, f_local])) / 2.0
+    below, above = float(xs[split_pos, f_local]), float(xs[split_pos + 1, f_local])
+    threshold = (below + above) / 2.0
+    if not threshold < above:
+        # the midpoint of two adjacent floats is the upper one; the split
+        # sends the rows at `above` right, so `x <= threshold` must too
+        threshold = below
     col_order = order[:, f_local]
     return (
         int(feats[f_local]),

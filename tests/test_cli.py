@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -670,6 +672,24 @@ class TestAlertSink:
             ]
         )
         assert rc == 5
+
+    def test_stream_without_a_sink_imports_no_http_client(self, trained, tmp_path):
+        """``urllib.request`` pulls in ``http.client``, ``email`` and ``ssl``: only a sink needs them."""
+        fixture = os.path.join(os.path.dirname(__file__), "..", "docs", "fixtures", "two_person_stream.jsonl")
+        script = (
+            "import json, sys\n"
+            "from snatchdet import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, [m for m in ('urllib.request', 'ssl') if m in sys.modules]]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["stream", "--stream", fixture, "--model", str(trained["model"]),
+                "--alerts-out", str(tmp_path / "alerts.jsonl")]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 class TestConfigFile:

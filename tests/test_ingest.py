@@ -4,11 +4,13 @@
 per-value loop; ``SkeletonSmoother`` updates one flat state list. Both must
 agree with ``tests/ingest_reference.py`` bit for bit, including every error
 message. Any JSON object handed to ``line_to_frame`` gives a frame or a
-``MalformedRecord``, nothing else.
+``MalformedRecord``, nothing else, and every frame its decoder reads holds
+the values the standard library's ``json.loads`` reads, bit for bit.
 """
 
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -252,15 +254,103 @@ def test_bad_timestamp_or_index_is_a_malformed_record(field, value):
     obj[field] = value
     if field == "frame_index":
         del obj["timestamp_s"]  # the timestamp comes from frame_index / fps
-    with pytest.raises(MalformedRecord, match="bad frame object"):
+    # 10**400 lies beyond the double range, which the decoder rejects
+    expected = "invalid JSON line" if value == 10**400 else "bad frame object"
+    with pytest.raises(MalformedRecord, match=expected):
         streams.line_to_frame(json.dumps(obj))
 
 
 @pytest.mark.parametrize(
     "persons",
-    ["[" * 100_000 + "]" * 100_000, "1" * 5000],  # too deep; an integer over Python's digit limit
+    ["[" * 100_000 + "]" * 100_000, "1" * 5000],  # deeply nested; a number beyond the double range
 )
 def test_undecodable_line_is_a_malformed_record(persons):
     line = '{"frame_index": 0, "persons": ' + persons + "}"
-    with pytest.raises(MalformedRecord, match="invalid JSON line"):
+    # deep nesting decodes, and the nested lists are not persons
+    expected = "bad frame object" if persons.startswith("[") else "invalid JSON line"
+    with pytest.raises(MalformedRecord, match=expected):
         streams.line_to_frame(line)
+
+
+# ---------------------------------------------------------------------------
+# the line decoder against the standard library's json.loads
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_double = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),  # any bit pattern
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.integers(-(2**63), 2**64).map(float),  # integral values
+)
+
+
+@st.composite
+def wire_frames(draw):
+    persons = []
+    for tid in draw(st.lists(st.integers(-(2**63), 2**64 - 1), max_size=2, unique=True)):
+        xy = tuple(draw(st.lists(finite_double, min_size=34, max_size=34)))
+        conf = tuple(draw(st.lists(finite_double, min_size=17, max_size=17)))
+        bbox = tuple(draw(st.lists(finite_double, min_size=4, max_size=4)))
+        persons.append((tid, Skeleton(xy, conf, bbox)))
+    return frame_of(draw(st.integers(0, 2**64 - 1)), draw(finite_double), persons)
+
+
+def _formatted_line(frame: FrameRecord, fmt: str) -> str:
+    """The frame's line with every float written as ``fmt % value``."""
+
+    def numbers(values) -> str:
+        return ",".join(fmt % v for v in values)
+
+    persons = ",".join(
+        '{"track_id":%d,"keypoints":[%s],"bbox":[%s]}'
+        % (tid, ",".join("[%s]" % numbers(kp) for kp in skel.keypoints), numbers(skel.bbox))
+        for tid, skel in frame.persons
+    )
+    return '{"frame_index":%d,"timestamp_s":%s,"persons":[%s]}' % (
+        frame.frame_index, fmt % frame.timestamp, persons,
+    )
+
+
+def _exact(frame: FrameRecord) -> tuple:
+    """Every value of the frame with its type; floats by ``float.hex``."""
+
+    def values(vs) -> list:
+        return [(type(v), v.hex() if type(v) is float else v) for v in vs]
+
+    return (
+        values([frame.frame_index, frame.timestamp]),
+        [(values([tid]), values(skel.xy + skel.conf + skel.bbox)) for tid, skel in frame.persons],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_frames(), st.sampled_from([None, "%.17g", "%.25e"]))
+def test_line_decoder_reads_what_json_loads_reads(frame, fmt):
+    line = streams.frame_to_line(frame) if fmt is None else _formatted_line(frame, fmt)
+    want = streams.obj_to_frame(json.loads(line))
+    assert _exact(streams.line_to_frame(line)) == _exact(want)
+
+
+@pytest.mark.parametrize(
+    "old, new, accepted",
+    [
+        ('"track_id": 1', '"track_id": 18446744073709551615', True),  # 2**64 - 1
+        ('"track_id": 1', '"track_id": 18446744073709551616', False),  # 2**64 reads as a float
+        ('"frame_index": 0', '"frame_index": 0, "extra": NaN', False),
+        ('"frame_index": 0', '"frame_index": 0, "extra": "\\ud800"', False),  # unpaired surrogate
+    ],
+)
+def test_decoder_boundary(old, new, accepted):
+    line = _one_person_line()
+    assert old in line
+    line = line.replace(old, new)
+    if accepted:
+        frame = validate_frame(streams.line_to_frame(line))
+        assert frame.persons[0][0] == 2**64 - 1 and type(frame.persons[0][0]) is int
+    else:
+        with pytest.raises(MalformedRecord):
+            validate_frame(streams.line_to_frame(line))

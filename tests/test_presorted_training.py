@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forest_reference import reference_train
-from snatchdet.forest import Dataset, ForestConfig, balanced_weights, train
+from snatchdet.forest import (
+    Dataset,
+    ForestConfig,
+    balanced_weights,
+    predict,
+    train,
+    training_accuracy,
+)
 from test_forest import root_split
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -63,19 +70,22 @@ def test_train_equals_the_per_node_reference(data, n_trees, seed, n_jobs):
 def test_adjacent_floats_split_by_value_not_by_midpoint():
     lo = 1.0 + 2.0**-52
     hi = float(np.nextafter(lo, np.inf))
-    assert (lo + hi) / 2.0 == hi  # the stored threshold rounds to the higher value
+    assert (lo + hi) / 2.0 == hi  # the midpoint rounds to the higher value
     X = np.array([[lo]] * 5 + [[hi]] * 5)
     y = np.array([0] * 5 + [1] * 5)
     feature, threshold, _, left, right = root_split(X, y, np.arange(1), *balanced_weights(y))
-    assert (feature, threshold) == (0, hi)
+    # so the stored threshold is lo, and x <= threshold splits as training did
+    assert (feature, threshold) == (0, lo)
     assert left.tolist() == [1] * 5 + [0] * 5
     assert right.tolist() == [0] * 5 + [1] * 5
-    model = train(Dataset(("f0",), X, y), ForestConfig(n_trees=8, seed=3))
+    data = Dataset(("f0",), X, y)
+    model = train(data, ForestConfig(n_trees=8, seed=3))
     assert_same_forest(model, *reference_train(X, y, 8, 3))
     split_trees = [tree for tree in model.trees if tree.feature[0] == 0]
     assert split_trees
     for tree in split_trees:
-        assert tree.threshold[0] == hi
-        # the rows at hi went right although hi <= threshold
+        assert tree.threshold[0] == lo
         assert tree.leaf_weights[tree.left[0]][1] == 0.0
         assert tree.leaf_weights[tree.right[0]][0] == 0.0
+    assert training_accuracy(model, data) == 1.0
+    assert predict(model, [hi])[0] == 1
