@@ -258,9 +258,10 @@ def _best_split(
     consecutive distinct values, where the cumulative class counts are exact
     integers whatever the order of rows within ties, so the criterion is
     bit-identical to a naive per-split recount. The threshold is the
-    midpoint of the two values, or the lower one ``lo`` when the midpoint
-    rounds to the higher (adjacent floats), so ``x <= threshold`` sends
-    exactly the rows with ``x <= lo`` left, as the search counted them.
+    midpoint of the two values, or the lower one ``lo`` when the midpoint is
+    not below the higher (adjacent floats, or a sum that overflows to
+    infinity), so ``x <= threshold`` sends exactly the rows with
+    ``x <= lo`` left, as the search counted them.
     """
     m = feats.shape[0]
     rows = order[feats]
@@ -308,7 +309,7 @@ def _best_split(
     lo = float(xs[f_local, k])
     hi = float(xs[f_local, k + 1])
     threshold = (lo + hi) / 2.0
-    if threshold == hi:  # adjacent floats: keep the hi rows right of x <= threshold
+    if not threshold < hi:  # adjacent floats, or lo + hi overflows to inf
         threshold = lo
     feat = int(feats[f_local])
     left = counts.copy()

@@ -10,20 +10,35 @@ One frame per line:
 ``timestamp_s`` is optional; when absent it is synthesized as
 ``frame_index / fps``. A line is read as strict RFC 8259 JSON by
 ``orjson``: no ``NaN`` or ``Infinity`` literals, no number beyond the double
-range, no unpaired surrogate escapes. Frames are written by ``json.dumps``.
-Any line that is not a frame raises ``MalformedRecord``.
+range, no unpaired surrogate escapes, and arrays and objects nested at most
+``MAX_NESTING`` deep. Frames are written by ``json.dumps``. Any line that is
+not a frame raises ``MalformedRecord``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Iterable, Iterator, Union
 
+import numpy as np
 import orjson
 
 from .types import FrameRecord, MalformedRecord, Skeleton, validate_stream
 
 PathOrFile = Union[str, IO[str]]
+
+# orjson before 3.9.15 recurses without a bound and can overflow the native
+# stack on a deeply nested line, so nesting is checked before it decodes.
+# A frame nests 5 deep; 1024 is the bound later orjson releases enforce.
+MAX_NESTING = 1024
+
+# a JSON string, running to the end of the line if it is never closed, so
+# the match never fails and stripping strings stays linear
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_DEPTH_STEP = np.zeros(256, dtype=np.int32)  # by UTF-8 byte: +1 opens, -1 closes
+_DEPTH_STEP[[ord("["), ord("{")]] = 1
+_DEPTH_STEP[[ord("]"), ord("}")]] = -1
 
 
 def frame_to_obj(record: FrameRecord) -> dict:
@@ -91,7 +106,17 @@ def frame_to_line(record: FrameRecord) -> str:
     return json.dumps(frame_to_obj(record), separators=(",", ":"))
 
 
+def _too_deeply_nested(line: str) -> bool:
+    if line.count("[") + line.count("{") <= MAX_NESTING:
+        return False  # too few brackets, even counting those inside strings
+    outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
+    depth = np.cumsum(_DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)], dtype=np.int32)
+    return int(depth.max(initial=0)) > MAX_NESTING
+
+
 def line_to_frame(line: str, fps: float = 30.0) -> FrameRecord:
+    if _too_deeply_nested(line):
+        raise MalformedRecord(f"invalid JSON line: nested deeper than {MAX_NESTING} levels")
     try:
         # orjson parses every finite float to the same double as json.loads;
         # it rejects NaN, Infinity, out-of-range numbers and lone surrogates,

@@ -140,6 +140,20 @@ class TestExtract:
         rc = cli.main(["extract", "--streams", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_deeply_nested_line_exits_2_not_a_crash(self, tmp_path):
+        """A line millions of levels deep is a malformed record, not a stack overflow."""
+        bad = tmp_path / "deep.jsonl"
+        depth = 3_000_000
+        bad.write_text('{"frame_index": 0, "persons": []}\n' + "[" * depth + "]" * depth + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["extract", "--streams", str(bad), "--out", str(tmp_path / "x.csv")]
+        done = subprocess.run(
+            [sys.executable, "-m", "snatchdet.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 2, done.stderr[-500:]
+        assert "nested deeper" in done.stderr
+
     def test_extract_is_byte_deterministic(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         stream = str(corpus_dir / manifest["clips"][0]["file"])

@@ -11,7 +11,9 @@ the values the standard library's ``json.loads`` reads, bit for bit.
 import json
 import math
 import struct
+from unittest import mock
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,14 +264,66 @@ def test_bad_timestamp_or_index_is_a_malformed_record(field, value):
 
 @pytest.mark.parametrize(
     "persons",
-    ["[" * 100_000 + "]" * 100_000, "1" * 5000],  # deeply nested; a number beyond the double range
+    ["[" * 100_000 + "]" * 100_000, "1" * 5000],  # too deep; a number beyond the double range
 )
 def test_undecodable_line_is_a_malformed_record(persons):
     line = '{"frame_index": 0, "persons": ' + persons + "}"
-    # deep nesting decodes, and the nested lists are not persons
-    expected = "bad frame object" if persons.startswith("[") else "invalid JSON line"
-    with pytest.raises(MalformedRecord, match=expected):
+    with pytest.raises(MalformedRecord, match="invalid JSON line"):
         streams.line_to_frame(line)
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"k":', "}")])
+@pytest.mark.parametrize("depth", [streams.MAX_NESTING, streams.MAX_NESTING + 1])
+def test_nesting_is_bounded_before_decoding(opener, closer, depth):
+    # the frame object is the first level, the extra field holds the rest
+    inner = depth - 1
+    extra = opener * inner + "1" + closer * inner
+    line = _one_person_line().replace('"frame_index": 0', '"frame_index": 0, "extra": ' + extra)
+    if depth <= streams.MAX_NESTING:
+        assert streams.line_to_frame(line).persons[0][0] == 1
+    else:
+        with pytest.raises(MalformedRecord, match="invalid JSON line: nested deeper"):
+            streams.line_to_frame(line)
+
+
+def test_brackets_inside_strings_do_not_count_as_nesting():
+    many = streams.MAX_NESTING * 2
+    # opening brackets in a string (an escaped quote does not end it) are text
+    text = json.dumps('\\"' + "[{" * many)
+    line = _one_person_line().replace('"frame_index": 0', '"frame_index": 0, "extra": ' + text)
+    assert streams.line_to_frame(line).persons[0][0] == 1
+    # nor can closing brackets in strings hide real nesting
+    deep = "[" + '"]}",' * many + "[" * streams.MAX_NESTING + "]" * (streams.MAX_NESTING + 1)
+    line = _one_person_line().replace('"frame_index": 0', '"frame_index": 0, "extra": ' + deep)
+    assert orjson.loads(line)["extra"]  # valid JSON, too deep only
+    with pytest.raises(MalformedRecord, match="nested deeper"):
+        streams.line_to_frame(line)
+
+
+def _nesting(value) -> int:
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(_nesting, value.values()), default=0)
+    return 0
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(alphabet='[]{}"\\,:a\u00e9\n'),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet='[]{}"\\a', max_size=3), children, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, st.integers(0, 6), st.integers(0, 6), st.booleans())
+def test_nesting_scan_matches_the_decoded_depth(value, bound, wrap, ensure_ascii):
+    """With the bound lowered, the scan agrees with the depth of what json.loads reads."""
+    line = "[" * wrap + json.dumps(value, ensure_ascii=ensure_ascii) + "]" * wrap
+    with mock.patch.object(streams, "MAX_NESTING", bound):
+        deep = streams._too_deeply_nested(line)
+    assert deep == (_nesting(json.loads(line)) > bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ heavy ties, constant columns, duplicated rows with mixed labels and pairs
 of adjacent floats, and every tree array and the importances must be equal.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,14 +69,12 @@ def test_train_equals_the_per_node_reference(data, n_trees, seed, n_jobs):
     assert_same_forest(model, *reference_train(X, y, n_trees, seed))
 
 
-def test_adjacent_floats_split_by_value_not_by_midpoint():
-    lo = 1.0 + 2.0**-52
-    hi = float(np.nextafter(lo, np.inf))
-    assert (lo + hi) / 2.0 == hi  # the midpoint rounds to the higher value
+def _assert_splits_by_value(lo: float, hi: float) -> None:
+    """Rows at ``lo`` (class 0) and ``hi`` (class 1) split apart at threshold ``lo``."""
     X = np.array([[lo]] * 5 + [[hi]] * 5)
     y = np.array([0] * 5 + [1] * 5)
     feature, threshold, _, left, right = root_split(X, y, np.arange(1), *balanced_weights(y))
-    # so the stored threshold is lo, and x <= threshold splits as training did
+    # the stored threshold is lo, and x <= threshold splits as training did
     assert (feature, threshold) == (0, lo)
     assert left.tolist() == [1] * 5 + [0] * 5
     assert right.tolist() == [0] * 5 + [1] * 5
@@ -89,3 +89,16 @@ def test_adjacent_floats_split_by_value_not_by_midpoint():
         assert tree.leaf_weights[tree.right[0]][0] == 0.0
     assert training_accuracy(model, data) == 1.0
     assert predict(model, [hi])[0] == 1
+
+
+def test_adjacent_floats_split_by_value_not_by_midpoint():
+    lo = 1.0 + 2.0**-52
+    hi = float(np.nextafter(lo, np.inf))
+    assert (lo + hi) / 2.0 == hi  # the midpoint rounds to the higher value
+    _assert_splits_by_value(lo, hi)
+
+
+def test_overflowing_midpoint_splits_by_value():
+    lo, hi = 1e308, 1.5e308
+    assert (lo + hi) / 2.0 == math.inf  # two finite values, an infinite midpoint
+    _assert_splits_by_value(lo, hi)
