@@ -13,7 +13,8 @@ seeds; the artefacts come from the ``snatchdet`` commands:
   one pair at a time (top-10 model), and over the same kind of encounters
   with lone bystanders whose tracker ids change every 90 frames (full
   model). ``alerts`` and ``evidence`` are the written lines; ``windows`` is
-  the ``repr`` of (pair, p(A,B), p(B,A)) for every classified window.
+  the ``repr`` of (pair, p(A,B), p(B,A)) for every classified window, with
+  the pair key's first track as A.
 """
 
 from __future__ import annotations

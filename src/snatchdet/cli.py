@@ -65,7 +65,7 @@ def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides = {}
-    for name in ("fps", "n_trees", "seed", "sink_url", "prob_threshold", "n_jobs"):
+    for name in ("fps", "n_trees", "seed", "sink_url", "prob_threshold"):
         if hasattr(args, name):
             overrides[name] = getattr(args, name)
     return load_config(getattr(args, "config", None), overrides)
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the importance report here instead of stdout")
     p.add_argument("--n-trees", type=int, default=None, dest="n_trees")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-jobs", type=int, default=None, dest="n_jobs")
     add_config(p)
     p.set_defaults(func=cmd_train)
 

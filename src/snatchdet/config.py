@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,7 +15,7 @@ from .temporal import HysteresisConfig
 
 
 class BadConfig(ValueError):
-    """Config file rejected (unknown key or out-of-range value)."""
+    """Config file rejected (unknown key, value of the wrong type or out of range)."""
 
 
 @dataclass
@@ -33,7 +35,6 @@ class PipelineConfig:
 
     n_trees: int = 500
     seed: int = 42
-    n_jobs: int = 1
 
     top_k: int = 10
 
@@ -47,6 +48,18 @@ class PipelineConfig:
     sink_url: Optional[str] = None
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(PipelineConfig)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kinds = typing.get_args(hints[field.name]) or (hints[field.name],)
+            if value is None and type(None) in kinds:
+                continue
+            accepted = (int, float) if float in kinds else kinds
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                name = next(k.__name__ for k in kinds if k is not type(None))
+                raise BadConfig(f"{field.name} must be of type {name}, got {value!r}")
+            if float in kinds and not math.isfinite(value):
+                raise BadConfig(f"{field.name} must be finite, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise BadConfig(f"alpha must be in (0, 1), got {self.alpha}")
         if self.fps <= 0:
@@ -83,7 +96,7 @@ class PipelineConfig:
         )
 
     def forest(self) -> ForestConfig:
-        return ForestConfig(n_trees=self.n_trees, seed=self.seed, n_jobs=self.n_jobs)
+        return ForestConfig(n_trees=self.n_trees, seed=self.seed)
 
     def hysteresis(self) -> HysteresisConfig:
         """W, N_on and N_off as set, each unset one from ``HysteresisConfig.for_fps``."""
@@ -119,7 +132,4 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         if unknown:
             raise BadConfig(f"unknown config keys: {sorted(unknown)}")
         values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return PipelineConfig(**values)
-    except TypeError as exc:
-        raise BadConfig(str(exc)) from exc
+    return PipelineConfig(**values)

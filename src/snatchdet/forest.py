@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
@@ -94,7 +93,6 @@ RECIPE = {
 class ForestConfig:
     n_trees: int = 500
     seed: int = 42
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -375,15 +373,7 @@ def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     weights = balanced_weights(data.y)
     # sorted once, shared read-only by every tree
     order, values = _presort(data.X)
-
-    def build(t: int) -> tuple[Tree, np.ndarray]:
-        return _grow_tree(order, values, data.y, cfg, t, weights)
-
-    if cfg.n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(build, range(cfg.n_trees)))
-    else:
-        results = [build(t) for t in range(cfg.n_trees)]
+    results = [_grow_tree(order, values, data.y, cfg, t, weights) for t in range(cfg.n_trees)]
 
     trees = [tree for tree, _ in results]
     d = data.X.shape[1]

@@ -5,32 +5,34 @@ track keys (an id absent for more than ``max_gap_frames`` frames comes back
 as ``"<id>.<n>"``), smooths each person once as the frame arrives, and
 stores the frames of the current window once, each as its (key, smoothed
 skeleton) list. At each stride point it groups those frames into tracks and
-hands back the closest pair of the window as an ordered ``PairSegment``.
+hands back the closest pair of the window, and nothing about roles.
 Its state is the window plus one record per raw id, however many track
 keys the stream has used, plus its ``FrameMemo``: the per-frame values
 (center speeds, wrist velocities, a pair's normalized distances, ...) of
 the stored frames, each computed the first time a window asks for it and
-shared by role ordering, both role orderings of the extraction and the
-overlapping windows, then evicted with its frame. Pair selection reads
-the centers stored on the skeletons and computes each raw center distance
-directly: most of those distances belong to pairs that are never
-extracted, and storing them cost what computing them does. It computes
-them only for the pairs that a lower bound, the gap between the two
-tracks' center bounding boxes, does not rule out.
+shared by both role orderings of the extraction and the overlapping
+windows, then evicted with its frame. Pair selection reads the centers
+stored on the skeletons and computes each raw center distance directly:
+most of those distances belong to pairs that are never extracted, and
+storing them cost what computing them does. It computes them only for the
+pairs that a lower bound, the gap between the two tracks' center bounding
+boxes, does not rule out.
 
-``StreamEngine`` (``snatchdet stream``) classifies that segment under both
-role orderings, through one ``SegmentFamilies`` table per decision: each
-track's individual families and the pair's symmetric distance family are
-computed once for both orderings, the directional families once per
-ordering. Both extractions still go through this module's
-``extract_segment`` binding, and the layers this module calls
-(``select_pair``, ``order_roles``, ``pair_segment``, ``extract_segment``,
-``predict_probability``) are looked up here at each call, so a tool that
-replaces them here sees every call. ``extract_windows`` (``extract --mode
-sliding``) extracts the segment under its (aggressor, victim) ordering
-only; ``extract_clip_row`` (``extract --mode clip``) takes one window over
-the whole clip. Streaming alerts are therefore reproducible from an
-offline recomputation of the same file.
+``StreamEngine`` (``snatchdet stream``) cuts that pair's segment with the
+pair key's first track as A and classifies it under both orderings,
+through one ``SegmentFamilies`` table per decision: each track's
+individual families and the pair's symmetric distance family are computed
+once for both orderings, the directional families once per ordering. It
+orders no roles, since the higher probability of the two wins. Only the
+offline extractions write role-ordered rows: ``extract_windows``
+(``extract --mode sliding``) extracts each window's pair under the
+(aggressor, victim) ordering of ``order_roles``; ``extract_clip_row``
+(``extract --mode clip``) does the same for one window over the whole
+clip. The layers this module calls (``select_pair``, ``order_roles``,
+``pair_segment``, ``extract_segment``, ``predict_probability``) are looked
+up here at each call, so a tool that replaces them here sees every call.
+Streaming alerts are therefore reproducible from an offline recomputation
+of the same file.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .temporal import AlarmState, evidence_window, step
 from .types import (
     FrameMemo,
     FrameRecord,
-    PairSegment,
     Skeleton,
     Track,
     track_order,
@@ -68,13 +69,8 @@ from .types import (
 )
 
 
-def _pair_key(id_a: str, id_b: str) -> tuple[str, str]:
-    a, b = sorted((id_a, id_b), key=track_order)
-    return (a, b)
-
-
 def pair_key_str(id_a: str, id_b: str) -> str:
-    return "|".join(_pair_key(id_a, id_b))
+    return "|".join(sorted((id_a, id_b), key=track_order))
 
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
@@ -188,12 +184,12 @@ class TrackWindows:
 
     Frame positions count the frames added, from 0. ``frames`` holds
     (position, timestamp, [(key, smoothed skeleton), ...]) per stored frame;
-    ``advance`` keeps only the frames of the current window and returns a
-    segment at each stride point, ``add`` keeps every frame, for one window
-    over a whole clip. Each raw id has one record: its current key, the
-    position it was last seen at, how often it was split and its smoother.
-    ``memo`` holds the per-frame values of the stored frames that role
-    ordering and extraction have asked for; a frame's entries leave with
+    ``advance`` keeps only the frames of the current window and returns the
+    selected pair of window tracks at each stride point, ``add`` keeps every
+    frame, for one window over a whole clip. Each raw id has one record: its
+    current key, the position it was last seen at, how often it was split
+    and its smoother. ``memo`` holds the per-frame values of the stored
+    frames that its callers have asked for; a frame's entries leave with
     the frame.
     """
 
@@ -223,16 +219,16 @@ class TrackWindows:
         self.frames.append((self.pos, record.timestamp, persons))
         return {key for key, _ in persons}
 
-    def advance(self, record: FrameRecord) -> tuple[set[str], Optional[PairSegment]]:
-        """Add one frame; at a stride point, also the segment of the window ending at it."""
+    def advance(self, record: FrameRecord) -> tuple[set[str], Optional[tuple[Track, Track]]]:
+        """Add one frame; at a stride point, also ``select_pair`` over the window ending at it."""
         present = self.add(record)
         wf, sf = self.cfg.window_frames, self.cfg.stride_frames
         while self.frames[0][0] <= self.pos - wf:
             self.memo.evict(self.frames.popleft()[1])
-        segment = None
+        pair = None
         if self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0:
-            segment = self.pair_window(self.cfg.window_s)
-        return present, segment
+            pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
+        return present, pair
 
     def tracks(self) -> list[Track]:
         """The tracks of the stored frames, in order of first appearance."""
@@ -246,22 +242,6 @@ class TrackWindows:
                 track.skeletons.append(skel)
         return list(by_key.values())
 
-    def pair_window(self, window_s: float) -> Optional[PairSegment]:
-        """select_pair -> order_roles -> pair_segment over the stored frames.
-
-        None when no pair qualifies. A selected pair shares at least
-        ``min_segment_frames`` timestamps, so the segment is long enough for
-        ``extract_segment``. The tracks come in order of first appearance;
-        ``select_pair`` and ``order_roles`` give the same result for any
-        order, since distances are symmetric, ties break on ``track_order``
-        and the two-term softmax sum is commutative.
-        """
-        pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
-        if pair is None:
-            return None
-        agg, vic = order_roles(pair[0], pair[1], window_s, self.memo)
-        return pair_segment(agg, vic, fps=self.cfg.fps)
-
 
 def extract_windows(
     frames: Sequence[FrameRecord],
@@ -271,18 +251,22 @@ def extract_windows(
 ) -> list[tuple[str, FeatureVector]]:
     """Offline sliding-window extraction: (segment id, vector) per window with a pair.
 
-    The segment id is ``"<stream_id>#<pair>#<end position>"``.
+    Each row is the pair under its ``order_roles`` ordering, computed over
+    the full window tracks. The segment id is
+    ``"<stream_id>#<pair>#<end position>"``.
     """
     schema = schema or full_schema()
     params = cfg.feature_params()
     windows = TrackWindows(cfg)
     rows: list[tuple[str, FeatureVector]] = []
     for record in frames:
-        _, segment = windows.advance(record)
-        if segment is None:
+        _, pair = windows.advance(record)
+        if pair is None:
             continue
-        key = pair_key_str(segment.aggressor.track_id, segment.victim.track_id)
+        agg, vic = order_roles(pair[0], pair[1], cfg.window_s, windows.memo)
+        segment = pair_segment(agg, vic, fps=cfg.fps)
         vector = extract_segment(segment, schema, params, windows.memo)
+        key = pair_key_str(pair[0].track_id, pair[1].track_id)
         rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
     return rows
 
@@ -296,10 +280,12 @@ def extract_clip_row(
     windows = TrackWindows(cfg)
     for record in frames:
         windows.add(record)
-    duration = frames[-1].timestamp - frames[0].timestamp if frames else 0.0
-    segment = windows.pair_window(max(duration, cfg.window_s))
-    if segment is None:
+    pair = select_pair(windows.tracks(), cfg.min_segment_frames)
+    if pair is None:
         return None
+    duration = frames[-1].timestamp - frames[0].timestamp
+    agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s), windows.memo)
+    segment = pair_segment(agg, vic, fps=cfg.fps)
     return extract_segment(segment, schema or full_schema(), cfg.feature_params(), windows.memo)
 
 
@@ -346,11 +332,13 @@ class EvidenceRecord:
 class StreamEngine:
     """Frame-by-frame detector: smooth, window, classify, hysteresis.
 
-    Per window the closest pair is classified under both role orderings,
+    Per window the closest pair is classified under both orderings,
     extracted through one family table, and the higher robbery probability
-    wins; the thresholded prediction then
-    drives one alarm state machine per pair. A pair's alarm only steps on
-    frames where both members are present.
+    wins: ``p(A,B)`` is the probability with the pair key's first track
+    (``track_order``) as A, ``p(B,A)`` the one with it as B, and no role
+    ordering runs. The thresholded prediction then drives one alarm state
+    machine per pair. A pair's alarm only steps on frames where both
+    members are present.
     """
 
     def __init__(self, model: ForestModel, cfg: PipelineConfig):
@@ -382,7 +370,9 @@ class StreamEngine:
         """The track keys in the current window (the engine's track state)."""
         return {key for _, _, persons in self._windows.frames for key, _ in persons}
 
-    def _classify(self, segment: PairSegment) -> None:
+    def _classify(self, pair: tuple[Track, Track]) -> None:
+        a, b = sorted(pair, key=lambda track: track_order(track.track_id))
+        segment = pair_segment(a, b, fps=self.cfg.fps)
         memo = self._windows.memo
         families = SegmentFamilies(segment, self.params, memo)
         v_ab = extract_segment(segment, self.schema, self.params, memo, families)
@@ -391,12 +381,11 @@ class StreamEngine:
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),
         )
-        agg, vic = segment.aggressor.track_id, segment.victim.track_id
-        key = pair_key_str(agg, vic)
+        key = pair_key_str(a.track_id, b.track_id)
         known = self._pairs.get(key)
         alarm = AlarmState() if known is None else known[2]
         yhat = 1 if prob >= self.cfg.prob_threshold else 0
-        self._pairs[key] = (yhat, _pair_key(agg, vic), alarm)
+        self._pairs[key] = (yhat, (a.track_id, b.track_id), alarm)
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
         record = validate_frame(record, prev_timestamp=self._prev_t)
@@ -409,9 +398,9 @@ class StreamEngine:
             # so that no decision pays for compiling the whole forest
             self._forest_compiled = compile_chunk(self.model)
 
-        present, segment = self._windows.advance(record)
-        if segment is not None:
-            self._classify(segment)
+        present, pair = self._windows.advance(record)
+        if pair is not None:
+            self._classify(pair)
 
         new_alerts: list[AlertRecord] = []
         for key, (yhat, (a, b), alarm) in self._pairs.items():

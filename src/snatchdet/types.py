@@ -12,12 +12,12 @@ on two tuples per person. ``Skeleton.keypoints`` gives the same values as
 Each skeleton also carries its own geometry (shoulder and hip midpoints,
 effective torso height, body center, facing direction, elbow angles, arm
 extension). Every value is computed on first use and stored on that
-skeleton, so pair selection, role ordering, every feature family and every
-overlapping window share one computation, and the values are freed with the
-skeleton. Values that span two frames of a track, or two people, have no
-one skeleton to live on; a ``FrameMemo`` holds the ones role ordering and
-the feature families read, grouped by frame, and is the only code that
-reads or writes them. Pair selection's raw center distances are computed
+skeleton, so pair selection, the role ordering of offline extraction,
+every feature family and every overlapping window share one computation,
+and the values are freed with the skeleton. Values that span two frames of
+a track, or two people, have no one skeleton to live on; a ``FrameMemo``
+holds the ones the feature families and offline role ordering read,
+grouped by frame, and is the only code that reads or writes them. Pair selection's raw center distances are computed
 where they are read, not stored: most belong to pairs that are never
 extracted.
 """
@@ -386,8 +386,8 @@ class FrameMemo:
     share timestamps (``rows``), or to two consecutive rows of one track or
     of that pair (``steps``). ``values[t]`` holds the entries of the frame
     at timestamp ``t``, each under ``"<name>|<track key>[|<track key>]"``.
-    Track keys and a timestamp name the skeletons, so every window, role
-    ordering and caller that asks gets the same value. A value spanning the
+    Track keys and a timestamp name the skeletons, so every window, both
+    orderings of a pair and every caller that asks get the same value. A value spanning the
     rows at ``t_prev`` and ``t`` is stored at ``t`` as ``(t_prev, value)``
     and read only when ``t_prev`` matches, since a segment's previous row
     is the previous frame both members share, which need not be the

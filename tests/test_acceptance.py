@@ -38,14 +38,14 @@ from snatchdet.forest import (
 )
 from snatchdet import pipeline
 from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
-from snatchdet.pipeline import StreamEngine, extract_windows, pair_key_str
+from snatchdet.pipeline import StreamEngine, extract_windows, order_roles, pair_key_str
 from snatchdet.preprocess import _ema
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, step
-from snatchdet.types import FrameRecord, Keypoint, Track, validate_stream
+from snatchdet.types import FrameRecord, Keypoint, Track, track_order, validate_stream
 from test_forest import exhaustive_best_split, root_split
-from track_reference import build_tracks, reference_segments
+from track_reference import build_tracks, reference_pairs
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -316,15 +316,14 @@ def test_forest_reproducibility_and_importances(e2e):
     y[:3] = [0, 1, 0]
     data = Dataset(tuple(f"f{i}" for i in range(5)), X, y)
 
-    run1 = serialize(train(data, ForestConfig(n_trees=64, seed=42, n_jobs=1)))
-    run2 = serialize(train(data, ForestConfig(n_trees=64, seed=42, n_jobs=1)))
-    threaded = serialize(train(data, ForestConfig(n_trees=64, seed=42, n_jobs=4)))
+    run1 = serialize(train(data, ForestConfig(n_trees=64, seed=42)))
+    run2 = serialize(train(data, ForestConfig(n_trees=64, seed=42)))
     model = train(data, ForestConfig(n_trees=64, seed=42))
     importance_sum = float(model.importances.sum())
 
-    ok = run1 == run2 == threaded and abs(importance_sum - 1.0) <= 1e-9
+    ok = run1 == run2 and abs(importance_sum - 1.0) <= 1e-9
     report(
-        "Forest: bit-reproducible across runs and thread counts (seed 42); importances sum to 1",
+        "Forest: bit-reproducible across runs (seed 42); importances sum to 1",
         ok,
         f"importance sum {importance_sum:.12f}",
     )
@@ -394,7 +393,7 @@ def offline_alerts(frames, model, cfg):
     """Recompute stream alerts from scratch with the offline primitives.
 
     Returns (alert events, windows); a window is (end position, pair,
-    repr of p(A,B), repr of p(B,A)).
+    repr of p(A,B), repr of p(B,A)), with the pair key's first track as A.
     """
     frames = validate_stream(frames)
     schema = full_schema()
@@ -403,7 +402,9 @@ def offline_alerts(frames, model, cfg):
 
     updates = {}
     windows = []
-    for end, seg in reference_segments(frames, cfg):
+    for end, pair in reference_pairs(frames, cfg):
+        a, b = sorted(pair, key=lambda track: track_order(track.track_id))
+        seg = pair_segment(a, b, fps=cfg.fps)
         try:
             v_ab = extract_segment(seg, schema, params)
             v_ba = extract_segment(seg.swapped(), schema, params)
@@ -546,12 +547,10 @@ def test_extract_windows_matches_reference_on_split_ids():
     params = cfg.feature_params()
     frames = split_id_frames()
     rows = extract_windows(frames, cfg, schema, stream_id="s")
-    expected = [
-        (
-            f"s#{pair_key_str(seg.aggressor.track_id, seg.victim.track_id)}#{end}",
-            repr(extract_segment(seg, schema, params)),
-        )
-        for end, seg in reference_segments(frames, cfg)
-    ]
+    expected = []
+    for end, (a, b) in reference_pairs(frames, cfg):
+        seg = pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps)
+        sid = f"s#{pair_key_str(a.track_id, b.track_id)}#{end}"
+        expected.append((sid, repr(extract_segment(seg, schema, params))))
     assert [(sid, repr(vector)) for sid, vector in rows] == expected
     assert any("#1|2.1#" in sid for sid, _ in rows)

@@ -751,6 +751,39 @@ class TestConfigFile:
         assert not model.exists()
         assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("train", {"n_trees": 2.5}, "n_trees must be of type int, got 2.5"),
+            ("train", {"n_trees": "5"}, "n_trees must be of type int, got '5'"),
+            ("train", {"seed": 1.5}, "seed must be of type int, got 1.5"),
+            ("train", {"top_k": 2.5}, "top_k must be of type int, got 2.5"),
+            ("stream", {"max_gap_frames": "3"}, "max_gap_frames must be of type int, got '3'"),
+            ("stream", {"prob_threshold": True}, "prob_threshold must be of type float, got True"),
+            ("stream", {"window_s": float("nan")}, "window_s must be finite, got nan"),
+            ("stream", {"fps": float("inf")}, "fps must be finite, got inf"),
+        ],
+    )
+    def test_value_of_the_wrong_type_exits_2(
+        self, corpus_dir, trained, tmp_path, capsys, command, doc, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--features", str(trained["features"]),
+                    "--labels", str(corpus_dir / "labels.csv"), "--model-out", str(out)]
+        else:
+            clip = synth.generate(synth.ScenarioSpec(kind="standing", seed=4, duration=3.0))
+            stream_path = tmp_path / "s.jsonl"
+            streams.write_stream(str(stream_path), clip.frames)
+            argv = ["stream", "--stream", str(stream_path), "--model", str(trained["model"]),
+                    "--alerts-out", str(out)]
+        rc = cli.main([*argv, "--config", str(cfg_path)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_flag_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"fps": 10.0, "window_s": 1.0}')

@@ -138,12 +138,6 @@ class TestTraining:
         cfg = ForestConfig(n_trees=25, seed=42)
         assert serialize(train(data, cfg)) == serialize(train(data, cfg))
 
-    def test_reproducible_across_thread_counts(self):
-        data = separable_dataset()
-        one = serialize(train(data, ForestConfig(n_trees=16, seed=42, n_jobs=1)))
-        four = serialize(train(data, ForestConfig(n_trees=16, seed=42, n_jobs=4)))
-        assert one == four
-
     def test_row_permutation_with_ids_is_canonicalized(self):
         data = separable_dataset()
         rng = np.random.default_rng(8)

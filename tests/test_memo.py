@@ -1,14 +1,14 @@
 """Extraction through the window store's per-frame memo equals fresh extraction.
 
-``TrackWindows`` keeps one ``FrameMemo`` for the frames it stores; role
-ordering and every extraction of every overlapping window read it. The
-property drives a store over random streams whose people leave for a few
-frames (shorter than ``max_gap_frames``, so their key stays) and one of
-whom is gone long enough to come back under a split key. Those gaps
-make a segment's previous row differ from a track's previous stored frame,
-which is where a wrongly keyed two-frame value would show. Each window's
-pair is also extracted under both role orderings through one
-``SegmentFamilies`` table, as the stream engine does.
+``TrackWindows`` keeps one ``FrameMemo`` for the frames it stores; the role
+ordering of offline extraction and every extraction of every overlapping
+window read it. The property drives a store over random streams whose
+people leave for a few frames (shorter than ``max_gap_frames``, so their
+key stays) and one of whom is gone long enough to come back under a split
+key. Those gaps make a segment's previous row differ from a track's
+previous stored frame, which is where a wrongly keyed two-frame value would
+show. Each window's pair is also extracted under both role orderings
+through one ``SegmentFamilies`` table, as the stream engine does.
 """
 
 import numpy as np
@@ -104,18 +104,19 @@ def test_memoised_extraction_equals_fresh_extraction(mask, seed):
     windows = TrackWindows(CFG)
     keys_seen = set()
     for record in stream(n_frames, absent, seed):
-        present, segment = windows.advance(record)
+        present, pair = windows.advance(record)
         keys_seen |= present
-        if segment is None:
+        if pair is None:
             continue
-        # the store's selection and roles equal a memo-free recomputation
+        # the store's selection, and roles ordered through its memo, equal
+        # a memo-free recomputation
         tracks = windows.tracks()
-        pair = select_pair(tracks, PARAMS.min_segment_frames)
-        agg, vic = order_roles(pair[0], pair[1], CFG.window_s)
-        assert (agg.track_id, vic.track_id) == (
-            segment.aggressor.track_id,
-            segment.victim.track_id,
-        )
+        fresh = select_pair(tracks, PARAMS.min_segment_frames)
+        assert [t.track_id for t in pair] == [t.track_id for t in fresh]
+        agg, vic = order_roles(pair[0], pair[1], CFG.window_s, windows.memo)
+        want = order_roles(fresh[0], fresh[1], CFG.window_s)
+        assert (agg.track_id, vic.track_id) == (want[0].track_id, want[1].track_id)
+        segment = pair_segment(agg, vic, fps=CFG.fps)
         assert_same_as_fresh(segment, windows.memo)
         assert_same_as_fresh(segment.swapped(), windows.memo)
         assert_one_table_same_as_fresh(segment, windows.memo)

@@ -2,9 +2,8 @@
 
 ``tests/track_reference.py`` smooths, slices and selects pairs on its own, so
 a fault in ``preprocess.SkeletonSmoother`` or ``pipeline.select_pair`` cannot
-hide in both sides of the online/offline comparison. It may take the data
-types, ``features.pair_segment`` (the aligned segment both sides extract
-from) and ``pipeline.order_roles`` (role ordering, which it does not check).
+hide in both sides of the online/offline comparison. It yields each window's
+selected pair, so it may take the data types and nothing else.
 
 ``tests/feature_reference.py`` (the exact feature oracle and the sentinel
 reference) and ``tests/forest_reference.py`` (the flat tree walk) import
@@ -22,8 +21,6 @@ TESTS = Path(__file__).parent
 
 TRACK_ALLOWED = {
     "snatchdet.types": {"FrameRecord", "Keypoint", "PairSegment", "Skeleton", "Track", "track_order"},
-    "snatchdet.features": {"pair_segment"},
-    "snatchdet.pipeline": {"order_roles"},
 }
 
 INGEST_ALLOWED = {
@@ -89,10 +86,13 @@ def test_guard_catches_smoothing_and_whole_module_imports():
         "from snatchdet import pipeline\n"
         "import snatchdet.types\n"
         "from snatchdet.pipeline import order_roles, select_pair\n"
+        "from snatchdet.features import pair_segment\n"
     )
     assert disallowed(source, TRACK_ALLOWED) == [
         "snatchdet.preprocess.smooth_track",
         "snatchdet.pipeline",
         "snatchdet.types",
+        "snatchdet.pipeline.order_roles",
         "snatchdet.pipeline.select_pair",
+        "snatchdet.features.pair_segment",
     ]

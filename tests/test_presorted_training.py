@@ -61,11 +61,11 @@ def assert_same_forest(model, trees, importances):
 
 
 @settings(max_examples=150, deadline=None)
-@given(datasets(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
-def test_train_equals_the_per_node_reference(data, n_trees, seed, n_jobs):
+@given(datasets(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_train_equals_the_per_node_reference(data, n_trees, seed):
     X, y = data
     names = tuple(f"f{i}" for i in range(X.shape[1]))
-    model = train(Dataset(names, X, y), ForestConfig(n_trees=n_trees, seed=seed, n_jobs=n_jobs))
+    model = train(Dataset(names, X, y), ForestConfig(n_trees=n_trees, seed=seed))
     assert_same_forest(model, *reference_train(X, y, n_trees, seed))
 
 

@@ -8,14 +8,11 @@ silently stop and training times would be scaled differently; this test
 counts the calls through the binding.
 """
 
-import pytest
-
 from snatchdet import forest
 from test_forest import separable_dataset
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_train_grows_each_tree_through_the_module_binding(monkeypatch, n_jobs):
+def test_train_grows_each_tree_through_the_module_binding(monkeypatch):
     calls = []
     inner = forest._grow_tree
 
@@ -24,5 +21,5 @@ def test_train_grows_each_tree_through_the_module_binding(monkeypatch, n_jobs):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(forest, "_grow_tree", counting)
-    forest.train(separable_dataset(), forest.ForestConfig(n_trees=7, n_jobs=n_jobs))
+    forest.train(separable_dataset(), forest.ForestConfig(n_trees=7))
     assert len(calls) == 7

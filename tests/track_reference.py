@@ -7,9 +7,10 @@ it keeps beside them, so it shares nothing with the core's window store.
 It smooths with the reference smoother of ``tests/ingest_reference.py``, so
 it shares nothing with ``preprocess.SkeletonSmoother``. It picks each
 window's pair by brute force over every pair of tracks (``select_pair``
-below), so it shares nothing with ``pipeline.select_pair`` either. From
-``snatchdet`` it imports only data types, ``features.pair_segment`` and
-``pipeline.order_roles`` (``tests/test_oracle_independence.py`` checks this).
+below), so it shares nothing with ``pipeline.select_pair`` either. It
+yields each window's selected pair and orders no roles. From ``snatchdet``
+it imports only data types (``tests/test_oracle_independence.py`` checks
+this).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from ingest_reference import smooth_track
-from snatchdet.features import pair_segment
-from snatchdet.pipeline import order_roles
 from snatchdet.types import FrameRecord, Track, track_order
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
@@ -126,12 +125,10 @@ def reference_windows(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int,
         yield end, [_slice_positions(t, p, lo, end) for t, p in zip(tracks, positions)]
 
 
-def reference_segments(frames: Sequence[FrameRecord], cfg):
-    """(end position, ordered PairSegment) for every window with a qualifying pair."""
+def reference_pairs(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, tuple[Track, Track]]]:
+    """(end position, selected pair of window tracks) for every window with a qualifying pair."""
     min_frames = cfg.feature_params().min_segment_frames
     for end, windows in reference_windows(frames, cfg):
         pair = select_pair(windows, min_frames)
-        if pair is None:
-            continue
-        agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
-        yield end, pair_segment(agg, vic, fps=cfg.fps)
+        if pair is not None:
+            yield end, pair
