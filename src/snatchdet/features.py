@@ -38,6 +38,7 @@ from .types import (
     Track,
     center_speeds,
     memo_or_new,
+    ordered_sum,
     valid_pos,
 )
 
@@ -92,7 +93,7 @@ def aggregate(series: list[Value]) -> dict[str, Value]:
     n = len(values)
     s = sorted(values)
     return {
-        "mean": sum(values) / n,
+        "mean": ordered_sum(values) / n,
         "median": s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0,
         "min": min(values),
         "max": max(values),
@@ -621,7 +622,7 @@ def reaching(
         stop = min(contact + _frames_for(0.4, pair.fps), len(rows) - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
-            post_mean = sum(window) / len(window)
+            post_mean = ordered_sum(window) / len(window)
 
     return {
         "handToTorso": hand_to_torso,

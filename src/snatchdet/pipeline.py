@@ -2,21 +2,17 @@
 
 ``TrackWindows`` is the one windowing core. It turns raw per-frame ids into
 track keys (an id absent for more than ``max_gap_frames`` frames comes back
-as ``"<id>.<n>"``), smooths each person once as the frame arrives, and
-stores the frames of the current window once, each as its (key, smoothed
-skeleton) list. At each stride point it groups those frames into tracks and
-hands back the closest pair of the window, and nothing about roles.
-Its state is the window plus one record per raw id, however many track
-keys the stream has used, plus its ``FrameMemo``: the per-frame values
-(center speeds, wrist velocities, a pair's normalized distances, ...) of
-the stored frames, each computed the first time a window asks for it and
-shared by both role orderings of the extraction and the overlapping
-windows, then evicted with its frame. Pair selection reads the centers
-stored on the skeletons and computes each raw center distance directly:
-most of those distances belong to pairs that are never extracted, and
-storing them cost what computing them does. It computes them only for the
-pairs that a lower bound, the gap between the two tracks' center bounding
-boxes, does not rule out.
+as ``"<id>.<n>"``), smooths each person once as the frame arrives and
+appends it to its key's one ``Track``; a frame leaving the window drops its
+first sample from its keys' tracks. At each stride point it hands back the
+closest pair of those live tracks, and nothing about roles. Its state is
+one track per key in the window, one record per raw id, however many keys
+the stream has used, and a ``FrameMemo`` of per-frame values (center
+speeds, wrist velocities, a pair's normalized distances, ...), each
+computed once, shared by both role orderings and the overlapping windows,
+and evicted with its frame. Pair selection computes raw center distances
+where it reads them, only for pairs the gap between the two tracks' center
+bounding boxes does not rule out.
 
 ``StreamEngine`` (``snatchdet stream``) cuts that pair's segment with the
 pair key's first track as A and classifies it under both orderings,
@@ -40,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, KeysView, Optional, Sequence
 
 from .config import PipelineConfig
 from .features import (
@@ -62,8 +58,8 @@ from .temporal import AlarmState, evidence_window, step
 from .types import (
     FrameMemo,
     FrameRecord,
-    Skeleton,
     Track,
+    ordered_sum,
     track_order,
     validate_frame,
 )
@@ -85,7 +81,7 @@ def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[floa
             dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
     if not dists:
         return None
-    return sum(dists) / len(dists)
+    return ordered_sum(dists) / len(dists)
 
 
 # Relative slack on the pruning bound: a computed mean may round a few ulps
@@ -182,28 +178,30 @@ def order_roles(
 class TrackWindows:
     """Tracks of one stream, smoothed as frames arrive, cut into windows.
 
-    Frame positions count the frames added, from 0. ``frames`` holds
-    (position, timestamp, [(key, smoothed skeleton), ...]) per stored frame;
-    ``advance`` keeps only the frames of the current window and returns the
-    selected pair of window tracks at each stride point, ``add`` keeps every
-    frame, for one window over a whole clip. Each raw id has one record: its
-    current key, the position it was last seen at, how often it was split
-    and its smoother. ``memo`` holds the per-frame values of the stored
-    frames that its callers have asked for; a frame's entries leave with
-    the frame.
+    ``window`` holds one live ``Track`` per key with a sample in the stored
+    frames, in order of key creation, and ``frames`` the (timestamp, keys
+    added) of each stored frame. ``add`` appends a frame's smoothed persons
+    to their tracks and keeps every frame, for one window over a whole clip;
+    ``advance`` also drops the frame leaving the window from exactly its
+    keys' tracks, and a track it empties, and returns the selected pair at
+    each stride point. Each raw id has one record: its current key, the
+    position it was last seen at, how often it was split and its smoother.
+    ``memo`` holds the per-frame values of the stored frames that its callers
+    have asked for; a frame's entries leave with the frame.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.frames: deque[tuple[int, float, list[tuple[str, Skeleton]]]] = deque()
+        self.window: dict[str, Track] = {}
+        self.frames: deque[tuple[float, list[str]]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
         self.memo = FrameMemo()
 
     def add(self, record: FrameRecord) -> set[str]:
-        """Store one frame's smoothed persons; returns the keys present."""
+        """Append one frame's smoothed persons to their tracks; returns the keys present."""
         self.pos += 1
-        persons: list[tuple[str, Skeleton]] = []
+        t, window, keys = record.timestamp, self.window, []
         for tid, skel in record.persons:
             entry = self._active.get(tid)
             if entry is None:
@@ -215,32 +213,34 @@ class TrackWindows:
                     key = f"{tid}.{splits}"
                     smoother = SkeletonSmoother(self.cfg.alpha)
             self._active[tid] = (key, self.pos, splits, smoother)
-            persons.append((key, smoother.step(skel)))
-        self.frames.append((self.pos, record.timestamp, persons))
-        return {key for key, _ in persons}
+            track = window.get(key)
+            if track is None:
+                track = window[key] = Track(key)
+            track.timestamps.append(t)
+            track.skeletons.append(smoother.step(skel))
+            keys.append(key)
+        self.frames.append((t, keys))
+        return set(keys)
 
     def advance(self, record: FrameRecord) -> tuple[set[str], Optional[tuple[Track, Track]]]:
         """Add one frame; at a stride point, also ``select_pair`` over the window ending at it."""
         present = self.add(record)
         wf, sf = self.cfg.window_frames, self.cfg.stride_frames
-        while self.frames[0][0] <= self.pos - wf:
-            self.memo.evict(self.frames.popleft()[1])
-        pair = None
-        if self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0:
-            pair = select_pair(self.tracks(), self.cfg.min_segment_frames)
-        return present, pair
+        while len(self.frames) > wf:
+            t, keys = self.frames.popleft()
+            self.memo.evict(t)
+            for key in keys:
+                track = self.window[key]
+                del track.timestamps[0], track.skeletons[0]
+                if not track.timestamps:
+                    del self.window[key]
+        if self.pos < wf - 1 or (self.pos - (wf - 1)) % sf:
+            return present, None
+        return present, select_pair(self.tracks(), self.cfg.min_segment_frames)
 
     def tracks(self) -> list[Track]:
-        """The tracks of the stored frames, in order of first appearance."""
-        by_key: dict[str, Track] = {}
-        for _, t, persons in self.frames:
-            for key, skel in persons:
-                track = by_key.get(key)
-                if track is None:
-                    track = by_key[key] = Track(key)
-                track.timestamps.append(t)
-                track.skeletons.append(skel)
-        return list(by_key.values())
+        """The window's tracks in key-creation order, live: each changes with the next frame."""
+        return list(self.window.values())
 
 
 def extract_windows(
@@ -366,9 +366,9 @@ class StreamEngine:
         self._forest_compiled = False
 
     @property
-    def _buffers(self) -> set[str]:
+    def _buffers(self) -> KeysView[str]:
         """The track keys in the current window (the engine's track state)."""
-        return {key for _, _, persons in self._windows.frames for key, _ in persons}
+        return self._windows.window.keys()
 
     def _classify(self, pair: tuple[Track, Track]) -> None:
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))

@@ -23,6 +23,7 @@ from .types import (
     Skeleton,
     Track,
     center_speeds,
+    ordered_sum,
     track_order,
 )
 
@@ -122,7 +123,7 @@ def softmax(scores: Sequence[float]) -> list[float]:
     """Temperature-1 softmax, stabilized by subtracting the max score."""
     m = max(scores)
     exps = [math.exp(s - m) for s in scores]
-    total = sum(exps)
+    total = ordered_sum(exps)
     return [e / total for e in exps]
 
 
@@ -147,7 +148,7 @@ def aggressor_probabilities(
     scores = []
     for span in spans:
         speeds = [v for v in center_speeds(span, memo) if v is not None]
-        scores.append(sum(speeds) / len(speeds) if speeds else 0.0)
+        scores.append(ordered_sum(speeds) / len(speeds) if speeds else 0.0)
     probs = softmax(scores)
     return [
         RoleAssignment(track_id=track.track_id, p_aggressor=p, mean_translation=s)

@@ -17,9 +17,12 @@ every feature family and every overlapping window share one computation,
 and the values are freed with the skeleton. Values that span two frames of
 a track, or two people, have no one skeleton to live on; a ``FrameMemo``
 holds the ones the feature families and offline role ordering read,
-grouped by frame, and is the only code that reads or writes them. Pair selection's raw center distances are computed
-where they are read, not stored: most belong to pairs that are never
-extracted.
+grouped by frame, and is the only code that reads or writes them. Pair
+selection's raw center distances are computed where they are read, not
+stored: most belong to pairs that are never extracted.
+
+Every float sum that reaches an output goes through ``ordered_sum``, one
+left-to-right addition, so outputs do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -315,6 +318,18 @@ def center_speed(prev: Skeleton, cur: Skeleton, dt: float) -> Optional[float]:
     if c is not None and p is not None and th is not None and dt > 0:
         return math.sqrt((c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2) / dt / th
     return None
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added one at a time, left to right, with no compensation.
+
+    From Python 3.12 ``sum()`` compensates float rounding, so a mean summed
+    with it could change an output's bytes with the interpreter's version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)

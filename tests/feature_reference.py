@@ -14,9 +14,17 @@ VALID = 0.3
 STATS = ("mean", "median", "min", "max", "p95")
 
 
+def _sum_left_to_right(values):
+    # sum() compensates float rounding from Python 3.12; the features do not
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ref_stat(values, stat):
     if stat == "mean":
-        return sum(values) / len(values)
+        return _sum_left_to_right(values) / len(values)
     if stat == "median":
         s = sorted(values)
         n = len(s)
@@ -401,7 +409,7 @@ def reference_segment_features(pair, params):
         stop = min(contact + round(0.4 * fps), n - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
-            post_mean = sum(window) / len(window)
+            post_mean = _sum_left_to_right(window) / len(window)
 
     face_a = [_facing(s) for s in skels_a]
     face_b = [_facing(s) for s in skels_b]

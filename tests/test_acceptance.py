@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import re
 import time
 
 import numpy as np
@@ -38,14 +39,20 @@ from snatchdet.forest import (
 )
 from snatchdet import pipeline
 from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
-from snatchdet.pipeline import StreamEngine, extract_windows, order_roles, pair_key_str
+from snatchdet.pipeline import (
+    StreamEngine,
+    TrackWindows,
+    extract_windows,
+    order_roles,
+    pair_key_str,
+)
 from snatchdet.preprocess import _ema
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, step
 from snatchdet.types import FrameRecord, Keypoint, Track, track_order, validate_stream
 from test_forest import exhaustive_best_split, root_split
-from track_reference import build_tracks, reference_pairs
+from track_reference import build_tracks, reference_pairs, reference_windows
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -538,7 +545,7 @@ def test_window_state_bounded_under_id_churn(e2e):
     assert engine.frames_processed == 3000
     assert len(engine._buffers) <= len(last_window)
     memo = engine._windows.memo.values
-    assert memo and set(memo) <= {t for _, t, _ in engine._windows.frames}
+    assert memo and set(memo) <= {t for t, _ in engine._windows.frames}
 
 
 def test_extract_windows_matches_reference_on_split_ids():
@@ -554,3 +561,50 @@ def test_extract_windows_matches_reference_on_split_ids():
         expected.append((sid, repr(extract_segment(seg, schema, params))))
     assert [(sid, repr(vector)) for sid, vector in rows] == expected
     assert any("#1|2.1#" in sid for sid, _ in rows)
+
+
+def absent_longer_than_a_window():
+    """A snatch clip with a far bystander whose person 2 is absent 75 frames:
+    longer than the 60-frame window, within a 90-frame max gap."""
+    frames = generate(ScenarioSpec(kind="snatch", seed=17, duration=8.0, noise_sigma=1.0)).frames
+    return without_person(with_bystander(frames), 2, 60, 135)
+
+
+STORE_STREAMS = {
+    "split_ids": (split_id_frames, PipelineConfig()),
+    "key_empties_and_returns": (absent_longer_than_a_window, PipelineConfig(max_gap_frames=90)),
+}
+
+
+def samples(track):
+    return track.timestamps, [(s.xy, s.conf, s.bbox) for s in track.skeletons]
+
+
+@pytest.mark.parametrize("name", STORE_STREAMS)
+def test_window_store_matches_reference(name):
+    """At every stride point the store holds the oracle's non-empty window
+    tracks, key by key, and selects the oracle's pair."""
+    build, cfg = STORE_STREAMS[name]
+    frames = build()
+    reference = dict(reference_windows(frames, cfg))
+    want_pairs = {end: {a.track_id, b.track_id} for end, (a, b) in reference_pairs(frames, cfg)}
+    store = TrackWindows(cfg)
+    got_pairs = {}
+    stored = []  # the keys in the store at each stride point
+    for record in frames:
+        _, pair = store.advance(record)
+        if pair is not None:
+            got_pairs[store.pos] = {pair[0].track_id, pair[1].track_id}
+        if store.pos in reference:
+            want = {w.track_id: samples(w) for w in reference[store.pos] if len(w)}
+            assert {t.track_id: samples(t) for t in store.tracks()} == want, store.pos
+            stored.append(set(want))
+    assert len(stored) == len(reference)
+    assert got_pairs == want_pairs and got_pairs
+    split = any("2.1" in keys for keys in stored)
+    if name == "split_ids":
+        assert split
+    else:
+        # "2" empties out of the store, then returns under the same key
+        held = "".join("1" if "2" in keys else "0" for keys in stored)
+        assert not split and re.search("1+0+1", held)

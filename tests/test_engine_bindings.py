@@ -11,7 +11,12 @@ classifies each pair under both orderings and keeps the higher
 probability, so it orders no roles.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +24,13 @@ from conftest import with_bystander, without_person
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.experiment import corpus_dataset
-from snatchdet.forest import Dataset, ForestConfig, train
+from snatchdet.forest import Dataset, ForestConfig, save_model, train
+from snatchdet.streams import write_stream
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.types import FrameRecord
+from track_reference import build_tracks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BINDINGS = ("select_pair", "order_roles", "pair_segment", "extract_segment", "predict_probability")
 
@@ -56,11 +65,15 @@ def attempted_windows(cfg, n_frames):
     return sum(1 for pos in range(n_frames) if pos >= wf - 1 and (pos - (wf - 1)) % sf == 0)
 
 
+def small_model():
+    return train(Dataset(("distance_mean", "A_velocity_mean"), [[0.0, 1.0], [1.0, 0.0]], [0, 1]),
+                 ForestConfig(n_trees=3))
+
+
 def test_engine_calls_each_layer_through_its_pipeline_binding(monkeypatch):
     cfg = PipelineConfig()
     frames = gappy_frames()
-    model = train(Dataset(("distance_mean", "A_velocity_mean"), [[0.0, 1.0], [1.0, 0.0]], [0, 1]),
-                  ForestConfig(n_trees=3))
+    model = small_model()
     calls, pairs_found = count_bindings(monkeypatch)
 
     engine = pipeline.StreamEngine(model, cfg)
@@ -118,3 +131,65 @@ def test_stream_output_does_not_depend_on_role_ordering(monkeypatch, clip_model)
     monkeypatch.setattr(pipeline, "order_roles", no_roles)
     assert outputs() == want
     assert any(a["kind"] == "activated" for a in want[0])
+
+
+# Installs the benchmark's tracer (which patches modules for the rest of the
+# process), streams one file through ``snatchdet stream`` and writes what the
+# tracer saw.
+TRACED_STREAM = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from snatchdet import cli
+rc = cli.main(["stream", "--stream", sys.argv[2], "--model", sys.argv[3], "--alerts-out", sys.argv[4]])
+out = {
+    "rc": rc,
+    "spans": {name: row["calls"] for name, row in tracer.summary().items()},
+    "counts": dict(tracer.counts),
+    "buffers": [len(engine._buffers) for engine in tracer.engines],
+}
+with open(sys.argv[5], "w", encoding="utf-8") as fh:
+    json.dump(out, fh)
+"""
+
+STREAM_LAYERS = (
+    "streams.line_to_frame",
+    "types.validate_frame",
+    "preprocess.SkeletonSmoother.step",
+    "pipeline.StreamEngine.__init__",
+    "pipeline.StreamEngine.process",
+    "pipeline.select_pair",
+    "features.pair_segment",
+    "features.extract_segment",
+    "forest.predict_probability",
+    "temporal.step",
+)
+
+
+def test_benchmark_tracer_sees_every_stream_layer(tmp_path):
+    """The bindings ``perfbench/tracer.py`` wraps, and the engine state it
+    reads, still exist and are still called."""
+    cfg = PipelineConfig()
+    clip = generate(ScenarioSpec(kind="snatch", seed=11, duration=4.0)).frames
+    # the bystander leaves before the last window: its key is no longer held
+    frames = without_person(with_bystander(clip), 9, 30, len(clip))
+    stream, model, out = tmp_path / "stream.jsonl", tmp_path / "model.json", tmp_path / "out.json"
+    write_stream(str(stream), frames)
+    save_model(small_model(), str(model))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", TRACED_STREAM, str(ROOT / "perfbench" / "tracer.py"),
+         str(stream), str(model), str(tmp_path / "alerts.jsonl"), str(out)],
+        env=env, check=True, timeout=300,
+    )
+    seen = json.loads(out.read_text(encoding="utf-8"))
+    assert seen["rc"] == 0
+    assert [name for name in STREAM_LAYERS if not seen["spans"].get(name)] == []
+    assert seen["counts"]["pipeline.body_center"] > 0
+    tracks, positions = build_tracks(frames, cfg.max_gap_frames)
+    first_kept = len(frames) - cfg.window_frames
+    in_window = [t for t, p in zip(tracks, positions) if p[-1] >= first_kept]
+    assert seen["buffers"] == [len(in_window)] and len(in_window) < len(tracks)

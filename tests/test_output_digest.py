@@ -1,6 +1,13 @@
-"""``scripts/output_digest.py`` prints the same, pinned digests for the same inputs."""
+"""``scripts/output_digest.py`` prints the same, pinned digests for the same inputs.
 
+The pins hold on every Python version: from 3.12, ``sum()`` over floats is
+compensated (Neumaier), and ``neumaier_sum`` below emulates that sum so that
+a 3.11 interpreter can check the outputs do not depend on it.
+"""
+
+import builtins
 import importlib.util
+import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
@@ -29,6 +36,49 @@ def load_script():
     return module
 
 
+_builtin_sum = builtins.sum
+
+
+def neumaier_sum(iterable, start=0):
+    """``sum()`` as Python 3.12 computes it over ints and floats.
+
+    Exact ints are added exactly until the first float; from there ints are
+    added plainly and floats with Neumaier's compensation, which is added
+    back at the end. Any other item falls back to the plain ``sum``.
+    """
+    items = list(iterable)
+    if type(start) is not int or not all(type(v) in (int, float, bool) for v in items):
+        return _builtin_sum(items, start)
+    exact, k = start, 0
+    while k < len(items) and type(items[k]) is not float:
+        exact += items[k]
+        k += 1
+    if k == len(items):
+        return exact
+    total, c = exact + items[k], 0.0
+    for v in items[k + 1 :]:
+        if type(v) is not float:
+            total += float(v)
+            continue
+        t = total + v
+        if abs(total) >= abs(v):
+            c += (total - t) + v
+        else:
+            c += (v - t) + total
+        total = t
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_neumaier_sum_emulates_the_compensated_sum():
+    assert neumaier_sum([0.1] * 10) == 1.0 != _builtin_sum([0.1] * 10)
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert neumaier_sum([1, 2, True]) == 4 and type(neumaier_sum([1, 2])) is int
+    assert neumaier_sum([[1], [2]], []) == [1, 2]
+    assert neumaier_sum([]) == 0
+
+
 def test_digests_repeat_on_a_small_input(tmp_path):
     digest = load_script()
     runs = []
@@ -45,3 +95,10 @@ def test_digests_repeat_on_a_small_input(tmp_path):
     }
     assert all(len(v) == 64 for v in runs[0].values())
     assert runs[0] == PINNED
+
+
+def test_digests_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch):
+    """The small input's outputs under 3.12's float ``sum()`` equal the pins."""
+    digest = load_script()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert digest.digests(str(tmp_path), n_per_class=2, n_trees=5, rounds=1) == PINNED

@@ -90,7 +90,7 @@ def test_tie_is_kept_when_the_mean_rounds_below_its_bound():
     # distances is one ulp below the distance, which is also the box gap.
     # Pair (3, 4) is visited first; pair (1, 2) ties it and has the lower key.
     d = 13 / 7
-    assert sum([d, d, d]) / 3 < d
+    assert (d + d + d) / 3 < d  # summed left to right, as select_pair sums
     frames = range(3)
     tracks = [
         make_track("3", [(t, (0.0, 0.0)) for t in frames]),

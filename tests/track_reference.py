@@ -70,14 +70,15 @@ def _slice_positions(track: Track, positions: list[int], lo: int, hi: int) -> Tr
 
 def mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
     """Mean raw center distance over the frames both tracks share, summed in frame order."""
-    dists = []
+    total, n = 0.0, 0
     for t, ca in centers_a.items():
         cb = centers_b.get(t)
         if ca is not None and cb is not None:
-            dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
-    if not dists:
+            total += math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2)
+            n += 1
+    if not n:
         return None
-    return sum(dists) / len(dists)
+    return total / n
 
 
 def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Track, Track]]:
