@@ -289,7 +289,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
         args.alerts_out, "w", encoding="utf-8"
     )
     close_alerts = alerts_out is not sys.stdout
-    source = sys.stdin if args.stream == "-" else args.stream
+    source = args.stream
+    if source == "-":
+        # UTF-8 whatever the locale, bad bytes kept so the decoder rejects their line
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        source = sys.stdin
     started = time.perf_counter()
     try:
         engine = pipeline.StreamEngine(model, cfg)

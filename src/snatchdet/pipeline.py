@@ -200,19 +200,19 @@ class TrackWindows:
 
     def add(self, record: FrameRecord) -> set[str]:
         """Append one frame's smoothed persons to their tracks; returns the keys present."""
-        self.pos += 1
-        t, window, keys = record.timestamp, self.window, []
+        self.pos = pos = self.pos + 1
+        t, window, active, keys = record.timestamp, self.window, self._active, []
         for tid, skel in record.persons:
-            entry = self._active.get(tid)
+            entry = active.get(tid)
             if entry is None:
                 key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.alpha)
             else:
                 key, last_pos, splits, smoother = entry
-                if self.pos - last_pos > self.cfg.max_gap_frames:
+                if pos - last_pos > self.cfg.max_gap_frames:
                     splits += 1
                     key = f"{tid}.{splits}"
                     smoother = SkeletonSmoother(self.cfg.alpha)
-            self._active[tid] = (key, self.pos, splits, smoother)
+            active[tid] = (key, pos, splits, smoother)
             track = window.get(key)
             if track is None:
                 track = window[key] = Track(key)

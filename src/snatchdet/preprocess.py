@@ -25,6 +25,7 @@ from .types import (
     center_speeds,
     ordered_sum,
     track_order,
+    trusted_skeleton,
 )
 
 DEFAULT_ALPHA = 0.6
@@ -93,13 +94,20 @@ class SkeletonSmoother:
             else:
                 state[ix], state[iy] = raw[ix], raw[iy]
                 seen[j] = conf[j] >= VALID_CONFIDENCE
-        if self._bbox is None:
-            self._bbox = skel.bbox
-        else:
-            self._bbox = tuple(
-                _ema(prev, raw, a) for raw, prev in zip(skel.bbox, self._bbox)
+        box = skel.bbox
+        if self._bbox is not None:
+            # inline _ema, corner by corner
+            x1, y1, x2, y2 = box
+            p1, q1, p2, q2 = self._bbox
+            box = (
+                p1 if x1 == p1 else a * x1 + b * p1,
+                q1 if y1 == q1 else a * y1 + b * q1,
+                p2 if x2 == p2 else a * x2 + b * p2,
+                q2 if y2 == q2 else a * y2 + b * q2,
             )
-        return Skeleton(tuple(state), conf, self._bbox)
+        self._bbox = box
+        # the input's shape was checked when it was built
+        return trusted_skeleton(tuple(state), conf, box)
 
 
 def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:

@@ -11,8 +11,12 @@ One frame per line:
 ``frame_index / fps``. A line is read as strict RFC 8259 JSON by
 ``orjson``: no ``NaN`` or ``Infinity`` literals, no number beyond the double
 range, no unpaired surrogate escapes, and arrays and objects nested at most
-``MAX_NESTING`` deep. Frames are written by ``json.dumps``. Any line that is
-not a frame raises ``MalformedRecord``.
+``MAX_NESTING`` deep (checked before decoding), and valid UTF-8: a bad byte
+reaches the decoder as a lone surrogate. ``obj_to_frame`` checks the shape
+and the number types and builds each person's skeleton once, with its
+``passes_whole`` verdict; ``types.validate_frame`` checks the rest. Frames
+are written by ``json.dumps``. Any line that is not a frame raises
+``MalformedRecord``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 import orjson
 
-from .types import FrameRecord, MalformedRecord, Skeleton, validate_stream
+from .types import FrameRecord, MalformedRecord, check_shape, trusted_skeleton
+from .types import validate_stream, values_pass_whole
 
 PathOrFile = Union[str, IO[str]]
 
@@ -86,13 +91,18 @@ def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
                 xy.append(x)
                 xy.append(y)
                 conf.append(c)
-            bbox = tuple(p["bbox"])
-            skel = Skeleton(tuple(xy), tuple(conf), bbox)
-            if not skel.exact_floats:
-                skel = Skeleton(
+            xy, conf, bbox = tuple(xy), tuple(conf), tuple(p["bbox"])
+            check_shape(xy, conf, bbox)
+            if values_pass_whole(xy, conf, bbox):
+                skel = trusted_skeleton(xy, conf, bbox, True)
+            else:
+                # integers become floats, anything else that is not a number
+                # raises; validate_frame then checks the values one by one
+                skel = trusted_skeleton(
                     tuple(_numbers(xy, "a keypoint value")),
                     tuple(_numbers(conf, "a keypoint value")),
                     tuple(_numbers(bbox, "a bbox value")),
+                    False,
                 )
             persons.append((p["track_id"], skel))
     except MalformedRecord:
@@ -107,7 +117,9 @@ def frame_to_line(record: FrameRecord) -> str:
 
 
 def _too_deeply_nested(line: str) -> bool:
-    if line.count("[") + line.count("{") <= MAX_NESTING:
+    raw = np.frombuffer(line.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # "[" and "{" differ only in bit 5, so one pass counts both
+    if np.count_nonzero((raw | 32) == ord("{")) <= MAX_NESTING:
         return False  # too few brackets, even counting those inside strings
     outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
     depth = np.cumsum(_DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)], dtype=np.int32)
@@ -142,7 +154,7 @@ def write_stream(dest: PathOrFile, frames: Iterable[FrameRecord]) -> None:
 def iter_stream(source: PathOrFile, fps: float = 30.0) -> Iterator[FrameRecord]:
     """Yield frames one by one; skips blank lines, raises MalformedRecord."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             yield from iter_stream(fh, fps=fps)
         return
     for line in source:

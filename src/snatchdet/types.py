@@ -23,6 +23,13 @@ stored: most belong to pairs that are never extracted.
 
 Every float sum that reaches an output goes through ``ordered_sum``, one
 left-to-right addition, so outputs do not depend on the Python version.
+
+Every input rule is stated here once. The constructor checks the shape
+(``check_shape``); ``validate_frame`` checks every value, the timestamp and
+the ids. The wire reader checks the shape itself, builds each person with
+``trusted_skeleton`` and stores its ``passes_whole`` verdict from
+``values_pass_whole``, which ``validate_frame`` reads; any other skeleton
+computes its verdict on first read.
 """
 
 from __future__ import annotations
@@ -102,13 +109,7 @@ class Skeleton:
     bbox: tuple[float, float, float, float]  # x1, y1, x2, y2
 
     def __post_init__(self) -> None:
-        if len(self.bbox) != 4:
-            raise MalformedRecord(f"bbox must have 4 values, got {len(self.bbox)}")
-        if len(self.conf) != NUM_KEYPOINTS or len(self.xy) != 2 * len(self.conf):
-            raise MalformedRecord(
-                f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(self.conf)}"
-                f" confidences and {len(self.xy)} coordinates"
-            )
+        check_shape(self.xy, self.conf, self.bbox)
 
     @property
     def keypoints(self) -> tuple[Keypoint, ...]:
@@ -128,12 +129,13 @@ class Skeleton:
     # fields, so equality, hash and repr ignore it.
 
     @_stored
-    def exact_floats(self) -> bool:
-        """Every coordinate, confidence and bbox value is an exact ``float``.
+    def passes_whole(self) -> bool:
+        """Every value passes ``validate_frame`` as it is, with nothing to clamp.
 
-        The wire reader and ``validate_frame`` both ask; the scan runs once.
+        The wire reader stores it as it builds the skeleton. False means
+        "check value by value", not "invalid".
         """
-        return {*map(type, self.xy), *map(type, self.conf), *map(type, self.bbox)} == _ONLY_FLOAT
+        return values_pass_whole(self.xy, self.conf, self.bbox)
 
     @_stored
     def midpoints(self) -> tuple[Optional[tuple[float, float]], Optional[tuple[float, float]]]:
@@ -195,6 +197,35 @@ class Skeleton:
     def arm_extension(self) -> Optional[float]:
         """Longer wrist-to-shoulder distance over the arms, in torso heights."""
         return _arm_extension(self)
+
+
+def check_shape(xy: tuple, conf: tuple, bbox: tuple) -> None:
+    """Raise MalformedRecord unless there are 4 bbox values and 17 keypoints."""
+    if len(bbox) != 4:
+        raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")
+    if len(conf) != NUM_KEYPOINTS or len(xy) != 2 * len(conf):
+        raise MalformedRecord(
+            f"skeleton must have {NUM_KEYPOINTS} keypoints, got {len(conf)}"
+            f" confidences and {len(xy)} coordinates"
+        )
+
+
+_new = object.__new__
+
+
+def trusted_skeleton(
+    xy: tuple, conf: tuple, bbox: tuple, passes_whole: Optional[bool] = None
+) -> Skeleton:
+    """A skeleton whose shape the caller has checked: no ``__post_init__``.
+
+    ``passes_whole``, if given, is stored and must be ``values_pass_whole``'s verdict.
+    """
+    skel = _new(Skeleton)
+    fields = skel.__dict__
+    fields["xy"], fields["conf"], fields["bbox"] = xy, conf, bbox
+    if passes_whole is not None:
+        fields["passes_whole"] = passes_whole
+    return skel
 
 
 # ---------------------------------------------------------------------------
@@ -507,25 +538,27 @@ def _clamp_confidence(c: float) -> float:
     return c
 
 
-_ONLY_FLOAT = frozenset((float,))
+_ALL_FLOAT = [float] * (3 * NUM_KEYPOINTS + 4)  # the types of a whole skeleton's values
 
 
-def _passes_whole(skel: Skeleton) -> bool:
-    """True when every value of the skeleton passes as it is, with nothing to clamp.
+def values_pass_whole(xy: tuple, conf: tuple, bbox: tuple) -> bool:
+    """True when every value passes as it is, with nothing to clamp.
 
     Only exact floats qualify. A finite sum rules out NaN and the
-    infinities, so the minimum and maximum bound every value. False means
-    "check value by value", not "invalid".
+    infinities, so the ends of the sorted values bound every value
+    (``sorted`` compares floats in about half the time ``min`` and ``max``
+    take). False means "check value by value", not "invalid".
     """
-    xy, conf, bbox = skel.xy, skel.conf, skel.bbox
+    if [*map(type, xy), *map(type, conf), *map(type, bbox)] != _ALL_FLOAT:
+        return False
+    if not math.isfinite(sum(xy) + sum(conf)):
+        return False
+    xs, cs = sorted(xy), sorted(conf)
     return (
-        skel.exact_floats
-        and math.isfinite(sum(xy))
-        and -COORDINATE_LIMIT <= min(xy)
-        and max(xy) <= COORDINATE_LIMIT
-        and math.isfinite(sum(conf))
-        and 0.0 <= min(conf)
-        and max(conf) <= 1.0
+        -COORDINATE_LIMIT <= xs[0]
+        and xs[-1] <= COORDINATE_LIMIT
+        and 0.0 <= cs[0]
+        and cs[-1] <= 1.0
         and -COORDINATE_LIMIT <= bbox[0] <= bbox[2] <= COORDINATE_LIMIT
         and -COORDINATE_LIMIT <= bbox[1] <= bbox[3] <= COORDINATE_LIMIT
     )
@@ -565,9 +598,9 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
     of the [0, 1] bounds) or raises MalformedRecord. Keypoint and bbox
     coordinates must lie within +-``COORDINATE_LIMIT``; a timestamp need only
     be finite. When ``prev_timestamp`` is given, the record's timestamp must
-    be strictly greater. Each skeleton is first checked as a whole; one
-    that does not pass as it is gets the value-by-value check, which finds
-    the first bad value or clamps.
+    be strictly greater. Each skeleton is first checked as a whole, through
+    its ``passes_whole`` verdict; one that does not pass as it is gets the
+    value-by-value check, which finds the first bad value or clamps.
     """
     frame_index = record.frame_index
     if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
@@ -587,7 +620,7 @@ def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) 
         if tid in seen_ids:
             raise MalformedRecord(f"duplicate track_id {tid} within one frame")
         seen_ids.add(tid)
-        if not _passes_whole(skel):
+        if not skel.passes_whole:
             checked = _check_skeleton(skel)
             if checked is not skel:
                 skel = checked

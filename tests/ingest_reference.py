@@ -1,9 +1,11 @@
-"""Value-by-value validation and keypoint-object smoothing, kept as oracles.
+"""Value-by-value reading, validation and keypoint-object smoothing, kept as oracles.
 
-These are the straight-line forms of ``types.validate_frame`` and
-``preprocess.SkeletonSmoother.step``: every coordinate and confidence is
-checked with its own call, and the smoother builds one ``Keypoint`` per
-joint. The whole-vector check and the flat smoother must agree with them
+These are the straight-line forms of ``streams.obj_to_frame``,
+``types.validate_frame`` and ``preprocess.SkeletonSmoother.step``: the
+reader converts every value with its own call and stores no verdict, every
+coordinate and confidence is checked with its own call, and the smoother
+builds one ``Keypoint`` per joint. The one-pass reader with its stored
+verdict, the whole-vector check and the flat smoother must agree with them
 bit for bit (``tests/test_ingest.py``). ``smooth_track`` runs the reference
 smoother over a whole track, for oracles and tests that need smoothed input.
 Nothing in ``src/`` imports this.
@@ -54,9 +56,47 @@ def _clamp_confidence(c: float) -> float:
     return c
 
 
+def _number(value, what: str) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise MalformedRecord(f"bad frame object: {what} must be a number, got {value!r}")
+    return float(value)
+
+
+def obj_to_frame(obj: dict, fps: float = 30.0) -> FrameRecord:
+    """The frame of one decoded object, each value converted on its own."""
+    try:
+        frame_index = obj["frame_index"]
+        timestamp = obj.get("timestamp_s")
+        if timestamp is None:
+            timestamp = frame_index / fps
+        else:
+            timestamp = _number(timestamp, "timestamp_s")
+        persons = []
+        for p in obj["persons"]:
+            kps = [(x, y, c) for x, y, c in p["keypoints"]]
+            bbox = tuple(p["bbox"])
+            if len(bbox) != 4:
+                raise MalformedRecord(f"bbox must have 4 values, got {len(bbox)}")
+            if len(kps) != 17:
+                raise MalformedRecord(
+                    f"skeleton must have 17 keypoints, got {len(kps)}"
+                    f" confidences and {2 * len(kps)} coordinates"
+                )
+            xy = [_number(v, "a keypoint value") for x, y, _ in kps for v in (x, y)]
+            conf = [_number(c, "a keypoint value") for _, _, c in kps]
+            bbox = tuple(_number(v, "a bbox value") for v in bbox)
+            persons.append((p["track_id"], Skeleton(tuple(xy), tuple(conf), bbox)))
+    except MalformedRecord:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecord(f"bad frame object: {exc}") from exc
+    return FrameRecord(frame_index=frame_index, timestamp=timestamp, persons=tuple(persons))
+
+
 def validate_frame(record: FrameRecord, prev_timestamp: Optional[float] = None) -> FrameRecord:
     """Every invariant of a frame record, one value at a time."""
-    if not isinstance(record.frame_index, int) or record.frame_index < 0:
+    index = record.frame_index
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
         raise MalformedRecord(f"frame_index must be a nonnegative integer, got {record.frame_index!r}")
     _check_finite(record.timestamp, "timestamp")
     if prev_timestamp is not None and record.timestamp <= prev_timestamp:

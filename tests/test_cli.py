@@ -97,6 +97,19 @@ class TestSimulate:
         assert not out.exists()
 
 
+# a frame line that starts with two bytes that are not UTF-8
+NOT_UTF8_LINE = b'\xff\xfe{"frame_index": 100000, "persons": []}\n'
+NOT_UTF8_ERROR = "error: invalid JSON line: str is not valid UTF-8"
+
+
+def _snatch_stream(tmp_path):
+    """A stream file whose frames raise alerts."""
+    clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=501, noise_sigma=1.0, duration=5.0))
+    path = tmp_path / "snatch.jsonl"
+    streams.write_stream(str(path), clip.frames)
+    return path
+
+
 class TestExtract:
     def test_clip_rows_match_corpus(self, corpus_dir, trained):
         names, rows = features.read_feature_csv(str(trained["features"]))
@@ -139,6 +152,17 @@ class TestExtract:
         bad.write_text('{"frame_index": 0, "timestamp_s": 0.0, "persons": [{"track_id": 1}]}\n')
         rc = cli.main(["extract", "--streams", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_line_not_valid_utf8_exits_2(self, corpus_dir, tmp_path, capsys):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        good = (corpus_dir / manifest["clips"][0]["file"]).read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(good + NOT_UTF8_LINE)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["extract", "--streams", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(NOT_UTF8_ERROR)
+        assert not out.exists()
 
     def test_deeply_nested_line_exits_2_not_a_crash(self, tmp_path):
         """A line millions of levels deep is a malformed record, not a stack overflow."""
@@ -499,6 +523,40 @@ class TestStream:
              "--alerts-out", str(tmp_path / "alerts.jsonl")]
         )
         assert rc == 0
+
+    def test_line_not_valid_utf8_exits_2_after_the_earlier_alerts(self, trained, tmp_path, capsys):
+        good = _snatch_stream(tmp_path)
+        want = tmp_path / "want.jsonl"
+        assert cli.main(["stream", "--stream", str(good), "--model", str(trained["model"]),
+                         "--alerts-out", str(want)]) == 0
+        assert want.read_text()
+        capsys.readouterr()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(good.read_bytes() + NOT_UTF8_LINE)
+        got = tmp_path / "got.jsonl"
+        rc = cli.main(["stream", "--stream", str(bad), "--model", str(trained["model"]),
+                       "--alerts-out", str(got)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(NOT_UTF8_ERROR)
+        assert got.read_bytes() == want.read_bytes()
+
+    # a strict UTF-8 stdin raised UnicodeDecodeError; latin-1 decodes every byte
+    @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
+    def test_stdin_line_not_valid_utf8_exits_2_after_the_earlier_alerts(
+        self, trained, tmp_path, encoding
+    ):
+        good = _snatch_stream(tmp_path).read_bytes()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   PYTHONIOENCODING=encoding)
+        argv = [sys.executable, "-m", "snatchdet.cli", "stream", "--stream", "-",
+                "--model", str(trained["model"])]
+        want = subprocess.run(argv, input=good, env=env, capture_output=True)
+        assert want.returncode == 0 and want.stdout
+        got = subprocess.run(argv, input=good + NOT_UTF8_LINE, env=env, capture_output=True)
+        assert got.returncode == 2, got.stderr[-500:]
+        assert got.stderr.decode().startswith(NOT_UTF8_ERROR)
+        assert got.stdout == want.stdout
 
     def test_missing_stream_file_exits_2(self, trained, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

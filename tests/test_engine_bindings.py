@@ -171,7 +171,8 @@ STREAM_LAYERS = (
 
 def test_benchmark_tracer_sees_every_stream_layer(tmp_path):
     """The bindings ``perfbench/tracer.py`` wraps, and the engine state it
-    reads, still exist and are still called."""
+    reads, still exist and are still called, the ingest layers exactly once
+    per line, frame and person."""
     cfg = PipelineConfig()
     clip = generate(ScenarioSpec(kind="snatch", seed=11, duration=4.0)).frames
     # the bystander leaves before the last window: its key is no longer held
@@ -188,6 +189,12 @@ def test_benchmark_tracer_sees_every_stream_layer(tmp_path):
     seen = json.loads(out.read_text(encoding="utf-8"))
     assert seen["rc"] == 0
     assert [name for name in STREAM_LAYERS if not seen["spans"].get(name)] == []
+    # the per-frame ingest metrics divide these spans' time by the frames:
+    # one parse per line, one validation per frame, one smoothing per person
+    lines = stream.read_text(encoding="utf-8").splitlines()
+    assert seen["spans"]["streams.line_to_frame"] == len(lines) == len(frames)
+    assert seen["spans"]["types.validate_frame"] == len(frames)
+    assert seen["spans"]["preprocess.SkeletonSmoother.step"] == sum(len(f.persons) for f in frames)
     assert seen["counts"]["pipeline.body_center"] > 0
     tracks, positions = build_tracks(frames, cfg.max_gap_frames)
     first_kept = len(frames) - cfg.window_frames

@@ -3,14 +3,19 @@
 ``validate_frame`` checks each skeleton as one vector and falls back to a
 per-value loop; ``SkeletonSmoother`` updates one flat state list. Both must
 agree with ``tests/ingest_reference.py`` bit for bit, including every error
-message. Any JSON object handed to ``line_to_frame`` gives a frame or a
-``MalformedRecord``, nothing else, and every frame its decoder reads holds
-the values the standard library's ``json.loads`` reads, bit for bit.
+message. So must the engine's whole ingest, from a decoded frame object
+through ``obj_to_frame`` and its stored verdicts to the smoothed skeletons
+in the window store. Any JSON object handed to ``line_to_frame`` gives a
+frame or a ``MalformedRecord``, nothing else, and every frame its decoder
+reads holds the values the standard library's ``json.loads`` reads, bit
+for bit.
 """
 
+import copy
 import json
 import math
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import orjson
@@ -21,6 +26,9 @@ from hypothesis import strategies as st
 import ingest_reference as ref
 from conftest import frame_of
 from snatchdet import streams
+from snatchdet.config import PipelineConfig
+from snatchdet.forest import Dataset, ForestConfig, train
+from snatchdet.pipeline import StreamEngine
 from snatchdet.preprocess import SkeletonSmoother
 from snatchdet.types import FrameRecord, MalformedRecord, Skeleton, validate_frame
 
@@ -324,6 +332,135 @@ def test_nesting_scan_matches_the_decoded_depth(value, bound, wrap, ensure_ascii
     with mock.patch.object(streams, "MAX_NESTING", bound):
         deep = streams._too_deeply_nested(line)
     assert deep == (_nesting(json.loads(line)) > bound)
+
+
+# ---------------------------------------------------------------------------
+# the engine's ingest, from decoded object to smoothed skeleton, against the oracles
+
+_BEYOND = math.nextafter(1e9, math.inf)
+# each replaces one value of a valid person: integers, booleans, the
+# coordinate bound and just past it, confidences within 1e-9 outside [0, 1]
+wire_odd_value = st.one_of(
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.sampled_from([1e9, -1e9, _BEYOND, -_BEYOND, math.nan, math.inf, -0.0, "1.5", None]),
+)
+wire_conf_edge = st.sampled_from(_CONF_EDGE + [0, 1])
+
+
+@st.composite
+def wire_person(draw, tid):
+    """A person object: valid floats with a few values replaced by edge cases."""
+    n = draw(st.sampled_from([17] * 8 + [16, 18]))
+    kps = [[draw(coordinate), draw(coordinate), draw(confidence)] for _ in range(n)]
+    x1, x2 = sorted((draw(coordinate), draw(coordinate)))
+    y1, y2 = sorted((draw(coordinate), draw(coordinate)))
+    bbox = [x1, y1, x2, y2]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        where = draw(st.sampled_from(("xy", "conf", "conf_edge", "bbox", "bbox_swap")))
+        if where == "xy":
+            kps[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(wire_odd_value)
+        elif where == "conf":
+            kps[draw(st.integers(0, n - 1))][2] = draw(wire_odd_value)
+        elif where == "conf_edge":
+            kps[draw(st.integers(0, n - 1))][2] = draw(wire_conf_edge)
+        elif where == "bbox":
+            bbox[draw(st.integers(0, 3))] = draw(wire_odd_value)
+        else:
+            bbox[1], bbox[3] = bbox[3], bbox[1]
+    return {"track_id": tid, "keypoints": kps, "bbox": bbox}
+
+
+@st.composite
+def wire_frames_of_people(draw):
+    """A short stream of frame objects; ids repeat across frames and sometimes within one."""
+    frames, t = [], 0.0
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        if draw(st.integers(0, 9)) == 9:
+            frames.append(draw(frame_object))  # mostly not a frame at all
+            continue
+        t += draw(st.sampled_from([1 / 30] * 8 + [0.0]))  # 0.0: not increasing
+        tids = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+        frames.append({
+            "frame_index": draw(st.sampled_from([i] * 8 + [True, -1])),
+            "timestamp_s": draw(st.sampled_from([t] * 6 + [int(t), None])),
+            "persons": [draw(wire_person(tid)) for tid in tids],
+        })
+    return frames
+
+
+def _store_state(engine: StreamEngine) -> str:
+    """Everything the window store holds, smoother state included, as text."""
+    windows = engine._windows
+    tracks = {key: (tr.timestamps, tr.skeletons) for key, tr in windows.window.items()}
+    active = {
+        tid: (key, pos, splits, sm._xy, sm._seen, sm._bbox)
+        for tid, (key, pos, splits, sm) in windows._active.items()
+    }
+    return repr((tracks, list(windows.frames), active, windows.pos, engine._prev_t))
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    data = Dataset(("distance_mean", "A_velocity_mean"), [[0.0, 1.0], [1.0, 0.0]], [0, 1])
+    return train(data, ForestConfig(n_trees=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(objs=wire_frames_of_people())
+def test_engine_ingest_matches_the_oracles(tiny_model, objs):
+    cfg = PipelineConfig()
+    engine = StreamEngine(tiny_model, cfg)
+    smoothers: dict = {}
+    prev = None
+    for obj in objs:
+        obj_copy = copy.deepcopy(obj)
+        before = _store_state(engine)
+        try:
+            want = ref.validate_frame(ref.obj_to_frame(obj_copy, cfg.fps), prev)
+        except MalformedRecord as exc:
+            want = str(exc)
+        try:
+            engine.process(streams.obj_to_frame(obj, cfg.fps))
+        except MalformedRecord as exc:
+            assert str(exc) == want
+            assert _store_state(engine) == before
+            continue
+        assert not isinstance(want, str), want
+        prev = want.timestamp
+        smoothed = [
+            (str(tid), smoothers.setdefault(tid, ref.SkeletonSmoother(cfg.alpha)).step(skel))
+            for tid, skel in want.persons
+        ]
+        _, keys = engine._windows.frames[-1]
+        got = [(key, engine._windows.window[key].skeletons[-1]) for key in keys]
+        assert repr(got) == repr(smoothed)  # repr tells -0.0 from 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(person=wire_person(1), index=st.integers(0, 50), value=wire_odd_value)
+def test_a_skeleton_built_otherwise_has_no_verdict(person, index, value):
+    """A verdict stored by the reader does not pass to a skeleton built from it."""
+    try:
+        frame = streams.obj_to_frame({"frame_index": 0, "persons": [person]})
+    except MalformedRecord:
+        return
+    skel = frame.persons[0][1]
+    assert "passes_whole" in vars(skel)
+    xy, conf = list(skel.xy), list(skel.conf)
+    if index < 34:
+        xy[index] = value
+    else:
+        conf[index - 34] = value
+    for other in (
+        Skeleton(tuple(xy), tuple(conf), skel.bbox),
+        replace(skel, xy=tuple(xy)),
+        replace(skel, conf=tuple(conf)),
+    ):
+        assert "passes_whole" not in vars(other)
+        record = frame_of(0, 0.0, [(1, other)])
+        # repr: a NaN is not equal to itself
+        assert repr(_outcome(validate_frame, record)) == repr(_outcome(ref.validate_frame, record))
 
 
 # ---------------------------------------------------------------------------
