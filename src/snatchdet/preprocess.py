@@ -7,6 +7,8 @@ shoulder-midpoint to hip-midpoint distance, so features are insensitive to
 subject-camera distance. The aggressor role probability of each track comes
 from its mean body-center translation, softmax-normalized over the tracks
 in view: the person who moves more abruptly is the more likely aggressor.
+The smoother checks no input rule: it is handed skeletons that
+``types.validate_frame`` has passed, and builds its output unchecked.
 """
 
 from __future__ import annotations
