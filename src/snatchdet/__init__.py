@@ -2,7 +2,6 @@
 
 from .config import PipelineConfig, load_config
 from .features import (
-    FeatureParams,
     FeatureSchema,
     FeatureVector,
     extract_segment,
@@ -23,7 +22,6 @@ __all__ = [
     "AlarmState",
     "Clip",
     "Dataset",
-    "FeatureParams",
     "FeatureSchema",
     "FeatureVector",
     "ForestConfig",

@@ -294,11 +294,21 @@ def cmd_stream(args: argparse.Namespace) -> int:
         # UTF-8 whatever the locale, bad bytes kept so the decoder rejects their line
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         source = sys.stdin
+    evidence_out = None
     started = time.perf_counter()
     try:
+        if args.evidence_out:
+            evidence_out = open(args.evidence_out, "w", encoding="utf-8")
         engine = pipeline.StreamEngine(model, cfg)
+        written = 0
         for record in streams.iter_stream(source, fps=cfg.fps):
-            for alert in engine.process(record):
+            alerts = engine.process(record)
+            if evidence_out is not None:
+                # as each activation happens, so a run that stops later keeps it
+                for evidence in engine.evidence[written:]:
+                    evidence_out.write(json.dumps(evidence.to_obj(), separators=(",", ":")) + "\n")
+                written = len(engine.evidence)
+            for alert in alerts:
                 line = json.dumps(alert.to_obj(), separators=(",", ":"))
                 alerts_out.write(line + "\n")
                 if cfg.sink_url:
@@ -315,12 +325,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     finally:
         if close_alerts:
             alerts_out.close()
+        if evidence_out is not None:
+            evidence_out.close()
     elapsed = time.perf_counter() - started
 
-    if args.evidence_out:
-        with open(args.evidence_out, "w", encoding="utf-8") as fh:
-            for record in engine.evidence:
-                fh.write(json.dumps(record.to_obj(), separators=(",", ":")) + "\n")
     rate = engine.frames_processed / elapsed if elapsed > 0 else float("inf")
     print(
         f"processed {engine.frames_processed} frames in {elapsed:.3f}s "

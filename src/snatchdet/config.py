@@ -1,4 +1,8 @@
-"""Pipeline configuration: one flat record of every tunable default."""
+"""Pipeline configuration: one flat record of every run setting.
+
+The feature thresholds and the shortest segment are not here: they are
+constants of ``features``, since a model only knows its feature names.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,6 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from .features import FeatureParams
 from .forest import ForestConfig
 from .temporal import HysteresisConfig
 
@@ -26,12 +29,6 @@ class PipelineConfig:
 
     window_s: float = 2.0
     stride_s: float = 0.5
-    min_segment_frames: int = 5
-
-    fast_hand_threshold: float = 1.5
-    elbow_flex_threshold: float = 120.0
-    close_hand_threshold: float = 0.4
-    hand_toward_threshold: float = 0.7
 
     n_trees: int = 500
     seed: int = 42
@@ -66,9 +63,6 @@ class PipelineConfig:
             raise BadConfig("fps must be positive")
         if self.window_s <= 0 or self.stride_s <= 0:
             raise BadConfig("window_s and stride_s must be positive")
-        # hand motion (speed, acceleration, jerk) needs three frames
-        if self.min_segment_frames < 3:
-            raise BadConfig("min_segment_frames must be >= 3")
         if self.top_k < 1:
             raise BadConfig(f"top_k must be at least 1, got {self.top_k}")
         if not 0.0 <= self.prob_threshold <= 1.0:
@@ -85,15 +79,6 @@ class PipelineConfig:
     @property
     def stride_frames(self) -> int:
         return max(1, round(self.stride_s * self.fps))
-
-    def feature_params(self) -> FeatureParams:
-        return FeatureParams(
-            fast_hand_threshold=self.fast_hand_threshold,
-            elbow_flex_threshold=self.elbow_flex_threshold,
-            close_hand_threshold=self.close_hand_threshold,
-            hand_toward_threshold=self.hand_toward_threshold,
-            min_segment_frames=self.min_segment_frames,
-        )
 
     def forest(self) -> ForestConfig:
         return ForestConfig(n_trees=self.n_trees, seed=self.seed)

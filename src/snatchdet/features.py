@@ -5,7 +5,10 @@ it belongs to (interaction distances use the mean of both torso heights),
 which removes sensitivity to subject-camera distance. Per-frame series are
 aggregated into a fixed-order feature vector with mean / median / min /
 max / p95 statistics plus a handful of event-shaped scalars (time to peak,
-retraction after peak, longest fast-and-close run, ...).
+retraction after peak, longest fast-and-close run, ...). The thresholds of
+those scalars and the shortest segment extracted are fixed parts of the
+feature definitions (``FAST_HAND``, ``ELBOW_FLEX``, ``CLOSE_HAND``,
+``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings.
 
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame; statistics are computed over the present values and
@@ -17,9 +20,10 @@ of one segment's two tracks, keyed by what each value depends on: an
 individual family by its track, ``distance`` by the unordered pair (its
 values are the same under both role orderings) and the directional
 families (``relative``, ``reaching``, ``facing``) by the ordered pair. The
-stream engine builds one table per decision and passes it to both role
-orderings' ``extract_segment`` calls, so the second call computes only the
-directional families of its ordering.
+table is the one way extraction receives its caches: it holds the memo of
+per-frame values its families read. The stream engine builds one table per
+decision and passes it to both role orderings' ``extract_segment`` calls,
+so the second call computes only the directional families of its ordering.
 """
 
 from __future__ import annotations
@@ -56,18 +60,7 @@ class NoTemporalOverlap(ValueError):
 
 
 class SegmentTooShort(ValueError):
-    """Segment shorter than the configured minimum frame count."""
-
-
-@dataclass(frozen=True)
-class FeatureParams:
-    """Thresholds for the event-shaped features (normalized units)."""
-
-    fast_hand_threshold: float = 1.5  # torso-heights / second
-    elbow_flex_threshold: float = 120.0  # degrees
-    close_hand_threshold: float = 0.4  # torso-heights
-    hand_toward_threshold: float = 0.7  # cosine
-    min_segment_frames: int = 5
+    """Segment shorter than ``MIN_SEGMENT_FRAMES``."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +142,16 @@ _INTERACTION_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("BfacingToA", "series", "facing"),
     ("facingRate", "series", "facing"),
 )
+
+# The thresholds of the event-shaped features and the shortest segment are
+# part of the feature definitions above, not settings: a model file records
+# only feature names, so features computed with other values would reach a
+# model that never saw them. ``handTowardGt07Pct`` names its threshold.
+FAST_HAND = 1.5  # torso heights per second (fastHandPct, fastAndClose*)
+ELBOW_FLEX = 120.0  # degrees (elbowFlexPctL/R)
+CLOSE_HAND = 0.4  # torso heights (closeHandPct, fastAndClose*)
+HAND_TOWARD = 0.7  # cosine (handTowardGt07Pct)
+MIN_SEGMENT_FRAMES = 5  # at least the 3 rows that hand motion (jerk) needs
 
 # Historic spellings accepted on input and mapped to canonical names.
 NAME_ALIASES = {
@@ -361,11 +364,11 @@ def wrist_velocities(track: Track, memo: Optional[FrameMemo] = None) -> list[Wri
     return memo_or_new(memo).steps("wrists", _wrist_step, track)
 
 
-def _fast_flags(hand_speed: list[Value], params: FeatureParams) -> list[Optional[bool]]:
-    return [None if s is None else s > params.fast_hand_threshold for s in hand_speed]
+def _fast_flags(hand_speed: list[Value]) -> list[Optional[bool]]:
+    return [None if s is None else s > FAST_HAND for s in hand_speed]
 
 
-def hand_motion(track: Track, params: FeatureParams, velocities: list[WristStep]) -> Outputs:
+def hand_motion(track: Track, velocities: list[WristStep]) -> Outputs:
     """Wrist speed series (max over the two wrists) and its derivatives.
 
     ``velocities`` are the track's ``wrist_velocities``.
@@ -379,7 +382,7 @@ def hand_motion(track: Track, params: FeatureParams, velocities: list[WristStep]
     peak = _first_argmax(speed)
     return {
         "handVelocity": speed,
-        "fastHandPct": _pct(_fast_flags(speed, params)),
+        "fastHandPct": _pct(_fast_flags(speed)),
         "timeToPeakHandVel": None if peak is None else float(peak),
         "handAcceleration": accel,
         "handJerkMin": min(jerk) if jerk else None,
@@ -404,14 +407,13 @@ def arm_posture(track: Track, fps: float) -> Outputs:
     }
 
 
-def elbow_flexion(track: Track, params: FeatureParams = FeatureParams()) -> Outputs:
+def elbow_flexion(track: Track) -> Outputs:
     """Interior elbow angles and the share of frames each elbow is flexed."""
     angle_l: list[Value] = [s.elbow_angles[0] for s in track.skeletons]
     angle_r: list[Value] = [s.elbow_angles[1] for s in track.skeletons]
-    thr = params.elbow_flex_threshold
     return {
-        "elbowFlexPctL": _pct([None if a is None else a < thr for a in angle_l]),
-        "elbowFlexPctR": _pct([None if a is None else a < thr for a in angle_r]),
+        "elbowFlexPctL": _pct([None if a is None else a < ELBOW_FLEX for a in angle_l]),
+        "elbowFlexPctR": _pct([None if a is None else a < ELBOW_FLEX for a in angle_r]),
         "elbowAngleL": angle_l,
         "elbowAngleR": angle_r,
     }
@@ -544,10 +546,7 @@ def _relative_step(
 
 
 def relative_motion(
-    pair: PairSegment,
-    params: FeatureParams,
-    velocities: list[WristStep],
-    memo: Optional[FrameMemo] = None,
+    pair: PairSegment, velocities: list[WristStep], memo: Optional[FrameMemo] = None
 ) -> Outputs:
     """Relative center speed plus the hand-toward-victim direction cosine.
 
@@ -565,11 +564,10 @@ def relative_motion(
         rel_speed.append(speed)
         toward.append(cosine)
 
-    thr = params.hand_toward_threshold
     return {
         "relativeSpeed": rel_speed,
         "handTowardCos": toward,
-        "handTowardGt07Pct": _pct([None if c is None else c > thr for c in toward]),
+        "handTowardGt07Pct": _pct([None if c is None else c > HAND_TOWARD for c in toward]),
     }
 
 
@@ -593,7 +591,6 @@ def _hand_reach(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
 
 def reaching(
     pair: PairSegment,
-    params: FeatureParams,
     hand_speed: list[Value],
     distance: list[Value],
     memo: Optional[FrameMemo] = None,
@@ -608,12 +605,10 @@ def reaching(
     hand_to_torso: list[Value] = [d for d, _ in rows]
     hand_to_hip: list[Value] = [d for _, d in rows]
 
-    close_flags = [
-        None if d is None else d < params.close_hand_threshold for d in hand_to_torso
-    ]
+    close_flags = [None if d is None else d < CLOSE_HAND for d in hand_to_torso]
     both: list[Optional[bool]] = [
         None if f is None or c is None else (f and c)
-        for f, c in zip(_fast_flags(hand_speed, params), close_flags)
+        for f, c in zip(_fast_flags(hand_speed), close_flags)
     ]
 
     contact = _first_argmin(hand_to_torso)
@@ -696,30 +691,26 @@ class SegmentFamilies:
     - each series' aggregate by its family's key and its base name.
 
     "wrists" are the wrist velocities that "hands" and "relative" share.
-    The table holds no reference to itself, so its per-frame lists are
-    freed with it rather than by the cyclic garbage collector.
+    The families read their per-frame values from ``memo``: the window
+    store's when the segment was cut from one, so that overlapping windows
+    share them, else a fresh ``FrameMemo``. The table holds no reference to
+    itself, so its per-frame lists are freed with it rather than by the
+    cyclic garbage collector.
     """
 
-    def __init__(self, pair: PairSegment, params: FeatureParams, memo: FrameMemo) -> None:
+    def __init__(self, pair: PairSegment, memo: FrameMemo) -> None:
         self.pair = pair
-        self.params = params
         self.memo = memo
         self.outputs: dict[tuple[str, Optional[str]], Outputs] = {}
         self.aggregates: dict[tuple[tuple[str, Optional[str]], str], dict[str, Value]] = {}
 
-    def serves(self, pair: PairSegment, params: FeatureParams, memo: Optional[FrameMemo]) -> bool:
-        """True when ``pair`` is this table's segment under either role ordering,
-        with the table's params and memo."""
+    def serves(self, pair: PairSegment) -> bool:
+        """True when ``pair`` is this table's segment under either role ordering."""
         own = self.pair
         same_tracks = (pair.aggressor is own.aggressor and pair.victim is own.victim) or (
             pair.aggressor is own.victim and pair.victim is own.aggressor
         )
-        return (
-            same_tracks
-            and pair.fps == own.fps
-            and params == self.params
-            and (memo is None or memo is self.memo)
-        )
+        return same_tracks and pair.fps == own.fps
 
     def get(self, key: tuple[str, Optional[str]], pair: PairSegment) -> Outputs:
         """The outputs of family ``key[0]`` owned by ``key[1]``, for ``pair``'s ordering."""
@@ -729,18 +720,18 @@ class SegmentFamilies:
         return out
 
     def _compute(self, family: str, owner: Optional[str], pair: PairSegment) -> Outputs:
-        params, memo = self.params, self.memo
+        memo = self.memo
         if family == "distance":
             # one memo key per unordered pair, whichever track this window's roles put first
             if pair.aggressor.track_id > pair.victim.track_id:
                 pair = pair.swapped()
             return interaction_distance(pair, memo)
         if family == "relative":
-            return relative_motion(pair, params, self.get(("wrists", owner), pair), memo)
+            return relative_motion(pair, self.get(("wrists", owner), pair), memo)
         if family == "reaching":
             hand_speed = self.get(("hands", owner), pair)["handVelocity"]
             distance = self.get(("distance", None), pair)["distance"]
-            return reaching(pair, params, hand_speed, distance, memo)
+            return reaching(pair, hand_speed, distance, memo)
         if family == "facing":
             return facing(pair, memo)
         track = pair.aggressor if owner == pair.aggressor.track_id else pair.victim
@@ -749,11 +740,11 @@ class SegmentFamilies:
         if family == "kinematics":
             return center_kinematics(track, memo)
         if family == "hands":
-            return hand_motion(track, params, self.get(("wrists", owner), pair))
+            return hand_motion(track, self.get(("wrists", owner), pair))
         if family == "arms":
             return arm_posture(track, pair.fps)
         if family == "elbows":
-            return elbow_flexion(track, params)
+            return elbow_flexion(track)
         if family == "bbox":
             return bbox_area_rate(track, memo)
         raise KeyError(f"unknown feature family {family!r}")
@@ -762,35 +753,30 @@ class SegmentFamilies:
 def extract_segment(
     pair: PairSegment,
     schema: Optional[FeatureSchema] = None,
-    params: FeatureParams = FeatureParams(),
-    memo: Optional[FrameMemo] = None,
     families: Optional[SegmentFamilies] = None,
 ) -> FeatureVector:
     """Compute the feature vector of a pair segment for the schema's names.
 
     Values come from ``families``, a ``SegmentFamilies`` table of this
-    segment under either role ordering with the same ``params`` (and
-    ``memo``, when one is given); without one, from a fresh table. Each
-    family with an output in the schema runs once per table, and each
-    series it returns is aggregated once, so a second call on
-    ``pair.swapped()`` with the same table computes only the directional
-    families of its ordering. Per-frame values come from the table's memo,
-    the window store's when the segment was cut from one, else a fresh
-    memo. Missing values are materialized with the layout's sentinel so
-    the classifier always sees a finite value for every schema name. A
-    name whose family does not return its base name raises ``KeyError``; a
-    table built for another segment, params or memo raises ``ValueError``.
+    segment under either role ordering, and through it from its memo;
+    without one, from a fresh table over a fresh memo. Each family with an
+    output in the schema runs once per table, and each series it returns is
+    aggregated once, so a second call on ``pair.swapped()`` with the same
+    table computes only the directional families of its ordering. Missing
+    values are materialized with the layout's sentinel so the classifier
+    always sees a finite value for every schema name. A segment shorter
+    than ``MIN_SEGMENT_FRAMES`` raises ``SegmentTooShort``, a name whose
+    family does not return its base name ``KeyError``, and a table built
+    for another segment ``ValueError``.
     """
     if schema is None:
         schema = full_schema()
-    if len(pair) < params.min_segment_frames:
-        raise SegmentTooShort(
-            f"segment has {len(pair)} frames, need {params.min_segment_frames}"
-        )
+    if len(pair) < MIN_SEGMENT_FRAMES:
+        raise SegmentTooShort(f"segment has {len(pair)} frames, need {MIN_SEGMENT_FRAMES}")
     if families is None:
-        families = SegmentFamilies(pair, params, memo_or_new(memo))
-    elif not families.serves(pair, params, memo):
-        raise ValueError("the family table belongs to another segment, params or memo")
+        families = SegmentFamilies(pair, FrameMemo())
+    elif not families.serves(pair):
+        raise ValueError("the family table belongs to another segment")
     aggregates = families.aggregates
     owners = (pair.aggressor.track_id, pair.victim.track_id, None)
     values: dict[str, float] = {}

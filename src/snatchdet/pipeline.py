@@ -40,6 +40,7 @@ from typing import Iterable, KeysView, Optional, Sequence
 
 from .config import PipelineConfig
 from .features import (
+    MIN_SEGMENT_FRAMES,
     FeatureSchema,
     FeatureVector,
     SegmentFamilies,
@@ -236,7 +237,7 @@ class TrackWindows:
                     del self.window[key]
         if self.pos < wf - 1 or (self.pos - (wf - 1)) % sf:
             return present, None
-        return present, select_pair(self.tracks(), self.cfg.min_segment_frames)
+        return present, select_pair(self.tracks(), MIN_SEGMENT_FRAMES)
 
     def tracks(self) -> list[Track]:
         """The window's tracks in key-creation order, live: each changes with the next frame."""
@@ -256,7 +257,6 @@ def extract_windows(
     ``"<stream_id>#<pair>#<end position>"``.
     """
     schema = schema or full_schema()
-    params = cfg.feature_params()
     windows = TrackWindows(cfg)
     rows: list[tuple[str, FeatureVector]] = []
     for record in frames:
@@ -265,7 +265,7 @@ def extract_windows(
             continue
         agg, vic = order_roles(pair[0], pair[1], cfg.window_s, windows.memo)
         segment = pair_segment(agg, vic, fps=cfg.fps)
-        vector = extract_segment(segment, schema, params, windows.memo)
+        vector = extract_segment(segment, schema, SegmentFamilies(segment, windows.memo))
         key = pair_key_str(pair[0].track_id, pair[1].track_id)
         rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
     return rows
@@ -280,13 +280,13 @@ def extract_clip_row(
     windows = TrackWindows(cfg)
     for record in frames:
         windows.add(record)
-    pair = select_pair(windows.tracks(), cfg.min_segment_frames)
+    pair = select_pair(windows.tracks(), MIN_SEGMENT_FRAMES)
     if pair is None:
         return None
     duration = frames[-1].timestamp - frames[0].timestamp
     agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s), windows.memo)
     segment = pair_segment(agg, vic, fps=cfg.fps)
-    return extract_segment(segment, schema or full_schema(), cfg.feature_params(), windows.memo)
+    return extract_segment(segment, schema or full_schema(), SegmentFamilies(segment, windows.memo))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,6 @@ class StreamEngine:
     def __init__(self, model: ForestModel, cfg: PipelineConfig):
         self.model = model
         self.cfg = cfg
-        self.params = cfg.feature_params()
         self.hcfg = cfg.hysteresis()
         full = full_schema()
         missing = set(model.feature_names) - set(full.names)
@@ -373,10 +372,9 @@ class StreamEngine:
     def _classify(self, pair: tuple[Track, Track]) -> None:
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=self.cfg.fps)
-        memo = self._windows.memo
-        families = SegmentFamilies(segment, self.params, memo)
-        v_ab = extract_segment(segment, self.schema, self.params, memo, families)
-        v_ba = extract_segment(segment.swapped(), self.schema, self.params, memo, families)
+        families = SegmentFamilies(segment, self._windows.memo)
+        v_ab = extract_segment(segment, self.schema, families)
+        v_ba = extract_segment(segment.swapped(), self.schema, families)
         prob = max(
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),

@@ -48,15 +48,6 @@ class RoleAssignment:
     mean_translation: float  # torso-heights per second
 
 
-def _ema(prev: float, raw: float, alpha: float) -> float:
-    # An unchanged sample returns the state untouched; that is the exact
-    # fixed point of the recursion, which plain float arithmetic would miss
-    # by an ulp.
-    if raw == prev:
-        return prev
-    return alpha * raw + (1.0 - alpha) * prev
-
-
 class SkeletonSmoother:
     """Streaming EMA over every joint coordinate and the bbox corners.
 
@@ -86,7 +77,9 @@ class SkeletonSmoother:
             ix, iy = 2 * j, 2 * j + 1
             if seen[j]:
                 if conf[j] >= VALID_CONFIDENCE:
-                    # inline _ema: an unchanged sample keeps the state
+                    # An unchanged sample keeps the state: that is the exact
+                    # fixed point of the recursion, which plain float
+                    # arithmetic would miss by an ulp.
                     x, y = raw[ix], raw[iy]
                     px, py = state[ix], state[iy]
                     if x != px:
@@ -98,7 +91,7 @@ class SkeletonSmoother:
                 seen[j] = conf[j] >= VALID_CONFIDENCE
         box = skel.bbox
         if self._bbox is not None:
-            # inline _ema, corner by corner
+            # the same EMA, corner by corner
             x1, y1, x2, y2 = box
             p1, q1, p2, q2 = self._bbox
             box = (

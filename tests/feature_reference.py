@@ -12,6 +12,12 @@ import math
 
 VALID = 0.3
 STATS = ("mean", "median", "min", "max", "p95")
+# the thresholds of the feature definitions, stated here and not read from
+# the package, so a changed constant there shows as a disagreement
+FAST_HAND = 1.5  # torso heights per second
+ELBOW_FLEX = 120.0  # degrees
+CLOSE_HAND = 0.4  # torso heights
+HAND_TOWARD = 0.7  # cosine
 
 
 def _sum_left_to_right(values):
@@ -164,7 +170,7 @@ def _argmin(values):
     return best_i
 
 
-def _person_features(times, skels, fps, params, aggressor):
+def _person_features(times, skels, fps, aggressor):
     """Individual feature aggregates for one track of the segment."""
     n = len(times)
     out = {}
@@ -244,7 +250,7 @@ def _person_features(times, skels, fps, params, aggressor):
         for stat in STATS:
             out[prefix + base + "_" + stat] = _ref_stat(present, stat) if present else None
 
-    out[prefix + "fastHandPct"] = _pct(wrist_speed, lambda v: v > params.fast_hand_threshold)
+    out[prefix + "fastHandPct"] = _pct(wrist_speed, lambda v: v > FAST_HAND)
     peak = _argmax(wrist_speed)
     out[prefix + "timeToPeakHandVel"] = None if peak is None else float(peak)
     if aggressor:
@@ -258,12 +264,12 @@ def _person_features(times, skels, fps, params, aggressor):
             if target < n and ext[target] is not None:
                 retraction = ext[ext_peak] - ext[target]
         out[prefix + "armRetraction0p2s"] = retraction
-    out[prefix + "elbowFlexPctL"] = _pct(ang_l, lambda a: a < params.elbow_flex_threshold)
-    out[prefix + "elbowFlexPctR"] = _pct(ang_r, lambda a: a < params.elbow_flex_threshold)
+    out[prefix + "elbowFlexPctL"] = _pct(ang_l, lambda a: a < ELBOW_FLEX)
+    out[prefix + "elbowFlexPctR"] = _pct(ang_r, lambda a: a < ELBOW_FLEX)
     return out
 
 
-def reference_segment_features(pair, params):
+def reference_segment_features(pair):
     """All schema aggregates of a pair segment, sentinel-filled."""
     times = pair.aggressor.timestamps
     skels_a = pair.aggressor.skeletons
@@ -272,8 +278,8 @@ def reference_segment_features(pair, params):
     n = len(times)
 
     out = {}
-    out.update(_person_features(times, skels_a, fps, params, aggressor=True))
-    out.update(_person_features(times, skels_b, fps, params, aggressor=False))
+    out.update(_person_features(times, skels_a, fps, aggressor=True))
+    out.update(_person_features(times, skels_b, fps, aggressor=False))
 
     centers_a = [_center(s) for s in skels_a]
     centers_b = [_center(s) for s in skels_b]
@@ -392,8 +398,8 @@ def reference_segment_features(pair, params):
         wrist_speed_a[i] = best
     both = [None] * n
     for i in range(n):
-        f = None if wrist_speed_a[i] is None else wrist_speed_a[i] > params.fast_hand_threshold
-        c = None if hand_to_torso[i] is None else hand_to_torso[i] < params.close_hand_threshold
+        f = None if wrist_speed_a[i] is None else wrist_speed_a[i] > FAST_HAND
+        c = None if hand_to_torso[i] is None else hand_to_torso[i] < CLOSE_HAND
         if f is not None and c is not None:
             both[i] = f and c
     longest = run = 0
@@ -458,8 +464,8 @@ def reference_segment_features(pair, params):
 
     out["iouPeak"] = iou_peak
     out["iouDrop0p2s"] = iou_drop
-    out["handTowardGt07Pct"] = _pct(toward, lambda c: c > params.hand_toward_threshold)
-    out["closeHandPct"] = _pct(hand_to_torso, lambda d: d < params.close_hand_threshold)
+    out["handTowardGt07Pct"] = _pct(toward, lambda c: c > HAND_TOWARD)
+    out["closeHandPct"] = _pct(hand_to_torso, lambda d: d < CLOSE_HAND)
     out["fastAndClosePct"] = _pct(both, lambda b: b)
     out["fastAndCloseLongest"] = float(longest)
     out["postContactSepMean"] = post_mean

@@ -14,6 +14,7 @@ from conftest import (
     random_track,
     run_alarm,
     skeleton_from_keypoints,
+    static_skeleton,
     with_bystander,
     without_person,
 )
@@ -21,7 +22,6 @@ from feature_reference import reference_segment_features
 from ingest_reference import smooth_track
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
-    FeatureParams,
     SegmentTooShort,
     extract_segment,
     full_schema,
@@ -46,11 +46,11 @@ from snatchdet.pipeline import (
     order_roles,
     pair_key_str,
 )
-from snatchdet.preprocess import _ema
+from snatchdet.preprocess import SkeletonSmoother
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
 from snatchdet.temporal import AlarmState, HysteresisConfig, step
-from snatchdet.types import FrameRecord, Keypoint, Track, track_order, validate_stream
+from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track, track_order, validate_stream
 from test_forest import exhaustive_best_split, root_split
 from track_reference import build_tracks, reference_pairs, reference_windows
 
@@ -104,20 +104,23 @@ def e2e():
 
 
 def test_ema_closed_form():
+    # a SkeletonSmoother whose input moves the nose x and the bbox x1 through
+    # each sequence while every other value holds still
+    base = static_skeleton()
     rng = np.random.default_rng(101)
     started = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         alpha = float(rng.uniform(0.01, 0.99))
         xs = rng.uniform(-100.0, 100.0, size=int(rng.integers(1, 101)))
-        state = xs[0]
-        for x in xs[1:]:
-            state = _ema(state, float(x), alpha)
+        smoother = SkeletonSmoother(alpha)
+        for x in xs.tolist():
+            out = smoother.step(Skeleton((x,) + base.xy[1:], base.conf, (x,) + base.bbox[1:]))
         t = len(xs) - 1
         closed = (1 - alpha) ** t * xs[0]
         for k in range(t):
             closed += alpha * (1 - alpha) ** k * xs[t - k]
-        worst = max(worst, abs(state - closed))
+        worst = max(worst, abs(out.xy[0] - closed), abs(out.bbox[0] - closed))
     elapsed = time.perf_counter() - started
     report(
         "EMA closed form: 1000 random cases within 1e-9, < 1 s",
@@ -131,15 +134,14 @@ def test_ema_closed_form():
 
 
 def test_feature_oracle_equivalence():
-    params = FeatureParams()
     schema = full_schema()
     rng = np.random.default_rng(202)
     mismatched = []
     for trial in range(200):
         n = int(rng.integers(5, 21))
         seg = random_segment(rng, n, dropout=float(rng.uniform(0.0, 0.25)))
-        got = extract_segment(seg, schema, params).values
-        want = reference_segment_features(seg, params)
+        got = extract_segment(seg, schema).values
+        want = reference_segment_features(seg)
         for name in schema.names:
             if got[name] != want[name]:
                 mismatched.append((trial, name, got[name], want[name]))
@@ -167,14 +169,13 @@ def _transform_track(track, k=1.0, cx=0.0, cy=0.0):
 
 
 def test_feature_scale_translation_invariance():
-    params = FeatureParams()
     schema = full_schema()
     alpha = 0.6
     rng = np.random.default_rng(303)
 
     def extract_raw(raw_a, raw_b):
         seg = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=10.0)
-        return extract_segment(seg, schema, params).values
+        return extract_segment(seg, schema).values
 
     worst = 0.0
     checked = 0
@@ -404,7 +405,6 @@ def offline_alerts(frames, model, cfg):
     """
     frames = validate_stream(frames)
     schema = full_schema()
-    params = cfg.feature_params()
     hcfg = cfg.hysteresis()
 
     updates = {}
@@ -413,8 +413,8 @@ def offline_alerts(frames, model, cfg):
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         seg = pair_segment(a, b, fps=cfg.fps)
         try:
-            v_ab = extract_segment(seg, schema, params)
-            v_ba = extract_segment(seg.swapped(), schema, params)
+            v_ab = extract_segment(seg, schema)
+            v_ba = extract_segment(seg.swapped(), schema)
         except SegmentTooShort:
             continue
         p_ab = predict_probability(model, v_ab.values)
@@ -551,14 +551,13 @@ def test_window_state_bounded_under_id_churn(e2e):
 def test_extract_windows_matches_reference_on_split_ids():
     cfg = PipelineConfig()
     schema = full_schema()
-    params = cfg.feature_params()
     frames = split_id_frames()
     rows = extract_windows(frames, cfg, schema, stream_id="s")
     expected = []
     for end, (a, b) in reference_pairs(frames, cfg):
         seg = pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps)
         sid = f"s#{pair_key_str(a.track_id, b.track_id)}#{end}"
-        expected.append((sid, repr(extract_segment(seg, schema, params))))
+        expected.append((sid, repr(extract_segment(seg, schema))))
     assert [(sid, repr(vector)) for sid, vector in rows] == expected
     assert any("#1|2.1#" in sid for sid, _ in rows)
 

@@ -540,6 +540,31 @@ class TestStream:
         assert capsys.readouterr().err.startswith(NOT_UTF8_ERROR)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("stop", ["malformed line", "unreachable sink"])
+    def test_evidence_of_an_activation_is_kept_when_the_run_stops_later(
+        self, trained, tmp_path, monkeypatch, stop
+    ):
+        monkeypatch.setattr(cli.time, "sleep", lambda s: None)  # skip the retry backoff
+        good = _snatch_stream(tmp_path)
+        argv = ["stream", "--model", str(trained["model"]),
+                "--alerts-out", str(tmp_path / "alerts.jsonl")]
+        want = tmp_path / "want.jsonl"
+        assert cli.main([*argv, "--stream", str(good), "--evidence-out", str(want)]) == 0
+        assert want.read_text()
+        got = tmp_path / "got.jsonl"
+        if stop == "malformed line":
+            bad = tmp_path / "bad.jsonl"
+            bad.write_bytes(good.read_bytes() + b'{"frame_index": 9999, "persons": 5}\n')
+            rc = cli.main([*argv, "--stream", str(bad), "--evidence-out", str(got)])
+            assert rc == 2
+            assert got.read_bytes() == want.read_bytes()
+        else:
+            # the first activation's post fails; its evidence line is already written
+            rc = cli.main([*argv, "--stream", str(good), "--evidence-out", str(got),
+                           "--sink-url", "http://127.0.0.1:9/unreachable"])
+            assert rc == 5
+            assert got.read_text() == want.read_text().splitlines(keepends=True)[0]
+
     # a strict UTF-8 stdin raised UnicodeDecodeError; latin-1 decodes every byte
     @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
     def test_stdin_line_not_valid_utf8_exits_2_after_the_earlier_alerts(
@@ -841,6 +866,33 @@ class TestConfigFile:
         assert rc == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["extract", "train", "stream"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fast_hand_threshold", 1.5), ("elbow_flex_threshold", 120.0),
+         ("close_hand_threshold", 0.4), ("hand_toward_threshold", 0.7),
+         ("min_segment_frames", 5)],
+    )
+    def test_feature_threshold_key_is_unknown(
+        self, corpus_dir, trained, tmp_path, capsys, command, key, value
+    ):
+        # fixed parts of the feature definitions, refused even at their value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        stream = str(corpus_dir / manifest["clips"][0]["file"])
+        out = tmp_path / "out"
+        argv = {
+            "extract": ["extract", "--streams", stream, "--out", str(out)],
+            "train": ["train", "--features", str(trained["features"]),
+                      "--labels", str(corpus_dir / "labels.csv"), "--model-out", str(out)],
+            "stream": ["stream", "--stream", stream, "--model", str(trained["model"]),
+                       "--alerts-out", str(out)],
+        }[command]
+        assert cli.main([*argv, "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

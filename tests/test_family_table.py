@@ -20,7 +20,6 @@ from conftest import random_segment, static_skeleton
 from snatchdet import features, pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
-    FeatureParams,
     SegmentFamilies,
     _distance_and_iou,
     extract_segment,
@@ -30,7 +29,6 @@ from snatchdet.forest import Dataset, ForestConfig, train
 from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER, FrameMemo, Skeleton
 
-PARAMS = FeatureParams()
 FULL = full_schema()
 # the ten columns `rank` puts first on the scripts/output_digest.py corpus
 TOP10 = FULL.select([
@@ -44,12 +42,12 @@ B_ONLY = FULL.select([n for n in FULL.names if n.startswith("B_")])
 
 def both_orderings(segment, schema, memo=None):
     """(repr(values), roles) of (A, B) then (B, A), extracted through one table."""
-    table = SegmentFamilies(segment, PARAMS, features.memo_or_new(memo))
+    table = SegmentFamilies(segment, features.memo_or_new(memo))
     return [
         (repr(v.values), v.roles)
         for v in (
-            extract_segment(segment, schema, PARAMS, memo, table),
-            extract_segment(segment.swapped(), schema, PARAMS, memo, table),
+            extract_segment(segment, schema, table),
+            extract_segment(segment.swapped(), schema, table),
         )
     ]
 
@@ -58,8 +56,8 @@ def independent(segment, schema):
     return [
         (repr(v.values), v.roles)
         for v in (
-            extract_segment(segment, schema, PARAMS),
-            extract_segment(segment.swapped(), schema, PARAMS),
+            extract_segment(segment, schema),
+            extract_segment(segment.swapped(), schema),
         )
     ]
 
@@ -135,13 +133,9 @@ def test_one_table_equals_independent_extractions_on_any_subset(names, seed, n):
 
 def test_a_table_of_another_segment_is_refused(rng):
     seg, other = random_segment(rng, 8), random_segment(rng, 8)
-    table = SegmentFamilies(seg, PARAMS, FrameMemo())
+    table = SegmentFamilies(seg, FrameMemo())
     with pytest.raises(ValueError, match="family table"):
-        extract_segment(other, FULL, PARAMS, families=table)
-    with pytest.raises(ValueError, match="family table"):
-        extract_segment(seg, FULL, FeatureParams(fast_hand_threshold=2.0), families=table)
-    with pytest.raises(ValueError, match="family table"):
-        extract_segment(seg, FULL, PARAMS, FrameMemo(), families=table)
+        extract_segment(other, FULL, table)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +166,9 @@ def test_each_family_runs_once_per_owner(rng, monkeypatch):
         count(name, ordering)
     count("aggregate", lambda series: "series")
 
-    table = SegmentFamilies(seg, PARAMS, FrameMemo())
-    extract_segment(seg, FULL, PARAMS, families=table)
-    extract_segment(seg.swapped(), FULL, PARAMS, families=table)
+    table = SegmentFamilies(seg, FrameMemo())
+    extract_segment(seg, FULL, table)
+    extract_segment(seg.swapped(), FULL, table)
 
     for name in ("wrist_velocities", "center_kinematics", "hand_motion", "arm_posture",
                  "elbow_flexion", "bbox_area_rate"):
@@ -198,9 +192,9 @@ def test_unread_families_are_not_computed_through_one_table(rng, monkeypatch):
         monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
     schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
     seg = random_segment(rng, 12)
-    table = SegmentFamilies(seg, PARAMS, FrameMemo())
+    table = SegmentFamilies(seg, FrameMemo())
     for pair in (seg, seg.swapped()):
-        vector = extract_segment(pair, schema, PARAMS, families=table)
+        vector = extract_segment(pair, schema, table)
         assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
 
 
@@ -209,9 +203,9 @@ def test_one_table_leaves_no_reference_cycles(rng):
     gc.collect()
     gc.disable()
     try:
-        table = SegmentFamilies(seg, PARAMS, FrameMemo())
-        extract_segment(seg, FULL, PARAMS, families=table)
-        extract_segment(seg.swapped(), FULL, PARAMS, families=table)
+        table = SegmentFamilies(seg, FrameMemo())
+        extract_segment(seg, FULL, table)
+        extract_segment(seg.swapped(), FULL, table)
         del table
         assert gc.collect() == 0
     finally:

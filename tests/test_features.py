@@ -12,8 +12,8 @@ from conftest import random_segment, random_track, skeleton_from_keypoints, stat
 from feature_reference import _sentinel, reference_segment_features
 from ingest_reference import smooth_track
 from snatchdet.features import (
+    MIN_SEGMENT_FRAMES,
     STATS,
-    FeatureParams,
     InsufficientSamples,
     SegmentFamilies,
     SegmentTooShort,
@@ -38,8 +38,6 @@ from snatchdet.features import (
     _pct,
 )
 from snatchdet.types import Keypoint, Track
-
-PARAMS = FeatureParams()
 
 
 def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100.0)):
@@ -77,14 +75,14 @@ def present(values):
 
 def hands_of(track):
     """``hand_motion`` fed with the track's own wrist velocities."""
-    return hand_motion(track, PARAMS, wrist_velocities(track))
+    return hand_motion(track, wrist_velocities(track))
 
 
 def reaching_of(pair):
     """``reaching`` fed with the segment's own hand speeds and distances."""
     hand_speed = hands_of(pair.aggressor)["handVelocity"]
     distance = interaction_distance(pair)["distance"]
-    return reaching(pair, PARAMS, hand_speed, distance)
+    return reaching(pair, hand_speed, distance)
 
 
 def base_and_stat(name):
@@ -112,7 +110,7 @@ class AllMissing(SegmentFamilies):
     """A family table whose every family returns each base missing."""
 
     def __init__(self, pair, names):
-        super().__init__(pair, PARAMS, None)
+        super().__init__(pair, None)
         self.missing = {}
         for name in names:
             base, stat = base_and_stat(name)
@@ -197,12 +195,12 @@ class TestHandMotion:
 class TestArmPosture:
     def test_collinear_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (2.0, 0.0)})
-        elbows = elbow_flexion(presmoothed_track([skel] * 2), PARAMS)
+        elbows = elbow_flexion(presmoothed_track([skel] * 2))
         assert elbows["elbowAngleL"][0] == pytest.approx(180.0, abs=1e-9)
 
     def test_perpendicular_elbow_angle(self):
         skel = build_skeleton({5: (0.0, 0.0), 7: (1.0, 0.0), 9: (1.0, 1.0)})
-        elbows = elbow_flexion(presmoothed_track([skel] * 2), PARAMS)
+        elbows = elbow_flexion(presmoothed_track([skel] * 2))
         assert elbows["elbowAngleL"][0] == pytest.approx(90.0, abs=1e-9)
 
     def test_retraction_after_peak(self):
@@ -355,7 +353,7 @@ class TestRelativeMotion:
         target = (400.0, 100.0)  # B's center
         ux, uy = target[0] - wrist0[0], target[1] - wrist0[1]
         pair = self._reaching_pair((ux * 0.01, uy * 0.01))
-        rel = relative_motion(pair, PARAMS, wrist_velocities(pair.aggressor))
+        rel = relative_motion(pair, wrist_velocities(pair.aggressor))
         assert rel["handTowardCos"][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_perpendicular_hand_motion_is_zero(self):
@@ -371,7 +369,7 @@ class TestRelativeMotion:
         px, py = -uy / math.hypot(ux, uy), ux / math.hypot(ux, uy)
         wrist1 = (mx + r * px, my + r * py)
         pair = self._reaching_pair((wrist1[0] - wrist0[0], wrist1[1] - wrist0[1]))
-        rel = relative_motion(pair, PARAMS, wrist_velocities(pair.aggressor))
+        rel = relative_motion(pair, wrist_velocities(pair.aggressor))
         assert rel["handTowardCos"][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_pct_excludes_missing(self):
@@ -500,7 +498,7 @@ class TestExtractSegment:
         # every series all-missing and every scalar missing: each name gets its sentinel
         schema = full_schema()
         seg = random_segment(rng, 8)
-        vector = extract_segment(seg, schema, PARAMS, families=AllMissing(seg, schema.names))
+        vector = extract_segment(seg, schema, AllMissing(seg, schema.names))
         assert len(vector.values) == 143
         for name in schema.names:
             assert vector.values[name] == _sentinel(name), name
@@ -509,7 +507,7 @@ class TestExtractSegment:
         pair = make_pair(
             [static_skeleton((100, 100))] * 10, [static_skeleton((900, 100))] * 10
         )
-        vector = extract_segment(pair, params=PARAMS)
+        vector = extract_segment(pair)
         assert vector["A_velocity_mean"] == 0.0
         assert vector["A_fastHandPct"] == 0.0
         assert vector["closeHandPct"] == 0.0
@@ -519,7 +517,7 @@ class TestExtractSegment:
     def test_schema_completeness(self, rng):
         schema = full_schema()
         seg = random_segment(rng, 12)
-        vector = extract_segment(seg, schema, PARAMS)
+        vector = extract_segment(seg, schema)
         assert set(vector.values) == set(schema.names)
         assert all(math.isfinite(v) for v in vector.values.values())
 
@@ -533,20 +531,24 @@ class TestExtractSegment:
         reduced = schema.select(table_names)
         assert len(reduced.names) == 10
         seg = random_segment(rng, 10)
-        vector = extract_segment(seg, reduced, PARAMS)
+        vector = extract_segment(seg, reduced)
         assert len(vector.values) == 10
 
     def test_too_short_segment(self, rng):
-        seg = random_segment(rng, 4)
+        # the shortest segment extracted gives every full-schema value finite
+        schema = full_schema()
+        vector = extract_segment(random_segment(rng, MIN_SEGMENT_FRAMES), schema)
+        assert list(vector.values) == list(schema.names)
+        assert all(math.isfinite(v) for v in vector.values.values())
         with pytest.raises(SegmentTooShort):
-            extract_segment(seg, params=PARAMS)
+            extract_segment(random_segment(rng, MIN_SEGMENT_FRAMES - 1))
 
     def test_no_valid_aggressor_wrist_gives_reaching_sentinels(self):
         no_wrists = {9: None, 10: None}
         skels_a = [build_skeleton(no_wrists, center=(100.0 + i, 100.0)) for i in range(8)]
         pair = make_pair(skels_a, [static_skeleton((300.0, 100.0))] * 8)
-        vector = extract_segment(pair, params=PARAMS)
-        want = reference_segment_features(pair, PARAMS)
+        vector = extract_segment(pair)
+        want = reference_segment_features(pair)
         for stat in ("mean", "median", "min", "max", "p95"):
             assert vector[f"handToTorso_{stat}"] == vector[f"handToHip_{stat}"] == 10.0
         assert vector["postContactSepMean"] == 10.0
@@ -564,9 +566,9 @@ class TestExtractSegment:
 
         monkeypatch.setattr("snatchdet.features.facing", without_rate)
         seg = random_segment(rng, 12)
-        extract_segment(seg, full_schema().select(["AfacingToB_mean"]), PARAMS)
+        extract_segment(seg, full_schema().select(["AfacingToB_mean"]))
         with pytest.raises(KeyError, match="facingRate"):
-            extract_segment(seg, full_schema().select(["facingRate_max"]), PARAMS)
+            extract_segment(seg, full_schema().select(["facingRate_max"]))
 
     def test_extraction_leaves_no_reference_cycles(self, rng):
         # the per-frame series of every window must be freed at once, not by the collector
@@ -574,7 +576,7 @@ class TestExtractSegment:
         gc.collect()
         gc.disable()
         try:
-            extract_segment(seg, full_schema(), PARAMS)
+            extract_segment(seg, full_schema())
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -583,7 +585,7 @@ class TestExtractSegment:
         schema = full_schema()
         for _ in range(10):
             seg = random_segment(rng, int(rng.integers(5, 18)))
-            vector = extract_segment(seg, schema, PARAMS)
+            vector = extract_segment(seg, schema)
             for name, value in vector.values.items():
                 kind = range_kind(name)
                 if kind == "percentage":
@@ -617,8 +619,8 @@ class TestSchemaPruning:
         assert len(mixed) == 10
         schemas = [full.select([name]) for name in full.names] + [mixed]
         for seg in oracle_segments():
-            got = [extract_segment(seg, schema, PARAMS).values for schema in schemas]
-            want = extract_segment(seg, full, PARAMS).values
+            got = [extract_segment(seg, schema).values for schema in schemas]
+            want = extract_segment(seg, full).values
             for schema, values in zip(schemas, got):
                 assert values == {name: want[name] for name in schema.names}, schema.names
 
@@ -632,7 +634,7 @@ class TestSchemaPruning:
         ):
             monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
         schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
-        vector = extract_segment(random_segment(rng, 12), schema, PARAMS)
+        vector = extract_segment(random_segment(rng, 12), schema)
         assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
 
 
@@ -642,8 +644,8 @@ class TestOracleEquivalence:
         for _ in range(40):
             n = int(rng.integers(5, 21))
             seg = random_segment(rng, n, dropout=float(rng.uniform(0, 0.25)))
-            got = extract_segment(seg, schema, PARAMS).values
-            want = reference_segment_features(seg, PARAMS)
+            got = extract_segment(seg, schema).values
+            want = reference_segment_features(seg)
             for name in schema.names:
                 assert got[name] == want[name], name
 
@@ -670,7 +672,7 @@ class TestInvariances:
     def _extract_from_raw(self, raw_a, raw_b, fps=10.0):
         alpha = 0.6
         pair = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=fps)
-        return extract_segment(pair, params=PARAMS).values
+        return extract_segment(pair).values
 
     def test_scale_invariance(self, rng):
         raw_a = random_track(rng, "1", 12, start=(200.0, 220.0))

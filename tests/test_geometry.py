@@ -10,7 +10,7 @@ from conftest import random_skeleton, skeleton_from_keypoints, static_skeleton, 
 from feature_reference import _center, _mid, _torso
 from snatchdet import features, types
 from snatchdet.config import PipelineConfig
-from snatchdet.features import extract_segment, full_schema, pair_segment
+from snatchdet.features import MIN_SEGMENT_FRAMES, extract_segment, full_schema, pair_segment
 from snatchdet.pipeline import order_roles, select_pair
 from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import Skeleton
@@ -33,13 +33,12 @@ def test_window_computes_each_skeleton_once(monkeypatch):
 
         monkeypatch.setattr(types, helper, counting)
 
-    params = cfg.feature_params()
-    pair = select_pair(windows, params.min_segment_frames)
+    pair = select_pair(windows, MIN_SEGMENT_FRAMES)
     assert pair is not None and {pair[0].track_id, pair[1].track_id} == {"1", "2"}
     agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
     segment = pair_segment(agg, vic, fps=cfg.fps)
-    extract_segment(segment, full_schema(), params)
-    extract_segment(segment.swapped(), full_schema(), params)
+    extract_segment(segment, full_schema())
+    extract_segment(segment.swapped(), full_schema())
 
     pair_skels = {id(s) for w in (agg, vic) for s in w.skeletons}
     all_skels = {id(s) for w in windows for s in w.skeletons}
@@ -64,12 +63,11 @@ def test_extraction_computes_each_track_wrist_velocities_once(monkeypatch):
         return uncached(track, memo)
 
     monkeypatch.setattr(features, "wrist_velocities", counting)
-    params = cfg.feature_params()
-    extract_segment(segment, full_schema(), params)
+    extract_segment(segment, full_schema())
     # A's velocities feed both hand_motion and relative_motion
     assert calls == {agg.track_id: 1, vic.track_id: 1}
     calls.clear()
-    extract_segment(segment, full_schema().select(["handTowardCos_mean"]), params)
+    extract_segment(segment, full_schema().select(["handTowardCos_mean"]))
     assert calls == {agg.track_id: 1}
 
 

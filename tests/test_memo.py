@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import random_skeleton
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
+    MIN_SEGMENT_FRAMES,
     NoTemporalOverlap,
     SegmentFamilies,
     extract_segment,
@@ -29,7 +30,6 @@ from snatchdet.types import FrameRecord
 
 CFG = PipelineConfig(fps=10.0, window_s=2.0, stride_s=0.5, max_gap_frames=4)
 SCHEMA = full_schema()
-PARAMS = CFG.feature_params()
 
 
 @st.composite
@@ -68,17 +68,17 @@ def stream(n_frames, absent, seed):
 
 
 def assert_same_as_fresh(segment, memo):
-    got = extract_segment(segment, SCHEMA, PARAMS, memo)
-    want = extract_segment(segment, SCHEMA, PARAMS)
+    got = extract_segment(segment, SCHEMA, SegmentFamilies(segment, memo))
+    want = extract_segment(segment, SCHEMA)
     assert repr(got.values) == repr(want.values), segment.aggressor.track_id
 
 
 def assert_one_table_same_as_fresh(segment, memo):
     """Both role orderings through one family table, as the stream engine extracts."""
-    table = SegmentFamilies(segment, PARAMS, memo)
+    table = SegmentFamilies(segment, memo)
     for pair in (segment, segment.swapped()):
-        got = extract_segment(pair, SCHEMA, PARAMS, memo, table)
-        want = extract_segment(pair, SCHEMA, PARAMS)
+        got = extract_segment(pair, SCHEMA, table)
+        want = extract_segment(pair, SCHEMA)
         assert repr(got.values) == repr(want.values), pair.aggressor.track_id
 
 
@@ -92,7 +92,7 @@ def other_segment(tracks, chosen):
                 segment = pair_segment(a, b, fps=CFG.fps)
             except NoTemporalOverlap:
                 continue
-            if len(segment) >= PARAMS.min_segment_frames:
+            if len(segment) >= MIN_SEGMENT_FRAMES:
                 return segment
     return None
 
@@ -111,7 +111,7 @@ def test_memoised_extraction_equals_fresh_extraction(mask, seed):
         # the store's selection, and roles ordered through its memo, equal
         # a memo-free recomputation
         tracks = windows.tracks()
-        fresh = select_pair(tracks, PARAMS.min_segment_frames)
+        fresh = select_pair(tracks, MIN_SEGMENT_FRAMES)
         assert [t.track_id for t in pair] == [t.track_id for t in fresh]
         agg, vic = order_roles(pair[0], pair[1], CFG.window_s, windows.memo)
         want = order_roles(fresh[0], fresh[1], CFG.window_s)

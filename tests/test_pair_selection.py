@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snatchdet.config import PipelineConfig
+from snatchdet.features import MIN_SEGMENT_FRAMES
 from snatchdet.pipeline import select_pair
 from snatchdet.types import NUM_KEYPOINTS, Skeleton, Track
 from test_acceptance import equivalence_clips
@@ -47,11 +48,10 @@ def assert_same_pick(windows, min_frames):
 
 def test_matches_reference_on_the_equivalence_clips():
     cfg = PipelineConfig()
-    min_frames = cfg.feature_params().min_segment_frames
     checked = 0
     for frames in equivalence_clips():
         for _, windows in reference_windows(frames, cfg):
-            assert_same_pick(windows, min_frames)
+            assert_same_pick(windows, MIN_SEGMENT_FRAMES)
             checked += 1
     assert checked > 100
 
@@ -61,12 +61,11 @@ def test_matches_reference_on_the_digest_crowd_stream():
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     cfg = PipelineConfig()
-    min_frames = cfg.feature_params().min_segment_frames
     frames = digest.encounter_stream(seed=1, rounds=2, bystanders=6)
     crowded = 0
     for _, windows in reference_windows(frames, cfg):
         windows = [w for w in windows if len(w)]
-        assert_same_pick(windows, min_frames)
+        assert_same_pick(windows, MIN_SEGMENT_FRAMES)
         crowded += len(windows) >= 8
     assert crowded > 50
 

@@ -6,7 +6,7 @@ import pytest
 
 from snatchdet import streams
 from snatchdet.config import PipelineConfig
-from snatchdet.features import FeatureParams, pair_segment
+from snatchdet.features import pair_segment
 from snatchdet.pipeline import extract_clip_row, order_roles
 from snatchdet.synth import InvalidSpec, ScenarioSpec, generate, generate_corpus, ratio_counts
 from snatchdet.types import validate_stream
@@ -66,10 +66,9 @@ class TestGenerate:
                 wrist_velocities,
             )
 
-            params = FeatureParams()
-            hands = hand_motion(pair.aggressor, params, wrist_velocities(pair.aggressor))
+            hands = hand_motion(pair.aggressor, wrist_velocities(pair.aggressor))
             distance = interaction_distance(pair)["distance"]
-            values = reaching(pair, params, hands["handVelocity"], distance)["handToTorso"]
+            values = reaching(pair, hands["handVelocity"], distance)["handToTorso"]
             present = [v for v in values if v is not None]
             best = min(i for i, v in enumerate(values) if v is not None and v == min(present))
             t_min = pair.aggressor.timestamps[best]

@@ -23,6 +23,10 @@ from snatchdet.types import FrameRecord, Track, track_order
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
 
+# the shortest segment the feature definitions extract, stated here and not
+# read from the package
+MIN_FRAMES = 5
+
 
 def build_tracks(
     frames: Sequence[FrameRecord], max_gap: int = 15
@@ -128,8 +132,7 @@ def reference_windows(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int,
 
 def reference_pairs(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, tuple[Track, Track]]]:
     """(end position, selected pair of window tracks) for every window with a qualifying pair."""
-    min_frames = cfg.feature_params().min_segment_frames
     for end, windows in reference_windows(frames, cfg):
-        pair = select_pair(windows, min_frames)
+        pair = select_pair(windows, MIN_FRAMES)
         if pair is not None:
             yield end, pair
