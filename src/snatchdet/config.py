@@ -1,7 +1,9 @@
 """Pipeline configuration: one flat record of every run setting.
 
 The feature thresholds and the shortest segment are not here: they are
-constants of ``features``, since a model only knows its feature names.
+constants of ``features``, since a model only knows its feature names. A
+window must still hold that shortest segment (``window_frames`` at least
+``MIN_SEGMENT_FRAMES``), or no window could ever be classified.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
+from .features import MIN_SEGMENT_FRAMES
 from .forest import ForestConfig
 from .temporal import HysteresisConfig
 
@@ -63,10 +66,22 @@ class PipelineConfig:
             raise BadConfig("fps must be positive")
         if self.window_s <= 0 or self.stride_s <= 0:
             raise BadConfig("window_s and stride_s must be positive")
+        if self.window_frames < MIN_SEGMENT_FRAMES:
+            raise BadConfig(
+                f"window_s * fps must round to at least {MIN_SEGMENT_FRAMES} frames"
+                f" (the shortest segment), got {self.window_frames}"
+            )
+        if self.max_gap_frames < 1:
+            raise BadConfig(f"max_gap_frames must be at least 1, got {self.max_gap_frames}")
         if self.top_k < 1:
             raise BadConfig(f"top_k must be at least 1, got {self.top_k}")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise BadConfig("prob_threshold must be in [0, 1]")
+        # an evidence window must bracket its trigger: start < trigger <= end
+        if self.evidence_pre_s <= 0:
+            raise BadConfig(f"evidence_pre_s must be positive, got {self.evidence_pre_s}")
+        if self.evidence_post_s < 0:
+            raise BadConfig(f"evidence_post_s must not be negative, got {self.evidence_post_s}")
         try:
             self.hysteresis()
         except ValueError as exc:

@@ -5,7 +5,9 @@ it belongs to (interaction distances use the mean of both torso heights),
 which removes sensitivity to subject-camera distance. Per-frame series are
 aggregated into a fixed-order feature vector with mean / median / min /
 max / p95 statistics plus a handful of event-shaped scalars (time to peak,
-retraction after peak, longest fast-and-close run, ...). The thresholds of
+retraction after peak, longest fast-and-close run, ...). A schema computes
+only the statistics and derived series (backward differences, IoU events)
+that its names read. The thresholds of
 those scalars and the shortest segment extracted are fixed parts of the
 feature definitions (``FAST_HAND``, ``ELBOW_FLEX``, ``CLOSE_HAND``,
 ``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings.
@@ -17,8 +19,9 @@ an all-missing series (or a missing scalar) falls back to a sentinel:
 
 A ``SegmentFamilies`` table holds the family outputs and series aggregates
 of one segment's two tracks, keyed by what each value depends on: an
-individual family by its track, ``distance`` by the unordered pair (its
-values are the same under both role orderings) and the directional
+individual family by its track, ``distance`` and the families derived
+from it by the unordered pair (its values are the same under both role
+orderings) and the directional
 families (``relative``, ``reaching``, ``facing``) by the ordered pair. The
 table is the one way extraction receives its caches: it holds the memo of
 per-frame values its families read. The stream engine builds one table per
@@ -31,19 +34,21 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .types import (
     LEFT_WRIST,
     RIGHT_WRIST,
+    VALID_CONFIDENCE,
     FrameMemo,
     PairSegment,
     Skeleton,
     Track,
     center_speeds,
+    clamp_cosine,
     memo_or_new,
     ordered_sum,
-    valid_pos,
 )
 
 Value = Optional[float]
@@ -74,24 +79,35 @@ STATS = ("mean", "median", "min", "max", "p95")
 MISSING_DISTANCE = 10.0
 
 
-def aggregate(series: list[Value]) -> dict[str, Value]:
-    """The ``STATS`` of a series' present values; all None when none is present.
+def aggregate(series: list[Value], stats: Sequence[str] = STATS) -> dict[str, Value]:
+    """The ``stats`` of a series' present values; all None when none is present.
 
-    The median and p95 read one sorted copy; mean, min and max read the
-    values in series order.
+    Mean, min and max read the values in series order; the median and p95
+    read one sorted copy, made only when one of them is asked for.
     """
     values = [v for v in series if v is not None]
     if not values:
-        return dict.fromkeys(STATS)
+        return dict.fromkeys(stats)
     n = len(values)
-    s = sorted(values)
-    return {
-        "mean": ordered_sum(values) / n,
-        "median": s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0,
-        "min": min(values),
-        "max": max(values),
-        "p95": s[math.ceil(0.95 * n) - 1],
-    }
+    out: dict[str, Value] = {}
+    s: Optional[list[float]] = None
+    for stat in stats:
+        if stat == "mean":
+            out[stat] = ordered_sum(values) / n
+        elif stat == "min":
+            out[stat] = min(values)
+        elif stat == "max":
+            out[stat] = max(values)
+        else:
+            if s is None:
+                s = sorted(values)
+            if stat == "median":
+                out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
+            elif stat == "p95":
+                out[stat] = s[math.ceil(0.95 * n) - 1]
+            else:
+                raise KeyError(f"unknown statistic {stat!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +118,20 @@ def aggregate(series: list[Value]) -> dict[str, Value]:
 # family computes the feature and returns it under the row's name;
 # individual rows give an "A_" and a "B_" feature (aggressor-only rows just
 # the "A_" one), computed by the family on that role's track.
-# Extraction runs a family only when the schema asks for one of its outputs.
+# Extraction runs a family only when the schema asks for one of its outputs,
+# and aggregates a series only to the statistics the schema names. A
+# backward difference of another family's series (acceleration, hand
+# acceleration and jerk, distance rate) and the IoU events are families of
+# their own, so a schema that reads none of them skips them.
 _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
     # (name, "series"|"scalar", aggressor_only, family)
     ("velocity", "series", False, "kinematics"),
-    ("acceleration", "series", False, "kinematics"),
+    ("acceleration", "series", False, "acceleration"),
     ("handVelocity", "series", False, "hands"),
     ("fastHandPct", "scalar", False, "hands"),
     ("timeToPeakHandVel", "scalar", False, "hands"),
-    ("handAcceleration", "series", True, "hands"),
-    ("handJerkMin", "scalar", True, "hands"),
+    ("handAcceleration", "series", True, "handAcceleration"),
+    ("handJerkMin", "scalar", True, "handJerk"),
     ("armExtension", "series", False, "arms"),
     ("timeToPeakArmExt", "scalar", True, "arms"),
     ("armRetraction0p2s", "scalar", True, "arms"),
@@ -125,10 +145,10 @@ _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
 _INTERACTION_LAYOUT: tuple[tuple[str, str, str], ...] = (
     # (name, "series"|"scalar", family)
     ("distance", "series", "distance"),
-    ("distanceRate", "series", "distance"),
+    ("distanceRate", "series", "distanceRate"),
     ("iou", "series", "distance"),
-    ("iouPeak", "scalar", "distance"),
-    ("iouDrop0p2s", "scalar", "distance"),
+    ("iouPeak", "scalar", "iouEvents"),
+    ("iouDrop0p2s", "scalar", "iouEvents"),
     ("relativeSpeed", "series", "relative"),
     ("handTowardCos", "series", "relative"),
     ("handTowardGt07Pct", "scalar", "relative"),
@@ -164,7 +184,7 @@ NAME_ALIASES = {
 
 # Interaction families whose every output is the same under both role
 # orderings; the others depend on which track is A.
-_SYMMETRIC_FAMILIES = {"distance"}
+_SYMMETRIC_FAMILIES = {"distance", "distanceRate", "iouEvents"}
 
 _DISTANCE_BASES = {"distance", "handToTorso", "handToHip", "postContactSepMean"}
 
@@ -188,6 +208,27 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def plan(self) -> tuple[tuple[str, str, int, str, Optional[str], Stats, float], ...]:
+        """(name, family, owner role, base, statistic, statistics read, sentinel) per name.
+
+        "Statistics read" are the statistics of that role's series that any
+        name of the schema reads, in ``STATS`` order (None for a scalar): the
+        one list extraction aggregates the series to. Built on first read; a
+        name outside the layout raises ``KeyError``.
+        """
+        sources = [_SOURCE[name] for name in self.names]
+        read: dict[tuple[str, int, str], set[str]] = {}
+        for family, role, base, stat, _ in sources:
+            if stat is not None:
+                read.setdefault((family, role, base), set()).add(stat)
+        lists = {key: tuple(s for s in STATS if s in stats) for key, stats in read.items()}
+        return tuple(
+            (name, family, role, base, stat, None if stat is None else lists[family, role, base],
+             sentinel)
+            for name, (family, role, base, stat, sentinel) in zip(self.names, sources)
+        )
+
     def select(self, names: Sequence[str]) -> "FeatureSchema":
         chosen = {canonical_name(n) for n in names}
         unknown = chosen - set(self.names)
@@ -203,6 +244,7 @@ _ROLE_A, _ROLE_B, _ROLE_PAIR = 0, 1, 2
 
 # (family, owner role, base name, statistic or None, missing sentinel)
 Source = tuple[str, int, str, Optional[str], float]
+Stats = Optional[tuple[str, ...]]
 
 
 def _layout() -> list[tuple[str, Source]]:
@@ -324,34 +366,34 @@ def _mean_torso(a: Skeleton, b: Skeleton) -> Value:
 
 
 def center_kinematics(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
-    """Normalized body-center speed and its backward-difference acceleration."""
+    """Normalized body-center speed (its backward difference is ``acceleration``)."""
     if len(track) < 2:
         raise InsufficientSamples("center kinematics need at least 2 samples")
-    speed = center_speeds(track, memo)
-    return {"velocity": speed, "acceleration": _backward_diff(track.timestamps, speed)}
+    return {"velocity": center_speeds(track, memo)}
 
 
-# Per row: None when neither wrist has a velocity there, else (wrist joint
-# index -> (vx, vy, normalized speed), the larger normalized speed).
-WristStep = Optional[tuple[dict[int, tuple[float, float, float]], float]]
+# Per row: None when neither wrist has a velocity there, else (normalized
+# speed, vx, vy, wrist joint index) of the faster wrist, the left one on a tie.
+WristStep = Optional[tuple[float, float, float, int]]
 
 
 def _wrist_step(prev: Skeleton, cur: Skeleton, dt: float) -> WristStep:
     th = cur.torso
     if dt <= 0 or th is None:
         return None
-    per_wrist = {}
-    for wrist in (LEFT_WRIST, RIGHT_WRIST):
-        c = valid_pos(cur, wrist)
-        p = valid_pos(prev, wrist)
-        if c is None or p is None:
-            continue
-        vx = c[0] - p[0]
-        vy = c[1] - p[1]
-        per_wrist[wrist] = (vx, vy, math.sqrt(vx**2 + vy**2) / dt / th)
-    if not per_wrist:
-        return None
-    return per_wrist, max(v[2] for v in per_wrist.values())
+    conf, xy, prev_conf, prev_xy = cur.conf, cur.xy, prev.conf, prev.xy
+    step: WristStep = None
+    if conf[LEFT_WRIST] >= VALID_CONFIDENCE and prev_conf[LEFT_WRIST] >= VALID_CONFIDENCE:
+        vx = xy[18] - prev_xy[18]
+        vy = xy[19] - prev_xy[19]
+        step = (math.sqrt(vx**2 + vy**2) / dt / th, vx, vy, LEFT_WRIST)
+    if conf[RIGHT_WRIST] >= VALID_CONFIDENCE and prev_conf[RIGHT_WRIST] >= VALID_CONFIDENCE:
+        vx = xy[20] - prev_xy[20]
+        vy = xy[21] - prev_xy[21]
+        speed = math.sqrt(vx**2 + vy**2) / dt / th
+        if step is None or speed > step[0]:
+            step = (speed, vx, vy, RIGHT_WRIST)
+    return step
 
 
 def wrist_velocities(track: Track, memo: Optional[FrameMemo] = None) -> list[WristStep]:
@@ -369,24 +411,27 @@ def _fast_flags(hand_speed: list[Value]) -> list[Optional[bool]]:
 
 
 def hand_motion(track: Track, velocities: list[WristStep]) -> Outputs:
-    """Wrist speed series (max over the two wrists) and its derivatives.
+    """Wrist speed series (max over the two wrists), its fast share and its peak.
 
-    ``velocities`` are the track's ``wrist_velocities``.
+    ``velocities`` are the track's ``wrist_velocities``. The speed's
+    backward differences are the ``handAcceleration`` and ``handJerk``
+    families of ``SegmentFamilies``.
     """
     if len(track) < 3:
         raise InsufficientSamples("hand motion needs at least 3 samples")
-    times = track.timestamps
-    speed: list[Value] = [None if step is None else step[1] for step in velocities]
-    accel = _backward_diff(times, speed)
-    jerk = [v for v in _backward_diff(times, accel) if v is not None]
+    speed: list[Value] = [None if step is None else step[0] for step in velocities]
     peak = _first_argmax(speed)
     return {
         "handVelocity": speed,
         "fastHandPct": _pct(_fast_flags(speed)),
         "timeToPeakHandVel": None if peak is None else float(peak),
-        "handAcceleration": accel,
-        "handJerkMin": min(jerk) if jerk else None,
     }
+
+
+def min_jerk(times: list[float], acceleration: list[Value]) -> Outputs:
+    """The least backward difference of a hand acceleration series."""
+    jerk = [v for v in _backward_diff(times, acceleration) if v is not None]
+    return {"handJerkMin": min(jerk) if jerk else None}
 
 
 def arm_posture(track: Track, fps: float) -> Outputs:
@@ -493,29 +538,33 @@ def _distance_and_iou(a: Skeleton, b: Skeleton) -> tuple[Value, float]:
 
 
 def interaction_distance(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
-    """Normalized center distance, its rate, and bbox IoU over the segment."""
+    """Normalized center distance and bbox IoU over the segment.
+
+    The distance's backward difference is ``distanceRate``; the IoU's peak
+    and drop are ``iou_events``.
+    """
     rows = memo_or_new(memo).rows("distance", _distance_and_iou, pair.aggressor, pair.victim)
-    distance: list[Value] = [d for d, _ in rows]
-    ious: list[Value] = [v for _, v in rows]
+    return {"distance": [d for d, _ in rows], "iou": [v for _, v in rows]}
+
+
+def iou_events(ious: list[Value], fps: float) -> Outputs:
+    """The first IoU peak and how far the IoU has dropped 0.2 s after it."""
     peak = _first_argmax(ious)
     drop: Value = None
     if peak is not None:
-        target = peak + _frames_for(0.2, pair.fps)
+        target = peak + _frames_for(0.2, fps)
         if target < len(ious):
             drop = ious[peak] - ious[target]
-    return {
-        "distance": distance,
-        "distanceRate": _backward_diff(pair.aggressor.timestamps, distance),
-        "iou": ious,
-        "iouPeak": None if peak is None else ious[peak],
-        "iouDrop0p2s": drop,
-    }
+    return {"iouPeak": None if peak is None else ious[peak], "iouDrop0p2s": drop}
 
 
 def _relative_step(
     pa: Skeleton, pb: Skeleton, a: Skeleton, b: Skeleton, dt: float, wrists: WristStep
 ) -> tuple[Value, Value]:
-    """Relative center speed and the hand-toward-victim cosine at one row."""
+    """Relative center speed and the hand-toward-victim cosine at one row.
+
+    ``wrists`` is A's ``WristStep`` from ``pa`` to ``a``.
+    """
     ca, cb, pca, pcb = a.center, b.center, pa.center, pb.center
     th = _mean_torso(a, b)
     rel_speed: Value = None
@@ -525,24 +574,18 @@ def _relative_step(
         rel_speed = math.sqrt(rx**2 + ry**2) / dt / th
     if cb is None or wrists is None:
         return rel_speed, None
-    best_wrist = None
-    best_speed = -math.inf
-    for wrist in (LEFT_WRIST, RIGHT_WRIST):
-        v = wrists[0].get(wrist)
-        if v is not None and v[2] > best_speed:
-            best_wrist, best_speed = wrist, v[2]
-    vx, vy, _ = wrists[0][best_wrist]
-    wpos = valid_pos(a, best_wrist)
+    # the faster wrist, valid in ``a``, the row's skeleton of A
+    _, vx, vy, wrist = wrists
     nv = math.sqrt(vx**2 + vy**2)
-    if wpos is None or nv == 0.0:
+    if nv == 0.0:
         return rel_speed, None
-    dx = cb[0] - wpos[0]
-    dy = cb[1] - wpos[1]
+    xy = a.xy
+    dx = cb[0] - xy[2 * wrist]
+    dy = cb[1] - xy[2 * wrist + 1]
     nd = math.sqrt(dx**2 + dy**2)
     if nd == 0.0:
         return rel_speed, None
-    c = (vx * dx + vy * dy) / (nv * nd)
-    return rel_speed, min(1.0, max(-1.0, c))
+    return rel_speed, clamp_cosine((vx * dx + vy * dy) / (nv * nd))
 
 
 def relative_motion(
@@ -571,22 +614,30 @@ def relative_motion(
     }
 
 
+def _nearer_wrist(xy: tuple, left: bool, right: bool, px: float, py: float, th: float) -> float:
+    """The nearer of the flagged wrists to (px, py), over ``th``; left wins a tie."""
+    d_left = _dist(xy[18], xy[19], px, py) / th if left else math.inf
+    if not right:
+        return d_left
+    d_right = _dist(xy[20], xy[21], px, py) / th
+    return d_right if d_right < d_left else d_left
+
+
 def _hand_reach(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
     """A's nearer valid wrist to B's body center and to B's hip, in B's torso heights."""
     th = b.torso
     if th is None:
         return None, None
-    wrists = [p for p in (valid_pos(a, LEFT_WRIST), valid_pos(a, RIGHT_WRIST)) if p is not None]
-    if not wrists:
+    conf = a.conf
+    left = conf[LEFT_WRIST] >= VALID_CONFIDENCE
+    right = conf[RIGHT_WRIST] >= VALID_CONFIDENCE
+    if not (left or right):
         return None, None
-    to_torso: Value = None
-    cb = b.center
-    if cb is not None:
-        to_torso = min(_dist(w[0], w[1], cb[0], cb[1]) / th for w in wrists)
-    hip = b.midpoints[1]
-    if hip is None:
-        return to_torso, None
-    return to_torso, min(_dist(w[0], w[1], hip[0], hip[1]) / th for w in wrists)
+    xy, cb, hip = a.xy, b.center, b.midpoints[1]
+    return (
+        None if cb is None else _nearer_wrist(xy, left, right, cb[0], cb[1], th),
+        None if hip is None else _nearer_wrist(xy, left, right, hip[0], hip[1], th),
+    )
 
 
 def reaching(
@@ -629,12 +680,6 @@ def reaching(
     }
 
 
-def _cosine(face: Optional[tuple[float, float]], ux: float, uy: float, nu: float) -> Value:
-    if face is None:
-        return None
-    return min(1.0, max(-1.0, (face[0] * ux + face[1] * uy) / nu))
-
-
 def _facing_cosines(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
     ca, cb = a.center, b.center
     if ca is None or cb is None:
@@ -643,7 +688,11 @@ def _facing_cosines(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
     nu = math.sqrt(ux**2 + uy**2)
     if nu == 0.0:
         return None, None
-    return _cosine(a.facing, ux, uy, nu), _cosine(b.facing, ux, uy, nu)
+    fa, fb = a.facing, b.facing
+    return (
+        None if fa is None else clamp_cosine((fa[0] * ux + fa[1] * uy) / nu),
+        None if fb is None else clamp_cosine((fb[0] * ux + fb[1] * uy) / nu),
+    )
 
 
 def _facing_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
@@ -680,17 +729,23 @@ class SegmentFamilies:
     Each value is computed on first lookup and keyed by what it depends on,
     so both role orderings of the segment share one table:
 
-    - an individual family (``wrists``, ``kinematics``, ``hands``, ``arms``,
-      ``elbows``, ``bbox``) by its track's id: A's ``hands`` under one
-      ordering is B's ``hands`` under the other;
+    - an individual family (``wrists``, ``kinematics``, ``acceleration``,
+      ``hands``, ``handAcceleration``, ``handJerk``, ``arms``, ``elbows``,
+      ``bbox``) by its track's id: A's ``hands`` under one ordering is B's
+      ``hands`` under the other;
     - ``distance`` by the unordered pair, since its outputs are the same
       under both orderings (differences only enter squared, and the torso
-      mean, the box max/min and the area sum commute);
+      mean, the box max/min and the area sum commute), and so are
+      ``distanceRate`` and ``iouEvents``, which read only its outputs;
     - a directional family (``relative``, ``reaching``, ``facing``) by the
       ordered pair, named by its aggressor's id;
-    - each series' aggregate by its family's key and its base name.
+    - each series' aggregate by its family's key, its base name and the
+      statistics the schema reads of it.
 
     "wrists" are the wrist velocities that "hands" and "relative" share.
+    A derived family (``acceleration``, ``handAcceleration``, ``handJerk``,
+    ``distanceRate``, ``iouEvents``) reads its source family's output from
+    the table, so it runs only when a name reads it.
     The families read their per-frame values from ``memo``: the window
     store's when the segment was cut from one, so that overlapping windows
     share them, else a fresh ``FrameMemo``. The table holds no reference to
@@ -702,7 +757,7 @@ class SegmentFamilies:
         self.pair = pair
         self.memo = memo
         self.outputs: dict[tuple[str, Optional[str]], Outputs] = {}
-        self.aggregates: dict[tuple[tuple[str, Optional[str]], str], dict[str, Value]] = {}
+        self.aggregates: dict[tuple[tuple[str, Optional[str]], str, Stats], dict[str, Value]] = {}
 
     def serves(self, pair: PairSegment) -> bool:
         """True when ``pair`` is this table's segment under either role ordering."""
@@ -734,6 +789,21 @@ class SegmentFamilies:
             return reaching(pair, hand_speed, distance, memo)
         if family == "facing":
             return facing(pair, memo)
+        # the two tracks of a segment share their timestamps
+        times = pair.aggressor.timestamps
+        if family == "distanceRate":
+            distance = self.get(("distance", None), pair)["distance"]
+            return {"distanceRate": _backward_diff(times, distance)}
+        if family == "iouEvents":
+            return iou_events(self.get(("distance", None), pair)["iou"], pair.fps)
+        if family == "acceleration":
+            velocity = self.get(("kinematics", owner), pair)["velocity"]
+            return {"acceleration": _backward_diff(times, velocity)}
+        if family == "handAcceleration":
+            hand_speed = self.get(("hands", owner), pair)["handVelocity"]
+            return {"handAcceleration": _backward_diff(times, hand_speed)}
+        if family == "handJerk":
+            return min_jerk(times, self.get(("handAcceleration", owner), pair)["handAcceleration"])
         track = pair.aggressor if owner == pair.aggressor.track_id else pair.victim
         if family == "wrists":
             return wrist_velocities(track, memo)
@@ -761,8 +831,10 @@ def extract_segment(
     segment under either role ordering, and through it from its memo;
     without one, from a fresh table over a fresh memo. Each family with an
     output in the schema runs once per table, and each series it returns is
-    aggregated once, so a second call on ``pair.swapped()`` with the same
-    table computes only the directional families of its ordering. Missing
+    aggregated once, to the statistics the schema reads of it
+    (``FeatureSchema.plan``), so a second call on ``pair.swapped()`` with
+    the same table computes only the directional families of its ordering
+    and the series its roles read differently. Missing
     values are materialized with the layout's sentinel so the classifier
     always sees a finite value for every schema name. A segment shorter
     than ``MIN_SEGMENT_FRAMES`` raises ``SegmentTooShort``, a name whose
@@ -780,16 +852,15 @@ def extract_segment(
     aggregates = families.aggregates
     owners = (pair.aggressor.track_id, pair.victim.track_id, None)
     values: dict[str, float] = {}
-    for name in schema.names:
-        family, role, base, stat, sentinel = _SOURCE[name]
+    for name, family, role, base, stat, stats, sentinel in schema.plan:
         key = (family, owners[role])
         if stat is None:
             value = families.get(key, pair)[base]
         else:
-            stats = aggregates.get((key, base))
-            if stats is None:
-                stats = aggregates[key, base] = aggregate(families.get(key, pair)[base])
-            value = stats[stat]
+            agg = aggregates.get((key, base, stats))
+            if agg is None:
+                agg = aggregates[key, base, stats] = aggregate(families.get(key, pair)[base], stats)
+            value = agg[stat]
         values[name] = sentinel if value is None else float(value)
     return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))
 

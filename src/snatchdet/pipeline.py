@@ -349,8 +349,10 @@ class StreamEngine:
         missing = set(model.feature_names) - set(full.names)
         if missing:
             raise SchemaMismatch(f"model needs unknown features: {sorted(missing)}")
-        # extraction computes only the feature families the model reads
+        # extraction computes only the feature families and statistics the
+        # model reads; reading their plan builds it now, so no decision pays for it
         self.schema = full.select(model.feature_names)
+        self.schema.plan
 
         self._windows = TrackWindows(cfg)
         # pair key -> (latest prediction, (member, member), alarm), in order of

@@ -233,13 +233,6 @@ def trusted_skeleton(
 # read the stored values through the Skeleton properties above
 
 
-def valid_pos(skel: Skeleton, idx: int) -> Optional[tuple[float, float]]:
-    if skel.conf[idx] >= VALID_CONFIDENCE:
-        xy = skel.xy
-        return (xy[2 * idx], xy[2 * idx + 1])
-    return None
-
-
 def torso_height(skel: Skeleton) -> Optional[float]:
     """Shoulder-midpoint to hip-midpoint distance, or None if unobservable.
 
@@ -280,29 +273,24 @@ def _facing_direction(skel: Skeleton) -> Optional[tuple[float, float]]:
 
     Prefers ear-midpoint to nose; falls back to the shoulder-line normal
     signed toward the nose. None when neither construction has valid joints.
+    Like ``Skeleton.midpoints``, it reads the joints inline (joint j at
+    ``xy[2j]``, ``xy[2j + 1]``).
     """
-    nose = valid_pos(skel, NOSE)
-    if nose is None:
+    conf, xy = skel.conf, skel.xy
+    if not conf[NOSE] >= VALID_CONFIDENCE:
         return None
-    ear_l = valid_pos(skel, LEFT_EAR)
-    ear_r = valid_pos(skel, RIGHT_EAR)
-    if ear_l is not None and ear_r is not None:
-        mid = ((ear_l[0] + ear_r[0]) / 2.0, (ear_l[1] + ear_r[1]) / 2.0)
-        fx, fy = nose[0] - mid[0], nose[1] - mid[1]
-    else:
-        sh_l = valid_pos(skel, LEFT_SHOULDER)
-        sh_r = valid_pos(skel, RIGHT_SHOULDER)
-        if sh_l is None or sh_r is None:
-            return None
-        lx, ly = sh_r[0] - sh_l[0], sh_r[1] - sh_l[1]
-        nx, ny = -ly, lx
-        mid = ((sh_l[0] + sh_r[0]) / 2.0, (sh_l[1] + sh_r[1]) / 2.0)
-        side = nx * (nose[0] - mid[0]) + ny * (nose[1] - mid[1])
+    if conf[LEFT_EAR] >= VALID_CONFIDENCE and conf[RIGHT_EAR] >= VALID_CONFIDENCE:
+        fx, fy = xy[0] - (xy[6] + xy[8]) / 2.0, xy[1] - (xy[7] + xy[9]) / 2.0
+    elif conf[LEFT_SHOULDER] >= VALID_CONFIDENCE and conf[RIGHT_SHOULDER] >= VALID_CONFIDENCE:
+        nx, ny = -(xy[13] - xy[11]), xy[12] - xy[10]
+        side = nx * (xy[0] - (xy[10] + xy[12]) / 2.0) + ny * (xy[1] - (xy[11] + xy[13]) / 2.0)
         if side == 0.0:
             return None
         if side < 0.0:
             nx, ny = -nx, -ny
         fx, fy = nx, ny
+    else:
+        return None
     norm = math.sqrt(fx**2 + fy**2)
     if norm == 0.0:
         return None
@@ -310,33 +298,44 @@ def _facing_direction(skel: Skeleton) -> Optional[tuple[float, float]]:
 
 
 def _elbow_angle(skel: Skeleton, shoulder: int, elbow: int, wrist: int) -> Optional[float]:
-    s = valid_pos(skel, shoulder)
-    e = valid_pos(skel, elbow)
-    w = valid_pos(skel, wrist)
-    if s is None or e is None or w is None:
+    conf = skel.conf
+    if not (
+        conf[shoulder] >= VALID_CONFIDENCE
+        and conf[elbow] >= VALID_CONFIDENCE
+        and conf[wrist] >= VALID_CONFIDENCE
+    ):
         return None
-    ux, uy = s[0] - e[0], s[1] - e[1]
-    wx, wy = w[0] - e[0], w[1] - e[1]
+    xy = skel.xy
+    ex, ey = xy[2 * elbow], xy[2 * elbow + 1]
+    ux, uy = xy[2 * shoulder] - ex, xy[2 * shoulder + 1] - ey
+    wx, wy = xy[2 * wrist] - ex, xy[2 * wrist + 1] - ey
     nu = math.sqrt(ux**2 + uy**2)
     nw = math.sqrt(wx**2 + wy**2)
     if nu == 0.0 or nw == 0.0:
         return None
     c = (ux * wx + uy * wy) / (nu * nw)
-    c = min(1.0, max(-1.0, c))
-    return math.degrees(math.acos(c))
+    return math.degrees(math.acos(clamp_cosine(c)))
 
 
 def _arm_extension(skel: Skeleton) -> Optional[float]:
     th = skel.torso
     if th is None:
         return None
-    per_arm = []
-    for shoulder, wrist in ((LEFT_SHOULDER, LEFT_WRIST), (RIGHT_SHOULDER, RIGHT_WRIST)):
-        s = valid_pos(skel, shoulder)
-        w = valid_pos(skel, wrist)
-        if s is not None and w is not None:
-            per_arm.append(math.sqrt((w[0] - s[0]) ** 2 + (w[1] - s[1]) ** 2) / th)
-    return max(per_arm) if per_arm else None
+    conf, xy = skel.conf, skel.xy
+    longest = None
+    if conf[LEFT_SHOULDER] >= VALID_CONFIDENCE and conf[LEFT_WRIST] >= VALID_CONFIDENCE:
+        longest = math.sqrt((xy[18] - xy[10]) ** 2 + (xy[19] - xy[11]) ** 2) / th
+    if conf[RIGHT_SHOULDER] >= VALID_CONFIDENCE and conf[RIGHT_WRIST] >= VALID_CONFIDENCE:
+        right = math.sqrt((xy[20] - xy[12]) ** 2 + (xy[21] - xy[13]) ** 2) / th
+        if longest is None or right > longest:
+            longest = right
+    return longest
+
+
+def clamp_cosine(c: float) -> float:
+    """``c`` clamped to [-1, 1] as ``min(1.0, max(-1.0, c))`` clamps it."""
+    c = c if c > -1.0 else -1.0
+    return c if c < 1.0 else 1.0
 
 
 def center_speed(prev: Skeleton, cur: Skeleton, dt: float) -> Optional[float]:

@@ -4,6 +4,14 @@ This is the oracle for the feature-extraction tests: one long pass of
 plain loops that only shares the data types with the package. Any
 structural shortcut from the package's feature modules is deliberately
 avoided so the two implementations can disagree.
+
+Every joint is read as a valid position or None (``_kp``, through the
+skeleton's ``keypoints``), and minima and maxima are taken over lists of the
+valid joints' values. The per-skeleton and per-row functions below
+(``elbow_angle``, ``arm_extension``, ``facing_direction``, ``wrist_step``,
+``relative_step``, ``hand_reach``, ``facing_cosines``) are that long pass's
+steps, and the references of the package's geometry, which reads the
+joints inline.
 """
 
 from __future__ import annotations
@@ -104,7 +112,7 @@ def _d(a, b):
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
 
 
-def _facing(skel):
+def facing_direction(skel):
     nose = _kp(skel, 0)
     if nose is None:
         return None
@@ -129,6 +137,117 @@ def _facing(skel):
     if norm == 0.0:
         return None
     return (fx / norm, fy / norm)
+
+
+def _clamp(c):
+    return min(1.0, max(-1.0, c))
+
+
+def elbow_angle(skel, shoulder, elbow, wrist):
+    """The interior angle at ``elbow`` in degrees; None when a joint is invalid
+    or either limb has zero length."""
+    sp, ep, wp = _kp(skel, shoulder), _kp(skel, elbow), _kp(skel, wrist)
+    if sp is None or ep is None or wp is None:
+        return None
+    ux, uy = sp[0] - ep[0], sp[1] - ep[1]
+    wx, wy = wp[0] - ep[0], wp[1] - ep[1]
+    nu = math.sqrt(ux**2 + uy**2)
+    nw = math.sqrt(wx**2 + wy**2)
+    if nu == 0.0 or nw == 0.0:
+        return None
+    return math.degrees(math.acos(_clamp((ux * wx + uy * wy) / (nu * nw))))
+
+
+def arm_extension(skel):
+    """The longer valid wrist-to-shoulder distance, in torso heights."""
+    th = _torso(skel)
+    if th is None:
+        return None
+    reach = []
+    for sh, w in ((5, 9), (6, 10)):
+        sp, wp = _kp(skel, sh), _kp(skel, w)
+        if sp is not None and wp is not None:
+            reach.append(_d(wp, sp) / th)
+    return max(reach) if reach else None
+
+
+def wrist_step(prev, cur, dt):
+    """(speed in torso heights/s, vx, vy, joint) of the faster wrist valid in
+    both skeletons, the left one on a tie; None when there is none."""
+    th = _torso(cur)
+    if dt <= 0 or th is None:
+        return None
+    best = None
+    for w in (9, 10):
+        c, p = _kp(cur, w), _kp(prev, w)
+        if c is None or p is None:
+            continue
+        vx = c[0] - p[0]
+        vy = c[1] - p[1]
+        s = math.sqrt(vx**2 + vy**2) / dt / th
+        if best is None or s > best[0]:
+            best = (s, vx, vy, w)
+    return best
+
+
+def _mean_torso(a, b):
+    ta, tb = _torso(a), _torso(b)
+    return None if ta is None or tb is None else (ta + tb) / 2.0
+
+
+def relative_step(pa, pb, a, b, dt):
+    """(relative center speed, hand-toward cosine) from row (pa, pb) to row (a, b)."""
+    ca, cb, pca, pcb = _center(a), _center(b), _center(pa), _center(pb)
+    th = _mean_torso(a, b)
+    speed = None
+    if not (ca is None or cb is None or pca is None or pcb is None or th is None or dt <= 0):
+        rx = (ca[0] - cb[0]) - (pca[0] - pcb[0])
+        ry = (ca[1] - cb[1]) - (pca[1] - pcb[1])
+        speed = math.sqrt(rx**2 + ry**2) / dt / th
+    step = wrist_step(pa, a, dt)
+    if cb is None or step is None:
+        return speed, None
+    _, vx, vy, w = step
+    wpos = _kp(a, w)
+    nv = math.sqrt(vx**2 + vy**2)
+    if nv == 0.0:
+        return speed, None
+    dx = cb[0] - wpos[0]
+    dy = cb[1] - wpos[1]
+    nd = math.sqrt(dx**2 + dy**2)
+    if nd == 0.0:
+        return speed, None
+    return speed, _clamp((vx * dx + vy * dy) / (nv * nd))
+
+
+def hand_reach(a, b):
+    """A's nearer valid wrist to B's center and to B's hip midpoint, in B's torso heights."""
+    th = _torso(b)
+    if th is None:
+        return None, None
+    wrists = [p for p in (_kp(a, 9), _kp(a, 10)) if p is not None]
+    if not wrists:
+        return None, None
+    cb, hip = _center(b), _mid(b, 11, 12)
+    to_torso = None if cb is None else min(_d(w, cb) / th for w in wrists)
+    to_hip = None if hip is None else min(_d(w, hip) / th for w in wrists)
+    return to_torso, to_hip
+
+
+def facing_cosines(a, b):
+    """Cosines of A's and B's facing directions with the A-to-B direction."""
+    ca, cb = _center(a), _center(b)
+    if ca is None or cb is None:
+        return None, None
+    ux, uy = cb[0] - ca[0], cb[1] - ca[1]
+    nu = math.sqrt(ux**2 + uy**2)
+    if nu == 0.0:
+        return None, None
+    fa, fb = facing_direction(a), facing_direction(b)
+    return (
+        None if fa is None else _clamp((fa[0] * ux + fa[1] * uy) / nu),
+        None if fb is None else _clamp((fb[0] * ux + fb[1] * uy) / nu),
+    )
 
 
 def _pct(values, predicate):
@@ -170,6 +289,16 @@ def _argmin(values):
     return best_i
 
 
+def _wrist_speeds(times, skels):
+    """The faster wrist's speed at each row; None at row 0 and without one."""
+    speeds = [None] * len(times)
+    for i in range(1, len(times)):
+        step = wrist_step(skels[i - 1], skels[i], times[i] - times[i - 1])
+        if step is not None:
+            speeds[i] = step[0]
+    return speeds
+
+
 def _person_features(times, skels, fps, aggressor):
     """Individual feature aggregates for one track of the segment."""
     n = len(times)
@@ -184,53 +313,13 @@ def _person_features(times, skels, fps, aggressor):
             speed[i] = _d(centers[i], centers[i - 1]) / dt / torsos[i]
     accel = _diff(times, speed)
 
-    # per-wrist velocities and the max-over-wrists speed
-    wrist_speed = [None] * n
-    for i in range(1, n):
-        dt = times[i] - times[i - 1]
-        th = torsos[i]
-        if dt <= 0 or th is None:
-            continue
-        best = None
-        for w in (9, 10):
-            cur, prev = _kp(skels[i], w), _kp(skels[i - 1], w)
-            if cur is None or prev is None:
-                continue
-            vx = cur[0] - prev[0]
-            vy = cur[1] - prev[1]
-            s = math.sqrt(vx**2 + vy**2) / dt / th
-            if best is None or s > best:
-                best = s
-        wrist_speed[i] = best
+    wrist_speed = _wrist_speeds(times, skels)
     hand_accel = _diff(times, wrist_speed)
     hand_jerk = _diff(times, hand_accel)
 
-    ext = [None] * n
-    ang_l = [None] * n
-    ang_r = [None] * n
-    for i in range(n):
-        th = torsos[i]
-        if th is not None:
-            reach = []
-            for sh, w in ((5, 9), (6, 10)):
-                sp, wp = _kp(skels[i], sh), _kp(skels[i], w)
-                if sp is not None and wp is not None:
-                    reach.append(_d(wp, sp) / th)
-            if reach:
-                ext[i] = max(reach)
-        for store, (sh, el, w) in ((ang_l, (5, 7, 9)), (ang_r, (6, 8, 10))):
-            sp, ep, wp = _kp(skels[i], sh), _kp(skels[i], el), _kp(skels[i], w)
-            if sp is None or ep is None or wp is None:
-                continue
-            ux, uy = sp[0] - ep[0], sp[1] - ep[1]
-            wx, wy = wp[0] - ep[0], wp[1] - ep[1]
-            nu = math.sqrt(ux**2 + uy**2)
-            nw = math.sqrt(wx**2 + wy**2)
-            if nu == 0.0 or nw == 0.0:
-                continue
-            c = (ux * wx + uy * wy) / (nu * nw)
-            c = min(1.0, max(-1.0, c))
-            store[i] = math.degrees(math.acos(c))
+    ext = [arm_extension(s) for s in skels]
+    ang_l = [elbow_angle(s, 5, 7, 9) for s in skels]
+    ang_r = [elbow_angle(s, 6, 8, 10) for s in skels]
 
     areas = [(s.bbox[2] - s.bbox[0]) * (s.bbox[3] - s.bbox[1]) for s in skels]
     box_rate = [None] * n
@@ -316,86 +405,18 @@ def reference_segment_features(pair):
             iou_drop = ious[iou_peak_idx] - ious[target]
 
     rel_speed = [None] * n
-    for i in range(1, n):
-        dt = times[i] - times[i - 1]
-        if (
-            centers_a[i] is None or centers_b[i] is None
-            or centers_a[i - 1] is None or centers_b[i - 1] is None
-            or mean_th[i] is None or dt <= 0
-        ):
-            continue
-        rx = (centers_a[i][0] - centers_b[i][0]) - (centers_a[i - 1][0] - centers_b[i - 1][0])
-        ry = (centers_a[i][1] - centers_b[i][1]) - (centers_a[i - 1][1] - centers_b[i - 1][1])
-        rel_speed[i] = math.sqrt(rx**2 + ry**2) / dt / mean_th[i]
-
     toward = [None] * n
     for i in range(1, n):
-        dt = times[i] - times[i - 1]
-        th = torsos_a[i]
-        cb = centers_b[i]
-        if dt <= 0 or th is None or cb is None:
-            continue
-        best = None  # (speed, vx, vy, wrist pos)
-        for w in (9, 10):
-            cur, prev = _kp(skels_a[i], w), _kp(skels_a[i - 1], w)
-            if cur is None or prev is None:
-                continue
-            vx = cur[0] - prev[0]
-            vy = cur[1] - prev[1]
-            s = math.sqrt(vx**2 + vy**2) / dt / th
-            if best is None or s > best[0]:
-                best = (s, vx, vy, cur)
-        if best is None:
-            continue
-        _, vx, vy, wpos = best
-        nv = math.sqrt(vx**2 + vy**2)
-        if nv == 0.0:
-            continue
-        dx = cb[0] - wpos[0]
-        dy = cb[1] - wpos[1]
-        nd = math.sqrt(dx**2 + dy**2)
-        if nd == 0.0:
-            continue
-        c = (vx * dx + vy * dy) / (nv * nd)
-        toward[i] = min(1.0, max(-1.0, c))
+        rel_speed[i], toward[i] = relative_step(
+            skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], times[i] - times[i - 1]
+        )
 
-    hand_to_torso = [None] * n
-    hand_to_hip = [None] * n
-    for i in range(n):
-        th = torsos_b[i]
-        if th is None:
-            continue
-        wrists = []
-        for w in (9, 10):
-            p = _kp(skels_a[i], w)
-            if p is not None:
-                wrists.append(p)
-        if not wrists:
-            continue
-        if centers_b[i] is not None:
-            hand_to_torso[i] = min(_d(w, centers_b[i]) / th for w in wrists)
-        hip = _mid(skels_b[i], 11, 12)
-        if hip is not None:
-            hand_to_hip[i] = min(_d(w, hip) / th for w in wrists)
+    reach = [hand_reach(a, b) for a, b in zip(skels_a, skels_b)]
+    hand_to_torso = [r[0] for r in reach]
+    hand_to_hip = [r[1] for r in reach]
 
-    # fast-and-close conjunction, using A's wrist speed recomputed above
-    wrist_speed_a = [None] * n
-    for i in range(1, n):
-        dt = times[i] - times[i - 1]
-        th = torsos_a[i]
-        if dt <= 0 or th is None:
-            continue
-        best = None
-        for w in (9, 10):
-            cur, prev = _kp(skels_a[i], w), _kp(skels_a[i - 1], w)
-            if cur is None or prev is None:
-                continue
-            vx = cur[0] - prev[0]
-            vy = cur[1] - prev[1]
-            s = math.sqrt(vx**2 + vy**2) / dt / th
-            if best is None or s > best:
-                best = s
-        wrist_speed_a[i] = best
+    # fast-and-close conjunction, using A's wrist speed recomputed
+    wrist_speed_a = _wrist_speeds(times, skels_a)
     both = [None] * n
     for i in range(n):
         f = None if wrist_speed_a[i] is None else wrist_speed_a[i] > FAST_HAND
@@ -417,24 +438,10 @@ def reference_segment_features(pair):
         if window:
             post_mean = _sum_left_to_right(window) / len(window)
 
-    face_a = [_facing(s) for s in skels_a]
-    face_b = [_facing(s) for s in skels_b]
-    a_to_b = [None] * n
-    b_to_a = [None] * n
-    for i in range(n):
-        if centers_a[i] is None or centers_b[i] is None:
-            continue
-        ux = centers_b[i][0] - centers_a[i][0]
-        uy = centers_b[i][1] - centers_a[i][1]
-        nu = math.sqrt(ux**2 + uy**2)
-        if nu == 0.0:
-            continue
-        if face_a[i] is not None:
-            c = (face_a[i][0] * ux + face_a[i][1] * uy) / nu
-            a_to_b[i] = min(1.0, max(-1.0, c))
-        if face_b[i] is not None:
-            c = (face_b[i][0] * ux + face_b[i][1] * uy) / nu
-            b_to_a[i] = min(1.0, max(-1.0, c))
+    cosines = [facing_cosines(a, b) for a, b in zip(skels_a, skels_b)]
+    a_to_b = [c[0] for c in cosines]
+    b_to_a = [c[1] for c in cosines]
+    face_b = [facing_direction(s) for s in skels_b]
     face_rate = [None] * n
     tau = 2.0 * math.pi
     for i in range(1, n):

@@ -607,3 +607,40 @@ def test_window_store_matches_reference(name):
         # "2" empties out of the store, then returns under the same key
         held = "".join("1" if "2" in keys else "0" for keys in stored)
         assert not split and re.search("1+0+1", held)
+
+
+def short_entry_frames():
+    """Persons 1 and 2 stand 300 px apart for 240 frames. A third person stands
+    near person 1 for the last k frames before a stride point and leaves: id 3
+    for 4 frames before position 89, id 4 for 5 before 134 (both 50 px away)
+    and id 5 for 6 before 179 (40 px away, nearer than id 4, still in that
+    window). Each is person 1's closest partner once it has the shortest
+    segment's 5 frames in the window."""
+    cfg = PipelineConfig()
+    entries = {3: (89, 4, 150.0), 4: (134, 5, 150.0), 5: (179, 6, 140.0)}
+    frames = []
+    for pos in range(240):
+        persons = [(1, static_skeleton((100.0, 100.0))), (2, static_skeleton((400.0, 100.0)))]
+        for tid, (end, k, x) in entries.items():
+            if end - k < pos <= end:
+                persons.append((tid, static_skeleton((x, 100.0))))
+        frames.append(FrameRecord(pos, pos / cfg.fps, tuple(persons)))
+    return frames
+
+
+def test_window_picks_match_reference_at_the_shortest_segment():
+    """A track that enters the window 5 frames before a stride point is a
+    candidate there, one that enters 4 frames before is not: the store's
+    minimum segment is the oracle's."""
+    cfg = PipelineConfig()
+    frames = short_entry_frames()
+    store = TrackWindows(cfg)
+    got = {}
+    for record in frames:
+        _, pair = store.advance(record)
+        if pair is not None:
+            got[store.pos] = {pair[0].track_id, pair[1].track_id}
+    want = {end: {a.track_id, b.track_id} for end, (a, b) in reference_pairs(frames, cfg)}
+    assert got == want
+    # 4 frames: not yet a candidate; 5 and 6 frames: the closer pair
+    assert (got[89], got[134], got[179]) == ({"1", "2"}, {"1", "4"}, {"1", "5"})

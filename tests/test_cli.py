@@ -867,6 +867,32 @@ class TestConfigFile:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # an evidence window must bracket its trigger; these crashed at
+            # the first activation, before its alert line was written
+            ({"evidence_pre_s": 0.0}, "evidence_pre_s must be positive, got 0.0"),
+            ({"evidence_post_s": -1.0}, "evidence_post_s must not be negative, got -1.0"),
+            # these ran to exit 0 without one decision
+            ({"max_gap_frames": 0}, "max_gap_frames must be at least 1, got 0"),
+            ({"window_s": 0.1},
+             "window_s * fps must round to at least 5 frames (the shortest segment), got 3"),
+        ],
+    )
+    def test_config_that_cannot_run_exits_2(self, trained, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=4, duration=4.0))
+        stream_path = tmp_path / "s.jsonl"
+        streams.write_stream(str(stream_path), clip.frames)
+        out = tmp_path / "alerts.jsonl"
+        rc = cli.main(["stream", "--stream", str(stream_path), "--model", str(trained["model"]),
+                       "--alerts-out", str(out), "--config", str(cfg_path)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["extract", "train", "stream"])
     @pytest.mark.parametrize(
         "key, value",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_segment, random_track, skeleton_from_keypoints, static_skeleton
 from feature_reference import _sentinel, reference_segment_features
 from ingest_reference import smooth_track
+from snatchdet import features
 from snatchdet.features import (
     MIN_SEGMENT_FRAMES,
     STATS,
@@ -29,15 +30,18 @@ from snatchdet.features import (
     hand_motion,
     interaction_distance,
     iou,
+    iou_events,
+    min_jerk,
     pair_segment,
     reaching,
     relative_motion,
     wrist_velocities,
+    _backward_diff,
     _first_argmax,
     _longest_run,
     _pct,
 )
-from snatchdet.types import Keypoint, Track
+from snatchdet.types import FrameMemo, Keypoint, Track
 
 
 def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100.0)):
@@ -76,6 +80,11 @@ def present(values):
 def hands_of(track):
     """``hand_motion`` fed with the track's own wrist velocities."""
     return hand_motion(track, wrist_velocities(track))
+
+
+def derivative(track, series):
+    """The backward difference that the derived families take of a series."""
+    return _backward_diff(track.timestamps, series)
 
 
 def reaching_of(pair):
@@ -123,9 +132,9 @@ class AllMissing(SegmentFamilies):
 class TestCenterKinematics:
     def test_stationary_track(self):
         track = presmoothed_track([static_skeleton()] * 8)
-        out = center_kinematics(track)
-        assert all(v == 0.0 for v in present(out["velocity"]))
-        assert all(a == 0.0 for a in present(out["acceleration"]))
+        velocity = center_kinematics(track)["velocity"]
+        assert all(v == 0.0 for v in present(velocity))
+        assert all(a == 0.0 for a in present(derivative(track, velocity)))
 
     def test_one_torso_height_per_frame(self):
         # torso height of the template skeleton: shoulder mid (0,-50) to hip mid (0,50)
@@ -136,9 +145,9 @@ class TestCenterKinematics:
 
     def test_two_samples_has_velocity_but_no_acceleration(self):
         track = presmoothed_track([static_skeleton(), static_skeleton((110.0, 100.0))])
-        out = center_kinematics(track)
-        assert out["velocity"][0] is None and out["velocity"][1] is not None
-        assert present(out["acceleration"]) == []
+        velocity = center_kinematics(track)["velocity"]
+        assert velocity[0] is None and velocity[1] is not None
+        assert present(derivative(track, velocity)) == []
 
     def test_single_sample_raises(self):
         with pytest.raises(InsufficientSamples):
@@ -151,7 +160,8 @@ class TestHandMotion:
         result = hands_of(track)
         assert all(v == 0.0 for v in present(result["handVelocity"]))
         assert result["fastHandPct"] == 0.0
-        assert result["handJerkMin"] == 0.0
+        acceleration = derivative(track, result["handVelocity"])
+        assert min_jerk(track.timestamps, acceleration)["handJerkMin"] == 0.0
 
     def test_fast_pct_and_time_to_peak(self):
         # wrist speeds over frames 1..4: 0, 0, 5, 0 torso-heights/s
@@ -313,8 +323,8 @@ class TestIou:
 class TestInteractionDistance:
     def test_stationary_rate_is_zero(self):
         pair = make_pair([static_skeleton((100, 100))] * 6, [static_skeleton((400, 100))] * 6)
-        inter = interaction_distance(pair)
-        assert all(v == 0.0 for v in present(inter["distanceRate"]))
+        rate = derivative(pair.aggressor, interaction_distance(pair)["distance"])
+        assert all(v == 0.0 for v in present(rate))
 
     def test_iou_drop_after_peak(self):
         # ious by construction: 0, 1, 1/3 at 5 fps -> drop = 1 - 1/3
@@ -324,15 +334,15 @@ class TestInteractionDistance:
         skels_a = [skeleton_from_keypoints(kp, b) for b in a_boxes]
         skels_b = [skeleton_from_keypoints(kp, b) for b in b_boxes]
         pair = make_pair(skels_a, skels_b, fps=5.0)
-        inter = interaction_distance(pair)
-        assert inter["iou"] == [0.0, 1.0, pytest.approx(1 / 3)]
-        assert inter["iouPeak"] == 1.0
-        assert inter["iouDrop0p2s"] == pytest.approx(1.0 - 1 / 3, rel=1e-9)
+        ious = interaction_distance(pair)["iou"]
+        assert ious == [0.0, 1.0, pytest.approx(1 / 3)]
+        events = iou_events(ious, pair.fps)
+        assert events["iouPeak"] == 1.0
+        assert events["iouDrop0p2s"] == pytest.approx(1.0 - 1 / 3, rel=1e-9)
 
     def test_nonoverlapping_peak_zero(self):
         pair = make_pair([static_skeleton((0, 0))] * 4, [static_skeleton((5000, 0))] * 4)
-        inter = interaction_distance(pair)
-        assert inter["iouPeak"] == 0.0
+        assert iou_events(interaction_distance(pair)["iou"], pair.fps)["iouPeak"] == 0.0
 
 
 class TestRelativeMotion:
@@ -638,6 +648,57 @@ class TestSchemaPruning:
         assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
 
 
+    # the ten columns `rank` puts first on the scripts/output_digest.py corpus,
+    # and ten that read distances and reaching, like perfbench's top-10 model
+    TOP10 = (
+        "A_velocity_p95", "A_handVelocity_max", "A_armExtension_p95", "A_velocity_mean",
+        "A_armRetraction0p2s", "A_bboxAreaRate_min", "A_handAcceleration_mean",
+        "A_armExtension_mean", "A_handVelocity_p95", "A_armExtension_max",
+    )
+    REACH10 = (
+        "distance_min", "A_armExtension_p95", "closeHandPct", "handToTorso_min",
+        "handToHip_min", "iou_p95", "fastAndClosePct", "A_armExtension_max",
+        "postContactSepMean", "A_bboxAreaRate_max",
+    )
+
+    @pytest.mark.parametrize(
+        "names, diffs, sorts",
+        [
+            # per ordering: the hand acceleration of A (no center acceleration,
+            # no jerk); a sort for each of A's velocity, arm extension and hand
+            # speed, the series a p95 is read of
+            (TOP10, 2, 6),
+            # no backward difference; A's arm extension per ordering, and the
+            # pair's IoU once for both
+            (REACH10, 0, 3),
+        ],
+        ids=["top10", "reach10"],
+    )
+    def test_a_top10_schema_runs_no_difference_or_sort_it_does_not_read(
+        self, rng, monkeypatch, names, diffs, sorts
+    ):
+        calls = {"diff": 0, "sort": 0}
+        diff = features._backward_diff
+
+        def counting_diff(*args):
+            calls["diff"] += 1
+            return diff(*args)
+
+        def counting_sorted(values):
+            calls["sort"] += 1
+            return sorted(values)
+
+        schema = full_schema().select(names)
+        seg = random_segment(rng, 20)
+        want = [extract_segment(p, full_schema()).values for p in (seg, seg.swapped())]
+        monkeypatch.setattr(features, "_backward_diff", counting_diff)
+        monkeypatch.setattr(features, "sorted", counting_sorted, raising=False)
+        table = SegmentFamilies(seg, FrameMemo())
+        got = [extract_segment(p, schema, table).values for p in (seg, seg.swapped())]
+        assert calls == {"diff": diffs, "sort": sorts}
+        assert got == [{n: values[n] for n in schema.names} for values in want]
+
+
 class TestOracleEquivalence:
     def test_matches_straight_line_reference_exactly(self, rng):
         schema = full_schema()
@@ -696,7 +757,7 @@ class TestInvariances:
 
     def test_distance_rate_time_reversal(self, rng):
         seg = random_segment(rng, 14, dropout=0.0)
-        forward = interaction_distance(seg)["distanceRate"]
+        forward = derivative(seg.aggressor, interaction_distance(seg)["distance"])
         t_max = seg.aggressor.timestamps[-1]
 
         def reverse(track):
@@ -708,7 +769,7 @@ class TestInvariances:
             )
 
         rev_pair = pair_segment(reverse(seg.aggressor), reverse(seg.victim), fps=seg.fps)
-        backward = interaction_distance(rev_pair)["distanceRate"]
+        backward = derivative(rev_pair.aggressor, interaction_distance(rev_pair)["distance"])
         n = len(forward)
         for i in range(1, n):
             f, b = forward[n - i], backward[i]

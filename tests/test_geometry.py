@@ -1,5 +1,7 @@
 """Per-skeleton geometry is computed once and stored on the skeleton; per-track
-work is computed once per extraction."""
+work is computed once per extraction; the geometry, which reads each joint
+inline, equals bit for bit the valid-joint references of
+``tests/feature_reference.py``."""
 
 from collections import Counter
 
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_skeleton, skeleton_from_keypoints, static_skeleton, with_bystander
+import feature_reference as ref
 from feature_reference import _center, _mid, _torso
 from snatchdet import features, types
 from snatchdet.config import PipelineConfig
@@ -131,3 +134,102 @@ def test_midpoints_equal_the_per_joint_reference(skel):
     assert repr(skel.midpoints) == repr(want)
     assert repr(skel.center) == repr(_center(skel))
     assert repr(skel.torso) == repr(_torso(skel))
+
+
+# ---------------------------------------------------------------------------
+# every joint read inline equals the valid-joint reference, bit for bit
+
+_POOL_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 100.0, 1e-300, 1e9, -1e9]) | st.floats(
+    min_value=-1e9, max_value=1e9, allow_nan=False
+)
+_JOINT_CONF = st.sampled_from([0.0, 0.29999999999999993, 0.3, 0.9, 1.0])
+
+
+@st.composite
+def joint_skeletons(draw):
+    """Skeletons whose joints and box corners come from a few shared values, so
+    joints coincide (zero-length limbs and steps) and line up, with each
+    joint's confidence on either side of the 0.3 cut."""
+    pick = st.sampled_from(draw(st.lists(_POOL_COORD, min_size=1, max_size=5)))
+    xy = tuple(draw(pick) for _ in range(2 * types.NUM_KEYPOINTS))
+    conf = tuple(draw(_JOINT_CONF) for _ in range(types.NUM_KEYPOINTS))
+    return Skeleton(xy, conf, tuple(draw(pick) for _ in range(4)))
+
+
+def _posed(joints, conf=None):
+    """The template skeleton with some joints moved; ``conf`` sets confidences by joint."""
+    xy = list(static_skeleton().xy)
+    confs = [0.9] * types.NUM_KEYPOINTS
+    for joint, (x, y) in joints.items():
+        xy[2 * joint], xy[2 * joint + 1] = x, y
+    for joint, c in (conf or {}).items():
+        confs[joint] = c
+    return Skeleton(tuple(xy), tuple(confs), static_skeleton().bbox)
+
+
+# shoulder, elbow, wrist on one line: the unclamped cosine is -1 - 2**-52 (a
+# straight arm) and 1 + 2**-52 (a folded one), outside acos's domain
+_STRAIGHT_ARM = _posed({5: (-69.0735637201088, 65.72274185482117),
+                        7: (-73.12715117751975, 69.48674738744654),
+                        9: (-76.82929149258958, 72.9244126098909)})
+_FOLDED_ARM = _posed({6: (-69.0735637201088, 65.72274185482117),
+                      8: (-73.12715117751975, 69.48674738744654),
+                      10: (-69.42501086244992, 66.04908216500219)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(joint_skeletons())
+@example(_STRAIGHT_ARM)
+@example(_FOLDED_ARM)
+@example(_posed({7: (80.0, 76.0), 5: (80.0, 76.0)}))  # a zero-length upper arm
+@example(_posed({}, conf={types.LEFT_WRIST: 0.0}))  # one valid wrist
+@example(_posed({}, conf={types.LEFT_EAR: 0.0}))  # facing from the shoulder line
+@example(_posed({0: (100.0, 50.0)}, conf={types.LEFT_EAR: 0.0}))  # nose on the shoulder line
+def test_skeleton_geometry_equals_the_valid_joint_reference(skel):
+    for side in ((5, 7, 9), (6, 8, 10)):
+        assert repr(types._elbow_angle(skel, *side)) == repr(ref.elbow_angle(skel, *side))
+    assert repr(types._arm_extension(skel)) == repr(ref.arm_extension(skel))
+    assert repr(types._facing_direction(skel)) == repr(ref.facing_direction(skel))
+
+
+def _shifted(skel, dx, dy):
+    xy = tuple(v + dx if i % 2 == 0 else v + dy for i, v in enumerate(skel.xy))
+    x1, y1, x2, y2 = skel.bbox
+    return Skeleton(xy, skel.conf, (x1 + dx, y1 + dy, x2 + dx, y2 + dy))
+
+
+_STILL = _posed({})
+# Both wrists step 3 px, the left one along x and the right one along y: equal
+# speeds, so the left wrist must be the faster one, and the hand-toward
+# cosine (B stands 300 px to the right) is near 1 from it, near 0 from the
+# right one.
+_BOTH_STEP = _posed({9: (_STILL.xy[18] + 3.0, _STILL.xy[19]),
+                     10: (_STILL.xy[20], _STILL.xy[21] + 3.0)})
+_RIGHT_OF = _shifted(_STILL, 300.0, 0.0)
+# A faces along (-9, -2) from its ear midpoint and B's center lies 43 times
+# that from A's: the unclamped facing cosine is 1 + 2**-52 (and -1 - 2**-52
+# with the roles swapped)
+_FACING_B = (_posed({0: (91.0, 26.0)}), _shifted(_STILL, -387.0, -86.0))
+# A's left wrist steps (-4, 9) and B's center lies 15 such steps ahead of it:
+# the unclamped hand-toward cosine is 1 + 2**-52
+_STEP_AT_B = (_posed({9: (_STILL.xy[18] - 4.0, _STILL.xy[19] + 9.0)}),
+              _shifted(_STILL, -92.0, 146.0))
+_DT = st.sampled_from([1 / 30, 0.5, 0.0, -0.1, 1e-300])
+
+
+@settings(max_examples=400, deadline=None)
+@given(joint_skeletons(), joint_skeletons(), joint_skeletons(), joint_skeletons(), _DT)
+@example(_STILL, _RIGHT_OF, _BOTH_STEP, _RIGHT_OF, 1 / 30)
+@example(_STILL, _RIGHT_OF, _posed({}, conf={types.RIGHT_WRIST: 0.0}), _RIGHT_OF, 1 / 30)
+@example(_STILL, _STILL, _STILL, _STILL, 1 / 30)  # no step, B on A: zero-length vectors
+@example(_STILL, _STILL, *_FACING_B, 1 / 30)
+@example(_STILL, _STILL, *reversed(_FACING_B), 1 / 30)
+@example(_STILL, _STEP_AT_B[1], *_STEP_AT_B, 1 / 30)
+def test_row_geometry_equals_the_valid_joint_reference(pa, pb, a, b, dt):
+    step = features._wrist_step(pa, a, dt)
+    assert repr(step) == repr(ref.wrist_step(pa, a, dt))
+    assert repr(features._relative_step(pa, pb, a, b, dt, step)) == repr(
+        ref.relative_step(pa, pb, a, b, dt)
+    )
+    assert repr(features._hand_reach(a, b)) == repr(ref.hand_reach(a, b))
+    assert repr(features._facing_cosines(a, b)) == repr(ref.facing_cosines(a, b))
