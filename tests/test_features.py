@@ -647,7 +647,6 @@ class TestSchemaPruning:
         vector = extract_segment(random_segment(rng, 12), schema)
         assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
 
-
     # the ten columns `rank` puts first on the scripts/output_digest.py corpus,
     # and ten that read distances and reaching, like perfbench's top-10 model
     TOP10 = (
@@ -674,7 +673,7 @@ class TestSchemaPruning:
         ],
         ids=["top10", "reach10"],
     )
-    def test_a_top10_schema_runs_no_difference_or_sort_it_does_not_read(
+    def test_unread_differences_and_sorts_are_not_computed(
         self, rng, monkeypatch, names, diffs, sorts
     ):
         calls = {"diff": 0, "sort": 0}
