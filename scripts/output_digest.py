@@ -93,7 +93,8 @@ def window_lines(stream_path: str, model_path: str) -> list[str]:
 
     pipeline.extract_segment, pipeline.predict_probability = recording_extract, recording_predict
     try:
-        engine.run(streams.iter_stream(stream_path))
+        for record in streams.iter_stream(stream_path):
+            engine.process(record)
     finally:
         pipeline.extract_segment, pipeline.predict_probability = extract, predict
     return [

@@ -13,7 +13,7 @@ from .pipeline import StreamEngine, extract_clip_row, extract_windows
 from .preprocess import aggressor_probabilities
 from .selection import pca_project, select_top_k
 from .synth import Clip, ScenarioSpec, generate, generate_corpus
-from .temporal import AlarmState, HysteresisConfig, evidence_window, step
+from .temporal import AlarmState, HysteresisConfig, step
 from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, torso_height, validate_frame
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "StreamEngine",
     "Track",
     "aggressor_probabilities",
-    "evidence_window",
     "extract_clip_row",
     "extract_segment",
     "extract_windows",

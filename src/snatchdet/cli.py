@@ -16,6 +16,7 @@ that cannot be read or written, 3 invalid training data, 4 schema mismatch,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -277,6 +278,10 @@ def cmd_pca(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     try:
@@ -285,34 +290,35 @@ def cmd_stream(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    alerts_out = sys.stdout if args.alerts_out in (None, "-") else open(
-        args.alerts_out, "w", encoding="utf-8"
-    )
-    close_alerts = alerts_out is not sys.stdout
     source = args.stream
     if source == "-":
         # UTF-8 whatever the locale, bad bytes kept so the decoder rejects their line
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         source = sys.stdin
-    evidence_out = None
     started = time.perf_counter()
+    events = 0
     try:
-        if args.evidence_out:
-            evidence_out = open(args.evidence_out, "w", encoding="utf-8")
-        engine = pipeline.StreamEngine(model, cfg)
-        written = 0
-        for record in streams.iter_stream(source, fps=cfg.fps):
-            alerts = engine.process(record)
-            if evidence_out is not None:
-                # as each activation happens, so a run that stops later keeps it
-                for evidence in engine.evidence[written:]:
-                    evidence_out.write(json.dumps(evidence.to_obj(), separators=(",", ":")) + "\n")
-                written = len(engine.evidence)
-            for alert in alerts:
-                line = json.dumps(alert.to_obj(), separators=(",", ":"))
-                alerts_out.write(line + "\n")
-                if cfg.sink_url:
-                    post_alert(cfg.sink_url, alert.to_obj())
+        with contextlib.ExitStack() as files:
+            alerts_out = sys.stdout
+            if args.alerts_out not in (None, "-"):
+                alerts_out = files.enter_context(open(args.alerts_out, "w", encoding="utf-8"))
+            evidence_out = None
+            if args.evidence_out:
+                evidence_out = files.enter_context(open(args.evidence_out, "w", encoding="utf-8"))
+            engine = pipeline.StreamEngine(model, cfg)
+            for record in streams.iter_stream(source, fps=cfg.fps):
+                alerts = engine.process(record)
+                events += len(alerts)
+                if evidence_out is not None:
+                    # as each activation happens, so a run that stops later keeps it
+                    for alert in alerts:
+                        if alert.evidence is not None:
+                            evidence_out.write(_json_line(alert.evidence))
+                for alert in alerts:
+                    obj = alert.to_obj()
+                    alerts_out.write(_json_line(obj))
+                    if cfg.sink_url:
+                        post_alert(cfg.sink_url, obj)
     except forest.SchemaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -322,17 +328,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
     except SinkUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINK
-    finally:
-        if close_alerts:
-            alerts_out.close()
-        if evidence_out is not None:
-            evidence_out.close()
     elapsed = time.perf_counter() - started
 
     rate = engine.frames_processed / elapsed if elapsed > 0 else float("inf")
     print(
         f"processed {engine.frames_processed} frames in {elapsed:.3f}s "
-        f"({rate:.1f} frames/s), {len(engine.alerts)} events",
+        f"({rate:.1f} frames/s), {events} events",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -77,7 +77,7 @@ class PipelineConfig:
             raise BadConfig(f"top_k must be at least 1, got {self.top_k}")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise BadConfig("prob_threshold must be in [0, 1]")
-        # an evidence window must bracket its trigger: start < trigger <= end
+        # an evidence window starts before its trigger and ends at it or later
         if self.evidence_pre_s <= 0:
             raise BadConfig(f"evidence_pre_s must be positive, got {self.evidence_pre_s}")
         if self.evidence_post_s < 0:

@@ -19,16 +19,19 @@ pair key's first track as A and classifies it under both orderings,
 through one ``SegmentFamilies`` table per decision: each track's
 individual families and the pair's symmetric distance family are computed
 once for both orderings, the directional families once per ordering. It
-orders no roles, since the higher probability of the two wins. Only the
-offline extractions write role-ordered rows: ``extract_windows``
+orders no roles, since the higher probability of the two wins. Each
+alarm transition is one ``AlertRecord``, which gives the alert line and,
+for an activation, the evidence line; ``process`` returns the frame's
+records and the engine keeps no output history. Only the offline
+extractions write role-ordered rows: ``extract_windows``
 (``extract --mode sliding``) extracts each window's pair under the
 (aggressor, victim) ordering of ``order_roles``; ``extract_clip_row``
 (``extract --mode clip``) does the same for one window over the whole
 clip. The layers this module calls (``select_pair``, ``order_roles``,
-``pair_segment``, ``extract_segment``, ``predict_probability``) are looked
-up here at each call, so a tool that replaces them here sees every call.
-Streaming alerts are therefore reproducible from an offline recomputation
-of the same file.
+``pair_segment``, ``extract_segment``, ``predict_probability``, ``step``)
+are looked up here at each call, so a tool that replaces them here sees
+every call. Streaming alerts are therefore reproducible from an offline
+recomputation of the same file.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, KeysView, Optional, Sequence
+from typing import KeysView, Optional, Sequence
 
 from .config import PipelineConfig
 from .features import (
@@ -55,7 +58,7 @@ from .preprocess import (
     body_center,
     choose_aggressor,
 )
-from .temporal import AlarmState, evidence_window, step
+from .temporal import AlarmState, step
 from .types import (
     FrameMemo,
     FrameRecord,
@@ -295,37 +298,44 @@ def extract_clip_row(
 
 @dataclass
 class AlertRecord:
+    """One alarm transition of one pair: its alert line, and an activation's evidence line.
+
+    ``evidence`` spans ``evidence_pre_s`` before the trigger, clamped at the
+    stream's first timestamp, to ``evidence_post_s`` after it; its frames
+    are those times multiplied by ``fps`` and rounded. A deactivation has none.
+    """
+
     timestamp: float
     pair: str
-    kind: str
-    window_count: int
+    kind: str  # "activated" | "deactivated"
+    count: int  # positives in the alarm's window at the transition
+    evidence: Optional[dict] = None
+
+    @classmethod
+    def of(
+        cls, pair: str, kind: str, timestamp: float, count: int,
+        cfg: PipelineConfig, stream_start: float,
+    ) -> "AlertRecord":
+        if kind != "activated":
+            return cls(timestamp, pair, kind, count)
+        start = max(stream_start, timestamp - cfg.evidence_pre_s)
+        end = timestamp + cfg.evidence_post_s
+        evidence = {
+            "pair": pair,
+            "trigger_s": timestamp,
+            "start_s": start,
+            "end_s": end,
+            "start_frame": round(start * cfg.fps),
+            "end_frame": round(end * cfg.fps),
+        }
+        return cls(timestamp, pair, kind, count, evidence)
 
     def to_obj(self) -> dict:
         return {
             "timestamp_s": self.timestamp,
             "pair": self.pair,
             "kind": self.kind,
-            "count": self.window_count,
-        }
-
-
-@dataclass
-class EvidenceRecord:
-    pair: str
-    trigger: float
-    start: float
-    end: float
-    start_frame: int
-    end_frame: int
-
-    def to_obj(self) -> dict:
-        return {
-            "pair": self.pair,
-            "trigger_s": self.trigger,
-            "start_s": self.start,
-            "end_s": self.end,
-            "start_frame": self.start_frame,
-            "end_frame": self.end_frame,
+            "count": self.count,
         }
 
 
@@ -361,8 +371,6 @@ class StreamEngine:
         self._prev_t: Optional[float] = None
         self._start_t: Optional[float] = None
 
-        self.alerts: list[AlertRecord] = []
-        self.evidence: list[EvidenceRecord] = []
         self.frames_processed = 0
         self._forest_compiled = False
 
@@ -388,6 +396,7 @@ class StreamEngine:
         self._pairs[key] = (yhat, (a.track_id, b.track_id), alarm)
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
+        """Take one frame; returns the alarm transitions it caused, in pair order."""
         record = validate_frame(record, prev_timestamp=self._prev_t)
         self._prev_t = record.timestamp
         if self._start_t is None:
@@ -402,42 +411,12 @@ class StreamEngine:
         if pair is not None:
             self._classify(pair)
 
-        new_alerts: list[AlertRecord] = []
+        alerts: list[AlertRecord] = []
         for key, (yhat, (a, b), alarm) in self._pairs.items():
             if a not in present or b not in present:
                 continue
-            _, event = step(alarm, yhat, self.hcfg, record.timestamp)
-            if event is None:
-                continue
-            alert = AlertRecord(
-                timestamp=event.timestamp,
-                pair=key,
-                kind=event.kind,
-                window_count=event.window_count,
-            )
-            self.alerts.append(alert)
-            new_alerts.append(alert)
-            if event.kind == "activated":
-                ev = evidence_window(
-                    event,
-                    pre_span=self.cfg.evidence_pre_s,
-                    post_span=self.cfg.evidence_post_s,
-                    fps=self.cfg.fps,
-                    stream_start=self._start_t,
-                )
-                self.evidence.append(
-                    EvidenceRecord(
-                        pair=key,
-                        trigger=event.timestamp,
-                        start=ev.start,
-                        end=ev.end,
-                        start_frame=ev.start_frame,
-                        end_frame=ev.end_frame,
-                    )
-                )
-        return new_alerts
-
-    def run(self, frames: Iterable[FrameRecord]) -> list[AlertRecord]:
-        for record in frames:
-            self.process(record)
-        return self.alerts
+            kind = step(alarm, yhat, self.hcfg)
+            if kind is not None:
+                t, count = record.timestamp, alarm.positives
+                alerts.append(AlertRecord.of(key, kind, t, count, self.cfg, self._start_t))
+        return alerts

@@ -45,7 +45,6 @@ class InsufficientHistory(ValueError):
 class RoleAssignment:
     track_id: str
     p_aggressor: float
-    mean_translation: float  # torso-heights per second
 
 
 class SkeletonSmoother:
@@ -153,10 +152,7 @@ def aggressor_probabilities(
         speeds = [v for v in center_speeds(span, memo) if v is not None]
         scores.append(ordered_sum(speeds) / len(speeds) if speeds else 0.0)
     probs = softmax(scores)
-    return [
-        RoleAssignment(track_id=track.track_id, p_aggressor=p, mean_translation=s)
-        for track, p, s in zip(tracks, probs, scores)
-    ]
+    return [RoleAssignment(track_id=track.track_id, p_aggressor=p) for track, p in zip(tracks, probs)]
 
 
 def choose_aggressor(assignments: Sequence[RoleAssignment]) -> str:

@@ -32,9 +32,6 @@ class SelectionResult:
     k: int
     schema: FeatureSchema  # reduced schema, original relative order preserved
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.ranked)
-
 
 def select_top_k(schema: FeatureSchema, importances: Sequence[float], k: int) -> SelectionResult:
     """Keep the k most important features; ties break by schema order."""

@@ -115,16 +115,22 @@ def without_person(frames, tid, start, stop):
 def run_alarm(predictions, cfg):
     """Step ``temporal.step`` through ``predictions`` at timestamps 0.0, 1.0, ...
 
-    Returns the alarm state after each prediction and the events that fired.
+    Returns the alarm state after each prediction and the events that fired,
+    as (kind, timestamp, count) tuples.
     """
     state = AlarmState()
     states, events = [], []
     for t, y in enumerate(predictions):
-        _, event = step(state, y, cfg, float(t))
+        kind = step(state, y, cfg)
         states.append(state.state)
-        if event is not None:
-            events.append(event)
+        if kind is not None:
+            events.append((kind, float(t), state.positives))
     return states, events
+
+
+def run_engine(engine, frames):
+    """Feed ``frames`` to a ``StreamEngine``; returns every alert record it gave, in order."""
+    return [alert for record in frames for alert in engine.process(record)]
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import json
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     random_segment,
     random_track,
     run_alarm,
+    run_engine,
     skeleton_from_keypoints,
     static_skeleton,
     with_bystander,
@@ -273,9 +276,8 @@ def test_hysteresis_exhaustive():
                     # exclusive for every reachable count
                     assert not (c >= cfg.n_on and c <= cfg.n_off)
                 assert states == ref_states, (cfg, seq)
-                got = [(e.kind, e.timestamp, e.window_count) for e in events]
-                assert got == ref_events, (cfg, seq)
-                kinds = [e.kind for e in events]
+                assert events == ref_events, (cfg, seq)
+                kinds = [kind for kind, _, _ in events]
                 assert all(a != b for a, b in zip(kinds, kinds[1:]))
                 if kinds:
                     assert kinds[0] == "activated"
@@ -360,7 +362,7 @@ def test_streaming_throughput(e2e):
     clip = generate(ScenarioSpec(kind="walk_by", duration=20.0, fps=30.0, seed=777, noise_sigma=1.0))
     engine = StreamEngine(e2e["model"], e2e["cfg"])
     started = time.perf_counter()
-    engine.run(clip.frames)
+    run_engine(engine, clip.frames)
     elapsed = time.perf_counter() - started
     rate = engine.frames_processed / elapsed
     report(
@@ -397,11 +399,21 @@ def test_pca_variance_and_reconstruction():
 # criterion: online/offline equivalence
 
 
+def evidence_line(pair, trigger, first_t, cfg):
+    """An activation's evidence line, by the rule in docs/formats.md ("Evidence manifest")."""
+    start = max(first_t, trigger - cfg.evidence_pre_s)
+    end = trigger + cfg.evidence_post_s
+    obj = {"pair": pair, "trigger_s": trigger, "start_s": start, "end_s": end,
+           "start_frame": round(start * cfg.fps), "end_frame": round(end * cfg.fps)}
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def offline_alerts(frames, model, cfg):
     """Recompute stream alerts from scratch with the offline primitives.
 
-    Returns (alert events, windows); a window is (end position, pair,
-    repr of p(A,B), repr of p(B,A)), with the pair key's first track as A.
+    Returns (alert events, windows, evidence lines); a window is (end
+    position, pair, repr of p(A,B), repr of p(B,A)), with the pair key's
+    first track as A.
     """
     frames = validate_stream(frames)
     schema = full_schema()
@@ -431,7 +443,7 @@ def offline_alerts(frames, model, cfg):
 
     current = {}
     alarms = {}
-    events = []
+    events, evidence = [], []
     for pos, record in enumerate(frames):
         for key, yhat in updates.get(pos, []):
             current[key] = yhat
@@ -441,14 +453,16 @@ def offline_alerts(frames, model, cfg):
             if a not in present or b not in present:
                 continue
             state = alarms.setdefault(key, AlarmState())
-            _, event = step(state, yhat, hcfg, record.timestamp)
-            if event is not None:
-                events.append((key, event.kind, event.timestamp, event.window_count))
-    return events, windows
+            kind = step(state, yhat, hcfg)
+            if kind is not None:
+                events.append((key, kind, record.timestamp, state.positives))
+                if kind == "activated":
+                    evidence.append(evidence_line(key, record.timestamp, frames[0].timestamp, cfg))
+    return events, windows, evidence
 
 
 def online_alerts(frames, model, cfg, monkeypatch):
-    """Run the engine; returns (alert events, windows) shaped as in offline_alerts."""
+    """Run the engine; returns (alert events, windows, evidence lines) shaped as in offline_alerts."""
     engine = StreamEngine(model, cfg)
     roles, probs = [], []
     extract, predict_ = pipeline.extract_segment, pipeline.predict_probability
@@ -466,15 +480,16 @@ def online_alerts(frames, model, cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(pipeline, "extract_segment", recording_extract)
         m.setattr(pipeline, "predict_probability", recording_predict)
-        engine.run(frames)
+        alerts = run_engine(engine, frames)
     # every window extracts and classifies (A, B), then (B, A)
     assert len(roles) == len(probs) and len(roles) % 2 == 0
     windows = [
         (roles[i][0], pair_key_str(*roles[i][1]), repr(probs[i]), repr(probs[i + 1]))
         for i in range(0, len(roles), 2)
     ]
-    events = [(a.pair, a.kind, a.timestamp, a.window_count) for a in engine.alerts]
-    return events, windows
+    events = [(a.pair, a.kind, a.timestamp, a.count) for a in alerts]
+    evidence = [json.dumps(a.evidence, separators=(",", ":")) for a in alerts if a.evidence is not None]
+    return events, windows, evidence
 
 
 def split_id_frames():
@@ -484,8 +499,9 @@ def split_id_frames():
 
 
 def equivalence_clips():
-    """20 random clips, then one with a far bystander, one with a split id and one
-    whose person 2 is absent for 3 frames (a gap inside one track key)."""
+    """20 random clips, then one with a far bystander, one with a split id, one
+    whose person 2 is absent for 3 frames (a gap inside one track key) and one
+    whose timestamps start at 100 s."""
     rng = np.random.default_rng(909)
     kinds = ("snatch", "walk_by", "handshake", "standing")
     for i in range(20):
@@ -501,27 +517,34 @@ def equivalence_clips():
     yield split_id_frames()
     gap_clip = generate(ScenarioSpec(kind="snatch", seed=23, noise_sigma=1.0)).frames
     yield without_person(gap_clip, 2, 70, 73)
+    late_clip = generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames
+    yield [FrameRecord(f.frame_index, 100.0 + f.timestamp, f.persons) for f in late_clip]
 
 
 def test_online_offline_equivalence(e2e, monkeypatch):
-    cfg = e2e["cfg"]
+    # a pre-span longer than the clips' first activations, so evidence spans clamp
+    cfg = replace(e2e["cfg"], evidence_pre_s=4.0)
     model = e2e["model"]
     mismatches = 0
     total_events = 0
     total_windows = 0
     split_windows = 0
+    late_clamped = 0
     for frames in equivalence_clips():
         online = online_alerts(frames, model, cfg, monkeypatch)
         offline = offline_alerts(frames, model, cfg)
         total_events += len(offline[0])
         total_windows += len(offline[1])
         split_windows += sum(1 for w in offline[1] if "." in w[1])
+        t0 = frames[0].timestamp
+        late_clamped += sum(1 for line in offline[2] if t0 > 0 and json.loads(line)["start_s"] == t0)
         if online != offline:
             mismatches += 1
     report(
-        "Online/offline: alert events and per-window probabilities identical on 23 clips",
-        mismatches == 0 and split_windows > 0,
-        f"{total_events} events, {total_windows} windows ({split_windows} on a split id) compared",
+        "Online/offline: alert events, evidence lines and per-window probabilities identical on 24 clips",
+        mismatches == 0 and split_windows > 0 and late_clamped > 0,
+        f"{total_events} events ({late_clamped} evidence span clamped at a first timestamp above 0), "
+        f"{total_windows} windows ({split_windows} on a split id) compared",
     )
 
 
@@ -539,7 +562,7 @@ def test_window_state_bounded_under_id_churn(e2e):
             FrameRecord(pos, pos / 30.0, tuple((2 * block + 1 + i, s) for i, (_, s) in enumerate(persons)))
         )
     engine = StreamEngine(e2e["model"], cfg)
-    engine.run(frames)
+    run_engine(engine, frames)
     # ids never return, so each raw id is one track key
     last_window = {str(tid) for f in frames[-cfg.window_frames:] for tid, _ in f.persons}
     assert engine.frames_processed == 3000

@@ -893,6 +893,24 @@ class TestConfigFile:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_pre_span_below_timestamp_resolution_starts_evidence_at_the_trigger(
+        self, trained, tmp_path
+    ):
+        """``trigger_s - evidence_pre_s`` rounds back to ``trigger_s``: the run goes on."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"evidence_pre_s": 1e-20}))
+        alerts, evidence = tmp_path / "alerts.jsonl", tmp_path / "evidence.jsonl"
+        rc = cli.main(["stream", "--stream", str(_snatch_stream(tmp_path)),
+                       "--model", str(trained["model"]), "--alerts-out", str(alerts),
+                       "--evidence-out", str(evidence), "--config", str(cfg_path)])
+        assert rc == 0
+        activations = [a for a in map(json.loads, alerts.read_text().splitlines())
+                       if a["kind"] == "activated"]
+        manifests = [json.loads(line) for line in evidence.read_text().splitlines()]
+        assert activations and len(manifests) == len(activations)
+        for a, m in zip(activations, manifests):
+            assert m["start_s"] == m["trigger_s"] == a["timestamp_s"] < m["end_s"]
+
     @pytest.mark.parametrize("command", ["extract", "train", "stream"])
     @pytest.mark.parametrize(
         "key, value",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import with_bystander, without_person
+from conftest import run_engine, with_bystander, without_person
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.experiment import corpus_dataset
@@ -77,7 +77,7 @@ def test_engine_calls_each_layer_through_its_pipeline_binding(monkeypatch):
     calls, pairs_found = count_bindings(monkeypatch)
 
     engine = pipeline.StreamEngine(model, cfg)
-    engine.run(frames)
+    run_engine(engine, frames)
 
     attempted = attempted_windows(cfg, len(frames))
     classified = pairs_found[True]
@@ -119,9 +119,8 @@ def test_stream_output_does_not_depend_on_role_ordering(monkeypatch, clip_model)
     frames = [FrameRecord(pos, pos / cfg.fps, p) for pos, p in enumerate(persons)]
 
     def outputs():
-        engine = pipeline.StreamEngine(clip_model, cfg)
-        engine.run(frames)
-        return [a.to_obj() for a in engine.alerts], [e.to_obj() for e in engine.evidence]
+        alerts = run_engine(pipeline.StreamEngine(clip_model, cfg), frames)
+        return [a.to_obj() for a in alerts], [a.evidence for a in alerts if a.evidence is not None]
 
     want = outputs()
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_segment, static_skeleton
+from conftest import random_segment, run_engine, static_skeleton
 from snatchdet import features, pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
@@ -229,6 +229,6 @@ def test_engine_shares_one_table_between_the_orderings(monkeypatch):
 
     monkeypatch.setattr(features, "interaction_distance", counting_distance)
     monkeypatch.setattr(pipeline, "extract_segment", counting_extract)
-    pipeline.StreamEngine(model, PipelineConfig()).run(frames)
+    run_engine(pipeline.StreamEngine(model, PipelineConfig()), frames)
     assert calls["extract"] > 0
     assert calls["distance"] * 2 == calls["extract"]

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_engine
 from forest_reference import flat_predict_probability
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
@@ -294,5 +295,5 @@ def test_stream_engine_compiles_one_chunk_per_frame_before_its_first_decision(mo
     # more than one chunk, one a frame, all before the first window is full
     assert n_steps == list(range(1, len(n_steps) + 1))
     assert 1 < len(n_steps) < cfg.window_frames
-    engine.run(frames[len(n_steps):])
+    run_engine(engine, frames[len(n_steps):])
     assert compiled_when_called and all(compiled_when_called)

@@ -38,23 +38,23 @@ class TestSelectTopK:
         leftover = (1.0 - importances.sum()) / (len(schema.names) - len(TABLE))
         importances[importances == 0.0] = leftover  # below the table entries
         result = select_top_k(schema, importances, k=10)
-        assert list(result.names()) == [name for name, _ in TABLE]
+        assert [n for n, _ in result.ranked] == [name for name, _ in TABLE]
 
     def test_ties_break_by_schema_order(self):
         schema = FeatureSchema(("a", "b", "c", "d"))
         result = select_top_k(schema, [0.25, 0.25, 0.25, 0.25], k=3)
-        assert result.names() == ("a", "b", "c")
+        assert [n for n, _ in result.ranked] == ["a", "b", "c"]
 
     def test_k_equals_feature_count_is_identity(self):
         schema = FeatureSchema(("a", "b", "c"))
         result = select_top_k(schema, [0.2, 0.5, 0.3], k=3)
         assert result.schema.names == schema.names  # original order preserved
-        assert result.names() == ("b", "c", "a")  # ranking is by importance
+        assert [n for n, _ in result.ranked] == ["b", "c", "a"]  # ranking is by importance
 
     def test_reduced_schema_preserves_relative_order(self):
         schema = FeatureSchema(("a", "b", "c", "d"))
         result = select_top_k(schema, [0.1, 0.4, 0.2, 0.3], k=2)
-        assert result.names() == ("b", "d")
+        assert [n for n, _ in result.ranked] == ["b", "d"]
         assert result.schema.names == ("b", "d")
 
     def test_k_too_large(self):

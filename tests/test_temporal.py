@@ -1,11 +1,13 @@
-"""Hysteresis alarm state machine and evidence windows."""
+"""Hysteresis alarm state machine, and the evidence window of an activation's alert record."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_alarm
-from snatchdet.temporal import AlarmEvent, HysteresisConfig, NotActivationEvent, evidence_window
+from snatchdet.config import PipelineConfig
+from snatchdet.pipeline import AlertRecord
+from snatchdet.temporal import HysteresisConfig
 
 
 def brute_force(seq, cfg):
@@ -54,8 +56,8 @@ class TestStep:
     def test_all_ones_activates_at_third_frame(self):
         cfg = HysteresisConfig(window=5, n_on=3, n_off=1)
         states, events = run_alarm([1] * 8, cfg)
-        assert [e.kind for e in events] == ["activated"]
-        assert events[0].timestamp == 2.0  # zero-based frame of the third 1
+        assert [kind for kind, _, _ in events] == ["activated"]
+        assert events[0][1] == 2.0  # zero-based frame of the third 1
         assert states[:3] == [0, 0, 1]
 
     def test_deactivates_when_count_drops(self):
@@ -64,8 +66,8 @@ class TestStep:
         states, events = run_alarm(seq, cfg)
         ref_states, ref_events = brute_force(seq, cfg)
         assert states == ref_states
-        assert [e.kind for e in events] == ["activated", "deactivated"]
-        assert events[1].window_count <= cfg.n_off
+        assert [kind for kind, _, _ in events] == ["activated", "deactivated"]
+        assert events[1][2] <= cfg.n_off
 
     def test_all_zeros_never_activates(self):
         cfg = HysteresisConfig(window=5, n_on=3, n_off=1)
@@ -76,8 +78,8 @@ class TestStep:
     def test_warmup_counts_seen_samples(self):
         cfg = HysteresisConfig(window=10, n_on=2, n_off=1)
         _, events = run_alarm([1, 1], cfg)
-        assert [e.kind for e in events] == ["activated"]
-        assert events[0].timestamp == 1.0
+        assert [kind for kind, _, _ in events] == ["activated"]
+        assert events[0][1] == 1.0
 
 
 class TestExhaustive:
@@ -89,15 +91,14 @@ class TestExhaustive:
                     states, events = run_alarm(seq, cfg)
                     ref_states, ref_events = brute_force(seq, cfg)
                     assert states == ref_states, (cfg, seq)
-                    got = [(e.kind, e.timestamp, e.window_count) for e in events]
                     want = [(k, float(t), c) for k, t, c in ref_events]
-                    assert got == want, (cfg, seq)
+                    assert events == want, (cfg, seq)
 
     def test_events_alternate(self):
         cfg = HysteresisConfig(window=4, n_on=3, n_off=1)
         rngseq = [1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1]
         _, events = run_alarm(rngseq, cfg)
-        kinds = [e.kind for e in events]
+        kinds = [kind for kind, _, _ in events]
         for a, b in zip(kinds, kinds[1:]):
             assert a != b
         if kinds:
@@ -123,7 +124,7 @@ def test_streaming_matches_brute_force(seq, w, data):
     states, events = run_alarm(seq, cfg)
     ref_states, ref_events = brute_force(seq, cfg)
     assert states == ref_states
-    assert [(e.kind, e.timestamp) for e in events] == [(k, float(t)) for k, t, _ in ref_events]
+    assert [(k, t) for k, t, _ in events] == [(k, float(t)) for k, t, _ in ref_events]
 
 
 @settings(max_examples=80, deadline=None)
@@ -151,7 +152,7 @@ def test_raising_n_on_never_activates_earlier():
         for n_on in range(2, w + 1):
             cfg = HysteresisConfig(window=w, n_on=n_on, n_off=1)
             _, events = run_alarm(seq, cfg)
-            first = next((e.timestamp for e in events if e.kind == "activated"), None)
+            first = next((t for kind, t, _ in events if kind == "activated"), None)
             if previous is not None and first is not None:
                 assert first >= previous
             if first is not None:
@@ -159,18 +160,16 @@ def test_raising_n_on_never_activates_earlier():
 
 
 class TestEvidenceWindow:
+    CFG = PipelineConfig(evidence_pre_s=2.0, evidence_post_s=4.0, fps=30.0)
+
     def test_basic_span(self):
-        event = AlarmEvent(kind="activated", timestamp=10.0, window_count=4)
-        ev = evidence_window(event, pre_span=2.0, post_span=4.0, fps=30.0)
-        assert (ev.start, ev.end) == (8.0, 14.0)
-        assert (ev.start_frame, ev.end_frame) == (240, 420)
+        ev = AlertRecord.of("1|2", "activated", 10.0, 4, self.CFG, stream_start=0.0).evidence
+        assert (ev["start_s"], ev["end_s"]) == (8.0, 14.0)
+        assert (ev["start_frame"], ev["end_frame"]) == (240, 420)
 
     def test_clamped_at_stream_start(self):
-        event = AlarmEvent(kind="activated", timestamp=1.0, window_count=4)
-        ev = evidence_window(event, pre_span=2.0, post_span=4.0, fps=30.0)
-        assert (ev.start, ev.end) == (0.0, 5.0)
+        ev = AlertRecord.of("1|2", "activated", 1.0, 4, self.CFG, stream_start=0.0).evidence
+        assert (ev["start_s"], ev["end_s"]) == (0.0, 5.0)
 
     def test_rejects_deactivation(self):
-        event = AlarmEvent(kind="deactivated", timestamp=3.0, window_count=0)
-        with pytest.raises(NotActivationEvent):
-            evidence_window(event)
+        assert AlertRecord.of("1|2", "deactivated", 3.0, 0, self.CFG, stream_start=0.0).evidence is None
