@@ -80,12 +80,21 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def _failed_share(runs: list[dict]) -> float:
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
 def summarise(end_to_end: list[dict], runs: dict, claim: Optional[tuple[str, str]] = None) -> dict:
     """The ``workloads``, ``no_regression`` and ``claim`` fields of a BENCH file.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of metrics; ``runs`` maps a
     workload to ``{"parent": [run, ...], "change": [run, ...]}``, pair i
     being the i-th run of each side, each run as ``bench_run`` gives it.
+    Each side's ``failed_share`` is its failed encounters over its attempted
+    ones, summed over its runs. Beside one flag per metric, ``no_regression``
+    holds ``failed_share_not_higher`` (the change's share is at most the
+    parent's) and ``every_run_correct`` (every run of the change is correct).
     """
     workloads, no_regression = {}, {}
     for workload, sides in runs.items():
@@ -113,11 +122,15 @@ def summarise(end_to_end: list[dict], runs: dict, claim: Optional[tuple[str, str
                 "parent_values": parent,
                 "change_values": change,
             }
+        shares = {side: _failed_share(rs) for side, rs in sides.items()}
         workloads[workload] = {
             "runs": {side: [{k: r[k] for k in RUN_FIELDS} for r in rs] for side, rs in sides.items()},
+            "failed_share": shares,
             "metrics": metrics,
         }
         no_regression[workload] = {name: not m["worse_beyond_bound"] for name, m in metrics.items()}
+        no_regression[workload]["failed_share_not_higher"] = shares["change"] <= shares["parent"]
+        no_regression[workload]["every_run_correct"] = all(r["correct"] for r in sides["change"])
     out = {"workloads": workloads, "no_regression": no_regression, "claim": None}
     if claim is not None:
         workload, name = claim

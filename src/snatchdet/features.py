@@ -21,12 +21,12 @@ A ``SegmentFamilies`` table holds the family outputs and series aggregates
 of one segment's two tracks, keyed by what each value depends on: an
 individual family by its track, ``distance`` and the families derived
 from it by the unordered pair (its values are the same under both role
-orderings) and the directional
-families (``relative``, ``reaching``, ``facing``) by the ordered pair. The
-table is the one way extraction receives its caches: it holds the memo of
-per-frame values its families read. The stream engine builds one table per
-decision and passes it to both role orderings' ``extract_segment`` calls,
-so the second call computes only the directional families of its ordering.
+orderings) and the directional families (``relative``, ``reaching``,
+``facing``) by the ordered pair. Per-frame values are stored on the tracks
+a segment was cut from (see ``types.Track``), so overlapping windows share
+them. The stream engine builds one table per decision and passes it to
+both role orderings' ``extract_segment`` calls, so the second call
+computes only the directional families of its ordering.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ from .types import (
     LEFT_WRIST,
     RIGHT_WRIST,
     VALID_CONFIDENCE,
-    FrameMemo,
     PairSegment,
     Skeleton,
     Track,
-    center_speeds,
+    center_speed,
     clamp_cosine,
-    memo_or_new,
     ordered_sum,
+    pair_values,
+    track_steps,
 )
 
 Value = Optional[float]
@@ -293,11 +293,11 @@ class FeatureVector:
 # ---------------------------------------------------------------------------
 # per-frame geometry helpers (plain arithmetic, fixed operation order)
 #
-# A family reads its per-frame values through a ``FrameMemo``: values of one
-# skeleton from the skeleton itself, values of one row of the ordered pair
-# (``memo.rows``) or spanning two rows of a track or of the pair
-# (``memo.steps``) from the memo, each computed by one row function the
-# first time any window asks. Everything relative to the window (the first
+# A family reads values of one skeleton from the skeleton itself, and
+# values spanning two rows of a track (``track_steps``) or one or two rows
+# of the ordered pair (``pair_values``) from the tracks the segment was cut
+# from, each computed by one row function the first time any window asks.
+# Everything relative to the window (the first
 # rows' missing derivatives, peaks, runs, percentages) is computed per call.
 
 
@@ -365,11 +365,11 @@ def _mean_torso(a: Skeleton, b: Skeleton) -> Value:
 # individual features
 
 
-def center_kinematics(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
+def center_kinematics(track: Track) -> Outputs:
     """Normalized body-center speed (its backward difference is ``acceleration``)."""
     if len(track) < 2:
         raise InsufficientSamples("center kinematics need at least 2 samples")
-    return {"velocity": center_speeds(track, memo)}
+    return {"velocity": track_steps(track, center_speed)}
 
 
 # Per row: None when neither wrist has a velocity there, else (normalized
@@ -396,14 +396,14 @@ def _wrist_step(prev: Skeleton, cur: Skeleton, dt: float) -> WristStep:
     return step
 
 
-def wrist_velocities(track: Track, memo: Optional[FrameMemo] = None) -> list[WristStep]:
+def wrist_velocities(track: Track) -> list[WristStep]:
     """Per row, the wrists' velocities from the previous row (see ``WristStep``).
 
     The velocity vector is in raw pixels per frame step; the speed is
     normalized by time step and torso height. A wrist only has a velocity
     at row i when it is valid at rows i-1 and i.
     """
-    return memo_or_new(memo).steps("wrists", _wrist_step, track)
+    return track_steps(track, _wrist_step)
 
 
 def _fast_flags(hand_speed: list[Value]) -> list[Optional[bool]]:
@@ -471,14 +471,14 @@ def _bbox_area_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
     return None
 
 
-def bbox_area_rate(track: Track, memo: Optional[FrameMemo] = None) -> Outputs:
+def bbox_area_rate(track: Track) -> Outputs:
     """Relative derivative of the (smoothed) bounding-box area, per second.
 
     The rate is missing at a frame whose previous box has zero area.
     """
     if len(track) < 2:
         raise InsufficientSamples("bbox area rate needs at least 2 samples")
-    return {"bboxAreaRate": memo_or_new(memo).steps("bboxAreaRate", _bbox_area_rate, track)}
+    return {"bboxAreaRate": track_steps(track, _bbox_area_rate)}
 
 
 def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
@@ -502,31 +502,39 @@ def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
 # pair alignment and interaction features
 
 
+def shared_samples(track_a: Track, track_b: Track) -> tuple[Sequence[int], Sequence[int]]:
+    """The indices of each track's samples at the timestamps both have, in time order."""
+    times_a, times_b = track_a.timestamps, track_b.timestamps
+    if times_a == times_b:
+        return range(len(times_a)), range(len(times_b))
+    index_b = {t: i for i, t in enumerate(times_b)}
+    picks_a = [i for i, t in enumerate(times_a) if t in index_b]
+    return picks_a, [index_b[times_a[i]] for i in picks_a]
+
+
 def pair_segment(track_a: Track, track_b: Track, fps: float) -> PairSegment:
-    """Align two smoothed tracks on their shared timestamps."""
-    index_b = {t: i for i, t in enumerate(track_b.timestamps)}
-    rows: list[tuple[float, int, int]] = []
-    for ia, t in enumerate(track_a.timestamps):
-        ib = index_b.get(t)
-        if ib is not None:
-            rows.append((t, ia, ib))
-    if len(rows) < 2:
+    """Align two smoothed tracks on their shared timestamps.
+
+    Each side's ``source`` is the track it was cut from and its indices
+    there; a side of consecutive samples is two list slices of that track.
+    """
+    picks_a, picks_b = shared_samples(track_a, track_b)
+    if len(picks_a) < 2:
         raise NoTemporalOverlap(
             f"tracks {track_a.track_id} and {track_b.track_id} share fewer than 2 frames"
         )
+    return PairSegment(aggressor=_cut(track_a, picks_a), victim=_cut(track_b, picks_b), fps=fps)
 
-    def slice_track(track: Track, picks: list[int]) -> Track:
-        return Track(
-            track_id=track.track_id,
-            timestamps=[track.timestamps[i] for i in picks],
-            skeletons=[track.skeletons[i] for i in picks],
-        )
 
-    return PairSegment(
-        aggressor=slice_track(track_a, [ia for _, ia, _ in rows]),
-        victim=slice_track(track_b, [ib for _, _, ib in rows]),
-        fps=fps,
-    )
+def _cut(track: Track, picks: Sequence[int]) -> Track:
+    first, n = picks[0], len(picks)
+    if picks[-1] - first == n - 1:
+        picks = range(first, first + n)
+        times, skels = track.timestamps[first : first + n], track.skeletons[first : first + n]
+    else:
+        times = [track.timestamps[i] for i in picks]
+        skels = [track.skeletons[i] for i in picks]
+    return Track(track.track_id, times, skels, source=(track, picks))
 
 
 def _distance_and_iou(a: Skeleton, b: Skeleton) -> tuple[Value, float]:
@@ -537,13 +545,13 @@ def _distance_and_iou(a: Skeleton, b: Skeleton) -> tuple[Value, float]:
     return distance, iou(a.bbox, b.bbox)
 
 
-def interaction_distance(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
+def interaction_distance(pair: PairSegment) -> Outputs:
     """Normalized center distance and bbox IoU over the segment.
 
     The distance's backward difference is ``distanceRate``; the IoU's peak
     and drop are ``iou_events``.
     """
-    rows = memo_or_new(memo).rows("distance", _distance_and_iou, pair.aggressor, pair.victim)
+    rows = pair_values(pair, _distance_and_iou)
     return {"distance": [d for d, _ in rows], "iou": [v for _, v in rows]}
 
 
@@ -588,9 +596,7 @@ def _relative_step(
     return rel_speed, clamp_cosine((vx * dx + vy * dy) / (nv * nd))
 
 
-def relative_motion(
-    pair: PairSegment, velocities: list[WristStep], memo: Optional[FrameMemo] = None
-) -> Outputs:
+def relative_motion(pair: PairSegment, velocities: list[WristStep]) -> Outputs:
     """Relative center speed plus the hand-toward-victim direction cosine.
 
     The cosine compares the velocity of A's faster wrist with the vector
@@ -598,9 +604,7 @@ def relative_motion(
     a missing value. ``velocities`` are A's ``wrist_velocities``. Both
     values at row i span rows i-1 and i of the pair.
     """
-    rows = memo_or_new(memo).steps(
-        "relative", _relative_step, pair.aggressor, pair.victim, extra=velocities
-    )
+    rows = pair_values(pair, _relative_step, velocities)
     rel_speed: list[Value] = [None]
     toward: list[Value] = [None]
     for speed, cosine in rows[1:]:
@@ -640,19 +644,14 @@ def _hand_reach(a: Skeleton, b: Skeleton) -> tuple[Value, Value]:
     )
 
 
-def reaching(
-    pair: PairSegment,
-    hand_speed: list[Value],
-    distance: list[Value],
-    memo: Optional[FrameMemo] = None,
-) -> Outputs:
+def reaching(pair: PairSegment, hand_speed: list[Value], distance: list[Value]) -> Outputs:
     """A-wrist to B-torso/hip distances and the fast-and-close conjunction.
 
     ``hand_speed`` is A's hand speed series (``hand_motion``'s
     ``handVelocity``) and ``distance`` the normalized center distance series
     (``interaction_distance``'s ``distance``) of the same segment.
     """
-    rows = memo_or_new(memo).rows("reaching", _hand_reach, pair.aggressor, pair.victim)
+    rows = pair_values(pair, _hand_reach)
     hand_to_torso: list[Value] = [d for d, _ in rows]
     hand_to_hip: list[Value] = [d for _, d in rows]
 
@@ -704,18 +703,17 @@ def _facing_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
     return abs(d) / dt
 
 
-def facing(pair: PairSegment, memo: Optional[FrameMemo] = None) -> Outputs:
+def facing(pair: PairSegment) -> Outputs:
     """Facing cosines for both roles plus the victim's facing angular speed.
 
     Both cosines are taken against the A-to-B direction, so +1 means A
     faces B and -1 means B faces A.
     """
-    memo = memo_or_new(memo)
-    rows = memo.rows("facing", _facing_cosines, pair.aggressor, pair.victim)
+    rows = pair_values(pair, _facing_cosines)
     return {
         "AfacingToB": [c for c, _ in rows],
         "BfacingToA": [c for _, c in rows],
-        "facingRate": memo.steps("facingRate", _facing_rate, pair.victim),
+        "facingRate": track_steps(pair.victim, _facing_rate),
     }
 
 
@@ -746,16 +744,13 @@ class SegmentFamilies:
     A derived family (``acceleration``, ``handAcceleration``, ``handJerk``,
     ``distanceRate``, ``iouEvents``) reads its source family's output from
     the table, so it runs only when a name reads it.
-    The families read their per-frame values from ``memo``: the window
-    store's when the segment was cut from one, so that overlapping windows
-    share them, else a fresh ``FrameMemo``. The table holds no reference to
-    itself, so its per-frame lists are freed with it rather than by the
-    cyclic garbage collector.
+    The families read their per-frame values from the tracks the segment
+    was cut from. The table holds no reference to itself, so its per-frame
+    lists are freed with it rather than by the cyclic garbage collector.
     """
 
-    def __init__(self, pair: PairSegment, memo: FrameMemo) -> None:
+    def __init__(self, pair: PairSegment) -> None:
         self.pair = pair
-        self.memo = memo
         self.outputs: dict[tuple[str, Optional[str]], Outputs] = {}
         self.aggregates: dict[tuple[tuple[str, Optional[str]], str, Stats], dict[str, Value]] = {}
 
@@ -775,20 +770,19 @@ class SegmentFamilies:
         return out
 
     def _compute(self, family: str, owner: Optional[str], pair: PairSegment) -> Outputs:
-        memo = self.memo
         if family == "distance":
-            # one memo key per unordered pair, whichever track this window's roles put first
+            # stored once per unordered pair, whichever track this window's roles put first
             if pair.aggressor.track_id > pair.victim.track_id:
                 pair = pair.swapped()
-            return interaction_distance(pair, memo)
+            return interaction_distance(pair)
         if family == "relative":
-            return relative_motion(pair, self.get(("wrists", owner), pair), memo)
+            return relative_motion(pair, self.get(("wrists", owner), pair))
         if family == "reaching":
             hand_speed = self.get(("hands", owner), pair)["handVelocity"]
             distance = self.get(("distance", None), pair)["distance"]
-            return reaching(pair, hand_speed, distance, memo)
+            return reaching(pair, hand_speed, distance)
         if family == "facing":
-            return facing(pair, memo)
+            return facing(pair)
         # the two tracks of a segment share their timestamps
         times = pair.aggressor.timestamps
         if family == "distanceRate":
@@ -806,9 +800,9 @@ class SegmentFamilies:
             return min_jerk(times, self.get(("handAcceleration", owner), pair)["handAcceleration"])
         track = pair.aggressor if owner == pair.aggressor.track_id else pair.victim
         if family == "wrists":
-            return wrist_velocities(track, memo)
+            return wrist_velocities(track)
         if family == "kinematics":
-            return center_kinematics(track, memo)
+            return center_kinematics(track)
         if family == "hands":
             return hand_motion(track, self.get(("wrists", owner), pair))
         if family == "arms":
@@ -816,7 +810,7 @@ class SegmentFamilies:
         if family == "elbows":
             return elbow_flexion(track)
         if family == "bbox":
-            return bbox_area_rate(track, memo)
+            return bbox_area_rate(track)
         raise KeyError(f"unknown feature family {family!r}")
 
 
@@ -828,8 +822,8 @@ def extract_segment(
     """Compute the feature vector of a pair segment for the schema's names.
 
     Values come from ``families``, a ``SegmentFamilies`` table of this
-    segment under either role ordering, and through it from its memo;
-    without one, from a fresh table over a fresh memo. Each family with an
+    segment under either role ordering; without one, from a fresh table.
+    Each family with an
     output in the schema runs once per table, and each series it returns is
     aggregated once, to the statistics the schema reads of it
     (``FeatureSchema.plan``), so a second call on ``pair.swapped()`` with
@@ -846,7 +840,7 @@ def extract_segment(
     if len(pair) < MIN_SEGMENT_FRAMES:
         raise SegmentTooShort(f"segment has {len(pair)} frames, need {MIN_SEGMENT_FRAMES}")
     if families is None:
-        families = SegmentFamilies(pair, FrameMemo())
+        families = SegmentFamilies(pair)
     elif not families.serves(pair):
         raise ValueError("the family table belongs to another segment")
     aggregates = families.aggregates

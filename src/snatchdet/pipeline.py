@@ -7,12 +7,12 @@ appends it to its key's one ``Track``; a frame leaving the window drops its
 first sample from its keys' tracks. At each stride point it hands back the
 closest pair of those live tracks, and nothing about roles. Its state is
 one track per key in the window, one record per raw id, however many keys
-the stream has used, and a ``FrameMemo`` of per-frame values (center
-speeds, wrist velocities, a pair's normalized distances, ...), each
-computed once, shared by both role orderings and the overlapping windows,
-and evicted with its frame. Pair selection computes raw center distances
-where it reads them, only for pairs the gap between the two tracks' center
-bounding boxes does not rule out.
+the stream has used, and on each track the values of its samples and one
+record of pair values per partner (``types.Track``), computed once for
+both role orderings and the overlapping windows. Pair selection reads the
+stored centers and computes raw center distances where it reads them, only
+for pairs the gap between the two tracks' center bounding boxes does not
+rule out.
 
 ``StreamEngine`` (``snatchdet stream``) cuts that pair's segment with the
 pair key's first track as A and classifies it under both orderings,
@@ -50,6 +50,7 @@ from .features import (
     extract_segment,
     full_schema,
     pair_segment,
+    shared_samples,
 )
 from .forest import ForestModel, SchemaMismatch, compile_chunk, predict_probability
 from .preprocess import (
@@ -60,7 +61,6 @@ from .preprocess import (
 )
 from .temporal import AlarmState, step
 from .types import (
-    FrameMemo,
     FrameRecord,
     Track,
     ordered_sum,
@@ -73,16 +73,13 @@ def pair_key_str(id_a: str, id_b: str) -> str:
     return "|".join(sorted((id_a, id_b), key=track_order))
 
 
-Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
-
-
-def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[float]:
-    """Mean raw center distance over the frames both tracks share, summed in frame order."""
-    dists = []
-    for t, ca in centers_a.items():
-        cb = centers_b.get(t)
-        if ca is not None and cb is not None:
-            dists.append(math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2))
+def _mean_pair_distance(a: Track, b: Track, ia: Sequence, ib: Sequence) -> Optional[float]:
+    """Mean raw center distance of ``a``'s samples ``ia`` and ``b``'s ``ib`` with both, in order."""
+    dists = [
+        math.sqrt((ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2)
+        for ca, cb in zip(map(a.centers.__getitem__, ia), map(b.centers.__getitem__, ib))
+        if ca is not None and cb is not None
+    ]
     if not dists:
         return None
     return ordered_sum(dists) / len(dists)
@@ -93,7 +90,7 @@ def _mean_pair_distance(centers_a: Centers, centers_b: Centers) -> Optional[floa
 _BOUND_SLACK = 1.0 + 1e-9
 
 
-def _candidate_pairs(centers: list[Centers]) -> list[tuple[float, int, int]]:
+def _candidate_pairs(centers: list[list]) -> list[tuple[float, int, int]]:
     """(lower bound, i, j) per pair of tracks with a valid center, ascending.
 
     The bound is the Euclidean gap between the two tracks' center bounding
@@ -105,7 +102,7 @@ def _candidate_pairs(centers: list[Centers]) -> list[tuple[float, int, int]]:
         # one loop per track: about 3x cheaper than min/max over zipped lists
         x0 = y0 = math.inf
         x1 = y1 = -math.inf
-        for c in track_centers.values():
+        for c in track_centers:
             if c is not None:
                 x, y = c
                 if x < x0:
@@ -144,20 +141,23 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
     rounds a little below its bound. With fewer than 3 eligible tracks there
     is at most one pair, and no bound is computed. A visited pair's mean is
     summed as without pruning, so the pick is the one trying every pair makes.
+    The centers are the tracks' stored ``centers``: one ``body_center`` per sample.
     """
     eligible = [w for w in windows if len(w) >= min_frames]
-    centers = [dict(zip(w.timestamps, map(body_center, w.skeletons))) for w in eligible]
+    for w in eligible:
+        w.centers.extend(map(body_center, w.skeletons[len(w.centers) :]))
     if len(eligible) < 3:
         candidates = [(0.0, 0, 1)] if len(eligible) == 2 else []
     else:
-        candidates = _candidate_pairs(centers)
+        candidates = _candidate_pairs([w.centers for w in eligible])
     best: Optional[tuple[float, tuple, int, int]] = None
     for bound, i, j in candidates:
         if best is not None and bound > best[0] * _BOUND_SLACK:
             break
-        if len(centers[i].keys() & centers[j].keys()) < min_frames:
+        picks_i, picks_j = shared_samples(eligible[i], eligible[j])
+        if len(picks_i) < min_frames:
             continue
-        d = _mean_pair_distance(centers[i], centers[j])
+        d = _mean_pair_distance(eligible[i], eligible[j], picks_i, picks_j)
         if d is None:
             continue
         key = tuple(sorted((track_order(eligible[i].track_id), track_order(eligible[j].track_id))))
@@ -168,11 +168,9 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
     return eligible[best[2]], eligible[best[3]]
 
 
-def order_roles(
-    track_a: Track, track_b: Track, window_s: float, memo: Optional[FrameMemo] = None
-) -> tuple[Track, Track]:
+def order_roles(track_a: Track, track_b: Track, window_s: float) -> tuple[Track, Track]:
     """(aggressor, victim) ordering by the mean-translation softmax score."""
-    assignments = aggressor_probabilities([track_a, track_b], window=window_s, memo=memo)
+    assignments = aggressor_probabilities([track_a, track_b], window=window_s)
     agg_id = choose_aggressor(assignments)
     if agg_id == track_a.track_id:
         return track_a, track_b
@@ -190,8 +188,8 @@ class TrackWindows:
     keys' tracks, and a track it empties, and returns the selected pair at
     each stride point. Each raw id has one record: its current key, the
     position it was last seen at, how often it was split and its smoother.
-    ``memo`` holds the per-frame values of the stored frames that its callers
-    have asked for; a frame's entries leave with the frame.
+    A track's stored values leave with its samples, and its ``PairRows``
+    leave its partners with it (see ``types.Track``).
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -200,7 +198,6 @@ class TrackWindows:
         self.frames: deque[tuple[float, list[str]]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
-        self.memo = FrameMemo()
 
     def add(self, record: FrameRecord) -> set[str]:
         """Append one frame's smoothed persons to their tracks; returns the keys present."""
@@ -229,15 +226,19 @@ class TrackWindows:
     def advance(self, record: FrameRecord) -> tuple[set[str], Optional[tuple[Track, Track]]]:
         """Add one frame; at a stride point, also ``select_pair`` over the window ending at it."""
         present = self.add(record)
-        wf, sf = self.cfg.window_frames, self.cfg.stride_frames
+        wf, sf, window = self.cfg.window_frames, self.cfg.stride_frames, self.window
         while len(self.frames) > wf:
-            t, keys = self.frames.popleft()
-            self.memo.evict(t)
+            _, keys = self.frames.popleft()
             for key in keys:
-                track = self.window[key]
-                del track.timestamps[0], track.skeletons[0]
+                track = window[key]
+                # the sample's stored values leave with it (see ``Track``)
+                del track.timestamps[0], track.skeletons[0], track.centers[:1]
+                for values in track.steps.values():
+                    del values[:1]
                 if not track.timestamps:
-                    del self.window[key]
+                    del window[key]
+                    for other in window.values():
+                        other.pairs.pop(key, None)
         if self.pos < wf - 1 or (self.pos - (wf - 1)) % sf:
             return present, None
         return present, select_pair(self.tracks(), MIN_SEGMENT_FRAMES)
@@ -266,9 +267,9 @@ def extract_windows(
         _, pair = windows.advance(record)
         if pair is None:
             continue
-        agg, vic = order_roles(pair[0], pair[1], cfg.window_s, windows.memo)
+        agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
         segment = pair_segment(agg, vic, fps=cfg.fps)
-        vector = extract_segment(segment, schema, SegmentFamilies(segment, windows.memo))
+        vector = extract_segment(segment, schema, SegmentFamilies(segment))
         key = pair_key_str(pair[0].track_id, pair[1].track_id)
         rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
     return rows
@@ -287,9 +288,9 @@ def extract_clip_row(
     if pair is None:
         return None
     duration = frames[-1].timestamp - frames[0].timestamp
-    agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s), windows.memo)
+    agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s))
     segment = pair_segment(agg, vic, fps=cfg.fps)
-    return extract_segment(segment, schema or full_schema(), SegmentFamilies(segment, windows.memo))
+    return extract_segment(segment, schema or full_schema(), SegmentFamilies(segment))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ class StreamEngine:
     def _classify(self, pair: tuple[Track, Track]) -> None:
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=self.cfg.fps)
-        families = SegmentFamilies(segment, self._windows.memo)
+        families = SegmentFamilies(segment)
         v_ab = extract_segment(segment, self.schema, families)
         v_ba = extract_segment(segment.swapped(), self.schema, families)
         prob = max(

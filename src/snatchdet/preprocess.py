@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 from .types import (
     NUM_KEYPOINTS,
     VALID_CONFIDENCE,
-    FrameMemo,
     Skeleton,
     Track,
-    center_speeds,
+    center_speed,
     ordered_sum,
     track_order,
+    track_steps,
     trusted_skeleton,
 )
 
@@ -129,16 +129,15 @@ def softmax(scores: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def aggressor_probabilities(
-    tracks: Sequence[Track], window: float, memo: Optional[FrameMemo] = None
-) -> list[RoleAssignment]:
+def aggressor_probabilities(tracks: Sequence[Track], window: float) -> list[RoleAssignment]:
     """Softmax role scores over the candidate tracks (temperature 1).
 
     ``window`` is the span of history (seconds) considered, ending at the
     latest timestamp across the tracks. A track's score is its mean body
     center speed (torso-heights/second) over that span: ``center_speed``
-    between consecutive samples, read from ``memo`` when it holds them,
-    skipping pairs where it is unobservable; 0.0 when nothing is measurable.
+    between consecutive samples, stored on the track when the span is the
+    whole track, skipping pairs where it is unobservable; 0.0 when nothing
+    is measurable.
     """
     if not tracks:
         raise InsufficientHistory("no tracks given")
@@ -149,7 +148,7 @@ def aggressor_probabilities(
 
     scores = []
     for span in spans:
-        speeds = [v for v in center_speeds(span, memo) if v is not None]
+        speeds = [v for v in track_steps(span, center_speed) if v is not None]
         scores.append(ordered_sum(speeds) / len(speeds) if speeds else 0.0)
     probs = softmax(scores)
     return [RoleAssignment(track_id=track.track_id, p_aggressor=p) for track, p in zip(tracks, probs)]

@@ -41,9 +41,6 @@ MAX_NESTING = 1024
 # a JSON string, running to the end of the line if it is never closed, so
 # the match never fails and stripping strings stays linear
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
-_DEPTH_STEP = np.zeros(256, dtype=np.int32)  # by UTF-8 byte: +1 opens, -1 closes
-_DEPTH_STEP[[ord("["), ord("{")]] = 1
-_DEPTH_STEP[[ord("]"), ord("}")]] = -1
 
 
 def frame_to_obj(record: FrameRecord) -> dict:
@@ -122,8 +119,10 @@ def _too_deeply_nested(line: str) -> bool:
     if np.count_nonzero((raw | 32) == ord("{")) <= MAX_NESTING:
         return False  # too few brackets, even counting those inside strings
     outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
-    depth = np.cumsum(_DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)], dtype=np.int32)
-    return int(depth.max(initial=0)) > MAX_NESTING
+    folded = np.frombuffer(outside, dtype=np.uint8) | 32
+    brackets = folded[np.flatnonzero((folded == ord("{")) | (folded == ord("}")))]
+    # the running depth at each bracket outside strings, where alone it changes
+    return int(np.cumsum(np.where(brackets == ord("{"), 1, -1)).max(initial=0)) > MAX_NESTING
 
 
 def line_to_frame(line: str, fps: float = 30.0) -> FrameRecord:

@@ -14,12 +14,12 @@ effective torso height, body center, facing direction, elbow angles, arm
 extension). Every value is computed on first use and stored on that
 skeleton, so pair selection, the role ordering of offline extraction,
 every feature family and every overlapping window share one computation,
-and the values are freed with the skeleton. Values that span two frames of
-a track, or two people, have no one skeleton to live on; a ``FrameMemo``
-holds the ones the feature families and offline role ordering read,
-grouped by frame, and is the only code that reads or writes them. Pair
-selection's raw center distances are computed where they are read, not
-stored: most belong to pairs that are never extracted.
+and the values are freed with the skeleton. A value spanning two samples
+of a track, and the body center pair selection reads, live on the track
+(``track_steps``); a value of two people lives in the ``PairRows`` of the
+ordered pair (``pair_values``). Pair selection's raw center distances are
+computed where they are read, not stored: most belong to pairs that are
+never extracted.
 
 Every float sum that reaches an output goes through ``ordered_sum``, one
 left-to-right addition, so outputs do not depend on the Python version.
@@ -35,9 +35,10 @@ computes its verdict on first read.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 NUM_KEYPOINTS = 17
 
@@ -373,15 +374,24 @@ class FrameRecord:
 
 @dataclass
 class Track:
-    """Time-ordered skeletons of one person identity.
+    """Time-ordered skeletons of one person identity, and values stored of them.
 
-    ``skeletons`` runs parallel to ``timestamps``. The windowing core hands
-    out skeletons already smoothed by ``preprocess.SkeletonSmoother``.
+    ``skeletons`` runs parallel to ``timestamps``; the windowing core hands
+    them out smoothed. ``centers`` (read by pair selection) and ``steps[row]``
+    (``track_steps``) run parallel to the samples from the first, filled up
+    to the last sample read and trimmed with the samples. ``pairs`` maps a
+    partner's id to the ``PairRows`` of (this track, partner). The
+    ``source`` of a ``PairSegment`` side is the track it was cut from and
+    its indices there.
     """
 
     track_id: str
     timestamps: list[float] = field(default_factory=list)
     skeletons: list[Skeleton] = field(default_factory=list)
+    centers: list = field(default_factory=list, compare=False, repr=False)
+    steps: dict = field(default_factory=dict, compare=False, repr=False)
+    pairs: dict = field(default_factory=dict, compare=False, repr=False)
+    source: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -396,6 +406,52 @@ def track_order(track_id: str) -> tuple:
         return tuple(int(p) for p in track_id.split("."))
     except ValueError:
         return (float("inf"), track_id)
+
+
+def _cut_from(track: Track) -> tuple[Track, Sequence[int]]:
+    """(the track ``track`` was cut from, its indices there), or ``track`` and all of
+    its indices when it was cut from none or that track has dropped a sample since."""
+    if track.source is not None:
+        live, picks = track.source
+        if picks[-1] < len(live.skeletons) and live.skeletons[picks[-1]] is track.skeletons[-1]:
+            return live, picks
+    return track, range(len(track.timestamps))
+
+
+def track_steps(track: Track, row: Callable[[Skeleton, Skeleton, float], Any]) -> list:
+    """``row(previous skeleton, skeleton, dt)`` at each row of ``track``; None at row 0.
+
+    A row whose previous row is the previous sample of the track it was cut from
+    reads that track's ``steps[row]`` (never its first entry); any other is computed.
+    """
+    live, picks = _cut_from(track)
+    if not picks:
+        return []
+    stored = live.steps.setdefault(row, [])
+    times, skels = live.timestamps, live.skeletons
+    for i in range(len(stored), picks[-1] + 1):
+        stored.append(row(skels[i - 1], skels[i], times[i] - times[i - 1]) if i else None)
+    first, n = picks[0], len(picks)
+    if picks[-1] - first == n - 1:
+        return [None, *stored[first + 1 : first + n]]
+    return [None] + [
+        stored[i] if prev == i - 1 else row(skels[prev], skels[i], times[i] - times[prev])
+        for prev, i in zip(picks, picks[1:])
+    ]
+
+
+class PairRows(NamedTuple):
+    """Stored values of one ordered pair of tracks, at the timestamps both have.
+
+    Each list of ``values`` runs parallel to ``times`` from the first. Shared
+    timestamps only leave from the front and arrive at the end, so a value
+    spanning two rows keeps its previous row. ``partner`` is a weak reference:
+    it tells apart another track with the same id and keeps none alive.
+    """
+
+    partner: weakref.ref
+    times: list[float]
+    values: dict[Callable, list]
 
 
 @dataclass(frozen=True)
@@ -420,96 +476,46 @@ class PairSegment:
     def swapped(self) -> "PairSegment":
         return PairSegment(aggressor=self.victim, victim=self.aggressor, fps=self.fps)
 
+    @_stored
+    def rows(self) -> PairRows:
+        """The (A, B) ``PairRows`` of the tracks cut from, its rows starting as this segment's."""
+        live_a, live_b = _cut_from(self.aggressor)[0], _cut_from(self.victim)[0]
+        rows = live_a.pairs.get(live_b.track_id)
+        if rows is None or rows.partner() is not live_b:
+            rows = live_a.pairs[live_b.track_id] = PairRows(weakref.ref(live_b), [], {})
+        times, own = self.aggressor.timestamps, rows.times
+        k = bisect_left(own, times[0])  # rows that have left the window
+        if k:
+            del own[:k]
+            for values in rows.values.values():
+                del values[:k]
+        n = min(len(own), len(times))
+        if own[:n] != times[:n]:  # not this segment's rows: start over
+            own.clear()
+            rows.values.clear()
+        own.extend(times[len(own) :])
+        return rows
 
-_MISSING = object()
 
+def pair_values(pair: PairSegment, row: Callable[..., Any], extra: Optional[list] = None) -> list:
+    """Stored values of the ordered pair (A, B), one per row.
 
-class FrameMemo:
-    """Per-frame values of tracks and pairs, each computed once, grouped by frame.
-
-    A value belongs to one row of the ordered pair (A, B) of tracks that
-    share timestamps (``rows``), or to two consecutive rows of one track or
-    of that pair (``steps``). ``values[t]`` holds the entries of the frame
-    at timestamp ``t``, each under ``"<name>|<track key>[|<track key>]"``.
-    Track keys and a timestamp name the skeletons, so every window, both
-    orderings of a pair and every caller that asks get the same value. A value spanning the
-    rows at ``t_prev`` and ``t`` is stored at ``t`` as ``(t_prev, value)``
-    and read only when ``t_prev`` matches, since a segment's previous row
-    is the previous frame both members share, which need not be the
-    track's previous frame. ``evict(t)`` drops frame ``t``'s entries.
-    Readers must not mutate a value. Nothing outside this class reads or
-    writes ``values``.
+    Without ``extra``, ``row(A's skeleton, B's skeleton)``. With it, None at
+    row 0, then ``row(A's and B's previous skeletons, A's and B's skeletons,
+    dt, extra[i])``; ``extra[i]``, a value of row i the caller holds (A's
+    wrist steps), must depend only on rows i-1 and i.
     """
-
-    def __init__(self) -> None:
-        self.values: defaultdict[float, dict] = defaultdict(dict)
-
-    def evict(self, t: float) -> None:
-        self.values.pop(t, None)
-
-    def rows(
-        self, name: str, row: Callable[[Skeleton, Skeleton], Any], a: Track, b: Track
-    ) -> list:
-        """``row(A's skeleton, B's skeleton)`` at every row of the ordered pair (A, B).
-
-        A value of one row of one track lives on its skeleton instead.
-        """
-        values, key = self.values, f"{name}|{a.track_id}|{b.track_id}"
-        out = []
-        for t, skel_a, skel_b in zip(a.timestamps, a.skeletons, b.skeletons):
-            frame = values[t]
-            v = frame.get(key, _MISSING)
-            if v is _MISSING:
-                v = frame[key] = row(skel_a, skel_b)
-            out.append(v)
-        return out
-
-    def steps(
-        self,
-        name: str,
-        row: Callable[..., Any],
-        a: Track,
-        b: Optional[Track] = None,
-        extra: Optional[list] = None,
-    ) -> list:
-        """Values spanning each row and the row before it; None at row 0.
-
-        For the track ``a``: ``row(previous skeleton, skeleton, dt)``. For
-        the ordered pair (``a``, ``b``): ``row(A's previous skeleton, B's
-        previous skeleton, A's skeleton, B's skeleton, dt, extra[i])``, where
-        ``extra[i]`` is a value of row i the caller already holds (relative
-        motion passes A's wrist steps); it must depend only on rows i-1 and i.
-        """
-        if b is None:
-            key = f"{name}|{a.track_id}"
-        else:
-            key, skels_b = f"{name}|{a.track_id}|{b.track_id}", b.skeletons
-        values, times, skels_a = self.values, a.timestamps, a.skeletons
-        out: list = [None] if times else []
-        for t, tp in zip(times[1:], times):
-            frame = values[t]
-            entry = frame.get(key)
-            if entry is None or entry[0] != tp:
-                i = len(out)
-                if b is None:
-                    value = row(skels_a[i - 1], skels_a[i], t - tp)
-                else:
-                    value = row(
-                        skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], t - tp, extra[i]
-                    )
-                entry = frame[key] = (tp, value)
-            out.append(entry[1])
-        return out
-
-
-def memo_or_new(memo: Optional[FrameMemo]) -> FrameMemo:
-    """The caller's memo, or a fresh one for a caller without a window store."""
-    return FrameMemo() if memo is None else memo
-
-
-def center_speeds(track: Track, memo: Optional[FrameMemo] = None) -> list[Optional[float]]:
-    """``center_speed`` from each row's previous row; None at row 0."""
-    return memo_or_new(memo).steps("centerSpeed", center_speed, track)
+    a, b, n = pair.aggressor.skeletons, pair.victim.skeletons, len(pair)
+    stored = pair.rows.values.setdefault(row, [])
+    if extra is None:
+        stored.extend(map(row, a[len(stored) : n], b[len(stored) : n]))
+        return stored[:n]
+    times = pair.aggressor.timestamps
+    if not stored:
+        stored.append(None)
+    for i in range(len(stored), n):
+        stored.append(row(a[i - 1], b[i - 1], a[i], b[i], times[i] - times[i - 1], extra[i]))
+    return [None, *stored[1:n]]
 
 
 def _check_finite(value: float, what: str) -> None:

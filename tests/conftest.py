@@ -80,6 +80,16 @@ def random_segment(
     return pair_segment(a, b, fps=fps)
 
 
+def fresh_segment(segment):
+    """``segment`` cut anew from copies of its tracks, which store no value yet."""
+    a, b = segment.aggressor, segment.victim
+    return pair_segment(
+        Track(a.track_id, list(a.timestamps), list(a.skeletons)),
+        Track(b.track_id, list(b.timestamps), list(b.skeletons)),
+        fps=segment.fps,
+    )
+
+
 def static_skeleton(center=(100.0, 100.0), conf: float = 0.9) -> Skeleton:
     kps = tuple(Keypoint(center[0] + dx, center[1] + dy, conf) for dx, dy in _TEMPLATE)
     xs = [kp.x for kp in kps]

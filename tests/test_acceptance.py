@@ -549,26 +549,33 @@ def test_online_offline_equivalence(e2e, monkeypatch):
 
 
 def test_window_state_bounded_under_id_churn(e2e):
-    """Two people whose tracker ids change every 90 frames, for 3,000 frames:
-    the engine holds the track keys of the last window, not every id seen,
-    and per-frame memo entries only for the frames it still stores."""
+    """Two people whose tracker ids change every 90 frames, 45 frames apart,
+    for 3,000 frames: the engine holds the track keys of the last window,
+    not every id seen, and after every frame no stored series is longer than
+    its track's samples and every pair record names two keys it holds, so a
+    partner that leaves takes its records along."""
     cfg = e2e["cfg"]
     clip = generate(ScenarioSpec(kind="handshake", seed=3, duration=10.0, noise_sigma=1.0)).frames
     frames = []
     for pos in range(3000):
-        block = pos // 90
         persons = clip[pos % len(clip)].persons
-        frames.append(
-            FrameRecord(pos, pos / 30.0, tuple((2 * block + 1 + i, s) for i, (_, s) in enumerate(persons)))
-        )
+        ids = [2 * ((pos + 45 * i) // 90) + 1 + i for i in range(len(persons))]
+        frames.append(FrameRecord(pos, pos / 30.0, tuple((tid, s) for tid, (_, s) in zip(ids, persons))))
     engine = StreamEngine(e2e["model"], cfg)
-    run_engine(engine, frames)
+    stored = paired = 0
+    for record in frames:
+        engine.process(record)
+        buffers = engine._buffers
+        for track in engine._windows.tracks():
+            assert all(len(s) <= len(track) for s in (track.centers, *track.steps.values()))
+            assert set(track.pairs) <= buffers
+            stored += bool(track.steps)
+            paired += bool(track.pairs)
     # ids never return, so each raw id is one track key
     last_window = {str(tid) for f in frames[-cfg.window_frames:] for tid, _ in f.persons}
     assert engine.frames_processed == 3000
     assert len(engine._buffers) <= len(last_window)
-    memo = engine._windows.memo.values
-    assert memo and set(memo) <= {t for t, _ in engine._windows.frames}
+    assert stored and paired
 
 
 def test_extract_windows_matches_reference_on_split_ids():

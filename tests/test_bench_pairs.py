@@ -21,9 +21,9 @@ def bench_pairs():
     return module
 
 
-def _runs(fps, p50):
+def _runs(fps, p50, failed=2, correct=True):
     return [
-        {"seed": 7 + i, "correct": True, "attempted": 8, "failed": 2,
+        {"seed": 7 + i, "correct": correct, "attempted": 8, "failed": failed,
          "host_slowness_per_pass": [0.6, 0.61],
          "metrics": {"frames_per_s": f, "frame_latency_p50_us": p}}
         for i, (f, p) in enumerate(zip(fps, p50))
@@ -49,7 +49,11 @@ def test_summary_of_fabricated_runs(bench_pairs):
     assert fps["median_change_pct"] == -20.0
     assert (fps["pairs_change_better"], fps["pairs_change_worse"]) == (0, 5)
     assert fps["worse_beyond_bound"]  # 20% lower, bound 15%
-    assert out["no_regression"] == {"w": {"frames_per_s": False, "frame_latency_p50_us": True}}
+    assert out["no_regression"] == {"w": {
+        "frames_per_s": False, "frame_latency_p50_us": True,
+        "failed_share_not_higher": True, "every_run_correct": True,
+    }}
+    assert out["workloads"]["w"]["failed_share"] == {"parent": 0.25, "change": 0.25}
 
     # better in 4 of 5 pairs is below nine in ten, though the gap is wide
     claim = out["claim"]
@@ -73,3 +77,28 @@ def test_claim_needs_nine_in_ten_and_more_than_the_parent_iqr(bench_pairs):
             assert claim["pairs_change_better"] == 10
             assert claim["met"] is met
     assert bench_pairs.summarise(END_TO_END, runs)["claim"] is None
+
+
+def test_failed_share_and_correctness_flags(bench_pairs):
+    fps, p50 = [100, 110, 120, 130], [200, 210, 220, 230]
+    parent = _runs(fps, p50)
+    cases = [
+        # (change runs, failed share not higher, every run correct)
+        (_runs(fps, p50, failed=1), True, True),
+        (_runs(fps, p50, failed=3), False, True),
+        (_runs(fps, p50, correct=False), True, False),
+    ]
+    for change, not_higher, correct in cases:
+        out = bench_pairs.summarise(END_TO_END, {"w": {"parent": parent, "change": change}})
+        flags = out["no_regression"]["w"]
+        assert (flags["failed_share_not_higher"], flags["every_run_correct"]) == (not_higher, correct)
+        share = out["workloads"]["w"]["failed_share"]
+        assert share["parent"] == 8 / 32
+        assert share["change"] == sum(r["failed"] for r in change) / 32
+    # one incorrect run among correct ones is enough; a parent's does not count
+    mixed = _runs(fps, p50)
+    mixed[2]["correct"] = False
+    out = bench_pairs.summarise(END_TO_END, {"w": {"parent": parent, "change": mixed}})
+    assert out["no_regression"]["w"]["every_run_correct"] is False
+    out = bench_pairs.summarise(END_TO_END, {"w": {"parent": mixed, "change": parent}})
+    assert out["no_regression"]["w"]["every_run_correct"] is True

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_segment, run_engine, static_skeleton
+from conftest import fresh_segment, random_segment, run_engine, static_skeleton
 from snatchdet import features, pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
@@ -27,7 +27,7 @@ from snatchdet.features import (
 )
 from snatchdet.forest import Dataset, ForestConfig, train
 from snatchdet.synth import ScenarioSpec, generate
-from snatchdet.types import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER, FrameMemo, Skeleton
+from snatchdet.types import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER, Skeleton
 
 FULL = full_schema()
 # the ten columns `rank` puts first on the scripts/output_digest.py corpus
@@ -40,9 +40,9 @@ A_ONLY = FULL.select([n for n in FULL.names if n.startswith("A_")])
 B_ONLY = FULL.select([n for n in FULL.names if n.startswith("B_")])
 
 
-def both_orderings(segment, schema, memo=None):
+def both_orderings(segment, schema):
     """(repr(values), roles) of (A, B) then (B, A), extracted through one table."""
-    table = SegmentFamilies(segment, features.memo_or_new(memo))
+    table = SegmentFamilies(segment)
     return [
         (repr(v.values), v.roles)
         for v in (
@@ -53,6 +53,8 @@ def both_orderings(segment, schema, memo=None):
 
 
 def independent(segment, schema):
+    """As ``both_orderings``, but each ordering through its own table, on copies of the tracks."""
+    segment = fresh_segment(segment)
     return [
         (repr(v.values), v.roles)
         for v in (
@@ -115,8 +117,10 @@ def test_one_table_equals_independent_extractions(rng, schema):
     for _ in range(25):
         n = int(rng.integers(5, 21))
         seg = random_segment(rng, n, dropout=float(rng.uniform(0.0, 0.3)))
-        assert both_orderings(seg, schema) == independent(seg, schema)
-        assert both_orderings(seg, schema, FrameMemo()) == independent(seg, schema)
+        want = independent(seg, schema)
+        assert both_orderings(seg, schema) == want
+        # a second table reads the values the first stored on the tracks
+        assert both_orderings(seg, schema) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,7 +137,7 @@ def test_one_table_equals_independent_extractions_on_any_subset(names, seed, n):
 
 def test_a_table_of_another_segment_is_refused(rng):
     seg, other = random_segment(rng, 8), random_segment(rng, 8)
-    table = SegmentFamilies(seg, FrameMemo())
+    table = SegmentFamilies(seg)
     with pytest.raises(ValueError, match="family table"):
         extract_segment(other, FULL, table)
 
@@ -166,7 +170,7 @@ def test_each_family_runs_once_per_owner(rng, monkeypatch):
         count(name, ordering)
     count("aggregate", lambda series: "series")
 
-    table = SegmentFamilies(seg, FrameMemo())
+    table = SegmentFamilies(seg)
     extract_segment(seg, FULL, table)
     extract_segment(seg.swapped(), FULL, table)
 
@@ -192,7 +196,7 @@ def test_unread_families_are_not_computed_through_one_table(rng, monkeypatch):
         monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
     schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
     seg = random_segment(rng, 12)
-    table = SegmentFamilies(seg, FrameMemo())
+    table = SegmentFamilies(seg)
     for pair in (seg, seg.swapped()):
         vector = extract_segment(pair, schema, table)
         assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
@@ -203,7 +207,7 @@ def test_one_table_leaves_no_reference_cycles(rng):
     gc.collect()
     gc.disable()
     try:
-        table = SegmentFamilies(seg, FrameMemo())
+        table = SegmentFamilies(seg)
         extract_segment(seg, FULL, table)
         extract_segment(seg.swapped(), FULL, table)
         del table

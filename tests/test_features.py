@@ -41,7 +41,7 @@ from snatchdet.features import (
     _longest_run,
     _pct,
 )
-from snatchdet.types import FrameMemo, Keypoint, Track
+from snatchdet.types import Keypoint, Track
 
 
 def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100.0)):
@@ -119,7 +119,7 @@ class AllMissing(SegmentFamilies):
     """A family table whose every family returns each base missing."""
 
     def __init__(self, pair, names):
-        super().__init__(pair, None)
+        super().__init__(pair)
         self.missing = {}
         for name in names:
             base, stat = base_and_stat(name)
@@ -569,8 +569,8 @@ class TestExtractSegment:
     def test_base_name_missing_from_its_family_is_an_error(self, rng, monkeypatch):
         inner = facing
 
-        def without_rate(pair, memo=None):
-            out = inner(pair, memo)
+        def without_rate(pair):
+            out = inner(pair)
             del out["facingRate"]
             return out
 
@@ -692,7 +692,7 @@ class TestSchemaPruning:
         want = [extract_segment(p, full_schema()).values for p in (seg, seg.swapped())]
         monkeypatch.setattr(features, "_backward_diff", counting_diff)
         monkeypatch.setattr(features, "sorted", counting_sorted, raising=False)
-        table = SegmentFamilies(seg, FrameMemo())
+        table = SegmentFamilies(seg)
         got = [extract_segment(p, schema, table).values for p in (seg, seg.swapped())]
         assert calls == {"diff": diffs, "sort": sorts}
         assert got == [{n: values[n] for n in schema.names} for values in want]

@@ -61,9 +61,9 @@ def test_extraction_computes_each_track_wrist_velocities_once(monkeypatch):
     calls = Counter()
     uncached = features.wrist_velocities
 
-    def counting(track, memo=None):
+    def counting(track):
         calls[track.track_id] += 1
-        return uncached(track, memo)
+        return uncached(track)
 
     monkeypatch.setattr(features, "wrist_velocities", counting)
     extract_segment(segment, full_schema())

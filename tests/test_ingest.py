@@ -334,6 +334,52 @@ def test_nesting_scan_matches_the_decoded_depth(value, bound, wrap, ensure_ascii
     assert deep == (_nesting(json.loads(line)) > bound)
 
 
+def _loop_depth(line: str) -> int:
+    """The deepest bracket nesting outside strings, one character at a time.
+
+    A string opens at a quote and closes at the next quote that no
+    backslash escapes, or runs to the end of the line.
+    """
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in line:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+# runs of one character: quotes open and close strings, backslashes escape
+# inside them, and brackets fall inside and outside strings
+_RUNS = st.lists(
+    st.tuples(st.sampled_from('[]{}"\\a,\u00e9'), st.integers(min_value=1, max_value=700)),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUNS, st.integers(min_value=0, max_value=12), st.sampled_from("[{"))
+def test_exact_nesting_scan_matches_a_character_loop(runs, at, opener):
+    """Lines with more than MAX_NESTING opening brackets take the exact scan;
+    its verdict is the one a plain character loop gives. One run of
+    MAX_NESTING + 1 openers, inside or outside a string, makes sure of the
+    count; closers before it can keep the depth within the bound."""
+    runs.insert(at, (opener, streams.MAX_NESTING + 1))
+    line = "".join(ch * n for ch, n in runs)
+    assert streams._too_deeply_nested(line) == (_loop_depth(line) > streams.MAX_NESTING)
+
+
 # ---------------------------------------------------------------------------
 # the engine's ingest, from decoded object to smoothed skeleton, against the oracles
 

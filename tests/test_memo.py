@@ -1,21 +1,25 @@
-"""Extraction through the window store's per-frame memo equals fresh extraction.
+"""Extraction through the window store's stored values equals fresh extraction.
 
-``TrackWindows`` keeps one ``FrameMemo`` for the frames it stores; the role
+``TrackWindows`` keeps each live track's per-sample values on the track
+(body centers, center speeds, wrist steps, ...) and one ``PairRows`` record
+of pair values per ordered pair of live tracks; pair selection, the role
 ordering of offline extraction and every extraction of every overlapping
-window read it. The property drives a store over random streams whose
+window read them. The property drives a store over random streams whose
 people leave for a few frames (shorter than ``max_gap_frames``, so their
 key stays) and one of whom is gone long enough to come back under a split
 key. Those gaps make a segment's previous row differ from a track's
-previous stored frame, which is where a wrongly keyed two-frame value would
+previous stored sample, which is where a wrongly reused two-row value would
 show. Each window's pair is also extracted under both role orderings
-through one ``SegmentFamilies`` table, as the stream engine does.
+through one ``SegmentFamilies`` table, as the stream engine does, and every
+stored value is compared with the row function computed afresh. "Fresh"
+extraction runs on copies of the tracks, which store nothing yet.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_skeleton
+from conftest import fresh_segment, random_skeleton, random_track
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
     MIN_SEGMENT_FRAMES,
@@ -26,7 +30,7 @@ from snatchdet.features import (
     pair_segment,
 )
 from snatchdet.pipeline import TrackWindows, order_roles, select_pair
-from snatchdet.types import FrameRecord
+from snatchdet.types import FrameRecord, Track, track_order
 
 CFG = PipelineConfig(fps=10.0, window_s=2.0, stride_s=0.5, max_gap_frames=4)
 SCHEMA = full_schema()
@@ -52,34 +56,66 @@ def presence(draw):
     return n_frames, absent
 
 
-def stream(n_frames, absent, seed):
+def stream(n_frames, absent, seed, starts=None, sigma=6.0):
+    """Random people, person k + 1 starting at ``starts[k]`` and absent at ``absent[k]``."""
     rng = np.random.default_rng(seed)
-    centers = [[200.0 + 90.0 * k, 220.0] for k in range(len(absent))]
+    starts = starts or [(200.0 + 90.0 * k, 220.0) for k in range(len(absent))]
+    centers = [list(c) for c in starts]
     frames = []
     for pos in range(n_frames):
         persons = []
         for k, gone in enumerate(absent):
-            centers[k][0] += float(rng.normal(0, 6.0))
-            centers[k][1] += float(rng.normal(0, 6.0))
+            centers[k][0] += float(rng.normal(0, sigma))
+            centers[k][1] += float(rng.normal(0, sigma))
             if pos not in gone:
                 persons.append((k + 1, random_skeleton(rng, centers[k], dropout=0.15)))
         frames.append(FrameRecord(pos, pos / CFG.fps, tuple(persons)))
     return frames
 
 
-def assert_same_as_fresh(segment, memo):
-    got = extract_segment(segment, SCHEMA, SegmentFamilies(segment, memo))
-    want = extract_segment(segment, SCHEMA)
+def copies(tracks):
+    return [Track(t.track_id, list(t.timestamps), list(t.skeletons)) for t in tracks]
+
+
+def assert_same_as_fresh(segment):
+    got = extract_segment(segment, SCHEMA, SegmentFamilies(segment))
+    want = extract_segment(fresh_segment(segment), SCHEMA)
     assert repr(got.values) == repr(want.values), segment.aggressor.track_id
 
 
-def assert_one_table_same_as_fresh(segment, memo):
+def assert_one_table_same_as_fresh(segment):
     """Both role orderings through one family table, as the stream engine extracts."""
-    table = SegmentFamilies(segment, memo)
-    for pair in (segment, segment.swapped()):
+    table = SegmentFamilies(segment)
+    fresh = fresh_segment(segment)
+    for pair, want_pair in ((segment, fresh), (segment.swapped(), fresh.swapped())):
         got = extract_segment(pair, SCHEMA, table)
-        want = extract_segment(pair, SCHEMA)
+        want = extract_segment(want_pair, SCHEMA)
         assert repr(got.values) == repr(want.values), pair.aggressor.track_id
+
+
+def assert_stored_values_are_fresh(tracks):
+    """Every stored value of the live tracks equals its row function computed now."""
+    by_key = {t.track_id: t for t in tracks}
+    for track in tracks:
+        times, skels = track.timestamps, track.skeletons
+        assert len(track.centers) <= len(skels)
+        assert track.centers == [s.center for s in skels[: len(track.centers)]]
+        for row, stored in track.steps.items():
+            assert len(stored) <= len(skels)
+            for i in range(1, len(stored)):
+                want = row(skels[i - 1], skels[i], times[i] - times[i - 1])
+                assert repr(stored[i]) == repr(want), (track.track_id, row.__name__, i)
+        for key, record in track.pairs.items():
+            partner = by_key[key]
+            assert record.partner() is partner
+            at_a = dict(zip(times, skels))
+            at_b = dict(zip(partner.timestamps, partner.skeletons))
+            for row, stored in record.values.items():
+                if row.__code__.co_argcount != 2:
+                    continue  # a two-row value: checked through extraction
+                for t, value in zip(record.times, stored):
+                    if t in at_a and t in at_b:
+                        assert repr(value) == repr(row(at_a[t], at_b[t])), (key, row.__name__, t)
 
 
 def other_segment(tracks, chosen):
@@ -108,19 +144,63 @@ def test_memoised_extraction_equals_fresh_extraction(mask, seed):
         keys_seen |= present
         if pair is None:
             continue
-        # the store's selection, and roles ordered through its memo, equal
-        # a memo-free recomputation
+        # the store's selection, and roles ordered through its stored values,
+        # equal a recomputation on copies of the tracks
         tracks = windows.tracks()
-        fresh = select_pair(tracks, MIN_SEGMENT_FRAMES)
+        fresh = select_pair(copies(tracks), MIN_SEGMENT_FRAMES)
         assert [t.track_id for t in pair] == [t.track_id for t in fresh]
-        agg, vic = order_roles(pair[0], pair[1], CFG.window_s, windows.memo)
-        want = order_roles(fresh[0], fresh[1], CFG.window_s)
+        agg, vic = order_roles(pair[0], pair[1], CFG.window_s)
+        want = order_roles(*copies(fresh), CFG.window_s)
         assert (agg.track_id, vic.track_id) == (want[0].track_id, want[1].track_id)
         segment = pair_segment(agg, vic, fps=CFG.fps)
-        assert_same_as_fresh(segment, windows.memo)
-        assert_same_as_fresh(segment.swapped(), windows.memo)
-        assert_one_table_same_as_fresh(segment, windows.memo)
+        assert_same_as_fresh(segment)
+        assert_same_as_fresh(segment.swapped())
+        assert_one_table_same_as_fresh(segment)
         other = other_segment(tracks, {agg.track_id, vic.track_id})
         if other is not None:
-            assert_same_as_fresh(other, windows.memo)
+            assert_same_as_fresh(other)
+        assert_stored_values_are_fresh(tracks)
     assert any("." in key for key in keys_seen)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=22, max_value=30),
+    st.integers(min_value=10, max_value=20),
+    st.sets(st.integers(min_value=0, max_value=26), max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_pair_that_loses_selection_and_wins_it_back(arrive, stay, gaps, seed):
+    """A closer bystander takes the selection from the pair (1, 2) for one or
+    more strides and leaves; every later vector of (1, 2), under both
+    orderings, equals a fresh extraction of the same segment. Person 2 may
+    miss a few frames, so some segments skip samples of person 1."""
+    bystander_gone = set(range(arrive)) | set(range(arrive + stay, 80))
+    two_gone = {3 * k for k in gaps}  # one frame at a time: the key stays
+    frames = stream(80, [set(), two_gone, bystander_gone], seed,
+                    starts=[(200.0, 220.0), (350.0, 220.0), (235.0, 220.0)], sigma=0.5)
+    windows = TrackWindows(CFG)
+    selected, segment = [], None
+    for record in frames:
+        _, pair = windows.advance(record)
+        if pair is None:
+            continue
+        if segment is not None:
+            # a segment kept while its tracks dropped samples is still right
+            assert_one_table_same_as_fresh(segment)
+        a, b = sorted(pair, key=lambda track: track_order(track.track_id))
+        selected.append((a.track_id, b.track_id))
+        segment = pair_segment(a, b, fps=CFG.fps)
+        assert_one_table_same_as_fresh(segment)
+        assert_stored_values_are_fresh(windows.tracks())
+    lost = selected.index(("1", "3"))
+    assert ("1", "2") in selected[:lost] and ("1", "2") in selected[lost:]
+
+
+def test_values_of_another_track_with_the_same_id_are_not_read(rng):
+    """A track paired with two tracks of one id, one after the other, reads
+    no value stored for the first."""
+    a = random_track(rng, "1", 12)
+    first, second = random_track(rng, "2", 12), random_track(rng, "2", 12)
+    extract_segment(pair_segment(a, first, fps=CFG.fps), SCHEMA)
+    assert_one_table_same_as_fresh(pair_segment(a, second, fps=CFG.fps))
