@@ -529,7 +529,6 @@ def pair_segment(track_a: Track, track_b: Track, fps: float) -> PairSegment:
 def _cut(track: Track, picks: Sequence[int]) -> Track:
     first, n = picks[0], len(picks)
     if picks[-1] - first == n - 1:
-        picks = range(first, first + n)
         times, skels = track.timestamps[first : first + n], track.skeletons[first : first + n]
     else:
         times = [track.timestamps[i] for i in picks]

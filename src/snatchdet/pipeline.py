@@ -232,7 +232,9 @@ class TrackWindows:
             for key in keys:
                 track = window[key]
                 # the sample's stored values leave with it (see ``Track``)
-                del track.timestamps[0], track.skeletons[0], track.centers[:1]
+                del track.timestamps[0], track.skeletons[0]
+                if track.centers:
+                    del track.centers[0]
                 for values in track.steps.values():
                     del values[:1]
                 if not track.timestamps:

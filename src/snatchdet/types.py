@@ -485,10 +485,9 @@ class PairSegment:
             rows = live_a.pairs[live_b.track_id] = PairRows(weakref.ref(live_b), [], {})
         times, own = self.aggressor.timestamps, rows.times
         k = bisect_left(own, times[0])  # rows that have left the window
-        if k:
-            del own[:k]
-            for values in rows.values.values():
-                del values[:k]
+        del own[:k]
+        for values in rows.values.values():
+            del values[:k]
         n = min(len(own), len(times))
         if own[:n] != times[:n]:  # not this segment's rows: start over
             own.clear()
