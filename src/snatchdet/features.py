@@ -297,8 +297,8 @@ class FeatureVector:
 # values spanning two rows of a track (``track_steps``) or one or two rows
 # of the ordered pair (``pair_values``) from the tracks the segment was cut
 # from, each computed by one row function the first time any window asks.
-# Everything relative to the window (the first
-# rows' missing derivatives, peaks, runs, percentages) is computed per call.
+# Everything relative to the window (the first rows' missing derivatives,
+# peaks, runs, percentages) is computed per call.
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
@@ -822,8 +822,7 @@ def extract_segment(
 
     Values come from ``families``, a ``SegmentFamilies`` table of this
     segment under either role ordering; without one, from a fresh table.
-    Each family with an
-    output in the schema runs once per table, and each series it returns is
+    Each family with an output in the schema runs once per table, and each series it returns is
     aggregated once, to the statistics the schema reads of it
     (``FeatureSchema.plan``), so a second call on ``pair.swapped()`` with
     the same table computes only the directional families of its ordering
