@@ -11,12 +11,30 @@ from .features import (
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
 from .pipeline import StreamEngine, extract_clip_row, extract_windows
 from .preprocess import aggressor_probabilities
-from .selection import pca_project, select_top_k
-from .synth import Clip, ScenarioSpec, generate, generate_corpus
 from .temporal import AlarmState, HysteresisConfig, step
 from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, torso_height, validate_frame
 
 __version__ = "0.1.0"
+
+# numpy-backed exports, imported on first use (PEP 562) so that importing the
+# package, as every stream process does, loads no numpy
+_LAZY = {
+    "Clip": "synth",
+    "ScenarioSpec": "synth",
+    "generate": "synth",
+    "generate_corpus": "synth",
+    "pca_project": "selection",
+    "select_top_k": "selection",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "AlarmState",

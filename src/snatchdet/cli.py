@@ -24,9 +24,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import features, forest, pipeline, selection, streams, synth
+from . import features, forest, pipeline, streams
 from .config import BadConfig, PipelineConfig, load_config
 from .types import MalformedRecord
 
@@ -93,9 +91,14 @@ def _read_labels(path: str) -> dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# numpy, synth and selection are imported by the subcommands that use them,
+# so that a stream process never loads them
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import synth
+
     try:
         clips = synth.generate_corpus(
             n_per_class=args.n_per_class,
@@ -183,6 +186,10 @@ def _format_importance_report(ranked: Sequence[tuple[str, float]]) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import selection
+
     cfg = _config_from_args(args)
     try:
         names, rows = features.read_feature_csv(args.features)
@@ -226,6 +233,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    from . import selection
+
     try:
         model = forest.load_model(args.model)
     except (forest.CorruptModel, forest.VersionMismatch) as exc:
@@ -248,6 +257,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_pca(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import selection
+
     try:
         names, rows = features.read_feature_csv(args.features)
     except ValueError as exc:

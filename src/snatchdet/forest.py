@@ -46,6 +46,10 @@ once per path) is walked through its nested form instead, in its place in
 tree order.
 Compiled or walked, the leaves are added one by one in tree order, so
 probabilities are bit for bit those of the flat arrays.
+
+Training runs on numpy, which only the training functions import (and
+``_vector`` for a non-Mapping input): loading, compiling and predicting
+from a Mapping import no numpy, so a stream process does not load it.
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_FORMAT = "snatchdet.forest"
 MODEL_VERSION = 1
@@ -109,6 +114,8 @@ class Dataset:
     ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2:
@@ -207,13 +214,15 @@ class ForestModel:
     feature_names: tuple[str, ...]
     config: ForestConfig
     class_weights: tuple[float, float]
-    importances: np.ndarray
+    importances: tuple[float, ...]
     # built by compile_chunk, completed by the first predict_probability
     compiled: Optional["CompiledForest"] = field(default=None, compare=False, repr=False)
 
 
 def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
     """Per-class weight N / (K * N_c) for binary labels."""
+    import numpy as np
+
     y = np.asarray(labels)
     n0 = int(np.sum(y == 0))
     n1 = int(np.sum(y == 1))
@@ -224,11 +233,15 @@ def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tree_index)))
 
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's stable sort order and its sorted values, feature-major: two (d, n) arrays."""
+    import numpy as np
+
     columns = np.ascontiguousarray(X.T)
     order = np.argsort(columns, axis=1, kind="stable")
     return order, np.take_along_axis(columns, order, axis=1)
@@ -261,6 +274,8 @@ def _best_split(
     infinity), so ``x <= threshold`` sends exactly the rows with
     ``x <= lo`` left, as the search counted them.
     """
+    import numpy as np
+
     m = feats.shape[0]
     rows = order[feats]
     node_counts = counts[rows]
@@ -323,6 +338,8 @@ def _grow_tree(
     tree_index: int,
     weights: tuple[float, float],
 ) -> tuple[Tree, np.ndarray]:
+    import numpy as np
+
     rng = _tree_rng(cfg.seed, tree_index)
     d, n = order.shape
     w0, w1 = weights
@@ -367,6 +384,8 @@ def _grow_tree(
 
 def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     """Train the ensemble; deterministic for a fixed (dataset, config)."""
+    import numpy as np
+
     data = dataset.canonicalized()
     if len(data) == 0:
         raise MissingClass("empty dataset")
@@ -389,7 +408,7 @@ def train(dataset: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
         feature_names=data.feature_names,
         config=cfg,
         class_weights=weights,
-        importances=importances,
+        importances=tuple(importances.tolist()),
     )
 
 
@@ -525,6 +544,8 @@ def _vector(
             return [float(x[name]) for name in model.feature_names]
         except KeyError as exc:
             raise SchemaMismatch(f"input is missing feature {exc.args[0]!r}") from exc
+    import numpy as np
+
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (len(model.feature_names),):
         raise SchemaMismatch(
@@ -571,6 +592,8 @@ def training_accuracy(model: ForestModel, dataset: Dataset) -> float:
     fractions in tree order, so every probability is bit for bit
     ``predict_probability``'s.
     """
+    import numpy as np
+
     X = dataset.X
     if X.shape[1] != len(model.feature_names):
         raise SchemaMismatch(f"expected {len(model.feature_names)} features, got {X.shape[1]}")
@@ -759,14 +782,14 @@ def deserialize(document: str) -> ForestModel:
             feature_names=tuple(doc["schema"]),
             config=cfg,
             class_weights=_class_weights(doc["class_weights"]),
-            importances=np.array(_floats("importances", doc["importances"], importance_texts)),
+            importances=tuple(_floats("importances", doc["importances"], importance_texts)),
         )
         _check_reprs("importances", importance_texts)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (CorruptModel, VersionMismatch)):
             raise
         raise CorruptModel(f"malformed model document: {exc}") from exc
-    if model.importances.shape[0] != len(model.feature_names):
+    if len(model.importances) != len(model.feature_names):
         raise CorruptModel("importances length does not match schema")
     return model
 

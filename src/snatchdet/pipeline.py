@@ -141,6 +141,8 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
     rounds a little below its bound. With fewer than 3 eligible tracks there
     is at most one pair, and no bound is computed. A visited pair's mean is
     summed as without pruning, so the pick is the one trying every pair makes.
+    A pair whose timestamp spans do not overlap shares no frame and is
+    skipped before its samples are aligned.
     The centers are the tracks' stored ``centers``: one ``body_center`` per sample.
     """
     eligible = [w for w in windows if len(w) >= min_frames]
@@ -154,13 +156,16 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
     for bound, i, j in candidates:
         if best is not None and bound > best[0] * _BOUND_SLACK:
             break
-        picks_i, picks_j = shared_samples(eligible[i], eligible[j])
+        a, b = eligible[i], eligible[j]
+        if a.timestamps[-1] < b.timestamps[0] or b.timestamps[-1] < a.timestamps[0]:
+            continue  # no shared frame: a churned id's old and new key, most often
+        picks_i, picks_j = shared_samples(a, b)
         if len(picks_i) < min_frames:
             continue
-        d = _mean_pair_distance(eligible[i], eligible[j], picks_i, picks_j)
+        d = _mean_pair_distance(a, b, picks_i, picks_j)
         if d is None:
             continue
-        key = tuple(sorted((track_order(eligible[i].track_id), track_order(eligible[j].track_id))))
+        key = tuple(sorted((track_order(a.track_id), track_order(b.track_id))))
         if best is None or (d, key, i, j) < best:
             best = (d, key, i, j)
     if best is None:

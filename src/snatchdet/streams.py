@@ -11,8 +11,12 @@ One frame per line:
 ``frame_index / fps``. A line is read as strict RFC 8259 JSON by
 ``orjson``: no ``NaN`` or ``Infinity`` literals, no number beyond the double
 range, no unpaired surrogate escapes, and arrays and objects nested at most
-``MAX_NESTING`` deep (checked before decoding), and valid UTF-8: a bad byte
-reaches the decoder as a lone surrogate. ``obj_to_frame`` checks the shape
+``MAX_NESTING`` deep, and valid UTF-8: a bad byte reaches the decoder as a
+lone surrogate. Nesting is checked before decoding, without numpy: one
+``bytes.translate`` pass keeps the brackets, quotes and backslashes, and a
+line with more than ``MAX_NESTING`` opening brackets has its strings
+removed and its depth taken over the runs of opening brackets between
+closing ones. ``obj_to_frame`` checks the shape
 and the number types and builds each person's skeleton once, with its
 ``passes_whole`` verdict; ``types.validate_frame`` checks the rest. Frames
 are written by ``json.dumps``. Any line that is not a frame raises
@@ -22,10 +26,11 @@ are written by ``json.dumps``. Any line that is not a frame raises
 from __future__ import annotations
 
 import json
+import operator
 import re
+from itertools import accumulate, count
 from typing import IO, Iterable, Iterator, Union
 
-import numpy as np
 import orjson
 
 from .types import FrameRecord, MalformedRecord, check_shape, trusted_skeleton
@@ -41,6 +46,12 @@ MAX_NESTING = 1024
 # a JSON string, running to the end of the line if it is never closed, so
 # the match never fails and stripping strings stays linear
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+
+# translate tables: "{" and "}" fold to "[" and "]"; the nesting check keeps
+# the brackets, and the quotes and backslashes that delimit strings
+_FOLD = bytes.maketrans(b"{}", b"[]")
+_NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
+_NOT_BRACKET_OR_QUOTE = bytes(b for b in range(256) if b not in b'[]{}"\\')
 
 
 def frame_to_obj(record: FrameRecord) -> dict:
@@ -114,15 +125,20 @@ def frame_to_line(record: FrameRecord) -> str:
 
 
 def _too_deeply_nested(line: str) -> bool:
-    raw = np.frombuffer(line.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    # "[" and "{" differ only in bit 5, so one pass counts both
-    if np.count_nonzero((raw | 32) == ord("{")) <= MAX_NESTING:
+    kept = line.encode("utf-8", "surrogatepass").translate(_FOLD, _NOT_BRACKET_OR_QUOTE)
+    if kept.count(b"[") <= MAX_NESTING:
         return False  # too few brackets, even counting those inside strings
-    outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
-    folded = np.frombuffer(outside, dtype=np.uint8) | 32
-    brackets = folded[np.flatnonzero((folded == ord("{")) | (folded == ord("}")))]
-    # the running depth at each bracket outside strings, where alone it changes
-    return int(np.cumsum(np.where(brackets == ord("{"), 1, -1)).max(initial=0)) > MAX_NESTING
+    if b"\\" in kept:
+        # an escape may hide a quote: strip the strings from the whole line
+        outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
+        brackets = outside.translate(_FOLD, _NOT_BRACKET)
+    else:
+        # every other quote opens a string, which the next closes or the line ends
+        brackets = b"".join(kept.split(b'"')[::2])
+    # run k of opening brackets ends at depth (openers up to it) - k, the
+    # deepest the nesting gets between two closing brackets
+    runs = brackets.split(b"]")
+    return max(map(operator.sub, accumulate(map(len, runs)), count())) > MAX_NESTING
 
 
 def line_to_frame(line: str, fps: float = 30.0) -> FrameRecord:

@@ -329,7 +329,7 @@ def test_forest_reproducibility_and_importances(e2e):
     run1 = serialize(train(data, ForestConfig(n_trees=64, seed=42)))
     run2 = serialize(train(data, ForestConfig(n_trees=64, seed=42)))
     model = train(data, ForestConfig(n_trees=64, seed=42))
-    importance_sum = float(model.importances.sum())
+    importance_sum = float(np.sum(model.importances))
 
     ok = run1 == run2 and abs(importance_sum - 1.0) <= 1e-9
     report(

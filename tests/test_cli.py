@@ -788,6 +788,34 @@ class TestAlertSink:
         )
         assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
+    def test_stream_that_activates_imports_only_what_streaming_runs(self, trained, tmp_path):
+        """From start-up through its decisions and an activation, a stream loads
+        no numpy, no module that only training or simulation uses and no HTTP
+        client. The process runs ``snatchdet.cli`` through ``runpy``, as
+        ``python -m snatchdet.cli stream`` does."""
+        unwanted = ["numpy", "snatchdet.synth", "snatchdet.selection", "snatchdet.experiment",
+                    "urllib.request", "ssl"]
+        script = (
+            "import json, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('snatchdet.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            f"print(json.dumps([rc, [m for m in {unwanted!r} if m in sys.modules]]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        alerts, evidence = tmp_path / "alerts.jsonl", tmp_path / "evidence.jsonl"
+        argv = ["stream", "--stream", str(_snatch_stream(tmp_path)), "--model", str(trained["model"]),
+                "--alerts-out", str(alerts), "--evidence-out", str(evidence)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+        kinds = [json.loads(line)["kind"] for line in alerts.read_text().splitlines()]
+        assert "activated" in kinds
+        assert len(evidence.read_text().splitlines()) == kinds.count("activated")
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):

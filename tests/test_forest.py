@@ -1,5 +1,6 @@
 """Weighted-Gini forest: impurity, splits, training, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,8 +19,10 @@ from snatchdet.forest import (
     _tree_rng,
     balanced_weights,
     deserialize,
+    load_model,
     predict,
     predict_probability,
+    save_model,
     serialize,
     train,
     training_accuracy,
@@ -159,14 +162,14 @@ class TestTraining:
         X[:, 1] = y * 4.0 + rng.normal(scale=0.3, size=n)
         data = Dataset(feature_names=("a", "signal", "c"), X=X, y=y)
         model = train(data, ForestConfig(n_trees=40, seed=42))
-        assert model.importances.sum() == pytest.approx(1.0, abs=1e-9)
+        assert sum(model.importances) == pytest.approx(1.0, abs=1e-9)
         assert model.importances[1] > model.importances[0]
         assert model.importances[1] > model.importances[2]
 
     def test_importances_sum_to_one(self):
         model = train(separable_dataset(), ForestConfig(n_trees=10, seed=1))
-        assert model.importances.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(model.importances >= 0)
+        assert sum(model.importances) == pytest.approx(1.0, abs=1e-9)
+        assert all(v >= 0 for v in model.importances)
 
     def test_missing_class_raises(self):
         data = separable_dataset()
@@ -181,7 +184,7 @@ class TestTraining:
             Dataset(("a", "b"), X, y), ForestConfig(n_trees=5, seed=3)
         )
         assert all(t.feature[0] == -1 for t in model.trees)
-        assert np.all(model.importances == 0.0)
+        assert all(v == 0.0 for v in model.importances)
 
     def test_single_tree_fits_its_bootstrap_sample(self):
         rng = np.random.default_rng(11)
@@ -253,6 +256,20 @@ class TestSerialization:
         for _ in range(100):
             x = rng.normal(size=2) * 3
             assert predict_probability(model, x) == predict_probability(clone, x)
+
+    def test_importances_are_python_floats(self):
+        model = train(separable_dataset(), ForestConfig(n_trees=5, seed=42))
+        for loaded in (model, deserialize(serialize(model))):
+            assert type(loaded.importances) is tuple
+            assert {type(v) for v in loaded.importances} == {float}
+
+    def test_two_loads_of_one_file_compare_equal(self, tmp_path):
+        path = str(tmp_path / "model.json")
+        save_model(train(separable_dataset(), ForestConfig(n_trees=5, seed=42)), path)
+        first, second = load_model(path), load_model(path)
+        assert first == second
+        changed = (first.importances[0] + 0.25, *first.importances[1:])
+        assert dataclasses.replace(second, importances=changed) != first
 
     def test_round_trip_is_byte_stable(self):
         model = train(separable_dataset(), ForestConfig(n_trees=5, seed=42))

@@ -10,8 +10,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
-from snatchdet.features import MIN_SEGMENT_FRAMES
+from snatchdet.features import MIN_SEGMENT_FRAMES, shared_samples
 from snatchdet.pipeline import select_pair
 from snatchdet.types import NUM_KEYPOINTS, Skeleton, Track
 from test_acceptance import equivalence_clips
@@ -56,18 +57,46 @@ def test_matches_reference_on_the_equivalence_clips():
     assert checked > 100
 
 
-def test_matches_reference_on_the_digest_crowd_stream():
+def digest_crowd_stream(rounds):
+    """``scripts/output_digest.py``'s crowd stream: six bystanders whose ids churn."""
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest.encounter_stream(seed=1, rounds=rounds, bystanders=6)
+
+
+def test_matches_reference_on_the_digest_crowd_stream():
     cfg = PipelineConfig()
-    frames = digest.encounter_stream(seed=1, rounds=2, bystanders=6)
+    frames = digest_crowd_stream(rounds=2)
     crowded = 0
     for _, windows in reference_windows(frames, cfg):
         windows = [w for w in windows if len(w)]
         assert_same_pick(windows, MIN_SEGMENT_FRAMES)
         crowded += len(windows) >= 8
     assert crowded > 50
+
+
+def disjoint(a, b):
+    return a.timestamps[-1] < b.timestamps[0] or b.timestamps[-1] < a.timestamps[0]
+
+
+def test_pairs_that_share_no_frame_are_not_aligned(monkeypatch):
+    """A churned id's old and new key stand at one place but share no frame:
+    ``select_pair`` skips such a pair without aligning its samples."""
+    aligned = []
+
+    def recording(a, b):
+        aligned.append(disjoint(a, b))
+        return shared_samples(a, b)
+
+    monkeypatch.setattr(pipeline, "shared_samples", recording)
+    churned = 0
+    for _, windows in reference_windows(digest_crowd_stream(rounds=1), PipelineConfig()):
+        eligible = [w for w in windows if len(w) >= MIN_SEGMENT_FRAMES]
+        churned += any(disjoint(a, b) for k, a in enumerate(eligible) for b in eligible[k + 1 :])
+        select_pair(windows, MIN_SEGMENT_FRAMES)
+    assert churned > 10 and len(aligned) > 10
+    assert not any(aligned)
 
 
 def test_far_track_is_never_the_pick():

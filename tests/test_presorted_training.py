@@ -57,7 +57,7 @@ def assert_same_forest(model, trees, importances):
         assert [tuple(map(repr, w)) for w in got.leaf_weights] == [
             tuple(map(repr, w)) for w in want["leaf_weights"]
         ]
-    assert model.importances.tobytes() == importances.tobytes()
+    assert np.array(model.importances, dtype=np.float64).tobytes() == importances.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
