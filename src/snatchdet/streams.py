@@ -12,15 +12,13 @@ One frame per line:
 ``orjson``: no ``NaN`` or ``Infinity`` literals, no number beyond the double
 range, no unpaired surrogate escapes, and arrays and objects nested at most
 ``MAX_NESTING`` deep, and valid UTF-8: a bad byte reaches the decoder as a
-lone surrogate. Nesting is checked before decoding, without numpy: one
-``bytes.translate`` pass keeps the brackets, quotes and backslashes, and a
-line with more than ``MAX_NESTING`` opening brackets has its strings
-removed and its depth taken over the runs of opening brackets between
-closing ones. ``obj_to_frame`` checks the shape
-and the number types and builds each person's skeleton once, with its
-``passes_whole`` verdict; ``types.validate_frame`` checks the rest. Frames
-are written by ``json.dumps``. Any line that is not a frame raises
-``MalformedRecord``.
+lone surrogate. Nesting is checked before decoding, in plain Python: one
+``bytes.translate`` pass counts a line's opening brackets, and only a line
+with more than ``MAX_NESTING`` of them has its strings removed and its
+depth taken, from the runs of opening brackets between closing ones. ``obj_to_frame`` checks the shape and the number types and
+builds each person's skeleton once, with its ``passes_whole`` verdict;
+``types.validate_frame`` checks the rest. Frames are written by
+``json.dumps``. Any line that is not a frame raises ``MalformedRecord``.
 """
 
 from __future__ import annotations
@@ -47,8 +45,10 @@ MAX_NESTING = 1024
 # the match never fails and stripping strings stays linear
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 
-# translate tables: "{" and "}" fold to "[" and "]"; the nesting check keeps
-# the brackets, and the quotes and backslashes that delimit strings
+# translate tables: the nesting check counts the opening brackets, then
+# folds "{" and "}" to "[" and "]" and keeps the brackets, with the quotes
+# and backslashes that delimit strings
+_NOT_OPENING = bytes(b for b in range(256) if b not in b"[{")
 _FOLD = bytes.maketrans(b"{}", b"[]")
 _NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
 _NOT_BRACKET_OR_QUOTE = bytes(b for b in range(256) if b not in b'[]{}"\\')
@@ -125,9 +125,10 @@ def frame_to_line(record: FrameRecord) -> str:
 
 
 def _too_deeply_nested(line: str) -> bool:
-    kept = line.encode("utf-8", "surrogatepass").translate(_FOLD, _NOT_BRACKET_OR_QUOTE)
-    if kept.count(b"[") <= MAX_NESTING:
+    data = line.encode("utf-8", "surrogatepass")
+    if len(data.translate(None, _NOT_OPENING)) <= MAX_NESTING:
         return False  # too few brackets, even counting those inside strings
+    kept = data.translate(_FOLD, _NOT_BRACKET_OR_QUOTE)
     if b"\\" in kept:
         # an escape may hide a quote: strip the strings from the whole line
         outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
@@ -135,9 +136,10 @@ def _too_deeply_nested(line: str) -> bool:
     else:
         # every other quote opens a string, which the next closes or the line ends
         brackets = b"".join(kept.split(b'"')[::2])
-    # run k of opening brackets ends at depth (openers up to it) - k, the
-    # deepest the nesting gets between two closing brackets
-    runs = brackets.split(b"]")
+    # "][" leaves the depth where it was, so dropping it keeps the deepest
+    # point and folds a frame's lists into a few runs of opening brackets;
+    # run k ends at depth (openers up to it) - k, the deepest between closers
+    runs = brackets.replace(b"][", b"").split(b"]")
     return max(map(operator.sub, accumulate(map(len, runs)), count())) > MAX_NESTING
 
 
