@@ -15,8 +15,9 @@ range, no unpaired surrogate escapes, and arrays and objects nested at most
 lone surrogate. Nesting is checked before decoding, in plain Python: one
 ``bytes.translate`` pass counts a line's opening brackets, and only a line
 with more than ``MAX_NESTING`` of them has its strings removed and its
-depth taken, from the runs of opening brackets between closing ones. ``obj_to_frame`` checks the shape and the number types and
-builds each person's skeleton once, with its ``passes_whole`` verdict;
+depth taken, from the runs of opening brackets between closing ones.
+``obj_to_frame`` checks the shape and the number types and builds each
+person's skeleton once, with its ``passes_whole`` verdict;
 ``types.validate_frame`` checks the rest. Frames are written by
 ``json.dumps``. Any line that is not a frame raises ``MalformedRecord``.
 """
