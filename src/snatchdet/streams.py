@@ -47,12 +47,10 @@ MAX_NESTING = 1024
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 
 # translate tables: the nesting check counts the opening brackets, then
-# folds "{" and "}" to "[" and "]" and keeps the brackets, with the quotes
-# and backslashes that delimit strings
+# folds "{" and "}" to "[" and "]" and keeps only the brackets
 _NOT_OPENING = bytes(b for b in range(256) if b not in b"[{")
 _FOLD = bytes.maketrans(b"{}", b"[]")
 _NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
-_NOT_BRACKET_OR_QUOTE = bytes(b for b in range(256) if b not in b'[]{}"\\')
 
 
 def frame_to_obj(record: FrameRecord) -> dict:
@@ -129,14 +127,8 @@ def _too_deeply_nested(line: str) -> bool:
     data = line.encode("utf-8", "surrogatepass")
     if len(data.translate(None, _NOT_OPENING)) <= MAX_NESTING:
         return False  # too few brackets, even counting those inside strings
-    kept = data.translate(_FOLD, _NOT_BRACKET_OR_QUOTE)
-    if b"\\" in kept:
-        # an escape may hide a quote: strip the strings from the whole line
-        outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
-        brackets = outside.translate(_FOLD, _NOT_BRACKET)
-    else:
-        # every other quote opens a string, which the next closes or the line ends
-        brackets = b"".join(kept.split(b'"')[::2])
+    outside = _STRING.sub("", line).encode("utf-8", "surrogatepass")
+    brackets = outside.translate(_FOLD, _NOT_BRACKET)
     # "][" leaves the depth where it was, so dropping it keeps the deepest
     # point and folds a frame's lists into a few runs of opening brackets;
     # run k ends at depth (openers up to it) - k, the deepest between closers
