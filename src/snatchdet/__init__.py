@@ -10,14 +10,14 @@ from .features import (
 )
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
 from .pipeline import StreamEngine, extract_clip_row, extract_windows
-from .preprocess import aggressor_probabilities
 from .temporal import AlarmState, HysteresisConfig, step
 from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, torso_height, validate_frame
 
 __version__ = "0.1.0"
 
-# numpy-backed exports, imported on first use (PEP 562) so that importing the
-# package, as every stream process does, loads no numpy
+# exports of the modules only simulation and training use, imported on first
+# use (PEP 562) so that importing the package, as every stream process does,
+# loads neither them nor numpy
 _LAZY = {
     "Clip": "synth",
     "ScenarioSpec": "synth",
@@ -53,7 +53,6 @@ __all__ = [
     "Skeleton",
     "StreamEngine",
     "Track",
-    "aggressor_probabilities",
     "extract_clip_row",
     "extract_segment",
     "extract_windows",

@@ -56,10 +56,6 @@ Value = Optional[float]
 Outputs = dict[str, Union[Value, list[Value]]]
 
 
-class InsufficientSamples(ValueError):
-    """Track too short for the requested derivative order."""
-
-
 class NoTemporalOverlap(ValueError):
     """The two tracks share no usable time span."""
 
@@ -283,9 +279,6 @@ class FeatureVector:
     values: dict[str, float]
     roles: tuple[str, str]  # (aggressor track id, victim track id)
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[canonical_name(name)]
-
     def as_row(self, schema: FeatureSchema) -> list[float]:
         return [self.values[name] for name in schema.names]
 
@@ -367,8 +360,6 @@ def _mean_torso(a: Skeleton, b: Skeleton) -> Value:
 
 def center_kinematics(track: Track) -> Outputs:
     """Normalized body-center speed (its backward difference is ``acceleration``)."""
-    if len(track) < 2:
-        raise InsufficientSamples("center kinematics need at least 2 samples")
     return {"velocity": track_steps(track, center_speed)}
 
 
@@ -417,8 +408,6 @@ def hand_motion(track: Track, velocities: list[WristStep]) -> Outputs:
     backward differences are the ``handAcceleration`` and ``handJerk``
     families of ``SegmentFamilies``.
     """
-    if len(track) < 3:
-        raise InsufficientSamples("hand motion needs at least 3 samples")
     speed: list[Value] = [None if step is None else step[0] for step in velocities]
     peak = _first_argmax(speed)
     return {
@@ -436,8 +425,6 @@ def min_jerk(times: list[float], acceleration: list[Value]) -> Outputs:
 
 def arm_posture(track: Track, fps: float) -> Outputs:
     """Arm extension (max over arms), its peak and the retraction after it."""
-    if len(track) < 1:
-        raise InsufficientSamples("arm posture needs at least 1 sample")
     extension: list[Value] = [s.arm_extension for s in track.skeletons]
     peak = _first_argmax(extension)
     retraction: Value = None
@@ -476,8 +463,6 @@ def bbox_area_rate(track: Track) -> Outputs:
 
     The rate is missing at a frame whose previous box has zero area.
     """
-    if len(track) < 2:
-        raise InsufficientSamples("bbox area rate needs at least 2 samples")
     return {"bboxAreaRate": track_steps(track, _bbox_area_rate)}
 
 

@@ -25,9 +25,10 @@ for an activation, the evidence line; ``process`` returns the frame's
 records and the engine keeps no output history. Only the offline
 extractions write role-ordered rows: ``extract_windows``
 (``extract --mode sliding``) extracts each window's pair under the
-(aggressor, victim) ordering of ``order_roles``; ``extract_clip_row``
-(``extract --mode clip``) does the same for one window over the whole
-clip. The layers this module calls (``select_pair``, ``order_roles``,
+(aggressor, victim) ordering of ``order_roles``, which puts first the
+track with the higher mean center speed over the last ``window_s``
+seconds, and the lower id on a tie; ``extract_clip_row`` (``extract --mode
+clip``) does the same for one window over the whole clip. The layers this module calls (``select_pair``, ``order_roles``,
 ``pair_segment``, ``extract_segment``, ``predict_probability``, ``step``)
 are looked up here at each call, so a tool that replaces them here sees
 every call. Streaming alerts are therefore reproducible from an offline
@@ -37,6 +38,7 @@ recomputation of the same file.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import KeysView, Optional, Sequence
@@ -53,18 +55,15 @@ from .features import (
     shared_samples,
 )
 from .forest import ForestModel, SchemaMismatch, compile_chunk, predict_probability
-from .preprocess import (
-    SkeletonSmoother,
-    aggressor_probabilities,
-    body_center,
-    choose_aggressor,
-)
+from .preprocess import SkeletonSmoother, body_center
 from .temporal import AlarmState, step
 from .types import (
     FrameRecord,
     Track,
+    center_speed,
     ordered_sum,
     track_order,
+    track_steps,
     validate_frame,
 )
 
@@ -174,12 +173,23 @@ def select_pair(windows: Sequence[Track], min_frames: int) -> Optional[tuple[Tra
 
 
 def order_roles(track_a: Track, track_b: Track, window_s: float) -> tuple[Track, Track]:
-    """(aggressor, victim) ordering by the mean-translation softmax score."""
-    assignments = aggressor_probabilities([track_a, track_b], window=window_s)
-    agg_id = choose_aggressor(assignments)
-    if agg_id == track_a.track_id:
-        return track_a, track_b
-    return track_b, track_a
+    """(aggressor, victim): the track that moves more first.
+
+    A track's score is its mean ``center_speed`` between consecutive samples
+    inside the ``window_s`` seconds that end at the pair's latest timestamp,
+    skipping steps where it is unobservable; 0.0 when none is measurable.
+    The higher score is the aggressor, and equal scores put the lower
+    ``track_order`` id first.
+    """
+    start = max(track_a.timestamps[-1], track_b.timestamps[-1]) - window_s
+
+    def rank(track: Track) -> tuple:
+        first = bisect_left(track.timestamps, start)
+        speeds = [v for v in track_steps(track, center_speed)[first + 1 :] if v is not None]
+        return -(ordered_sum(speeds) / len(speeds) if speeds else 0.0), track_order(track.track_id)
+
+    aggressor, victim = sorted((track_a, track_b), key=rank)
+    return aggressor, victim
 
 
 class TrackWindows:

@@ -1,50 +1,25 @@
-"""Trajectory smoothing, scale normalization and aggressor/victim roles.
+"""Trajectory smoothing and the body center.
 
 Joint trajectories are denoised with an exponential moving average
 (x_smooth = alpha * x + (1 - alpha) * x_prev, initialized at the first
 sample). All distances downstream are expressed in torso heights, the
 shoulder-midpoint to hip-midpoint distance, so features are insensitive to
-subject-camera distance. The aggressor role probability of each track comes
-from its mean body-center translation, softmax-normalized over the tracks
-in view: the person who moves more abruptly is the more likely aggressor.
-The smoother checks no input rule: it is handed skeletons that
-``types.validate_frame`` has passed, and builds its output unchecked.
+subject-camera distance. The smoother checks no input rule: it is handed
+skeletons that ``types.validate_frame`` has passed, and builds its output
+unchecked.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .types import (
-    NUM_KEYPOINTS,
-    VALID_CONFIDENCE,
-    Skeleton,
-    Track,
-    center_speed,
-    ordered_sum,
-    track_order,
-    track_steps,
-    trusted_skeleton,
-)
+from .types import NUM_KEYPOINTS, VALID_CONFIDENCE, Skeleton, trusted_skeleton
 
 DEFAULT_ALPHA = 0.6
 
 
 class InvalidAlpha(ValueError):
     """EMA coefficient outside the open interval (0, 1)."""
-
-
-class InsufficientHistory(ValueError):
-    """No track has the two samples needed to estimate translation."""
-
-
-@dataclass(frozen=True)
-class RoleAssignment:
-    track_id: str
-    p_aggressor: float
 
 
 class SkeletonSmoother:
@@ -110,50 +85,3 @@ def body_center(skel: Skeleton) -> Optional[tuple[float, float]]:
     Computed once per skeleton and stored on it.
     """
     return skel.center
-
-
-def _span(track: Track, start: float, end: float) -> Track:
-    """The samples of a time-ordered track inside [start, end]."""
-    times = track.timestamps
-    lo, hi = bisect_left(times, start), bisect_right(times, end)
-    if lo == 0 and hi == len(times):
-        return track
-    return Track(track.track_id, times[lo:hi], track.skeletons[lo:hi])
-
-
-def softmax(scores: Sequence[float]) -> list[float]:
-    """Temperature-1 softmax, stabilized by subtracting the max score."""
-    m = max(scores)
-    exps = [math.exp(s - m) for s in scores]
-    total = ordered_sum(exps)
-    return [e / total for e in exps]
-
-
-def aggressor_probabilities(tracks: Sequence[Track], window: float) -> list[RoleAssignment]:
-    """Softmax role scores over the candidate tracks (temperature 1).
-
-    ``window`` is the span of history (seconds) considered, ending at the
-    latest timestamp across the tracks. A track's score is its mean body
-    center speed (torso-heights/second) over that span: ``center_speed``
-    between consecutive samples, stored on the track when the span is the
-    whole track, skipping pairs where it is unobservable; 0.0 when nothing
-    is measurable.
-    """
-    if not tracks:
-        raise InsufficientHistory("no tracks given")
-    end = max(t.timestamps[-1] for t in tracks if len(t) > 0)
-    spans = [_span(track, end - window, end) for track in tracks]
-    if all(len(span) < 2 for span in spans):
-        raise InsufficientHistory("no track has two samples inside the window")
-
-    scores = []
-    for span in spans:
-        speeds = [v for v in track_steps(span, center_speed) if v is not None]
-        scores.append(ordered_sum(speeds) / len(speeds) if speeds else 0.0)
-    probs = softmax(scores)
-    return [RoleAssignment(track_id=track.track_id, p_aggressor=p) for track, p in zip(tracks, probs)]
-
-
-def choose_aggressor(assignments: Sequence[RoleAssignment]) -> str:
-    """Track id with the highest aggressor probability; ties go to the lower id."""
-    return min(assignments, key=lambda a: (-a.p_aggressor, track_order(a.track_id))).track_id

@@ -1,13 +1,17 @@
-"""Importance-based feature selection and PCA class-separability export."""
+"""Importance-based feature selection and PCA class-separability export.
+
+Only ``pca_project`` imports numpy, so ranking a model's features loads none.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .features import FeatureSchema
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CountBelowOne(ValueError):
@@ -65,6 +69,8 @@ def pca_project(matrix, n_components: int = 2, standardize: bool = True) -> PcaR
     columns are left at 0). Component signs follow the convention that the
     largest-magnitude loading is positive.
     """
+    import numpy as np
+
     if n_components < 1:
         raise CountBelowOne(f"n_components must be at least 1, got {n_components}")
     X = np.asarray(matrix, dtype=np.float64)

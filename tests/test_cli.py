@@ -1,6 +1,7 @@
 """End-to-end CLI flows: simulate -> extract -> train -> rank/pca/stream."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -177,6 +178,27 @@ class TestExtract:
         )
         assert done.returncode == 2, done.stderr[-500:]
         assert "nested deeper" in done.stderr
+
+    def test_timestamp_gap_before_the_last_frame_extracts_one_row(self, tmp_path):
+        """A 60-frame window whose last timestamp jumps from 1.93 s to 100 s
+        leaves neither person two samples in the role span; the tie rule
+        orders the pair, and extract does not end in a traceback."""
+        clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=501, noise_sigma=1.0, duration=2.0))
+        frames = list(clip.frames)
+        assert len(frames) == 60 and round(frames[-2].timestamp, 2) == 1.93
+        frames[-1] = dataclasses.replace(frames[-1], timestamp=100.0)
+        gap = tmp_path / "gap.jsonl"
+        streams.write_stream(str(gap), frames)
+        out = tmp_path / "out.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["extract", "--streams", str(gap), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "snatchdet.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr[-500:]
+        _, rows = features.read_feature_csv(str(out))
+        assert [sid for sid, _ in rows] == ["gap#1|2#59"]
 
     def test_extract_is_byte_deterministic(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -815,6 +837,27 @@ class TestAlertSink:
         kinds = [json.loads(line)["kind"] for line in alerts.read_text().splitlines()]
         assert "activated" in kinds
         assert len(evidence.read_text().splitlines()) == kinds.count("activated")
+
+
+    def test_rank_imports_no_numpy(self, trained, tmp_path):
+        """Ranking reads importances from the model file; only PCA needs numpy."""
+        script = (
+            "import json, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('snatchdet.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "print(json.dumps([rc, 'numpy' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "rank.csv"
+        argv = ["rank", "--model", str(trained["model"]), "--k", "10", "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+        assert len(out.read_text().splitlines()) == 11
 
 
 class TestConfigFile:

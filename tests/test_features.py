@@ -15,7 +15,6 @@ from snatchdet import features
 from snatchdet.features import (
     MIN_SEGMENT_FRAMES,
     STATS,
-    InsufficientSamples,
     SegmentFamilies,
     SegmentTooShort,
     aggregate,
@@ -149,10 +148,6 @@ class TestCenterKinematics:
         assert velocity[0] is None and velocity[1] is not None
         assert present(derivative(track, velocity)) == []
 
-    def test_single_sample_raises(self):
-        with pytest.raises(InsufficientSamples):
-            center_kinematics(presmoothed_track([static_skeleton()]))
-
 
 class TestHandMotion:
     def test_stationary_wrists(self):
@@ -196,10 +191,6 @@ class TestHandMotion:
         result = hands_of(presmoothed_track(skels, 30.0))
         for v in present(result["handVelocity"]):
             assert v == pytest.approx(2.0, rel=1e-9)
-
-    def test_too_short_raises(self):
-        with pytest.raises(InsufficientSamples):
-            hands_of(presmoothed_track([static_skeleton()] * 2))
 
 
 class TestArmPosture:
@@ -517,12 +508,12 @@ class TestExtractSegment:
         pair = make_pair(
             [static_skeleton((100, 100))] * 10, [static_skeleton((900, 100))] * 10
         )
-        vector = extract_segment(pair)
-        assert vector["A_velocity_mean"] == 0.0
-        assert vector["A_fastHandPct"] == 0.0
-        assert vector["closeHandPct"] == 0.0
-        assert vector["iou_max"] == 0.0
-        assert vector["distance_max"] == pytest.approx(vector["distance_min"], rel=1e-9)
+        values = extract_segment(pair).values
+        assert values["A_velocity_mean"] == 0.0
+        assert values["A_fastHandPct"] == 0.0
+        assert values["closeHandPct"] == 0.0
+        assert values["iou_max"] == 0.0
+        assert values["distance_max"] == pytest.approx(values["distance_min"], rel=1e-9)
 
     def test_schema_completeness(self, rng):
         schema = full_schema()
@@ -557,14 +548,14 @@ class TestExtractSegment:
         no_wrists = {9: None, 10: None}
         skels_a = [build_skeleton(no_wrists, center=(100.0 + i, 100.0)) for i in range(8)]
         pair = make_pair(skels_a, [static_skeleton((300.0, 100.0))] * 8)
-        vector = extract_segment(pair)
+        values = extract_segment(pair).values
         want = reference_segment_features(pair)
         for stat in ("mean", "median", "min", "max", "p95"):
-            assert vector[f"handToTorso_{stat}"] == vector[f"handToHip_{stat}"] == 10.0
-        assert vector["postContactSepMean"] == 10.0
+            assert values[f"handToTorso_{stat}"] == values[f"handToHip_{stat}"] == 10.0
+        assert values["postContactSepMean"] == 10.0
         for name in ("closeHandPct", "fastAndClosePct", "fastAndCloseLongest"):
-            assert vector[name] == 0.0
-        assert vector.values == {name: want[name] for name in vector.values}
+            assert values[name] == 0.0
+        assert values == {name: want[name] for name in values}
 
     def test_base_name_missing_from_its_family_is_an_error(self, rng, monkeypatch):
         inner = facing

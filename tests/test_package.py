@@ -17,7 +17,6 @@ DEFINED_IN = {
     "features": ["FeatureSchema", "FeatureVector", "extract_segment", "full_schema", "pair_segment"],
     "forest": ["Dataset", "ForestConfig", "ForestModel", "predict", "train"],
     "pipeline": ["StreamEngine", "extract_clip_row", "extract_windows"],
-    "preprocess": ["aggressor_probabilities"],
     "selection": ["pca_project", "select_top_k"],
     "synth": ["Clip", "ScenarioSpec", "generate", "generate_corpus"],
     "temporal": ["AlarmState", "HysteresisConfig", "step"],

@@ -1,6 +1,4 @@
-"""EMA smoothing, torso scale and the aggressor-role softmax."""
-
-import math
+"""EMA smoothing, torso scale and the role ordering of offline extraction."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import skeleton_from_keypoints, static_skeleton
 from ingest_reference import smooth_track
-from snatchdet.preprocess import (
-    DEFAULT_ALPHA,
-    InsufficientHistory,
-    InvalidAlpha,
-    SkeletonSmoother,
-    aggressor_probabilities,
-    body_center,
-    choose_aggressor,
-)
+from snatchdet.pipeline import order_roles
+from snatchdet.preprocess import DEFAULT_ALPHA, InvalidAlpha, SkeletonSmoother, body_center
 from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track, torso_height
 
 
@@ -172,79 +163,50 @@ class TestTorsoHeight:
         assert body_center(skeleton_from_keypoints(kps, skel.bbox)) == (1.0, 2.0)
 
 
+def _track(track_id, xs, times):
+    """A smoothed track whose body center runs through ``xs`` at ``times``."""
+    raw = Track(track_id, list(times), [static_skeleton((100.0 + x, 100.0)) for x in xs])
+    return smooth_track(raw, 0.6)
+
+
 def _track_moving(track_id, speed_px, n=20, fps=10.0):
-    return Track(
-        track_id,
-        [i / fps for i in range(n)],
-        [static_skeleton((100.0 + speed_px * i, 100.0)) for i in range(n)],
-    )
+    return _track(track_id, [speed_px * i for i in range(n)], [i / fps for i in range(n)])
 
 
-class TestAggressorProbabilities:
-    def _smooth(self, track):
-        return smooth_track(track, 0.6)
-
-    def test_equal_translation_is_symmetric(self):
-        a = self._smooth(_track_moving("1", 5.0))
-        b = self._smooth(_track_moving("2", 5.0))
-        probs = aggressor_probabilities([a, b], window=10.0)
-        assert probs[0].p_aggressor == pytest.approx(0.5, abs=1e-9)
-        assert probs[1].p_aggressor == pytest.approx(0.5, abs=1e-9)
-
-    def test_softmax_of_unit_gap(self):
-        # m = (1.0, 0.0) through the module's softmax
-        from snatchdet.preprocess import softmax
-
-        p = softmax([1.0, 0.0])
-        assert p[0] == pytest.approx(math.e / (math.e + 1), abs=1e-12)
-        assert p[1] == pytest.approx(1 / (math.e + 1), abs=1e-12)
-        # and the real pipeline: still-vs-moving puts the mover first
-        a = self._smooth(_track_moving("1", 8.0))
-        b = self._smooth(_track_moving("2", 0.0))
-        probs = aggressor_probabilities([a, b], window=10.0)
-        assert probs[0].p_aggressor > probs[1].p_aggressor
-        assert probs[0].p_aggressor + probs[1].p_aggressor == pytest.approx(1.0, abs=1e-9)
-
-    def test_single_track_probability_one(self):
-        a = self._smooth(_track_moving("1", 2.0))
-        probs = aggressor_probabilities([a], window=10.0)
-        assert probs[0].p_aggressor == 1.0
-
-    def test_insufficient_history(self):
-        a = self._smooth(_track_moving("1", 2.0, n=5))
-        with pytest.raises(InsufficientHistory):
-            aggressor_probabilities([a], window=0.01)
-
-    def test_probabilities_sum_to_one(self, rng):
-        tracks = [
-            self._smooth(_track_moving(str(i), float(rng.uniform(0, 10)))) for i in range(4)
-        ]
-        probs = aggressor_probabilities(tracks, window=10.0)
-        assert sum(p.p_aggressor for p in probs) == pytest.approx(1.0, abs=1e-9)
-
-    def test_argmax_matches_mean_translation(self, rng):
-        speeds = [2.0, 7.0, 4.0]
-        tracks = [self._smooth(_track_moving(str(i + 1), s)) for i, s in enumerate(speeds)]
-        probs = aggressor_probabilities(tracks, window=10.0)
-        assert choose_aggressor(probs) == "2"
-
-    def test_tie_breaks_to_lower_track_id(self):
-        a = self._smooth(_track_moving("2", 5.0))
-        b = self._smooth(_track_moving("1", 5.0))
-        probs = aggressor_probabilities([a, b], window=10.0)
-        assert choose_aggressor(probs) == "1"
+def ids(pair):
+    return tuple(track.track_id for track in pair)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=6),
-    st.floats(min_value=-100, max_value=100, allow_nan=False),
-)
-def test_softmax_sums_to_one_and_is_shift_invariant(scores, c):
-    from snatchdet.preprocess import softmax
+class TestOrderRoles:
+    """``pipeline.order_roles``: the track with the higher mean center speed in the span is A."""
 
-    probs = softmax(scores)
-    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-    shifted = softmax([s + c for s in scores])
-    for p, q in zip(probs, shifted):
-        assert q == pytest.approx(p, abs=1e-9)
+    def test_faster_track_comes_first(self):
+        still, mover = _track_moving("1", 0.0), _track_moving("2", 8.0)
+        assert ids(order_roles(still, mover, 10.0)) == ("2", "1")
+        assert ids(order_roles(mover, still, 10.0)) == ("2", "1")
+        slow, fast = _track_moving("3", 4.0), _track_moving("4", 7.0)
+        assert ids(order_roles(slow, fast, 10.0)) == ("4", "3")
+
+    @pytest.mark.parametrize("low, high", [("1", "2"), ("9", "10"), ("3", "3.1")])
+    def test_tie_puts_the_lower_id_first_in_either_argument_order(self, low, high):
+        a, b = _track_moving(low, 5.0), _track_moving(high, 5.0)
+        assert ids(order_roles(a, b, 10.0)) == (low, high)
+        assert ids(order_roles(b, a, 10.0)) == (low, high)
+
+    def test_span_is_trimmed_by_a_timestamp_gap(self):
+        # "1" is the faster before the gap, "2" after it; the 2 s span ends at
+        # 101 s and holds only the samples after the gap
+        times = [i / 10.0 for i in range(20)] + [100.0 + i / 10.0 for i in range(11)]
+        fast_then_still = _track("1", [20.0 * min(i, 15) for i in range(31)], times)
+        still_then_slow = _track("2", [0.0] * 20 + [4.0 * i for i in range(11)], times)
+        assert ids(order_roles(fast_then_still, still_then_slow, 2.0)) == ("2", "1")
+        # over the whole track "1" moved more
+        assert ids(order_roles(fast_then_still, still_then_slow, 200.0)) == ("1", "2")
+
+    def test_no_two_samples_in_the_span_is_a_tie(self):
+        # the last timestamp jumps: each 2 s span holds one sample, no speed
+        times = [i / 10.0 for i in range(19)] + [100.0]
+        still = _track("1", [0.0] * 20, times)
+        mover = _track("2", [8.0 * i for i in range(20)], times)
+        assert ids(order_roles(mover, still, 2.0)) == ("1", "2")
+        assert ids(order_roles(still, mover, 2.0)) == ("1", "2")

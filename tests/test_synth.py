@@ -47,8 +47,8 @@ class TestGenerate:
         clip = generate(ScenarioSpec(kind="snatch", seed=21, noise_sigma=0.0))
         vector = clip_features(clip)
         assert vector.roles[0] == "1"  # mover is picked as the aggressor
-        assert vector["handToTorso_min"] < 0.3
-        assert vector["A_fastHandPct"] > 0.0
+        assert vector.values["handToTorso_min"] < 0.3
+        assert vector.values["A_fastHandPct"] > 0.0
         assert clip.label == 1
         assert 0.0 < clip.event_time < clip.spec.duration
 
@@ -77,17 +77,17 @@ class TestGenerate:
     def test_standing_zero_noise_has_zero_velocity(self):
         clip = generate(ScenarioSpec(kind="standing", seed=3, noise_sigma=0.0))
         vector = clip_features(clip)
-        assert vector["A_velocity_max"] == 0.0
-        assert vector["B_velocity_max"] == 0.0
-        assert vector["A_handVelocity_max"] == 0.0
+        assert vector.values["A_velocity_max"] == 0.0
+        assert vector.values["B_velocity_max"] == 0.0
+        assert vector.values["A_handVelocity_max"] == 0.0
         assert clip.label == 0
 
     def test_benign_scenarios_stay_out_of_reach(self):
         for kind in ("walk_by", "handshake", "standing"):
             clip = generate(ScenarioSpec(kind=kind, seed=8, noise_sigma=0.0))
             vector = clip_features(clip)
-            assert vector["handToTorso_min"] > 0.4, kind
-            assert vector["fastAndClosePct"] == 0.0, kind
+            assert vector.values["handToTorso_min"] > 0.4, kind
+            assert vector.values["fastAndClosePct"] == 0.0, kind
 
 
 class TestCorpus:
