@@ -180,12 +180,15 @@ def ids(pair):
 class TestOrderRoles:
     """``pipeline.order_roles``: the track with the higher mean center speed in the span is A."""
 
-    def test_faster_track_comes_first(self):
+    def test_moving_track_comes_before_a_still_one(self):
         still, mover = _track_moving("1", 0.0), _track_moving("2", 8.0)
         assert ids(order_roles(still, mover, 10.0)) == ("2", "1")
         assert ids(order_roles(mover, still, 10.0)) == ("2", "1")
+
+    def test_faster_track_comes_first(self):
         slow, fast = _track_moving("3", 4.0), _track_moving("4", 7.0)
         assert ids(order_roles(slow, fast, 10.0)) == ("4", "3")
+        assert ids(order_roles(fast, slow, 10.0)) == ("4", "3")
 
     @pytest.mark.parametrize("low, high", [("1", "2"), ("9", "10"), ("3", "3.1")])
     def test_tie_puts_the_lower_id_first_in_either_argument_order(self, low, high):
