@@ -192,23 +192,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     cfg = _config_from_args(args)
     try:
-        names, rows = features.read_feature_csv(args.features)
+        names, ids, values = features.read_feature_csv(args.features)
         labels = _read_labels(args.labels)
     except (ValueError, MalformedRecord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    matched = [(sid, vals) for sid, vals in rows if sid in labels]
-    if len(matched) < len(rows):
-        print(f"warning: {len(rows) - len(matched)} rows lack labels", file=sys.stderr)
     # a header-only CSV stays 2-d (no rows), so it fails as an empty dataset
-    matrix = np.array([[vals[n] for n in names] for _, vals in matched]).reshape(len(matched), len(names))
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(names))
+    matched = [i for i, sid in enumerate(ids) if sid in labels]
+    if len(matched) < len(ids):
+        print(f"warning: {len(ids) - len(matched)} rows lack labels", file=sys.stderr)
+        matrix = matrix[matched]
     try:
         dataset = forest.Dataset(
             feature_names=tuple(names),
             X=matrix,
-            y=np.array([labels[sid] for sid, _ in matched]),
-            ids=tuple(sid for sid, _ in matched),
+            y=np.array([labels[ids[i]] for i in matched]),
+            ids=tuple(ids[i] for i in matched),
         )
         model = forest.train(dataset, cfg.forest())
     except forest.MissingClass as exc:
@@ -262,7 +263,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
     from . import selection
 
     try:
-        names, rows = features.read_feature_csv(args.features)
+        names, ids, values = features.read_feature_csv(args.features)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -273,15 +274,14 @@ def cmd_pca(args: argparse.Namespace) -> int:
         except MalformedRecord as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
-        labels = [table.get(sid, "") for sid, _ in rows]
+        labels = [table.get(sid, "") for sid in ids]
     # a header-only CSV stays 2-d (no rows), so it fails as too few samples
-    matrix = np.array([[vals[n] for n in names] for _, vals in rows]).reshape(len(rows), len(names))
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(names))
     try:
         result = selection.pca_project(matrix, n_components=args.components)
     except (selection.CountBelowOne, selection.TooFewSamples, selection.TooManyComponents) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    ids = [sid for sid, _ in rows]
     if args.out == "-":
         selection.write_pca_csv(sys.stdout, result, ids, labels)
     else:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
@@ -862,8 +863,12 @@ def write_feature_csv(
         writer.writerow([segment_id, *(repr(vector.values[n]) for n in schema.names)])
 
 
-def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[tuple[str, dict[str, float]]]]:
-    """Parse a feature CSV back into (schema names, [(segment_id, values)])."""
+def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
+    """Parse a feature CSV into (schema names, segment ids, values).
+
+    ``values`` holds every cell in row-major order, one 8-byte double each.
+    A header naming one feature twice, under any two spellings, raises ``ValueError``.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_feature_csv(fh)
@@ -872,7 +877,12 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[tuple[str, dic
     if not header or header[0] != "segment_id":
         raise ValueError("feature CSV must start with a segment_id header column")
     names = [canonical_name(n) for n in header[1:]]
-    rows = []
+    if len(set(names)) != len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        spellings = [h for h, n in zip(header[1:], names) if n == twice]
+        raise ValueError(f"feature CSV header names feature {twice!r} more than once: {spellings}")
+    ids: list[str] = []
+    values = array("d")
     for line in reader:
         if not line:
             continue
@@ -880,5 +890,6 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[tuple[str, dic
             raise ValueError(
                 f"feature CSV line {reader.line_num}: {len(line)} fields, header has {len(header)}"
             )
-        rows.append((line[0], {n: float(v) for n, v in zip(names, line[1:])}))
-    return names, rows
+        ids.append(line[0])
+        values.extend(map(float, line[1:]))
+    return names, ids, values

@@ -20,30 +20,25 @@ rows within ties. So the gains, thresholds, tie-breaks and importances
 are bit for bit those of sorting each node's rows again, as a naive
 per-node search would.
 
-A tree is stored as flat node arrays, which training fills and the model
-document holds. From them each tree gets a nested form,
-``(feature, threshold, left, right)`` tuples whose leaves are the leaf
-probabilities, built once per tree after growing or loading. It is built
-bottom-up in reverse node order, since a child always lies after its
-parent: each node is built once even where a valid document shares a
-child between parents (a top-down build would copy it once per path, an
-exponential number of times in the worst case), and no recursion limits
-how deep a tree may be.
+A tree is its flat node arrays, one form that training fills, the model
+document holds, and prediction compiles or walks. A leaf's probability is
+its weighted robbery fraction ``w1 / (w0 + w1)``, computed where it is
+read. Every walk over the arrays is iterative, so no recursion limits how
+deep a tree may be.
 
 Prediction runs a compiled form of the model (``CompiledForest``): each
-tree's nested form becomes straight-line Python, ``if v[f] <= thr:``
-blocks that end in ``t += leaf``. Consecutive trees share one generated
-function of about ``CHUNK_LINES`` lines (about ten trees of the deployed
-models), so that no one function, and the peak memory of compiling it,
-grows with the forest. ``compile_chunk`` compiles one such function per
-call, so a caller can spread the compile over idle moments (the stream
-engine compiles one chunk per frame while its first window fills); the
-first prediction compiles whatever is left. Only ``int`` feature indices
-and the ``repr`` of finite floats are written into the source. A tree
-with a non-finite threshold, one nested deeper than the generated source
-may indent, or one whose source would be too long (shared children expand
-once per path) is walked through its nested form instead, in its place in
-tree order.
+tree becomes straight-line Python, ``if v[f] <= thr:`` blocks that end in
+``t += leaf``. Consecutive trees share one generated function of about
+``CHUNK_LINES`` lines (about ten trees of the deployed models), so that no
+one function, and the peak memory of compiling it, grows with the forest.
+``compile_chunk`` compiles one such function per call, so a caller can
+spread the compile over idle moments (the stream engine compiles one
+chunk per frame while its first window fills); the first prediction
+compiles whatever is left. Only ``int`` feature indices and the ``repr``
+of finite floats are written into the source. A tree with a non-finite
+threshold, one deeper than the generated source may indent, or one whose
+source would be too long (shared children expand once per path) is walked
+through its arrays instead, in its place in tree order.
 Compiled or walked, the leaves are added one by one in tree order, so
 probabilities are bit for bit those of the flat arrays.
 
@@ -57,14 +52,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
 
 MODEL_FORMAT = "snatchdet.forest"
 MODEL_VERSION = 1
+_dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class MissingClass(ValueError):
@@ -158,20 +155,15 @@ class Dataset:
         )
 
 
-# A tree's nested form: (feature, threshold, left, right) at a split, the
-# leaf's robbery fraction at a leaf.
-Node = Union[tuple, float]
-
-
 @dataclass
 class Tree:
     """Flat CART arrays: node i is internal iff feature[i] >= 0.
 
-    The flat arrays are what training writes and the model document stores.
-    ``nested`` is the form prediction compiles or walks: the root node as nested
-    ``(feature, threshold, left, right)`` tuples whose leaves are the leaf's
-    weighted robbery fraction w1 / (w0 + w1). ``set_probabilities`` builds it
-    once the tree is complete (after growing and after loading).
+    The one form of a tree: training writes it, the model document stores
+    it, and prediction compiles or walks it from node 0. A split sends
+    ``x[feature[i]] <= threshold[i]`` to ``left[i]`` and the rest to
+    ``right[i]``; a leaf's probability is its weighted robbery fraction
+    ``w1 / (w0 + w1)`` of ``leaf_weights[i]``.
     """
 
     feature: list[int] = field(default_factory=list)
@@ -179,7 +171,6 @@ class Tree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     leaf_weights: list[tuple[float, float]] = field(default_factory=list)
-    nested: Node = field(default=0.0, compare=False, repr=False)
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -188,24 +179,6 @@ class Tree:
         self.right.append(-1)
         self.leaf_weights.append((0.0, 0.0))
         return len(self.feature) - 1
-
-    def set_probabilities(self) -> None:
-        """Build ``nested`` bottom-up, in reverse node order.
-
-        Children lie after their parent, so each child's node exists when
-        its parent is built, and a child that several parents share (which
-        a valid document may contain) is built once and reused: the build is
-        linear in the node count, and no recursion limits its depth.
-        """
-        nodes: list[Node] = [0.0] * len(self.feature)
-        for i in range(len(self.feature) - 1, -1, -1):
-            feat = self.feature[i]
-            if feat < 0:
-                w0, w1 = self.leaf_weights[i]
-                nodes[i] = w1 / (w0 + w1)
-            else:
-                nodes[i] = (feat, self.threshold[i], nodes[self.left[i]], nodes[self.right[i]])
-        self.nested = nodes[0]
 
 
 @dataclass
@@ -378,7 +351,6 @@ def _grow_tree(
         stack.append((right, right_counts))
         stack.append((left, left_counts))
 
-    tree.set_probabilities()
     return tree, decreases
 
 
@@ -424,8 +396,8 @@ MAX_COMPILED_DEPTH = 64
 MAX_TREE_LINES = 1024
 
 
-def _tree_source(root: Node) -> Optional[list[str]]:
-    """``root``'s straight-line source lines, or None if the tree must be walked.
+def _tree_source(tree: Tree) -> Optional[list[str]]:
+    """``tree``'s straight-line source lines, or None if the tree must be walked.
 
     A split becomes ``if v[f] <= thr:`` and ``else:`` blocks, a leaf
     ``t += leaf``, indented for a function body. Only an ``int`` feature
@@ -434,38 +406,42 @@ def _tree_source(root: Node) -> Optional[list[str]]:
     ``MAX_TREE_LINES`` lines however many paths its shared children make.
     """
     lines: list[str] = []
-    stack: list[tuple[Node, int]] = [(root, 1)]
+    # (node, depth), with node -1 for the "else:" between a split's two blocks
+    stack: list[tuple[int, int]] = [(0, 1)]
     while stack:
         node, depth = stack.pop()
         if len(lines) >= MAX_TREE_LINES or depth > MAX_COMPILED_DEPTH:
             return None
         pad = "    " * depth
-        if type(node) is str:  # the "else:" between a split's two blocks
-            lines.append(pad + node)
-        elif type(node) is tuple:
-            feat, threshold, left, right = node
-            if type(feat) is not int or type(threshold) is not float:
+        if node < 0:
+            lines.append(pad + "else:")
+            continue
+        feat = tree.feature[node]
+        if feat >= 0:
+            thr = tree.threshold[node]
+            if type(feat) is not int or type(thr) is not float or not math.isfinite(thr):
                 return None
-            if not math.isfinite(threshold):
-                return None
-            lines.append(f"{pad}if v[{feat}] <= {threshold!r}:")
-            stack += ((right, depth + 1), ("else:", depth), (left, depth + 1))
-        elif type(node) is float and math.isfinite(node):
-            lines.append(f"{pad}t += {node!r}")
-        else:
+            lines.append(f"{pad}if v[{feat}] <= {thr!r}:")
+            stack += ((tree.right[node], depth + 1), (-1, depth), (tree.left[node], depth + 1))
+            continue
+        w0, w1 = tree.leaf_weights[node]
+        leaf = w1 / (w0 + w1)
+        if not math.isfinite(leaf):
             return None
+        lines.append(f"{pad}t += {leaf!r}")
     return lines
 
 
-def _walker(root: Node):
-    """A step that adds the leaf of ``root`` that ``vec`` reaches, walking the tuples."""
+def _walker(tree: Tree):
+    """A step that adds the leaf of ``tree`` that ``vec`` reaches, walking its arrays."""
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
 
     def walk(vec: list[float], total: float) -> float:
-        node = root
-        while type(node) is tuple:
-            feat, threshold, left, right = node
-            node = left if vec[feat] <= threshold else right
-        return total + node
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if vec[feature[node]] <= threshold[node] else right[node]
+        w0, w1 = tree.leaf_weights[node]
+        return total + w1 / (w0 + w1)
 
     return walk
 
@@ -505,11 +481,11 @@ class CompiledForest:
         chunk: list[str] = []
         walked = None
         while self._next < len(self._trees) and len(chunk) < CHUNK_LINES:
-            root = self._trees[self._next].nested
+            tree = self._trees[self._next]
             self._next += 1
-            lines = _tree_source(root)
+            lines = _tree_source(tree)
             if lines is None:
-                walked = _walker(root)
+                walked = _walker(tree)
                 break
             chunk += lines
             self.n_compiled += 1
@@ -587,10 +563,9 @@ def predict(model: ForestModel, x) -> tuple[int, float]:
 def training_accuracy(model: ForestModel, dataset: Dataset) -> float:
     """Share of ``dataset``'s rows whose predicted label is their own.
 
-    It does not compile the model: each tree's nested form splits the row
-    indices at each node some row reaches, and each row adds its leaf
-    fractions in tree order, so every probability is bit for bit
-    ``predict_probability``'s.
+    It does not compile the model: each tree splits the row indices at each
+    node some row reaches, and each row adds its leaf fractions in tree
+    order, so every probability is bit for bit ``predict_probability``'s.
     """
     import numpy as np
 
@@ -599,15 +574,17 @@ def training_accuracy(model: ForestModel, dataset: Dataset) -> float:
         raise SchemaMismatch(f"expected {len(model.feature_names)} features, got {X.shape[1]}")
     total = np.zeros(X.shape[0])
     for tree in model.trees:
-        stack = [(tree.nested, np.arange(X.shape[0]))]
+        stack = [(0, np.arange(X.shape[0]))]
         while stack:
             node, rows = stack.pop()
-            if type(node) is not tuple:
-                total[rows] += node
+            feat = tree.feature[node]
+            if feat < 0:
+                w0, w1 = tree.leaf_weights[node]
+                total[rows] += w1 / (w0 + w1)
                 continue
-            feat, threshold, left, right = node
-            goes_left = X[rows, feat] <= threshold
-            for child, part in ((right, rows[~goes_left]), (left, rows[goes_left])):
+            goes_left = X[rows, feat] <= tree.threshold[node]
+            children = ((tree.right[node], rows[~goes_left]), (tree.left[node], rows[goes_left]))
+            for child, part in children:
                 # only nodes some row reaches: a shared child is visited once per row
                 if part.size:
                     stack.append((child, part))
@@ -619,27 +596,29 @@ def training_accuracy(model: ForestModel, dataset: Dataset) -> float:
 # serialization
 
 
-def serialize(model: ForestModel) -> str:
-    """Stable JSON document; identical models produce identical bytes."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "schema": list(model.feature_names),
-        "config": {"n_trees": model.config.n_trees, "seed": model.config.seed, **RECIPE},
+def _document_pieces(model: ForestModel) -> Iterator[str]:
+    """The model document as its head, one piece per tree, and its tail, "version".
+
+    Joined, they are the whole document dumped with sorted keys and no spaces,
+    so identical models give identical bytes.
+    """
+    head = _dump({
         "class_weights": list(model.class_weights),
+        "config": {"n_trees": model.config.n_trees, "seed": model.config.seed, **RECIPE},
+        "format": MODEL_FORMAT,
         "importances": [repr(float(v)) for v in model.importances],
-        "trees": [
-            {
-                "feature": tree.feature,
-                "threshold": [repr(t) for t in tree.threshold],
-                "left": tree.left,
-                "right": tree.right,
-                "leaf": [[repr(w0), repr(w1)] for w0, w1 in tree.leaf_weights],
-            }
-            for tree in model.trees
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        "schema": list(model.feature_names),
+    })
+    yield head[:-1] + ',"trees":['
+    for i, tree in enumerate(model.trees):
+        yield ("," if i else "") + _dump({
+            "feature": tree.feature,
+            "threshold": [repr(t) for t in tree.threshold],
+            "left": tree.left,
+            "right": tree.right,
+            "leaf": [[repr(w0), repr(w1)] for w0, w1 in tree.leaf_weights],
+        })
+    yield f'],"version":{MODEL_VERSION}}}'
 
 
 def _check_tree(tree: Tree, n_features: int) -> None:
@@ -672,7 +651,7 @@ _TREE_KEYS = frozenset(("feature", "threshold", "left", "right", "leaf"))
 
 
 def _check_keys(where: str, obj: dict, known: frozenset) -> None:
-    """Raise CorruptModel naming a key of ``obj`` that serialize never writes.
+    """Raise CorruptModel naming a key of ``obj`` that save_model never writes.
 
     Such a key would be dropped on load, so the document would not be
     written back as it was read.
@@ -684,7 +663,7 @@ def _check_keys(where: str, obj: dict, known: frozenset) -> None:
             raise CorruptModel(f"{where} has unknown key {key!r}")
 
 
-# deserialize rejects each value that serialize would write back as other
+# deserialize rejects each value that save_model would write back as other
 # bytes: an integer given as a float or a boolean, a float that is not the
 # repr string of its value, a third class weight.
 
@@ -752,7 +731,12 @@ def deserialize(document: str) -> ForestModel:
             # then re-serialize to other bytes
             if type(cfg_doc[key]) is not type(value) or cfg_doc[key] != value:
                 raise CorruptModel(f"config {key} differs from the recipe's {json.dumps(value)}")
-        n_features = len(doc["schema"])
+        schema = doc["schema"]
+        if type(schema) is not list or set(map(type, schema)) - {str}:
+            raise CorruptModel("schema is not a list of strings")
+        if len(set(schema)) != len(schema):
+            twice = next(name for i, name in enumerate(schema) if name in schema[:i])
+            raise CorruptModel(f"schema names feature {twice!r} more than once")
         trees = []
         threshold_texts: set = set()
         weight_texts: set = set()
@@ -765,8 +749,7 @@ def deserialize(document: str) -> ForestModel:
                 right=_integers("tree right", tdoc["right"]),
                 leaf_weights=_leaf_weights(tdoc["leaf"], weight_texts),
             )
-            _check_tree(tree, n_features)
-            tree.set_probabilities()
+            _check_tree(tree, len(schema))
             trees.append(tree)
         _check_reprs("tree threshold", threshold_texts)
         _check_reprs("tree leaf", weight_texts)
@@ -779,7 +762,7 @@ def deserialize(document: str) -> ForestModel:
         importance_texts: set = set()
         model = ForestModel(
             trees=trees,
-            feature_names=tuple(doc["schema"]),
+            feature_names=tuple(schema),
             config=cfg,
             class_weights=_class_weights(doc["class_weights"]),
             importances=tuple(_floats("importances", doc["importances"], importance_texts)),
@@ -795,8 +778,9 @@ def deserialize(document: str) -> ForestModel:
 
 
 def save_model(model: ForestModel, path: str) -> None:
+    """Write the model document a piece at a time, never holding the whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(model))
+        fh.writelines(_document_pieces(model))
 
 
 def load_model(path: str) -> ForestModel:

@@ -1,10 +1,14 @@
 """References for the forest: the flat tree walk and the per-node trainer.
 
 ``flat_predict_probability`` is the flat four-list tree walk, kept as the
-reference for ``forest.predict_probability``. It reads a tree's training
-arrays (``feature``, ``threshold``, ``left``, ``right`` and
-``leaf_weights``) node by node, as the forest did before it walked nested
-tuples, and computes each leaf fraction on the spot.
+reference for ``forest.predict_probability``. It reads a tree's arrays
+(``feature``, ``threshold``, ``left``, ``right`` and ``leaf_weights``)
+node by node and computes each leaf fraction on the spot, with no
+generated source and no walker of the forest's own.
+
+``serialize`` is the model document as one ``json.dumps`` of the whole
+document, the reference for the bytes that ``forest.save_model`` writes a
+tree at a time.
 
 ``reference_train`` is the trainer as it was before ``forest.train`` sorted
 each column once: every node gathers its sample indices, bootstrap
@@ -14,10 +18,41 @@ reference for ``forest.train`` on rows already in canonical order.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+def serialize(model) -> str:
+    """The whole model document, keys sorted, no spaces; equal models give equal bytes."""
+    doc = {
+        "format": "snatchdet.forest",
+        "version": 1,
+        "schema": list(model.feature_names),
+        "config": {
+            "n_trees": model.config.n_trees,
+            "seed": model.config.seed,
+            "class_weight_mode": "balanced",
+            "max_depth": None,
+            "min_samples_leaf": 1,
+            "features_per_split": "sqrt",
+        },
+        "class_weights": list(model.class_weights),
+        "importances": [repr(float(v)) for v in model.importances],
+        "trees": [
+            {
+                "feature": tree.feature,
+                "threshold": [repr(t) for t in tree.threshold],
+                "left": tree.left,
+                "right": tree.right,
+                "leaf": [[repr(w0), repr(w1)] for w0, w1 in tree.leaf_weights],
+            }
+            for tree in model.trees
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def flat_tree_probability(tree, x: Sequence[float]) -> float:

@@ -22,6 +22,7 @@ from conftest import (
     without_person,
 )
 from feature_reference import reference_segment_features
+from forest_reference import serialize
 from ingest_reference import smooth_track
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
@@ -37,7 +38,6 @@ from snatchdet.forest import (
     balanced_weights,
     predict,
     predict_probability,
-    serialize,
     train,
 )
 from snatchdet import pipeline

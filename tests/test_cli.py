@@ -113,10 +113,12 @@ def _snatch_stream(tmp_path):
 
 class TestExtract:
     def test_clip_rows_match_corpus(self, corpus_dir, trained):
-        names, rows = features.read_feature_csv(str(trained["features"]))
-        assert len(rows) == 12
+        names, ids, values = features.read_feature_csv(str(trained["features"]))
+        assert len(ids) == 12
+        assert len(values) == 12 * len(names)
         assert names == list(features.full_schema().names)
-        by_id = dict(rows)
+        d = len(names)
+        by_id = {sid: dict(zip(names, values[i * d:(i + 1) * d])) for i, sid in enumerate(ids)}
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         for entry in manifest["clips"]:
             vals = by_id[entry["clip_id"]]
@@ -133,10 +135,10 @@ class TestExtract:
         out = tmp_path / "windows.csv"
         rc = cli.main(["extract", "--streams", stream, "--out", str(out)])
         assert rc == 0
-        names, rows = features.read_feature_csv(str(out))
+        _, ids, _ = features.read_feature_csv(str(out))
         # 4 s at 30 fps, 2 s window, 0.5 s stride -> ends at 59, 74, ..., 119
-        assert len(rows) == 5
-        assert all("#" in sid for sid, _ in rows)
+        assert len(ids) == 5
+        assert all("#" in sid for sid in ids)
 
     def test_empty_stream_gives_header_only(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -197,8 +199,8 @@ class TestExtract:
             [sys.executable, "-m", "snatchdet.cli", *argv], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr[-500:]
-        _, rows = features.read_feature_csv(str(out))
-        assert [sid for sid, _ in rows] == ["gap#1|2#59"]
+        _, ids, _ = features.read_feature_csv(str(out))
+        assert ids == ["gap#1|2#59"]
 
     def test_extract_is_byte_deterministic(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -328,6 +330,33 @@ class TestFeatureCsvRowLength:
         assert "feature CSV line 3" in capsys.readouterr().err
 
 
+class TestRepeatedFeature:
+    """A feature CSV header naming one feature under two spellings: exit 2 before any work."""
+
+    @pytest.mark.parametrize("command", ["train", "pca"])
+    def test_alias_beside_its_canonical_name_exits_2(
+        self, corpus_dir, trained, tmp_path, capsys, command
+    ):
+        with open(trained["features"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("distance_p95")
+        twice = tmp_path / "twice.csv"
+        with open(twice, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*rows[0], "dist_p95"])
+            writer.writerows([*row, row[column]] for row in rows[1:])
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "pca" else [
+            "--labels", str(corpus_dir / "labels.csv"), "--model-out", str(out), "--n-trees", "4",
+        ]
+        rc = cli.main([command, "--features", str(twice), *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'distance_p95' more than once" in err
+        assert "dist_p95" in err
+        assert not out.exists()
+
+
 class TestRank:
     def test_table_has_k_rows(self, trained, tmp_path, capsys):
         out = tmp_path / "rank.csv"
@@ -382,6 +411,18 @@ class TestUnloadableModel:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+
+    def test_rank_exits_2_on_a_schema_repeating_a_name(self, trained, tmp_path, capsys):
+        doc = json.loads(trained["model"].read_text())
+        doc["schema"][1] = doc["schema"][0]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = cli.main(["rank", "--model", str(model)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{doc['schema'][0]!r} more than once" in captured.err
 
     @pytest.mark.parametrize("case", sorted(NOT_WRITTEN_BACK))
     def test_rank_exits_2_on_a_value_written_back_otherwise(self, trained, tmp_path, capsys, case):
@@ -1021,6 +1062,6 @@ class TestConfigFile:
              "--config", str(cfg_path)]
         )
         assert rc == 0
-        _, rows = features.read_feature_csv(str(out))
+        _, ids, _ = features.read_feature_csv(str(out))
         # 30 frames at 10 fps, 1 s window (10 frames), 0.5 s stride (5 frames)
-        assert len(rows) == 5
+        assert len(ids) == 5

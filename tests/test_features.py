@@ -1,7 +1,9 @@
 """Per-frame feature ops, aggregation, and the straight-line oracle."""
 
+import csv
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from snatchdet import features
 from snatchdet.features import (
     MIN_SEGMENT_FRAMES,
     STATS,
+    FeatureVector,
     SegmentFamilies,
     SegmentTooShort,
     aggregate,
@@ -33,8 +36,10 @@ from snatchdet.features import (
     min_jerk,
     pair_segment,
     reaching,
+    read_feature_csv,
     relative_motion,
     wrist_velocities,
+    write_feature_csv,
     _backward_diff,
     _first_argmax,
     _longest_run,
@@ -767,3 +772,39 @@ class TestInvariances:
                 assert f is None and b is None
             else:
                 assert b == pytest.approx(-f, abs=1e-9)
+
+
+class TestFeatureCsv:
+    def test_round_trip_gives_names_ids_and_row_major_values(self, tmp_path):
+        schema = full_schema()
+        rng = np.random.default_rng(5)
+        rows = [
+            (f"clip{i}#1|2#{i}", FeatureVector(dict(zip(schema.names, row)), ("1", "2")))
+            for i, row in enumerate(rng.normal(size=(4, len(schema))).tolist())
+        ]
+        path = str(tmp_path / "f.csv")
+        write_feature_csv(path, rows, schema)
+        names, ids, values = read_feature_csv(path)
+        assert names == list(schema.names)
+        assert ids == [sid for sid, _ in rows]
+        assert list(values) == [v.values[n] for _, v in rows for n in schema.names]
+
+    def test_reading_holds_about_8_bytes_a_cell(self, tmp_path):
+        # 2,000 rows of the full schema: a dict per row held about 57 B a cell
+        names = full_schema().names
+        assert len(names) == 143
+        rng = np.random.default_rng(7)
+        path = tmp_path / "big.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["segment_id", *names])
+            for i in range(2000):
+                writer.writerow([f"clip{i:04d}#1|2#{i}", *map(repr, rng.normal(size=143).tolist())])
+        tracemalloc.start()
+        try:
+            _, ids, values = read_feature_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(ids), len(values)) == (2000, 2000 * 143)
+        assert peak < 12 * 2000 * 143

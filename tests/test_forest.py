@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from forest_reference import serialize
 from snatchdet.forest import (
     CorruptModel,
     Dataset,
@@ -23,7 +24,6 @@ from snatchdet.forest import (
     predict,
     predict_probability,
     save_model,
-    serialize,
     train,
     training_accuracy,
 )
@@ -214,9 +214,7 @@ class TestPredict:
         tie_model = deserialize(serialize(model))
 
         def stub(w0, w1):
-            tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_weights=[(w0, w1)])
-            tree.set_probabilities()
-            return tree
+            return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_weights=[(w0, w1)])
 
         # force a tie by symmetric leaf weights on a stub pair of trees
         tie_model.trees[:] = [stub(1.0, 0.0), stub(1.0, 0.0), stub(0.0, 1.0), stub(0.0, 1.0)]
@@ -322,6 +320,21 @@ class TestSerialization:
         doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
         doc["config"][key] = value
         with pytest.raises(CorruptModel, match=key):
+            deserialize(json.dumps(doc))
+
+    def test_schema_repeating_a_name_rejected(self):
+        # a model that names a feature twice cannot be ranked or served by name
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        doc["schema"][1] = doc["schema"][0]
+        doc["importances"] = ["0.5", "0.5"]
+        with pytest.raises(CorruptModel, match=f"{doc['schema'][0]!r} more than once"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("schema", ["f0f1", ["f0", 1], ["f0", ["f1"]]])
+    def test_schema_not_a_list_of_strings_rejected(self, schema):
+        doc = json.loads(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
+        doc["schema"] = schema
+        with pytest.raises(CorruptModel, match="schema"):
             deserialize(json.dumps(doc))
 
 

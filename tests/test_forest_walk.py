@@ -1,8 +1,8 @@
-"""The forest compiles its trees a chunk at a time, or walks nested tuples.
+"""The forest compiles its trees a chunk at a time, or walks their arrays.
 
-``forest_reference`` keeps the flat four-list walk that both forms
-replaced; they must give the same probability, bit for bit, on any valid
-model document. Shared children and deep chains must load and predict in
+``forest_reference`` keeps a flat four-list walk of its own; compiled and
+walked trees must give its probability, bit for bit, on any valid model
+document. Shared children and deep chains must load and predict in
 linear time without recursion, and the leaves must be added left to right.
 A trained model compiles every tree; a tree with a non-finite threshold, a
 deep chain or an exponential expansion of shared children is walked. The
@@ -12,6 +12,8 @@ the forest compiled; a prediction compiles whatever is left.
 
 import json
 import math
+import os
+import tempfile
 import time
 import tracemalloc
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_engine
-from forest_reference import flat_predict_probability
+from forest_reference import flat_predict_probability, serialize
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.forest import (
@@ -33,7 +35,7 @@ from snatchdet.forest import (
     compile_chunk,
     deserialize,
     predict_probability,
-    serialize,
+    save_model,
     train,
 )
 from snatchdet.synth import ScenarioSpec, generate
@@ -140,9 +142,7 @@ def test_deep_chain_loads_without_recursion():
 
 def test_leaves_are_added_left_to_right():
     def stub(w0, w1):
-        tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_weights=[(w0, w1)])
-        tree.set_probabilities()
-        return tree
+        return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_weights=[(w0, w1)])
 
     model = deserialize(serialize(train(separable_dataset(), ForestConfig(n_trees=2, seed=1))))
     # 1.0 then 100 leaves of 1e-17: each 1e-17 is lost against 1.0 when added
@@ -297,3 +297,30 @@ def test_stream_engine_compiles_one_chunk_per_frame_before_its_first_decision(mo
     assert 1 < len(n_steps) < cfg.window_frames
     run_engine(engine, frames[len(n_steps):])
     assert compiled_when_called and all(compiled_when_called)
+
+
+def assert_saved_as_serialized(model):
+    """``save_model``, writing a tree at a time, writes ``serialize(model)`` byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == serialize(model).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(valid_trees(), min_size=1, max_size=6))
+def test_fuzzed_documents_save_as_serialized(trees):
+    assert_saved_as_serialized(deserialize(document(trees)))
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_unusual_trees_save_as_serialized(name):
+    assert_saved_as_serialized(deserialize(document([WALKED[name]])))
+
+
+def test_trained_and_loaded_models_save_as_serialized(trained_500):
+    small = train(separable_dataset(), ForestConfig(n_trees=3, seed=4))
+    for model in (trained_500, small):
+        assert_saved_as_serialized(model)
+        assert_saved_as_serialized(deserialize(serialize(model)))

@@ -15,14 +15,13 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_reference import flat_predict_probability
+from forest_reference import flat_predict_probability, serialize
 from snatchdet.forest import (
     CorruptModel,
     ForestConfig,
     VersionMismatch,
     deserialize,
     predict_probability,
-    serialize,
     train,
 )
 from test_forest import separable_dataset
