@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 ok, 2 malformed input (a count below 1 included) or a path
 that cannot be read or written, 3 invalid training data, 4 schema mismatch,
-5 alert sink unreachable.
+5 alert sink unreachable. The subcommands raise; ``EXIT_CODES``, read by
+``main``, is the one place that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -25,22 +26,31 @@ import time
 from typing import Optional, Sequence
 
 from . import features, forest, pipeline, streams
-from .config import BadConfig, PipelineConfig, load_config
+from .config import PipelineConfig, load_config
 from .types import MalformedRecord
 
 EXIT_OK = 0
-EXIT_MALFORMED = 2
-EXIT_BAD_TRAINING = 3
-EXIT_SCHEMA = 4
-EXIT_SINK = 5
+
+SINK_RETRIES = 2
+SINK_BACKOFF_S = 1.0
 
 
 class SinkUnreachable(RuntimeError):
     pass
 
 
-def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -> None:
-    """POST one alert as JSON; 2 retries with 1 s backoff, then give up."""
+# The one place an error becomes an exit code: the first row whose errors
+# match decides, and any other error is a defect that ends with a traceback.
+EXIT_CODES = (
+    ((MalformedRecord, OSError, UnicodeDecodeError, csv.Error), 2),  # malformed input
+    (forest.MissingClass, 3),  # invalid training data
+    (forest.SchemaMismatch, 4),  # the model's features and the input's differ
+    (SinkUnreachable, 5),  # alert sink unreachable
+)
+
+
+def post_alert(url: str, record: dict) -> None:
+    """POST one alert as JSON; ``SINK_RETRIES`` retries ``SINK_BACKOFF_S`` apart, then give up."""
     # imported here: urllib.request pulls in http.client, email and ssl,
     # which only a stream with a sink needs
     import urllib.error
@@ -48,7 +58,7 @@ def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -
 
     body = json.dumps(record).encode("utf-8")
     last: Optional[Exception] = None
-    for attempt in range(retries + 1):
+    for attempt in range(SINK_RETRIES + 1):
         try:
             req = urllib.request.Request(
                 url, data=body, headers={"Content-Type": "application/json"}
@@ -57,8 +67,8 @@ def post_alert(url: str, record: dict, retries: int = 2, backoff: float = 1.0) -
                 return
         except (urllib.error.URLError, OSError) as exc:
             last = exc
-            if attempt < retries:
-                time.sleep(backoff)
+            if attempt < SINK_RETRIES:
+                time.sleep(SINK_BACKOFF_S)
     raise SinkUnreachable(f"alert sink {url} unreachable: {last}")
 
 
@@ -99,18 +109,14 @@ def _read_labels(path: str) -> dict[str, int]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import synth
 
-    try:
-        clips = synth.generate_corpus(
-            n_per_class=args.n_per_class,
-            total=args.total,
-            seed=args.seed,
-            duration=args.duration,
-            fps=args.fps,
-            noise_sigma=args.noise_sigma,
-        )
-    except synth.InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    clips = synth.generate_corpus(
+        n_per_class=args.n_per_class,
+        total=args.total,
+        seed=args.seed,
+        duration=args.duration,
+        fps=args.fps,
+        noise_sigma=args.noise_sigma,
+    )
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     labels_rows = []
@@ -144,19 +150,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     schema = features.full_schema()
     rows: list[tuple[str, features.FeatureVector]] = []
-    try:
-        for path in args.streams:
-            frames = streams.read_stream(path, fps=cfg.fps)
-            stem = os.path.splitext(os.path.basename(path))[0]
-            if args.mode == "clip":
-                vector = pipeline.extract_clip_row(frames, cfg, schema)
-                if vector is not None:
-                    rows.append((stem, vector))
-            else:
-                rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
-    except MalformedRecord as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    for path in args.streams:
+        frames = streams.read_stream(path, fps=cfg.fps)
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if args.mode == "clip":
+            vector = pipeline.extract_clip_row(frames, cfg, schema)
+            if vector is not None:
+                rows.append((stem, vector))
+        else:
+            rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
     if args.out == "-":
         features.write_feature_csv(sys.stdout, rows, schema)
     else:
@@ -191,34 +193,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import selection
 
     cfg = _config_from_args(args)
-    try:
-        names, ids, values = features.read_feature_csv(args.features)
-        labels = _read_labels(args.labels)
-    except (ValueError, MalformedRecord) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-
+    names, ids, values = features.read_feature_csv(args.features)
+    labels = _read_labels(args.labels)
     # a header-only CSV stays 2-d (no rows), so it fails as an empty dataset
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(names))
     matched = [i for i, sid in enumerate(ids) if sid in labels]
     if len(matched) < len(ids):
         print(f"warning: {len(ids) - len(matched)} rows lack labels", file=sys.stderr)
         matrix = matrix[matched]
-    try:
-        dataset = forest.Dataset(
-            feature_names=tuple(names),
-            X=matrix,
-            y=np.array([labels[ids[i]] for i in matched]),
-            ids=tuple(ids[i] for i in matched),
-        )
-        model = forest.train(dataset, cfg.forest())
-    except forest.MissingClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_TRAINING
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-
+    dataset = forest.Dataset(
+        feature_names=tuple(names),
+        X=matrix,
+        y=np.array([labels[ids[i]] for i in matched]),
+        ids=tuple(ids[i] for i in matched),
+    )
+    model = forest.train(dataset, cfg.forest())
     forest.save_model(model, args.model_out)
     accuracy = forest.training_accuracy(model, dataset)
     schema = features.FeatureSchema(tuple(names))
@@ -236,17 +225,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     from . import selection
 
-    try:
-        model = forest.load_model(args.model)
-    except (forest.CorruptModel, forest.VersionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    model = forest.load_model(args.model)
     schema = features.FeatureSchema(model.feature_names)
-    try:
-        result = selection.select_top_k(schema, model.importances, args.k)
-    except (selection.CountBelowOne, selection.KTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    result = selection.select_top_k(schema, model.importances, args.k)
     print(_format_importance_report(result.ranked))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -262,26 +243,14 @@ def cmd_pca(args: argparse.Namespace) -> int:
 
     from . import selection
 
-    try:
-        names, ids, values = features.read_feature_csv(args.features)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    names, ids, values = features.read_feature_csv(args.features)
     labels = None
     if args.labels:
-        try:
-            table = _read_labels(args.labels)
-        except MalformedRecord as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
+        table = _read_labels(args.labels)
         labels = [table.get(sid, "") for sid in ids]
     # a header-only CSV stays 2-d (no rows), so it fails as too few samples
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(names))
-    try:
-        result = selection.pca_project(matrix, n_components=args.components)
-    except (selection.CountBelowOne, selection.TooFewSamples, selection.TooManyComponents) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    result = selection.pca_project(matrix, n_components=args.components)
     if args.out == "-":
         selection.write_pca_csv(sys.stdout, result, ids, labels)
     else:
@@ -297,11 +266,7 @@ def _json_line(obj: dict) -> str:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    try:
-        model = forest.load_model(args.model)
-    except (forest.CorruptModel, forest.VersionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    model = forest.load_model(args.model)
 
     source = args.stream
     if source == "-":
@@ -310,37 +275,28 @@ def cmd_stream(args: argparse.Namespace) -> int:
         source = sys.stdin
     started = time.perf_counter()
     events = 0
-    try:
-        with contextlib.ExitStack() as files:
-            alerts_out = sys.stdout
-            if args.alerts_out not in (None, "-"):
-                alerts_out = files.enter_context(open(args.alerts_out, "w", encoding="utf-8"))
-            evidence_out = None
-            if args.evidence_out:
-                evidence_out = files.enter_context(open(args.evidence_out, "w", encoding="utf-8"))
-            engine = pipeline.StreamEngine(model, cfg)
-            for record in streams.iter_stream(source, fps=cfg.fps):
-                alerts = engine.process(record)
-                events += len(alerts)
-                if evidence_out is not None:
-                    # as each activation happens, so a run that stops later keeps it
-                    for alert in alerts:
-                        if alert.evidence is not None:
-                            evidence_out.write(_json_line(alert.evidence))
+    # the files are closed whether the run ends or raises
+    with contextlib.ExitStack() as files:
+        alerts_out = sys.stdout
+        if args.alerts_out not in (None, "-"):
+            alerts_out = files.enter_context(open(args.alerts_out, "w", encoding="utf-8"))
+        evidence_out = None
+        if args.evidence_out:
+            evidence_out = files.enter_context(open(args.evidence_out, "w", encoding="utf-8"))
+        engine = pipeline.StreamEngine(model, cfg)
+        for record in streams.iter_stream(source, fps=cfg.fps):
+            alerts = engine.process(record)
+            events += len(alerts)
+            if evidence_out is not None:
+                # as each activation happens, so a run that stops later keeps it
                 for alert in alerts:
-                    obj = alert.to_obj()
-                    alerts_out.write(_json_line(obj))
-                    if cfg.sink_url:
-                        post_alert(cfg.sink_url, obj)
-    except forest.SchemaMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except MalformedRecord as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except SinkUnreachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINK
+                    if alert.evidence is not None:
+                        evidence_out.write(_json_line(alert.evidence))
+            for alert in alerts:
+                obj = alert.to_obj()
+                alerts_out.write(_json_line(obj))
+                if cfg.sink_url:
+                    post_alert(cfg.sink_url, obj)
     elapsed = time.perf_counter() - started
 
     rate = engine.frames_processed / elapsed if elapsed > 0 else float("inf")
@@ -428,13 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadConfig, OSError) as exc:
+    except Exception as exc:
+        code = next((code for errors, code in EXIT_CODES if isinstance(exc, errors)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return code
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ from typing import Optional
 from .features import MIN_SEGMENT_FRAMES
 from .forest import ForestConfig
 from .temporal import HysteresisConfig
+from .types import MalformedRecord
 
 
-class BadConfig(ValueError):
+class BadConfig(MalformedRecord):
     """Config file rejected (unknown key, value of the wrong type or out of range)."""
 
 
@@ -66,6 +67,11 @@ class PipelineConfig:
             raise BadConfig("fps must be positive")
         if self.window_s <= 0 or self.stride_s <= 0:
             raise BadConfig("window_s and stride_s must be positive")
+        # every span is counted in frames, so each span times fps must be a float
+        for name in ("window_s", "stride_s", "evidence_pre_s", "evidence_post_s"):
+            span = getattr(self, name)
+            if not math.isfinite(span * self.fps):
+                raise BadConfig(f"{name} * fps is not finite: {span!r} * {self.fps!r}")
         if self.window_frames < MIN_SEGMENT_FRAMES:
             raise BadConfig(
                 f"window_s * fps must round to at least {MIN_SEGMENT_FRAMES} frames"
@@ -119,7 +125,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, bytes not UTF-8, an integer over the digit limit, deep nesting
                 raise BadConfig(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig("config file must hold a JSON object")

@@ -42,6 +42,7 @@ from .types import (
     LEFT_WRIST,
     RIGHT_WRIST,
     VALID_CONFIDENCE,
+    MalformedRecord,
     PairSegment,
     Skeleton,
     Track,
@@ -867,7 +868,8 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
     """Parse a feature CSV into (schema names, segment ids, values).
 
     ``values`` holds every cell in row-major order, one 8-byte double each.
-    A header naming one feature twice, under any two spellings, raises ``ValueError``.
+    A bad header (one naming a feature twice, under any two spellings, included),
+    row length or cell raises ``MalformedRecord``.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -875,21 +877,26 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
     reader = csv.reader(source)
     header = next(reader, None)
     if not header or header[0] != "segment_id":
-        raise ValueError("feature CSV must start with a segment_id header column")
+        raise MalformedRecord("feature CSV must start with a segment_id header column")
     names = [canonical_name(n) for n in header[1:]]
     if len(set(names)) != len(names):
         twice = next(name for i, name in enumerate(names) if name in names[:i])
         spellings = [h for h, n in zip(header[1:], names) if n == twice]
-        raise ValueError(f"feature CSV header names feature {twice!r} more than once: {spellings}")
+        raise MalformedRecord(
+            f"feature CSV header names feature {twice!r} more than once: {spellings}"
+        )
     ids: list[str] = []
     values = array("d")
     for line in reader:
         if not line:
             continue
         if len(line) != len(header):
-            raise ValueError(
+            raise MalformedRecord(
                 f"feature CSV line {reader.line_num}: {len(line)} fields, header has {len(header)}"
             )
         ids.append(line[0])
-        values.extend(map(float, line[1:]))
+        try:
+            values.extend(map(float, line[1:]))
+        except ValueError as exc:
+            raise MalformedRecord(f"feature CSV line {reader.line_num}: {exc}") from None
     return names, ids, values

@@ -56,6 +56,8 @@ from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
+from .types import MalformedRecord
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -72,11 +74,11 @@ class SchemaMismatch(ValueError):
     """Input features do not match the model's schema."""
 
 
-class VersionMismatch(ValueError):
+class VersionMismatch(MalformedRecord):
     """Serialized model has an unsupported version."""
 
 
-class CorruptModel(ValueError):
+class CorruptModel(MalformedRecord):
     """Serialized model cannot be parsed."""
 
 
@@ -98,7 +100,9 @@ class ForestConfig:
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise MalformedRecord("n_trees must be >= 1")
+        if self.seed < 0:  # numpy seeds only from nonnegative integers
+            raise MalformedRecord(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -114,11 +118,11 @@ class Dataset:
         import numpy as np
 
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         if not self.feature_names:
-            raise ValueError("dataset has no feature columns")
+            raise MalformedRecord("dataset has no feature columns")
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("row count must equal label count")
         if self.X.shape[1] != len(self.feature_names):
@@ -126,9 +130,10 @@ class Dataset:
         if self.ids is not None and len(self.ids) != self.X.shape[0]:
             raise ValueError("ids must match row count")
         if not np.all(np.isfinite(self.X)):
-            raise ValueError("feature matrix contains non-finite cells")
+            raise MalformedRecord("feature matrix contains non-finite cells")
         if not np.all((self.y == 0) | (self.y == 1)):
-            raise ValueError("labels must be 0 or 1")
+            raise MalformedRecord("labels must be 0 or 1")
+        self.y = self.y.astype(np.int64, copy=False)  # after the check: 2**63 would overflow
 
     def __len__(self) -> int:
         return int(self.X.shape[0])

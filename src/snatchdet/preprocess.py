@@ -5,8 +5,8 @@ Joint trajectories are denoised with an exponential moving average
 sample). All distances downstream are expressed in torso heights, the
 shoulder-midpoint to hip-midpoint distance, so features are insensitive to
 subject-camera distance. The smoother checks no input rule: it is handed
-skeletons that ``types.validate_frame`` has passed, and builds its output
-unchecked.
+skeletons that ``types.validate_frame`` has passed and an alpha that
+``PipelineConfig`` has checked, and builds its output unchecked.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .types import NUM_KEYPOINTS, VALID_CONFIDENCE, Skeleton, trusted_skeleton
-
-DEFAULT_ALPHA = 0.6
-
-
-class InvalidAlpha(ValueError):
-    """EMA coefficient outside the open interval (0, 1)."""
 
 
 class SkeletonSmoother:
@@ -34,9 +28,7 @@ class SkeletonSmoother:
     joint's slots hold its latest raw position.
     """
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA):
-        if not 0.0 < alpha < 1.0:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    def __init__(self, alpha: float):
         self.alpha = alpha
         self._xy: list[float] = [0.0] * (2 * NUM_KEYPOINTS)
         self._seen = [False] * NUM_KEYPOINTS

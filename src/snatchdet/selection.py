@@ -9,25 +9,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .features import FeatureSchema
+from .types import MalformedRecord
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class CountBelowOne(ValueError):
-    """Asked for fewer than one feature or component."""
-
-
-class KTooLarge(ValueError):
-    """Asked for more features than the schema has."""
-
-
-class TooFewSamples(ValueError):
-    """PCA needs at least two samples."""
-
-
-class TooManyComponents(ValueError):
-    """n_components exceeds min(samples - 1, features)."""
 
 
 @dataclass(frozen=True)
@@ -40,9 +25,9 @@ class SelectionResult:
 def select_top_k(schema: FeatureSchema, importances: Sequence[float], k: int) -> SelectionResult:
     """Keep the k most important features; ties break by schema order."""
     if k < 1:
-        raise CountBelowOne(f"k must be at least 1, got {k}")
+        raise MalformedRecord(f"k must be at least 1, got {k}")
     if k > len(schema.names):
-        raise KTooLarge(f"k={k} exceeds {len(schema.names)} features")
+        raise MalformedRecord(f"k={k} exceeds {len(schema.names)} features")
     if len(importances) != len(schema.names):
         raise ValueError("importances must align with the schema")
     order = sorted(range(len(schema.names)), key=lambda i: (-float(importances[i]), i))
@@ -72,15 +57,15 @@ def pca_project(matrix, n_components: int = 2, standardize: bool = True) -> PcaR
     import numpy as np
 
     if n_components < 1:
-        raise CountBelowOne(f"n_components must be at least 1, got {n_components}")
+        raise MalformedRecord(f"n_components must be at least 1, got {n_components}")
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("matrix must be 2-d")
     n, d = X.shape
     if n < 2:
-        raise TooFewSamples(f"PCA needs at least 2 samples, got {n}")
+        raise MalformedRecord(f"PCA needs at least 2 samples, got {n}")
     if n_components > min(n - 1, d):
-        raise TooManyComponents(
+        raise MalformedRecord(
             f"n_components={n_components} exceeds min(samples-1, features)={min(n - 1, d)}"
         )
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .types import FrameRecord, Skeleton
+from .types import FrameRecord, MalformedRecord, Skeleton
 
 SCENARIO_KINDS = ("snatch", "walk_by", "handshake", "standing")
 
@@ -47,10 +47,6 @@ _LIMB = {
 }
 
 
-class InvalidSpec(ValueError):
-    """Scenario parameters violate their invariants."""
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
@@ -62,15 +58,20 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
-            raise InvalidSpec(f"unknown scenario kind {self.kind!r}")
+            raise MalformedRecord(f"unknown scenario kind {self.kind!r}")
         if self.duration <= 0:
-            raise InvalidSpec("duration must be positive")
+            raise MalformedRecord("duration must be positive")
         if self.fps <= 0:
-            raise InvalidSpec("fps must be positive")
+            raise MalformedRecord("fps must be positive")
         if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be nonnegative")
+            raise MalformedRecord("noise_sigma must be nonnegative")
         if self.scale <= 0:
-            raise InvalidSpec("scale must be positive")
+            raise MalformedRecord("scale must be positive")
+        for name in ("duration", "fps", "noise_sigma", "scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise MalformedRecord(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.duration * self.fps):
+            raise MalformedRecord("duration * fps must be finite")
 
 
 @dataclass
@@ -338,7 +339,7 @@ def generate(spec: ScenarioSpec) -> Clip:
 
     n_frames = int(round(spec.duration * spec.fps))
     if n_frames < 2:
-        raise InvalidSpec("duration too short for the frame rate")
+        raise MalformedRecord("duration too short for the frame rate")
 
     event_time: Optional[float] = None
     if spec.kind == "snatch":
@@ -458,15 +459,17 @@ def generate_corpus(
 ) -> list[Clip]:
     """Balanced (``n_per_class``) or ratio-mode (``total``) labeled corpus."""
     if (n_per_class is None) == (total is None):
-        raise InvalidSpec("give exactly one of n_per_class or total")
+        raise MalformedRecord("give exactly one of n_per_class or total")
     if n_per_class is not None:
         if n_per_class < 1:
-            raise InvalidSpec("n_per_class must be >= 1")
+            raise MalformedRecord("n_per_class must be >= 1")
         n_pos, n_neg = n_per_class, n_per_class
     else:
         if total < 2:
-            raise InvalidSpec("total must be >= 2")
+            raise MalformedRecord("total must be >= 2")
         n_pos, n_neg = ratio_counts(total)
+    if seed < 0:  # numpy seeds only from nonnegative integers
+        raise MalformedRecord(f"seed must be nonnegative, got {seed}")
     clips = []
     specs = corpus_specs(n_pos, n_neg, seed, duration, fps, noise_sigma, scale)
     for i, spec in enumerate(specs):

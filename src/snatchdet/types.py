@@ -89,7 +89,7 @@ class _stored:
 
 
 class MalformedRecord(ValueError):
-    """Raised when a raw frame record violates the data model."""
+    """Malformed input: a frame record, file, flag or config value that breaks a rule (exit 2)."""
 
 
 class Keypoint(NamedTuple):
@@ -505,6 +505,8 @@ def pair_values(pair: PairSegment, row: Callable[..., Any], extra: Optional[list
     wrist steps), must depend only on rows i-1 and i.
     """
     a, b, n = pair.aggressor.skeletons, pair.victim.skeletons, len(pair)
+    if pair.rows.times[:1] != pair.aggressor.timestamps[:1]:  # a newer segment trimmed them
+        del pair.__dict__["rows"]  # derived again on the next read
     stored = pair.rows.values.setdefault(row, [])
     if extra is None:
         stored.extend(map(row, a[len(stored) : n], b[len(stored) : n]))

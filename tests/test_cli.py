@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1065,3 +1066,128 @@ class TestConfigFile:
         _, ids, _ = features.read_feature_csv(str(out))
         # 30 frames at 10 fps, 1 s window (10 frames), 0.5 s stride (5 frames)
         assert len(ids) == 5
+
+
+def _bad_inputs(trained, corpus_dir):
+    """Bad input files by name, each made from the good inputs."""
+    header, first, *rest = trained["features"].read_text().splitlines()
+    cells = first.split(",")
+    cells[3] = "abc"
+    labels = (corpus_dir / "labels.csv").read_text().splitlines()
+    doc = json.loads(trained["model"].read_text())
+    doc["schema"][0] = "not_a_real_feature"
+    return {
+        "not_utf8": b"\xff\xfe{}\n",
+        "deep.json": b"[" * 100_000,
+        "huge_int.json": b'{"seed": ' + b"1" * 5000 + b"}",
+        "not_utf8.json": b'{"fps": 30.0}\xff',
+        "post_overflows.json": b'{"evidence_post_s": 1e308}',
+        "non_numeric.csv": "\n".join([header, ",".join(cells), *rest, ""]).encode(),
+        "huge_field.csv": f"{header}\n{cells[0]},{'1' * 200_000}\n".encode(),
+        "label_over_64_bits.csv": "\n".join(
+            [labels[0], *(f"{row.split(',')[0]},{2**70}" for row in labels[1:]), ""]
+        ).encode(),
+        "one_class.csv": "\n".join(
+            [labels[0], *(f"{row.split(',')[0]},0" for row in labels[1:]), ""]
+        ).encode(),
+        "unknown_feature.json": json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(),
+    }
+
+
+NOT_UTF8_FILE = "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+CONFIG_NOT_JSON = "error: config file is not valid JSON: "
+
+
+def _exit_code_cases():
+    """(command, flags read after the good ones, exit code, pattern of the error line).
+
+    A flag value ``@name`` names the file ``name`` in the test's directory.
+    """
+    undecodable = {
+        "@deep.json": "maximum recursion depth exceeded",
+        "@huge_int.json": r"Exceeds the limit \(4300 digits\)",
+        "@not_utf8.json": "'utf-8' codec can't decode byte 0xff",
+    }
+    for command in ("extract", "train", "stream"):
+        for name, reason in undecodable.items():
+            yield command, ["--config", name], 2, f"{CONFIG_NOT_JSON}{reason}.*"
+        yield command, ["--config", "@post_overflows.json"], 2, (
+            r"error: evidence_post_s \* fps is not finite: 1e\+308 \* 30\.0"
+        )
+        yield command, ["--config", "@missing.json"], 2, r"error: \[Errno 2\] No such file .*missing\.json'"
+    for command in ("extract", "stream"):
+        yield command, ["--fps", "1e308"], 2, r"error: window_s \* fps is not finite: 2\.0 \* 1e\+308"
+    for flag in ("--fps", "--duration", "--noise-sigma"):
+        yield "simulate", [flag, "nan"], 2, f"error: {flag[2:].replace('-', '_')} must be finite, got nan"
+    yield "simulate", ["--duration", "inf"], 2, "error: duration must be finite, got inf"
+    yield "simulate", ["--duration", "1e308"], 2, r"error: duration \* fps must be finite"
+    yield "simulate", ["--seed", "-1"], 2, "error: seed must be nonnegative, got -1"
+    yield "simulate", ["--n-per-class", "0"], 2, "error: n_per_class must be >= 1"
+    for command in ("train", "pca"):
+        yield command, ["--features", "@not_utf8"], 2, NOT_UTF8_FILE
+        yield command, ["--labels", "@not_utf8"], 2, NOT_UTF8_FILE
+        yield command, ["--features", "@non_numeric.csv"], 2, (
+            "error: feature CSV line 2: could not convert string to float: 'abc'"
+        )
+        yield command, ["--features", "@huge_field.csv"], 2, (
+            r"error: field larger than field limit \(131072\)"
+        )
+        yield command, ["--features", "@missing.csv"], 2, r"error: \[Errno 2\] No such file .*missing\.csv'"
+    yield "train", ["--seed", "-1"], 2, "error: seed must be nonnegative, got -1"
+    yield "train", ["--n-trees", "0"], 2, "error: n_trees must be >= 1"
+    yield "train", ["--labels", "@label_over_64_bits.csv"], 2, "error: labels must be 0 or 1"
+    yield "train", ["--labels", "@one_class.csv"], 3, r"error: need both classes, .*"
+    yield "pca", ["--components", "0"], 2, "error: n_components must be at least 1, got 0"
+    for command in ("rank", "stream"):
+        yield command, ["--model", "@not_utf8"], 2, NOT_UTF8_FILE
+        yield command, ["--model", "@missing.json"], 2, r"error: \[Errno 2\] No such file .*missing\.json'"
+    yield "rank", ["--k", "0"], 2, "error: k must be at least 1, got 0"
+    yield "stream", ["--model", "@unknown_feature.json"], 4, (
+        r"error: model needs unknown features: \['not_a_real_feature'\]"
+    )
+    yield "stream", ["--sink-url", "http://127.0.0.1:9/unreachable"], 5, (
+        "error: alert sink http://127.0.0.1:9/unreachable unreachable: .*"
+    )
+
+
+class TestExitCodeTable:
+    """``cli.EXIT_CODES`` decides every exit code: each bad input gives its code and
+    ``error:`` line in every subcommand that reads it; any other error propagates."""
+
+    @pytest.mark.parametrize(
+        "command, flags, code, pattern",
+        list(_exit_code_cases()),
+        ids=[f"{case[0]} {' '.join(case[1])}" for case in _exit_code_cases()],
+    )
+    def test_exit_code_and_error_line(
+        self, corpus_dir, trained, tmp_path, capsys, monkeypatch, command, flags, code, pattern
+    ):
+        monkeypatch.setattr(cli.time, "sleep", lambda s: None)  # skip the retry backoff
+        for name, data in _bad_inputs(trained, corpus_dir).items():
+            (tmp_path / name).write_bytes(data)
+        good = {
+            "simulate": ["--out", str(tmp_path / "corpus"), "--n-per-class", "1", "--duration", "1.0"],
+            "extract": ["--streams", str(_snatch_stream(tmp_path)), "--out", str(tmp_path / "x.csv")],
+            "train": ["--features", str(trained["features"]), "--labels", str(corpus_dir / "labels.csv"),
+                      "--model-out", str(tmp_path / "m.json"), "--n-trees", "3"],
+            "pca": ["--features", str(trained["features"]), "--out", str(tmp_path / "pca.csv")],
+            "rank": ["--model", str(trained["model"])],
+            "stream": ["--stream", str(_snatch_stream(tmp_path)), "--model", str(trained["model"]),
+                       "--alerts-out", str(tmp_path / "alerts.jsonl")],
+        }[command]
+        bad = [str(tmp_path / v[1:]) if v.startswith("@") else v for v in flags]
+        rc = cli.main([command, *good, *bad])  # a flag given twice takes its last value
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert (rc, len(errors)) == (code, 1)
+        assert re.fullmatch(pattern, errors[0]), errors[0]
+
+    def test_any_other_error_is_a_defect_and_propagates(
+        self, corpus_dir, trained, tmp_path, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ValueError("a defect, not an input error")
+
+        monkeypatch.setattr(forest, "train", broken)
+        with pytest.raises(ValueError, match="a defect"):
+            cli.main(["train", "--features", str(trained["features"]), "--labels",
+                      str(corpus_dir / "labels.csv"), "--model-out", str(tmp_path / "m.json")])

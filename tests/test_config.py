@@ -60,3 +60,15 @@ def test_values_at_the_bounds_accepted():
         window_s=MIN_SEGMENT_FRAMES / 30.0, max_gap_frames=1, evidence_pre_s=1e-3, evidence_post_s=0.0
     )
     assert cfg.window_frames == MIN_SEGMENT_FRAMES
+
+
+@pytest.mark.parametrize("key", ["window_s", "stride_s", "evidence_pre_s", "evidence_post_s"])
+def test_span_whose_frame_count_overflows_rejected(key):
+    # a stream would crash rounding the span's infinite frame count
+    with pytest.raises(BadConfig, match=rf"^{key} \* fps is not finite: 1e\+308 \* 30\.0$"):
+        PipelineConfig(**{key: 1e308})
+
+
+def test_frame_rate_whose_frame_counts_overflow_rejected():
+    with pytest.raises(BadConfig, match=r"^window_s \* fps is not finite: 2\.0 \* 1e\+308$"):
+        PipelineConfig(fps=1e308)

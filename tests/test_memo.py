@@ -197,6 +197,25 @@ def test_a_pair_that_loses_selection_and_wins_it_back(arrive, stay, gaps, seed):
     assert ("1", "2") in selected[:lost] and ("1", "2") in selected[lost:]
 
 
+def test_a_held_segment_extracted_after_newer_ones_reads_its_own_rows():
+    """Each newer segment of a pair trims the pair's stored rows from the front;
+    a segment held from an earlier stride, extracted again afterwards with a
+    fresh table, still equals a fresh extraction."""
+    frames = stream(60, [set(), set()], seed=3)
+    windows = TrackWindows(CFG)
+    held = []
+    for record in frames:
+        _, pair = windows.advance(record)
+        if pair is None:
+            continue
+        a, b = sorted(pair, key=lambda track: track_order(track.track_id))
+        held.append(pair_segment(a, b, fps=CFG.fps))
+        assert_one_table_same_as_fresh(held[-1])
+    assert len(held) > 2
+    for segment in held:
+        assert_one_table_same_as_fresh(segment)
+
+
 def test_values_of_another_track_with_the_same_id_are_not_read(rng):
     """A track paired with two tracks of one id, one after the other, reads
     no value stored for the first."""

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import skeleton_from_keypoints, static_skeleton
 from ingest_reference import smooth_track
+from snatchdet.config import BadConfig, PipelineConfig
 from snatchdet.pipeline import order_roles
-from snatchdet.preprocess import DEFAULT_ALPHA, InvalidAlpha, SkeletonSmoother, body_center
+from snatchdet.preprocess import SkeletonSmoother, body_center
 from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track, torso_height
 
 
-def smooth_all(skeletons, alpha=DEFAULT_ALPHA):
+def smooth_all(skeletons, alpha=PipelineConfig().alpha):
     """Step one ``SkeletonSmoother`` through the skeletons; the smoothed outputs."""
     smoother = SkeletonSmoother(alpha)
     return [smoother.step(skel) for skel in skeletons]
@@ -43,8 +44,9 @@ class TestEmaStep:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.5])
     def test_invalid_alpha(self, alpha):
-        with pytest.raises(InvalidAlpha):
-            SkeletonSmoother(alpha)
+        # the smoother is handed an alpha the config has checked
+        with pytest.raises(BadConfig, match=r"^alpha must be in \(0, 1\)"):
+            PipelineConfig(alpha=alpha)
 
 
 def closed_form(xs, alpha):

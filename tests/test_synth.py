@@ -8,8 +8,8 @@ from snatchdet import streams
 from snatchdet.config import PipelineConfig
 from snatchdet.features import pair_segment
 from snatchdet.pipeline import extract_clip_row, order_roles
-from snatchdet.synth import InvalidSpec, ScenarioSpec, generate, generate_corpus, ratio_counts
-from snatchdet.types import validate_stream
+from snatchdet.synth import ScenarioSpec, generate, generate_corpus, ratio_counts
+from snatchdet.types import MalformedRecord, validate_stream
 from track_reference import smoothed_tracks
 
 
@@ -36,12 +36,23 @@ class TestGenerate:
             validate_stream(clip.frames)
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(MalformedRecord):
             ScenarioSpec(kind="dance")
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(MalformedRecord):
             ScenarioSpec(kind="snatch", duration=-1.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(MalformedRecord):
             ScenarioSpec(kind="snatch", noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["duration", "fps", "noise_sigma", "scale"])
+    def test_non_finite_value_rejected(self, field, value):
+        # a NaN noise_sigma would pass "nonnegative" and give noiseless clips
+        with pytest.raises(MalformedRecord, match=f"^{field} must be finite, got {value}$"):
+            ScenarioSpec(kind="snatch", **{field: value})
+
+    def test_frame_count_that_overflows_rejected(self):
+        with pytest.raises(MalformedRecord, match=r"^duration \* fps must be finite$"):
+            ScenarioSpec(kind="snatch", duration=1e308, fps=30.0)
 
     def test_snatch_construction_guarantees(self):
         clip = generate(ScenarioSpec(kind="snatch", seed=21, noise_sigma=0.0))
@@ -116,7 +127,9 @@ class TestCorpus:
         assert len({c.spec.seed for c in clips}) == len(clips)
 
     def test_arg_validation(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(MalformedRecord):
             generate_corpus()
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(MalformedRecord):
             generate_corpus(n_per_class=2, total=10)
+        with pytest.raises(MalformedRecord, match="seed must be nonnegative, got -1"):
+            generate_corpus(n_per_class=2, seed=-1)
