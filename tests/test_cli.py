@@ -1156,8 +1156,7 @@ class TestExitCodeTable:
 
     @pytest.mark.parametrize(
         "command, flags, code, pattern",
-        list(_exit_code_cases()),
-        ids=[f"{case[0]} {' '.join(case[1])}" for case in _exit_code_cases()],
+        [pytest.param(*case, id=f"{case[0]} {' '.join(case[1])}") for case in _exit_code_cases()],
     )
     def test_exit_code_and_error_line(
         self, corpus_dir, trained, tmp_path, capsys, monkeypatch, command, flags, code, pattern
@@ -1165,14 +1164,15 @@ class TestExitCodeTable:
         monkeypatch.setattr(cli.time, "sleep", lambda s: None)  # skip the retry backoff
         for name, data in _bad_inputs(trained, corpus_dir).items():
             (tmp_path / name).write_bytes(data)
+        snatch = str(_snatch_stream(tmp_path)) if command in ("extract", "stream") else None
         good = {
             "simulate": ["--out", str(tmp_path / "corpus"), "--n-per-class", "1", "--duration", "1.0"],
-            "extract": ["--streams", str(_snatch_stream(tmp_path)), "--out", str(tmp_path / "x.csv")],
+            "extract": ["--streams", snatch, "--out", str(tmp_path / "x.csv")],
             "train": ["--features", str(trained["features"]), "--labels", str(corpus_dir / "labels.csv"),
                       "--model-out", str(tmp_path / "m.json"), "--n-trees", "3"],
             "pca": ["--features", str(trained["features"]), "--out", str(tmp_path / "pca.csv")],
             "rank": ["--model", str(trained["model"])],
-            "stream": ["--stream", str(_snatch_stream(tmp_path)), "--model", str(trained["model"]),
+            "stream": ["--stream", snatch, "--model", str(trained["model"]),
                        "--alerts-out", str(tmp_path / "alerts.jsonl")],
         }[command]
         bad = [str(tmp_path / v[1:]) if v.startswith("@") else v for v in flags]
