@@ -19,16 +19,22 @@ pair key's first track as A and classifies it under both orderings,
 through one ``SegmentFamilies`` table per decision: each track's
 individual families and the pair's symmetric distance family are computed
 once for both orderings, the directional families once per ordering. It
-orders no roles, since the higher probability of the two wins. Each
-alarm transition is one ``AlertRecord``, which gives the alert line and,
-for an activation, the evidence line; ``process`` returns the frame's
-records and the engine keeps no output history. Only the offline
-extractions write role-ordered rows: ``extract_windows``
+orders no roles, since the higher probability of the two wins.
+``step_pairs`` turns the decisions into alarm transitions by the alarm
+rule of ``docs/formats.md``, and is the only code that creates, steps or
+forgets an alarm. Each alarm transition is one ``AlertRecord``, which
+gives the alert line and, for an activation, the evidence line;
+``process`` returns the frame's records and the engine keeps no output
+history.
+
+Only the offline extractions write role-ordered rows: ``extract_windows``
 (``extract --mode sliding``) extracts each window's pair under the
 (aggressor, victim) ordering of ``order_roles``, which puts first the
 track with the higher mean center speed over the last ``window_s``
-seconds, and the lower id on a tie; ``extract_clip_row`` (``extract --mode
-clip``) does the same for one window over the whole clip. The layers this module calls (``select_pair``, ``order_roles``,
+seconds, and the lower id on a tie; ``extract_clip_row`` (``extract
+--mode clip``) does the same for one window over the whole clip.
+
+The layers this module calls (``select_pair``, ``order_roles``,
 ``pair_segment``, ``extract_segment``, ``predict_probability``, ``step``)
 are looked up here at each call, so a tool that replaces them here sees
 every call. Streaming alerts are therefore reproducible from an offline
@@ -56,7 +62,7 @@ from .features import (
 )
 from .forest import ForestModel, SchemaMismatch, compile_chunk, predict_probability
 from .preprocess import SkeletonSmoother, body_center
-from .temporal import AlarmState, step
+from .temporal import AlarmState, HysteresisConfig, step
 from .types import (
     FrameRecord,
     Track,
@@ -201,8 +207,9 @@ class TrackWindows:
     to their tracks and keeps every frame, for one window over a whole clip;
     ``advance`` also drops the frame leaving the window from exactly its
     keys' tracks, and a track it empties, and returns the selected pair at
-    each stride point. Each raw id has one record: its current key, the
-    position it was last seen at, how often it was split and its smoother.
+    each stride point; ``at_stride`` says whether its last frame was one.
+    Each raw id has one record: its current key, the position it was last
+    seen at, how often it was split and its smoother.
     A track's stored values leave with its samples, and its ``PairRows``
     leave its partners with it (see ``types.Track``).
     """
@@ -213,6 +220,7 @@ class TrackWindows:
         self.frames: deque[tuple[float, list[str]]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
+        self.at_stride = False
 
     def add(self, record: FrameRecord) -> set[str]:
         """Append one frame's smoothed persons to their tracks; returns the keys present."""
@@ -256,7 +264,8 @@ class TrackWindows:
                     del window[key]
                     for other in window.values():
                         other.pairs.pop(key, None)
-        if self.pos < wf - 1 or (self.pos - (wf - 1)) % sf:
+        self.at_stride = self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0
+        if not self.at_stride:
             return present, None
         return present, select_pair(self.tracks(), MIN_SEGMENT_FRAMES)
 
@@ -312,6 +321,37 @@ def extract_clip_row(
 
 # ---------------------------------------------------------------------------
 # online engine
+
+
+def step_pairs(
+    pairs: dict[str, tuple[int, tuple[str, str], AlarmState]],
+    present: set[str],
+    stride: bool,
+    decision: Optional[tuple[str, tuple[str, str], int]],
+    hcfg: HysteresisConfig,
+) -> list[tuple[str, str, int]]:
+    """One frame of the alarm rule (``docs/formats.md``, "Alarm rule").
+
+    ``pairs`` maps each known pair key to its latest prediction, its two
+    member keys and its alarm, in the order the pairs became known;
+    ``present`` holds the frame's track keys, ``stride`` says whether the
+    frame is a stride point and ``decision`` is the (pair key, members,
+    prediction) classified at it, if any. Updates ``pairs`` in place and
+    returns the frame's (pair key, kind, count) transitions in pair order.
+    This is the only code that creates, steps or forgets an alarm.
+    """
+    if decision is not None:
+        key, members, yhat = decision
+        known = pairs.get(key)
+        pairs[key] = (yhat, members, AlarmState() if known is None else known[2])
+    transitions = []
+    for key, (yhat, (a, b), alarm) in pairs.items():
+        if a not in present or b not in present:
+            continue
+        kind = step(alarm, yhat, hcfg)
+        if kind is not None:
+            transitions.append((key, kind, alarm.positives))
+    return transitions
 
 
 @dataclass
@@ -383,8 +423,7 @@ class StreamEngine:
         self.schema.plan
 
         self._windows = TrackWindows(cfg)
-        # pair key -> (latest prediction, (member, member), alarm), in order of
-        # first classification
+        # the known pairs, which only ``step_pairs`` creates, steps or forgets
         self._pairs: dict[str, tuple[int, tuple[str, str], AlarmState]] = {}
         self._prev_t: Optional[float] = None
         self._start_t: Optional[float] = None
@@ -397,7 +436,8 @@ class StreamEngine:
         """The track keys in the current window (the engine's track state)."""
         return self._windows.window.keys()
 
-    def _classify(self, pair: tuple[Track, Track]) -> None:
+    def _classify(self, pair: tuple[Track, Track]) -> tuple[str, tuple[str, str], int]:
+        """The window's decision: (pair key, members, thresholded prediction)."""
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=self.cfg.fps)
         families = SegmentFamilies(segment)
@@ -407,11 +447,8 @@ class StreamEngine:
             predict_probability(self.model, v_ab.values),
             predict_probability(self.model, v_ba.values),
         )
-        key = pair_key_str(a.track_id, b.track_id)
-        known = self._pairs.get(key)
-        alarm = AlarmState() if known is None else known[2]
         yhat = 1 if prob >= self.cfg.prob_threshold else 0
-        self._pairs[key] = (yhat, (a.track_id, b.track_id), alarm)
+        return pair_key_str(a.track_id, b.track_id), (a.track_id, b.track_id), yhat
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
         """Take one frame; returns the alarm transitions it caused, in pair order."""
@@ -426,15 +463,10 @@ class StreamEngine:
             self._forest_compiled = compile_chunk(self.model)
 
         present, pair = self._windows.advance(record)
-        if pair is not None:
-            self._classify(pair)
-
+        decision = None if pair is None else self._classify(pair)
+        transitions = step_pairs(self._pairs, present, self._windows.at_stride, decision, self.hcfg)
         alerts: list[AlertRecord] = []
-        for key, (yhat, (a, b), alarm) in self._pairs.items():
-            if a not in present or b not in present:
-                continue
-            kind = step(alarm, yhat, self.hcfg)
-            if kind is not None:
-                t, count = record.timestamp, alarm.positives
-                alerts.append(AlertRecord.of(key, kind, t, count, self.cfg, self._start_t))
+        for key, kind, count in transitions:
+            t = record.timestamp
+            alerts.append(AlertRecord.of(key, kind, t, count, self.cfg, self._start_t))
         return alerts

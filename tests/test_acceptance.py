@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from alarm_reference import reference_alarms
 from conftest import (
     random_segment,
     random_track,
@@ -52,10 +53,10 @@ from snatchdet.pipeline import (
 from snatchdet.preprocess import SkeletonSmoother
 from snatchdet.selection import pca_project, select_top_k
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
-from snatchdet.temporal import AlarmState, HysteresisConfig, step
+from snatchdet.temporal import HysteresisConfig
 from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track, track_order, validate_stream
 from test_forest import exhaustive_best_split, root_split
-from track_reference import build_tracks, reference_pairs, reference_windows
+from track_reference import build_tracks, prediction_positions, reference_pairs, reference_windows
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -411,6 +412,8 @@ def evidence_line(pair, trigger, first_t, cfg):
 def offline_alerts(frames, model, cfg):
     """Recompute stream alerts from scratch with the offline primitives.
 
+    The window decisions are recomputed offline and passed through the
+    reference alarm rule (``alarm_reference``), which reads no engine code.
     Returns (alert events, windows, evidence lines); a window is (end
     position, pair, repr of p(A,B), repr of p(B,A)), with the pair key's
     first track as A.
@@ -419,7 +422,7 @@ def offline_alerts(frames, model, cfg):
     schema = full_schema()
     hcfg = cfg.hysteresis()
 
-    updates = {}
+    decisions = {}
     windows = []
     for end, pair in reference_pairs(frames, cfg):
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
@@ -431,33 +434,26 @@ def offline_alerts(frames, model, cfg):
             continue
         p_ab = predict_probability(model, v_ab.values)
         p_ba = predict_probability(model, v_ba.values)
-        key = pair_key_str(seg.aggressor.track_id, seg.victim.track_id)
+        key = pair_key_str(a.track_id, b.track_id)
         windows.append((end, key, repr(p_ab), repr(p_ba)))
-        updates.setdefault(end, []).append((key, 1 if max(p_ab, p_ba) >= cfg.prob_threshold else 0))
+        yhat = 1 if max(p_ab, p_ba) >= cfg.prob_threshold else 0
+        decisions[end] = (key, (a.track_id, b.track_id), yhat)
 
     present_at = {}
     tracks, positions = build_tracks(frames, cfg.max_gap_frames)
     for track, track_positions in zip(tracks, positions):
         for pos in track_positions:
             present_at.setdefault(pos, set()).add(track.track_id)
+    strides = set(prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames))
+    steps = [(present_at.get(pos, set()), pos in strides, decisions.get(pos)) for pos in range(len(frames))]
 
-    current = {}
-    alarms = {}
     events, evidence = [], []
-    for pos, record in enumerate(frames):
-        for key, yhat in updates.get(pos, []):
-            current[key] = yhat
-        present = present_at.get(pos, set())
-        for key, yhat in current.items():
-            a, b = key.split("|")
-            if a not in present or b not in present:
-                continue
-            state = alarms.setdefault(key, AlarmState())
-            kind = step(state, yhat, hcfg)
-            if kind is not None:
-                events.append((key, kind, record.timestamp, state.positives))
-                if kind == "activated":
-                    evidence.append(evidence_line(key, record.timestamp, frames[0].timestamp, cfg))
+    transitions = reference_alarms(steps, hcfg.window, hcfg.n_on, hcfg.n_off)
+    for record, (frame_transitions, _) in zip(frames, transitions):
+        for key, kind, count in frame_transitions:
+            events.append((key, kind, record.timestamp, count))
+            if kind == "activated":
+                evidence.append(evidence_line(key, record.timestamp, frames[0].timestamp, cfg))
     return events, windows, evidence
 
 

@@ -6,9 +6,10 @@ hide in both sides of the online/offline comparison. It yields each window's
 selected pair, so it may take the data types and nothing else.
 
 ``tests/feature_reference.py`` (the exact feature oracle and the sentinel
-reference) and ``tests/forest_reference.py`` (the flat tree walk) import
-nothing from ``snatchdet``, nor any sibling test module, through which a
-package import could reach them. ``tests/ingest_reference.py`` (validation
+reference), ``tests/forest_reference.py`` (the flat tree walk) and
+``tests/alarm_reference.py`` (the alarm rule) import nothing from
+``snatchdet``, nor any sibling test module, through which a package import
+could reach them. ``tests/ingest_reference.py`` (validation
 and smoothing) may take only the data types and constants it checks against.
 """
 
@@ -72,7 +73,7 @@ def test_ingest_reference_imports_only_the_allow_list():
     assert disallowed(oracle_source("ingest_reference.py"), INGEST_ALLOWED) == []
 
 
-@pytest.mark.parametrize("oracle", ["feature_reference.py", "forest_reference.py"])
+@pytest.mark.parametrize("oracle", ["feature_reference.py", "forest_reference.py", "alarm_reference.py"])
 def test_pure_oracles_import_no_package_or_test_module(oracle):
     source = oracle_source(oracle)
     assert snatchdet_imports(source) == []
