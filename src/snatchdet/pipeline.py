@@ -340,17 +340,22 @@ def step_pairs(
     returns the frame's (pair key, kind, count) transitions in pair order.
     This is the only code that creates, steps or forgets an alarm.
     """
+    if stride:
+        # a prediction lives until the next stride point
+        for key, (_, members, alarm) in pairs.items():
+            pairs[key] = (0, members, alarm)
     if decision is not None:
         key, members, yhat = decision
         known = pairs.get(key)
         pairs[key] = (yhat, members, AlarmState() if known is None else known[2])
     transitions = []
-    for key, (yhat, (a, b), alarm) in pairs.items():
-        if a not in present or b not in present:
-            continue
-        kind = step(alarm, yhat, hcfg)
+    for key, (yhat, (a, b), alarm) in list(pairs.items()):
+        kind = step(alarm, yhat if a in present and b in present else 0, hcfg)
         if kind is not None:
             transitions.append((key, kind, alarm.positives))
+        if not (alarm.state or alarm.positives or yhat):
+            # an all-zero alarm makes the transitions of a fresh one
+            del pairs[key]
     return transitions
 
 
@@ -405,8 +410,10 @@ class StreamEngine:
     wins: ``p(A,B)`` is the probability with the pair key's first track
     (``track_order``) as A, ``p(B,A)`` the one with it as B, and no role
     ordering runs. The thresholded prediction then drives one alarm state
-    machine per pair. A pair's alarm only steps on frames where both
-    members are present.
+    machine per pair (``step_pairs``). A prediction lasts until the next
+    stride point. Every known pair's alarm steps on every frame, with 0
+    while a member is absent, and a pair whose alarm is off with no
+    positive left in its window is forgotten.
     """
 
     def __init__(self, model: ForestModel, cfg: PipelineConfig):

@@ -24,7 +24,10 @@ def reference_alarms(
     """
     known = {}  # pair key -> {"members", "prediction", "values", "on"}, in order of becoming known
     out = []
-    for present, _stride, decision in frames:
+    for present, stride, decision in frames:
+        if stride:
+            for pair in known.values():
+                pair["prediction"] = 0
         if decision is not None:
             key, members, prediction = decision
             if key not in known:
@@ -33,9 +36,8 @@ def reference_alarms(
             known[key]["prediction"] = 1 if prediction else 0
         transitions = []
         for key, pair in known.items():
-            if not all(member in present for member in pair["members"]):
-                continue
-            pair["values"].append(pair["prediction"])
+            both_present = all(member in present for member in pair["members"])
+            pair["values"].append(pair["prediction"] if both_present else 0)
             count = sum(pair["values"][-window:])
             if not pair["on"] and count >= n_on:
                 pair["on"] = True
@@ -43,5 +45,10 @@ def reference_alarms(
             elif pair["on"] and count <= n_off:
                 pair["on"] = False
                 transitions.append((key, "deactivated", count))
+        known = {
+            key: pair
+            for key, pair in known.items()
+            if pair["on"] or 1 in pair["values"][-window:] or pair["prediction"]
+        }
         out.append((transitions, list(known)))
     return out

@@ -3,10 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import importlib.util
 import json
 import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,9 @@ from snatchdet.temporal import HysteresisConfig
 from snatchdet.types import FrameRecord, Keypoint, Skeleton, Track, track_order, validate_stream
 from test_forest import exhaustive_best_split, root_split
 from track_reference import build_tracks, prediction_positions, reference_pairs, reference_windows
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -494,10 +499,30 @@ def split_id_frames():
     return without_person(frames, 2, 60, 90)
 
 
+# A default-config snatch clip (seed 5) whose alarm rises at frame 111.
+MEMBER_LEAVES = 130
+BYSTANDER_ENTERS = 120
+BYSTANDER_PAIRED = 134  # the first stride point whose closest pair is 1|9
+
+
+def member_leaves_mid_alarm():
+    """The snatch clip with person 2 gone from frame 130 to its end."""
+    frames = generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames
+    return without_person(frames, 2, MEMBER_LEAVES, len(frames))
+
+
+def bystander_takes_the_pair():
+    """The snatch clip with a bystander 10 px beside person 1 from frame 120:
+    person 2 stays, but the window's closest pair becomes 1|9."""
+    frames = generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames
+    return without_person(with_bystander(frames, dx=10.0), 9, 0, BYSTANDER_ENTERS)
+
+
 def equivalence_clips():
     """20 random clips, then one with a far bystander, one with a split id, one
-    whose person 2 is absent for 3 frames (a gap inside one track key) and one
-    whose timestamps start at 100 s."""
+    whose person 2 is absent for 3 frames (a gap inside one track key), one
+    whose timestamps start at 100 s, one whose person 2 leaves mid-alarm and
+    one in which a bystander takes the closest pair mid-alarm."""
     rng = np.random.default_rng(909)
     kinds = ("snatch", "walk_by", "handshake", "standing")
     for i in range(20):
@@ -515,6 +540,8 @@ def equivalence_clips():
     yield without_person(gap_clip, 2, 70, 73)
     late_clip = generate(ScenarioSpec(kind="snatch", seed=5, noise_sigma=1.0)).frames
     yield [FrameRecord(f.frame_index, 100.0 + f.timestamp, f.persons) for f in late_clip]
+    yield member_leaves_mid_alarm()
+    yield bystander_takes_the_pair()
 
 
 def test_online_offline_equivalence(e2e, monkeypatch):
@@ -537,11 +564,54 @@ def test_online_offline_equivalence(e2e, monkeypatch):
         if online != offline:
             mismatches += 1
     report(
-        "Online/offline: alert events, evidence lines and per-window probabilities identical on 24 clips",
+        "Online/offline: alert events, evidence lines and per-window probabilities identical on 26 clips",
         mismatches == 0 and split_windows > 0 and late_clamped > 0,
         f"{total_events} events ({late_clamped} evidence span clamped at a first timestamp above 0), "
         f"{total_windows} windows ({split_windows} on a split id) compared",
     )
+
+
+def alert_frames(frames, model, cfg):
+    """(pair, kind, frame position) of every alert the engine gives over ``frames``."""
+    alerts = run_engine(StreamEngine(model, cfg), frames)
+    return [(a.pair, a.kind, round(a.timestamp * cfg.fps)) for a in alerts]
+
+
+# perfbench's budget for a departed pair's deactivation
+DEACTIVATION_FRAMES = 15
+
+
+def test_alarm_ends_when_a_member_leaves(e2e):
+    alerts = alert_frames(member_leaves_mid_alarm(), e2e["model"], e2e["cfg"])
+    assert [(pair, kind) for pair, kind, _ in alerts] == [("1|2", "activated"), ("1|2", "deactivated")]
+    assert alerts[0][2] < MEMBER_LEAVES <= alerts[1][2] < MEMBER_LEAVES + DEACTIVATION_FRAMES
+
+
+def test_alarm_ends_when_a_bystander_takes_the_pair(e2e):
+    alerts = alert_frames(bystander_takes_the_pair(), e2e["model"], e2e["cfg"])
+    old_pair = [(kind, pos) for pair, kind, pos in alerts if pair == "1|2"]
+    assert [kind for kind, _ in old_pair] == ["activated", "deactivated"]
+    assert old_pair[0][1] < BYSTANDER_ENTERS
+    assert BYSTANDER_PAIRED <= old_pair[1][1] < BYSTANDER_PAIRED + DEACTIVATION_FRAMES
+    assert {pair for pair, _, _ in alerts} == {"1|2", "1|9"}
+
+
+def test_engine_forgets_every_pair_after_each_crowd_pass(e2e):
+    """Three passes over the output digest's crowd stream (four encounters,
+    six bystanders whose ids change every 90 frames), through one engine:
+    after each, the engine knows no pair."""
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "scripts" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    crowd = digest.encounter_stream(seed=1, rounds=1, bystanders=6)
+    engine = StreamEngine(e2e["model"], e2e["cfg"])
+    n = len(crowd)
+    alerts, held = 0, []
+    for k in range(3):
+        shifted = [FrameRecord(f.frame_index + k * n, f.timestamp + k * n / 30.0, f.persons) for f in crowd]
+        alerts += len(run_engine(engine, shifted))
+        held.append(len(engine._pairs))
+    assert alerts and held == [0, 0, 0]
 
 
 def test_window_state_bounded_under_id_churn(e2e):

@@ -20,10 +20,10 @@ PINNED = {
     "sliding.csv": "d811f04a36de9f342201c615f19e4173bcf7834910f79024869c715a90619239",
     "full_model.json": "001e19e8416e2169168f4f5808c9115ac78f7f9e7fc992e284a68eef77417f96",
     "top_model.json": "30253d729b8c87f5e4196b618b096e67213248fb431e5c845b6f5df2aa8500d7",
-    "pair_stream.alerts": "2b63e38fc0eb48249c270c73f11cee71b2ab6826f631ae5edfc36b29fa22dd39",
+    "pair_stream.alerts": "43cf7c2664ce96963445fc5150d22efb1697fad47ddc7b0286a9594a136daeb0",
     "pair_stream.evidence": "149b0a76fbba489fc049ac31e82193370413b739bf8378bf0eef09ddf1daef8c",
     "pair_stream.windows": "ca66f406604a83530be1e8b6081aab95b70315b9160e5d86b3d6e47772b460a5",
-    "crowd_stream.alerts": "f77411bd768b39a84df34c0802aae8bd27167f121c3ee1ef66d1d2409a56ed7b",
+    "crowd_stream.alerts": "42929982f52aa20bbb24f57340b0cfde5d8470575ec08e375368386b36a7d969",
     "crowd_stream.evidence": "20b888a96fa9ee362c328ebcb86c003eec6daff4fd7defd1aee7d4c4f9f6ca7e",
     "crowd_stream.windows": "d56397a636916f9a6406edd2a6104fb68d56ccdc703b7997ad5f7e625a800377",
 }
