@@ -869,7 +869,8 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
 
     ``values`` holds every cell in row-major order, one 8-byte double each.
     A bad header (one naming a feature twice, under any two spellings, included),
-    row length or cell raises ``MalformedRecord``.
+    row length or cell raises ``MalformedRecord``; a cell that reads as
+    ``nan`` or an infinity is a bad cell.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -895,8 +896,12 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
                 f"feature CSV line {reader.line_num}: {len(line)} fields, header has {len(header)}"
             )
         ids.append(line[0])
+        start = len(values)
         try:
             values.extend(map(float, line[1:]))
         except ValueError as exc:
             raise MalformedRecord(f"feature CSV line {reader.line_num}: {exc}") from None
+        if not all(map(math.isfinite, values[start:])):
+            cell = next(c for c in line[1:] if not math.isfinite(float(c)))
+            raise MalformedRecord(f"feature CSV line {reader.line_num}: non-finite cell {cell!r}")
     return names, ids, values

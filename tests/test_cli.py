@@ -1073,6 +1073,8 @@ def _bad_inputs(trained, corpus_dir):
     header, first, *rest = trained["features"].read_text().splitlines()
     cells = first.split(",")
     cells[3] = "abc"
+    non_finite = first.split(",")
+    non_finite[3] = "nan"
     labels = (corpus_dir / "labels.csv").read_text().splitlines()
     doc = json.loads(trained["model"].read_text())
     doc["schema"][0] = "not_a_real_feature"
@@ -1083,6 +1085,7 @@ def _bad_inputs(trained, corpus_dir):
         "not_utf8.json": b'{"fps": 30.0}\xff',
         "post_overflows.json": b'{"evidence_post_s": 1e308}',
         "non_numeric.csv": "\n".join([header, ",".join(cells), *rest, ""]).encode(),
+        "non_finite.csv": "\n".join([header, ",".join(non_finite), *rest, ""]).encode(),
         "huge_field.csv": f"{header}\n{cells[0]},{'1' * 200_000}\n".encode(),
         "label_over_64_bits.csv": "\n".join(
             [labels[0], *(f"{row.split(',')[0]},{2**70}" for row in labels[1:]), ""]
@@ -1129,6 +1132,7 @@ def _exit_code_cases():
         yield command, ["--features", "@non_numeric.csv"], 2, (
             "error: feature CSV line 2: could not convert string to float: 'abc'"
         )
+        yield command, ["--features", "@non_finite.csv"], 2, "error: feature CSV line 2: non-finite cell 'nan'"
         yield command, ["--features", "@huge_field.csv"], 2, (
             r"error: field larger than field limit \(131072\)"
         )

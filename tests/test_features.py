@@ -45,7 +45,7 @@ from snatchdet.features import (
     _longest_run,
     _pct,
 )
-from snatchdet.types import Keypoint, Track
+from snatchdet.types import Keypoint, MalformedRecord, Track
 
 
 def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100.0)):
@@ -808,3 +808,10 @@ class TestFeatureCsv:
             tracemalloc.stop()
         assert (len(ids), len(values)) == (2000, 2000 * 143)
         assert peak < 12 * 2000 * 143
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_cell_rejected_naming_its_line(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text(f"segment_id,distance_mean,A_velocity_mean\na,1.0,2.0\n\nb,3.0,{cell}\n")
+        with pytest.raises(MalformedRecord, match=f"^feature CSV line 4: non-finite cell '{cell}'$"):
+            read_feature_csv(str(path))
