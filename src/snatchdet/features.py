@@ -7,10 +7,11 @@ aggregated into a fixed-order feature vector with mean / median / min /
 max / p95 statistics plus a handful of event-shaped scalars (time to peak,
 retraction after peak, longest fast-and-close run, ...). A schema computes
 only the statistics and derived series (backward differences, IoU events)
-that its names read. The thresholds of
-those scalars and the shortest segment extracted are fixed parts of the
-feature definitions (``FAST_HAND``, ``ELBOW_FLEX``, ``CLOSE_HAND``,
-``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings.
+that its names read, and sorts a series once for all of its order
+statistics. The thresholds of those scalars and the shortest segment
+extracted are fixed parts of the feature definitions (``FAST_HAND``,
+``ELBOW_FLEX``, ``CLOSE_HAND``, ``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``),
+not settings.
 
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame; statistics are computed over the present values and
@@ -34,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
@@ -80,31 +82,39 @@ MISSING_DISTANCE = 10.0
 def aggregate(series: list[Value], stats: Sequence[str] = STATS) -> dict[str, Value]:
     """The ``stats`` of a series' present values; all None when none is present.
 
-    Mean, min and max read the values in series order; the median and p95
-    read one sorted copy, made only when one of them is asked for.
+    The mean adds the values in series order. The median and p95 read one
+    sorted copy, made only when one of them is asked for; min and max then
+    read its ends if the left-to-right sum is finite, that is if no value
+    is NaN or infinite. The sort is stable, so ``s[0]`` is what ``min()``
+    returns and the first value equal to ``s[-1]`` what ``max()`` returns,
+    of 0.0 and -0.0 too. Otherwise min and max read the values in series
+    order.
     """
     values = [v for v in series if v is not None]
     if not values:
         return dict.fromkeys(stats)
     n = len(values)
+    total = s = ends = None
+    if "median" in stats or "p95" in stats:
+        s = sorted(values)
+        if "min" in stats or "max" in stats:
+            total = ordered_sum(values)
+            if math.isfinite(total):
+                ends = (s[0], s[bisect_left(s, s[-1])])
     out: dict[str, Value] = {}
-    s: Optional[list[float]] = None
     for stat in stats:
         if stat == "mean":
-            out[stat] = ordered_sum(values) / n
+            out[stat] = (ordered_sum(values) if total is None else total) / n
         elif stat == "min":
-            out[stat] = min(values)
+            out[stat] = min(values) if ends is None else ends[0]
         elif stat == "max":
-            out[stat] = max(values)
+            out[stat] = max(values) if ends is None else ends[1]
+        elif stat == "median":
+            out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
+        elif stat == "p95":
+            out[stat] = s[math.ceil(0.95 * n) - 1]
         else:
-            if s is None:
-                s = sorted(values)
-            if stat == "median":
-                out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
-            elif stat == "p95":
-                out[stat] = s[math.ceil(0.95 * n) - 1]
-            else:
-                raise KeyError(f"unknown statistic {stat!r}")
+            raise KeyError(f"unknown statistic {stat!r}")
     return out
 
 
@@ -207,25 +217,26 @@ class FeatureSchema:
         return len(self.names)
 
     @cached_property
-    def plan(self) -> tuple[tuple[str, str, int, str, Optional[str], Stats, float], ...]:
-        """(name, family, owner role, base, statistic, statistics read, sentinel) per name.
+    def plan(self) -> tuple[tuple[str, int, str, Stats, tuple[str, ...], float], ...]:
+        """(family, owner role, base, statistics read, names, sentinel) per value read.
 
-        "Statistics read" are the statistics of that role's series that any
-        name of the schema reads, in ``STATS`` order (None for a scalar): the
-        one list extraction aggregates the series to. Built on first read; a
-        name outside the layout raises ``KeyError``.
+        One entry per scalar and per series (a base of one role) the schema
+        reads, in the order of their first names. A series' "statistics
+        read" are the statistics its names read, in ``STATS`` order: the one
+        list extraction aggregates it to; its names follow the same order.
+        A scalar has None and its one name. Built on first read; a name
+        outside the layout raises ``KeyError``.
         """
-        sources = [_SOURCE[name] for name in self.names]
-        read: dict[tuple[str, int, str], set[str]] = {}
-        for family, role, base, stat, _ in sources:
-            if stat is not None:
-                read.setdefault((family, role, base), set()).add(stat)
-        lists = {key: tuple(s for s in STATS if s in stats) for key, stats in read.items()}
-        return tuple(
-            (name, family, role, base, stat, None if stat is None else lists[family, role, base],
-             sentinel)
-            for name, (family, role, base, stat, sentinel) in zip(self.names, sources)
-        )
+        entries: dict[tuple[str, int, str, float], dict[Optional[str], str]] = {}
+        for name in self.names:
+            family, role, base, stat, sentinel = _SOURCE[name]
+            entries.setdefault((family, role, base, sentinel), {})[stat] = name
+        plan = []
+        for (family, role, base, sentinel), by_stat in entries.items():
+            stats = None if None in by_stat else tuple(s for s in STATS if s in by_stat)
+            names = tuple(by_stat[s] for s in stats or (None,))
+            plan.append((family, role, base, stats, names, sentinel))
+        return tuple(plan)
 
     def select(self, names: Sequence[str]) -> "FeatureSchema":
         chosen = {canonical_name(n) for n in names}
@@ -293,7 +304,10 @@ class FeatureVector:
 # of the ordered pair (``pair_values``) from the tracks the segment was cut
 # from, each computed by one row function the first time any window asks.
 # Everything relative to the window (the first rows' missing derivatives,
-# peaks, runs, percentages) is computed per call.
+# peaks, runs, percentages) is computed per call, and so are the window's
+# lists of stored values: for a 60-row window and a 15-row stride, storing
+# a list that one comprehension builds costs more per stride than
+# building it per window.
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
@@ -323,10 +337,10 @@ def _first_argmin(values: list[Value]) -> Optional[int]:
 
 
 def _pct(flags: list[Optional[bool]]) -> Value:
-    present = [f for f in flags if f is not None]
+    present = len(flags) - flags.count(None)
     if not present:
         return None
-    return 100.0 * sum(1 for f in present if f) / len(present)
+    return 100.0 * flags.count(True) / present
 
 
 def _longest_run(flags: list[Optional[bool]]) -> float:
@@ -455,15 +469,17 @@ def elbow_flexion(track: Track) -> Outputs:
 
 def _bbox_area_rate(prev: Skeleton, cur: Skeleton, dt: float) -> Value:
     area_prev = prev.bbox_area
-    if dt > 0 and area_prev != 0.0:
-        return (cur.bbox_area - area_prev) / (area_prev * dt)
+    scale = area_prev * dt
+    if dt > 0 and scale != 0.0:
+        return (cur.bbox_area - area_prev) / scale
     return None
 
 
 def bbox_area_rate(track: Track) -> Outputs:
     """Relative derivative of the (smoothed) bounding-box area, per second.
 
-    The rate is missing at a frame whose previous box has zero area.
+    The rate is missing at a frame whose previous box has zero area, or an
+    area so small that its product with the time step is 0.0.
     """
     return {"bboxAreaRate": track_steps(track, _bbox_area_rate)}
 
@@ -809,16 +825,19 @@ def extract_segment(
 
     Values come from ``families``, a ``SegmentFamilies`` table of this
     segment under either role ordering; without one, from a fresh table.
-    Each family with an output in the schema runs once per table, and each series it returns is
-    aggregated once, to the statistics the schema reads of it
-    (``FeatureSchema.plan``), so a second call on ``pair.swapped()`` with
-    the same table computes only the directional families of its ordering
-    and the series its roles read differently. Missing
-    values are materialized with the layout's sentinel so the classifier
-    always sees a finite value for every schema name. A segment shorter
-    than ``MIN_SEGMENT_FRAMES`` raises ``SegmentTooShort``, a name whose
-    family does not return its base name ``KeyError``, and a table built
-    for another segment ``ValueError``.
+    Each family with an output in the schema runs once per table, and each
+    series it returns is aggregated once, to the statistics the schema
+    reads of it (``FeatureSchema.plan``: one lookup per series and
+    scalar), so a second call on ``pair.swapped()`` with the same table
+    computes only the directional families of its ordering and the series
+    its roles read differently. The vector's names come in plan order,
+    which is the schema's when each series' names stand together, as in
+    every schema ``full_schema`` and ``select`` give. Missing values are
+    materialized with the layout's sentinel so the classifier always sees a
+    finite value for every schema name. A segment shorter than
+    ``MIN_SEGMENT_FRAMES`` raises ``SegmentTooShort``, a name whose family
+    does not return its base name ``KeyError``, and a table built for
+    another segment ``ValueError``.
     """
     if schema is None:
         schema = full_schema()
@@ -831,16 +850,18 @@ def extract_segment(
     aggregates = families.aggregates
     owners = (pair.aggressor.track_id, pair.victim.track_id, None)
     values: dict[str, float] = {}
-    for name, family, role, base, stat, stats, sentinel in schema.plan:
+    for family, role, base, stats, names, sentinel in schema.plan:
         key = (family, owners[role])
-        if stat is None:
+        if stats is None:
             value = families.get(key, pair)[base]
-        else:
-            agg = aggregates.get((key, base, stats))
-            if agg is None:
-                agg = aggregates[key, base, stats] = aggregate(families.get(key, pair)[base], stats)
+            values[names[0]] = sentinel if value is None else float(value)
+            continue
+        agg = aggregates.get((key, base, stats))
+        if agg is None:
+            agg = aggregates[key, base, stats] = aggregate(families.get(key, pair)[base], stats)
+        for name, stat in zip(names, stats):
             value = agg[stat]
-        values[name] = sentinel if value is None else float(value)
+            values[name] = sentinel if value is None else float(value)
     return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))
 
 

@@ -325,7 +325,8 @@ def _person_features(times, skels, fps, aggressor):
     box_rate = [None] * n
     for i in range(1, n):
         dt = times[i] - times[i - 1]
-        if dt > 0 and areas[i - 1] != 0.0:
+        # a previous area whose product with dt underflows to 0.0 counts as zero
+        if dt > 0 and areas[i - 1] * dt != 0.0:
             box_rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
 
     prefix = "A_" if aggressor else "B_"

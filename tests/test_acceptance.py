@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 import importlib.util
 import json
 import re
+import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -152,10 +153,11 @@ def test_feature_oracle_equivalence():
         got = extract_segment(seg, schema).values
         want = reference_segment_features(seg)
         for name in schema.names:
-            if got[name] != want[name]:
+            # bit for bit: != would take 0.0 and -0.0 for equal
+            if struct.pack("<d", got[name]) != struct.pack("<d", want[name]):
                 mismatched.append((trial, name, got[name], want[name]))
     report(
-        "Feature oracle: 200 random segments match straight-line reference exactly",
+        "Feature oracle: 200 random segments match straight-line reference bit for bit",
         not mismatched,
         f"{len(mismatched)} mismatches" if mismatched else "all exact",
     )

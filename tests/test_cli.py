@@ -588,6 +588,30 @@ class TestStream:
         )
         assert rc == 0
 
+    def test_subnormal_area_box_runs_to_the_end(self, trained, tmp_path):
+        # person 2's box is valid, but its area times the frame step
+        # underflows to 0.0: the area rate is missing there, as for a zero area
+        clip = synth.generate(synth.ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0))
+        flat = (0.0, 0.0, 1e-162, 1e-161)
+        frames = [
+            dataclasses.replace(f, persons=tuple(
+                (tid, skeleton_from_keypoints(s.keypoints, flat) if tid == 2 else s)
+                for tid, s in f.persons
+            ))
+            for f in clip.frames
+        ]
+        assert all(any(tid == 2 for tid, _ in f.persons) for f in frames)
+        stream_path = tmp_path / "subnormal.jsonl"
+        streams.write_stream(str(stream_path), frames)
+        alerts_path = tmp_path / "alerts.jsonl"
+        rc = cli.main(
+            ["stream", "--stream", str(stream_path), "--model", str(trained["model"]),
+             "--alerts-out", str(alerts_path)]
+        )
+        assert rc == 0
+        alerts = [json.loads(line) for line in alerts_path.read_text().splitlines()]
+        assert all(a["kind"] in ("activated", "deactivated") for a in alerts)
+
     def test_line_not_valid_utf8_exits_2_after_the_earlier_alerts(self, trained, tmp_path, capsys):
         good = _snatch_stream(tmp_path)
         want = tmp_path / "want.jsonl"

@@ -3,15 +3,16 @@
 import csv
 import gc
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_segment, random_track, skeleton_from_keypoints, static_skeleton
-from feature_reference import _sentinel, reference_segment_features
+from feature_reference import _ref_stat, _sentinel, reference_segment_features
 from ingest_reference import smooth_track
 from snatchdet import features
 from snatchdet.features import (
@@ -442,6 +443,26 @@ class TestFacing:
         assert abs(direction[0]) < 0.5 and direction[1] < 0.0
 
 
+# series values drawn mostly from a few that tie and from the non-finite ones
+_SERIES = st.lists(
+    st.one_of(
+        st.none(),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_STAT_SUBSETS = [
+    tuple(stat for i, stat in enumerate(STATS) if mask >> i & 1)
+    for mask in range(1, 2 ** len(STATS))
+]
+
+
+def _bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
 class TestAggregate:
     def test_basic_stats(self):
         agg = aggregate([1.0, 2.0, 3.0, 4.0, 100.0])
@@ -466,6 +487,22 @@ class TestAggregate:
     def test_stat_ordering(self, values):
         agg = aggregate(values)
         assert agg["max"] >= agg["p95"] >= agg["median"] >= agg["min"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SERIES, st.sampled_from(_STAT_SUBSETS))
+    @example([0.0, -0.0], ("max", "median"))  # max() keeps the first of equal maxima
+    @example([-0.0, 0.0, -0.0], ("min", "max", "p95"))
+    @example([1.0, math.nan, -1.0], STATS)
+    @example([math.inf, None, -math.inf, 2.0], STATS)
+    def test_equals_reference_bit_for_bit(self, series, stats):
+        """Every non-empty subset of STATS, over series with gaps, ties of 0.0
+        and -0.0, infinities and NaN, against the oracle's own statistics."""
+        got = aggregate(series, stats)
+        present = [v for v in series if v is not None]
+        assert list(got) == list(stats)
+        for stat in stats:
+            want = _ref_stat(present, stat) if present else None
+            assert _bits(got[stat]) == _bits(want), (stat, got[stat], want)
 
 
 class TestSchema:
