@@ -6,8 +6,8 @@ A change that must keep snatchdet's outputs byte-identical prints the same
 lines before and after. The inputs come from ``snatchdet.synth`` with fixed
 seeds; the artefacts come from the ``snatchdet`` commands:
 
-- ``clip.csv`` and ``sliding.csv``: ``extract`` over a labelled corpus;
-- ``full_model.json``: ``train`` on the clip rows;
+- ``sliding.csv``: ``extract`` over a corpus that ``simulate`` labels per window;
+- ``full_model.json``: ``train`` on those window rows and labels;
 - ``top_model.json``: ``train`` on the 10 columns ``rank`` puts first;
 - ``pair_stream.*`` and ``crowd_stream.*``: ``stream`` over encounters of
   one pair at a time (top-10 model), and over the same kind of encounters
@@ -125,17 +125,16 @@ def digests(
     _run(["simulate", "--out", corpus, "--n-per-class", str(n_per_class), "--seed", "0"])
     clips = sorted(os.path.join(corpus, f) for f in os.listdir(corpus) if f.endswith(".jsonl"))
     labels = os.path.join(corpus, "labels.csv")
-    _run(["extract", "--streams", *clips, "--mode", "clip", "--out", p("clip.csv")])
     _run(["extract", "--streams", *clips, "--mode", "sliding", "--out", p("sliding.csv")])
     train = ["train", "--labels", labels, "--n-trees", str(n_trees), "--seed", "42"]
-    _run([*train, "--features", p("clip.csv"), "--model-out", p("full_model.json"),
+    _run([*train, "--features", p("sliding.csv"), "--model-out", p("full_model.json"),
           "--report", p("full_report.txt")])
     _run(["rank", "--model", p("full_model.json"), "--k", "10", "--out", p("rank.csv")])
-    _keep_columns(p("clip.csv"), p("rank.csv"), p("top.csv"))
+    _keep_columns(p("sliding.csv"), p("rank.csv"), p("top.csv"))
     _run([*train, "--features", p("top.csv"), "--model-out", p("top_model.json"),
           "--report", p("top_report.txt")])
 
-    files = ("clip.csv", "sliding.csv", "full_model.json", "top_model.json")
+    files = ("sliding.csv", "full_model.json", "top_model.json")
     out = {name: _sha(p(name)) for name in files}
     for name, bystanders, model in (
         ("pair_stream", 0, "top_model.json"),

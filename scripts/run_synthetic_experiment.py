@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Full synthetic experiment: corpus -> features -> rank -> retrain -> eval.
+"""Full synthetic experiment: corpus -> clip split -> window features -> rank -> retrain -> eval.
 
-Mirrors the production training flow on generated data: train a forest on
-the full feature set, keep the top-k features by importance, retrain on
-the reduced schema, and report held-out metrics plus a PCA export of the
-selected features.
+Mirrors the production training flow on generated data: hold out whole
+clips, train a forest on the full feature set of the other clips' windows
+(the rows ``snatchdet stream`` classifies, labelled by the clip's event
+time), keep the top-k features by importance, retrain on the reduced
+schema, and report metrics on the held-out clips' windows plus a PCA
+export of the selected features.
 
     python3 scripts/run_synthetic_experiment.py --n-per-class 60 --out results/
 """
@@ -18,7 +20,7 @@ import time
 from snatchdet.config import PipelineConfig
 from snatchdet.features import full_schema
 from snatchdet.forest import ForestConfig, predict, save_model, train
-from snatchdet.experiment import binary_metrics, corpus_dataset, stratified_split
+from snatchdet.experiment import binary_metrics, split_clips, window_dataset
 from snatchdet.selection import pca_project, select_top_k, write_pca_csv
 from snatchdet.synth import generate_corpus
 
@@ -47,10 +49,11 @@ def main() -> None:
         duration=args.duration,
         noise_sigma=args.noise_sigma,
     )
-    dataset = corpus_dataset(clips, cfg, schema)
-    train_set, holdout = stratified_split(dataset, args.holdout, seed=args.seed)
-    print(f"extracted {len(dataset)} clip vectors "
-          f"({len(train_set)} train / {len(holdout)} held out)")
+    train_clips, holdout_clips = split_clips(clips, args.holdout, seed=args.seed)
+    train_set = window_dataset(train_clips, cfg, schema)
+    holdout = window_dataset(holdout_clips, cfg, schema)
+    print(f"extracted {len(train_set)} windows of {len(train_clips)} training clips, "
+          f"{len(holdout)} of {len(holdout_clips)} held-out clips")
 
     print(f"training full forest ({args.n_trees} trees, {len(schema)} features) ...")
     full_model = train(train_set, ForestConfig(n_trees=args.n_trees, seed=cfg.seed))
@@ -83,8 +86,10 @@ def main() -> None:
             {
                 "metrics": metrics,
                 "selected_features": [name for name, _ in selected.ranked],
-                "train_size": len(reduced_train),
-                "holdout_size": len(reduced_holdout),
+                "train_windows": len(reduced_train),
+                "holdout_windows": len(reduced_holdout),
+                "train_clips": len(train_clips),
+                "holdout_clips": len(holdout_clips),
                 "elapsed_s": elapsed,
             },
             fh,

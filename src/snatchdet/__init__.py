@@ -9,7 +9,7 @@ from .features import (
     pair_segment,
 )
 from .forest import Dataset, ForestConfig, ForestModel, predict, train
-from .pipeline import StreamEngine, extract_clip_row, extract_windows
+from .pipeline import StreamEngine, extract_windows
 from .temporal import AlarmState, HysteresisConfig, step
 from .types import FrameRecord, Keypoint, PairSegment, Skeleton, Track, torso_height, validate_frame
 
@@ -53,7 +53,6 @@ __all__ = [
     "Skeleton",
     "StreamEngine",
     "Track",
-    "extract_clip_row",
     "extract_segment",
     "extract_windows",
     "full_schema",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    simulate  generate a labeled synthetic corpus (streams + manifest)
-    extract   pose stream(s) -> feature CSV (sliding windows or whole clip)
+    simulate  generate a synthetic corpus (streams, manifest, one label per window)
+    extract   pose stream(s) -> feature CSV, one row per window that stream classifies
     train     feature CSV + labels -> model file + importance report
     rank      model file -> top-k importance table / reduced schema
     pca       feature CSV -> 2-component projection CSV
@@ -87,15 +87,20 @@ def _read_labels(path: str) -> dict[str, int]:
         if header is None or [h.strip() for h in header[:2]] != ["id", "label"]:
             raise MalformedRecord("labels CSV must have an 'id,label' header")
         labels: dict[str, int] = {}
+        lines: dict[str, int] = {}
         for row in reader:
             if not row:
                 continue
             try:
-                labels[row[0]] = int(row[1])
+                label = int(row[1])
             except (IndexError, ValueError):
                 raise MalformedRecord(
                     f"labels CSV line {reader.line_num}: need an id and an integer label, got {row}"
                 ) from None
+            if row[0] in labels:
+                raise MalformedRecord(f"labels CSV line {reader.line_num}: id {row[0]!r}"
+                                      f" is labelled on line {lines[row[0]]} already")
+            labels[row[0]], lines[row[0]] = label, reader.line_num
         return labels
 
 
@@ -110,38 +115,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import synth
 
     clips = synth.generate_corpus(
-        n_per_class=args.n_per_class,
-        total=args.total,
-        seed=args.seed,
-        duration=args.duration,
-        fps=args.fps,
-        noise_sigma=args.noise_sigma,
+        n_per_class=args.n_per_class, total=args.total, seed=args.seed,
+        duration=args.duration, fps=args.fps, noise_sigma=args.noise_sigma,
     )
+    # one label per window that ``extract`` cuts at this frame rate
+    cfg = PipelineConfig(fps=args.fps)
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     labels_rows = []
     for clip in clips:
         fname = f"{clip.clip_id}.jsonl"
         streams.write_stream(os.path.join(args.out, fname), clip.frames)
-        manifest.append(
-            {
-                "file": fname,
-                "clip_id": clip.clip_id,
-                "kind": clip.spec.kind,
-                "label": clip.label,
-                "seed": clip.spec.seed,
-                "event_time_s": clip.event_time,
-                "aggressor_id": clip.aggressor_id,
-            }
-        )
-        labels_rows.append((clip.clip_id, clip.label))
+        manifest.append({
+            "file": fname, "clip_id": clip.clip_id, "kind": clip.spec.kind, "label": clip.label,
+            "seed": clip.spec.seed, "event_time_s": clip.event_time, "aggressor_id": clip.aggressor_id,
+        })
+        labels_rows.extend(synth.window_labels(clip, cfg))
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"clips": manifest}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(args.out, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        writer.writerows(labels_rows)
+        csv.writer(fh).writerows([("id", "label"), *labels_rows])
     print(f"wrote {len(clips)} clips to {args.out}")
     return EXIT_OK
 
@@ -149,20 +143,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     schema = features.full_schema()
-    rows: list[tuple[str, features.FeatureVector]] = []
+    stems: dict[str, str] = {}  # a stream's rows are named after its file's stem
     for path in args.streams:
-        frames = streams.read_stream(path, fps=cfg.fps)
         stem = os.path.splitext(os.path.basename(path))[0]
-        if args.mode == "clip":
-            vector = pipeline.extract_clip_row(frames, cfg, schema)
-            if vector is not None:
-                rows.append((stem, vector))
-        else:
-            rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
-    if args.out == "-":
-        features.write_feature_csv(sys.stdout, rows, schema)
-    else:
-        features.write_feature_csv(args.out, rows, schema)
+        if stem in stems:
+            raise MalformedRecord(f"streams {stems[stem]} and {path} share the stem {stem!r},"
+                                  " so their rows would share ids")
+        stems[stem] = path
+    rows: list[tuple[str, features.FeatureVector]] = []
+    for stem, path in stems.items():
+        frames = streams.read_stream(path, fps=cfg.fps)
+        rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))
+    features.write_feature_csv(sys.stdout if args.out == "-" else args.out, rows, schema)
     print(f"extracted {len(rows)} segments", file=sys.stderr)
     return EXIT_OK
 
@@ -251,10 +243,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
     # a header-only CSV stays 2-d (no rows), so it fails as too few samples
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(names))
     result = selection.pca_project(matrix, n_components=args.components)
-    if args.out == "-":
-        selection.write_pca_csv(sys.stdout, result, ids, labels)
-    else:
-        selection.write_pca_csv(args.out, result, ids, labels)
+    selection.write_pca_csv(sys.stdout if args.out == "-" else args.out, result, ids, labels)
     ratios = ", ".join(f"{r:.4f}" for r in result.explained_variance_ratio)
     print(f"explained variance ratios: {ratios}", file=sys.stderr)
     return EXIT_OK
@@ -322,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file (flags override file values)")
 
-    p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
+    p = sub.add_parser("simulate", help="generate a synthetic corpus labelled per window")
     p.add_argument("--out", required=True, help="output directory")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n-per-class", type=int, help="balanced corpus size per class")
@@ -336,12 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="pose streams -> feature CSV")
     p.add_argument("--streams", nargs="+", required=True, help="stream JSONL file(s)")
     p.add_argument("--out", required=True, help="output CSV path, or - for stdout")
-    p.add_argument(
-        "--mode",
-        choices=("sliding", "clip"),
-        default="sliding",
-        help="sliding windows or one row per whole clip",
-    )
+    p.add_argument("--mode", choices=("sliding",), default="sliding", help="the only row view")
     p.add_argument("--fps", type=float, default=None)
     add_config(p)
     p.set_defaults(func=cmd_extract)

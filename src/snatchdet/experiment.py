@@ -1,43 +1,61 @@
-"""Experiment helpers: whole-clip corpus features, held-out split, metrics.
+"""Experiment helpers: held-out clip split, window rows, metrics.
 
 Used by ``scripts/run_synthetic_experiment.py`` and the tests; the
 detector itself never imports this module, so it does not pull in the
 synthetic generator.
+
+A held-out set is whole clips: ``split_clips`` splits the clips before any
+window is cut, so no clip has windows on both sides (overlapping windows
+of one clip would leak its features into the held-out score).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import PipelineConfig
 from .features import FeatureSchema, full_schema
 from .forest import Dataset
-from .pipeline import extract_clip_row
-from .synth import Clip
+from .pipeline import extract_windows
+from .synth import Clip, window_labels
 
 
-def corpus_dataset(
+def split_clips(
+    clips: Sequence[Clip], holdout_fraction: float, seed: int
+) -> tuple[list[Clip], list[Clip]]:
+    """Deterministic per-class split of whole clips into (train, holdout), each in corpus order."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 7919)))
+    labels = np.array([clip.label for clip in clips])
+    train_idx: list[int] = []
+    hold_idx: list[int] = []
+    for cls in (0, 1):
+        members = np.flatnonzero(labels == cls)
+        members = members[rng.permutation(len(members))]
+        n_hold = int(round(len(members) * holdout_fraction))
+        hold_idx.extend(int(i) for i in members[:n_hold])
+        train_idx.extend(int(i) for i in members[n_hold:])
+    return [clips[i] for i in sorted(train_idx)], [clips[i] for i in sorted(hold_idx)]
+
+
+def window_dataset(
     clips: Iterable[Clip],
     cfg: PipelineConfig,
     schema: Optional[FeatureSchema] = None,
 ) -> Dataset:
-    """Whole-clip feature matrix for a generated corpus."""
+    """The sliding-window rows of ``clips``, each labelled by ``synth.window_labels``."""
     schema = schema or full_schema()
-    rows = []
-    labels = []
-    ids = []
-    for i, clip in enumerate(clips):
-        vector = extract_clip_row(clip.frames, cfg, schema)
-        if vector is None:
-            continue
-        rows.append(vector.as_row(schema))
-        labels.append(clip.label)
-        ids.append(clip.clip_id or f"clip{i:04d}")
+    rows, labels, ids = [], [], []
+    for clip in clips:
+        table = dict(window_labels(clip, cfg))
+        for sid, vector in extract_windows(clip.frames, cfg, schema, stream_id=clip.clip_id):
+            rows.append(vector.as_row(schema))
+            labels.append(table[sid])
+            ids.append(sid)
     return Dataset(
         feature_names=schema.names,
-        X=np.array(rows, dtype=np.float64),
+        X=np.array(rows, dtype=np.float64).reshape(len(rows), len(schema)),
         y=np.array(labels, dtype=np.int64),
         ids=tuple(ids),
     )
@@ -56,30 +74,3 @@ def binary_metrics(y_true: Iterable[int], y_pred: Iterable[int]) -> dict[str, fl
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + tn) / len(y_true) if y_true else 0.0
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
-
-
-def stratified_split(
-    dataset: Dataset, holdout_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministic per-class split into (train, holdout)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 7919)))
-    train_idx: list[int] = []
-    hold_idx: list[int] = []
-    for cls in (0, 1):
-        members = np.flatnonzero(dataset.y == cls)
-        members = members[rng.permutation(len(members))]
-        n_hold = int(round(len(members) * holdout_fraction))
-        hold_idx.extend(int(i) for i in members[:n_hold])
-        train_idx.extend(int(i) for i in members[n_hold:])
-    train_idx.sort()
-    hold_idx.sort()
-
-    def subset(idx: list[int]) -> Dataset:
-        return Dataset(
-            feature_names=dataset.feature_names,
-            X=dataset.X[idx],
-            y=dataset.y[idx],
-            ids=tuple(dataset.ids[i] for i in idx) if dataset.ids else None,
-        )
-
-    return subset(train_idx), subset(hold_idx)

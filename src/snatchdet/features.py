@@ -14,9 +14,12 @@ extracted are fixed parts of the feature definitions (``FAST_HAND``,
 not settings.
 
 Per-frame values can be *missing* (None) when the joints involved are
-invalid in that frame; statistics are computed over the present values and
-an all-missing series (or a missing scalar) falls back to a sentinel:
-``MISSING_DISTANCE`` for the distance bases, 0 for every other feature.
+invalid in that frame, and a per-frame value that is not finite (NaN or an
+infinity, from a division by a tiny time step, torso height or area) is
+missing too (``finite_rows``); statistics are computed over the present
+values and an all-missing series (or a missing scalar) falls back to a
+sentinel: ``MISSING_DISTANCE`` for the distance bases, 0 for every other
+feature.
 
 A ``SegmentFamilies`` table holds the family outputs and series aggregates
 of one segment's two tracks, keyed by what each value depends on: an
@@ -79,38 +82,54 @@ STATS = ("mean", "median", "min", "max", "p95")
 MISSING_DISTANCE = 10.0
 
 
+def finite_rows(series: list[Value]) -> list[Value]:
+    """``series`` with each NaN and infinity missing (``docs/formats.md``, "Missing values").
+
+    A finite builtin sum of the present nonzero values rules both out, so
+    such a series is returned as it is, after one pass in C.
+    """
+    if math.isfinite(sum(filter(None, series))):
+        return series
+    return [v if v is None or math.isfinite(v) else None for v in series]
+
+
+def _mean(values: list[float], total: float) -> float:
+    """The mean of finite ``values`` summing to ``total``; their shares' sum if that overflowed."""
+    n = len(values)
+    return total / n if math.isfinite(total) else ordered_sum(v / n for v in values)
+
+
 def aggregate(series: list[Value], stats: Sequence[str] = STATS) -> dict[str, Value]:
     """The ``stats`` of a series' present values; all None when none is present.
 
-    The mean adds the values in series order. The median and p95 read one
+    NaN and the infinities are missing (``finite_rows``), looked for only
+    when the sum the mean needs (else one builtin sum) is not finite. The
+    mean adds the values in series order. The median and p95 read one
     sorted copy, made only when one of them is asked for; min and max then
-    read its ends if the left-to-right sum is finite, that is if no value
-    is NaN or infinite. The sort is stable, so ``s[0]`` is what ``min()``
+    read its ends: the sort is stable, so ``s[0]`` is what ``min()``
     returns and the first value equal to ``s[-1]`` what ``max()`` returns,
-    of 0.0 and -0.0 too. Otherwise min and max read the values in series
-    order.
+    of 0.0 and -0.0 too. A mean or median whose sum overflows is ``_mean``'s.
     """
     values = [v for v in series if v is not None]
+    total = ordered_sum(values) if "mean" in stats else sum(values)
+    if not math.isfinite(total):
+        values = [v for v in finite_rows(values) if v is not None]
+        total = ordered_sum(values)
     if not values:
         return dict.fromkeys(stats)
     n = len(values)
-    total = s = ends = None
-    if "median" in stats or "p95" in stats:
-        s = sorted(values)
-        if "min" in stats or "max" in stats:
-            total = ordered_sum(values)
-            if math.isfinite(total):
-                ends = (s[0], s[bisect_left(s, s[-1])])
+    s = sorted(values) if "median" in stats or "p95" in stats else None
     out: dict[str, Value] = {}
     for stat in stats:
         if stat == "mean":
-            out[stat] = (ordered_sum(values) if total is None else total) / n
+            out[stat] = _mean(values, total)
         elif stat == "min":
-            out[stat] = min(values) if ends is None else ends[0]
+            out[stat] = min(values) if s is None else s[0]
         elif stat == "max":
-            out[stat] = max(values) if ends is None else ends[1]
+            out[stat] = max(values) if s is None else s[bisect_left(s, s[-1])]
         elif stat == "median":
-            out[stat] = s[n // 2] if n % 2 == 1 else (s[n // 2 - 1] + s[n // 2]) / 2.0
+            lo, hi = s[n // 2 - 1], s[n // 2]
+            out[stat] = hi if n % 2 == 1 else _mean([lo, hi], lo + hi)
         elif stat == "p95":
             out[stat] = s[math.ceil(0.95 * n) - 1]
         else:
@@ -424,7 +443,7 @@ def hand_motion(track: Track, velocities: list[WristStep]) -> Outputs:
     backward differences are the ``handAcceleration`` and ``handJerk``
     families of ``SegmentFamilies``.
     """
-    speed: list[Value] = [None if step is None else step[0] for step in velocities]
+    speed = finite_rows([None if step is None else step[0] for step in velocities])
     peak = _first_argmax(speed)
     return {
         "handVelocity": speed,
@@ -435,13 +454,13 @@ def hand_motion(track: Track, velocities: list[WristStep]) -> Outputs:
 
 def min_jerk(times: list[float], acceleration: list[Value]) -> Outputs:
     """The least backward difference of a hand acceleration series."""
-    jerk = [v for v in _backward_diff(times, acceleration) if v is not None]
+    jerk = [v for v in finite_rows(_backward_diff(times, acceleration)) if v is not None]
     return {"handJerkMin": min(jerk) if jerk else None}
 
 
 def arm_posture(track: Track, fps: float) -> Outputs:
     """Arm extension (max over arms), its peak and the retraction after it."""
-    extension: list[Value] = [s.arm_extension for s in track.skeletons]
+    extension = finite_rows([s.arm_extension for s in track.skeletons])
     peak = _first_argmax(extension)
     retraction: Value = None
     if peak is not None:
@@ -554,7 +573,7 @@ def interaction_distance(pair: PairSegment) -> Outputs:
     and drop are ``iou_events``.
     """
     rows = pair_values(pair, _distance_and_iou)
-    return {"distance": [d for d, _ in rows], "iou": [v for _, v in rows]}
+    return {"distance": finite_rows([d for d, _ in rows]), "iou": [v for _, v in rows]}
 
 
 def iou_events(ious: list[Value], fps: float) -> Outputs:
@@ -654,7 +673,7 @@ def reaching(pair: PairSegment, hand_speed: list[Value], distance: list[Value]) 
     (``interaction_distance``'s ``distance``) of the same segment.
     """
     rows = pair_values(pair, _hand_reach)
-    hand_to_torso: list[Value] = [d for d, _ in rows]
+    hand_to_torso = finite_rows([d for d, _ in rows])
     hand_to_hip: list[Value] = [d for _, d in rows]
 
     close_flags = [None if d is None else d < CLOSE_HAND for d in hand_to_torso]
@@ -669,7 +688,7 @@ def reaching(pair: PairSegment, hand_speed: list[Value], distance: list[Value]) 
         stop = min(contact + _frames_for(0.4, pair.fps), len(rows) - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
-            post_mean = ordered_sum(window) / len(window)
+            post_mean = _mean(window, ordered_sum(window))
 
     return {
         "handToTorso": hand_to_torso,
@@ -890,8 +909,9 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
 
     ``values`` holds every cell in row-major order, one 8-byte double each.
     A bad header (one naming a feature twice, under any two spellings, included),
-    row length or cell raises ``MalformedRecord``; a cell that reads as
-    ``nan`` or an infinity is a bad cell.
+    row length, cell or segment id raises ``MalformedRecord``; a cell that
+    reads as ``nan`` or an infinity is a bad cell, and an id on an earlier
+    line a bad id.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -908,6 +928,7 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
             f"feature CSV header names feature {twice!r} more than once: {spellings}"
         )
     ids: list[str] = []
+    lines: dict[str, int] = {}
     values = array("d")
     for line in reader:
         if not line:
@@ -916,6 +937,10 @@ def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:
             raise MalformedRecord(
                 f"feature CSV line {reader.line_num}: {len(line)} fields, header has {len(header)}"
             )
+        if line[0] in lines:
+            raise MalformedRecord(f"feature CSV line {reader.line_num}: segment id {line[0]!r}"
+                                  f" is on line {lines[line[0]]} already")
+        lines[line[0]] = reader.line_num
         ids.append(line[0])
         start = len(values)
         try:

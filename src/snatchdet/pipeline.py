@@ -27,12 +27,11 @@ gives the alert line and, for an activation, the evidence line;
 ``process`` returns the frame's records and the engine keeps no output
 history.
 
-Only the offline extractions write role-ordered rows: ``extract_windows``
-(``extract --mode sliding``) extracts each window's pair under the
-(aggressor, victim) ordering of ``order_roles``, which puts first the
-track with the higher mean center speed over the last ``window_s``
-seconds, and the lower id on a tie; ``extract_clip_row`` (``extract
---mode clip``) does the same for one window over the whole clip.
+Only the offline extraction writes role-ordered rows: ``extract_windows``
+(``snatchdet extract``) cuts the windows ``stream`` classifies and
+extracts each window's pair under the (aggressor, victim) ordering of
+``order_roles``, which puts first the track with the higher mean center
+speed over the last ``window_s`` seconds, and the lower id on a tie.
 
 The layers this module calls (``select_pair``, ``order_roles``,
 ``pair_segment``, ``extract_segment``, ``predict_probability``, ``step``)
@@ -203,11 +202,11 @@ class TrackWindows:
 
     ``window`` holds one live ``Track`` per key with a sample in the stored
     frames, in order of key creation, and ``frames`` the (timestamp, keys
-    added) of each stored frame. ``add`` appends a frame's smoothed persons
-    to their tracks and keeps every frame, for one window over a whole clip;
-    ``advance`` also drops the frame leaving the window from exactly its
-    keys' tracks, and a track it empties, and returns the selected pair at
-    each stride point; ``at_stride`` says whether its last frame was one.
+    added) of each stored frame. ``advance`` appends a frame's smoothed
+    persons to their tracks, drops the frame leaving the window from
+    exactly its keys' tracks, and a track it empties, and returns the
+    selected pair at each stride point; ``at_stride`` says whether its last
+    frame was one.
     Each raw id has one record: its current key, the position it was last
     seen at, how often it was split and its smoother.
     A track's stored values leave with its samples, and its ``PairRows``
@@ -222,8 +221,9 @@ class TrackWindows:
         self.pos = -1
         self.at_stride = False
 
-    def add(self, record: FrameRecord) -> set[str]:
-        """Append one frame's smoothed persons to their tracks; returns the keys present."""
+    def advance(self, record: FrameRecord) -> tuple[set[str], Optional[tuple[Track, Track]]]:
+        """Take one frame; returns the keys present and, at a stride point, the
+        ``select_pair`` of the window ending at it."""
         self.pos = pos = self.pos + 1
         t, window, active, keys = record.timestamp, self.window, self._active, []
         for tid, skel in record.persons:
@@ -244,15 +244,10 @@ class TrackWindows:
             track.skeletons.append(smoother.step(skel))
             keys.append(key)
         self.frames.append((t, keys))
-        return set(keys)
-
-    def advance(self, record: FrameRecord) -> tuple[set[str], Optional[tuple[Track, Track]]]:
-        """Add one frame; at a stride point, also ``select_pair`` over the window ending at it."""
-        present = self.add(record)
-        wf, sf, window = self.cfg.window_frames, self.cfg.stride_frames, self.window
+        wf, sf = self.cfg.window_frames, self.cfg.stride_frames
         while len(self.frames) > wf:
-            _, keys = self.frames.popleft()
-            for key in keys:
+            _, leaving = self.frames.popleft()
+            for key in leaving:
                 track = window[key]
                 # the sample's stored values leave with it (see ``Track``)
                 del track.timestamps[0], track.skeletons[0]
@@ -264,10 +259,10 @@ class TrackWindows:
                     del window[key]
                     for other in window.values():
                         other.pairs.pop(key, None)
-        self.at_stride = self.pos >= wf - 1 and (self.pos - (wf - 1)) % sf == 0
+        self.at_stride = pos >= wf - 1 and (pos - (wf - 1)) % sf == 0
         if not self.at_stride:
-            return present, None
-        return present, select_pair(self.tracks(), MIN_SEGMENT_FRAMES)
+            return set(keys), None
+        return set(keys), select_pair(self.tracks(), MIN_SEGMENT_FRAMES)
 
     def tracks(self) -> list[Track]:
         """The window's tracks in key-creation order, live: each changes with the next frame."""
@@ -299,24 +294,6 @@ def extract_windows(
         key = pair_key_str(pair[0].track_id, pair[1].track_id)
         rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
     return rows
-
-
-def extract_clip_row(
-    frames: Sequence[FrameRecord],
-    cfg: PipelineConfig,
-    schema: Optional[FeatureSchema] = None,
-) -> Optional[FeatureVector]:
-    """One feature vector for the whole clip (the training-time view)."""
-    windows = TrackWindows(cfg)
-    for record in frames:
-        windows.add(record)
-    pair = select_pair(windows.tracks(), MIN_SEGMENT_FRAMES)
-    if pair is None:
-        return None
-    duration = frames[-1].timestamp - frames[0].timestamp
-    agg, vic = order_roles(pair[0], pair[1], max(duration, cfg.window_s))
-    segment = pair_segment(agg, vic, fps=cfg.fps)
-    return extract_segment(segment, schema or full_schema(), SegmentFamilies(segment))
 
 
 # ---------------------------------------------------------------------------

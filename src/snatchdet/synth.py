@@ -11,7 +11,8 @@ Figures are 2D stick models with fixed limb proportions (torso height is
 * ``standing``  - both static apart from sensor noise.
 
 Generation is pure given (spec, seed). Ground truth (label, event time,
-aggressor id) rides along on the returned clip.
+aggressor id) rides along on the returned clip, and ``window_labels``
+turns it into one label per window that sliding extraction cuts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import PipelineConfig
 from .types import FrameRecord, MalformedRecord, Skeleton
 
 SCENARIO_KINDS = ("snatch", "walk_by", "handshake", "standing")
@@ -477,3 +479,19 @@ def generate_corpus(
         clip.clip_id = f"clip{i:04d}_{spec.kind}"
         clips.append(clip)
     return clips
+
+
+def window_labels(clip: Clip, cfg: PipelineConfig) -> list[tuple[str, int]]:
+    """(row id, label) of each window that sliding extraction at ``cfg`` cuts from ``clip``.
+
+    A window ends at each stride point. Its label is 1 when the clip's
+    event time lies between the timestamps of its first and last frame,
+    and its id ``"<clip_id>#1|2#<end position>"`` is the one extraction
+    gives the window of the clip's two people.
+    """
+    wf, frames, event = cfg.window_frames, clip.frames, clip.event_time
+    return [
+        (f"{clip.clip_id}#1|2#{end}",
+         int(event is not None and frames[end - wf + 1].timestamp <= event <= frames[end].timestamp))
+        for end in range(wf - 1, len(frames), cfg.stride_frames)
+    ]

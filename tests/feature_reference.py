@@ -36,15 +36,38 @@ def _sum_left_to_right(values):
     return total
 
 
+def _finite(value):
+    # NaN fails both comparisons
+    return value is not None and -math.inf < value < math.inf
+
+
+def _rule(series):
+    """A per-row value that is NaN or an infinity is missing, like one of invalid joints."""
+    return [v if _finite(v) else None for v in series]
+
+
+def _ref_mean(values):
+    total = _sum_left_to_right(values)
+    if _finite(total):
+        return total / len(values)
+    # the sum of finite values overflowed: add each value's share instead
+    return _sum_left_to_right([v / len(values) for v in values])
+
+
 def _ref_stat(values, stat):
+    """The statistic of a series' present values; None when none is finite."""
+    values = [v for v in values if _finite(v)]
+    if not values:
+        return None
     if stat == "mean":
-        return _sum_left_to_right(values) / len(values)
+        return _ref_mean(values)
     if stat == "median":
         s = sorted(values)
         n = len(s)
         if n % 2 == 1:
             return s[n // 2]
-        return (s[n // 2 - 1] + s[n // 2]) / 2.0
+        mid = (s[n // 2 - 1] + s[n // 2]) / 2.0
+        return mid if _finite(mid) else s[n // 2 - 1] / 2.0 + s[n // 2] / 2.0
     if stat == "min":
         return min(values)
     if stat == "max":
@@ -311,13 +334,14 @@ def _person_features(times, skels, fps, aggressor):
         dt = times[i] - times[i - 1]
         if centers[i] is not None and centers[i - 1] is not None and torsos[i] is not None and dt > 0:
             speed[i] = _d(centers[i], centers[i - 1]) / dt / torsos[i]
-    accel = _diff(times, speed)
+    speed = _rule(speed)
+    accel = _rule(_diff(times, speed))
 
-    wrist_speed = _wrist_speeds(times, skels)
-    hand_accel = _diff(times, wrist_speed)
-    hand_jerk = _diff(times, hand_accel)
+    wrist_speed = _rule(_wrist_speeds(times, skels))
+    hand_accel = _rule(_diff(times, wrist_speed))
+    hand_jerk = _rule(_diff(times, hand_accel))
 
-    ext = [arm_extension(s) for s in skels]
+    ext = _rule([arm_extension(s) for s in skels])
     ang_l = [elbow_angle(s, 5, 7, 9) for s in skels]
     ang_r = [elbow_angle(s, 6, 8, 10) for s in skels]
 
@@ -328,6 +352,7 @@ def _person_features(times, skels, fps, aggressor):
         # a previous area whose product with dt underflows to 0.0 counts as zero
         if dt > 0 and areas[i - 1] * dt != 0.0:
             box_rate[i] = (areas[i] - areas[i - 1]) / (areas[i - 1] * dt)
+    box_rate = _rule(box_rate)
 
     prefix = "A_" if aggressor else "B_"
     series = [("velocity", speed), ("acceleration", accel), ("handVelocity", wrist_speed),
@@ -336,9 +361,8 @@ def _person_features(times, skels, fps, aggressor):
     if aggressor:
         series.insert(3, ("handAcceleration", hand_accel))
     for base, vals in series:
-        present = [v for v in vals if v is not None]
         for stat in STATS:
-            out[prefix + base + "_" + stat] = _ref_stat(present, stat) if present else None
+            out[prefix + base + "_" + stat] = _ref_stat(vals, stat)
 
     out[prefix + "fastHandPct"] = _pct(wrist_speed, lambda v: v > FAST_HAND)
     peak = _argmax(wrist_speed)
@@ -384,7 +408,8 @@ def reference_segment_features(pair):
     for i in range(n):
         if centers_a[i] is not None and centers_b[i] is not None and mean_th[i] is not None:
             distance[i] = _d(centers_a[i], centers_b[i]) / mean_th[i]
-    rate = _diff(times, distance)
+    distance = _rule(distance)
+    rate = _rule(_diff(times, distance))
 
     ious = []
     for sa, sb in zip(skels_a, skels_b):
@@ -412,12 +437,13 @@ def reference_segment_features(pair):
             skels_a[i - 1], skels_b[i - 1], skels_a[i], skels_b[i], times[i] - times[i - 1]
         )
 
+    rel_speed = _rule(rel_speed)
     reach = [hand_reach(a, b) for a, b in zip(skels_a, skels_b)]
-    hand_to_torso = [r[0] for r in reach]
-    hand_to_hip = [r[1] for r in reach]
+    hand_to_torso = _rule([r[0] for r in reach])
+    hand_to_hip = _rule([r[1] for r in reach])
 
     # fast-and-close conjunction, using A's wrist speed recomputed
-    wrist_speed_a = _wrist_speeds(times, skels_a)
+    wrist_speed_a = _rule(_wrist_speeds(times, skels_a))
     both = [None] * n
     for i in range(n):
         f = None if wrist_speed_a[i] is None else wrist_speed_a[i] > FAST_HAND
@@ -437,7 +463,7 @@ def reference_segment_features(pair):
         stop = min(contact + round(0.4 * fps), n - 1)
         window = [distance[i] for i in range(contact, stop + 1) if distance[i] is not None]
         if window:
-            post_mean = _sum_left_to_right(window) / len(window)
+            post_mean = _ref_mean(window)
 
     cosines = [facing_cosines(a, b) for a, b in zip(skels_a, skels_b)]
     a_to_b = [c[0] for c in cosines]
@@ -453,6 +479,7 @@ def reference_segment_features(pair):
         d = math.atan2(fb[1], fb[0]) - math.atan2(fa[1], fa[0])
         d = (d + math.pi) % tau - math.pi
         face_rate[i] = abs(d) / dt
+    face_rate = _rule(face_rate)
 
     for base, vals in (
         ("distance", distance),
@@ -466,9 +493,8 @@ def reference_segment_features(pair):
         ("BfacingToA", b_to_a),
         ("facingRate", face_rate),
     ):
-        present = [v for v in vals if v is not None]
         for stat in STATS:
-            out[base + "_" + stat] = _ref_stat(present, stat) if present else None
+            out[base + "_" + stat] = _ref_stat(vals, stat)
 
     out["iouPeak"] = iou_peak
     out["iouDrop0p2s"] = iou_drop

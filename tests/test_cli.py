@@ -36,14 +36,12 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(corpus_dir, tmp_path_factory):
-    """Features CSV + model trained on the small corpus."""
+    """Window features CSV + model trained on the small corpus."""
     work = tmp_path_factory.mktemp("trained")
     manifest = json.loads((corpus_dir / "manifest.json").read_text())
     stream_files = [str(corpus_dir / c["file"]) for c in manifest["clips"]]
     features_csv = work / "features.csv"
-    rc = cli.main(
-        ["extract", "--streams", *stream_files, "--out", str(features_csv), "--mode", "clip"]
-    )
+    rc = cli.main(["extract", "--streams", *stream_files, "--out", str(features_csv)])
     assert rc == 0
     model_path = work / "model.json"
     report_path = work / "report.txt"
@@ -76,16 +74,27 @@ class TestSimulate:
         with open(corpus_dir / "labels.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "label"]
-        assert len(rows) == 13
+        # 12 clips of 4 s at 30 fps: windows end at 59, 74, ..., 119
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        assert [row[0] for row in rows[1:]] == [
+            f"{c['clip_id']}#1|2#{end}" for c in manifest["clips"] for end in range(59, 120, 15)
+        ]
+        # a window is 1 when the event time lies between its first and last frame
+        events = {c["clip_id"]: c["event_time_s"] for c in manifest["clips"]}
+        for sid, label in rows[1:]:
+            clip_id, _, end = sid.split("#")
+            t = events[clip_id]
+            assert label == str(int(t is not None and (int(end) - 59) / 30.0 <= t <= int(end) / 30.0))
+        assert {row[1] for row in rows[1:]} == {"0", "1"}
 
     def test_total_splits_29_to_61(self, tmp_path):
         rc = cli.main(
             ["simulate", "--out", str(tmp_path), "--total", "90", "--seed", "5", "--duration", "1.0"]
         )
         assert rc == 0
-        with open(tmp_path / "labels.csv", newline="") as fh:
-            labels = [row[1] for row in csv.reader(fh)][1:]
-        assert (labels.count("1"), labels.count("0")) == (29, 61)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        labels = [c["label"] for c in manifest["clips"]]
+        assert (labels.count(1), labels.count(0)) == (29, 61)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -97,6 +106,31 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestReadmeRoundTrip:
+    def test_simulate_extract_train_rank_pca_stream(self, tmp_path, monkeypatch, capsys):
+        """README's round trip, on a small corpus: the windows that extract cuts
+        are the windows simulate labels, so train uses every row and stream alerts."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--out", "corpus/", "--n-per-class", "4", "--seed", "1234",
+                         "--duration", "4.0"]) == 0
+        clips = sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "corpus").glob("clip*.jsonl"))
+        assert cli.main(["extract", "--streams", *clips, "--out", "features.csv"]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--features", "features.csv", "--labels", "corpus/labels.csv",
+                         "--model-out", "model.json", "--n-trees", "30", "--seed", "42"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no row lacks a label
+        assert "training samples: 40" in captured.out  # 8 clips x 5 windows
+        assert cli.main(["rank", "--model", "model.json", "--k", "10"]) == 0
+        assert cli.main(["pca", "--features", "features.csv", "--labels", "corpus/labels.csv",
+                         "--out", "pca.csv"]) == 0
+        assert cli.main(["stream", "--stream", "corpus/clip0000_snatch.jsonl", "--model", "model.json",
+                         "--alerts-out", "alerts.jsonl", "--evidence-out", "evidence.jsonl"]) == 0
+        alerts = [json.loads(line) for line in (tmp_path / "alerts.jsonl").read_text().splitlines()]
+        assert [a["kind"] for a in alerts][:1] == ["activated"]
+        assert len((tmp_path / "evidence.jsonl").read_text().splitlines()) == 1
 
 
 # a frame line that starts with two bytes that are not UTF-8
@@ -113,19 +147,20 @@ def _snatch_stream(tmp_path):
 
 
 class TestExtract:
-    def test_clip_rows_match_corpus(self, corpus_dir, trained):
+    def test_window_rows_match_corpus(self, corpus_dir, trained):
         names, ids, values = features.read_feature_csv(str(trained["features"]))
-        assert len(ids) == 12
-        assert len(values) == 12 * len(names)
+        with open(corpus_dir / "labels.csv", newline="") as fh:
+            labels = dict(list(csv.reader(fh))[1:])
+        # one row per labelled window, in the order simulate labels them
+        assert ids == list(labels) and len(ids) == 60
+        assert len(values) == 60 * len(names)
         assert names == list(features.full_schema().names)
         d = len(names)
         by_id = {sid: dict(zip(names, values[i * d:(i + 1) * d])) for i, sid in enumerate(ids)}
-        manifest = json.loads((corpus_dir / "manifest.json").read_text())
-        for entry in manifest["clips"]:
-            vals = by_id[entry["clip_id"]]
-            if entry["kind"] == "snatch":
+        for sid, vals in by_id.items():
+            if labels[sid] == "1":  # a snatch window holding the event
                 assert vals["handToTorso_min"] < 0.3
-            elif entry["kind"] == "standing":
+            elif "standing" in sid:
                 # median is robust to the center jumps that confidence
                 # dropout causes on single frames
                 assert vals["A_velocity_median"] < 0.5
@@ -202,6 +237,22 @@ class TestExtract:
         assert done.returncode == 0, done.stderr[-500:]
         _, ids, _ = features.read_feature_csv(str(out))
         assert ids == ["gap#1|2#59"]
+
+    def test_two_streams_with_one_stem_exit_2(self, corpus_dir, tmp_path, capsys):
+        """Their rows would share ids, so the model would depend on the order of --streams."""
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        paths = []
+        for sub, entry in zip(("a", "b"), manifest["clips"][:2]):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.jsonl")
+            paths[-1].write_bytes((corpus_dir / entry["file"]).read_bytes())
+        out = tmp_path / "x.csv"
+        rc = cli.main(["extract", "--streams", *map(str, paths), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: streams {paths[0]} and {paths[1]} share the stem 'x', so their rows would share ids\n"
+        )
+        assert not out.exists()
 
     def test_extract_is_byte_deterministic(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -297,8 +348,11 @@ class TestMalformedLabels:
             ("pca", "clip,kind\nclip0000_snatch,1\n"),
             ("pca", "id,label\nclip0000_snatch,notanint\n"),
             ("train", "id,label\nclip0000_snatch\n"),
+            ("train", "id,label\nclip0000_snatch#1|2#59,1\nclip0000_snatch#1|2#59,0\n"),
+            ("pca", "id,label\nclip0000_snatch#1|2#59,1\nclip0000_snatch#1|2#59,1\n"),
         ],
-        ids=["pca-wrong-header", "pca-non-integer-label", "train-one-field-row"],
+        ids=["pca-wrong-header", "pca-non-integer-label", "train-one-field-row",
+             "train-id-labelled-twice", "pca-id-labelled-twice"],
     )
     def test_exits_2(self, trained, tmp_path, capsys, command, text):
         labels = tmp_path / "labels.csv"
@@ -474,7 +528,7 @@ class TestPcaCommand:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_id", "pc1", "pc2", "label"]
-        assert len(rows) == 13
+        assert len(rows) == 61  # 12 clips x 5 windows
 
     def test_header_only_csv_exits_2(self, trained, tmp_path, capsys):
         header = trained["features"].read_text().splitlines()[0]
@@ -1099,6 +1153,8 @@ def _bad_inputs(trained, corpus_dir):
     cells[3] = "abc"
     non_finite = first.split(",")
     non_finite[3] = "nan"
+    repeated = rest[1].split(",")
+    repeated[0] = cells[0]
     labels = (corpus_dir / "labels.csv").read_text().splitlines()
     doc = json.loads(trained["model"].read_text())
     doc["schema"][0] = "not_a_real_feature"
@@ -1110,6 +1166,8 @@ def _bad_inputs(trained, corpus_dir):
         "post_overflows.json": b'{"evidence_post_s": 1e308}',
         "non_numeric.csv": "\n".join([header, ",".join(cells), *rest, ""]).encode(),
         "non_finite.csv": "\n".join([header, ",".join(non_finite), *rest, ""]).encode(),
+        "repeated_id.csv": "\n".join([header, first, rest[0], ",".join(repeated), *rest[2:], ""]).encode(),
+        "labelled_twice.csv": "\n".join([*labels, labels[1].rsplit(",", 1)[0] + ",0", ""]).encode(),
         "huge_field.csv": f"{header}\n{cells[0]},{'1' * 200_000}\n".encode(),
         "label_over_64_bits.csv": "\n".join(
             [labels[0], *(f"{row.split(',')[0]},{2**70}" for row in labels[1:]), ""]
@@ -1157,6 +1215,12 @@ def _exit_code_cases():
             "error: feature CSV line 2: could not convert string to float: 'abc'"
         )
         yield command, ["--features", "@non_finite.csv"], 2, "error: feature CSV line 2: non-finite cell 'nan'"
+        yield command, ["--features", "@repeated_id.csv"], 2, (
+            r"error: feature CSV line 4: segment id 'clip0000_snatch#1\|2#59' is on line 2 already"
+        )
+        yield command, ["--labels", "@labelled_twice.csv"], 2, (
+            r"error: labels CSV line 62: id 'clip0000_snatch#1\|2#59' is labelled on line 2 already"
+        )
         yield command, ["--features", "@huge_field.csv"], 2, (
             r"error: field larger than field limit \(131072\)"
         )

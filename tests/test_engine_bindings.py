@@ -23,7 +23,7 @@ import pytest
 from conftest import run_engine, with_bystander, without_person
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
-from snatchdet.experiment import corpus_dataset
+from snatchdet.experiment import window_dataset
 from snatchdet.forest import Dataset, ForestConfig, save_model, train
 from snatchdet.streams import write_stream
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus
@@ -102,12 +102,12 @@ def test_sliding_extraction_orders_roles_once_per_row(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def clip_model():
+def window_model():
     clips = generate_corpus(n_per_class=3, seed=5, duration=4.0, noise_sigma=1.0)
-    return train(corpus_dataset(clips, PipelineConfig()), ForestConfig(n_trees=20, seed=1))
+    return train(window_dataset(clips, PipelineConfig()), ForestConfig(n_trees=20, seed=1))
 
 
-def test_stream_output_does_not_depend_on_role_ordering(monkeypatch, clip_model):
+def test_stream_output_does_not_depend_on_role_ordering(monkeypatch, window_model):
     """Patching ``order_roles`` to raise leaves every alert and evidence line as it was."""
     cfg = PipelineConfig()
     # three encounters, each with fresh ids and a bystander
@@ -119,7 +119,7 @@ def test_stream_output_does_not_depend_on_role_ordering(monkeypatch, clip_model)
     frames = [FrameRecord(pos, pos / cfg.fps, p) for pos, p in enumerate(persons)]
 
     def outputs():
-        alerts = run_engine(pipeline.StreamEngine(clip_model, cfg), frames)
+        alerts = run_engine(pipeline.StreamEngine(window_model, cfg), frames)
         return [a.to_obj() for a in alerts], [a.evidence for a in alerts if a.evidence is not None]
 
     want = outputs()

@@ -43,10 +43,15 @@ from snatchdet.features import (
     write_feature_csv,
     _backward_diff,
     _first_argmax,
+    finite_rows,
     _longest_run,
     _pct,
 )
-from snatchdet.types import Keypoint, MalformedRecord, Track
+from snatchdet.config import PipelineConfig
+from snatchdet.pipeline import extract_windows, order_roles
+from snatchdet.synth import ScenarioSpec, generate
+from snatchdet.types import FrameRecord, Keypoint, MalformedRecord, Skeleton, Track, validate_stream
+from track_reference import reference_pairs
 
 
 def build_skeleton(joints: dict, bbox=None, default_conf=0.9, center=(100.0, 100.0)):
@@ -494,15 +499,19 @@ class TestAggregate:
     @example([-0.0, 0.0, -0.0], ("min", "max", "p95"))
     @example([1.0, math.nan, -1.0], STATS)
     @example([math.inf, None, -math.inf, 2.0], STATS)
+    @example([math.nan, math.inf], ("median",))
+    @example([1.7e308, 1.7e308, -1.0], STATS)  # a sum of finite values that overflows
+    @example([1e308, 1.7e308], ("median",))
     def test_equals_reference_bit_for_bit(self, series, stats):
         """Every non-empty subset of STATS, over series with gaps, ties of 0.0
-        and -0.0, infinities and NaN, against the oracle's own statistics."""
+        and -0.0, infinities, NaN and sums that overflow, against the oracle's
+        own statistics: NaN and the infinities are missing in both."""
         got = aggregate(series, stats)
-        present = [v for v in series if v is not None]
         assert list(got) == list(stats)
         for stat in stats:
-            want = _ref_stat(present, stat) if present else None
+            want = _ref_stat(series, stat)
             assert _bits(got[stat]) == _bits(want), (stat, got[stat], want)
+            assert want is None or math.isfinite(want)
 
 
 class TestSchema:
@@ -852,3 +861,69 @@ class TestFeatureCsv:
         path.write_text(f"segment_id,distance_mean,A_velocity_mean\na,1.0,2.0\n\nb,3.0,{cell}\n")
         with pytest.raises(MalformedRecord, match=f"^feature CSV line 4: non-finite cell '{cell}'$"):
             read_feature_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# a non-finite per-row value is missing (docs/formats.md, "Missing values")
+
+
+def box_jump_frames():
+    """A 4 s snatch clip whose person 2 box is (0, 0, 1e-150, 1e-150) for 40
+    frames, then (0, 0, 1e9, 1e9): the box-area rate of the jump overflows."""
+    clip = generate(ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0))
+    frames = []
+    for pos, f in enumerate(clip.frames):
+        box = (0.0, 0.0, 1e-150, 1e-150) if pos < 40 else (0.0, 0.0, 1e9, 1e9)
+        persons = tuple((tid, Skeleton(s.xy, s.conf, box) if tid == 2 else s) for tid, s in f.persons)
+        frames.append(FrameRecord(f.frame_index, f.timestamp, persons))
+    return frames
+
+
+# the frames are scaled by powers of ten: joints and boxes each, per person and frame
+_EXPONENT = st.sampled_from([-320, -300, -200, -160, -150, -100, -30, 0, 3, 5])
+_EXTREME_CLIP = generate(ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0)).frames
+
+
+def _scaled(skel, joints_exp, box_exp):
+    k, kb = 10.0**joints_exp, 10.0**box_exp
+    return Skeleton(tuple(v * k for v in skel.xy), skel.conf, tuple(v * kb for v in skel.bbox))
+
+
+class TestNonFiniteRows:
+    def test_finite_rows_keeps_a_finite_series_and_drops_nan_and_infinities(self):
+        series = [None, 1.0, -0.0, 2.5]
+        assert finite_rows(series) is series
+        assert finite_rows([1.0, math.inf, None, -math.inf, math.nan, 0.0]) == [1.0, None, None, None, None, 0.0]
+        # finite values whose sum overflows are kept
+        assert finite_rows([1.7e308, 1.7e308]) == [1.7e308, 1.7e308]
+
+    def test_box_rate_jump_is_missing(self):
+        """The jump's rate overflows to inf and is missing: every window's values
+        are finite and equal the independent reference's, bit for bit."""
+        cfg = PipelineConfig()
+        frames = box_jump_frames()
+        rows = extract_windows(frames, cfg, stream_id="s")
+        ends = [end for end, _ in reference_pairs(frames, cfg)]
+        assert [sid for sid, _ in rows] == [f"s#1|2#{end}" for end in ends]
+        assert any(end - cfg.window_frames < 40 <= end for end in ends)  # a window holds the jump
+        for (sid, vector), (_, (a, b)) in zip(rows, reference_pairs(frames, cfg)):
+            assert all(math.isfinite(v) for v in vector.values.values()), sid
+            want = reference_segment_features(pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps))
+            assert {n: _bits(v) for n, v in vector.values.items()} == {n: _bits(want[n]) for n in vector.values}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, len(_EXTREME_CLIP) - 16),
+        st.lists(st.tuples(_EXPONENT, _EXPONENT, _EXPONENT, _EXPONENT), min_size=16, max_size=16),
+    )
+    def test_every_value_from_extreme_scale_frames_is_finite(self, start, exponents):
+        frames = []
+        for pos, (ja, ba, jb, bb) in enumerate(exponents):
+            (ta, a), (tb, b) = _EXTREME_CLIP[start + pos].persons
+            persons = ((ta, _scaled(a, ja, ba)), (tb, _scaled(b, jb, bb)))
+            frames.append(FrameRecord(pos, pos / 30.0, persons))
+        frames = validate_stream(frames)
+        cfg = PipelineConfig(window_s=0.4, stride_s=0.1)
+        for sid, vector in extract_windows(frames, cfg):
+            bad = {n: v for n, v in vector.values.items() if not math.isfinite(v)}
+            assert not bad, (sid, bad)

@@ -16,16 +16,15 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 # purpose updates them and says so in CHANGES.md; any other change must
 # leave them as they are.
 PINNED = {
-    "clip.csv": "0a0618460b96b9ef54164f5bb2d54333493641c8b9f84beb1c60f1023ec0268a",
     "sliding.csv": "d811f04a36de9f342201c615f19e4173bcf7834910f79024869c715a90619239",
-    "full_model.json": "001e19e8416e2169168f4f5808c9115ac78f7f9e7fc992e284a68eef77417f96",
-    "top_model.json": "30253d729b8c87f5e4196b618b096e67213248fb431e5c845b6f5df2aa8500d7",
-    "pair_stream.alerts": "43cf7c2664ce96963445fc5150d22efb1697fad47ddc7b0286a9594a136daeb0",
-    "pair_stream.evidence": "149b0a76fbba489fc049ac31e82193370413b739bf8378bf0eef09ddf1daef8c",
-    "pair_stream.windows": "ca66f406604a83530be1e8b6081aab95b70315b9160e5d86b3d6e47772b460a5",
-    "crowd_stream.alerts": "42929982f52aa20bbb24f57340b0cfde5d8470575ec08e375368386b36a7d969",
-    "crowd_stream.evidence": "20b888a96fa9ee362c328ebcb86c003eec6daff4fd7defd1aee7d4c4f9f6ca7e",
-    "crowd_stream.windows": "d56397a636916f9a6406edd2a6104fb68d56ccdc703b7997ad5f7e625a800377",
+    "full_model.json": "0270635ae7a1d83ca702d5304048bf50aa63690b03d056826d7a10bbaefe7a5b",
+    "top_model.json": "e997bf4e0daa7705847c7b1b974c4f6c27fda524d5ddced08226b556aefec125",
+    "pair_stream.alerts": "846e66e53f26af6dac669af9c7511d04519a6d5da749944f65ec5381823266ad",
+    "pair_stream.evidence": "de778f5da22c56947857fee917cd75950a7043eeaaf3f5a1b5de10fcd41bd415",
+    "pair_stream.windows": "2c485cae4fb111da4a20f629733a1493751a03fb7df6d116f94674c3b6b2ef90",
+    "crowd_stream.alerts": "846e66e53f26af6dac669af9c7511d04519a6d5da749944f65ec5381823266ad",
+    "crowd_stream.evidence": "de778f5da22c56947857fee917cd75950a7043eeaaf3f5a1b5de10fcd41bd415",
+    "crowd_stream.windows": "42723a2ff7e6856f1242285ae25fde1d25da1bddbd132014842e7b07b1278a66",
 }
 
 
@@ -90,7 +89,7 @@ def test_digests_repeat_on_a_small_input(tmp_path):
     streams = ("pair_stream", "crowd_stream")
     outputs = ("alerts", "evidence", "windows")
     assert set(runs[0]) == {
-        "clip.csv", "sliding.csv", "full_model.json", "top_model.json",
+        "sliding.csv", "full_model.json", "top_model.json",
         *(f"{s}.{o}" for s in streams for o in outputs),
     }
     assert all(len(v) == 64 for v in runs[0].values())

@@ -16,7 +16,7 @@ DEFINED_IN = {
     "config": ["PipelineConfig", "load_config"],
     "features": ["FeatureSchema", "FeatureVector", "extract_segment", "full_schema", "pair_segment"],
     "forest": ["Dataset", "ForestConfig", "ForestModel", "predict", "train"],
-    "pipeline": ["StreamEngine", "extract_clip_row", "extract_windows"],
+    "pipeline": ["StreamEngine", "extract_windows"],
     "selection": ["pca_project", "select_top_k"],
     "synth": ["Clip", "ScenarioSpec", "generate", "generate_corpus"],
     "temporal": ["AlarmState", "HysteresisConfig", "step"],

@@ -7,14 +7,17 @@ import pytest
 from snatchdet import streams
 from snatchdet.config import PipelineConfig
 from snatchdet.features import pair_segment
-from snatchdet.pipeline import extract_clip_row, order_roles
-from snatchdet.synth import ScenarioSpec, generate, generate_corpus, ratio_counts
+from snatchdet.pipeline import extract_windows, order_roles
+from snatchdet.synth import ScenarioSpec, generate, generate_corpus, ratio_counts, window_labels
 from snatchdet.types import MalformedRecord, validate_stream
 from track_reference import smoothed_tracks
 
 
-def clip_features(clip, cfg=None):
-    return extract_clip_row(clip.frames, cfg or PipelineConfig())
+def window_features(clip, cfg=None):
+    """(window label, vector) of every window sliding extraction cuts from the clip."""
+    cfg = cfg or PipelineConfig()
+    labels = dict(window_labels(clip, cfg))
+    return [(labels[sid], vector) for sid, vector in extract_windows(clip.frames, cfg, stream_id=clip.clip_id)]
 
 
 def stream_bytes(frames):
@@ -56,10 +59,13 @@ class TestGenerate:
 
     def test_snatch_construction_guarantees(self):
         clip = generate(ScenarioSpec(kind="snatch", seed=21, noise_sigma=0.0))
-        vector = clip_features(clip)
-        assert vector.roles[0] == "1"  # mover is picked as the aggressor
-        assert vector.values["handToTorso_min"] < 0.3
-        assert vector.values["A_fastHandPct"] > 0.0
+        # the windows that contain the event
+        vectors = [vector for label, vector in window_features(clip) if label]
+        assert vectors
+        for vector in vectors:
+            assert vector.roles[0] == "1"  # mover is picked as the aggressor
+            assert vector.values["handToTorso_min"] < 0.3
+            assert vector.values["A_fastHandPct"] > 0.0
         assert clip.label == 1
         assert 0.0 < clip.event_time < clip.spec.duration
 
@@ -87,18 +93,24 @@ class TestGenerate:
 
     def test_standing_zero_noise_has_zero_velocity(self):
         clip = generate(ScenarioSpec(kind="standing", seed=3, noise_sigma=0.0))
-        vector = clip_features(clip)
-        assert vector.values["A_velocity_max"] == 0.0
-        assert vector.values["B_velocity_max"] == 0.0
-        assert vector.values["A_handVelocity_max"] == 0.0
+        windows = window_features(clip)
+        assert windows
+        for label, vector in windows:
+            assert label == 0
+            assert vector.values["A_velocity_max"] == 0.0
+            assert vector.values["B_velocity_max"] == 0.0
+            assert vector.values["A_handVelocity_max"] == 0.0
         assert clip.label == 0
 
     def test_benign_scenarios_stay_out_of_reach(self):
         for kind in ("walk_by", "handshake", "standing"):
             clip = generate(ScenarioSpec(kind=kind, seed=8, noise_sigma=0.0))
-            vector = clip_features(clip)
-            assert vector.values["handToTorso_min"] > 0.4, kind
-            assert vector.values["fastAndClosePct"] == 0.0, kind
+            windows = window_features(clip)
+            assert windows, kind
+            for label, vector in windows:
+                assert label == 0, kind
+                assert vector.values["handToTorso_min"] > 0.4, kind
+                assert vector.values["fastAndClosePct"] == 0.0, kind
 
 
 class TestCorpus:
@@ -133,3 +145,25 @@ class TestCorpus:
             generate_corpus(n_per_class=2, total=10)
         with pytest.raises(MalformedRecord, match="seed must be nonnegative, got -1"):
             generate_corpus(n_per_class=2, seed=-1)
+
+
+class TestWindowLabels:
+    def test_one_label_per_stride_point_by_the_event_time(self):
+        cfg = PipelineConfig()
+        clip = generate(ScenarioSpec(kind="snatch", seed=21, noise_sigma=1.0, duration=6.0))
+        clip.clip_id = "c"
+        labels = window_labels(clip, cfg)
+        # 180 frames: windows of 60 end at 59, 74, ..., 179
+        assert [sid for sid, _ in labels] == [f"c#1|2#{end}" for end in range(59, 180, 15)]
+        for sid, label in labels:
+            end = int(sid.rsplit("#", 1)[1])
+            assert label == int((end - 59) / 30.0 <= clip.event_time <= end / 30.0), sid
+        assert 0 < sum(label for _, label in labels) < len(labels)
+
+    def test_ids_are_the_rows_extraction_writes(self):
+        cfg = PipelineConfig(fps=25.0)
+        clip = generate(ScenarioSpec(kind="walk_by", seed=4, noise_sigma=1.0, duration=5.0, fps=25.0))
+        clip.clip_id = "w"
+        rows = extract_windows(clip.frames, cfg, stream_id="w")
+        assert [sid for sid, _ in window_labels(clip, cfg)] == [sid for sid, _ in rows]
+        assert {label for _, label in window_labels(clip, cfg)} == {0}

@@ -106,10 +106,12 @@ class TestValidateFrame:
 
 
 def build_tracks(frames, max_gap=15):
-    """Every track the windowing core holds after taking the whole stream."""
-    windows = TrackWindows(PipelineConfig(max_gap_frames=max_gap))
+    """Every track the windowing core holds after taking the whole stream,
+    through a window longer than the stream, so that no frame leaves it."""
+    cfg = PipelineConfig(max_gap_frames=max_gap, window_s=(len(frames) + 5) / 30.0)
+    windows = TrackWindows(cfg)
     for record in frames:
-        windows.add(record)
+        windows.advance(record)
     return windows.tracks()
 
 
