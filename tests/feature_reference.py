@@ -12,6 +12,11 @@ valid joints' values. The per-skeleton and per-row functions below
 ``relative_step``, ``hand_reach``, ``facing_cosines``) are that long pass's
 steps, and the references of the package's geometry, which reads the
 joints inline.
+
+A per-row value that is NaN or an infinity is missing (``_rule``), applied
+to every per-row series as it is built, before any difference, share, peak
+or statistic reads it; a mean or median whose sum of finite values
+overflows adds their shares instead (``_ref_mean``, ``_ref_stat``).
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from snatchdet.features import (
     elbow_flexion,
     extract_segment,
     facing,
+    finite_rows,
     full_schema,
     hand_motion,
     interaction_distance,
@@ -43,7 +44,6 @@ from snatchdet.features import (
     write_feature_csv,
     _backward_diff,
     _first_argmax,
-    finite_rows,
     _longest_run,
     _pct,
 )
