@@ -348,11 +348,8 @@ class TestMalformedLabels:
             ("pca", "clip,kind\nclip0000_snatch,1\n"),
             ("pca", "id,label\nclip0000_snatch,notanint\n"),
             ("train", "id,label\nclip0000_snatch\n"),
-            ("train", "id,label\nclip0000_snatch#1|2#59,1\nclip0000_snatch#1|2#59,0\n"),
-            ("pca", "id,label\nclip0000_snatch#1|2#59,1\nclip0000_snatch#1|2#59,1\n"),
         ],
-        ids=["pca-wrong-header", "pca-non-integer-label", "train-one-field-row",
-             "train-id-labelled-twice", "pca-id-labelled-twice"],
+        ids=["pca-wrong-header", "pca-non-integer-label", "train-one-field-row"],
     )
     def test_exits_2(self, trained, tmp_path, capsys, command, text):
         labels = tmp_path / "labels.csv"

@@ -48,7 +48,7 @@ from snatchdet.features import (
     _pct,
 )
 from snatchdet.config import PipelineConfig
-from snatchdet.pipeline import extract_windows, order_roles
+from snatchdet.pipeline import extract_windows, order_roles, pair_key_str
 from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import FrameRecord, Keypoint, MalformedRecord, Skeleton, Track, validate_stream
 from track_reference import reference_pairs
@@ -867,12 +867,15 @@ class TestFeatureCsv:
 # a non-finite per-row value is missing (docs/formats.md, "Missing values")
 
 
+# a 4 s snatch clip whose frames the tests below edit
+SNATCH_503 = generate(ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0)).frames
+
+
 def box_jump_frames():
-    """A 4 s snatch clip whose person 2 box is (0, 0, 1e-150, 1e-150) for 40
-    frames, then (0, 0, 1e9, 1e9): the box-area rate of the jump overflows."""
-    clip = generate(ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0))
+    """The clip with person 2's box (0, 0, 1e-150, 1e-150) for 40 frames, then
+    (0, 0, 1e9, 1e9): the box-area rate of the jump overflows."""
     frames = []
-    for pos, f in enumerate(clip.frames):
+    for pos, f in enumerate(SNATCH_503):
         box = (0.0, 0.0, 1e-150, 1e-150) if pos < 40 else (0.0, 0.0, 1e9, 1e9)
         persons = tuple((tid, Skeleton(s.xy, s.conf, box) if tid == 2 else s) for tid, s in f.persons)
         frames.append(FrameRecord(f.frame_index, f.timestamp, persons))
@@ -881,7 +884,6 @@ def box_jump_frames():
 
 # the frames are scaled by powers of ten: joints and boxes each, per person and frame
 _EXPONENT = st.sampled_from([-320, -300, -200, -160, -150, -100, -30, 0, 3, 5])
-_EXTREME_CLIP = generate(ScenarioSpec(kind="snatch", seed=503, noise_sigma=1.0, duration=4.0)).frames
 
 
 def _scaled(skel, joints_exp, box_exp):
@@ -889,41 +891,44 @@ def _scaled(skel, joints_exp, box_exp):
     return Skeleton(tuple(v * k for v in skel.xy), skel.conf, tuple(v * kb for v in skel.bbox))
 
 
+def assert_windows_match_reference(frames, cfg):
+    """Every window extraction writes is finite and equals the reference's, bit for bit."""
+    rows = extract_windows(frames, cfg, stream_id="s")
+    pairs = list(reference_pairs(frames, cfg))
+    keys = [(end, pair_key_str(a.track_id, b.track_id)) for end, (a, b) in pairs]
+    assert [sid for sid, _ in rows] == [f"s#{key}#{end}" for end, key in keys]
+    for (sid, vector), (_, (a, b)) in zip(rows, pairs):
+        bad = {n: v for n, v in vector.values.items() if not math.isfinite(v)}
+        assert not bad, (sid, bad)
+        want = reference_segment_features(pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps))
+        assert {n: _bits(v) for n, v in vector.values.items()} == {n: _bits(want[n]) for n in vector.values}
+    return [end for end, _ in pairs]
+
+
 class TestNonFiniteRows:
     def test_finite_rows_keeps_a_finite_series_and_drops_nan_and_infinities(self):
         series = [None, 1.0, -0.0, 2.5]
         assert finite_rows(series) is series
-        assert finite_rows([1.0, math.inf, None, -math.inf, math.nan, 0.0]) == [1.0, None, None, None, None, 0.0]
+        got = finite_rows([1.0, math.inf, None, -math.inf, math.nan, 0.0])
+        assert got == [1.0, None, None, None, None, 0.0]
         # finite values whose sum overflows are kept
         assert finite_rows([1.7e308, 1.7e308]) == [1.7e308, 1.7e308]
 
     def test_box_rate_jump_is_missing(self):
-        """The jump's rate overflows to inf and is missing: every window's values
-        are finite and equal the independent reference's, bit for bit."""
+        """The jump's rate overflows to inf and is missing."""
         cfg = PipelineConfig()
-        frames = box_jump_frames()
-        rows = extract_windows(frames, cfg, stream_id="s")
-        ends = [end for end, _ in reference_pairs(frames, cfg)]
-        assert [sid for sid, _ in rows] == [f"s#1|2#{end}" for end in ends]
+        ends = assert_windows_match_reference(box_jump_frames(), cfg)
         assert any(end - cfg.window_frames < 40 <= end for end in ends)  # a window holds the jump
-        for (sid, vector), (_, (a, b)) in zip(rows, reference_pairs(frames, cfg)):
-            assert all(math.isfinite(v) for v in vector.values.values()), sid
-            want = reference_segment_features(pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps))
-            assert {n: _bits(v) for n, v in vector.values.items()} == {n: _bits(want[n]) for n in vector.values}
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(0, len(_EXTREME_CLIP) - 16),
+        st.integers(0, len(SNATCH_503) - 16),
         st.lists(st.tuples(_EXPONENT, _EXPONENT, _EXPONENT, _EXPONENT), min_size=16, max_size=16),
     )
     def test_every_value_from_extreme_scale_frames_is_finite(self, start, exponents):
         frames = []
         for pos, (ja, ba, jb, bb) in enumerate(exponents):
-            (ta, a), (tb, b) = _EXTREME_CLIP[start + pos].persons
+            (ta, a), (tb, b) = SNATCH_503[start + pos].persons
             persons = ((ta, _scaled(a, ja, ba)), (tb, _scaled(b, jb, bb)))
             frames.append(FrameRecord(pos, pos / 30.0, persons))
-        frames = validate_stream(frames)
-        cfg = PipelineConfig(window_s=0.4, stride_s=0.1)
-        for sid, vector in extract_windows(frames, cfg):
-            bad = {n: v for n, v in vector.values.items() if not math.isfinite(v)}
-            assert not bad, (sid, bad)
+        assert_windows_match_reference(validate_stream(frames), PipelineConfig(window_s=0.4, stride_s=0.1))

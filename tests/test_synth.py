@@ -17,7 +17,8 @@ def window_features(clip, cfg=None):
     """(window label, vector) of every window sliding extraction cuts from the clip."""
     cfg = cfg or PipelineConfig()
     labels = dict(window_labels(clip, cfg))
-    return [(labels[sid], vector) for sid, vector in extract_windows(clip.frames, cfg, stream_id=clip.clip_id)]
+    rows = extract_windows(clip.frames, cfg, stream_id=clip.clip_id)
+    return [(labels[sid], vector) for sid, vector in rows]
 
 
 def stream_bytes(frames):
