@@ -11,7 +11,9 @@ that its names read, and sorts a series once for all of its order
 statistics. The thresholds of those scalars and the shortest segment
 extracted are fixed parts of the feature definitions (``FAST_HAND``,
 ``ELBOW_FLEX``, ``CLOSE_HAND``, ``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``),
-not settings.
+not settings. ``FAMILY_JOINTS`` names the joints each family reads, and a
+schema's ``joints`` (those and the torso joints) are the only ones the
+smoother smooths: no feature reads the eyes, knees or ankles.
 
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame, and a per-frame value that is not finite (NaN or an
@@ -44,7 +46,16 @@ from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .types import (
+    LEFT_ELBOW,
+    LEFT_EAR,
+    LEFT_HIP,
+    LEFT_SHOULDER,
     LEFT_WRIST,
+    NOSE,
+    RIGHT_EAR,
+    RIGHT_ELBOW,
+    RIGHT_HIP,
+    RIGHT_SHOULDER,
     RIGHT_WRIST,
     VALID_CONFIDENCE,
     MalformedRecord,
@@ -169,6 +180,32 @@ _INDIVIDUAL_LAYOUT: tuple[tuple[str, str, bool, str], ...] = (
     ("bboxAreaRate", "series", False, "bbox"),
 )
 
+# The joints each family's geometry reads by index, beyond the shoulder and
+# hip midpoints (``Skeleton.midpoints``) that every body center and torso
+# height reads; a derived family has the joints of its source. A schema
+# smooths the torso joints and the joints of the families it reads
+# (``FeatureSchema.joints``); ``kinematics``, ``distance`` and ``bbox`` read
+# only the midpoints and the box.
+TORSO_JOINTS = frozenset((LEFT_SHOULDER, RIGHT_SHOULDER, LEFT_HIP, RIGHT_HIP))
+_WRISTS = frozenset((LEFT_WRIST, RIGHT_WRIST))
+FAMILY_JOINTS: dict[str, frozenset[int]] = {
+    "kinematics": frozenset(),
+    "acceleration": frozenset(),  # kinematics
+    "wrists": _WRISTS,
+    "hands": _WRISTS,  # wrists
+    "handAcceleration": _WRISTS,  # hands
+    "handJerk": _WRISTS,  # handAcceleration
+    "arms": _WRISTS | {LEFT_SHOULDER, RIGHT_SHOULDER},
+    "elbows": _WRISTS | {LEFT_SHOULDER, RIGHT_SHOULDER, LEFT_ELBOW, RIGHT_ELBOW},
+    "bbox": frozenset(),
+    "distance": frozenset(),
+    "distanceRate": frozenset(),  # distance
+    "iouEvents": frozenset(),  # distance
+    "relative": _WRISTS,  # wrists
+    "reaching": _WRISTS,  # hands, distance
+    "facing": frozenset((NOSE, LEFT_EAR, RIGHT_EAR, LEFT_SHOULDER, RIGHT_SHOULDER)),
+}
+
 _INTERACTION_LAYOUT: tuple[tuple[str, str, str], ...] = (
     # (name, "series"|"scalar", family)
     ("distance", "series", "distance"),
@@ -256,6 +293,12 @@ class FeatureSchema:
             names = tuple(by_stat[s] for s in stats or (None,))
             plan.append((family, role, base, stats, names, sentinel))
         return tuple(plan)
+
+    @cached_property
+    def joints(self) -> frozenset[int]:
+        """The joints the schema's values read: the torso joints and each planned
+        family's ``FAMILY_JOINTS``. The smoother smooths these and no other."""
+        return TORSO_JOINTS.union(*(FAMILY_JOINTS[entry[0]] for entry in self.plan))
 
     def select(self, names: Sequence[str]) -> "FeatureSchema":
         chosen = {canonical_name(n) for n in names}

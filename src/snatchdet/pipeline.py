@@ -3,7 +3,9 @@
 ``TrackWindows`` is the one windowing core. It turns raw per-frame ids into
 track keys (an id absent for more than ``max_gap_frames`` frames comes back
 as ``"<id>.<n>"``), smooths each person once as the frame arrives and
-appends it to its key's one ``Track``; a frame leaving the window drops its
+appends it to its key's one ``Track``; only the joints the schema reads
+(``FeatureSchema.joints``) are smoothed, so a top-k model smooths fewer,
+and the others pass through as detected. A frame leaving the window drops its
 first sample from its keys' tracks. At each stride point it hands back the
 closest pair of those live tracks, and nothing about roles. Its state is
 one track per key in the window, one record per raw id, however many keys
@@ -208,13 +210,16 @@ class TrackWindows:
     selected pair at each stride point; ``at_stride`` says whether its last
     frame was one.
     Each raw id has one record: its current key, the position it was last
-    seen at, how often it was split and its smoother.
+    seen at, how often it was split and its smoother, which smooths
+    ``joints`` (a schema's ``FeatureSchema.joints``) and passes the other
+    joints through as detected.
     A track's stored values leave with its samples, and its ``PairRows``
     leave its partners with it (see ``types.Track``).
     """
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, joints: frozenset[int]):
         self.cfg = cfg
+        self.joints = joints
         self.window: dict[str, Track] = {}
         self.frames: deque[tuple[float, list[str]]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
@@ -229,13 +234,13 @@ class TrackWindows:
         for tid, skel in record.persons:
             entry = active.get(tid)
             if entry is None:
-                key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.alpha)
+                key, splits, smoother = str(tid), 0, SkeletonSmoother(self.cfg.alpha, self.joints)
             else:
                 key, last_pos, splits, smoother = entry
                 if pos - last_pos > self.cfg.max_gap_frames:
                     splits += 1
                     key = f"{tid}.{splits}"
-                    smoother = SkeletonSmoother(self.cfg.alpha)
+                    smoother = SkeletonSmoother(self.cfg.alpha, self.joints)
             active[tid] = (key, pos, splits, smoother)
             track = window.get(key)
             if track is None:
@@ -282,7 +287,7 @@ def extract_windows(
     ``"<stream_id>#<pair>#<end position>"``.
     """
     schema = schema or full_schema()
-    windows = TrackWindows(cfg)
+    windows = TrackWindows(cfg, schema.joints)
     rows: list[tuple[str, FeatureVector]] = []
     for record in frames:
         _, pair = windows.advance(record)
@@ -406,7 +411,7 @@ class StreamEngine:
         self.schema = full.select(model.feature_names)
         self.schema.plan
 
-        self._windows = TrackWindows(cfg)
+        self._windows = TrackWindows(cfg, self.schema.joints)
         # the known pairs, which only ``step_pairs`` creates, steps or forgets
         self._pairs: dict[str, tuple[int, tuple[str, str], AlarmState]] = {}
         self._prev_t: Optional[float] = None

@@ -8,7 +8,9 @@ builds one ``Keypoint`` per joint. The one-pass reader with its stored
 verdict, the whole-vector check and the flat smoother must agree with them
 bit for bit (``tests/test_ingest.py``). ``smooth_track`` runs the reference
 smoother over a whole track, for oracles and tests that need smoothed input.
-Nothing in ``src/`` imports this.
+The smoother smooths the joints it is given and passes every other joint
+through as it came; the joint sets below are written from the COCO layout
+here, not read from the package. Nothing in ``src/`` imports this.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ from snatchdet.types import (
 )
 
 _CONF_SLACK = 1e-9
+
+# COCO joints: nose 0, eyes 1-2, ears 3-4, shoulders 5-6, elbows 7-8,
+# wrists 9-10, hips 11-12, knees 13-14, ankles 15-16.
+ALL_JOINTS = frozenset(range(17))
+# shoulders and hips, which every body center and torso height reads
+TORSO_JOINTS = frozenset({5, 6, 11, 12})
+# what the full feature schema reads: nose and ears (facing), shoulders to
+# wrists (arms, elbows, hands), hips; no eye, knee or ankle
+FULL_SCHEMA_JOINTS = frozenset({0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 
 
 def _check_finite(value: float, what: str) -> None:
@@ -151,10 +162,12 @@ def _ema(prev: float, raw: float, alpha: float) -> float:
 
 
 class SkeletonSmoother:
-    """EMA over every joint and the bbox, with one state tuple per joint."""
+    """EMA over the joints in ``smoothed`` and the bbox, with one state tuple
+    per joint; any other joint is passed through as it came."""
 
-    def __init__(self, alpha: float = 0.6):
+    def __init__(self, alpha: float = 0.6, smoothed: frozenset = ALL_JOINTS):
         self.alpha = alpha
+        self.smoothed = smoothed
         self._joints: list[Optional[tuple[float, float]]] = [None] * 17
         self._bbox: Optional[tuple[float, float, float, float]] = None
 
@@ -162,6 +175,9 @@ class SkeletonSmoother:
         a = self.alpha
         out = []
         for j, kp in enumerate(skel.keypoints):
+            if j not in self.smoothed:
+                out.append(kp)
+                continue
             state = self._joints[j]
             if kp.confidence >= VALID_CONFIDENCE:
                 if state is None:
@@ -182,7 +198,7 @@ class SkeletonSmoother:
         return skeleton_from_keypoints(out, self._bbox)
 
 
-def smooth_track(track: Track, alpha: float = 0.6) -> Track:
+def smooth_track(track: Track, alpha: float = 0.6, smoothed: frozenset = ALL_JOINTS) -> Track:
     """A copy of the track, smoothed from its first sample by the reference smoother."""
-    smoother = SkeletonSmoother(alpha)
+    smoother = SkeletonSmoother(alpha, smoothed)
     return Track(track.track_id, list(track.timestamps), [smoother.step(s) for s in track.skeletons])

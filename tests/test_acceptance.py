@@ -27,7 +27,7 @@ from conftest import (
 )
 from feature_reference import reference_segment_features
 from forest_reference import serialize
-from ingest_reference import smooth_track
+from ingest_reference import FULL_SCHEMA_JOINTS, smooth_track
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
     SegmentTooShort,
@@ -119,8 +119,9 @@ def e2e():
 
 
 def test_ema_closed_form():
-    # a SkeletonSmoother whose input moves the nose x and the bbox x1 through
-    # each sequence while every other value holds still
+    # a SkeletonSmoother of the full schema's joints whose input moves the
+    # nose x and the bbox x1 through each sequence while every other value
+    # holds still
     base = static_skeleton()
     rng = np.random.default_rng(101)
     started = time.perf_counter()
@@ -128,7 +129,7 @@ def test_ema_closed_form():
     for _ in range(1000):
         alpha = float(rng.uniform(0.01, 0.99))
         xs = rng.uniform(-100.0, 100.0, size=int(rng.integers(1, 101)))
-        smoother = SkeletonSmoother(alpha)
+        smoother = SkeletonSmoother(alpha, full_schema().joints)
         for x in xs.tolist():
             out = smoother.step(Skeleton((x,) + base.xy[1:], base.conf, (x,) + base.bbox[1:]))
         t = len(xs) - 1
@@ -686,12 +687,13 @@ def samples(track):
 @pytest.mark.parametrize("name", STORE_STREAMS)
 def test_window_store_matches_reference(name):
     """At every stride point the store holds the oracle's non-empty window
-    tracks, key by key, and selects the oracle's pair."""
+    tracks, key by key, with the full schema's joints smoothed and the
+    others as detected, and selects the oracle's pair."""
     build, cfg = STORE_STREAMS[name]
     frames = build()
-    reference = dict(reference_windows(frames, cfg))
+    reference = dict(reference_windows(frames, cfg, FULL_SCHEMA_JOINTS))
     want_pairs = {end: {a.track_id, b.track_id} for end, (a, b) in reference_pairs(frames, cfg)}
-    store = TrackWindows(cfg)
+    store = TrackWindows(cfg, full_schema().joints)
     got_pairs = {}
     stored = []  # the keys in the store at each stride point
     for record in frames:
@@ -738,7 +740,7 @@ def test_window_picks_match_reference_at_the_shortest_segment():
     minimum segment is the oracle's."""
     cfg = PipelineConfig()
     frames = short_entry_frames()
-    store = TrackWindows(cfg)
+    store = TrackWindows(cfg, full_schema().joints)
     got = {}
     for record in frames:
         _, pair = store.advance(record)

@@ -1,7 +1,8 @@
 """The lean ingest path against its value-by-value oracles, and the JSONL boundary.
 
 ``validate_frame`` checks each skeleton as one vector and falls back to a
-per-value loop; ``SkeletonSmoother`` updates one flat state list. Both must
+per-value loop; ``SkeletonSmoother`` updates one flat state list for the
+joints it smooths and passes the others through. Both must
 agree with ``tests/ingest_reference.py`` bit for bit, including every error
 message. So must the engine's whole ingest, from a decoded frame object
 through ``obj_to_frame`` and its stored verdicts to the smoothed skeletons
@@ -127,10 +128,14 @@ def skeleton_sequences(draw):
     return seq
 
 
+# the joints a smoother smooths: always the torso, and any others
+smoothed_joints = st.sets(st.integers(0, 16)).map(ref.TORSO_JOINTS.union)
+
+
 @settings(max_examples=120, deadline=None)
-@given(skeleton_sequences(), st.floats(min_value=0.01, max_value=0.99))
-def test_flat_smoother_matches_reference(seq, alpha):
-    flat, oracle = SkeletonSmoother(alpha), ref.SkeletonSmoother(alpha)
+@given(skeleton_sequences(), st.floats(min_value=0.01, max_value=0.99), smoothed_joints)
+def test_flat_smoother_matches_reference(seq, alpha, joints):
+    flat, oracle = SkeletonSmoother(alpha, joints), ref.SkeletonSmoother(alpha, joints)
     for skel in seq:
         got, want = flat.step(skel), oracle.step(skel)
         # repr tells -0.0 from 0.0, so this is bit for bit
@@ -455,6 +460,7 @@ def tiny_model():
 @settings(max_examples=300, deadline=None)
 @given(objs=wire_frames_of_people())
 def test_engine_ingest_matches_the_oracles(tiny_model, objs):
+    # the tiny model reads the distance and the center speed: the torso joints
     cfg = PipelineConfig()
     engine = StreamEngine(tiny_model, cfg)
     smoothers: dict = {}
@@ -475,7 +481,8 @@ def test_engine_ingest_matches_the_oracles(tiny_model, objs):
         assert not isinstance(want, str), want
         prev = want.timestamp
         smoothed = [
-            (str(tid), smoothers.setdefault(tid, ref.SkeletonSmoother(cfg.alpha)).step(skel))
+            (str(tid), smoothers.setdefault(
+                tid, ref.SkeletonSmoother(cfg.alpha, ref.TORSO_JOINTS)).step(skel))
             for tid, skel in want.persons
         ]
         _, keys = engine._windows.frames[-1]

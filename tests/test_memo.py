@@ -137,7 +137,7 @@ def other_segment(tracks, chosen):
 @given(presence(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_memoised_extraction_equals_fresh_extraction(mask, seed):
     n_frames, absent = mask
-    windows = TrackWindows(CFG)
+    windows = TrackWindows(CFG, SCHEMA.joints)
     keys_seen = set()
     for record in stream(n_frames, absent, seed):
         present, pair = windows.advance(record)
@@ -179,7 +179,7 @@ def test_a_pair_that_loses_selection_and_wins_it_back(arrive, stay, gaps, seed):
     two_gone = {3 * k for k in gaps}  # one frame at a time: the key stays
     frames = stream(80, [set(), two_gone, bystander_gone], seed,
                     starts=[(200.0, 220.0), (350.0, 220.0), (235.0, 220.0)], sigma=0.5)
-    windows = TrackWindows(CFG)
+    windows = TrackWindows(CFG, SCHEMA.joints)
     selected, segment = [], None
     for record in frames:
         _, pair = windows.advance(record)
@@ -202,7 +202,7 @@ def test_a_held_segment_extracted_after_newer_ones_reads_its_own_rows():
     a segment held from an earlier stride, extracted again afterwards with a
     fresh table, still equals a fresh extraction."""
     frames = stream(60, [set(), set()], seed=3)
-    windows = TrackWindows(CFG)
+    windows = TrackWindows(CFG, SCHEMA.joints)
     held = []
     for record in frames:
         _, pair = windows.advance(record)

@@ -5,16 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import skeleton_from_keypoints, static_skeleton
-from ingest_reference import smooth_track
+from ingest_reference import ALL_JOINTS, smooth_track
 from snatchdet.config import BadConfig, PipelineConfig
 from snatchdet.pipeline import order_roles
 from snatchdet.preprocess import SkeletonSmoother, body_center
 from snatchdet.types import VALID_CONFIDENCE, Keypoint, Skeleton, Track, torso_height
 
 
-def smooth_all(skeletons, alpha=PipelineConfig().alpha):
-    """Step one ``SkeletonSmoother`` through the skeletons; the smoothed outputs."""
-    smoother = SkeletonSmoother(alpha)
+def smooth_all(skeletons, alpha=PipelineConfig().alpha, joints=ALL_JOINTS):
+    """Step one ``SkeletonSmoother`` of ``joints`` through the skeletons; the smoothed outputs."""
+    smoother = SkeletonSmoother(alpha, joints)
     return [smoother.step(skel) for skel in skeletons]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import frame_of, skeleton_from_keypoints, static_skeleton
 from snatchdet import streams
 from snatchdet.config import PipelineConfig
+from snatchdet.features import full_schema
 from snatchdet.forest import Dataset, ForestConfig, train
 from snatchdet.pipeline import StreamEngine, TrackWindows
 from snatchdet.types import (
@@ -109,7 +110,7 @@ def build_tracks(frames, max_gap=15):
     """Every track the windowing core holds after taking the whole stream,
     through a window longer than the stream, so that no frame leaves it."""
     cfg = PipelineConfig(max_gap_frames=max_gap, window_s=(len(frames) + 5) / 30.0)
-    windows = TrackWindows(cfg)
+    windows = TrackWindows(cfg, full_schema().joints)
     for record in frames:
         windows.advance(record)
     return windows.tracks()

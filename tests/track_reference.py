@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from ingest_reference import smooth_track
+from ingest_reference import ALL_JOINTS, smooth_track
 from snatchdet.types import FrameRecord, Track, track_order
 
 Centers = dict[float, Optional[tuple[float, float]]]  # timestamp -> body center
@@ -116,23 +116,28 @@ def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) 
     return list(range(window_frames - 1, n_frames, stride_frames))
 
 
-def smoothed_tracks(frames: Sequence[FrameRecord], cfg) -> list[Track]:
+def smoothed_tracks(frames: Sequence[FrameRecord], cfg, smoothed=ALL_JOINTS) -> list[Track]:
     tracks, _ = build_tracks(frames, cfg.max_gap_frames)
-    return [smooth_track(t, cfg.alpha) for t in tracks]
+    return [smooth_track(t, cfg.alpha, smoothed) for t in tracks]
 
 
-def reference_windows(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, list[Track]]]:
-    """(end position, every smoothed track cut to the window ending there) per stride."""
+def reference_windows(
+    frames: Sequence[FrameRecord], cfg, smoothed=ALL_JOINTS
+) -> Iterator[tuple[int, list[Track]]]:
+    """(end position, every track cut to the window ending there) per stride,
+    its ``smoothed`` joints smoothed and the others as detected."""
     tracks, positions = build_tracks(frames, cfg.max_gap_frames)
-    tracks = [smooth_track(t, cfg.alpha) for t in tracks]
+    tracks = [smooth_track(t, cfg.alpha, smoothed) for t in tracks]
     for end in prediction_positions(len(frames), cfg.window_frames, cfg.stride_frames):
         lo = end - cfg.window_frames + 1
         yield end, [_slice_positions(t, p, lo, end) for t, p in zip(tracks, positions)]
 
 
-def reference_pairs(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, tuple[Track, Track]]]:
+def reference_pairs(
+    frames: Sequence[FrameRecord], cfg, smoothed=ALL_JOINTS
+) -> Iterator[tuple[int, tuple[Track, Track]]]:
     """(end position, selected pair of window tracks) for every window with a qualifying pair."""
-    for end, windows in reference_windows(frames, cfg):
+    for end, windows in reference_windows(frames, cfg, smoothed):
         pair = select_pair(windows, MIN_FRAMES)
         if pair is not None:
             yield end, pair
