@@ -10,6 +10,9 @@ import importlib.util
 import math
 from pathlib import Path
 
+from snatchdet import forest
+from snatchdet.features import full_schema
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 
 # The digests of the small input below. A change that alters outputs on
@@ -94,6 +97,9 @@ def test_digests_repeat_on_a_small_input(tmp_path):
     }
     assert all(len(v) == 64 for v in runs[0].values())
     assert runs[0] == PINNED
+    # the top-10 model's stream smooths the shoulders, wrists and hips only
+    top = forest.load_model(str(tmp_path / "first" / "top_model.json"))
+    assert full_schema().select(top.feature_names).joints == {5, 6, 9, 10, 11, 12}
 
 
 def test_digests_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch):

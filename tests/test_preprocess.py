@@ -90,6 +90,21 @@ def _skeleton_conf(conf_map, center=(100.0, 100.0)):
     return skeleton_from_keypoints(kps, base.bbox)
 
 
+def test_joint_outside_the_set_passes_through():
+    """Joints outside the smoother's set keep their raw values; the joints in
+    it are smoothed as by a smoother of every joint."""
+    moving = [static_skeleton((100.0 + 3.0 * i, 100.0 - 2.0 * i)) for i in range(6)]
+    torso = {5, 6, 11, 12}
+    every = smooth_all(moving, alpha=0.5)
+    few = smooth_all(moving, alpha=0.5, joints=torso | {0})
+    for raw, sm, ref in zip(moving, few, every):
+        for j in range(17):
+            want = ref if j in torso | {0} else raw
+            assert (sm.xy[2 * j], sm.xy[2 * j + 1]) == (want.xy[2 * j], want.xy[2 * j + 1]), j
+        assert sm.conf == raw.conf and sm.bbox == ref.bbox
+    assert few[-1].xy[18] != every[-1].xy[18]  # the left wrist x: raw, not smoothed
+
+
 class TestSmoothTrack:
     """A whole track stepped through one ``SkeletonSmoother``."""
 
