@@ -407,10 +407,9 @@ class StreamEngine:
         if missing:
             raise SchemaMismatch(f"model needs unknown features: {sorted(missing)}")
         # extraction computes only the feature families and statistics the
-        # model reads; reading their plan builds it now, so no decision pays for it
+        # model reads, and the smoother only the joints they read; reading
+        # the joints builds the plan now, so no decision pays for it
         self.schema = full.select(model.feature_names)
-        self.schema.plan
-
         self._windows = TrackWindows(cfg, self.schema.joints)
         # the known pairs, which only ``step_pairs`` creates, steps or forgets
         self._pairs: dict[str, tuple[int, tuple[str, str], AlarmState]] = {}

@@ -198,7 +198,9 @@ class SkeletonSmoother:
         return skeleton_from_keypoints(out, self._bbox)
 
 
-def smooth_track(track: Track, alpha: float = 0.6, smoothed: frozenset = ALL_JOINTS) -> Track:
+def smooth_track(
+    track: Track, alpha: float = 0.6, smoothed: frozenset = ALL_JOINTS
+) -> Track:
     """A copy of the track, smoothed from its first sample by the reference smoother."""
     smoother = SkeletonSmoother(alpha, smoothed)
     return Track(track.track_id, list(track.timestamps), [smoother.step(s) for s in track.skeletons])

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from conftest import with_bystander, without_person
 from snatchdet import pipeline, streams
 from snatchdet.config import PipelineConfig
-from snatchdet.features import FAMILY_JOINTS, TORSO_JOINTS, extract_segment, full_schema, pair_segment
+from snatchdet.features import (
+    FAMILY_JOINTS,
+    TORSO_JOINTS,
+    extract_segment,
+    full_schema,
+    pair_segment,
+)
 from snatchdet.forest import Dataset, ForestConfig, predict_probability, train
 from snatchdet.pipeline import StreamEngine, extract_windows, order_roles, pair_key_str
 from snatchdet.synth import ScenarioSpec, generate

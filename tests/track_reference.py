@@ -116,9 +116,9 @@ def prediction_positions(n_frames: int, window_frames: int, stride_frames: int) 
     return list(range(window_frames - 1, n_frames, stride_frames))
 
 
-def smoothed_tracks(frames: Sequence[FrameRecord], cfg, smoothed=ALL_JOINTS) -> list[Track]:
+def smoothed_tracks(frames: Sequence[FrameRecord], cfg) -> list[Track]:
     tracks, _ = build_tracks(frames, cfg.max_gap_frames)
-    return [smooth_track(t, cfg.alpha, smoothed) for t in tracks]
+    return [smooth_track(t, cfg.alpha) for t in tracks]
 
 
 def reference_windows(
@@ -133,11 +133,9 @@ def reference_windows(
         yield end, [_slice_positions(t, p, lo, end) for t, p in zip(tracks, positions)]
 
 
-def reference_pairs(
-    frames: Sequence[FrameRecord], cfg, smoothed=ALL_JOINTS
-) -> Iterator[tuple[int, tuple[Track, Track]]]:
+def reference_pairs(frames: Sequence[FrameRecord], cfg) -> Iterator[tuple[int, tuple[Track, Track]]]:
     """(end position, selected pair of window tracks) for every window with a qualifying pair."""
-    for end, windows in reference_windows(frames, cfg, smoothed):
+    for end, windows in reference_windows(frames, cfg):
         pair = select_pair(windows, MIN_FRAMES)
         if pair is not None:
             yield end, pair
