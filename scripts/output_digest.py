@@ -82,9 +82,9 @@ def window_lines(stream_path: str, model_path: str) -> list[str]:
     extract, predict = pipeline.extract_segment, pipeline.predict_probability
 
     def recording_extract(*args, **kwargs):
-        vector = extract(*args, **kwargs)
-        roles.append(vector.roles)
-        return vector
+        segment = args[0]
+        roles.append((segment.aggressor.track_id, segment.victim.track_id))
+        return extract(*args, **kwargs)
 
     def recording_predict(*args, **kwargs):
         p = predict(*args, **kwargs)

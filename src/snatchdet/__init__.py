@@ -3,7 +3,6 @@
 from .config import PipelineConfig, load_config
 from .features import (
     FeatureSchema,
-    FeatureVector,
     extract_segment,
     full_schema,
     pair_segment,
@@ -41,7 +40,6 @@ __all__ = [
     "Clip",
     "Dataset",
     "FeatureSchema",
-    "FeatureVector",
     "ForestConfig",
     "ForestModel",
     "FrameRecord",

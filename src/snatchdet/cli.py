@@ -150,7 +150,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             raise MalformedRecord(f"streams {stems[stem]} and {path} share the stem {stem!r},"
                                   " so their rows would share ids")
         stems[stem] = path
-    rows: list[tuple[str, features.FeatureVector]] = []
+    rows: list[tuple[str, list[float]]] = []
     for stem, path in stems.items():
         frames = streams.read_stream(path, fps=cfg.fps)
         rows.extend(pipeline.extract_windows(frames, cfg, schema, stream_id=stem))

@@ -92,6 +92,21 @@ class PipelineConfig:
             self.hysteresis()
         except ValueError as exc:
             raise BadConfig(f"hysteresis: {exc}") from exc
+        if self.sink_url is not None:
+            # imported here: only a stream with a sink reads a URL
+            from urllib.parse import urlsplit
+
+            url = self.sink_url
+            try:
+                parts = urlsplit(url)
+                parts.port  # a port that is not a number in range raises ValueError
+            except ValueError as exc:
+                raise BadConfig(f"sink_url {url!r} is not a URL: {exc}") from None
+            # a space or control character would fail in http.client, at the first alert
+            if parts.scheme not in ("http", "https") or not parts.hostname or any(
+                c <= " " or c == "\x7f" for c in url
+            ):
+                raise BadConfig(f"sink_url must be an http or https URL with a host, got {url!r}")
 
     @property
     def window_frames(self) -> int:

@@ -49,8 +49,8 @@ def window_dataset(
     rows, labels, ids = [], [], []
     for clip in clips:
         table = dict(window_labels(clip, cfg))
-        for sid, vector in extract_windows(clip.frames, cfg, schema, stream_id=clip.clip_id):
-            rows.append(vector.as_row(schema))
+        for sid, row in extract_windows(clip.frames, cfg, schema, stream_id=clip.clip_id):
+            rows.append(row)
             labels.append(table[sid])
             ids.append(sid)
     return Dataset(

@@ -3,15 +3,15 @@
 Every distance and velocity is normalized by the torso height of the person
 it belongs to (interaction distances use the mean of both torso heights),
 which removes sensitivity to subject-camera distance. Per-frame series are
-aggregated into a fixed-order feature vector with mean / median / min /
-max / p95 statistics plus a handful of event-shaped scalars (time to peak,
-retraction after peak, longest fast-and-close run, ...). A schema computes
-only the statistics and derived series (backward differences, IoU events)
-that its names read, and sorts a series once for all of its order
-statistics. The thresholds of those scalars and the shortest segment
-extracted are fixed parts of the feature definitions (``FAST_HAND``,
-``ELBOW_FLEX``, ``CLOSE_HAND``, ``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``),
-not settings. ``FAMILY_JOINTS`` names the joints each family reads, and a
+aggregated into a feature row, one value per schema name in the schema's
+order, with mean / median / min / max / p95 statistics plus a handful of
+event-shaped scalars (time to peak, retraction after peak, longest
+fast-and-close run, ...). A schema computes only the statistics and
+derived series (backward differences, IoU events) that its names read, and
+sorts a series once for all of its order statistics. The thresholds of
+those scalars and the shortest segment extracted are fixed parts of the
+feature definitions (``FAST_HAND``, ``ELBOW_FLEX``, ``CLOSE_HAND``,
+``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings. ``FAMILY_JOINTS`` names the joints each family reads, and a
 schema's ``joints`` (those and the torso joints) are the only ones the
 smoother smooths: no feature reads the eyes, knees or ankles.
 
@@ -273,25 +273,26 @@ class FeatureSchema:
         return len(self.names)
 
     @cached_property
-    def plan(self) -> tuple[tuple[str, int, str, Stats, tuple[str, ...], float], ...]:
-        """(family, owner role, base, statistics read, names, sentinel) per value read.
+    def plan(self) -> tuple[tuple[str, int, str, Stats, tuple[int, ...], float], ...]:
+        """(family, owner role, base, statistics read, columns, sentinel) per value read.
 
         One entry per scalar and per series (a base of one role) the schema
         reads, in the order of their first names. A series' "statistics
         read" are the statistics its names read, in ``STATS`` order: the one
-        list extraction aggregates it to; its names follow the same order.
-        A scalar has None and its one name. Built on first read; a name
-        outside the layout raises ``KeyError``.
+        list extraction aggregates it to; its columns, the indices of those
+        names in ``names``, follow the same order. A scalar has None and its
+        one column. Built on first read; a name outside the layout raises
+        ``KeyError``.
         """
-        entries: dict[tuple[str, int, str, float], dict[Optional[str], str]] = {}
-        for name in self.names:
+        entries: dict[tuple[str, int, str, float], dict[Optional[str], int]] = {}
+        for column, name in enumerate(self.names):
             family, role, base, stat, sentinel = _SOURCE[name]
-            entries.setdefault((family, role, base, sentinel), {})[stat] = name
+            entries.setdefault((family, role, base, sentinel), {})[stat] = column
         plan = []
         for (family, role, base, sentinel), by_stat in entries.items():
             stats = None if None in by_stat else tuple(s for s in STATS if s in by_stat)
-            names = tuple(by_stat[s] for s in stats or (None,))
-            plan.append((family, role, base, stats, names, sentinel))
+            columns = tuple(by_stat[s] for s in stats or (None,))
+            plan.append((family, role, base, stats, columns, sentinel))
         return tuple(plan)
 
     @cached_property
@@ -345,17 +346,6 @@ _SOURCE: dict[str, Source] = dict(_layout())
 
 def full_schema() -> FeatureSchema:
     return FeatureSchema(tuple(_SOURCE))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Aggregated features of one segment under one role ordering."""
-
-    values: dict[str, float]
-    roles: tuple[str, str]  # (aggressor track id, victim track id)
-
-    def as_row(self, schema: FeatureSchema) -> list[float]:
-        return [self.values[name] for name in schema.names]
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +872,8 @@ def extract_segment(
     pair: PairSegment,
     schema: Optional[FeatureSchema] = None,
     families: Optional[SegmentFamilies] = None,
-) -> FeatureVector:
-    """Compute the feature vector of a pair segment for the schema's names.
+) -> list[float]:
+    """The feature row of a pair segment: one value per schema name, in ``schema.names`` order.
 
     Values come from ``families``, a ``SegmentFamilies`` table of this
     segment under either role ordering; without one, from a fresh table.
@@ -892,14 +882,11 @@ def extract_segment(
     reads of it (``FeatureSchema.plan``: one lookup per series and
     scalar), so a second call on ``pair.swapped()`` with the same table
     computes only the directional families of its ordering and the series
-    its roles read differently. The vector's names come in plan order,
-    which is the schema's when each series' names stand together, as in
-    every schema ``full_schema`` and ``select`` give. Missing values are
-    materialized with the layout's sentinel so the classifier always sees a
-    finite value for every schema name. A segment shorter than
-    ``MIN_SEGMENT_FRAMES`` raises ``SegmentTooShort``, a name whose family
-    does not return its base name ``KeyError``, and a table built for
-    another segment ``ValueError``.
+    its roles read differently. Missing values are materialized with the
+    layout's sentinel so the classifier always sees a finite value for
+    every schema name. A segment shorter than ``MIN_SEGMENT_FRAMES`` raises
+    ``SegmentTooShort``, a name whose family does not return its base name
+    ``KeyError``, and a table built for another segment ``ValueError``.
     """
     if schema is None:
         schema = full_schema()
@@ -911,20 +898,20 @@ def extract_segment(
         raise ValueError("the family table belongs to another segment")
     aggregates = families.aggregates
     owners = (pair.aggressor.track_id, pair.victim.track_id, None)
-    values: dict[str, float] = {}
-    for family, role, base, stats, names, sentinel in schema.plan:
+    row = [0.0] * len(schema)
+    for family, role, base, stats, columns, sentinel in schema.plan:
         key = (family, owners[role])
         if stats is None:
             value = families.get(key, pair)[base]
-            values[names[0]] = sentinel if value is None else float(value)
+            row[columns[0]] = sentinel if value is None else float(value)
             continue
         agg = aggregates.get((key, base, stats))
         if agg is None:
             agg = aggregates[key, base, stats] = aggregate(families.get(key, pair)[base], stats)
-        for name, stat in zip(names, stats):
+        for column, stat in zip(columns, stats):
             value = agg[stat]
-            values[name] = sentinel if value is None else float(value)
-    return FeatureVector(values=values, roles=(pair.aggressor.track_id, pair.victim.track_id))
+            row[column] = sentinel if value is None else float(value)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -934,17 +921,20 @@ PathOrFile = Union[str, IO[str]]
 
 
 def write_feature_csv(
-    dest: PathOrFile, rows: Iterable[tuple[str, FeatureVector]], schema: FeatureSchema
+    dest: PathOrFile, rows: Iterable[tuple[str, Sequence[float]]], schema: FeatureSchema
 ) -> None:
-    """Feature matrix CSV: segment_id column then schema columns, full precision."""
+    """Feature matrix CSV: segment_id column then schema columns, full precision.
+
+    ``rows`` are (segment id, row) pairs, each row in ``schema.names`` order.
+    """
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_feature_csv(fh, rows, schema)
         return
     writer = csv.writer(dest)
     writer.writerow(["segment_id", *schema.names])
-    for segment_id, vector in rows:
-        writer.writerow([segment_id, *(repr(vector.values[n]) for n in schema.names)])
+    for segment_id, row in rows:
+        writer.writerow([segment_id, *map(repr, row)])
 
 
 def read_feature_csv(source: PathOrFile) -> tuple[list[str], list[str], array]:

@@ -42,9 +42,10 @@ through its arrays instead, in its place in tree order.
 Compiled or walked, the leaves are added one by one in tree order, so
 probabilities are bit for bit those of the flat arrays.
 
-Training runs on numpy, which only the training functions import (and
-``_vector`` for a non-Mapping input): loading, compiling and predicting
-from a Mapping import no numpy, so a stream process does not load it.
+Training runs on numpy, which only the training functions import: loading,
+compiling and predicting import no numpy, so a stream process does not
+load it. A prediction's input is a row in the model's column order, as
+``features.extract_segment`` returns it for the model's own schema.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .types import MalformedRecord
 
@@ -517,35 +518,29 @@ def compile_chunk(model: ForestModel) -> bool:
     return compiled.done or compiled.compile_chunk()
 
 
-def _vector(
-    model: ForestModel, x: Union[Mapping[str, float], Sequence[float], np.ndarray]
-) -> list[float]:
+def _vector(model: ForestModel, x: Sequence[float]) -> list[float]:
     if isinstance(x, Mapping):
-        try:
-            return [float(x[name]) for name in model.feature_names]
-        except KeyError as exc:
-            raise SchemaMismatch(f"input is missing feature {exc.args[0]!r}") from exc
-    import numpy as np
-
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (len(model.feature_names),):
-        raise SchemaMismatch(
-            f"expected {len(model.feature_names)} features, got shape {arr.shape}"
-        )
-    return arr.tolist()
+        raise SchemaMismatch("input is a mapping, not a row in the model's column order")
+    try:
+        vec = [float(v) for v in x]
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"input is not a row of numbers: {exc}") from None
+    if len(vec) != len(model.feature_names):
+        raise SchemaMismatch(f"expected {len(model.feature_names)} features, got {len(vec)}")
+    return vec
 
 
 def predict_probability(model: ForestModel, x) -> float:
     """Mean over trees of the leaf's weighted robbery fraction.
 
-    ``x`` is a Mapping by feature name or a sequence in schema order; a
-    missing name or a wrong length raises ``SchemaMismatch``. The first
-    call with a model compiles whatever ``compile_chunk`` has not yet
-    compiled and keeps the result on ``model.compiled``, so the model's
-    trees must not change after the first of either; later calls run the
-    compiled steps in tree order, starting from 0.0. The leaves are added
-    one by one in tree order, not with ``sum``, whose float summation is
-    compensated from Python 3.12.
+    ``x`` is a sequence of numbers in ``model.feature_names`` order; a
+    Mapping, a value ``float`` rejects or a wrong length raises
+    ``SchemaMismatch``. The first call with a model compiles whatever
+    ``compile_chunk`` has not yet compiled and keeps the result on
+    ``model.compiled``, so the model's trees must not change after the
+    first of either; later calls run the compiled steps in tree order,
+    starting from 0.0. The leaves are added one by one in tree order, not
+    with ``sum``, whose float summation is compensated from Python 3.12.
     """
     vec = _vector(model, x)
     compiled = model.compiled

@@ -54,7 +54,6 @@ from .config import PipelineConfig
 from .features import (
     MIN_SEGMENT_FRAMES,
     FeatureSchema,
-    FeatureVector,
     SegmentFamilies,
     extract_segment,
     full_schema,
@@ -203,8 +202,8 @@ class TrackWindows:
     """Tracks of one stream, smoothed as frames arrive, cut into windows.
 
     ``window`` holds one live ``Track`` per key with a sample in the stored
-    frames, in order of key creation, and ``frames`` the (timestamp, keys
-    added) of each stored frame. ``advance`` appends a frame's smoothed
+    frames, in order of key creation, and ``frames`` the keys added by each
+    stored frame. ``advance`` appends a frame's smoothed
     persons to their tracks, drops the frame leaving the window from
     exactly its keys' tracks, and a track it empties, and returns the
     selected pair at each stride point; ``at_stride`` says whether its last
@@ -221,7 +220,7 @@ class TrackWindows:
         self.cfg = cfg
         self.joints = joints
         self.window: dict[str, Track] = {}
-        self.frames: deque[tuple[float, list[str]]] = deque()
+        self.frames: deque[list[str]] = deque()
         self._active: dict[int, tuple[str, int, int, SkeletonSmoother]] = {}
         self.pos = -1
         self.at_stride = False
@@ -248,11 +247,10 @@ class TrackWindows:
             track.timestamps.append(t)
             track.skeletons.append(smoother.step(skel))
             keys.append(key)
-        self.frames.append((t, keys))
+        self.frames.append(keys)
         wf, sf = self.cfg.window_frames, self.cfg.stride_frames
         while len(self.frames) > wf:
-            _, leaving = self.frames.popleft()
-            for key in leaving:
+            for key in self.frames.popleft():
                 track = window[key]
                 # the sample's stored values leave with it (see ``Track``)
                 del track.timestamps[0], track.skeletons[0]
@@ -279,25 +277,25 @@ def extract_windows(
     cfg: PipelineConfig,
     schema: Optional[FeatureSchema] = None,
     stream_id: str = "stream",
-) -> list[tuple[str, FeatureVector]]:
-    """Offline sliding-window extraction: (segment id, vector) per window with a pair.
+) -> list[tuple[str, list[float]]]:
+    """Offline sliding-window extraction: (segment id, row) per window with a pair.
 
     Each row is the pair under its ``order_roles`` ordering, computed over
-    the full window tracks. The segment id is
+    the full window tracks, in ``schema.names`` order. The segment id is
     ``"<stream_id>#<pair>#<end position>"``.
     """
     schema = schema or full_schema()
     windows = TrackWindows(cfg, schema.joints)
-    rows: list[tuple[str, FeatureVector]] = []
+    rows: list[tuple[str, list[float]]] = []
     for record in frames:
         _, pair = windows.advance(record)
         if pair is None:
             continue
         agg, vic = order_roles(pair[0], pair[1], cfg.window_s)
         segment = pair_segment(agg, vic, fps=cfg.fps)
-        vector = extract_segment(segment, schema, SegmentFamilies(segment))
+        row = extract_segment(segment, schema, SegmentFamilies(segment))
         key = pair_key_str(pair[0].track_id, pair[1].track_id)
-        rows.append((f"{stream_id}#{key}#{windows.pos}", vector))
+        rows.append((f"{stream_id}#{key}#{windows.pos}", row))
     return rows
 
 
@@ -402,14 +400,14 @@ class StreamEngine:
         self.model = model
         self.cfg = cfg
         self.hcfg = cfg.hysteresis()
-        full = full_schema()
-        missing = set(model.feature_names) - set(full.names)
+        missing = set(model.feature_names) - set(full_schema().names)
         if missing:
             raise SchemaMismatch(f"model needs unknown features: {sorted(missing)}")
-        # extraction computes only the feature families and statistics the
-        # model reads, and the smoother only the joints they read; reading
-        # the joints builds the plan now, so no decision pays for it
-        self.schema = full.select(model.feature_names)
+        # the model's columns in its order, so each row extracted is the
+        # forest's input as it stands; extraction computes only what the model
+        # reads, the smoother only the joints that reads, and reading the
+        # joints builds the plan now, so no decision pays for it
+        self.schema = FeatureSchema(model.feature_names)
         self._windows = TrackWindows(cfg, self.schema.joints)
         # the known pairs, which only ``step_pairs`` creates, steps or forgets
         self._pairs: dict[str, tuple[int, tuple[str, str], AlarmState]] = {}
@@ -429,12 +427,8 @@ class StreamEngine:
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=self.cfg.fps)
         families = SegmentFamilies(segment)
-        v_ab = extract_segment(segment, self.schema, families)
-        v_ba = extract_segment(segment.swapped(), self.schema, families)
-        prob = max(
-            predict_probability(self.model, v_ab.values),
-            predict_probability(self.model, v_ba.values),
-        )
+        rows = [extract_segment(s, self.schema, families) for s in (segment, segment.swapped())]
+        prob = max(predict_probability(self.model, row) for row in rows)
         yhat = 1 if prob >= self.cfg.prob_threshold else 0
         return pair_key_str(a.track_id, b.track_id), (a.track_id, b.track_id), yhat
 

@@ -90,6 +90,17 @@ def fresh_segment(segment):
     )
 
 
+def roles(segment):
+    """(aggressor id, victim id) of a pair segment."""
+    return segment.aggressor.track_id, segment.victim.track_id
+
+
+def by_name(schema, row):
+    """A feature row, in ``schema.names`` order, as a dict by feature name."""
+    assert len(row) == len(schema)
+    return dict(zip(schema.names, row))
+
+
 def static_skeleton(center=(100.0, 100.0), conf: float = 0.9) -> Skeleton:
     kps = tuple(Keypoint(center[0] + dx, center[1] + dy, conf) for dx, dy in _TEMPLATE)
     xs = [kp.x for kp in kps]

@@ -16,9 +16,11 @@ import pytest
 
 from alarm_reference import reference_alarms
 from conftest import (
+    by_name,
     random_segment,
     random_track,
     run_alarm,
+    roles,
     run_engine,
     skeleton_from_keypoints,
     static_skeleton,
@@ -156,7 +158,7 @@ def test_feature_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(5, 21))
         seg = random_segment(rng, n, dropout=float(rng.uniform(0.0, 0.25)))
-        got = extract_segment(seg, schema).values
+        got = by_name(schema, extract_segment(seg, schema))
         want = reference_segment_features(seg)
         for name in schema.names:
             # bit for bit: != would take 0.0 and -0.0 for equal
@@ -192,7 +194,7 @@ def test_feature_scale_translation_invariance():
 
     def extract_raw(raw_a, raw_b):
         seg = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=10.0)
-        return extract_segment(seg, schema).values
+        return by_name(schema, extract_segment(seg, schema))
 
     worst = 0.0
     checked = 0
@@ -430,10 +432,12 @@ def offline_alerts(frames, model, cfg):
     reference alarm rule (``alarm_reference``), which reads no engine code.
     Returns (alert events, windows, evidence lines); a window is (end
     position, pair, repr of p(A,B), repr of p(B,A)), with the pair key's
-    first track as A.
+    first track as A. Each model input is the full row's values picked by
+    the model's feature names.
     """
     frames = validate_stream(frames)
-    schema = full_schema()
+    full = full_schema()
+    columns = [full.names.index(name) for name in model.feature_names]
     hcfg = cfg.hysteresis()
 
     decisions = {}
@@ -442,12 +446,10 @@ def offline_alerts(frames, model, cfg):
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         seg = pair_segment(a, b, fps=cfg.fps)
         try:
-            v_ab = extract_segment(seg, schema)
-            v_ba = extract_segment(seg.swapped(), schema)
+            rows = [extract_segment(s, full) for s in (seg, seg.swapped())]
         except SegmentTooShort:
             continue
-        p_ab = predict_probability(model, v_ab.values)
-        p_ba = predict_probability(model, v_ba.values)
+        p_ab, p_ba = (predict_probability(model, [row[c] for c in columns]) for row in rows)
         key = pair_key_str(a.track_id, b.track_id)
         windows.append((end, key, repr(p_ab), repr(p_ba)))
         yhat = 1 if max(p_ab, p_ba) >= cfg.prob_threshold else 0
@@ -474,13 +476,12 @@ def offline_alerts(frames, model, cfg):
 def online_alerts(frames, model, cfg, monkeypatch):
     """Run the engine; returns (alert events, windows, evidence lines) shaped as in offline_alerts."""
     engine = StreamEngine(model, cfg)
-    roles, probs = [], []
+    extracted, probs = [], []
     extract, predict_ = pipeline.extract_segment, pipeline.predict_probability
 
     def recording_extract(*args, **kwargs):
-        vector = extract(*args, **kwargs)
-        roles.append((engine.frames_processed - 1, vector.roles))
-        return vector
+        extracted.append((engine.frames_processed - 1, roles(args[0])))
+        return extract(*args, **kwargs)
 
     def recording_predict(*args, **kwargs):
         p = predict_(*args, **kwargs)
@@ -492,10 +493,10 @@ def online_alerts(frames, model, cfg, monkeypatch):
         m.setattr(pipeline, "predict_probability", recording_predict)
         alerts = run_engine(engine, frames)
     # every window extracts and classifies (A, B), then (B, A)
-    assert len(roles) == len(probs) and len(roles) % 2 == 0
+    assert len(extracted) == len(probs) and len(extracted) % 2 == 0
     windows = [
-        (roles[i][0], pair_key_str(*roles[i][1]), repr(probs[i]), repr(probs[i + 1]))
-        for i in range(0, len(roles), 2)
+        (extracted[i][0], pair_key_str(*extracted[i][1]), repr(probs[i]), repr(probs[i + 1]))
+        for i in range(0, len(extracted), 2)
     ]
     events = [(a.pair, a.kind, a.timestamp, a.count) for a in alerts]
     evidence = [json.dumps(a.evidence, separators=(",", ":")) for a in alerts if a.evidence is not None]

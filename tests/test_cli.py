@@ -1234,6 +1234,11 @@ def _exit_code_cases():
     yield "stream", ["--model", "@unknown_feature.json"], 4, (
         r"error: model needs unknown features: \['not_a_real_feature'\]"
     )
+    # a sink URL that is not http(s) with a host is rejected before the first frame
+    for url in ("foo", "ftp//x", "not a url", "http://"):
+        yield "stream", ["--sink-url", url], 2, (
+            f"error: sink_url must be an http or https URL with a host, got {re.escape(repr(url))}"
+        )
     yield "stream", ["--sink-url", "http://127.0.0.1:9/unreachable"], 5, (
         "error: alert sink http://127.0.0.1:9/unreachable unreachable: .*"
     )

@@ -72,3 +72,21 @@ def test_span_whose_frame_count_overflows_rejected(key):
 def test_frame_rate_whose_frame_counts_overflow_rejected():
     with pytest.raises(BadConfig, match=r"^window_s \* fps is not finite: 2\.0 \* 1e\+308$"):
         PipelineConfig(fps=1e308)
+
+
+@pytest.mark.parametrize(
+    "url, reason",
+    [("foo", "with a host"), ("ftp//x", "with a host"), ("not a url", "with a host"),
+     ("http://", "with a host"), ("ftp://host/alerts", "with a host"), ("http://h/a b", "with a host"),
+     ("http://h/\x00", "with a host"), ("http://h:port/", "is not a URL"),
+     ("http://h:70000/", "is not a URL"), ("http://[::1/", "is not a URL")],
+)
+def test_sink_url_that_no_alert_could_be_posted_to_rejected(url, reason):
+    # rejected before any frame: most of these ended ``stream`` with a traceback at its first alert
+    with pytest.raises(BadConfig, match=reason):
+        PipelineConfig(sink_url=url)
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/unreachable", "https://sink.example:8443/a?b=1"])
+def test_http_and_https_sink_urls_accepted(url):
+    assert PipelineConfig(sink_url=url).sink_url == url

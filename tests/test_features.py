@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_segment, random_track, skeleton_from_keypoints, static_skeleton
+from conftest import by_name, random_segment, random_track, skeleton_from_keypoints, static_skeleton
 from feature_reference import _ref_stat, _sentinel, reference_segment_features
 from ingest_reference import smooth_track
 from snatchdet import features
 from snatchdet.features import (
     MIN_SEGMENT_FRAMES,
     STATS,
-    FeatureVector,
+    FeatureSchema,
     SegmentFamilies,
     SegmentTooShort,
     aggregate,
@@ -550,16 +550,16 @@ class TestExtractSegment:
         # every series all-missing and every scalar missing: each name gets its sentinel
         schema = full_schema()
         seg = random_segment(rng, 8)
-        vector = extract_segment(seg, schema, AllMissing(seg, schema.names))
-        assert len(vector.values) == 143
-        for name in schema.names:
-            assert vector.values[name] == _sentinel(name), name
+        row = extract_segment(seg, schema, AllMissing(seg, schema.names))
+        assert len(row) == 143
+        for name, value in zip(schema.names, row):
+            assert value == _sentinel(name), name
 
     def test_stationary_far_apart(self):
         pair = make_pair(
             [static_skeleton((100, 100))] * 10, [static_skeleton((900, 100))] * 10
         )
-        values = extract_segment(pair).values
+        values = by_name(full_schema(), extract_segment(pair))
         assert values["A_velocity_mean"] == 0.0
         assert values["A_fastHandPct"] == 0.0
         assert values["closeHandPct"] == 0.0
@@ -569,9 +569,9 @@ class TestExtractSegment:
     def test_schema_completeness(self, rng):
         schema = full_schema()
         seg = random_segment(rng, 12)
-        vector = extract_segment(seg, schema)
-        assert set(vector.values) == set(schema.names)
-        assert all(math.isfinite(v) for v in vector.values.values())
+        row = extract_segment(seg, schema)
+        assert len(row) == len(schema)
+        assert all(type(v) is float and math.isfinite(v) for v in row)
 
     def test_table_style_names_present(self, rng):
         schema = full_schema()
@@ -583,15 +583,14 @@ class TestExtractSegment:
         reduced = schema.select(table_names)
         assert len(reduced.names) == 10
         seg = random_segment(rng, 10)
-        vector = extract_segment(seg, reduced)
-        assert len(vector.values) == 10
+        assert len(extract_segment(seg, reduced)) == 10
 
     def test_too_short_segment(self, rng):
         # the shortest segment extracted gives every full-schema value finite
         schema = full_schema()
-        vector = extract_segment(random_segment(rng, MIN_SEGMENT_FRAMES), schema)
-        assert list(vector.values) == list(schema.names)
-        assert all(math.isfinite(v) for v in vector.values.values())
+        row = extract_segment(random_segment(rng, MIN_SEGMENT_FRAMES), schema)
+        assert len(row) == len(schema)
+        assert all(math.isfinite(v) for v in row)
         with pytest.raises(SegmentTooShort):
             extract_segment(random_segment(rng, MIN_SEGMENT_FRAMES - 1))
 
@@ -599,7 +598,7 @@ class TestExtractSegment:
         no_wrists = {9: None, 10: None}
         skels_a = [build_skeleton(no_wrists, center=(100.0 + i, 100.0)) for i in range(8)]
         pair = make_pair(skels_a, [static_skeleton((300.0, 100.0))] * 8)
-        values = extract_segment(pair).values
+        values = by_name(full_schema(), extract_segment(pair))
         want = reference_segment_features(pair)
         for stat in ("mean", "median", "min", "max", "p95"):
             assert values[f"handToTorso_{stat}"] == values[f"handToHip_{stat}"] == 10.0
@@ -637,8 +636,7 @@ class TestExtractSegment:
         schema = full_schema()
         for _ in range(10):
             seg = random_segment(rng, int(rng.integers(5, 18)))
-            vector = extract_segment(seg, schema)
-            for name, value in vector.values.items():
+            for name, value in zip(schema.names, extract_segment(seg, schema)):
                 kind = range_kind(name)
                 if kind == "percentage":
                     assert 0.0 <= value <= 100.0, name
@@ -671,8 +669,8 @@ class TestSchemaPruning:
         assert len(mixed) == 10
         schemas = [full.select([name]) for name in full.names] + [mixed]
         for seg in oracle_segments():
-            got = [extract_segment(seg, schema).values for schema in schemas]
-            want = extract_segment(seg, full).values
+            got = [by_name(schema, extract_segment(seg, schema)) for schema in schemas]
+            want = by_name(full, extract_segment(seg, full))
             for schema, values in zip(schemas, got):
                 assert values == {name: want[name] for name in schema.names}, schema.names
 
@@ -686,8 +684,7 @@ class TestSchemaPruning:
         ):
             monkeypatch.setattr(f"snatchdet.features.{name}", forbidden)
         schema = full_schema().select(["distance_min", "closeHandPct", "A_handJerkMin"])
-        vector = extract_segment(random_segment(rng, 12), schema)
-        assert list(vector.values) == ["A_handJerkMin", "distance_min", "closeHandPct"]
+        assert len(extract_segment(random_segment(rng, 12), schema)) == 3
 
     # the ten columns `rank` puts first on the scripts/output_digest.py corpus,
     # and ten that read distances and reaching, like perfbench's top-10 model
@@ -731,11 +728,11 @@ class TestSchemaPruning:
 
         schema = full_schema().select(names)
         seg = random_segment(rng, 20)
-        want = [extract_segment(p, full_schema()).values for p in (seg, seg.swapped())]
+        want = [by_name(full_schema(), extract_segment(p)) for p in (seg, seg.swapped())]
         monkeypatch.setattr(features, "_backward_diff", counting_diff)
         monkeypatch.setattr(features, "sorted", counting_sorted, raising=False)
         table = SegmentFamilies(seg)
-        got = [extract_segment(p, schema, table).values for p in (seg, seg.swapped())]
+        got = [by_name(schema, extract_segment(p, schema, table)) for p in (seg, seg.swapped())]
         assert calls == {"diff": diffs, "sort": sorts}
         assert got == [{n: values[n] for n in schema.names} for values in want]
 
@@ -746,7 +743,7 @@ class TestOracleEquivalence:
         for _ in range(40):
             n = int(rng.integers(5, 21))
             seg = random_segment(rng, n, dropout=float(rng.uniform(0, 0.25)))
-            got = extract_segment(seg, schema).values
+            got = by_name(schema, extract_segment(seg, schema))
             want = reference_segment_features(seg)
             for name in schema.names:
                 assert got[name] == want[name], name
@@ -774,7 +771,7 @@ class TestInvariances:
     def _extract_from_raw(self, raw_a, raw_b, fps=10.0):
         alpha = 0.6
         pair = pair_segment(smooth_track(raw_a, alpha), smooth_track(raw_b, alpha), fps=fps)
-        return extract_segment(pair).values
+        return by_name(full_schema(), extract_segment(pair))
 
     def test_scale_invariance(self, rng):
         raw_a = random_track(rng, "1", 12, start=(200.0, 220.0))
@@ -824,16 +821,13 @@ class TestFeatureCsv:
     def test_round_trip_gives_names_ids_and_row_major_values(self, tmp_path):
         schema = full_schema()
         rng = np.random.default_rng(5)
-        rows = [
-            (f"clip{i}#1|2#{i}", FeatureVector(dict(zip(schema.names, row)), ("1", "2")))
-            for i, row in enumerate(rng.normal(size=(4, len(schema))).tolist())
-        ]
+        rows = [(f"clip{i}#1|2#{i}", row) for i, row in enumerate(rng.normal(size=(4, len(schema))).tolist())]
         path = str(tmp_path / "f.csv")
         write_feature_csv(path, rows, schema)
         names, ids, values = read_feature_csv(path)
         assert names == list(schema.names)
         assert ids == [sid for sid, _ in rows]
-        assert list(values) == [v.values[n] for _, v in rows for n in schema.names]
+        assert list(values) == [v for _, row in rows for v in row]
 
     def test_reading_holds_about_8_bytes_a_cell(self, tmp_path):
         # 2,000 rows of the full schema: a dict per row held about 57 B a cell
@@ -897,11 +891,13 @@ def assert_windows_match_reference(frames, cfg):
     pairs = list(reference_pairs(frames, cfg))
     keys = [(end, pair_key_str(a.track_id, b.track_id)) for end, (a, b) in pairs]
     assert [sid for sid, _ in rows] == [f"s#{key}#{end}" for end, key in keys]
-    for (sid, vector), (_, (a, b)) in zip(rows, pairs):
-        bad = {n: v for n, v in vector.values.items() if not math.isfinite(v)}
+    schema = full_schema()
+    for (sid, row), (_, (a, b)) in zip(rows, pairs):
+        values = by_name(schema, row)
+        bad = {n: v for n, v in values.items() if not math.isfinite(v)}
         assert not bad, (sid, bad)
         want = reference_segment_features(pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps))
-        assert {n: _bits(v) for n, v in vector.values.items()} == {n: _bits(want[n]) for n in vector.values}
+        assert {n: _bits(v) for n, v in values.items()} == {n: _bits(want[n]) for n in values}
     return [end for end, _ in pairs]
 
 

@@ -485,7 +485,7 @@ def test_engine_ingest_matches_the_oracles(tiny_model, objs):
                 tid, ref.SkeletonSmoother(cfg.alpha, ref.TORSO_JOINTS)).step(skel))
             for tid, skel in want.persons
         ]
-        _, keys = engine._windows.frames[-1]
+        keys = engine._windows.frames[-1]
         got = [(key, engine._windows.window[key].skeletons[-1]) for key in keys]
         assert repr(got) == repr(smoothed)  # repr tells -0.0 from 0.0
 

@@ -80,7 +80,7 @@ def copies(tracks):
 def assert_same_as_fresh(segment):
     got = extract_segment(segment, SCHEMA, SegmentFamilies(segment))
     want = extract_segment(fresh_segment(segment), SCHEMA)
-    assert repr(got.values) == repr(want.values), segment.aggressor.track_id
+    assert repr(got) == repr(want), segment.aggressor.track_id
 
 
 def assert_one_table_same_as_fresh(segment):
@@ -90,7 +90,7 @@ def assert_one_table_same_as_fresh(segment):
     for pair, want_pair in ((segment, fresh), (segment.swapped(), fresh.swapped())):
         got = extract_segment(pair, SCHEMA, table)
         want = extract_segment(want_pair, SCHEMA)
-        assert repr(got.values) == repr(want.values), pair.aggressor.track_id
+        assert repr(got) == repr(want), pair.aggressor.track_id
 
 
 def assert_stored_values_are_fresh(tracks):

@@ -14,7 +14,7 @@ import snatchdet
 # check does not read the answer from the objects themselves
 DEFINED_IN = {
     "config": ["PipelineConfig", "load_config"],
-    "features": ["FeatureSchema", "FeatureVector", "extract_segment", "full_schema", "pair_segment"],
+    "features": ["FeatureSchema", "extract_segment", "full_schema", "pair_segment"],
     "forest": ["Dataset", "ForestConfig", "ForestModel", "predict", "train"],
     "pipeline": ["StreamEngine", "extract_windows"],
     "selection": ["pca_project", "select_top_k"],
@@ -26,18 +26,24 @@ DEFINED_IN = {
 
 
 def test_a_fresh_import_loads_no_numpy_and_no_training_only_module():
+    """Nor does a prediction from a row given as a list or a tuple."""
     script = (
         "import json, sys\n"
         "import snatchdet\n"
-        "print(json.dumps([m for m in ('numpy', 'snatchdet.synth', 'snatchdet.selection',"
-        " 'snatchdet.experiment') if m in sys.modules]))\n"
+        "from snatchdet import forest\n"
+        "tree = forest.Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],"
+        " [(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])\n"
+        "model = forest.ForestModel([tree], ('f0',), forest.ForestConfig(), (1.0, 1.0), (1.0,))\n"
+        "probs = [forest.predict_probability(model, [0.0]), forest.predict_probability(model, (1.0,))]\n"
+        "print(json.dumps([probs, [m for m in ('numpy', 'snatchdet.synth', 'snatchdet.selection',"
+        " 'snatchdet.experiment') if m in sys.modules]]))\n"
     )
     src = os.path.dirname(os.path.dirname(snatchdet.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(done.stdout) == []
+    assert json.loads(done.stdout) == [[0.0, 1.0], []]
 
 
 def test_every_export_is_the_object_its_module_defines():

@@ -4,7 +4,7 @@
 ``FAMILY_JOINTS``; every other joint passes through the smoother as the
 detector gave it. The pins below state the sets. The extraction oracle is
 the guard against a table that misses a joint: for random schemas, the rows
-``extract_windows`` writes and the vectors and probabilities ``StreamEngine``
+``extract_windows`` writes and the rows and probabilities ``StreamEngine``
 computes per window equal, bit for bit, those computed from tracks smoothed
 on all 17 joints by the reference smoother (``tests/track_reference.py``).
 The last test moves the joints no schema reads in a digest stream and
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_bystander, without_person
+from conftest import roles, with_bystander, without_person
 from snatchdet import pipeline, streams
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
@@ -39,8 +39,8 @@ from track_reference import reference_pairs
 FULL = full_schema()
 # every name of each family the layout gives
 FAMILY_NAMES: dict[str, list[str]] = {}
-for _family, _role, _base, _stats, _names, _sentinel in FULL.plan:
-    FAMILY_NAMES.setdefault(_family, []).extend(_names)
+for _family, _role, _base, _stats, _columns, _sentinel in FULL.plan:
+    FAMILY_NAMES.setdefault(_family, []).extend(FULL.names[c] for c in _columns)
 
 WRISTS = {9, 10}
 PINNED_FAMILY_JOINTS = {
@@ -146,7 +146,7 @@ def clips(draw):
 
 
 def _reference_rows(frames, cfg, schema):
-    """(segment id, vector) per window, from tracks smoothed on every joint."""
+    """(segment id, row) per window, from tracks smoothed on every joint."""
     rows = []
     for end, (a, b) in reference_pairs(frames, cfg):
         segment = pair_segment(*order_roles(a, b, cfg.window_s), fps=cfg.fps)
@@ -155,22 +155,22 @@ def _reference_rows(frames, cfg, schema):
     return rows
 
 
-def _model(schema, vectors):
-    """A small forest over ``schema`` that splits on the values of ``vectors``."""
-    rows = [[v.values[n] for n in schema.names] for v in vectors]
-    rows += [[0.0] * len(schema), [1.0] * len(schema)]
-    labels = [i % 2 for i in range(len(vectors))] + [0, 1]
+def _model(schema, rows):
+    """A small forest over ``schema`` that splits on the values of ``rows``."""
+    labels = [i % 2 for i in range(len(rows))] + [0, 1]
+    rows = [*rows, [0.0] * len(schema), [1.0] * len(schema)]
     return train(Dataset(schema.names, rows, labels), ForestConfig(n_trees=3))
 
 
 def _engine_windows(model, frames, cfg):
-    """repr of each window's (vector values, roles) pairs and probabilities in the engine."""
-    vectors, probs = [], []
+    """Each window's (repr of row, roles) pairs and probabilities in the engine."""
+    rows, probs = [], []
     extract, predict = pipeline.extract_segment, pipeline.predict_probability
 
     def recording_extract(*args, **kwargs):
-        vectors.append(extract(*args, **kwargs))
-        return vectors[-1]
+        row = extract(*args, **kwargs)
+        rows.append((repr(row), roles(args[0])))
+        return row
 
     def recording_predict(*args, **kwargs):
         probs.append(predict(*args, **kwargs))
@@ -181,11 +181,11 @@ def _engine_windows(model, frames, cfg):
             mock.patch.object(pipeline, "predict_probability", recording_predict):
         for record in frames:
             engine.process(record)
-    return [(repr(v.values), v.roles) for v in vectors], probs
+    return rows, probs
 
 
 def assert_equal_to_full_smoothing(schema, frames):
-    """``extract_windows`` rows, and the engine's vectors and probabilities per
+    """``extract_windows`` rows, and the engine's rows and probabilities per
     window, equal those of tracks smoothed on every joint, bit for bit."""
     cfg = PipelineConfig()
     want = _reference_rows(frames, cfg, schema)
@@ -193,17 +193,17 @@ def assert_equal_to_full_smoothing(schema, frames):
     # repr tells -0.0 from 0.0, so this is bit for bit
     assert [(sid, repr(v)) for sid, v in got] == [(sid, repr(v)) for sid, v in want]
 
-    model = _model(schema, [v for _, v in want])
-    want_vectors, want_probs = [], []
+    model = _model(schema, [row for _, row in want])
+    want_rows, want_probs = [], []
     for _, (a, b) in reference_pairs(frames, cfg):
         a, b = sorted((a, b), key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=cfg.fps)
         for pair in (segment, segment.swapped()):
-            vector = extract_segment(pair, schema)
-            want_vectors.append((repr(vector.values), vector.roles))
-            want_probs.append(predict_probability(model, vector.values))
-    got_vectors, got_probs = _engine_windows(model, frames, cfg)
-    assert got_vectors == want_vectors
+            row = extract_segment(pair, schema)
+            want_rows.append((repr(row), roles(pair)))
+            want_probs.append(predict_probability(model, row))
+    got_rows, got_probs = _engine_windows(model, frames, cfg)
+    assert got_rows == want_rows
     assert repr(got_probs) == repr(want_probs)
     return len(want)
 

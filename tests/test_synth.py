@@ -1,12 +1,14 @@
 """Synthetic scenario generator: determinism, validity, ground truth."""
 
 import io
+from unittest import mock
 
 import pytest
 
-from snatchdet import streams
+from conftest import by_name
+from snatchdet import pipeline, streams
 from snatchdet.config import PipelineConfig
-from snatchdet.features import pair_segment
+from snatchdet.features import full_schema, pair_segment
 from snatchdet.pipeline import extract_windows, order_roles
 from snatchdet.synth import ScenarioSpec, generate, generate_corpus, ratio_counts, window_labels
 from snatchdet.types import MalformedRecord, validate_stream
@@ -14,11 +16,21 @@ from track_reference import smoothed_tracks
 
 
 def window_features(clip, cfg=None):
-    """(window label, vector) of every window sliding extraction cuts from the clip."""
+    """(window label, aggressor id, features by name) of every window sliding
+    extraction cuts from the clip."""
     cfg = cfg or PipelineConfig()
     labels = dict(window_labels(clip, cfg))
-    rows = extract_windows(clip.frames, cfg, stream_id=clip.clip_id)
-    return [(labels[sid], vector) for sid, vector in rows]
+    aggressors = []
+    extract = pipeline.extract_segment
+
+    def recording_extract(segment, *args):
+        aggressors.append(segment.aggressor.track_id)
+        return extract(segment, *args)
+
+    with mock.patch.object(pipeline, "extract_segment", recording_extract):
+        rows = extract_windows(clip.frames, cfg, stream_id=clip.clip_id)
+    schema = full_schema()
+    return [(labels[sid], agg, by_name(schema, row)) for (sid, row), agg in zip(rows, aggressors)]
 
 
 def stream_bytes(frames):
@@ -61,12 +73,12 @@ class TestGenerate:
     def test_snatch_construction_guarantees(self):
         clip = generate(ScenarioSpec(kind="snatch", seed=21, noise_sigma=0.0))
         # the windows that contain the event
-        vectors = [vector for label, vector in window_features(clip) if label]
-        assert vectors
-        for vector in vectors:
-            assert vector.roles[0] == "1"  # mover is picked as the aggressor
-            assert vector.values["handToTorso_min"] < 0.3
-            assert vector.values["A_fastHandPct"] > 0.0
+        windows = [(agg, values) for label, agg, values in window_features(clip) if label]
+        assert windows
+        for aggressor, values in windows:
+            assert aggressor == "1"  # mover is picked as the aggressor
+            assert values["handToTorso_min"] < 0.3
+            assert values["A_fastHandPct"] > 0.0
         assert clip.label == 1
         assert 0.0 < clip.event_time < clip.spec.duration
 
@@ -96,11 +108,11 @@ class TestGenerate:
         clip = generate(ScenarioSpec(kind="standing", seed=3, noise_sigma=0.0))
         windows = window_features(clip)
         assert windows
-        for label, vector in windows:
+        for label, _, values in windows:
             assert label == 0
-            assert vector.values["A_velocity_max"] == 0.0
-            assert vector.values["B_velocity_max"] == 0.0
-            assert vector.values["A_handVelocity_max"] == 0.0
+            assert values["A_velocity_max"] == 0.0
+            assert values["B_velocity_max"] == 0.0
+            assert values["A_handVelocity_max"] == 0.0
         assert clip.label == 0
 
     def test_benign_scenarios_stay_out_of_reach(self):
@@ -108,10 +120,10 @@ class TestGenerate:
             clip = generate(ScenarioSpec(kind=kind, seed=8, noise_sigma=0.0))
             windows = window_features(clip)
             assert windows, kind
-            for label, vector in windows:
+            for label, _, values in windows:
                 assert label == 0, kind
-                assert vector.values["handToTorso_min"] > 0.4, kind
-                assert vector.values["fastAndClosePct"] == 0.0, kind
+                assert values["handToTorso_min"] > 0.4, kind
+                assert values["fastAndClosePct"] == 0.0, kind
 
 
 class TestCorpus:
