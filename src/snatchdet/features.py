@@ -11,9 +11,10 @@ derived series (backward differences, IoU events) that its names read, and
 sorts a series once for all of its order statistics. The thresholds of
 those scalars and the shortest segment extracted are fixed parts of the
 feature definitions (``FAST_HAND``, ``ELBOW_FLEX``, ``CLOSE_HAND``,
-``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings. ``FAMILY_JOINTS`` names the joints each family reads, and a
-schema's ``joints`` (those and the torso joints) are the only ones the
-smoother smooths: no feature reads the eyes, knees or ankles.
+``HAND_TOWARD``, ``MIN_SEGMENT_FRAMES``), not settings. ``FAMILY_JOINTS``
+names the joints each family reads, and a schema's ``joints`` (those and
+the torso joints) are the only ones the smoother smooths: no feature reads
+the eyes, knees or ankles.
 
 Per-frame values can be *missing* (None) when the joints involved are
 invalid in that frame, and a per-frame value that is not finite (NaN or an

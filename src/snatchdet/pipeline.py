@@ -203,11 +203,10 @@ class TrackWindows:
 
     ``window`` holds one live ``Track`` per key with a sample in the stored
     frames, in order of key creation, and ``frames`` the keys added by each
-    stored frame. ``advance`` appends a frame's smoothed
-    persons to their tracks, drops the frame leaving the window from
-    exactly its keys' tracks, and a track it empties, and returns the
-    selected pair at each stride point; ``at_stride`` says whether its last
-    frame was one.
+    stored frame. ``advance`` appends a frame's smoothed persons to their
+    tracks, drops the frame leaving the window from exactly its keys'
+    tracks, and a track it empties, and returns the selected pair at each
+    stride point; ``at_stride`` says whether its last frame was one.
     Each raw id has one record: its current key, the position it was last
     seen at, how often it was split and its smoother, which smooths
     ``joints`` (a schema's ``FeatureSchema.joints``) and passes the other

@@ -231,8 +231,12 @@ class TestPredict:
         model = train(separable_dataset(), ForestConfig(n_trees=2, seed=1))
         with pytest.raises(SchemaMismatch):
             predict(model, np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(SchemaMismatch):
-            predict(model, {"f0": 1.0})
+        # a row is read by position only: a mapping, even one naming every column, is refused
+        for bad in ({"f0": 1.0}, {"f0": 1.0, "f1": 2.0}, {0: 1.0, 1: 2.0}, [1.0, None], ["a", 2.0],
+                    np.ones((1, 2)), 1.0, (1.0,)):
+            with pytest.raises(SchemaMismatch):
+                predict(model, bad)
+        assert predict(model, (1.0, 2.0)) == predict(model, [1.0, 2.0])
 
     def test_probability_stays_in_unit_interval(self):
         rng = np.random.default_rng(31)
