@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 
-from snatchdet import cli, forest, pipeline, streams
+from snatchdet import cli, features, forest, pipeline, streams
 from snatchdet.config import PipelineConfig
 from snatchdet.synth import ScenarioSpec, generate
 from snatchdet.types import FrameRecord, Skeleton
@@ -75,32 +75,43 @@ def encounter_stream(seed: int, rounds: int, bystanders: int = 0) -> list[FrameR
 
 
 def window_lines(stream_path: str, model_path: str) -> list[str]:
-    """``repr((pair, p(A,B), p(B,A)))`` for every window ``stream`` classifies."""
+    """``repr((pair, p(A,B), p(B,A)))`` for every window ``stream`` classifies.
+
+    The engine predicts only the orderings its bound leaves open, so both
+    probabilities are computed here from the segment it cuts
+    (``pipeline.pair_segment``), before its tracks move on, and each
+    window's decision (``StreamEngine._classify``) is checked against them.
+    """
     model = forest.load_model(model_path)
     engine = pipeline.StreamEngine(model, PipelineConfig())
-    roles, probs = [], []
-    extract, predict = pipeline.extract_segment, pipeline.predict_probability
+    cut, lines = [], []
+    segment_of, classify = pipeline.pair_segment, engine._classify
 
-    def recording_extract(*args, **kwargs):
-        segment = args[0]
-        roles.append((segment.aggressor.track_id, segment.victim.track_id))
-        return extract(*args, **kwargs)
+    def recording_segment(*args, **kwargs):
+        cut.append(segment_of(*args, **kwargs))
+        return cut[-1]
 
-    def recording_predict(*args, **kwargs):
-        p = predict(*args, **kwargs)
-        probs.append(p)
-        return p
+    def checked_classify(pair):
+        decision = classify(pair)
+        segment = cut.pop()
+        p_ab, p_ba = (
+            forest.predict_probability(model, features.extract_segment(s, engine.schema))
+            for s in (segment, segment.swapped())
+        )
+        key = pipeline.pair_key_str(segment.aggressor.track_id, segment.victim.track_id)
+        if decision[::2] != (key, int(max(p_ab, p_ba) >= engine.cfg.prob_threshold)):
+            raise RuntimeError(f"decision {decision} disagrees with {p_ab!r}, {p_ba!r}")
+        lines.append(repr((key, p_ab, p_ba)))
+        return decision
 
-    pipeline.extract_segment, pipeline.predict_probability = recording_extract, recording_predict
+    engine._classify = checked_classify
+    pipeline.pair_segment = recording_segment
     try:
         for record in streams.iter_stream(stream_path):
             engine.process(record)
     finally:
-        pipeline.extract_segment, pipeline.predict_probability = extract, predict
-    return [
-        repr((pipeline.pair_key_str(*roles[i]), probs[i], probs[i + 1]))
-        for i in range(0, len(roles), 2)
-    ]
+        pipeline.pair_segment = segment_of
+    return lines
 
 
 def _keep_columns(src: str, rank_csv: str, dest: str) -> None:

@@ -31,9 +31,10 @@ from it by the unordered pair (its values are the same under both role
 orderings) and the directional families (``relative``, ``reaching``,
 ``facing``) by the ordered pair. Per-frame values are stored on the tracks
 a segment was cut from (see ``types.Track``), so overlapping windows share
-them. The stream engine builds one table per decision and passes it to
-both role orderings' ``extract_segment`` calls, so the second call
-computes only the directional families of its ordering.
+them. The stream engine builds one table per decision and first extracts, for
+both role orderings, only the columns they share
+(``FeatureSchema.shared_plan``); the directional families run only for an
+ordering the engine extracts in full, and the table computes nothing twice.
 """
 
 from __future__ import annotations
@@ -248,8 +249,9 @@ NAME_ALIASES = {
 }
 
 # Interaction families whose every output is the same under both role
-# orderings; the others depend on which track is A.
+# orderings; the others, the directional families, depend on which track is A.
 _SYMMETRIC_FAMILIES = {"distance", "distanceRate", "iouEvents"}
+_DIRECTIONAL_FAMILIES = frozenset(f for _, _, f in _INTERACTION_LAYOUT) - _SYMMETRIC_FAMILIES
 
 _DISTANCE_BASES = {"distance", "handToTorso", "handToHip", "postContactSepMean"}
 
@@ -295,6 +297,28 @@ class FeatureSchema:
             columns = tuple(by_stat[s] for s in stats or (None,))
             plan.append((family, role, base, stats, columns, sentinel))
         return tuple(plan)
+
+    @cached_property
+    def shared_plan(self) -> tuple[tuple[str, int, str, Stats, tuple[int, ...], float], ...]:
+        """The ``plan`` entries that read what both role orderings share.
+
+        They read each track's individual families and the symmetric
+        interaction families (``distance``, ``distanceRate``, ``iouEvents``),
+        which one ``SegmentFamilies`` table computes once for both orderings.
+        The other entries fill the columns of ``directional``.
+        """
+        return tuple(entry for entry in self.plan if entry[0] not in _DIRECTIONAL_FAMILIES)
+
+    @cached_property
+    def directional(self) -> frozenset[int]:
+        """The columns of the directional families (``relative``, ``reaching``,
+        ``facing``), computed once per role ordering."""
+        return frozenset(
+            column
+            for family, _, _, _, columns, _ in self.plan
+            if family in _DIRECTIONAL_FAMILIES
+            for column in columns
+        )
 
     @cached_property
     def joints(self) -> frozenset[int]:
@@ -873,6 +897,7 @@ def extract_segment(
     pair: PairSegment,
     schema: Optional[FeatureSchema] = None,
     families: Optional[SegmentFamilies] = None,
+    plan: Optional[Sequence[tuple[str, int, str, Stats, tuple[int, ...], float]]] = None,
 ) -> list[float]:
     """The feature row of a pair segment: one value per schema name, in ``schema.names`` order.
 
@@ -883,7 +908,11 @@ def extract_segment(
     reads of it (``FeatureSchema.plan``: one lookup per series and
     scalar), so a second call on ``pair.swapped()`` with the same table
     computes only the directional families of its ordering and the series
-    its roles read differently. Missing values are materialized with the
+    its roles read differently. ``plan`` names the entries of
+    ``schema.plan`` to compute, all of them by default, and the columns of
+    the others hold 0.0: with ``schema.shared_plan`` no directional family
+    runs, and a later call for the whole row with the same table computes
+    only those. Missing values are materialized with the
     layout's sentinel so the classifier always sees a finite value for
     every schema name. A segment shorter than ``MIN_SEGMENT_FRAMES`` raises
     ``SegmentTooShort``, a name whose family does not return its base name
@@ -900,7 +929,7 @@ def extract_segment(
     aggregates = families.aggregates
     owners = (pair.aggressor.track_id, pair.victim.track_id, None)
     row = [0.0] * len(schema)
-    for family, role, base, stats, columns, sentinel in schema.plan:
+    for family, role, base, stats, columns, sentinel in schema.plan if plan is None else plan:
         key = (family, owners[role])
         if stats is None:
             value = families.get(key, pair)[base]

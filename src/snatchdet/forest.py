@@ -32,15 +32,25 @@ tree becomes straight-line Python, ``if v[f] <= thr:`` blocks that end in
 ``CHUNK_LINES`` lines (about ten trees of the deployed models), so that no
 one function, and the peak memory of compiling it, grows with the forest.
 ``compile_chunk`` compiles one such function per call, so a caller can
-spread the compile over idle moments (the stream engine compiles one
-chunk per frame while its first window fills); the first prediction
-compiles whatever is left. Only ``int`` feature indices and the ``repr``
-of finite floats are written into the source. A tree with a non-finite
-threshold, one deeper than the generated source may indent, or one whose
-source would be too long (shared children expand once per path) is walked
-through its arrays instead, in its place in tree order.
-Compiled or walked, the leaves are added one by one in tree order, so
-probabilities are bit for bit those of the flat arrays.
+spread the compile over idle moments (the stream engine compiles while its
+first window fills); the first prediction compiles whatever is left. Only
+``int`` feature indices and the ``repr`` of finite floats are written into
+the source. A tree with a non-finite threshold, one deeper than the
+generated source may indent, or one whose source would be too long (shared
+children expand once per path) is walked through its arrays instead, in
+its place in tree order. Compiled or walked, the leaves are added one by
+one in tree order, so probabilities are bit for bit those of the flat
+arrays.
+
+The same generator builds a bound form for a set of unknown columns
+(``bound_probability``): each split on an unknown column is replaced, at
+compile time, by the merge of its two subtrees that keeps the larger leaf,
+so each tree adds the largest leaf the row may reach whatever those columns
+hold. The exact form is that generator with no unknown column. A merged
+tree is also walked if it has shared children or more than
+``MAX_TREE_LINES`` nodes; the walk then takes the largest leaf it reaches.
+The bound is at least the probability of every completion of the row, since
+float addition and division are monotone.
 
 Training runs on numpy, which only the training functions import: loading,
 compiling and predicting import no numpy, so a stream process does not
@@ -196,6 +206,10 @@ class ForestModel:
     importances: tuple[float, ...]
     # built by compile_chunk, completed by the first predict_probability
     compiled: Optional["CompiledForest"] = field(default=None, compare=False, repr=False)
+    # the bound forms by their unknown columns, completed by bound_probability
+    bounds: dict[frozenset[int], "CompiledForest"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def balanced_weights(labels: Sequence[int]) -> tuple[float, float]:
@@ -398,56 +412,125 @@ CHUNK_LINES = 128
 # generated source, and the tokenizer stops at 100.
 MAX_COMPILED_DEPTH = 64
 # Most source lines one compiled tree may produce (two per split, one per
-# leaf, counted once per path through shared children).
+# leaf, counted once per path through shared children, and after merging).
 MAX_TREE_LINES = 1024
 
 
-def _tree_source(tree: Tree) -> Optional[list[str]]:
+def _largest_leaves(tree: Tree) -> Optional[list[float]]:
+    """The largest leaf fraction under each node, or None if a leaf is not finite.
+
+    Children lie after their parent, so one pass from the last node fills it.
+    """
+    feature, left, right = tree.feature, tree.left, tree.right
+    top = [0.0] * len(feature)
+    for node in reversed(range(len(feature))):
+        if feature[node] >= 0:
+            top[node] = max(top[left[node]], top[right[node]])
+            continue
+        w0, w1 = tree.leaf_weights[node]
+        top[node] = w1 / (w0 + w1)
+        if not math.isfinite(top[node]):
+            return None
+    return top
+
+
+def _tree_source(tree: Tree, unknown: frozenset[int] = frozenset()) -> Optional[list[str]]:
     """``tree``'s straight-line source lines, or None if the tree must be walked.
 
-    A split becomes ``if v[f] <= thr:`` and ``else:`` blocks, a leaf
-    ``t += leaf``, indented for a function body. Only an ``int`` feature
-    index and the ``repr`` of a finite float are written. Each limit is
-    checked before a line is added, so rejecting a tree costs at most
-    ``MAX_TREE_LINES`` lines however many paths its shared children make.
+    A split on a column outside ``unknown`` becomes ``if v[f] <= thr:`` and
+    ``else:`` blocks; a split on an ``unknown`` column is replaced by the
+    merge of its two subtrees, keeping the larger leaf. The source follows
+    every node a path may still reach, and branches on the first of them
+    that splits on a known column; a path ends, with ``t += leaf``, at the
+    largest leaf it reaches, once no node it may reach holds a larger one.
+    With no unknown column, each path holds one node: that is the tree as it
+    stands. Only an ``int`` feature index and the ``repr`` of a finite float
+    are written. Each limit is checked before a line is added, so rejecting
+    a tree costs at most ``MAX_TREE_LINES`` lines however many paths its
+    shared children or merges make. A tree that splits on an unknown column
+    is merged only if it has at most ``MAX_TREE_LINES`` nodes and no shared
+    child, which bounds the nodes each line visits.
     """
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    top = None
+    if unknown and any(feat in unknown for feat in feature):
+        children = [c for feat, l, r in zip(feature, left, right) if feat >= 0 for c in (l, r)]
+        if len(feature) > MAX_TREE_LINES or len(set(children)) != len(children):
+            return None
+        top = _largest_leaves(tree)
+        if top is None:
+            return None
     lines: list[str] = []
-    # (node, depth), with node -1 for the "else:" between a split's two blocks
-    stack: list[tuple[int, int]] = [(0, 1)]
+    # (depth, largest leaf reached, nodes the path may reach), with nodes
+    # None for the "else:" between a split's two blocks
+    stack: list[tuple[int, float, Optional[list[int]]]] = [(1, -math.inf, [0])]
     while stack:
-        node, depth = stack.pop()
+        depth, best, nodes = stack.pop()
         if len(lines) >= MAX_TREE_LINES or depth > MAX_COMPILED_DEPTH:
             return None
         pad = "    " * depth
-        if node < 0:
+        if nodes is None:
             lines.append(pad + "else:")
             continue
-        feat = tree.feature[node]
-        if feat >= 0:
-            thr = tree.threshold[node]
-            if type(feat) is not int or type(thr) is not float or not math.isfinite(thr):
+        known = []
+        while nodes:
+            node = nodes.pop()
+            if top is not None and top[node] <= best:
+                continue  # no leaf below it is larger
+            feat = feature[node]
+            if feat < 0:
+                w0, w1 = tree.leaf_weights[node]
+                best = w1 / (w0 + w1)
+            elif feat in unknown:
+                nodes += (left[node], right[node])
+            else:
+                known.append(node)
+        if top is not None:
+            known = [node for node in known if top[node] > best]
+        if not known:
+            if not math.isfinite(best):
                 return None
-            lines.append(f"{pad}if v[{feat}] <= {thr!r}:")
-            stack += ((tree.right[node], depth + 1), (-1, depth), (tree.left[node], depth + 1))
+            lines.append(f"{pad}t += {best!r}")
             continue
-        w0, w1 = tree.leaf_weights[node]
-        leaf = w1 / (w0 + w1)
-        if not math.isfinite(leaf):
+        node = known.pop()
+        feat, thr = feature[node], threshold[node]
+        if type(feat) is not int or type(thr) is not float or not math.isfinite(thr):
             return None
-        lines.append(f"{pad}t += {leaf!r}")
+        lines.append(f"{pad}if v[{feat}] <= {thr!r}:")
+        stack += (
+            (depth + 1, best, known + [right[node]]),
+            (depth, best, None),
+            (depth + 1, best, known + [left[node]]),
+        )
     return lines
 
 
-def _walker(tree: Tree):
-    """A step that adds the leaf of ``tree`` that ``vec`` reaches, walking its arrays."""
+def _walker(tree: Tree, unknown: frozenset[int] = frozenset()):
+    """A step that adds the largest leaf of ``tree`` that ``vec`` reaches, walking its arrays.
+
+    A split on an ``unknown`` column reaches both children. Each node is
+    visited once, so shared children cost nothing extra. With no unknown
+    column, the one leaf reached is added.
+    """
     feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
 
     def walk(vec: list[float], total: float) -> float:
-        node = 0
-        while feature[node] >= 0:
-            node = left[node] if vec[feature[node]] <= threshold[node] else right[node]
-        w0, w1 = tree.leaf_weights[node]
-        return total + w1 / (w0 + w1)
+        best = -math.inf
+        stack, seen = [0], set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            feat = feature[node]
+            if feat < 0:
+                w0, w1 = tree.leaf_weights[node]
+                best = max(best, w1 / (w0 + w1))
+            elif feat in unknown:
+                stack += (left[node], right[node])
+            else:
+                stack.append(left[node] if vec[feat] <= threshold[node] else right[node])
+        return total + best
 
     return walk
 
@@ -463,15 +546,18 @@ def _chunk_step(lines: list[str]):
 class CompiledForest:
     """A model's trees as steps ``(vec, total) -> total`` to run in tree order.
 
-    Built a chunk at a time by ``compile_chunk``. A compiled step is one
-    generated function holding consecutive compiled trees, closed once it
-    reaches ``CHUNK_LINES`` lines; a walked step is one tree that
-    ``_tree_source`` refused. Once ``done``, ``n_compiled + n_walked`` is the
-    model's tree count.
+    ``unknown`` holds the columns whose values the form does not read: each
+    tree's step adds the largest leaf the row may reach whatever those
+    columns hold, and with no unknown column the leaf it reaches. Built a
+    chunk at a time by ``compile_chunk``. A compiled step is one generated
+    function holding consecutive compiled trees, closed once it reaches
+    ``CHUNK_LINES`` lines; a walked step is one tree that ``_tree_source``
+    refused. Once ``done``, ``n_compiled + n_walked`` is the model's tree count.
     """
 
-    def __init__(self, trees: Sequence[Tree]):
+    def __init__(self, trees: Sequence[Tree], unknown: frozenset[int] = frozenset()):
         self._trees = trees
+        self.unknown = unknown
         self._next = 0
         self.steps: list = []
         self.n_compiled = 0
@@ -489,9 +575,9 @@ class CompiledForest:
         while self._next < len(self._trees) and len(chunk) < CHUNK_LINES:
             tree = self._trees[self._next]
             self._next += 1
-            lines = _tree_source(tree)
+            lines = _tree_source(tree, self.unknown)
             if lines is None:
-                walked = _walker(tree)
+                walked = _walker(tree, self.unknown)
                 break
             chunk += lines
             self.n_compiled += 1
@@ -504,18 +590,35 @@ class CompiledForest:
         return self.done
 
 
-def compile_chunk(model: ForestModel) -> bool:
-    """Compile the next chunk of ``model``'s trees; True once all are compiled or walked.
+def _form(model: ForestModel, unknown: frozenset[int]) -> CompiledForest:
+    """The compiled form of ``model`` with ``unknown`` columns, begun if it is not yet."""
+    if not unknown:
+        if model.compiled is None:
+            model.compiled = CompiledForest(model.trees)
+        return model.compiled
+    form = model.bounds.get(unknown)
+    if form is None:
+        form = model.bounds[unknown] = CompiledForest(model.trees, unknown)
+    return form
 
-    Each call compiles at most one generated function (about 1 ms for
-    ``CHUNK_LINES`` lines), so a caller with idle moments, such as a stream
-    whose first window is still filling, can spread the compile over them
-    instead of paying it all at the first prediction.
+
+def compile_chunk(model: ForestModel, unknown: frozenset[int] = frozenset(), share: float = 0.0) -> bool:
+    """Compile the next chunk of a form of ``model``; True once all its trees are compiled or walked.
+
+    The form is the exact one (``predict_probability``), or with ``unknown``
+    columns the bound (``bound_probability``). Each call compiles one
+    generated function (about 1 ms for ``CHUNK_LINES`` lines), and more
+    until ``share`` of the trees are compiled or walked, so a caller with
+    idle moments, such as a stream whose first window is still filling, can
+    spread the compile over them instead of paying it all at the first
+    prediction.
     """
-    compiled = model.compiled
-    if compiled is None:
-        compiled = model.compiled = CompiledForest(model.trees)
-    return compiled.done or compiled.compile_chunk()
+    form = _form(model, frozenset(unknown))
+    while not form.done:
+        form.compile_chunk()
+        if form.n_compiled + form.n_walked >= share * len(model.trees):
+            break
+    return form.done
 
 
 def _vector(model: ForestModel, x: Sequence[float]) -> list[float]:
@@ -527,31 +630,56 @@ def _vector(model: ForestModel, x: Sequence[float]) -> list[float]:
         raise SchemaMismatch(f"input is not a row of numbers: {exc}") from None
     if len(vec) != len(model.feature_names):
         raise SchemaMismatch(f"expected {len(model.feature_names)} features, got {len(vec)}")
+    # a non-finite cell makes the sum non-finite; a finite sum rules them all out
+    if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
+        raise SchemaMismatch("input holds a value that is not finite")
     return vec
+
+
+def _run(model: ForestModel, x, unknown: frozenset[int]) -> float:
+    """The mean of the steps of ``model``'s form with ``unknown`` columns on row ``x``.
+
+    Compiles whatever ``compile_chunk`` has not yet compiled of that form and
+    keeps it on the model, so the model's trees must not change after the
+    first compile. The steps run in tree order starting from 0.0: the leaves
+    are added one by one, not with ``sum``, whose float summation is
+    compensated from Python 3.12.
+    """
+    vec = _vector(model, x)
+    form = _form(model, unknown)
+    while not form.done:
+        form.compile_chunk()
+    total = 0.0
+    for step in form.steps:
+        total = step(vec, total)
+    return total / len(model.trees)
 
 
 def predict_probability(model: ForestModel, x) -> float:
     """Mean over trees of the leaf's weighted robbery fraction.
 
-    ``x`` is a sequence of numbers in ``model.feature_names`` order; a
-    Mapping, a value ``float`` rejects or a wrong length raises
-    ``SchemaMismatch``. The first call with a model compiles whatever
-    ``compile_chunk`` has not yet compiled and keeps the result on
-    ``model.compiled``, so the model's trees must not change after the
-    first of either; later calls run the compiled steps in tree order,
-    starting from 0.0. The leaves are added one by one in tree order, not
-    with ``sum``, whose float summation is compensated from Python 3.12.
+    ``x`` is a sequence of finite numbers in ``model.feature_names`` order;
+    a Mapping, a value ``float`` rejects or that is not finite, or a wrong
+    length raises ``SchemaMismatch``. The first call with a model compiles
+    whatever ``compile_chunk`` has not yet compiled and keeps the result on
+    ``model.compiled``.
     """
-    vec = _vector(model, x)
-    compiled = model.compiled
-    if compiled is None or not compiled.done:
-        while not compile_chunk(model):
-            pass
-        compiled = model.compiled
-    total = 0.0
-    for step in compiled.steps:
-        total = step(vec, total)
-    return total / len(model.trees)
+    return _run(model, x, frozenset())
+
+
+def bound_probability(model: ForestModel, x, unknown: frozenset[int]) -> float:
+    """An upper bound on ``predict_probability`` of every row that equals ``x`` outside ``unknown``.
+
+    ``unknown`` holds column indices whose values ``x`` need not know: they
+    are not read. Each tree adds the largest leaf the row may reach whatever
+    those columns hold, in tree order, and the total is divided by the tree
+    count. Float addition and division are monotone, so the bound is at least
+    the probability of any completion of the row; with no unknown column it
+    is ``predict_probability(model, x)``, bit for bit. ``x`` is checked as
+    there, and each set of unknown columns compiles its own form, kept on
+    ``model.bounds``.
+    """
+    return _run(model, x, frozenset(unknown))
 
 
 def predict(model: ForestModel, x) -> tuple[int, float]:

@@ -17,11 +17,15 @@ for pairs the gap between the two tracks' center bounding boxes does not
 rule out.
 
 ``StreamEngine`` (``snatchdet stream``) cuts that pair's segment with the
-pair key's first track as A and classifies it under both orderings,
-through one ``SegmentFamilies`` table per decision: each track's
-individual families and the pair's symmetric distance family are computed
-once for both orderings, the directional families once per ordering. It
-orders no roles, since the higher probability of the two wins.
+pair key's first track as A and decides whether the higher probability of
+its two role orderings reaches ``prob_threshold``, through one
+``SegmentFamilies`` table per decision. It first extracts what both
+orderings share (each track's individual families and the pair's symmetric
+distance family) and bounds each ordering's probability with the
+directional columns unknown (``bound_probability``). Only an ordering whose
+bound reaches the threshold runs its directional families and its exact
+prediction; when neither does, the window's prediction is 0 (see
+``docs/formats.md``, "Window decision"). It orders no roles.
 ``step_pairs`` turns the decisions into alarm transitions by the alarm
 rule of ``docs/formats.md``, and is the only code that creates, steps or
 forgets an alarm. Each alarm transition is one ``AlertRecord``, which
@@ -36,7 +40,8 @@ extracts each window's pair under the (aggressor, victim) ordering of
 speed over the last ``window_s`` seconds, and the lower id on a tie.
 
 The layers this module calls (``select_pair``, ``order_roles``,
-``pair_segment``, ``extract_segment``, ``predict_probability``, ``step``)
+``pair_segment``, ``extract_segment``, ``bound_probability``,
+``predict_probability``, ``step``)
 are looked up here at each call, so a tool that replaces them here sees
 every call. Streaming alerts are therefore reproducible from an offline
 recomputation of the same file.
@@ -60,7 +65,13 @@ from .features import (
     pair_segment,
     shared_samples,
 )
-from .forest import ForestModel, SchemaMismatch, compile_chunk, predict_probability
+from .forest import (
+    ForestModel,
+    SchemaMismatch,
+    bound_probability,
+    compile_chunk,
+    predict_probability,
+)
 from .preprocess import SkeletonSmoother, body_center
 from .temporal import AlarmState, HysteresisConfig, step
 from .types import (
@@ -384,11 +395,16 @@ class AlertRecord:
 class StreamEngine:
     """Frame-by-frame detector: smooth, window, classify, hysteresis.
 
-    Per window the closest pair is classified under both orderings,
-    extracted through one family table, and the higher robbery probability
-    wins: ``p(A,B)`` is the probability with the pair key's first track
-    (``track_order``) as A, ``p(B,A)`` the one with it as B, and no role
-    ordering runs. The thresholded prediction then drives one alarm state
+    Per window the closest pair's prediction is 1 when the higher robbery
+    probability of its two orderings reaches ``prob_threshold``: ``p(A,B)``
+    is the probability with the pair key's first track (``track_order``) as
+    A, ``p(B,A)`` the one with it as B, and no role ordering runs. Both are
+    extracted through one family table, first only in the columns both
+    share; an ordering whose ``bound_probability`` with the directional
+    columns unknown is below the threshold cannot reach it, and is neither
+    extracted in full nor predicted. ``windows_bounded`` counts the windows
+    that neither ordering's bound reaches the threshold of. The thresholded
+    prediction then drives one alarm state
     machine per pair (``step_pairs``). A prediction lasts until the next
     stride point. Every known pair's alarm steps on every frame, with 0
     while a member is absent, and a pair whose alarm is off with no
@@ -414,7 +430,27 @@ class StreamEngine:
         self._start_t: Optional[float] = None
 
         self.frames_processed = 0
+        self.windows_bounded = 0
         self._forest_compiled = False
+
+    def _compile_chunks(self) -> bool:
+        """Compile part of the forest's forms while the first window fills; True once both are done.
+
+        The exact form compiles one chunk per frame. From the second frame
+        on, the bound form (when the model reads a directional column)
+        compiles its chunks until its share of the trees is done: all of
+        them by frame ``window_frames - 1``, the frame before the first
+        decision. So no decision compiles, and the first frame, all that a
+        one-frame stream runs, compiles one exact chunk only.
+        """
+        exact = compile_chunk(self.model)
+        unknown = self.schema.directional
+        if not unknown:
+            return exact
+        if self.frames_processed < 2:
+            return False
+        share = (self.frames_processed - 1) / max(self.cfg.window_frames - 2, 1)
+        return compile_chunk(self.model, unknown, share) and exact
 
     @property
     def _buffers(self) -> KeysView[str]:
@@ -426,9 +462,23 @@ class StreamEngine:
         a, b = sorted(pair, key=lambda track: track_order(track.track_id))
         segment = pair_segment(a, b, fps=self.cfg.fps)
         families = SegmentFamilies(segment)
-        rows = [extract_segment(s, self.schema, families) for s in (segment, segment.swapped())]
-        prob = max(predict_probability(self.model, row) for row in rows)
-        yhat = 1 if prob >= self.cfg.prob_threshold else 0
+        schema, threshold = self.schema, self.cfg.prob_threshold
+        orderings = [segment, segment.swapped()]
+        if schema.directional:
+            # an ordering whose bound is below the threshold cannot reach it
+            orderings = [
+                s for s in orderings
+                if bound_probability(
+                    self.model, extract_segment(s, schema, families, schema.shared_plan),
+                    schema.directional,
+                ) >= threshold
+            ]
+            if not orderings:
+                self.windows_bounded += 1
+        yhat = int(any(
+            predict_probability(self.model, extract_segment(s, schema, families)) >= threshold
+            for s in orderings
+        ))
         return pair_key_str(a.track_id, b.track_id), (a.track_id, b.track_id), yhat
 
     def process(self, record: FrameRecord) -> list[AlertRecord]:
@@ -439,9 +489,7 @@ class StreamEngine:
             self._start_t = record.timestamp
         self.frames_processed += 1
         if not self._forest_compiled:
-            # one chunk of the forest per frame while the first window fills,
-            # so that no decision pays for compiling the whole forest
-            self._forest_compiled = compile_chunk(self.model)
+            self._forest_compiled = self._compile_chunks()
 
         present, pair = self._windows.advance(record)
         decision = None if pair is None else self._classify(pair)

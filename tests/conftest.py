@@ -154,6 +154,80 @@ def run_engine(engine, frames):
     return [alert for record in frames for alert in engine.process(record)]
 
 
+def classified_windows(engine, frames):
+    """Run ``engine`` over ``frames``; returns its alert records and one record per window it classified.
+
+    A window's record is (frame position, (A id, B id), (row A,B, row B,A),
+    (p(A,B), p(B,A))), with the pair key's first track as A. The engine
+    predicts only the orderings its bound leaves open, so the rows and
+    probabilities are computed here, by ``features.extract_segment`` and
+    ``forest.predict_probability``, from the segment the engine cuts
+    (``pipeline.pair_segment``) before its tracks move on. Each window's
+    decision (``StreamEngine._classify``) must be its pair and
+    [max(p(A,B), p(B,A)) >= prob_threshold]. Every row the engine extracts
+    must equal its ordering's row in the columns its plan fills, and hold 0.0
+    in the others; every bound must be at least its ordering's probability,
+    and every probability the engine predicts must be it, bit for bit.
+    """
+    from snatchdet import features, forest, pipeline
+
+    cut, calls, windows = [], [], []
+    segment_of, classify = pipeline.pair_segment, engine._classify
+    extract, bound, predict = (
+        pipeline.extract_segment, pipeline.bound_probability, pipeline.predict_probability
+    )
+
+    def recording_segment(*args, **kwargs):
+        cut.append(segment_of(*args, **kwargs))
+        return cut[-1]
+
+    def recording_extract(pair, schema=None, families=None, plan=None):
+        row = extract(pair, schema, families, plan)
+        calls.append(("row", roles(pair), (row, plan)))
+        return row
+
+    def recording_bound(model, x, unknown):
+        calls.append(("bound", calls[-1][1], bound(model, x, unknown)))
+        return calls[-1][2]
+
+    def recording_predict(model, x):
+        calls.append(("predict", calls[-1][1], predict(model, x)))
+        return calls[-1][2]
+
+    def checked_classify(pair):
+        decision = classify(pair)
+        (segment,) = cut
+        ids = roles(segment)
+        rows = tuple(features.extract_segment(s, engine.schema) for s in (segment, segment.swapped()))
+        probs = tuple(forest.predict_probability(engine.model, row) for row in rows)
+        yhat = 1 if max(probs) >= engine.cfg.prob_threshold else 0
+        assert decision == (pipeline.pair_key_str(*ids), ids, yhat)
+        for kind, ordering, value in calls:
+            k = 0 if ordering == ids else 1
+            if kind == "row":
+                row, plan = value
+                filled = {c for entry in (engine.schema.plan if plan is None else plan) for c in entry[4]}
+                want = [v if c in filled else 0.0 for c, v in enumerate(rows[k])]
+                assert repr(row) == repr(want)
+            elif kind == "bound":
+                assert value >= probs[k]
+            else:
+                assert repr(value) == repr(probs[k])
+        cut.clear()
+        calls.clear()
+        windows.append((engine.frames_processed - 1, ids, rows, probs))
+        return decision
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "pair_segment", recording_segment)
+        m.setattr(pipeline, "extract_segment", recording_extract)
+        m.setattr(pipeline, "bound_probability", recording_bound)
+        m.setattr(pipeline, "predict_probability", recording_predict)
+        m.setattr(engine, "_classify", checked_classify)
+        alerts = run_engine(engine, frames)
+    return alerts, windows
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

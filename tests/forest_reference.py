@@ -6,6 +6,11 @@ reference for ``forest.predict_probability``. It reads a tree's arrays
 node by node and computes each leaf fraction on the spot, with no
 generated source and no walker of the forest's own.
 
+``flat_bound_probability`` is the reference for ``forest.bound_probability``:
+the same flat walk, except that a split on an unknown column reaches both
+of its children. It collects the set of nodes the row reaches from the
+root and adds the largest leaf fraction among them, tree by tree.
+
 ``serialize`` is the model document as one ``json.dumps`` of the whole
 document, the reference for the bytes that ``forest.save_model`` writes a
 tree at a time.
@@ -73,6 +78,39 @@ def flat_predict_probability(model, x: Sequence[float]) -> float:
     total = 0.0
     for tree in model.trees:
         total += flat_tree_probability(tree, vec)
+    return total / len(model.trees)
+
+
+def flat_tree_bound(tree, x: Sequence[float], unknown) -> float:
+    """The largest leaf fraction among the nodes ``x`` reaches when a split on
+    a column in ``unknown`` sends it both ways."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        node = frontier.pop()
+        f = tree.feature[node]
+        if f < 0:
+            continue
+        if f in unknown:
+            children = [tree.left[node], tree.right[node]]
+        elif x[f] <= tree.threshold[node]:
+            children = [tree.left[node]]
+        else:
+            children = [tree.right[node]]
+        for child in children:
+            if child not in reached:
+                reached.add(child)
+                frontier.append(child)
+    leaves = [tree.leaf_weights[node] for node in reached if tree.feature[node] < 0]
+    return max(w1 / (w0 + w1) for w0, w1 in leaves)
+
+
+def flat_bound_probability(model, x: Sequence[float], unknown) -> float:
+    """Mean of the trees' largest reachable leaf fractions, added left to right in tree order."""
+    vec = [float(v) for v in x]
+    total = 0.0
+    for tree in model.trees:
+        total += flat_tree_bound(tree, vec, unknown)
     return total / len(model.trees)
 
 

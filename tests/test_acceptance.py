@@ -17,10 +17,10 @@ import pytest
 from alarm_reference import reference_alarms
 from conftest import (
     by_name,
+    classified_windows,
     random_segment,
     random_track,
     run_alarm,
-    roles,
     run_engine,
     skeleton_from_keypoints,
     static_skeleton,
@@ -46,7 +46,6 @@ from snatchdet.forest import (
     predict_probability,
     train,
 )
-from snatchdet import pipeline
 from snatchdet.experiment import binary_metrics, split_clips, window_dataset
 from snatchdet.pipeline import (
     StreamEngine,
@@ -474,29 +473,16 @@ def offline_alerts(frames, model, cfg):
 
 
 def online_alerts(frames, model, cfg, monkeypatch):
-    """Run the engine; returns (alert events, windows, evidence lines) shaped as in offline_alerts."""
-    engine = StreamEngine(model, cfg)
-    extracted, probs = [], []
-    extract, predict_ = pipeline.extract_segment, pipeline.predict_probability
+    """Run the engine; returns (alert events, windows, evidence lines) shaped as in offline_alerts.
 
-    def recording_extract(*args, **kwargs):
-        extracted.append((engine.frames_processed - 1, roles(args[0])))
-        return extract(*args, **kwargs)
-
-    def recording_predict(*args, **kwargs):
-        p = predict_(*args, **kwargs)
-        probs.append(p)
-        return p
-
-    with monkeypatch.context() as m:
-        m.setattr(pipeline, "extract_segment", recording_extract)
-        m.setattr(pipeline, "predict_probability", recording_predict)
-        alerts = run_engine(engine, frames)
-    # every window extracts and classifies (A, B), then (B, A)
-    assert len(extracted) == len(probs) and len(extracted) % 2 == 0
+    A window's probabilities are computed from the segment the engine cuts
+    (``classified_windows``), which also checks the engine's decision
+    against them.
+    """
+    alerts, classified = classified_windows(StreamEngine(model, cfg), frames)
     windows = [
-        (extracted[i][0], pair_key_str(*extracted[i][1]), repr(probs[i]), repr(probs[i + 1]))
-        for i in range(0, len(extracted), 2)
+        (end, pair_key_str(*ids), repr(p_ab), repr(p_ba))
+        for end, ids, _, (p_ab, p_ba) in classified
     ]
     events = [(a.pair, a.kind, a.timestamp, a.count) for a in alerts]
     evidence = [json.dumps(a.evidence, separators=(",", ":")) for a in alerts if a.evidence is not None]

@@ -4,7 +4,8 @@
 order, and ``StreamEngine`` builds its schema from ``model.feature_names``.
 So a model whose columns are permuted (names and every tree's split
 indices together) must give the engine's windows the same probabilities,
-bit for bit, and a model trained on columns in rank order, as ``rank`` lists
+and each row the same bound with its directional columns unknown, bit for
+bit, and a model trained on columns in rank order, as ``rank`` lists
 them and perfbench trains its top-10 model, must be fed each window's full
 row picked by name.
 """
@@ -12,12 +13,20 @@ row picked by name.
 import numpy as np
 import pytest
 
-from conftest import by_name, run_engine
+from conftest import by_name, classified_windows, run_engine
+from forest_reference import flat_bound_probability
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.experiment import window_dataset
 from snatchdet.features import FeatureSchema, extract_segment, full_schema
-from snatchdet.forest import ForestConfig, ForestModel, Tree, predict_probability, train
+from snatchdet.forest import (
+    ForestConfig,
+    ForestModel,
+    Tree,
+    bound_probability,
+    predict_probability,
+    train,
+)
 from snatchdet.selection import select_top_k
 from snatchdet.synth import generate_corpus
 from test_output_digest import load_script
@@ -60,32 +69,36 @@ def permuted(model, seed):
     )
 
 
-def window_probabilities(model, frames, monkeypatch):
-    """Every probability the engine computes over ``frames``, in call order."""
-    probs = []
-    predict = pipeline.predict_probability
-
-    def recording_predict(*args):
-        probs.append(predict(*args))
-        return probs[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(pipeline, "predict_probability", recording_predict)
-        run_engine(pipeline.StreamEngine(model, PipelineConfig()), frames)
-    return probs
+def window_probabilities(model, frames):
+    """p(A,B) and p(B,A) of every window the engine classifies over ``frames``, in order."""
+    _, windows = classified_windows(pipeline.StreamEngine(model, PipelineConfig()), frames)
+    return [p for *_, probs in windows for p in probs]
 
 
-def test_permuted_columns_give_the_same_window_probabilities(full_model, dataset, crowd, monkeypatch):
+def test_permuted_columns_give_the_same_window_probabilities(full_model, dataset, crowd):
     shuffled = permuted(full_model, seed=7)
     assert shuffled.feature_names != full_model.feature_names
     # the permutation matters: a full-schema row fed to the shuffled model reads other columns
     rows = dataset.X[:40].tolist()
     assert any(predict_probability(shuffled, r) != predict_probability(full_model, r) for r in rows)
 
-    want = window_probabilities(full_model, crowd, monkeypatch)
-    got = window_probabilities(shuffled, crowd, monkeypatch)
+    want = window_probabilities(full_model, crowd)
+    got = window_probabilities(shuffled, crowd)
     assert len(set(want)) > 2  # the windows are told apart
     assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+def test_permuted_columns_give_the_same_bounds(full_model, dataset):
+    shuffled = permuted(full_model, seed=7)
+    perm = [full_model.feature_names.index(name) for name in shuffled.feature_names]
+    unknown = FULL.directional
+    moved = FeatureSchema(shuffled.feature_names).directional
+    assert moved == {j for j, i in enumerate(perm) if i in unknown} != unknown
+    for row in dataset.X[:60].tolist():
+        want = bound_probability(full_model, row, unknown)
+        shuffled_row = [row[i] for i in perm]
+        assert repr(bound_probability(shuffled, shuffled_row, moved)) == repr(want)
+        assert repr(flat_bound_probability(shuffled, shuffled_row, moved)) == repr(want)
 
 
 def test_rank_ordered_rows_equal_the_full_row_picked_by_name(full_model, dataset, crowd, monkeypatch):
@@ -99,11 +112,13 @@ def test_rank_ordered_rows_equal_the_full_row_picked_by_name(full_model, dataset
     checked = []
     extract = pipeline.extract_segment
 
-    def checking_extract(segment, schema, families):
-        row = extract(segment, schema, families)
-        # the full row of the same segment, computed before its tracks move on
+    def checking_extract(segment, schema, families, plan=None):
+        row = extract(segment, schema, families, plan)
+        # the full row of the same segment, computed before its tracks move on,
+        # in the columns the plan fills
         want = by_name(FULL, extract(segment, FULL))
-        checked.append(repr(row) == repr([want[name] for name in ranked]))
+        filled = sorted(c for entry in (schema.plan if plan is None else plan) for c in entry[4])
+        checked.append(repr([row[c] for c in filled]) == repr([want[ranked[c]] for c in filled]))
         return row
 
     with monkeypatch.context() as m:

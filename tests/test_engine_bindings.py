@@ -4,11 +4,13 @@
 The benchmark's tracer (``perfbench/tracer.py``), the output digest
 (``scripts/output_digest.py``) and the online/offline oracle replace
 ``pipeline.select_pair``, ``order_roles``, ``pair_segment``,
-``extract_segment`` and ``predict_probability`` to time or record them. If
-the engine reached one of them another way, those tools would silently stop
-seeing it; these tests count the calls through the bindings. The stream
-classifies each pair under both orderings and keeps the higher
-probability, so it orders no roles.
+``extract_segment``, ``bound_probability`` and ``predict_probability`` to
+time or record them. If the engine reached one of them another way, those
+tools would silently stop seeing it; these tests count the calls through
+the bindings. The stream decides each pair from the higher probability of
+its two orderings, so it orders no roles: it bounds both from the columns
+they share, and predicts only an ordering whose bound reaches the
+threshold.
 """
 
 import json
@@ -32,7 +34,10 @@ from track_reference import build_tracks
 
 ROOT = Path(__file__).resolve().parents[1]
 
-BINDINGS = ("select_pair", "order_roles", "pair_segment", "extract_segment", "predict_probability")
+BINDINGS = (
+    "select_pair", "order_roles", "pair_segment", "extract_segment", "bound_probability",
+    "predict_probability",
+)
 
 
 def gappy_frames():
@@ -85,7 +90,31 @@ def test_engine_calls_each_layer_through_its_pipeline_binding(monkeypatch):
     assert calls["select_pair"] == attempted
     assert calls["order_roles"] == 0
     assert calls["pair_segment"] == classified
-    assert calls["extract_segment"] == calls["predict_probability"] == 2 * classified
+    # the model reads no directional column: no bound, each window predicts
+    # (A, B) and, unless that reaches the threshold, (B, A)
+    assert calls["bound_probability"] == engine.windows_bounded == 0
+    assert calls["extract_segment"] == calls["predict_probability"]
+    assert classified <= calls["predict_probability"] <= 2 * classified
+
+
+def test_engine_bounds_both_orderings_through_the_bindings(monkeypatch, window_model):
+    cfg = PipelineConfig()
+    # a snatch beside a far bystander: the bound decides some windows, not all
+    frames = with_bystander(generate(ScenarioSpec(kind="snatch", seed=11, duration=5.0, noise_sigma=1.0)).frames)
+    calls, pairs_found = count_bindings(monkeypatch)
+
+    engine = pipeline.StreamEngine(window_model, cfg)
+    run_engine(engine, frames)
+
+    classified = pairs_found[True]
+    open_windows = classified - engine.windows_bounded
+    assert classified > open_windows > 0
+    assert calls["pair_segment"] == classified
+    # both orderings' shared columns and bounds, then a full row and an
+    # exact prediction per ordering the bound leaves open
+    assert calls["bound_probability"] == 2 * classified
+    assert calls["extract_segment"] == 2 * classified + calls["predict_probability"]
+    assert open_windows <= calls["predict_probability"] <= 2 * open_windows
 
 
 def test_sliding_extraction_orders_roles_once_per_row(monkeypatch):

@@ -204,22 +204,30 @@ def test_one_table_leaves_no_reference_cycles(rng):
 
 
 def test_engine_shares_one_table_between_the_orderings(monkeypatch):
-    # the distance family runs once per decision, not once per ordering
+    # the distance family runs once per decision, not once per extraction:
+    # each decision extracts both orderings' shared columns, and may extract
+    # an ordering in full after its bound
     frames = generate(ScenarioSpec(kind="snatch", seed=11, duration=4.0, noise_sigma=1.0)).frames
-    model = train(Dataset(("distance_mean",), [[0.0], [1.0]], [0, 1]), ForestConfig(n_trees=1))
+    model = train(
+        Dataset(("distance_mean", "relativeSpeed_mean"), [[0.0, 0.0], [1.0, 1.0]], [0, 1]),
+        ForestConfig(n_trees=1),
+    )
     calls = Counter()
-    distance, extract = features.interaction_distance, pipeline.extract_segment
+    distance, extract, segment = (
+        features.interaction_distance, pipeline.extract_segment, pipeline.pair_segment
+    )
 
-    def counting_distance(*args, **kwargs):
-        calls["distance"] += 1
-        return distance(*args, **kwargs)
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
 
-    def counting_extract(*args, **kwargs):
-        calls["extract"] += 1
-        return extract(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(features, "interaction_distance", counting_distance)
-    monkeypatch.setattr(pipeline, "extract_segment", counting_extract)
+    monkeypatch.setattr(features, "interaction_distance", counting("distance", distance))
+    monkeypatch.setattr(pipeline, "extract_segment", counting("extract", extract))
+    monkeypatch.setattr(pipeline, "pair_segment", counting("decision", segment))
     run_engine(pipeline.StreamEngine(model, PipelineConfig()), frames)
-    assert calls["extract"] > 0
-    assert calls["distance"] * 2 == calls["extract"]
+    assert calls["decision"] > 0
+    assert calls["extract"] >= 2 * calls["decision"]
+    assert calls["distance"] == calls["decision"]

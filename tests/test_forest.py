@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from snatchdet.forest import (
     _presort,
     _tree_rng,
     balanced_weights,
+    bound_probability,
     deserialize,
     load_model,
     predict,
@@ -236,6 +238,15 @@ class TestPredict:
                     np.ones((1, 2)), 1.0, (1.0,)):
             with pytest.raises(SchemaMismatch):
                 predict(model, bad)
+        # a non-finite cell would fail or pass every split: NaN goes right at each one
+        for bad in ([math.nan, 0.0], [math.inf, -math.inf], [0.0, -math.inf], ["nan", 1.0],
+                    np.array([1.0, np.inf])):
+            with pytest.raises(SchemaMismatch):
+                predict(model, bad)
+            with pytest.raises(SchemaMismatch):
+                bound_probability(model, bad, frozenset({0}))
+        # finite cells whose sum overflows are a row like any other
+        assert 0.0 <= predict_probability(model, [1.5e308, 1.5e308]) <= 1.0
         assert predict(model, (1.0, 2.0)) == predict(model, [1.0, 2.0])
 
     def test_probability_stays_in_unit_interval(self):

@@ -1,13 +1,16 @@
 """The forest compiles its trees a chunk at a time, or walks their arrays.
 
-``forest_reference`` keeps a flat four-list walk of its own; compiled and
-walked trees must give its probability, bit for bit, on any valid model
-document. Shared children and deep chains must load and predict in
-linear time without recursion, and the leaves must be added left to right.
-A trained model compiles every tree; a tree with a non-finite threshold, a
-deep chain or an exponential expansion of shared children is walked. The
-stream engine compiles one chunk per frame, so its first decision finds
-the forest compiled; a prediction compiles whatever is left.
+``forest_reference`` keeps a flat four-list walk of its own, and a bound
+walk beside it; compiled and walked trees must give their probability and
+bound (for every set of unknown columns), bit for bit, on any valid model
+document and any finite row, and refuse a row with a non-finite cell.
+Shared children and deep chains must load and predict in linear time
+without recursion, and the leaves must be added left to right. A trained
+model compiles every tree; a tree with a non-finite threshold, a deep chain
+or an exponential expansion of shared children is walked. The stream engine
+compiles the exact form one chunk per frame and the bound form alongside it
+from the second frame, so its first decision finds both compiled; a
+prediction or a bound compiles whatever is left of its form.
 """
 
 import json
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_engine
-from forest_reference import flat_predict_probability, serialize
+from forest_reference import flat_bound_probability, flat_predict_probability, serialize
 from snatchdet import pipeline
 from snatchdet.config import PipelineConfig
 from snatchdet.forest import (
@@ -31,7 +34,9 @@ from snatchdet.forest import (
     MODEL_VERSION,
     Dataset,
     ForestConfig,
+    SchemaMismatch,
     Tree,
+    bound_probability,
     compile_chunk,
     deserialize,
     predict_probability,
@@ -43,6 +48,29 @@ from test_forest import separable_dataset
 
 N_FEATURES = 3
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
+
+
+def column_sets(n):
+    """Every set of the first three of ``n`` column indices."""
+    return [frozenset(i for i in range(min(n, 3)) if mask >> i & 1) for mask in range(2 ** min(n, 3))]
+
+
+def assert_as_the_flat_walks(model, x):
+    """``predict_probability`` and ``bound_probability``, with each set of
+    ``column_sets`` unknown, are the flat walks' bit for bit on a finite row
+    ``x``; a row with a non-finite cell is refused."""
+    unknowns = column_sets(len(model.feature_names))
+    if not all(map(math.isfinite, x)):
+        for call in [lambda: predict_probability(model, x)] + [
+            lambda u=u: bound_probability(model, x, u) for u in unknowns
+        ]:
+            with pytest.raises(SchemaMismatch):
+                call()
+        return
+    assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+    for unknown in unknowns:
+        got = bound_probability(model, x, unknown)
+        assert repr(got) == repr(flat_bound_probability(model, x, unknown))
 
 
 def document(trees, n_features=N_FEATURES):
@@ -112,7 +140,7 @@ def valid_trees(draw):
 def test_nested_walk_matches_the_flat_walk(trees, rows):
     model = deserialize(document(trees))
     for x in rows:
-        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+        assert_as_the_flat_walks(model, x)
 
 
 def test_trained_model_matches_the_flat_walk():
@@ -185,6 +213,19 @@ def test_unusual_trees_are_walked_in_linear_time(name):
     assert (model.compiled.n_compiled, model.compiled.n_walked) == (0, 1)
 
 
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_unusual_trees_bound_as_the_flat_walk_in_linear_time(name):
+    start = time.perf_counter()
+    model = deserialize(document([WALKED[name]]))
+    for x in ([0.0, 1.0, 2.0], [-1.0, -1.0, -1.0], [1e9, 1e9, 1e9]):
+        assert_as_the_flat_walks(model, x)
+    assert time.perf_counter() - start < 2.0
+    # a merge drops the non-finite threshold of a stump's split on column 0;
+    # a tree with shared children is walked
+    walked = 0 if name.endswith("threshold") else 1
+    assert model.bounds[frozenset({0})].n_walked == walked
+
+
 @pytest.mark.parametrize("n, walked", [(64, 0), (65, 1)])
 def test_a_chain_compiles_up_to_63_splits_deep(n, walked):
     model = deserialize(document([chain(n, shared=False)]))
@@ -208,8 +249,11 @@ def test_compiled_and_walked_trees_mix_in_tree_order(where):
         trees = walked[:1] + compiled[:30] + walked[1:2] + compiled[30:] + walked[2:]
     model = deserialize(document(trees))
     for x in [[v] * N_FEATURES for v in SPECIAL] + [[-1.0, 0.2, 1.0], [0.7, -3.0, 2.5]]:
-        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+        assert_as_the_flat_walks(model, x)
     assert (model.compiled.n_compiled, model.compiled.n_walked) == (60, 3)
+    # merged, the stumps and the non-finite thresholds on column 0 compile;
+    # the deep chain has shared children, so it is walked
+    assert (model.bounds[frozenset({0})].n_compiled, model.bounds[frozenset({0})].n_walked) == (62, 1)
 
 
 @pytest.fixture(scope="module")
@@ -266,37 +310,54 @@ def test_a_walked_tree_ends_a_chunk_and_follows_it():
     assert (model.compiled.n_compiled, model.compiled.n_walked) == (5, 1)
     assert len(model.compiled.steps) == 2
     for x in [[v] * N_FEATURES for v in SPECIAL] + [[-1.0, 0.2, 1.0]]:
-        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+        assert_as_the_flat_walks(model, x)
 
 
-def test_stream_engine_compiles_one_chunk_per_frame_before_its_first_decision(monkeypatch):
+def test_stream_engine_compiles_both_forms_before_its_first_decision(monkeypatch):
     cfg = PipelineConfig()
     frames = generate(ScenarioSpec(kind="snatch", seed=11, duration=5.0, noise_sigma=1.0)).frames
-    rows = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+    rows = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.5, 0.5, 1.0]]
     model = train(
-        Dataset(("distance_mean", "A_velocity_mean"), rows, [0, 1, 1]),
+        Dataset(("distance_mean", "A_velocity_mean", "relativeSpeed_mean"), rows, [0, 1, 1]),
         ForestConfig(n_trees=500, seed=3),
     )
     compiled_when_called = []
-    inner = pipeline.predict_probability
+    predict, bound = pipeline.predict_probability, pipeline.bound_probability
 
-    def recording(m, x):
-        compiled_when_called.append(m.compiled.done)
-        return inner(m, x)
+    def recording_predict(m, x):
+        compiled_when_called.append(("predict", m.compiled.done))
+        return predict(m, x)
 
-    monkeypatch.setattr(pipeline, "predict_probability", recording)
+    def recording_bound(m, x, unknown):
+        compiled_when_called.append(("bound", m.bounds[unknown].done and m.compiled.done))
+        return bound(m, x, unknown)
+
+    monkeypatch.setattr(pipeline, "predict_probability", recording_predict)
+    monkeypatch.setattr(pipeline, "bound_probability", recording_bound)
     engine = pipeline.StreamEngine(model, cfg)
-    n_steps = []
+    unknown = engine.schema.directional
+    assert unknown == frozenset({2})
+    exact_steps, bound_trees = [], []
     for record in frames:
         engine.process(record)
-        n_steps.append(len(model.compiled.steps))
-        if model.compiled.done:
+        exact_steps.append(len(model.compiled.steps))
+        form = model.bounds.get(unknown)
+        bound_trees.append(0 if form is None else form.n_compiled + form.n_walked)
+        if model.compiled.done and form is not None and form.done:
             break
-    # more than one chunk, one a frame, all before the first window is full
-    assert n_steps == list(range(1, len(n_steps) + 1))
-    assert 1 < len(n_steps) < cfg.window_frames
-    run_engine(engine, frames[len(n_steps):])
-    assert compiled_when_called and all(compiled_when_called)
+    # the exact form one chunk a frame; the bound form from the second frame
+    # on, at least its share of the trees each frame; both before the first
+    # window is full
+    n = len(exact_steps)
+    exact_frames = exact_steps.index(len(model.compiled.steps)) + 1
+    assert exact_steps[:exact_frames] == list(range(1, exact_frames + 1))
+    assert bound_trees[0] == 0 and 0 < bound_trees[1] < 500
+    for k, done in enumerate(bound_trees[1:], start=2):
+        assert done >= min(500, 500 * (k - 1) / (cfg.window_frames - 2))
+    assert 1 < exact_frames <= n < cfg.window_frames
+    run_engine(engine, frames[n:])
+    assert {kind for kind, _ in compiled_when_called} == {"predict", "bound"}
+    assert all(done for _, done in compiled_when_called)
 
 
 def assert_saved_as_serialized(model):

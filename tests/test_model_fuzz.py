@@ -5,9 +5,10 @@ replaced by any JSON value (huge and over-long integers, infinities and
 deep nesting among them), a key is deleted, the text is truncated, or the
 whole document is wrapped in deep nesting. ``deserialize`` must return a
 model or raise ``CorruptModel`` or ``VersionMismatch``, and a model it
-returns must predict a probability in [0, 1] for the zero vector, bit for
-bit the flat walk's (``forest_reference``) there and on a vector of each
-special value (nan, the infinities, signed zeros, one).
+returns must predict a probability in [0, 1] for the zero vector. There
+and on a vector of each finite special value (signed zeros, one), its
+probability and its bounds must be bit for bit the flat walks'
+(``forest_reference``); a vector of nan or an infinity is refused.
 """
 
 import json
@@ -15,7 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_reference import flat_predict_probability, serialize
+from forest_reference import serialize
 from snatchdet.forest import (
     CorruptModel,
     ForestConfig,
@@ -25,7 +26,7 @@ from snatchdet.forest import (
     train,
 )
 from test_forest import separable_dataset
-from test_forest_walk import SPECIAL
+from test_forest_walk import SPECIAL, assert_as_the_flat_walks
 
 BASE_TEXT = serialize(train(separable_dataset(n=12), ForestConfig(n_trees=2, seed=1)))
 BASE = json.loads(BASE_TEXT)
@@ -122,7 +123,7 @@ def test_any_loaded_document_predicts_as_the_flat_walk(text):
         return
     n = len(model.feature_names)
     for x in [[0.0] * n] + [[v] * n for v in SPECIAL]:
-        assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
+        assert_as_the_flat_walks(model, x)
 
 
 def test_base_document_loads():

@@ -10,8 +10,11 @@ import importlib.util
 import math
 from pathlib import Path
 
-from snatchdet import forest
+from conftest import classified_windows
+from snatchdet import forest, streams
+from snatchdet.config import PipelineConfig
 from snatchdet.features import full_schema
+from snatchdet.pipeline import StreamEngine
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 
@@ -29,6 +32,11 @@ PINNED = {
     "crowd_stream.evidence": "de778f5da22c56947857fee917cd75950a7043eeaaf3f5a1b5de10fcd41bd415",
     "crowd_stream.windows": "42723a2ff7e6856f1242285ae25fde1d25da1bddbd132014842e7b07b1278a66",
 }
+
+
+# (windows the bound decides, windows classified) by ``stream`` on the small
+# input's streams: ``StreamEngine.windows_bounded`` and the decisions made.
+BOUNDED = {"pair_stream": (53, 57), "crowd_stream": (53, 57)}
 
 
 def load_script():
@@ -107,3 +115,17 @@ def test_digests_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch):
     digest = load_script()
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
     assert digest.digests(str(tmp_path), n_per_class=2, n_trees=5, rounds=1) == PINNED
+
+
+def test_the_bound_decides_most_small_input_windows(tmp_path):
+    """Every decision is [max(p(A,B), p(B,A)) >= prob_threshold] computed
+    outside the engine (``classified_windows``), and the bound alone decides
+    the pinned share of the windows."""
+    load_script().digests(str(tmp_path), n_per_class=2, n_trees=5, rounds=1)
+    got = {}
+    for name, model in (("pair_stream", "top_model.json"), ("crowd_stream", "full_model.json")):
+        engine = StreamEngine(forest.load_model(str(tmp_path / model)), PipelineConfig())
+        frames = list(streams.iter_stream(str(tmp_path / f"{name}.jsonl")))
+        _, windows = classified_windows(engine, frames)
+        got[name] = (engine.windows_bounded, len(windows))
+    assert got == BOUNDED

@@ -11,15 +11,13 @@ The last test moves the joints no schema reads in a digest stream and
 checks that ``extract`` and ``stream`` write the same bytes.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import roles, with_bystander, without_person
-from snatchdet import pipeline, streams
+from conftest import classified_windows, roles, with_bystander, without_person
+from snatchdet import streams
 from snatchdet.config import PipelineConfig
 from snatchdet.features import (
     FAMILY_JOINTS,
@@ -163,24 +161,13 @@ def _model(schema, rows):
 
 
 def _engine_windows(model, frames, cfg):
-    """Each window's (repr of row, roles) pairs and probabilities in the engine."""
+    """Each window's (repr of row, roles) pairs and probabilities, from the segments the
+    engine cuts (``classified_windows``, which checks the rows and probabilities the engine
+    computes against them)."""
     rows, probs = [], []
-    extract, predict = pipeline.extract_segment, pipeline.predict_probability
-
-    def recording_extract(*args, **kwargs):
-        row = extract(*args, **kwargs)
-        rows.append((repr(row), roles(args[0])))
-        return row
-
-    def recording_predict(*args, **kwargs):
-        probs.append(predict(*args, **kwargs))
-        return probs[-1]
-
-    engine = StreamEngine(model, cfg)
-    with mock.patch.object(pipeline, "extract_segment", recording_extract), \
-            mock.patch.object(pipeline, "predict_probability", recording_predict):
-        for record in frames:
-            engine.process(record)
+    for _, ids, window_rows, window_probs in classified_windows(StreamEngine(model, cfg), frames)[1]:
+        rows += [(repr(window_rows[0]), ids), (repr(window_rows[1]), ids[::-1])]
+        probs += window_probs
     return rows, probs
 
 
