@@ -472,7 +472,7 @@ def offline_alerts(frames, model, cfg):
     return events, windows, evidence
 
 
-def online_alerts(frames, model, cfg, monkeypatch):
+def online_alerts(frames, model, cfg):
     """Run the engine; returns (alert events, windows, evidence lines) shaped as in offline_alerts.
 
     A window's probabilities are computed from the segment the engine cuts
@@ -540,7 +540,7 @@ def equivalence_clips():
     yield bystander_takes_the_pair()
 
 
-def test_online_offline_equivalence(e2e, monkeypatch):
+def test_online_offline_equivalence(e2e):
     # a pre-span longer than the clips' first activations, so evidence spans clamp
     cfg = replace(e2e["cfg"], evidence_pre_s=4.0)
     model = e2e["model"]
@@ -550,7 +550,7 @@ def test_online_offline_equivalence(e2e, monkeypatch):
     split_windows = 0
     late_clamped = 0
     for frames in equivalence_clips():
-        online = online_alerts(frames, model, cfg, monkeypatch)
+        online = online_alerts(frames, model, cfg)
         offline = offline_alerts(frames, model, cfg)
         total_events += len(offline[0])
         total_windows += len(offline[1])
