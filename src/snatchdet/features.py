@@ -276,7 +276,7 @@ class FeatureSchema:
         return len(self.names)
 
     @cached_property
-    def plan(self) -> tuple[tuple[str, int, str, Stats, tuple[int, ...], float], ...]:
+    def plan(self) -> tuple[PlanEntry, ...]:
         """(family, owner role, base, statistics read, columns, sentinel) per value read.
 
         One entry per scalar and per series (a base of one role) the schema
@@ -299,7 +299,7 @@ class FeatureSchema:
         return tuple(plan)
 
     @cached_property
-    def shared_plan(self) -> tuple[tuple[str, int, str, Stats, tuple[int, ...], float], ...]:
+    def shared_plan(self) -> tuple[PlanEntry, ...]:
         """The ``plan`` entries that read what both role orderings share.
 
         They read each track's individual families and the symmetric
@@ -342,6 +342,8 @@ _ROLE_A, _ROLE_B, _ROLE_PAIR = 0, 1, 2
 # (family, owner role, base name, statistic or None, missing sentinel)
 Source = tuple[str, int, str, Optional[str], float]
 Stats = Optional[tuple[str, ...]]
+# (family, owner role, base name, statistics read, columns, missing sentinel)
+PlanEntry = tuple[str, int, str, Stats, tuple[int, ...], float]
 
 
 def _layout() -> list[tuple[str, Source]]:
@@ -897,7 +899,7 @@ def extract_segment(
     pair: PairSegment,
     schema: Optional[FeatureSchema] = None,
     families: Optional[SegmentFamilies] = None,
-    plan: Optional[Sequence[tuple[str, int, str, Stats, tuple[int, ...], float]]] = None,
+    plan: Optional[Sequence[PlanEntry]] = None,
 ) -> list[float]:
     """The feature row of a pair segment: one value per schema name, in ``schema.names`` order.
 

@@ -61,11 +61,11 @@ def assert_as_the_flat_walks(model, x):
     ``x``; a row with a non-finite cell is refused."""
     unknowns = column_sets(len(model.feature_names))
     if not all(map(math.isfinite, x)):
-        for call in [lambda: predict_probability(model, x)] + [
-            lambda u=u: bound_probability(model, x, u) for u in unknowns
-        ]:
+        with pytest.raises(SchemaMismatch):
+            predict_probability(model, x)
+        for unknown in unknowns:
             with pytest.raises(SchemaMismatch):
-                call()
+                bound_probability(model, x, unknown)
         return
     assert repr(predict_probability(model, x)) == repr(flat_predict_probability(model, x))
     for unknown in unknowns:
